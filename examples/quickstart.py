@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import GSpecPal, GSpecPalConfig
+from repro import DecisionTreeSelector, GSpecPal, GSpecPalConfig
 from repro.workloads import classic
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     # A binary numeral, 64 KiB of random bits.
     stream = rng.integers(ord("0"), ord("1") + 1, size=65_536).astype(np.uint8)
 
-    # --- 2-3. framework: profile, select, run ------------------------------
+    # --- 2-3. framework: compile the plan (profile, select), run -----------
     pal = GSpecPal(dfa, GSpecPalConfig(n_threads=256))
     features = pal.profile(stream)
     print(
@@ -37,7 +37,7 @@ def main() -> None:
         f"convergence #uniqStates(10) = {features.convergence_states:.1f}"
     )
     print(f"selector says: {pal.select_scheme()}")
-    print(pal.selector.explain(features))
+    print(DecisionTreeSelector(pal.config.thresholds).explain(features))
 
     result = pal.run(stream)
     value_mod_7 = "divisible" if result.accepts else "not divisible"

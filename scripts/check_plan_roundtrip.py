@@ -2,8 +2,8 @@
 """Cross-process plan round-trip check (CI acceptance gate).
 
 Phase 1 (``compile``): compile a suite member's plan and write it to disk,
-alongside the in-process reference answers (scheme, end state, accepts, and
-the cycle figure on the sim backend).
+alongside the reference answers that freshly compiled plan serves in this
+process (scheme, end state, accepts, and the sim backend's cycle figure).
 
 Phase 2 (``serve``): in a *fresh* process, reload the plan, serve it via
 ``GSpecPal.from_plan`` on both backends, and cross-check against the

@@ -13,7 +13,6 @@ from repro.automata.dfa import DFA, run_lockstep
 from repro.automata.nfa import NFA, nfa_to_dfa
 from repro.automata.regex import compile_regex, compile_disjunction, parse_regex
 from repro.automata.minimize import canonical_fingerprint, canonical_form, minimize_dfa
-from repro.automata.moore import minimize_dfa_moore
 from repro.automata.properties import (
     StateFrequencyProfile,
     are_equivalent,
@@ -28,7 +27,6 @@ __all__ = [
     "BitsetNFA",
     "DFA",
     "NFA",
-    "minimize_dfa_moore",
     "StateFrequencyProfile",
     "TransformedDFA",
     "are_equivalent",

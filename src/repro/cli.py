@@ -86,8 +86,9 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_plan(args, member):
-    """The plan to serve from per ``--plan``/``--plan-cache``, else None."""
+def _resolve_plan(args, member, tracer=None):
+    """The plan to serve from: ``--plan``, else ``--plan-cache``, else
+    compiled here from the member's training input."""
     plan_path = getattr(args, "plan", None)
     cache_dir = getattr(args, "plan_cache", None)
     if plan_path is not None:
@@ -97,39 +98,28 @@ def _resolve_plan(args, member):
         # A plan only serves the automaton it was compiled for.
         plan.verify(member.dfa)
         return plan
+    training = member.training_input(args.training_length)
+    config = GSpecPalConfig(n_threads=args.threads)
     if cache_dir is not None:
         from repro.serving import PlanCache
 
-        cache = PlanCache(directory=cache_dir)
-        return cache.get_or_compile(
-            member.dfa,
-            member.training_input(args.training_length),
-            GSpecPalConfig(n_threads=args.threads),
+        return PlanCache(directory=cache_dir).get_or_compile(
+            member.dfa, training, config
         )
-    return None
+    from repro.plan import compile_plan
+
+    return compile_plan(member.dfa, training, config, tracer=tracer)
 
 
 def _build(args, tracer=None, metrics=None):
     member = build_member(args.suite, args.index)
     data = member.generate_input(args.input_length, seed=args.seed)
-    plan = _resolve_plan(args, member)
-    if plan is not None:
-        pal = GSpecPal.from_plan(
-            plan,
-            backend=getattr(args, "backend", None),
-            tracer=tracer,
-            metrics=metrics,
-        )
-    else:
-        pal = GSpecPal(
-            member.dfa,
-            GSpecPalConfig(
-                n_threads=args.threads, backend=getattr(args, "backend", None)
-            ),
-            training_input=member.training_input(args.training_length),
-            tracer=tracer,
-            metrics=metrics,
-        )
+    pal = GSpecPal.from_plan(
+        _resolve_plan(args, member, tracer),
+        backend=getattr(args, "backend", None),
+        tracer=tracer,
+        metrics=metrics,
+    )
     return member, pal, data
 
 

@@ -9,21 +9,22 @@ scheme selector.  Typical use::
     result = pal.run(stream)           # selects a scheme automatically
     result = pal.run(stream, scheme="nf")  # or force one
 
-Profiling is performed once per (FSM, training input) and cached; when no
-training input is supplied a leading slice of the data (0.5% by default,
-mirroring the paper's 1 MB-of-20×10 MB methodology) is used.
-
-For serving, the expensive offline phase can be hoisted out entirely with
-the compile-once/serve-many split (:mod:`repro.plan`)::
+Every framework instance is backed by one :class:`~repro.plan.CompiledPlan`
+— the paper's whole offline phase (profile → select → transform → train)
+frozen into an artifact.  ``GSpecPal(dfa, config, training_input=...)``
+compiles it on first need, once, from the training input (or, when none was
+supplied, from a leading slice of the first data seen — 0.5% by default,
+mirroring the paper's 1 MB-of-20×10 MB methodology).  For serving, the
+compile can be hoisted out entirely (:mod:`repro.plan`)::
 
     plan = compile_plan(dfa, training, config)      # offline, once
     pal = GSpecPal.from_plan(plan)                  # online, zero profiling
     result = pal.run(stream)                        # plan's selection
 
-A plan-backed framework never re-profiles: features, the scheme selection,
-the frequency transformation and the hotness profile all come from the
-artifact, and the simulator is built from those precomputed pieces instead
-of raw training bytes.
+Either way features, the scheme selection, the frequency transformation and
+the hotness profile all come from the artifact, and the simulator is built
+from those precomputed pieces — which constructor produced the plan never
+changes an answer or a cycle count.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from repro.schemes import (
     SREScheme,
 )
 from repro.schemes.base import Scheme
-from repro.selector.decision_tree import DecisionTreeSelector
-from repro.selector.features import FSMFeatures, profile_features
+from repro.selector.cost_model import estimate_costs
+from repro.selector.features import FSMFeatures
 from repro.framework.config import GSpecPalConfig
 from repro.errors import PlanError, SchemeError
 
@@ -73,24 +74,23 @@ class GSpecPal:
     ):
         self.dfa = dfa
         self.config = config if config is not None else GSpecPalConfig()
-        self.selector = DecisionTreeSelector(self.config.thresholds)
         #: observability sinks; both default to off (no-op tracer / no
         #: registry) so instrumented paths cost nothing unless asked for.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
+        #: explicit sample the plan is compiled from (``None`` = the
+        #: leading slice of the first data seen).
         self._training: Optional[np.ndarray] = (
             _as_symbol_array(training_input) if training_input is not None else None
         )
-        self._features: Optional[FSMFeatures] = None
+        #: the compile-once artifact everything below reads: compiled on
+        #: first need (:meth:`compile_plan`) or handed in by :meth:`from_plan`.
+        self._plan = None
         self._sim: Optional[GpuSimulator] = None
         #: cached cross-stream gang scheduler (built on first use; shares
         #: the simulator, so it sees the same table/backend every stream
         #: session does).
         self._fused = None
-        #: compile-once artifact backing this instance (set by
-        #: :meth:`from_plan`); when present, profiling/selection replay the
-        #: plan and the simulator consumes its precomputed pieces.
-        self._plan = None
 
     # ------------------------------------------------------------------
     # compile-once / serve-many
@@ -110,7 +110,7 @@ class GSpecPal:
 
         The plan supplies the DFA, the profiled features, the scheme
         selection and the transformation/hotness artifacts; no training
-        bytes are touched and no ``profile`` span is ever emitted.
+        bytes are touched and no ``compile`` span is ever emitted.
 
         Parameters
         ----------
@@ -138,13 +138,28 @@ class GSpecPal:
             config = plan.build_config(backend=backend, selfcheck=selfcheck)
         pal = cls(plan.dfa, config, tracer=tracer, metrics=metrics)
         pal._plan = plan
-        pal._features = plan.features
         return pal
+
+    def compile_plan(self, data=None):
+        """The backing :class:`~repro.plan.CompiledPlan`, compiled on first use.
+
+        ``data`` is only needed when the plan does not exist yet and no
+        training input was supplied at construction time (a profiling
+        slice is taken from it).  The compile runs once per instance,
+        under this framework's tracer (one ``compile`` span tree).
+        """
+        if self._plan is None:
+            from repro.plan import compile_plan
+
+            self._plan = compile_plan(
+                self.dfa, self._training_slice(data), self.config, tracer=self.tracer
+            )
+        return self._plan
 
     @property
     def plan(self):
-        """The backing :class:`~repro.plan.CompiledPlan`, if any."""
-        return self._plan
+        """The backing :class:`~repro.plan.CompiledPlan` (see :meth:`compile_plan`)."""
+        return self.compile_plan()
 
     def adopt_plan(self, plan) -> None:
         """Atomically swap in a *revision* of the current backing plan.
@@ -159,62 +174,27 @@ class GSpecPal:
         rebuild their runner on the name change, i.e. the swap lands
         exactly at segment boundaries and never mid-segment.
         """
-        if self._plan is None:
-            raise PlanError(
-                "adopt_plan requires a plan-backed framework (GSpecPal.from_plan)"
-            )
-        if plan.fingerprint != self._plan.fingerprint:
+        current = self.plan
+        if plan.fingerprint != current.fingerprint:
             raise PlanError(
                 f"adopt_plan: revision is for fingerprint {plan.fingerprint[:12]}…, "
-                f"this framework serves {self._plan.fingerprint[:12]}…"
+                f"this framework serves {current.fingerprint[:12]}…"
             )
-        if plan.config_hash != self._plan.config_hash:
+        if plan.config_hash != current.config_hash:
             raise PlanError(
                 "adopt_plan: revision was compiled under a different config "
-                f"({plan.config_hash[:12]}… vs {self._plan.config_hash[:12]}…)"
+                f"({plan.config_hash[:12]}… vs {current.config_hash[:12]}…)"
             )
         self._plan = plan
-        self._features = plan.features
 
     def current_decision_path(self) -> tuple:
-        """The Fig. 6 node path behind the current selection.
-
-        Plan-backed frameworks replay the compiled (possibly revised)
-        walk; profiled ones re-walk the tree over the cached features — a
-        pure arithmetic pass, no re-profiling.  Empty when nothing has
-        been profiled yet.
-        """
-        if self._plan is not None:
-            return tuple(self._plan.decision_path)
-        if self._features is not None:
-            return tuple(self.selector.decide(self._features)[1])
-        return ()
-
-    def compile_plan(self, data=None):
-        """Compile this framework's (FSM, training, config) into a plan.
-
-        ``data`` is only needed when no training input was supplied at
-        construction time (a profiling slice is taken, as in :meth:`run`).
-        """
-        from repro.plan import compile_plan
-
-        if self._training is None:
-            if data is None:
-                raise SchemeError(
-                    "no training input available: pass one to GSpecPal() or "
-                    "give compile_plan() the data stream"
-                )
-            self._training = self._training_slice(data)
-        return compile_plan(
-            self.dfa, self._training, self.config, tracer=self.tracer
-        )
+        """The Fig. 6 node path behind the current selection: the compiled
+        (possibly revised) walk, replayed from the plan."""
+        return tuple(self.plan.decision_path)
 
     # ------------------------------------------------------------------
     # scheme-name validation (fail fast, before any expensive phase)
     # ------------------------------------------------------------------
-    def _known_scheme_names(self) -> tuple:
-        return self.KNOWN_SCHEMES + (f"pm-spec{self.config.spec_k}",)
-
     @classmethod
     def validate_scheme_name(
         cls, name: Optional[str], *, spec_k: int = 4
@@ -245,6 +225,11 @@ class GSpecPal:
     def _training_slice(self, data) -> np.ndarray:
         if self._training is not None:
             return self._training
+        if data is None:
+            raise SchemeError(
+                "no training input available: pass one to GSpecPal() or "
+                "give profile()/run() the data stream"
+            )
         symbols = _as_symbol_array(data)
         n = max(
             min(self.config.min_training_symbols, symbols.size),
@@ -253,88 +238,48 @@ class GSpecPal:
         return symbols[:n]
 
     def profile(self, data=None) -> FSMFeatures:
-        """Collect (and cache) the FSM feature vector.
+        """The plan's profiled FSM feature vector.
 
         ``data`` is only needed when no training input was supplied at
-        construction time.  Plan-backed frameworks return the compiled
-        features immediately; otherwise the computation runs once under a
-        ``profile`` span.
+        construction time (see :meth:`compile_plan`).
         """
-        if self._features is not None:
-            return self._features
-        if self._training is None:
-            if data is None:
-                raise SchemeError(
-                    "no training input available: pass one to GSpecPal() or "
-                    "give profile()/run() the data stream"
-                )
-            self._training = self._training_slice(data)
-        with self.tracer.span(
-            "profile",
-            fsm=self.dfa.name,
-            training_symbols=int(self._training.size),
-        ):
-            self._features = profile_features(
-                self.dfa,
-                self._training,
-                n_chunks=min(64, self.config.n_threads),
-            )
-        return self._features
+        return self.compile_plan(data).features
 
     def _simulator(self) -> GpuSimulator:
-        """The (cached) device-loaded automaton.
-
-        Plan-backed frameworks hand the simulator the *precomputed*
-        transformation and hotness profile from the artifact — no raw
-        training bytes are re-profiled; otherwise the simulator derives
-        both from the training slice as before.
-        """
+        """The (cached) device-loaded automaton, built from the plan's
+        *precomputed* transformation and hotness profile — raw training
+        bytes are never re-profiled here."""
         if self._sim is None:
-            if self._plan is not None:
-                self._sim = GpuSimulator(
-                    dfa=self.dfa,
-                    device=self.config.device,
-                    use_transformation=self.config.use_transformation,
-                    profile=self._plan.frequency_profile(),
-                    transformation=self._plan.transformation(),
-                    metrics=self.metrics,
-                    backend=self.config.backend,
-                )
-            else:
-                if self._training is None:
-                    raise SchemeError("profile() must run before kernels launch")
-                self._sim = GpuSimulator(
-                    dfa=self.dfa,
-                    device=self.config.device,
-                    use_transformation=self.config.use_transformation,
-                    training_input=bytes(np.asarray(self._training, dtype=np.uint8)),
-                    metrics=self.metrics,
-                    backend=self.config.backend,
-                )
+            plan = self.plan
+            self._sim = GpuSimulator(
+                dfa=self.dfa,
+                device=self.config.device,
+                use_transformation=self.config.use_transformation,
+                profile=plan.frequency_profile(),
+                transformation=plan.transformation(),
+                metrics=self.metrics,
+                backend=self.config.backend,
+            )
         return self._sim
 
     # ------------------------------------------------------------------
     # selection and execution
     # ------------------------------------------------------------------
     def select_scheme(self, data=None) -> str:
-        """Run the Fig. 6 decision tree on the profiled features.
+        """The plan's Fig. 6 selection (compiled, or revised since).
 
-        With tracing enabled, a ``select`` span records the feature vector
-        and the tree's decision path.  Plan-backed frameworks replay the
-        compiled decision (same span attributes, ``from_plan=True``)
-        without consulting the tree.
+        The tree was walked when the plan was compiled; this replays the
+        decision.  With tracing enabled, a ``select`` span records the
+        feature vector, the tree's decision path and ``from_plan=True``.
         """
-        if self._plan is not None:
-            with self.tracer.span("select") as span:
-                if span:
-                    span.set_attr("features", dict(self._plan.features.as_dict()))
-                    span.set_attr("path", list(self._plan.decision_path))
-                    span.set_attr("decision", self._plan.scheme)
-                    span.set_attr("from_plan", True)
-                return self._plan.scheme
-        features = self.profile(data)
+        plan = self.compile_plan(data)
         with self.tracer.span("select") as span:
-            return self.selector.select(features, span=span)
+            if span:
+                span.set_attr("features", dict(plan.features.as_dict()))
+                span.set_attr("path", list(plan.decision_path))
+                span.set_attr("decision", plan.scheme)
+                span.set_attr("from_plan", True)
+            return plan.scheme
 
     def build_scheme(self, name: str) -> Scheme:
         """Instantiate a scheme sharing this framework's simulator/config
@@ -389,35 +334,22 @@ class GSpecPal:
     ) -> Dict[str, float]:
         """Evaluate the analytical cost model (Eqs. 1–4) under this config.
 
-        Threads the configuration's actual workload parameters —
-        ``n_threads``, ``spec_k`` and the ``others_registers`` budget that
-        the Δ-specs term depends on — into :class:`CostModelInputs`, so the
-        estimates move when the register budget does (Fig. 7).
+        The estimates are for ``input_length`` symbols — by default the
+        length of ``data``, else of the training input the plan was
+        compiled on — and move with the configured register budget
+        (Fig. 7; see :func:`~repro.selector.cost_model.estimate_costs`).
         """
-        from repro.selector.cost_model import CostModel, CostModelInputs
-
-        features = self.profile(data)
+        plan = self.compile_plan(data)
         if input_length is None:
-            if data is not None:
-                input_length = int(_as_symbol_array(data).size)
-            elif self._training is not None:
-                input_length = int(self._training.size)
-            elif self._plan is not None:
-                input_length = int(self._plan.training_symbols)
-            else:
-                raise SchemeError(
-                    "estimate_costs needs data or an explicit input_length"
-                )
-        inputs = CostModelInputs(
-            input_length=int(input_length),
-            n_threads=self.config.n_threads,
-            k=self.config.spec_k,
-            others_capacity=self.config.others_registers,
-        )
-        return CostModel(self.config.device).estimate_all(features, inputs)
+            input_length = (
+                _as_symbol_array(data).size
+                if data is not None
+                else plan.training_symbols
+            )
+        return estimate_costs(plan.features, self.config, input_length)
 
     def run(self, data, scheme: Optional[str] = None) -> SchemeResult:
-        """Process ``data``: profile (if needed), select, execute.
+        """Process ``data``: compile the plan (first use only), select, execute.
 
         Parameters
         ----------
@@ -426,12 +358,11 @@ class GSpecPal:
         """
         self._validate_scheme(scheme)
         symbols = _as_symbol_array(data)
-        if self._training is None and self._plan is None:
-            self._training = self._training_slice(symbols)
         with self.tracer.span(
             "gspecpal.run", input_symbols=int(symbols.size)
         ) as span:
-            name = scheme if scheme is not None else self.select_scheme(symbols)
+            self.compile_plan(symbols)
+            name = scheme if scheme is not None else self.select_scheme()
             result = self.build_scheme(name).run(symbols)
             if span:
                 span.set_attr("scheme", name)
@@ -593,18 +524,17 @@ class StreamSession:
     def feed(self, segment) -> SchemeResult:
         """Process one segment from the carried state; returns its result."""
         symbols = _as_symbol_array(segment)
-        if self._pal._training is None and self._pal._plan is None:
-            self._pal._training = self._pal._training_slice(symbols)
         with self._pal.tracer.span(
             "stream.feed",
             segment=self.segments,
             segment_symbols=int(symbols.size),
             carried_state=self.state,
         ) as span:
+            self._pal.compile_plan(symbols)
             name = (
                 self._scheme
                 if self._scheme is not None
-                else self._pal.select_scheme(symbols)
+                else self._pal.select_scheme()
             )
             self.decision_path = (
                 ("forced",)

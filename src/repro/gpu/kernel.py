@@ -101,23 +101,19 @@ class GpuSimulator:
             )
         else:
             exec_dfa = self.dfa
-            if self.profile is not None:
-                hot = min(
-                    self.dfa.n_states,
-                    self.device.shared_table_entries // max(1, self.dfa.n_symbols),
-                )
-                hot_ids = frozenset(int(s) for s in self.profile.hot_states(hot))
-            else:
-                hot = min(
-                    self.dfa.n_states,
-                    self.device.shared_table_entries // max(1, self.dfa.n_symbols),
-                )
-                hot_ids = frozenset(range(hot))
+            hot = MemoryModel.for_dfa(
+                self.device, self.dfa.n_states, self.dfa.n_symbols
+            ).hot_state_count
+            hot_ids = (
+                self.profile.hot_states(hot)
+                if self.profile is not None
+                else range(hot)
+            )
             memory = MemoryModel(
                 device=self.device,
                 hot_state_count=hot,
                 layout=TableLayout.HASH,
-                hot_state_ids=hot_ids,
+                hot_state_ids=frozenset(int(s) for s in hot_ids),
             )
         self.exec_dfa: DFA = exec_dfa
         self.memory: MemoryModel = memory

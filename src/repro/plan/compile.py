@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.automata.minimize import canonical_form
 from repro.automata.properties import profile_state_frequencies
 from repro.automata.transform import frequency_transform
 from repro.errors import PlanError
+from repro.gpu.memory import MemoryModel
 from repro.observability import NULL_TRACER
 from repro.plan.artifact import (
     PLAN_FORMAT_VERSION,
@@ -59,7 +60,7 @@ from repro.plan.artifact import (
     config_fingerprint,
     config_snapshot,
 )
-from repro.selector.cost_model import CostModel, CostModelInputs
+from repro.selector.cost_model import estimate_costs
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import profile_features
 from repro.speculation.chunks import partition_input
@@ -120,7 +121,8 @@ def compile_plan(
         The automaton to compile for.
     training_input:
         Representative sample stream (the paper's ~0.5% profiling slice).
-        Must be long enough for feature profiling.
+        Any non-empty stream compiles: a short one is profiled over fewer
+        chunks (down to one, which has no boundary to speculate across).
     config:
         Compile-time tunables (defaults to ``GSpecPalConfig()``).  The
         plan records a config hash; serving verifies it.
@@ -153,7 +155,9 @@ def compile_plan(
             symbols = _as_symbol_array(training_input)
             if symbols.size == 0:
                 raise PlanError("compile_plan needs a non-empty training input")
-            n_chunks = min(64, config.n_threads)
+            # Profiling width: one chunk per thread up to 64, narrowed so a
+            # short slice still leaves every chunk four symbols.
+            n_chunks = max(1, min(64, config.n_threads, symbols.size // 4))
 
         with stage("canonicalize") as cnspan:
             canonical = canonical_form(dfa)
@@ -167,10 +171,7 @@ def compile_plan(
 
         selector = DecisionTreeSelector(config.thresholds)
         with stage("select") as sspan:
-            scheme, path = selector.decide(features)
-            if sspan:
-                sspan.set_attr("decision", scheme)
-                sspan.set_attr("path", path)
+            scheme, path = selector.decide(features, span=sspan)
 
         with stage("transform") as tspan:
             freq = profile_state_frequencies(dfa, symbols)
@@ -184,25 +185,16 @@ def compile_plan(
                 hot = transformed.hot_state_count
             else:
                 permutation = None
-                hot = min(
-                    dfa.n_states,
-                    config.device.shared_table_entries // max(1, dfa.n_symbols),
-                )
+                hot = MemoryModel.for_dfa(
+                    config.device, dfa.n_states, dfa.n_symbols
+                ).hot_state_count
             if tspan:
                 tspan.set_attr("layout", "rank" if permutation is not None else "hash")
                 tspan.set_attr("hot_states", int(hot))
 
         with stage("train"):
             with tracer.span("cost_model"):
-                estimates = CostModel(config.device).estimate_all(
-                    features,
-                    CostModelInputs(
-                        input_length=int(symbols.size),
-                        n_threads=config.n_threads,
-                        k=config.spec_k,
-                        others_capacity=config.others_registers,
-                    ),
-                )
+                estimates = estimate_costs(features, config, symbols.size)
             with tracer.span("predictor"):
                 predictor_stats = _predictor_stats(dfa, symbols, n_chunks, features)
 
@@ -215,7 +207,7 @@ def compile_plan(
             features=features,
             scheme=scheme,
             decision_path=tuple(path),
-            cost_estimates={k: float(v) for k, v in estimates.items()},
+            cost_estimates=estimates,
             frequency_counts=freq.counts,
             frequency_order=freq.order,
             training_symbols=int(symbols.size),
@@ -279,21 +271,12 @@ def revise_plan(
         features = plan.features.update_from_observations(observations)
 
         with tracer.span("select") as sspan:
-            scheme, path = DecisionTreeSelector(config.thresholds).decide(features)
-            if sspan:
-                sspan.set_attr("decision", scheme)
-                sspan.set_attr("path", path)
+            scheme, path = DecisionTreeSelector(config.thresholds).decide(
+                features, span=sspan
+            )
 
         with tracer.span("train"):
-            estimates = CostModel(config.device).estimate_all(
-                features,
-                CostModelInputs(
-                    input_length=int(plan.training_symbols),
-                    n_threads=config.n_threads,
-                    k=config.spec_k,
-                    others_capacity=config.others_registers,
-                ),
-            )
+            estimates = estimate_costs(features, config, plan.training_symbols)
 
         if rspan:
             rspan.set_attr("scheme", scheme)
@@ -314,7 +297,7 @@ def revise_plan(
         features=features,
         scheme=scheme,
         decision_path=tuple(path),
-        cost_estimates={k: float(v) for k, v in estimates.items()},
+        cost_estimates=estimates,
         stage_timings_ms=timings,
         revision=plan.revision + 1,
         live_provenance=provenance,

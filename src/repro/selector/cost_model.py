@@ -229,3 +229,22 @@ class CostModel:
         """The scheme with the lowest estimated time."""
         estimates = self.estimate_all(features, inputs)
         return min(estimates, key=estimates.get)
+
+
+def estimate_costs(features: FSMFeatures, config, input_length: int) -> Dict[str, float]:
+    """Eqs. 1–4 for every selectable scheme under a ``GSpecPalConfig``.
+
+    The one place the configuration's workload parameters — ``n_threads``,
+    ``spec_k`` and the ``others_registers`` budget the Δ-specs term depends
+    on (Fig. 7) — are threaded into :class:`CostModelInputs`; plan
+    compilation, online revision and ``GSpecPal.estimate_costs`` all
+    evaluate the model through here.
+    """
+    inputs = CostModelInputs(
+        input_length=int(input_length),
+        n_threads=config.n_threads,
+        k=config.spec_k,
+        others_capacity=config.others_registers,
+    )
+    estimates = CostModel(config.device).estimate_all(features, inputs)
+    return {name: float(cycles) for name, cycles in estimates.items()}

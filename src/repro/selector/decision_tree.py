@@ -61,26 +61,24 @@ class DecisionTreeSelector:
         self.thresholds = thresholds
 
     def select(self, features: FSMFeatures, span=None) -> str:
-        """Return the chosen scheme name for the profiled FSM.
+        """Return the chosen scheme name for the profiled FSM."""
+        return self.decide(features, span=span)[0]
 
-        ``span``, when truthy, receives the feature vector, the sequence of
-        tree nodes visited (``path``) and the final ``decision``.
-        """
-        name, path = self.decide(features)
-        if span:
-            span.set_attr("features", dict(features.as_dict()))
-            span.set_attr("path", path)
-            span.set_attr("decision", name)
-        return name
-
-    def decide(self, features: FSMFeatures):
+    def decide(self, features: FSMFeatures, span=None):
         """Like :meth:`select`, but also return the visited node labels.
 
         Plan compilation records the ``(scheme, decision_path)`` pair in the
         immutable artifact so the serve path can replay the selection
-        without re-walking (or re-profiling) anything.
+        without re-walking (or re-profiling) anything.  ``span``, when
+        truthy, receives the feature vector, the sequence of tree nodes
+        visited (``path``) and the final ``decision``.
         """
-        return self._walk(features)
+        name, path = self._walk(features)
+        if span:
+            span.set_attr("features", dict(features.as_dict()))
+            span.set_attr("path", path)
+            span.set_attr("decision", name)
+        return name, path
 
     #: queue depth of the deepest profiled accuracy anchor (spec-16).
     ANCHOR_DEPTH = 16.0

@@ -184,7 +184,9 @@ def profile_features(
     whole slice (with ``n_chunks`` chunks) for the headline accuracies.
     """
     symbols = _as_symbol_array(training_input)
-    if symbols.size < n_chunks * 4:
+    # A single chunk has no boundary to speculate across, so any non-empty
+    # slice profiles; several chunks need four symbols each.
+    if n_chunks > 1 and symbols.size < n_chunks * 4:
         raise SchemeError(
             f"training input too short: {symbols.size} symbols for {n_chunks} chunks"
         )
@@ -211,7 +213,9 @@ def profile_features(
         portion_accs.append(pred.accuracy_against(tru, k=1))
     sensitivity = float(np.std(portion_accs)) if len(portion_accs) > 1 else 0.0
 
-    conv = convergence_profile(dfa, symbols, steps=convergence_steps, seed=seed)
+    conv = convergence_profile(
+        dfa, symbols, steps=min(convergence_steps, symbols.size), seed=seed
+    )
     width = reachable_width(dfa, symbols)
     elapsed = time.perf_counter() - t0
     return FSMFeatures(

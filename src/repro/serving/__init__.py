@@ -8,7 +8,7 @@ multiplexes many concurrent stream sessions over the cached plans with
 per-stream locking, admission control, and zero profiling on the serving
 path.  :mod:`repro.serving.stress` is the deterministic multithreaded soak
 harness auditing the whole tier against the sequential oracle
-(``repro stress`` / ``scripts/stress_serving.py``).
+(``python -m repro.cli stress``).
 """
 
 from repro.serving.cache import PlanCache

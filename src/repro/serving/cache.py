@@ -42,6 +42,7 @@ head-of-line-block another tenant's hit.
 
 from __future__ import annotations
 
+import os
 import threading
 import zipfile
 from collections import OrderedDict
@@ -219,12 +220,20 @@ class PlanCache:
         """Insert (or refresh) ``plan``; evicts LRU entries beyond capacity.
 
         Registers the plan's own content → canonical alias, so later
-        content-fingerprint lookups resolve without re-canonicalizing.
+        content-fingerprint lookups resolve without re-canonicalizing.  A
+        put that advances its class's revision — a drift revise landing —
+        also replaces the class's spill file (outside the lock, like the
+        compile path's spill), so the revision outlives its LRU slot
+        instead of the next miss reloading the stale offline artifact.
         """
         with self._lock:
-            self._put_locked(plan)
+            advanced = self._put_locked(plan)
+        if advanced:
+            self._spill(plan)
 
-    def _put_locked(self, plan: CompiledPlan) -> None:
+    def _put_locked(self, plan: CompiledPlan) -> bool:
+        """Make ``plan`` resident; returns whether it carries a newer
+        revision than the class had resident (0 when nothing was)."""
         canonical = plan.canonical_fingerprint
         self._alias[plan.fingerprint] = canonical
         resident = self._plans.get(canonical)
@@ -243,6 +252,7 @@ class PlanCache:
             self._plans.popitem(last=False)
             self.evictions += 1
             self._metric_inc("serving.cache.evictions")
+        return plan.revision > (resident.revision if resident is not None else 0)
 
     # ------------------------------------------------------------------
     def get_or_compile(
@@ -313,7 +323,7 @@ class PlanCache:
             plan = self._load_spilled(canonical, dfa, fingerprint)
             from_disk = plan is not None
             if plan is None:
-                if training_input is None:
+                if training_input is None or len(training_input) == 0:
                     raise ServingError(
                         f"no plan cached for fingerprint {fingerprint[:12]}… and "
                         "no training input to compile one",
@@ -360,9 +370,21 @@ class PlanCache:
         return self.directory / f"{canonical}.npz"
 
     def _spill(self, plan: CompiledPlan) -> None:
+        """Persist ``plan`` as its class's spill file (never under the lock).
+
+        Written beside the target and renamed over it: a revised plan is
+        spilled while other threads may be reloading the class from disk,
+        and they must see the old file or the new one, never a torn one.
+        """
         path = self._spill_path(plan.canonical_fingerprint)
-        if path is not None:
-            save_plan(plan, path)
+        if path is None:
+            return
+        partial = path.with_name(f"{path.stem}.{threading.get_ident()}.partial.npz")
+        try:
+            save_plan(plan, partial)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
 
     def _load_spilled(
         self, canonical: str, dfa, fingerprint: str

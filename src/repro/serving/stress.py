@@ -22,8 +22,8 @@ every segment of every stream additionally runs the full runtime invariant
 audits — end-state oracle, chunk-end chain, ledger tiling — inside the
 scheme layer itself.
 
-Entry points: :func:`run_stress` (used by the soak tests), the
-``repro stress`` CLI command, and ``scripts/stress_serving.py``.
+Entry points: :func:`run_stress` (used by the soak tests) and the
+``python -m repro.cli stress`` command.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.framework import GSpecPal, GSpecPalConfig
+from repro.observability import Tracer
 from repro.workloads import classic
 from repro.errors import SchemeError
 
@@ -58,6 +59,62 @@ class TestProfiling:
         assert f is not None
 
 
+class TestSinglePipeline:
+    """Every ``GSpecPal`` is plan-backed: one compile, on first need."""
+
+    def test_exactly_one_compile_across_runs_and_a_stream(self, easy_dfa, stream):
+        tracer = Tracer()
+        pal = GSpecPal(
+            easy_dfa,
+            GSpecPalConfig(n_threads=16, min_training_symbols=256),
+            tracer=tracer,
+        )
+        assert not tracer.find_all("compile")  # lazy: nothing until first need
+        pal.run(stream)
+        pal.run(stream, scheme="nf")
+        pal.compare_schemes(stream, schemes=("sre", "rr"))
+        session = pal.stream()
+        session.feed(stream[:1000])
+        session.feed(stream[1000:])
+        assert session.state == easy_dfa.run(stream)
+        pal.estimate_costs(stream)
+        compiles = tracer.find_all("compile")
+        assert len(compiles) == 1
+        # ... nested in the run that needed it, trained on that run's slice.
+        assert compiles[0].parent_id == tracer.roots[0].span_id
+        assert tracer.roots[0].name == "gspecpal.run"
+        assert compiles[0].attrs["training_symbols"] == 256
+        assert "profile" not in [s.name for s in tracer.roots]
+
+    def test_first_need_may_be_a_stream_feed(self, easy_dfa, stream):
+        tracer = Tracer()
+        pal = GSpecPal(easy_dfa, GSpecPalConfig(n_threads=16), tracer=tracer)
+        session = pal.stream(scheme="sre")
+        assert not tracer.find_all("compile")
+        session.feed(stream)
+        assert session.state == easy_dfa.run(stream)
+        assert len(tracer.find_all("compile")) == 1
+        assert pal.plan.training_symbols == min(
+            len(stream), pal.config.min_training_symbols
+        )
+
+    @pytest.mark.parametrize("scheme", ["pm", "sre", "rr", "nf", "sfa", "spec-seq"])
+    def test_forced_scheme_answers_on_a_nine_symbol_input(self, easy_dfa, scheme):
+        """No explicit training: the whole 9-symbol input is the profiling
+        slice, shorter than the convergence window and than four symbols
+        per thread — it must compile and answer all the same."""
+        data = b"xxtokenxx"
+        pal = GSpecPal(easy_dfa, GSpecPalConfig(n_threads=8))
+        result = pal.run(data, scheme=scheme)
+        assert result.end_state == easy_dfa.run(data)
+        assert result.accepts
+        assert pal.plan.training_symbols == 9
+
+    def test_plan_needs_something_to_compile_from(self, easy_dfa):
+        with pytest.raises(SchemeError, match="no training input"):
+            GSpecPal(easy_dfa).plan
+
+
 class TestRun:
     def test_auto_selection_correct(self, easy_dfa, stream, training):
         pal = GSpecPal(easy_dfa, GSpecPalConfig(n_threads=16), training_input=training)
@@ -78,10 +135,12 @@ class TestRun:
 
     def test_unknown_scheme_fails_before_profiling(self, easy_dfa, stream, monkeypatch):
         # No training input: a typo'd scheme must be rejected up front, not
-        # after (or instead of) a profiling pass.
+        # after (or instead of) the compile that profiles.
         pal = GSpecPal(easy_dfa)
         monkeypatch.setattr(
-            pal, "profile", lambda *a, **k: pytest.fail("profiled before validation")
+            pal,
+            "compile_plan",
+            lambda *a, **k: pytest.fail("compiled before validation"),
         )
         with pytest.raises(SchemeError, match="unknown scheme 'nfa'"):
             pal.run(stream, scheme="nfa")

@@ -1,10 +1,11 @@
 """compile_plan: the offline phase frozen into one artifact.
 
-Pins down what a plan *contains* — that its selection matches what the
-framework would have decided in-process, that the stored permutation
-rebuilds the exact frequency transformation, that predictor statistics are
-the trained lookback-2 numbers, and that compiling twice under identical
-inputs yields an identical value object.
+Pins down what a plan *contains* — that it is the very artifact a
+``GSpecPal`` built from the same inputs runs from, that the stored
+permutation rebuilds the exact frequency transformation, that predictor
+statistics are the trained lookback-2 numbers, that compiling twice under
+identical inputs yields an identical value object, and that any non-empty
+training input compiles.
 """
 
 import numpy as np
@@ -29,16 +30,29 @@ def config():
     return GSpecPalConfig(n_threads=16)
 
 
-def test_selection_matches_in_process(scanner_dfa, training, config):
+@pytest.mark.parametrize("use_transformation", [True, False])
+def test_framework_plan_is_the_standalone_plan(
+    scanner_dfa, training, use_transformation
+):
+    """There is one offline pipeline: the plan behind ``GSpecPal(...)`` is
+    what ``compile_plan`` returns for the same (FSM, training, config)."""
+    config = GSpecPalConfig(n_threads=16, use_transformation=use_transformation)
     plan = compile_plan(scanner_dfa, training, config)
     pal = GSpecPal(scanner_dfa, config, training_input=training)
-    assert plan.scheme == pal.select_scheme()
-    assert plan.decision_path  # the Fig. 6 walk is recorded
-    compiled = plan.features.as_dict()
-    live = pal.profile().as_dict()
-    # profiling_seconds is wall-clock, everything else must agree exactly
-    compiled.pop("profiling_seconds"), live.pop("profiling_seconds")
-    assert compiled == live
+    assert pal.plan.fingerprint == plan.fingerprint
+    assert pal.plan.canonical_fingerprint == plan.canonical_fingerprint
+    assert pal.plan.config_hash == plan.config_hash
+    assert pal.plan.scheme == plan.scheme == pal.select_scheme()
+    assert pal.plan.decision_path == plan.decision_path  # the Fig. 6 walk
+    assert pal.current_decision_path() == plan.decision_path
+    assert (pal.plan.permutation is None) == (not use_transformation)
+    assert np.array_equal(pal.plan.permutation, plan.permutation)
+    assert pal.plan.hot_state_count == plan.hot_state_count
+    # profiling_seconds is wall-clock, every other feature must agree exactly
+    ours, theirs = pal.profile().as_dict(), plan.features.as_dict()
+    ours.pop("profiling_seconds"), theirs.pop("profiling_seconds")
+    assert ours == theirs
+    assert pal.plan is pal.plan  # compiled once, then held
 
 
 def test_compile_is_deterministic(scanner_dfa, training, config):
@@ -94,6 +108,21 @@ def test_predictor_stats_are_trained_lookback2(scanner_dfa, training, config):
 def test_empty_training_rejected(scanner_dfa, config):
     with pytest.raises(PlanError):
         compile_plan(scanner_dfa, b"", config)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 9, 10, 63, 64, 65])
+def test_any_non_empty_training_compiles(scanner_dfa, training, config, size):
+    """Sizes around the former floors — 4 symbols per profiling chunk, the
+    10-symbol convergence window, one chunk per thread — all compile, and
+    the plan serves oracle-exact."""
+    plan = compile_plan(scanner_dfa, training[:size], config)
+    assert plan.training_symbols == size
+    assert plan.scheme in GSpecPal.SELECTABLE
+    assert plan.predictor_stats["boundaries"] == max(
+        0, min(16, size // 4) - 1
+    )
+    result = GSpecPal.from_plan(plan).run(training)
+    assert result.end_state == scanner_dfa.run(training)
 
 
 def test_compile_emits_compile_span_tree(scanner_dfa, training, config):

@@ -1,10 +1,11 @@
 """Golden round-trip: save → load → serve must change *nothing*.
 
 The acceptance bar for the compile-once split: a plan loaded from disk in
-what could be another process must (a) never profile — no ``profile`` span
-— and (b) produce byte-identical end states, accepts, scheme selection and
-(on the cycle-accounting backend) an identical cycle ledger versus the
-compile-in-process path, on both execution backends.
+what could be another process must (a) never compile or profile — no
+``compile``/``profile`` span — and (b) produce byte-identical end states,
+accepts, scheme selection and (on the cycle-accounting backend) an
+identical cycle ledger versus the freshly compiled plan, on both execution
+backends.
 """
 
 import numpy as np
@@ -63,16 +64,8 @@ def test_save_without_suffix_still_loads(plan, tmp_path):
 
 
 @pytest.mark.parametrize("backend", ["sim", "fast"])
-def test_served_plan_matches_in_process_path(
-    scanner_dfa, training, data, config, tmp_path, backend
-):
-    from dataclasses import replace
-
-    cfg = replace(config, backend=backend)
-    baseline = GSpecPal(scanner_dfa, cfg, training_input=training)
-    expected = baseline.run(data)
-
-    plan = compile_plan(scanner_dfa, training, config)
+def test_loaded_plan_serves_like_the_fresh_one(plan, data, tmp_path, backend):
+    expected = GSpecPal.from_plan(plan, backend=backend).run(data)
     loaded = load_plan(save_plan(plan, tmp_path / "p.npz"))
     served = GSpecPal.from_plan(loaded, backend=backend).run(data)
 

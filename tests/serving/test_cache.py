@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
+from repro.plan import revise_plan
 from repro.serving import PlanCache
+from repro.speculation import LiveObservations
 from repro.workloads import classic
 
 
@@ -96,6 +98,47 @@ def test_corrupt_spill_recompiles(scanner_dfa, training, config, tmp_path):
     # The destroyed container is discarded and the plan recompiled fresh.
     assert second.compiles == 1 and second.disk_loads == 0
     assert reloaded.fingerprint == plan.fingerprint
+
+
+def test_revised_plan_outlives_its_lru_slot(training, config, tmp_path):
+    """ROADMAP 5e: ``put`` of a drift revision must reach the spill file,
+    or the next miss after eviction reloads the stale revision 0."""
+    div3, div5 = classic.divisibility(3), classic.divisibility(5)
+    cache = PlanCache(capacity=1, config=config, directory=tmp_path)
+    stale = cache.get_or_compile(div3, training)
+    revised = revise_plan(
+        stale,
+        LiveObservations(
+            scheme="pm-spec4", spec_k=4, segments=2, symbols=512,
+            spec_hits=1, spec_misses=15,
+        ),
+    )
+    assert revised.revision == 1
+    cache.put(revised)
+    spill = tmp_path / f"{stale.canonical_fingerprint}.npz"
+    written = spill.stat().st_ino
+    cache.put(revised)  # a re-put that advances nothing rewrites nothing
+    assert spill.stat().st_ino == written
+    other = cache.get_or_compile(div5, training)  # evicts div3's class
+    assert stale.fingerprint not in cache
+
+    reloaded = cache.get_or_compile(div3)  # no training: disk or nothing
+    assert cache.disk_loads == 1 and cache.compiles == 2
+    assert reloaded.revision == 1
+    assert reloaded.scheme == revised.scheme
+    assert reloaded.live_provenance == revised.live_provenance
+    # One spill file per class, and no partial write left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [spill.name, f"{other.canonical_fingerprint}.npz"]
+    )
+
+
+def test_empty_training_miss_is_the_no_training_error(scanner_dfa, config):
+    cache = PlanCache(config=config)
+    with pytest.raises(ServingError) as excinfo:
+        cache.get_or_compile(scanner_dfa, b"")
+    assert excinfo.value.code == "no_training_input"
+    assert cache.stats()["in_flight"] == 0 and cache.compiles == 0
 
 
 def test_stats_snapshot(scanner_dfa, training, config):

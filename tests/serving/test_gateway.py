@@ -320,6 +320,46 @@ def test_malformed_lines_answer_bad_request_without_dropping(config):
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("training_bytes", [9, 0])
+def test_training_bytes_from_the_wire_never_surface_raw_exceptions(
+    config, fsms, training, rng, training_bytes
+):
+    """Training is outside input.  A sample shorter than the profiling
+    window still opens and answers oracle-exact; an empty one is the
+    structured ``no_training_input`` — neither may come back as
+    ``code="internal"`` wrapping a library exception."""
+    segment = bytes(rng.integers(97, 123, size=96).astype(np.uint8))
+
+    async def main():
+        server = make_server(config)
+        async with serving(server) as srv:
+            async with await GatewayClient.connect(
+                "127.0.0.1", srv.port
+            ) as cl:
+                if training_bytes:
+                    sid = await cl.open(
+                        fsms[0], training=training[:training_bytes]
+                    )
+                else:
+                    with pytest.raises(ServingError) as excinfo:
+                        await cl.open(fsms[0], training=b"")
+                    assert excinfo.value.code == "no_training_input"
+                    assert not excinfo.value.retryable
+                    assert srv.pool.stats()["reserved"] == 0
+                    # The connection survived; the same tenant opens once
+                    # it brings something to compile from.
+                    sid = await cl.open(fsms[0], training=training)
+                out = await cl.feed(sid, segment)
+                assert out["end_state"] == fsms[0].run(segment)
+                summary = await cl.close_stream(sid)
+                assert summary["end_state"] == fsms[0].run(segment)
+                stats = srv.pool.stats()
+                assert stats["reserved"] == 0 and stats["active_streams"] == 0
+                assert srv.pool.cache.compiles == 1
+
+    asyncio.run(main())
+
+
 def test_stats_op_exposes_gateway_and_pool_counters(config, fsms, training):
     async def main():
         server = make_server(config)
