@@ -18,11 +18,13 @@ Commands
                streaming cross-checked against the sequential oracle with
                runtime invariant audits on; failures are shrunk and saved
                as JSON repros (``--replay`` re-runs one).
-``stress``   — multithreaded serving soak: M worker threads of interleaved
-               open/feed/close over K automata through one shared
-               PlanCache/MatcherPool, audited against the sequential
-               oracle (exactly one compile per fingerprint, no lost or
-               incorrect stream states).
+``serve``    — run the TCP gateway over one shared serving pool.
+``scenario`` — drive a seeded traffic scenario (a builtin or a YAML/JSON
+               document) through the gateway over real sockets, audited
+               against the sequential oracle; the serving soaks are the
+               builtins ``soak`` / ``soak-fused`` / ``equivalent-mix`` /
+               ``drift`` (exactly one compile per language class, nothing
+               leaked, no lost or incorrect stream states).
 
 Examples
 --------
@@ -36,7 +38,8 @@ Examples
     python -m repro.cli compare poweren 4 --threads 256
     python -m repro.cli trace snort 1 --input-length 4096 --threads 32
     python -m repro.cli fuzz --iterations 200 --seed 42 --out fuzz-repros
-    python -m repro.cli stress --threads 8 --fingerprints 4 --ops 400
+    python -m repro.cli scenario soak --backend fast
+    python -m repro.cli scenario equivalent-mix --spill-dir stress-spill
 """
 
 from __future__ import annotations
@@ -287,28 +290,6 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
-def cmd_stress(args) -> int:
-    from repro.serving.stress import run_stress
-
-    report = run_stress(
-        threads=args.threads,
-        fingerprints=args.fingerprints,
-        operations=args.ops,
-        seed=args.seed,
-        backend=args.backend,
-        selfcheck=True if args.selfcheck else None,
-        capacity=args.capacity,
-        max_streams=args.max_streams,
-        fused=args.fused,
-        equivalent_mix=args.equivalent_mix,
-        drift=args.drift,
-        variants=args.variants,
-        spill_dir=args.spill_dir,
-        log=print,
-    )
-    return 0 if report.ok else 1
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -388,6 +369,7 @@ def cmd_scenario(args) -> int:
         host=args.host,
         port=args.port,
         out_path=args.out,
+        spill_dir=args.spill_dir,
         log=print,
     )
     return 0 if report.ok else 1
@@ -531,67 +513,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
-        "stress",
-        help="multithreaded serving soak audited against the oracle",
-    )
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--fingerprints", type=int, default=4)
-    p.add_argument(
-        "--ops",
-        type=int,
-        default=400,
-        help="total operations (open/feed/close) split across the threads",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend",
-        choices=("sim", "fast"),
-        default=None,
-        help="execution backend for every matcher ($REPRO_BACKEND default)",
-    )
-    p.add_argument(
-        "--selfcheck",
-        action="store_true",
-        help="force the runtime invariant audits on for every segment",
-    )
-    p.add_argument(
-        "--capacity", type=int, default=None, help="plan-cache capacity"
-    )
-    p.add_argument(
-        "--max-streams", type=int, default=None, help="pool admission bound"
-    )
-    p.add_argument(
-        "--fused",
-        action="store_true",
-        help="gang-schedule same-fingerprint feeds into fused batches",
-    )
-    p.add_argument(
-        "--equivalent-mix",
-        action="store_true",
-        help="tenants submit language-equivalent DFA variants; audits one "
-        "compile (and one spill file) per language class",
-    )
-    p.add_argument(
-        "--drift",
-        action="store_true",
-        help="two-phase traffic that collapses live speculation accuracy "
-        "mid-run; audits the background revise + hot-swap path",
-    )
-    p.add_argument(
-        "--variants",
-        type=int,
-        default=3,
-        help="language-equivalent variants per class (equivalent mix only)",
-    )
-    p.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="plan-cache spill directory (audited in the equivalent mix)",
-    )
-    p.set_defaults(func=cmd_stress)
-
-    p = sub.add_parser(
         "serve",
         help="run the TCP gateway over a shared serving pool",
     )
@@ -661,6 +582,13 @@ def main(argv=None) -> int:
         default=None,
         metavar="JSONL",
         help="write one JSON line per request",
+    )
+    p.add_argument(
+        "--spill-dir",
+        default=None,
+        metavar="DIR",
+        help="plan-cache spill directory of the embedded gateway "
+        "(audited: one plan file per language class)",
     )
     p.set_defaults(func=cmd_scenario)
 

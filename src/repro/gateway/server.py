@@ -59,10 +59,7 @@ class GatewayServer:
     Parameters
     ----------
     pool:
-        The shared pool to serve.  When omitted, a private one is built
-        from ``pool_kwargs`` (forwarded verbatim to
-        :class:`~repro.serving.MatcherPool` — ``config``, ``backend``,
-        ``max_streams``, ``open_timeout``, ``fused``, ``drift``, ...).
+        The shared pool to serve.
     host / port:
         Bind address; ``port=0`` picks a free port (``self.port`` holds
         the bound one after :meth:`start` — the tests and the embedded
@@ -82,7 +79,7 @@ class GatewayServer:
 
     def __init__(
         self,
-        pool: Optional[MatcherPool] = None,
+        pool: MatcherPool,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -90,15 +87,7 @@ class GatewayServer:
         drain_timeout: float = 10.0,
         max_line_bytes: int = protocol.MAX_LINE_BYTES,
         log=None,
-        **pool_kwargs,
     ):
-        if pool is None:
-            pool = MatcherPool(metrics=metrics, **pool_kwargs)
-        elif pool_kwargs:
-            raise ValueError(
-                "pass pool kwargs or a prebuilt pool, not both: "
-                f"{sorted(pool_kwargs)}"
-            )
         self.pool = pool
         self.host = host
         self._requested_port = int(port)

@@ -8,9 +8,10 @@ quantities the paper's results depend on:
 * the memory hierarchy cost model (register / shared / global latencies,
   hot-table placement, PM's hash-table layout vs. the paper's rank layout) —
   :mod:`memory`;
-* warp-lockstep timing with memory-divergence serialization — :mod:`warp`;
 * a vectorized lockstep executor that runs the actual DFA transitions for
-  all simulated threads at once while charging cycles — :mod:`executor`;
+  all simulated threads at once while charging warp-lockstep cycles (a
+  warp advances at the pace of its slowest lane; idle lanes do not shorten
+  it) — :mod:`executor`;
 * kernel-level accounting (cycle ledger, utilization, active threads) —
   :mod:`stats` and :mod:`kernel`.
 
@@ -24,7 +25,6 @@ from repro.gpu.kernel import GpuSimulator, KernelPhase
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.gpu.presets import A100, DEVICE_PRESETS, EMBEDDED, RTX2080TI, V100
 from repro.gpu.stats import KernelStats
-from repro.gpu.warp import warp_step_cycles, warp_time
 
 __all__ = [
     "A100",
@@ -40,6 +40,4 @@ __all__ = [
     "MemoryModel",
     "RTX3090",
     "TableLayout",
-    "warp_step_cycles",
-    "warp_time",
 ]

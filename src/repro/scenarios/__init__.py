@@ -9,11 +9,15 @@ across runs and backends.
 
 * :mod:`repro.scenarios.schema` — frozen dataclasses + validation
   (:class:`Scenario` and friends), file/text loaders, and the named
-  :data:`BUILTIN_SCENARIOS` used by CI;
+  :data:`BUILTIN_SCENARIOS` used by CI — the gateway smokes plus the
+  serving soaks (``soak`` / ``soak-fused`` / ``equivalent-mix`` /
+  ``drift``);
 * :mod:`repro.scenarios.runner` — :func:`run_scenario`, the asyncio
   client fleet that drives a gateway over real sockets, audits every
-  closed stream against the ``dfa.run`` oracle, writes JSONL results
-  and returns a gated :class:`ScenarioReport`.
+  closed stream against the ``dfa.run`` oracle and the embedded serving
+  tier's own counters, writes JSONL results and returns a gated
+  :class:`ScenarioReport`.  It is the one seeded traffic harness above
+  the scheme layer.
 """
 
 from repro.scenarios.runner import (
@@ -34,6 +38,7 @@ from repro.scenarios.schema import (
     SegmentsSpec,
     TenantSpec,
     builtin_scenario,
+    equivalent_variants,
     load_scenario,
     scenario_from_text,
 )
@@ -53,6 +58,7 @@ __all__ = [
     "TenantSpec",
     "build_schedule",
     "builtin_scenario",
+    "equivalent_variants",
     "load_scenario",
     "run_scenario",
     "scenario_from_text",

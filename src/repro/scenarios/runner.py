@@ -15,6 +15,17 @@ how the server interleaved, fused, or hot-swapped execution.  Rejected
 opens (the retryable ``capacity`` backpressure signal) are retried with
 backoff per the scenario's retry policy and counted.
 
+This is the repo's one seeded traffic harness and the socket is its one
+transport: the gateway runs every connection's pool call on its own
+worker thread, so ``clients: 8`` is up to eight threads inside the
+pool and the plan cache.  A ``pool.fused`` scenario drives each
+connection's streams in gangs of :data:`GANG_WIDTH` fed with
+``feed_many``; ``pool.drift`` + ``drift_at`` shift the traffic under a
+drift-monitored pool mid-run; ``tenants[].variants`` submits
+language-equivalent automata.  An embedded run additionally audits the
+serving tier's own counters (:func:`_serving_audits`): one compile per
+language class, nothing leaked past the drain, no failed revise.
+
 Results follow the JSONL pattern of the animica harness: one structured
 line per request (``out_path``), plus a :class:`ScenarioReport` summary
 with p50/p99 open/feed latency, throughput over the measure window, and
@@ -28,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,7 +50,22 @@ from repro.gateway.server import GatewayServer
 from repro.observability import MetricsRegistry
 from repro.scenarios.schema import Scenario
 from repro.serving.cache import PlanCache
+from repro.serving.drift import DriftConfig
 from repro.serving.pool import MatcherPool
+from repro.workloads import classic
+
+#: Streams one connection opens, gang-feeds and closes together when the
+#: scenario's pool is fused (a plain scenario drives them one at a time).
+GANG_WIDTH = 4
+
+#: What ``pool.drift: true`` turns on.  Sized for the builtin ``drift``
+#: document's ~100-190 byte segments at 8 lanes: a heavy newest-sample
+#: weight so a handful of collapsed segments drags the EWMA through the
+#: threshold, two consecutive breaches to fire, and a warm-up that a few
+#: calm segments per class already satisfy.
+DRIFT_CONFIG = DriftConfig(
+    threshold=0.3, min_samples=32, ewma_alpha=0.5, hysteresis=2
+)
 
 
 @dataclass
@@ -51,6 +77,7 @@ class _RequestSpec:
     tenant_index: int
     segments: Tuple[bytes, ...]
     gap_s: float  # inter-arrival gap *before* this request
+    variant: int = 0  # which of the tenant's equivalent automata it opens
 
 
 @dataclass
@@ -60,6 +87,7 @@ class RequestRecord:
     index: int
     phase: str
     tenant: str
+    variant: int = 0
     stream: Optional[int] = None
     ok: bool = False
     rejects: int = 0
@@ -67,6 +95,8 @@ class RequestRecord:
     symbols: int = 0
     open_ms: float = 0.0
     feed_ms: List[float] = field(default_factory=list)
+    fused_feeds: int = 0  # feeds that rode a fused gang dispatch
+    scheme_switches: int = 0  # in-stream hot-swaps (from the close summary)
     end_state: Optional[int] = None
     accepts: Optional[bool] = None
     oracle_ok: Optional[bool] = None
@@ -80,6 +110,7 @@ class RequestRecord:
             "request": self.index,
             "phase": self.phase,
             "tenant": self.tenant,
+            "variant": self.variant,
             "stream": self.stream,
             "ok": self.ok,
             "rejects": self.rejects,
@@ -92,6 +123,8 @@ class RequestRecord:
             "feed_ms_max": (
                 round(float(np.max(self.feed_ms)), 3) if self.feed_ms else 0.0
             ),
+            "fused_feeds": self.fused_feeds,
+            "scheme_switches": self.scheme_switches,
             "end_state": self.end_state,
             "accepts": self.accepts,
             "oracle_ok": self.oracle_ok,
@@ -127,15 +160,20 @@ class ScenarioReport:
     measure_elapsed_s: float = 0.0
     drain_stragglers: int = 0
     require_all_completed: bool = True
+    #: embedded runs only: the gateway's stats after the drain and the
+    #: shared registry's export (``serving.*`` / ``drift.*`` / ``gateway.*``).
     gateway_stats: Dict[str, Any] = field(default_factory=dict)
+    metrics: Dict[str, float] = field(default_factory=dict)
+    records: List[RequestRecord] = field(default_factory=list)
     out_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         """True when the run is answer-exact and inside every gate: no
-        worker errors, every closed stream oracle-identical, no revise
-        stragglers after the drain, all gates green — and, unless the
-        scenario opted out, every request completed."""
+        worker errors or failed serving audits (both land in ``errors``),
+        every closed stream oracle-identical, no revise stragglers after
+        the drain, all gates green — and, unless the scenario opted out,
+        every request completed."""
         return (
             not self.errors
             and not self.oracle_failures
@@ -160,6 +198,21 @@ class ScenarioReport:
             f"{self.throughput_sym_per_s:.0f} sym/s "
             f"(measure window {self.measure_elapsed_s:.2f}s of "
             f"{self.elapsed_s:.2f}s)",
+        ]
+        if self.gateway_stats:
+            cache = self.gateway_stats["pool"]["cache"]
+            metric = self.metrics.get
+            lines.append(
+                f"  serving    : {cache['compiles']} compiles "
+                f"({cache['compile_waits']} waits, "
+                f"{cache['alias_hits']} alias hits), "
+                f"{metric('serving.pool.fused_dispatches', 0):.0f} fused "
+                f"dispatches, {metric('drift.revises', 0):.0f} revises / "
+                f"{metric('drift.swaps', 0):.0f} swaps / "
+                f"{sum(r.scheme_switches for r in self.records)} "
+                "in-stream switches"
+            )
+        lines += [
             f"  oracle     : {len(self.oracle_failures)} mismatches",
             f"  errors     : {len(self.errors)}",
         ]
@@ -192,22 +245,37 @@ def build_schedule(scenario: Scenario) -> List[_RequestSpec]:
     weights = scenario.tenant_weights()
     seg = scenario.segments
     arrival = scenario.arrival
+
+    def segment(phase: Optional[float]) -> bytes:
+        length = int(rng.integers(seg.min_len, seg.max_len + 1))
+        if phase is None:
+            return bytes(rng.integers(97, 123, size=length).astype(np.uint8))
+        return classic.drifting_phase_input(
+            length, drift_at=phase, seed=int(rng.integers(0, 2**31))
+        )
+
     specs: List[_RequestSpec] = []
     for index in range(scenario.total_requests):
         tenant_index = int(rng.choice(len(weights), p=weights))
+        tenant = scenario.tenants[tenant_index]
+        # ``variants`` and ``drift_at`` draw only when a document uses them,
+        # so one that does not keeps its digest-pinned schedule.
+        variant = (
+            int(rng.integers(0, tenant.variants)) if tenant.variants > 1 else 0
+        )
+        # A drifting_phase tenant under ``drift_at``: pure calm traffic
+        # (1.0) before that share of the schedule, pure drifted-hot after.
+        phase = None
+        if (
+            scenario.drift_at is not None
+            and tenant.fsm["kind"] == "drifting_phase"
+        ):
+            drifted = index >= scenario.drift_at * scenario.total_requests
+            phase = 0.0 if drifted else 1.0
         n_segments = int(
             rng.integers(seg.per_stream_min, seg.per_stream_max + 1)
         )
-        segments = tuple(
-            bytes(
-                rng.integers(
-                    97,
-                    123,
-                    size=int(rng.integers(seg.min_len, seg.max_len + 1)),
-                ).astype(np.uint8)
-            )
-            for _ in range(n_segments)
-        )
+        segments = tuple(segment(phase) for _ in range(n_segments))
         if arrival.kind == "poisson":
             gap = float(rng.exponential(1.0 / arrival.rate_per_s))
         elif arrival.kind == "uniform":
@@ -233,6 +301,7 @@ def build_schedule(scenario: Scenario) -> List[_RequestSpec]:
                 tenant_index=tenant_index,
                 segments=segments,
                 gap_s=gap,
+                variant=variant,
             )
         )
     return specs
@@ -241,36 +310,37 @@ def build_schedule(scenario: Scenario) -> List[_RequestSpec]:
 # ----------------------------------------------------------------------
 # the async drive
 # ----------------------------------------------------------------------
-async def _lifecycle(
+async def _open(
     scenario: Scenario,
     client: GatewayClient,
     spec: _RequestSpec,
-    dfas,
+    fleet,
     trainings,
     epoch: float,
 ) -> RequestRecord:
-    """One stream lifecycle: open (with capacity retries) → feeds → close."""
+    """Start ``spec``'s record by opening its stream, honoring the wire
+    backpressure contract (retryable ``capacity`` rejects back off and
+    retry); on failure ``record.stream`` stays ``None`` and
+    ``record.error`` says why."""
     tenant = scenario.tenants[spec.tenant_index]
     record = RequestRecord(
         index=spec.index,
         phase=spec.phase,
         tenant=tenant.name,
+        variant=spec.variant,
         t_start_s=perf_counter() - epoch,
     )
-    dfa = dfas[spec.tenant_index]
-    # -- open, honoring the wire backpressure contract ------------------
-    sid = None
     attempt = 0
     while True:
         started = perf_counter()
         try:
-            sid = await client.open(
-                dfa,
+            record.stream = await client.open(
+                fleet[spec.tenant_index][spec.variant],
                 training=trainings[spec.tenant_index],
                 scheme=tenant.scheme,
             )
             record.open_ms = (perf_counter() - started) * 1e3
-            break
+            return record
         except ServingError as exc:
             if exc.code == "capacity" and exc.retryable:
                 record.rejects += 1
@@ -281,54 +351,129 @@ async def _lifecycle(
                 record.error = "capacity retries exhausted"
             else:
                 record.error = f"open failed: {exc}"
-            record.t_end_s = perf_counter() - epoch
             return record
-    record.stream = sid
-    # -- feeds ----------------------------------------------------------
-    fed = bytearray()
-    try:
-        for segment in spec.segments:
-            started = perf_counter()
-            await client.feed(sid, segment)
-            record.feed_ms.append((perf_counter() - started) * 1e3)
-            fed.extend(segment)
+
+
+async def _lifecycle(
+    scenario: Scenario,
+    client: GatewayClient,
+    gang: Sequence[_RequestSpec],
+    fleet,
+    trainings,
+    epoch: float,
+) -> List[RequestRecord]:
+    """A gang of stream lifecycles on one connection: open each (with
+    capacity retries) → one feed per segment round → close and audit one
+    by one.
+
+    A gang of one feeds with ``feed``; a wider gang sends each round —
+    one segment for every member that still has one — as a single
+    ``feed_many``, which is what lets a fused pool gang-dispatch the
+    members sharing a language class.  Every stream that was opened is
+    closed, whatever failed in between, so a failed feed never strands
+    an admission slot.
+    """
+    members = [
+        (spec, await _open(scenario, client, spec, fleet, trainings, epoch))
+        for spec in gang
+    ]
+    # -- feeds: one round per segment position --------------------------
+    for position in range(max(len(spec.segments) for spec in gang)):
+        batch = [
+            (record, spec.segments[position])
+            for spec, record in members
+            if record.stream is not None
+            and record.error is None
+            and position < len(spec.segments)
+        ]
+        if not batch:
+            break
+        started = perf_counter()
+        try:
+            if len(gang) == 1:
+                await client.feed(batch[0][0].stream, batch[0][1])
+                outcomes = [{"ok": True, "fused": False}]
+            else:
+                outcomes = await client.feed_many(
+                    [(record.stream, segment) for record, segment in batch]
+                )
+        except ServingError as exc:  # the whole round failed
+            for record, _ in batch:
+                record.error = f"feed failed: {type(exc).__name__}: {exc}"
+            continue
+        elapsed_ms = (perf_counter() - started) * 1e3
+        for (record, segment), outcome in zip(batch, outcomes):
+            if not outcome["ok"]:
+                record.error = f"feed failed: {outcome['error']['message']}"
+                continue
+            record.feed_ms.append(elapsed_ms)
             record.segments += 1
             record.symbols += len(segment)
-        summary = await client.close_stream(sid)
-    except ServingError as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
+            record.fused_feeds += bool(outcome["fused"])
+    # -- close + client-side oracle audit, one by one -------------------
+    for spec, record in members:
+        if record.stream is not None:
+            try:
+                summary = await client.close_stream(record.stream)
+            except ServingError as exc:
+                record.error = record.error or f"close failed: {exc}"
+            else:
+                if record.error is None:
+                    _audit_close(scenario, spec, record, summary, fleet)
         record.t_end_s = perf_counter() - epoch
-        return record
-    # -- client-side oracle audit --------------------------------------
+    return [record for _, record in members]
+
+
+def _audit_close(scenario, spec, record, summary, fleet) -> None:
+    """Check a close summary against ``dfa.run`` over the bytes sent."""
+    dfa = fleet[spec.tenant_index][0]  # every variant decides this language
+    fed = b"".join(spec.segments)
+    expected = int(dfa.run(fed))
     record.end_state = int(summary["end_state"])
     record.accepts = bool(summary["accepts"])
-    expected = int(dfa.run(bytes(fed)))
+    record.scheme_switches = int(summary["scheme_switches"])
     record.oracle_ok = (
-        record.end_state == expected
+        # Aliased variants are served in the first submitter's state
+        # numbering, so only the verdict is comparable across a class.
+        (
+            scenario.tenants[spec.tenant_index].variants > 1
+            or record.end_state == expected
+        )
         and record.accepts == (expected in dfa.accepting)
         and int(summary["total_symbols"]) == len(fed)
-        and int(summary["segments"]) == record.segments
+        and int(summary["segments"]) == len(spec.segments)
     )
     record.ok = True
-    record.t_end_s = perf_counter() - epoch
-    return record
 
 
 async def _drive(
-    scenario: Scenario, host: str, port: int, epoch: float
+    scenario: Scenario,
+    schedule: List[_RequestSpec],
+    fleet,
+    trainings,
+    host: str,
+    port: int,
+    epoch: float,
 ) -> Tuple[List[RequestRecord], List[str]]:
-    """Arrival producer + client-fleet consumers over real sockets."""
-    schedule = build_schedule(scenario)
-    dfas, trainings = scenario.build_fleet()
+    """Arrival producer + client-fleet consumers over real sockets.
+
+    The schedule is cut into gangs of consecutive requests (width 1
+    unless the scenario's pool is fused), so gang membership is as
+    seed-determined as the requests themselves; a gang arrives when its
+    last member would have.
+    """
+    width = GANG_WIDTH if scenario.pool.fused else 1
     records: List[RequestRecord] = []
     errors: List[str] = []
-    queue: "asyncio.Queue[Optional[_RequestSpec]]" = asyncio.Queue()
+    queue: "asyncio.Queue[Optional[List[_RequestSpec]]]" = asyncio.Queue()
 
     async def producer() -> None:
-        for spec in schedule:
-            if spec.gap_s > 0:
-                await asyncio.sleep(spec.gap_s)
-            await queue.put(spec)
+        for start in range(0, len(schedule), width):
+            gang = schedule[start : start + width]
+            gap = sum(spec.gap_s for spec in gang)
+            if gap > 0:
+                await asyncio.sleep(gap)
+            await queue.put(gang)
         for _ in range(scenario.clients):
             await queue.put(None)
 
@@ -336,27 +481,26 @@ async def _drive(
         try:
             client = await GatewayClient.connect(host, port)
         except OSError as exc:
+            # The queue is unbounded, so the producer never waits on this
+            # consumer: the healthy clients serve what it would have.
             errors.append(f"client {worker_index}: connect failed: {exc}")
-            # Drain my share of the queue so the producer can finish.
-            while await queue.get() is not None:
-                pass
             return
         try:
             while True:
-                spec = await queue.get()
-                if spec is None:
+                gang = await queue.get()
+                if gang is None:
                     return
                 try:
-                    record = await _lifecycle(
-                        scenario, client, spec, dfas, trainings, epoch
+                    records.extend(
+                        await _lifecycle(
+                            scenario, client, gang, fleet, trainings, epoch
+                        )
                     )
                 except Exception as exc:  # noqa: BLE001 - audit collects
                     errors.append(
-                        f"request {spec.index}: "
+                        f"request {gang[0].index}: "
                         f"{type(exc).__name__}: {exc}"
                     )
-                else:
-                    records.append(record)
         finally:
             await client.aclose()
 
@@ -373,12 +517,82 @@ def _percentile(values: List[float], q: float) -> float:
     return float(np.percentile(np.asarray(values), q)) if values else 0.0
 
 
+def _serving_audits(
+    scenario: Scenario,
+    classes: Set[str],
+    stats: Dict[str, Any],
+    metrics: Dict[str, float],
+    spilled: Optional[Set[str]],
+) -> List[str]:
+    """What an embedded run's own counters must show, whatever the gates.
+
+    ``classes`` are the canonical fingerprints of the tenants that got a
+    stream opened, ``stats`` the gateway's stats after the drain,
+    ``metrics`` the shared registry's export and ``spilled`` the plan
+    files the run left in its spill directory (``None`` without one).
+    """
+    pool, cache = stats["pool"], stats["pool"]["cache"]
+    failures = []
+    if (
+        not cache["evictions"]
+        and not cache["disk_loads"]
+        and cache["compiles"] != len(classes)
+    ):
+        failures.append(
+            f"{cache['compiles']} compiles for {len(classes)} language "
+            "classes opened (want exactly one each)"
+        )
+    leaked = {
+        name: count
+        for name, count in (
+            ("active_streams", pool["active_streams"]),
+            ("reserved", pool["reserved"]),
+            ("revising", pool["revising"]),
+            # Streams a client left open are closed by the gateway, at the
+            # disconnect or at the drain: either way the client leaked them.
+            ("orphans_closed", stats["orphans_closed"]),
+            ("drained_streams", stats["drained_streams"]),
+        )
+        if count
+    }
+    if leaked:
+        failures.append(f"leaked past the drain: {leaked}")
+    if metrics.get("drift.revise_errors", 0):
+        failures.append(
+            f"{int(metrics['drift.revise_errors'])} background revises failed"
+        )
+    if (
+        scenario.pool.drift
+        and scenario.drift_at is not None
+        and not metrics.get("drift.revises", 0)
+    ):
+        failures.append("the drifting traffic provoked no background revise")
+    if scenario.pool.fused and not metrics.get(
+        "serving.pool.fused_dispatches", 0
+    ):
+        failures.append("pool.fused produced no fused dispatch")
+    if spilled is not None and spilled != classes:
+        failures.append(
+            f"{len(spilled)} spill files for {len(classes)} language classes "
+            f"(unexpected: {sorted(spilled - classes)[:3]}, "
+            f"missing: {sorted(classes - spilled)[:3]})"
+        )
+    return [f"audit: {failure}" for failure in failures]
+
+
+def _spill_files(spill_dir: Optional[str]) -> Set[str]:
+    if spill_dir is None:
+        return set()
+    return {path.stem for path in Path(spill_dir).glob("*.npz")}
+
+
 def run_scenario(
     scenario: Scenario,
     *,
     host: Optional[str] = None,
     port: Optional[int] = None,
     out_path: Optional[str] = None,
+    spill_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     log=None,
 ) -> ScenarioReport:
@@ -386,23 +600,30 @@ def run_scenario(
 
     With ``host``/``port`` unset an embedded gateway is started on a free
     localhost port (pool built from the scenario's ``pool`` / ``backend``
-    / ``n_threads`` fields) and gracefully drained afterwards; otherwise
-    the traffic targets an already-running external gateway and the
-    scenario's pool knobs are ignored.  ``out_path`` writes one JSONL
-    line per request.
+    / ``n_threads`` fields, plan cache spilling to ``spill_dir`` when
+    given), gracefully drained afterwards and held to
+    :func:`_serving_audits`; otherwise the traffic targets an
+    already-running external gateway and the scenario's pool knobs and
+    ``spill_dir`` are ignored.  ``out_path`` writes one JSONL line per
+    request.
     """
     from repro.engine import resolve_backend_name
 
-    async def main() -> Tuple[List[RequestRecord], List[str], Dict, int]:
+    schedule = build_schedule(scenario)
+    fleet, trainings = scenario.build_fleet()
+    foreign_spills = _spill_files(spill_dir)  # an earlier run's: not ours
+
+    async def main() -> Tuple[List[RequestRecord], List[str], Dict, Dict, int]:
         server = None
+        registry = metrics if metrics is not None else MetricsRegistry()
         target_host, target_port = host, port
         if target_host is None:
-            registry = metrics if metrics is not None else MetricsRegistry()
             config = GSpecPalConfig(n_threads=scenario.n_threads)
             pool = MatcherPool(
                 PlanCache(
                     capacity=scenario.pool.cache_capacity,
                     config=config,
+                    directory=spill_dir,
                     metrics=registry,
                 ),
                 config=config,
@@ -411,6 +632,7 @@ def run_scenario(
                 open_timeout=scenario.pool.open_timeout,
                 fused=scenario.pool.fused,
                 metrics=registry,
+                drift=DRIFT_CONFIG if scenario.pool.drift else None,
             )
             server = GatewayServer(pool, metrics=registry, log=log)
             await server.start()
@@ -420,18 +642,26 @@ def run_scenario(
         epoch = perf_counter()
         try:
             records, errors = await _drive(
-                scenario, target_host, target_port, epoch
+                scenario,
+                schedule,
+                fleet,
+                trainings,
+                target_host,
+                target_port,
+                epoch,
             )
         finally:
             gateway_stats: Dict[str, Any] = {}
+            exported: Dict[str, float] = {}
             stragglers = 0
             if server is not None:
-                gateway_stats = server.stats()
                 stragglers = await server.stop()
-        return records, errors, gateway_stats, stragglers
+                gateway_stats = server.stats()
+                exported = registry.as_dict()
+        return records, errors, gateway_stats, exported, stragglers
 
     started = perf_counter()
-    records, errors, gateway_stats, stragglers = asyncio.run(main())
+    records, errors, gateway_stats, exported, stragglers = asyncio.run(main())
     elapsed = perf_counter() - started
     records.sort(key=lambda r: r.index)
 
@@ -446,6 +676,21 @@ def run_scenario(
         errors = errors + [
             f"lost records: {len(records)} of {scenario.total_requests}"
         ]
+    if gateway_stats:
+        opened = {
+            schedule[r.index].tenant_index
+            for r in records
+            if r.stream is not None
+        }
+        classes = {fleet[i][0].canonical_fingerprint() for i in opened}
+        spilled = (
+            None
+            if spill_dir is None
+            else _spill_files(spill_dir) - (foreign_spills - classes)
+        )
+        errors = errors + _serving_audits(
+            scenario, classes, gateway_stats, exported, spilled
+        )
 
     measured = [r for r in records if r.phase == "measure"]
     completed = [r for r in measured if r.ok]
@@ -486,6 +731,8 @@ def run_scenario(
         drain_stragglers=stragglers,
         require_all_completed=scenario.require_all_completed,
         gateway_stats=gateway_stats,
+        metrics=exported,
+        records=records,
         out_path=out_path,
     )
 

@@ -36,14 +36,20 @@ Tenant ``fsm`` specs name :mod:`repro.workloads.classic` generators
 ``drifting_phase``), so a scenario file fully determines every automaton
 without shipping transition tables.  Validation failures raise
 :class:`~repro.errors.ScenarioError` naming the offending field.
+
+The frozen dataclasses *are* the schema: :func:`_load` reads allowed
+keys, defaults and types off :func:`dataclasses.fields`, and each
+``__post_init__`` holds only the section's range checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -61,19 +67,113 @@ FSM_KINDS = (
 )
 
 
-def _require(mapping: Mapping, key: str, context: str) -> Any:
-    if key not in mapping:
-        raise ScenarioError(f"{context}: missing required field {key!r}")
-    return mapping[key]
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ScenarioError(message)
 
 
-def _reject_unknown(mapping: Mapping, allowed, context: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ScenarioError(
-            f"{context}: unknown field(s) {', '.join(map(repr, unknown))} "
-            f"(allowed: {', '.join(sorted(allowed))})"
+def _at_least(spec: Any, bound: int, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        _check(value >= bound, f"{name} must be >= {bound}, got {value}")
+
+
+def _coerce(value: Any, hint: Any, where: str) -> Any:
+    """``value`` as the field type ``hint``, or a ScenarioError at ``where``."""
+    if type(None) in get_args(hint):  # Optional[X]
+        if value is None:
+            return None
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    section = where.removeprefix("scenario.")
+    if dataclasses.is_dataclass(hint):
+        return _load(hint, value, section)
+    if get_origin(hint) is tuple:  # a list of sub-documents
+        _check(isinstance(value, (list, tuple)), f"{where} must be a list")
+        return tuple(
+            _load(get_args(hint)[0], item, f"{section}[{i}]")
+            for i, item in enumerate(value)
         )
+    if get_origin(hint) is not None:  # Mapping[str, Any]: free-form object
+        _check(isinstance(value, Mapping), f"{where} must be an object")
+        return dict(value)
+    if hint in (bool, str) and isinstance(value, hint):
+        return value
+    if hint in (int, float) and not isinstance(value, bool):
+        try:
+            return hint(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioError(f"{where} must be a {hint.__name__}, got {value!r}")
+
+
+def _load(cls, data: Any, context: str):
+    """Build the dataclass ``cls`` from the document section ``data``.
+
+    Allowed keys, defaults and types come from the dataclass itself; a
+    range-check failure in its ``__post_init__`` is re-raised prefixed
+    with ``context`` so the message names ``section.field``.
+    """
+    _check(isinstance(data, Mapping), f"{context} must be a mapping/object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields}, key=repr)
+    _check(
+        not unknown,
+        f"{context}: unknown field(s) {', '.join(map(repr, unknown))} "
+        f"(allowed: {', '.join(sorted(f.name for f in fields))})",
+    )
+    for f in fields:
+        has_default = (f.default, f.default_factory) != (MISSING, MISSING)
+        _check(
+            has_default or f.name in data,
+            f"{context}: missing required field {f.name!r}",
+        )
+    hints = get_type_hints(cls)
+    values = {
+        name: _coerce(value, hints[name], f"{context}.{name}")
+        for name, value in data.items()
+    }
+    try:
+        return cls(**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{context}.{exc}") from None
+
+
+def equivalent_variants(dfa: DFA, count: int, seed: int) -> Tuple[DFA, ...]:
+    """``count`` language-equivalent DFAs with distinct content
+    fingerprints over one canonical fingerprint; ``dfa`` itself first.
+
+    Odd variants are seeded state relabellings.  Even ones append a copy
+    ``d`` of a random state ``s`` (accepting iff ``s`` is) and reroute
+    about half the transitions into ``s`` to ``d``: the two are
+    behaviourally identical, so the language is unchanged while the
+    state count and the content fingerprint differ.
+    """
+    rng = np.random.default_rng(seed)
+    row = [dfa]
+    for v in range(1, count):
+        if v % 2 == 1:
+            row.append(
+                dfa.renumbered(
+                    rng.permutation(dfa.n_states),
+                    name=f"{dfa.name}~relabel{v}",
+                )
+            )
+            continue
+        n = dfa.n_states
+        s = int(rng.integers(0, n))
+        table = np.vstack([np.asarray(dfa.table), dfa.table[s : s + 1]])
+        body = table[:n]
+        body[(body == s) & (rng.random(body.shape) < 0.5)] = n
+        accepting = set(dfa.accepting) | ({n} if s in dfa.accepting else set())
+        row.append(
+            DFA(
+                table=table,
+                start=dfa.start,
+                accepting=frozenset(accepting),
+                name=f"{dfa.name}~inflate{v}",
+            )
+        )
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -92,73 +192,44 @@ class ArrivalSpec:
     burst_size: int = 8
     burst_pause_s: float = 0.05
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ArrivalSpec":
-        _reject_unknown(
-            data,
-            ("kind", "rate_per_s", "jitter", "burst_size", "burst_pause_s"),
-            "arrival",
+    def __post_init__(self) -> None:
+        _check(
+            self.kind in ARRIVAL_KINDS,
+            f"kind must be one of {ARRIVAL_KINDS}, got {self.kind!r}",
         )
-        kind = str(data.get("kind", "poisson"))
-        if kind not in ARRIVAL_KINDS:
-            raise ScenarioError(
-                f"arrival.kind must be one of {ARRIVAL_KINDS}, got {kind!r}"
-            )
-        spec = cls(
-            kind=kind,
-            rate_per_s=float(data.get("rate_per_s", 100.0)),
-            jitter=float(data.get("jitter", 0.0)),
-            burst_size=int(data.get("burst_size", 8)),
-            burst_pause_s=float(data.get("burst_pause_s", 0.05)),
-        )
-        if spec.rate_per_s <= 0:
-            raise ScenarioError(
-                f"arrival.rate_per_s must be > 0, got {spec.rate_per_s}"
-            )
-        if not (0.0 <= spec.jitter < 1.0):
-            raise ScenarioError(
-                f"arrival.jitter must be in [0, 1), got {spec.jitter}"
-            )
-        if spec.kind == "bursty" and spec.burst_size < 1:
-            raise ScenarioError(
-                f"arrival.burst_size must be >= 1, got {spec.burst_size}"
-            )
-        return spec
+        _check(self.rate_per_s > 0, f"rate_per_s must be > 0, got {self.rate_per_s}")
+        _check(0 <= self.jitter < 1, f"jitter must be in [0, 1), got {self.jitter}")
+        if self.kind == "bursty":
+            _at_least(self, 1, "burst_size")
 
 
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant class: an FSM spec, a traffic weight, an optional
-    forced scheme."""
+    forced scheme.
 
-    name: str
+    ``variants > 1`` submits the class as that many language-equivalent
+    DFAs (:func:`equivalent_variants`; which one a request opens is part
+    of the seeded schedule), so the plan cache must dedupe them onto one
+    compile.  The oracle then audits ``accepts`` and the symbol/segment
+    accounting but not ``end_state``, which the server reports in the
+    first submitter's state numbering.
+    """
+
     fsm: Mapping[str, Any]
+    name: str = ""  # Scenario fills in "tenant-<index>"
     weight: float = 1.0
     scheme: Optional[str] = None
+    variants: int = 1
 
-    @classmethod
-    def from_dict(cls, data: Mapping, index: int) -> "TenantSpec":
-        context = f"tenants[{index}]"
-        _reject_unknown(data, ("name", "fsm", "weight", "scheme"), context)
-        fsm = _require(data, "fsm", context)
-        if not isinstance(fsm, Mapping):
-            raise ScenarioError(f"{context}.fsm must be an object")
-        kind = fsm.get("kind")
-        if kind not in FSM_KINDS:
-            raise ScenarioError(
-                f"{context}.fsm.kind must be one of {FSM_KINDS}, got {kind!r}"
-            )
-        spec = cls(
-            name=str(data.get("name", f"tenant-{index}")),
-            fsm=dict(fsm),
-            weight=float(data.get("weight", 1.0)),
-            scheme=data.get("scheme"),
+    def __post_init__(self) -> None:
+        kind = self.fsm.get("kind")
+        _check(
+            kind in FSM_KINDS,
+            f"fsm.kind must be one of {FSM_KINDS}, got {kind!r}",
         )
-        if spec.weight <= 0:
-            raise ScenarioError(
-                f"{context}.weight must be > 0, got {spec.weight}"
-            )
-        return spec
+        _check(self.weight > 0, f"weight must be > 0, got {self.weight}")
+        _at_least(self, 1, "variants")
 
     def build_dfa(self) -> DFA:
         """Instantiate the tenant's automaton from its FSM spec."""
@@ -195,63 +266,37 @@ class SegmentsSpec:
     per_stream_min: int = 1
     per_stream_max: int = 4
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SegmentsSpec":
-        _reject_unknown(
-            data,
-            ("min_len", "max_len", "per_stream_min", "per_stream_max"),
-            "segments",
+    def __post_init__(self) -> None:
+        _check(
+            1 <= self.min_len <= self.max_len,
+            "min_len..max_len: need 1 <= min_len <= max_len, got "
+            f"{self.min_len}..{self.max_len}",
         )
-        spec = cls(
-            min_len=int(data.get("min_len", 32)),
-            max_len=int(data.get("max_len", 160)),
-            per_stream_min=int(data.get("per_stream_min", 1)),
-            per_stream_max=int(data.get("per_stream_max", 4)),
+        _check(
+            1 <= self.per_stream_min <= self.per_stream_max,
+            "per_stream_min..per_stream_max: need 1 <= per_stream_min <= "
+            f"per_stream_max, got {self.per_stream_min}..{self.per_stream_max}",
         )
-        if not (1 <= spec.min_len <= spec.max_len):
-            raise ScenarioError(
-                "segments: need 1 <= min_len <= max_len, got "
-                f"{spec.min_len}..{spec.max_len}"
-            )
-        if not (1 <= spec.per_stream_min <= spec.per_stream_max):
-            raise ScenarioError(
-                "segments: need 1 <= per_stream_min <= per_stream_max, got "
-                f"{spec.per_stream_min}..{spec.per_stream_max}"
-            )
-        return spec
 
 
 @dataclass(frozen=True)
 class PoolSpec:
-    """Serving-pool knobs for the embedded gateway."""
+    """Serving-pool knobs for the embedded gateway.
+
+    ``fused`` builds a gang-scheduling pool *and* makes every client
+    connection drive its streams as gangs fed with ``feed_many``;
+    ``drift`` turns on drift detection with the runner's one fixed
+    :class:`~repro.serving.DriftConfig`.
+    """
 
     max_streams: int = 32
     open_timeout: Optional[float] = 0.5
     fused: bool = False
     cache_capacity: int = 16
+    drift: bool = False
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PoolSpec":
-        _reject_unknown(
-            data,
-            ("max_streams", "open_timeout", "fused", "cache_capacity"),
-            "pool",
-        )
-        spec = cls(
-            max_streams=int(data.get("max_streams", 32)),
-            open_timeout=(
-                None
-                if data.get("open_timeout", 0.5) is None
-                else float(data.get("open_timeout", 0.5))
-            ),
-            fused=bool(data.get("fused", False)),
-            cache_capacity=int(data.get("cache_capacity", 16)),
-        )
-        if spec.max_streams < 1:
-            raise ScenarioError(
-                f"pool.max_streams must be >= 1, got {spec.max_streams}"
-            )
-        return spec
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "max_streams")
 
 
 @dataclass(frozen=True)
@@ -261,26 +306,17 @@ class RetrySpec:
     max_attempts: int = 4
     backoff_s: float = 0.02
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RetrySpec":
-        _reject_unknown(data, ("max_attempts", "backoff_s"), "retry")
-        spec = cls(
-            max_attempts=int(data.get("max_attempts", 4)),
-            backoff_s=float(data.get("backoff_s", 0.02)),
-        )
-        if spec.max_attempts < 1:
-            raise ScenarioError(
-                f"retry.max_attempts must be >= 1, got {spec.max_attempts}"
-            )
-        return spec
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "max_attempts")
 
 
 @dataclass(frozen=True)
 class GateSpec:
     """CI regression gates evaluated over the measure window.
 
-    ``None`` disables a gate.  Oracle exactness and error-freedom are
-    always enforced — gates only bound the performance envelope.
+    ``None`` disables a gate.  Oracle exactness, error-freedom and the
+    embedded run's resource audits are always enforced — gates only
+    bound the performance envelope.
     """
 
     p99_open_ms: Optional[float] = None
@@ -288,22 +324,6 @@ class GateSpec:
     min_throughput_sym_per_s: Optional[float] = None
     min_throughput_req_per_s: Optional[float] = None
     max_reject_rate: Optional[float] = None
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GateSpec":
-        allowed = (
-            "p99_open_ms",
-            "p99_feed_ms",
-            "min_throughput_sym_per_s",
-            "min_throughput_req_per_s",
-            "max_reject_rate",
-        )
-        _reject_unknown(data, allowed, "gates")
-        values = {
-            key: (None if data.get(key) is None else float(data[key]))
-            for key in allowed
-        }
-        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -326,74 +346,31 @@ class Scenario:
     n_threads: int = 8
     training_len: int = 512
     require_all_completed: bool = True
+    #: Share of the schedule after which ``drifting_phase`` tenants' segments
+    #: turn from pure calm to pure drifted-hot (None: lowercase noise, as all).
+    drift_at: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _check(bool(self.tenants), "tenants must be a non-empty list")
+        _check(
+            self.backend in (None, "sim", "fast"),
+            f"backend must be 'sim', 'fast' or null, got {self.backend!r}",
+        )
+        _at_least(self, 1, "clients", "requests")
+        _at_least(self, 0, "warmup_requests")
+        _check(
+            self.drift_at is None or 0.0 <= self.drift_at <= 1.0,
+            f"drift_at must be in [0, 1] or null, got {self.drift_at}",
+        )
+        named = (
+            t if t.name else dataclasses.replace(t, name=f"tenant-{i}")
+            for i, t in enumerate(self.tenants)
+        )
+        object.__setattr__(self, "tenants", tuple(named))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
-        if not isinstance(data, Mapping):
-            raise ScenarioError("a scenario must be a mapping/object")
-        allowed = (
-            "id",
-            "label",
-            "seed",
-            "clients",
-            "requests",
-            "warmup_requests",
-            "arrival",
-            "tenants",
-            "segments",
-            "pool",
-            "retry",
-            "gates",
-            "backend",
-            "n_threads",
-            "training_len",
-            "require_all_completed",
-        )
-        _reject_unknown(data, allowed, "scenario")
-        tenants_data = _require(data, "tenants", "scenario")
-        if not isinstance(tenants_data, (list, tuple)) or not tenants_data:
-            raise ScenarioError("scenario.tenants must be a non-empty list")
-        backend = data.get("backend")
-        if backend is not None and backend not in ("sim", "fast"):
-            raise ScenarioError(
-                f"scenario.backend must be 'sim', 'fast' or null, got "
-                f"{backend!r}"
-            )
-        scenario = cls(
-            id=str(_require(data, "id", "scenario")),
-            label=str(data.get("label", "")),
-            seed=int(data.get("seed", 0)),
-            clients=int(data.get("clients", 4)),
-            requests=int(data.get("requests", 32)),
-            warmup_requests=int(data.get("warmup_requests", 0)),
-            arrival=ArrivalSpec.from_dict(data.get("arrival", {})),
-            tenants=tuple(
-                TenantSpec.from_dict(t, i)
-                for i, t in enumerate(tenants_data)
-            ),
-            segments=SegmentsSpec.from_dict(data.get("segments", {})),
-            pool=PoolSpec.from_dict(data.get("pool", {})),
-            retry=RetrySpec.from_dict(data.get("retry", {})),
-            gates=GateSpec.from_dict(data.get("gates", {})),
-            backend=backend,
-            n_threads=int(data.get("n_threads", 8)),
-            training_len=int(data.get("training_len", 512)),
-            require_all_completed=bool(data.get("require_all_completed", True)),
-        )
-        if scenario.clients < 1:
-            raise ScenarioError(
-                f"scenario.clients must be >= 1, got {scenario.clients}"
-            )
-        if scenario.requests < 1:
-            raise ScenarioError(
-                f"scenario.requests must be >= 1, got {scenario.requests}"
-            )
-        if scenario.warmup_requests < 0:
-            raise ScenarioError(
-                "scenario.warmup_requests must be >= 0, got "
-                f"{scenario.warmup_requests}"
-            )
-        return scenario
+        return _load(cls, data, "scenario")
 
     # ------------------------------------------------------------------
     @property
@@ -403,40 +380,39 @@ class Scenario:
 
     def replace(self, **overrides: Any) -> "Scenario":
         """A copy with ``overrides`` applied (e.g. backend/seed flips)."""
-        return _dc_replace(self, **overrides)
+        return dataclasses.replace(self, **overrides)
 
     def tenant_weights(self) -> np.ndarray:
         weights = np.asarray([t.weight for t in self.tenants], dtype=float)
         return weights / weights.sum()
 
-    def build_fleet(self) -> Tuple[Tuple[DFA, ...], Tuple[bytes, ...]]:
-        """``(dfas, trainings)``, one per tenant, seeded by the scenario.
+    def build_fleet(self) -> Tuple[Tuple[Tuple[DFA, ...], ...], Tuple[bytes, ...]]:
+        """``(fleet, trainings)``, one entry per tenant, seeded by the
+        scenario; ``fleet[i]`` is tenant ``i``'s ``variants``
+        language-equivalent automata, the FSM spec's own DFA first.
 
         ``drifting_phase`` tenants train on calm traffic (matching the
         drift-workload convention); everything else trains on seeded
         lowercase bytes.
         """
-        dfas = tuple(t.build_dfa() for t in self.tenants)
-        trainings = []
-        for i, (tenant, dfa) in enumerate(zip(self.tenants, dfas)):
+        fleet, trainings = [], []
+        for i, tenant in enumerate(self.tenants):
+            seed = self.seed * 31 + i
+            fleet.append(
+                equivalent_variants(tenant.build_dfa(), tenant.variants, seed)
+            )
             if tenant.fsm.get("kind") == "drifting_phase":
                 trainings.append(
                     classic.drifting_phase_input(
-                        max(self.training_len, 256),
-                        drift_at=1.0,
-                        seed=self.seed * 31 + i,
+                        max(self.training_len, 256), drift_at=1.0, seed=seed
                     )
                 )
             else:
-                rng = np.random.default_rng(self.seed * 31 + i)
-                trainings.append(
-                    bytes(
-                        rng.integers(
-                            97, 123, size=self.training_len
-                        ).astype(np.uint8)
-                    )
+                noise = np.random.default_rng(seed).integers(
+                    97, 123, size=self.training_len
                 )
-        return dfas, tuple(trainings)
+                trainings.append(bytes(noise.astype(np.uint8)))
+        return tuple(fleet), tuple(trainings)
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +438,6 @@ def scenario_from_text(text: str, *, source: str = "<string>") -> Scenario:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{source}: invalid YAML: {exc}") from exc
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{source}: scenario must be a mapping/object")
     return Scenario.from_dict(data)
 
 
@@ -479,6 +453,41 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 # builtins (the CI regression scenarios; gates sized with generous
 # headroom so shared runners do not flake)
 # ----------------------------------------------------------------------
+def _tenant(name: str, weight: float, **fsm: Any) -> Dict[str, Any]:
+    return {"name": name, "weight": weight, "fsm": fsm}
+
+
+def _segments(min_len: int, max_len: int, lo: int, hi: int) -> Dict[str, int]:
+    return dict(min_len=min_len, max_len=max_len, per_stream_min=lo, per_stream_max=hi)
+
+
+#: The serving soak every stress document derives from: 8 connections
+#: (8 pool threads behind the gateway's ``to_thread`` hop) over keyword
+#: scanners (sticky accepts) alternating with divisibility counters
+#: (dense, never converging).  ``burst_size == clients`` gives the first
+#: ``clients`` arrivals a zero gap, so every cold open races; the pool is
+#: roomy enough (clients × gang width) that nothing is ever rejected.
+_SOAK: Dict[str, Any] = {
+    "seed": 20260805,
+    "clients": 8,
+    "requests": 64,
+    "arrival": {"kind": "bursty", "burst_size": 8, "burst_pause_s": 0.005},
+    "tenants": [
+        _tenant("kw0", 1.0, kind="keyword", keyword="kw0end"),
+        _tenant("div3", 1.0, kind="divisibility", modulus=3),
+        _tenant("kw2", 1.0, kind="keyword", keyword="kw2end"),
+        _tenant("div5", 1.0, kind="divisibility", modulus=5),
+    ],
+    "segments": _segments(16, 160, 2, 6),
+    "pool": {"max_streams": 32, "open_timeout": 1.0},
+    "training_len": 1024,
+}
+
+
+def _soak(scenario_id: str, label: str, **overrides: Any) -> Dict[str, Any]:
+    return {**_SOAK, "id": scenario_id, "label": label, **overrides}
+
+
 BUILTIN_SCENARIOS: Dict[str, Dict[str, Any]] = {
     "smoke": {
         "id": "smoke",
@@ -489,23 +498,10 @@ BUILTIN_SCENARIOS: Dict[str, Dict[str, Any]] = {
         "warmup_requests": 8,
         "arrival": {"kind": "poisson", "rate_per_s": 400.0},
         "tenants": [
-            {
-                "name": "kw-token",
-                "weight": 0.6,
-                "fsm": {"kind": "keyword", "keyword": "token"},
-            },
-            {
-                "name": "div7",
-                "weight": 0.4,
-                "fsm": {"kind": "divisibility", "modulus": 7},
-            },
+            _tenant("kw-token", 0.6, kind="keyword", keyword="token"),
+            _tenant("div7", 0.4, kind="divisibility", modulus=7),
         ],
-        "segments": {
-            "min_len": 32,
-            "max_len": 128,
-            "per_stream_min": 1,
-            "per_stream_max": 3,
-        },
+        "segments": _segments(32, 128, 1, 3),
         "pool": {"max_streams": 32, "open_timeout": 1.0},
         "gates": {
             "p99_open_ms": 5_000.0,
@@ -526,19 +522,8 @@ BUILTIN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             "burst_size": 6,
             "burst_pause_s": 0.02,
         },
-        "tenants": [
-            {
-                "name": "kw-flood",
-                "weight": 1.0,
-                "fsm": {"kind": "keyword", "keyword": "flood"},
-            }
-        ],
-        "segments": {
-            "min_len": 24,
-            "max_len": 64,
-            "per_stream_min": 1,
-            "per_stream_max": 2,
-        },
+        "tenants": [_tenant("kw-flood", 1.0, kind="keyword", keyword="flood")],
+        "segments": _segments(24, 64, 1, 2),
         "pool": {"max_streams": 2, "open_timeout": 0.0},
         "retry": {"max_attempts": 16, "backoff_s": 0.01},
         "gates": {"max_reject_rate": 0.95},
@@ -559,39 +544,45 @@ BUILTIN_SCENARIOS: Dict[str, Dict[str, Any]] = {
             "jitter": 0.2,
         },
         "tenants": [
-            {
-                "name": "kw-alpha",
-                "weight": 0.35,
-                "fsm": {"kind": "keyword", "keyword": "alpha"},
-            },
-            {
-                "name": "div11",
-                "weight": 0.25,
-                "fsm": {"kind": "divisibility", "modulus": 11},
-            },
-            {
-                "name": "rotator",
-                "weight": 0.2,
-                "fsm": {"kind": "cyclic_rotator", "n_states": 48},
-            },
-            {
-                "name": "drifty",
-                "weight": 0.2,
-                "fsm": {"kind": "drifting_phase", "n_states": 64},
-            },
+            _tenant("kw-alpha", 0.35, kind="keyword", keyword="alpha"),
+            _tenant("div11", 0.25, kind="divisibility", modulus=11),
+            _tenant("rotator", 0.2, kind="cyclic_rotator", n_states=48),
+            _tenant("drifty", 0.2, kind="drifting_phase", n_states=64),
         ],
-        "segments": {
-            "min_len": 48,
-            "max_len": 192,
-            "per_stream_min": 2,
-            "per_stream_max": 5,
-        },
+        "segments": _segments(48, 192, 2, 5),
         "pool": {"max_streams": 48, "open_timeout": 1.0},
         "gates": {
             "p99_feed_ms": 3_000.0,
             "min_throughput_sym_per_s": 200.0,
         },
     },
+    "soak": _soak("soak", "8 racing clients x 4 classes: one compile each"),
+    "soak-fused": _soak(
+        "soak-fused",
+        "the soak in gangs of 4 fed with feed_many into a fused pool",
+        arrival={**_SOAK["arrival"], "burst_size": 32},
+        pool={**_SOAK["pool"], "fused": True},
+    ),
+    "equivalent-mix": _soak(
+        "equivalent-mix",
+        "3 classes x 3 language-equivalent variants: one compile per class",
+        tenants=[{**t, "variants": 3} for t in _SOAK["tenants"][:3]],
+    ),
+    "drift": _soak(
+        "drift",
+        "calm-trained two-phase classes turn hot mid-run: revise + hot-swap",
+        requests=40,
+        drift_at=0.5,
+        tenants=[
+            _tenant(f"phase{n}", 1.0, kind="drifting_phase", n_states=n, multiplier=m)
+            for n, m in ((128, 5), (144, 5), (160, 3))  # m coprime to n
+        ],
+        # Long enough that each run verifies a few chunk boundaries, so
+        # the monitors gather accuracy evidence at a useful rate.
+        segments=_segments(96, 192, 4, 10),
+        pool={**_SOAK["pool"], "drift": True},
+        training_len=2048,
+    ),
 }
 
 
@@ -617,6 +608,7 @@ __all__ = [
     "SegmentsSpec",
     "TenantSpec",
     "builtin_scenario",
+    "equivalent_variants",
     "load_scenario",
     "scenario_from_text",
 ]

@@ -6,15 +6,15 @@ fingerprint-keyed LRU with single-flight compiles (at most one compile per
 automaton, never blocking other fingerprints), and :class:`MatcherPool`
 multiplexes many concurrent stream sessions over the cached plans with
 per-stream locking, admission control, and zero profiling on the serving
-path.  :mod:`repro.serving.stress` is the deterministic multithreaded soak
-harness auditing the whole tier against the sequential oracle
-(``python -m repro.cli stress``).
+path.  The whole tier is soaked and audited against the sequential oracle
+over the gateway by the ``soak`` / ``soak-fused`` / ``equivalent-mix`` /
+``drift`` documents of :mod:`repro.scenarios`
+(``python -m repro.cli scenario soak``).
 """
 
 from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftConfig, DriftMonitor
 from repro.serving.pool import FeedOutcome, MatcherPool, StreamStats
-from repro.serving.stress import StressReport, run_stress
 
 __all__ = [
     "DriftConfig",
@@ -23,6 +23,4 @@ __all__ = [
     "MatcherPool",
     "PlanCache",
     "StreamStats",
-    "StressReport",
-    "run_stress",
 ]

@@ -594,9 +594,9 @@ class MatcherPool:
         graceful shutdown with ``timeout=5`` takes at most ~5 seconds no
         matter how many revises are running.  Returns the number of
         revise threads still alive when the wait ended — 0 on a clean
-        drain — so callers (the gateway's shutdown path, the stress
-        harness) can log or fail on stragglers instead of silently
-        leaving live threads behind.  Synchronous-mode pools have nothing
+        drain — so callers (the gateway's shutdown path, and through it
+        the scenario runner) can log or fail on stragglers instead of
+        silently leaving live threads behind.  Synchronous-mode pools have nothing
         to drain.
         """
         with self._lock:

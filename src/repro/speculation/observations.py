@@ -116,7 +116,7 @@ class LiveObservations:
         )
 
     def summary(self) -> dict:
-        """JSON-safe scalar view (plan provenance, stress reports)."""
+        """JSON-safe scalar view (plan provenance, reports)."""
         acc = self.spec_accuracy
         return {
             "scheme": self.scheme,

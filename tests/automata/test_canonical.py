@@ -43,7 +43,7 @@ def _tables_identical(a: DFA, b: DFA) -> bool:
 
 
 def _inflate(dfa: DFA, rng: np.random.Generator) -> DFA:
-    """Language-preserving duplicate-state inflation (see serving.stress)."""
+    """Language-preserving duplicate-state inflation (see scenarios.equivalent_variants)."""
     n, k = dfa.n_states, dfa.n_symbols
     s = int(rng.integers(0, n))
     table = np.vstack([np.asarray(dfa.table), dfa.table[s : s + 1]])

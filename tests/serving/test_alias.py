@@ -10,8 +10,8 @@ import pytest
 
 from repro.automata import canonical_fingerprint
 from repro.framework import GSpecPalConfig
+from repro.scenarios import builtin_scenario, equivalent_variants, run_scenario
 from repro.serving import MatcherPool, PlanCache
-from repro.serving.stress import build_variant_fleet, run_stress
 from repro.workloads import classic
 
 
@@ -107,26 +107,29 @@ def test_pool_reuses_matcher_across_aliased_fingerprints(
 
 
 def test_variant_fleet_is_language_equivalent():
-    base, grid = build_variant_fleet(3, variants=4, seed=7)
-    assert len(grid) == 3
-    for dfa, row in zip(base, grid):
-        fps = {canonical_fingerprint(v) for v in row}
-        assert fps == {canonical_fingerprint(dfa)}
-        assert len({v.fingerprint() for v in row}) > 1
+    for i, dfa in enumerate(
+        (classic.keyword_scanner(b"kw0end"), classic.divisibility(3))
+    ):
+        row = equivalent_variants(dfa, 4, seed=7 + i)
+        assert row[0] is dfa and len(row) == 4
+        assert {canonical_fingerprint(v) for v in row} == {
+            canonical_fingerprint(dfa)
+        }
+        assert len({v.fingerprint() for v in row}) == 4
+        # Relabellings keep the state count, inflations add a state.
+        assert [v.n_states - dfa.n_states for v in row] == [0, 0, 1, 0]
 
 
 def test_stress_equivalent_mix_one_compile_per_class(tmp_path):
-    report = run_stress(
-        threads=4,
-        fingerprints=3,
-        operations=120,
-        seed=11,
-        equivalent_mix=True,
-        variants=3,
-        spill_dir=tmp_path,
-    )
-    assert report.ok, report.errors
-    assert report.equivalent_mix and report.variants == 3
-    assert report.compiles == report.fingerprints_used
-    assert report.alias_hits > 0
-    assert report.spill_files == report.fingerprints_used
+    scenario = builtin_scenario("equivalent-mix").replace(seed=11)
+    assert [t.variants for t in scenario.tenants] == [3, 3, 3]
+    report = run_scenario(scenario, spill_dir=str(tmp_path))
+    assert report.ok, report.summary()
+    # Every variant of every class was actually submitted.
+    assert {(r.tenant, r.variant) for r in report.records} == {
+        (t.name, v) for t in scenario.tenants for v in range(3)
+    }
+    cache = report.gateway_stats["pool"]["cache"]
+    assert cache["compiles"] == len(scenario.tenants)
+    assert cache["alias_hits"] > 0
+    assert len(list(tmp_path.glob("*.npz"))) == len(scenario.tenants)

@@ -6,8 +6,13 @@ interleaved operations with zero unexpected exceptions, exactly one
 compile per distinct fingerprint, and every closed stream oracle-correct —
 on both backends; plus a regression proving a cache hit is never blocked
 behind another fingerprint's in-flight compile.
+
+The soaks are the builtin scenario documents driven over the gateway
+(8 connections = 8 pool threads behind its ``to_thread`` hop); the
+barrier-synchronised races keep their dedicated tests below.
 """
 
+import dataclasses
 import threading
 from time import perf_counter, sleep
 
@@ -19,7 +24,8 @@ from repro.errors import SchemeError, ServingError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.observability import MetricsRegistry
 from repro.plan import compile_plan, load_plan, save_plan
-from repro.serving import MatcherPool, PlanCache, run_stress
+from repro.scenarios import builtin_scenario, run_scenario
+from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
 
 
@@ -43,59 +49,67 @@ def fsms():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 def test_soak_eight_threads_four_fingerprints(backend):
-    report = run_stress(
-        threads=8,
-        fingerprints=4,
-        operations=240,
-        seed=11,
-        backend=backend,
-    )
+    scenario = builtin_scenario("soak").replace(backend=backend, seed=11)
+    assert scenario.clients == 8 and len(scenario.tenants) == 4
+    report = run_scenario(scenario)
     assert report.ok, report.summary()
     assert report.errors == []
     assert report.oracle_failures == []
-    # Exactly one compile per distinct fingerprint, however many threads
-    # raced the cold cache at the barrier.
-    assert report.fingerprints_used == 4
-    assert report.compiles == 4
-    assert report.pool_stats["cache"]["compiles"] == 4
+    pool = report.gateway_stats["pool"]
+    # Exactly one compile per distinct fingerprint, however many
+    # connections raced the cold cache in the zero-gap first burst.
+    assert {r.tenant for r in report.records} == {"kw0", "div3", "kw2", "div5"}
+    assert pool["cache"]["compiles"] == 4
     # No stream summary lost or duplicated.
-    assert report.streams_opened == report.streams_closed
-    assert report.pool_stats["active_streams"] == 0
+    assert report.completed == scenario.requests
+    assert len({r.stream for r in report.records}) == scenario.requests
+    assert pool["opened"] == pool["closed"] == scenario.requests
+    assert pool["active_streams"] == 0
 
 
-@pytest.mark.parametrize("backend", ["sim", "fast"])
-def test_drift_soak_revises_under_contention(backend):
-    """Drift mode: live traffic collapses mid-run, background revises and
-    segment-boundary hot-swaps race the worker threads, and every closed
-    stream still matches the oracle bit-for-bit."""
-    report = run_stress(
-        threads=8,
-        fingerprints=2,
-        operations=300,
-        seed=3,
-        backend=backend,
-        drift=True,
+@pytest.mark.parametrize(
+    "backend, fused",
+    [("sim", False), ("fast", False), ("fast", True)],
+    ids=["sim", "fast", "fast-fused"],
+)
+def test_drift_soak_revises_under_contention(backend, fused):
+    """Drift document: live traffic collapses mid-run, background revises
+    and segment-boundary hot-swaps race the connections' pool threads
+    (and, fused, their gang dispatches), and every closed stream still
+    matches the oracle bit-for-bit."""
+    scenario = builtin_scenario("drift").replace(backend=backend, seed=3)
+    scenario = scenario.replace(
+        pool=dataclasses.replace(scenario.pool, fused=fused)
     )
+    report = run_scenario(scenario)
     assert report.ok, report.summary()
-    assert report.drift_revise_errors == 0
+    assert report.metrics.get("drift.revise_errors", 0) == 0
     # The distribution shift provoked at least one background revise, and
-    # streams open across the swap were switched at a segment boundary.
-    assert report.drift_revises >= 1
-    assert report.drift_swaps >= 1
-    assert report.scheme_switches >= 1
+    # streams open across the swap were switched at a segment boundary
+    # (visible in their wire close summaries).
+    assert report.metrics["drift.revises"] >= 1
+    assert report.metrics["drift.swaps"] >= 1
+    assert sum(r.scheme_switches for r in report.records) >= 1
     # Revises never touch the compiler: still one compile per class.
-    assert report.compiles == report.fingerprints_used
-    assert report.pool_stats["revising"] == 0
+    pool = report.gateway_stats["pool"]
+    assert pool["cache"]["compiles"] == len(scenario.tenants)
+    assert pool["revising"] == 0
 
 
 def test_soak_is_deterministic_per_stream():
-    a = run_stress(threads=4, fingerprints=2, operations=80, seed=5)
-    b = run_stress(threads=4, fingerprints=2, operations=80, seed=5)
+    scenario = builtin_scenario("soak").replace(clients=4, requests=24, seed=5)
+    a, b = run_scenario(scenario), run_scenario(scenario)
     assert a.ok and b.ok
-    # Thread interleaving may differ, but the schedule — and therefore the
-    # amount of traffic — is seed-determined.
-    assert a.streams_opened == b.streams_opened
-    assert a.segments_fed == b.segments_fed
+
+    # Interleaving may differ, but the schedule — every stream's tenant
+    # and the traffic it was fed — is seed-determined.
+    def traffic(report):
+        return [
+            (r.index, r.tenant, r.variant, r.segments, r.symbols)
+            for r in report.records
+        ]
+
+    assert traffic(a) == traffic(b)
 
 
 # ----------------------------------------------------------------------
@@ -482,25 +496,22 @@ def test_spec_alias_accepted_at_open(fsms, training, config):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["sim", "fast"])
 def test_fused_soak(backend):
-    """The fused gang-scheduling soak: workers batch a segment for every
-    stream they have open into one feed_many call, racing other workers'
-    gang dispatches, opens and closes on the same fingerprints — and every
-    closed stream still matches the sequential oracle exactly."""
-    report = run_stress(
-        threads=6,
-        fingerprints=3,
-        operations=240,
-        seed=13,
-        backend=backend,
-        fused=True,
-    )
+    """The fused gang-scheduling soak: every connection batches a segment
+    for each stream of its gang into one feed_many call, racing the other
+    connections' gang dispatches, opens and closes on the same
+    fingerprints — and every closed stream still matches the sequential
+    oracle exactly."""
+    scenario = builtin_scenario("soak-fused").replace(backend=backend, seed=13)
+    assert scenario.pool.fused
+    report = run_scenario(scenario)
     assert report.ok, report.summary()
-    assert report.fused
     # The schedule actually exercised gang dispatch, not just fallbacks.
-    assert report.fused_dispatches > 0
-    assert report.fused_streams >= 2 * report.fused_dispatches
-    assert report.streams_opened == report.streams_closed
-    assert report.compiles == report.fingerprints_used
+    dispatches = report.metrics["serving.pool.fused_dispatches"]
+    assert dispatches > 0
+    assert report.metrics["serving.pool.fused_streams"] >= 2 * dispatches
+    pool = report.gateway_stats["pool"]
+    assert pool["opened"] == pool["closed"] == scenario.requests
+    assert pool["cache"]["compiles"] == len(scenario.tenants)
 
 
 def test_close_during_fused_batch_is_serialized(fsms, training, config):

@@ -4,14 +4,17 @@ Covers the declarative layer (validation errors name the offending
 field, builtins validate, JSON/YAML interchangeability, seeded schedule
 determinism) and the runner end-to-end: a small scenario through an
 embedded gateway over real sockets must be oracle-exact, write one JSONL
-line per request, and fail its report when a regression gate trips.
+line per request, and fail its report when a regression gate trips, a
+serving audit fails, a connection is refused or a feed errors out.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, ServingError
+from repro.gateway import GatewayClient, GatewayServer
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -21,6 +24,8 @@ from repro.scenarios import (
     run_scenario,
     scenario_from_text,
 )
+from repro.scenarios.runner import _serving_audits
+from repro.serving import PlanCache
 
 
 def small_scenario(**overrides):
@@ -52,16 +57,27 @@ def small_scenario(**overrides):
 # schema validation
 # ----------------------------------------------------------------------
 def test_builtin_scenarios_validate_and_build():
-    assert set(BUILTIN_SCENARIOS) == {"smoke", "capacity", "bursty-mix"}
+    assert set(BUILTIN_SCENARIOS) == {
+        "smoke",
+        "capacity",
+        "bursty-mix",
+        "soak",
+        "soak-fused",
+        "equivalent-mix",
+        "drift",
+    }
     for name in BUILTIN_SCENARIOS:
         scenario = builtin_scenario(name)
         assert scenario.id == name
         assert scenario.total_requests > 0
-        dfas, trainings = scenario.build_fleet()
-        assert len(dfas) == len(scenario.tenants)
+        fleet, trainings = scenario.build_fleet()
+        assert len(fleet) == len(scenario.tenants)
         assert len(trainings) == len(scenario.tenants)
-        for dfa, training in zip(dfas, trainings):
-            assert dfa.n_states >= 2
+        for tenant, variants, training in zip(
+            scenario.tenants, fleet, trainings
+        ):
+            assert len(variants) == tenant.variants
+            assert variants[0].n_states >= 2
             assert len(training) == scenario.training_len
 
     with pytest.raises(ScenarioError, match="unknown builtin"):
@@ -94,6 +110,25 @@ def test_builtin_scenarios_validate_and_build():
         ),
         ({"segments": {"min_len": 0}}, "min_len"),
         ({"pool": {"max_streams": 0}}, "max_streams"),
+        # wrong-typed fields: a ScenarioError naming section.field, never a
+        # raw ValueError/TypeError and never silently accepted
+        ({"clients": "many"}, "scenario.clients"),
+        ({"arrival": {"rate_per_s": "fast"}}, "arrival.rate_per_s"),
+        ({"gates": {"p99_feed_ms": "slow"}}, "gates.p99_feed_ms"),
+        ({"pool": {"max_streams": None}}, "pool.max_streams"),
+        ({"segments": [1, 2]}, "segments must be a mapping"),
+        ({"pool": {"fused": "no"}}, "pool.fused must be a bool"),
+        (
+            {"tenants": [{"scheme": 7, "fsm": {"kind": "parity"}}]},
+            r"tenants\[0\].scheme must be a str",
+        ),
+        # the three new fields are range-checked like the rest
+        (
+            {"tenants": [{"variants": 0, "fsm": {"kind": "parity"}}]},
+            r"tenants\[0\].variants",
+        ),
+        ({"drift_at": 1.5}, "drift_at"),
+        ({"pool": {"drift": 1}}, "pool.drift must be a bool"),
     ],
 )
 def test_schema_rejects_bad_documents(mutation, match):
@@ -147,6 +182,8 @@ def test_replace_returns_validated_copy():
     assert (flipped.backend, flipped.seed) == ("fast", 99)
     assert (scenario.backend, scenario.seed) == ("sim", 11)  # frozen original
     assert flipped.tenants == scenario.tenants
+    with pytest.raises(ScenarioError, match="backend"):
+        scenario.replace(backend="gpu")
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +204,53 @@ def test_schedule_is_deterministic_per_seed():
     assert any(
         a.segments != b.segments for a, b in zip(first, reseeded)
     )
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("smoke", "9f7908af496dc2e80fa7f462a08a0089b6c039c9c7e0580db36ff624fb576d52"),
+        ("capacity", "1ed2fe24bda91e437a233e560ad45983970b73ce2689ee33a20955e5c5f2eee2"),
+        ("bursty-mix", "8e798d1d7ff22ee9e55e207574382aa21721a2ae3cc327b43ae3f886bdf38279"),
+    ],
+)
+def test_pre_existing_builtin_schedules_are_byte_identical(name, digest):
+    """Digests captured on 95ebe92, before the schema grew ``variants`` /
+    ``drift_at``: a document using neither draws exactly what it drew."""
+    sha = hashlib.sha256()
+    for spec in build_schedule(builtin_scenario(name)):
+        assert spec.variant == 0
+        sha.update(
+            repr(
+                (spec.index, spec.phase, spec.tenant_index, spec.segments, spec.gap_s)
+            ).encode()
+        )
+    assert sha.hexdigest() == digest
+
+
+def test_schedule_draws_variants_and_drifts_at_the_flip():
+    hot = bytes(range(240, 256))  # drifting_phase's hot symbol region
+    scenario = small_scenario(
+        requests=30,
+        warmup_requests=0,
+        drift_at=0.5,
+        tenants=[
+            {"name": "kw", "variants": 3, "fsm": {"kind": "keyword", "keyword": "abc"}},
+            {"name": "phase", "fsm": {"kind": "drifting_phase", "n_states": 16}},
+        ],
+    )
+    schedule = build_schedule(scenario)
+    assert {s.variant for s in schedule if s.tenant_index == 0} == {0, 1, 2}
+    assert {s.variant for s in schedule if s.tenant_index == 1} == {0}
+    for spec in schedule:
+        for segment in spec.segments:
+            share = sum(byte in hot for byte in segment) / len(segment)
+            if spec.tenant_index == 0:
+                assert share == 0.0  # lowercase noise, untouched by drift_at
+            elif spec.index < 15:
+                assert share < 0.4  # calm: ~5% hot
+            else:
+                assert share > 0.6  # drifted: ~97% hot
 
 
 # ----------------------------------------------------------------------
@@ -225,3 +309,144 @@ def test_runner_counts_capacity_rejects():
     assert report.completed == 12
     assert report.reject_attempts > 0
     assert 0.0 < report.reject_rate < 1.0
+
+
+def test_fused_pool_document_gang_feeds():
+    """``pool.fused`` drives gangs through ``feed_many``: the pool reports
+    fused dispatches, and every feed the clients saw is either marked
+    fused on the wire or counted by the pool as a per-stream fallback."""
+    scenario = small_scenario(
+        requests=12,
+        warmup_requests=0,
+        pool={"max_streams": 8, "fused": True},
+    )
+    report = run_scenario(scenario)
+    assert report.ok, report.summary()
+    assert report.metrics["serving.pool.fused_dispatches"] >= 1
+    fed = sum(r.segments for r in report.records)
+    fused = sum(r.fused_feeds for r in report.records)
+    assert 0 < fused == report.metrics["serving.pool.fused_streams"]
+    assert fed - fused == report.metrics.get("serving.pool.fused_fallbacks", 0)
+
+
+def test_refused_connection_costs_no_requests(monkeypatch):
+    """One client that cannot connect is an error, not lost work: the
+    healthy connections serve every request."""
+    real_connect = GatewayClient.connect
+    attempts = []
+
+    async def flaky_connect(host, port, **kwargs):
+        attempts.append(port)
+        if len(attempts) == 1:
+            raise ConnectionRefusedError("injected refusal")
+        return await real_connect(host, port, **kwargs)
+
+    monkeypatch.setattr(GatewayClient, "connect", flaky_connect)
+    scenario = small_scenario(clients=3, requests=12)
+    report = run_scenario(scenario)
+    assert len(attempts) == 3
+    assert [e for e in report.errors if "connect failed" in e]
+    assert not [e for e in report.errors if "lost records" in e]
+    assert report.completed == scenario.requests
+    assert not report.ok  # the refused connection itself is still reported
+
+
+def test_failed_feed_still_closes_its_stream(monkeypatch):
+    """A feed error fails that request only, and the stream it had opened
+    is closed by the client — not left holding an admission slot until
+    the connection drops."""
+    real_feed, real_start = GatewayClient.feed, GatewayServer.start
+    real_aclose = GatewayClient.aclose
+    failed, servers, active_at_disconnect = [], [], []
+
+    async def flaky_feed(self, stream, segment):
+        if not failed:
+            failed.append(stream)
+            raise ServingError("injected feed failure", code="internal")
+        return await real_feed(self, stream, segment)
+
+    async def start(self):
+        servers.append(self)
+        await real_start(self)
+
+    async def aclose(self):
+        active_at_disconnect.append(servers[0].pool.stats()["active_streams"])
+        await real_aclose(self)
+
+    monkeypatch.setattr(GatewayClient, "feed", flaky_feed)
+    monkeypatch.setattr(GatewayServer, "start", start)
+    monkeypatch.setattr(GatewayClient, "aclose", aclose)
+    scenario = small_scenario(clients=1)
+    report = run_scenario(scenario)
+    assert active_at_disconnect == [0]
+    assert report.gateway_stats["orphans_closed"] == 0
+    assert report.gateway_stats["drained_streams"] == 0
+    broken = [r for r in report.records if r.error]
+    assert [r.stream for r in broken] == failed
+    assert "injected feed failure" in broken[0].error
+    assert len(report.records) == scenario.total_requests
+    assert not report.errors  # nothing leaked, so no audit trips
+
+
+# ----------------------------------------------------------------------
+# the embedded run's always-on serving audits
+# ----------------------------------------------------------------------
+def test_serving_audits_catch_each_corrupted_input(tmp_path):
+    scenario = small_scenario(
+        requests=12,
+        warmup_requests=0,
+        drift_at=0.5,
+        pool={"max_streams": 8, "fused": True, "drift": True},
+    )
+    report = run_scenario(scenario, spill_dir=str(tmp_path))
+    classes = {p.stem for p in tmp_path.glob("*.npz")}
+    assert len(classes) == 2
+    stats = report.gateway_stats
+    # No drifting_phase tenant, so nothing drifted: stand in one revise.
+    metrics = {**report.metrics, "drift.revises": 1.0}
+    assert _serving_audits(scenario, classes, stats, metrics, classes) == []
+
+    def corrupted(path, value):
+        broken = json.loads(json.dumps(stats))
+        section = broken
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        return _serving_audits(scenario, classes, broken, metrics, classes)
+
+    assert "3 compiles" in corrupted(("pool", "cache", "compiles"), 3)[0]
+    # ... unless the cache says a plan was evicted or loaded from disk.
+    evicted = json.loads(json.dumps(stats))
+    evicted["pool"]["cache"].update(compiles=3, evictions=1)
+    assert _serving_audits(scenario, classes, evicted, metrics, classes) == []
+    for path in (
+        ("pool", "active_streams"),
+        ("pool", "reserved"),
+        ("pool", "revising"),
+        ("orphans_closed",),
+        ("drained_streams",),
+    ):
+        assert path[-1] in corrupted(path, 1)[0]
+
+    for counter, value, message in (
+        ("drift.revise_errors", 1.0, "revises failed"),
+        ("drift.revises", 0.0, "no background revise"),
+        ("serving.pool.fused_dispatches", 0.0, "no fused dispatch"),
+    ):
+        changed = {**metrics, counter: value}
+        failure = _serving_audits(scenario, classes, stats, changed, classes)
+        assert message in failure[0]
+    for spilled in (set(), classes | {"f" * 64}):
+        failure = _serving_audits(scenario, classes, stats, metrics, spilled)
+        assert "spill files" in failure[0]
+
+
+def test_failed_serving_audit_fails_the_report(monkeypatch, tmp_path):
+    """End to end: a cache that stops spilling turns a healthy run's
+    report red through the always-on audits, whatever the gates say."""
+    monkeypatch.setattr(PlanCache, "_spill", lambda self, plan: None)
+    report = run_scenario(small_scenario(), spill_dir=str(tmp_path))
+    assert report.completed == 6 and not report.oracle_failures
+    assert not report.ok
+    assert "audit: 0 spill files for 2 language classes" in report.errors[0]
+    assert "FAIL" in report.summary()
