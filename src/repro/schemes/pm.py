@@ -122,9 +122,9 @@ class PMScheme(Scheme):
                         lengths=partition.lengths,
                         active=active,
                     )
-                    for i in range(n):
-                        if active[i]:
-                            vr.add(i, int(starts[i]), int(ends[i]), own=True)
+                    vr.add_batch(
+                        np.flatnonzero(active), starts[active], ends[active], own=True
+                    )
                 stats.charge_sync(KernelPhase.SPECULATIVE_EXECUTION)
 
             # --- stage 1: parallel tree-like verification & merge -------

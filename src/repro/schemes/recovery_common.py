@@ -145,6 +145,8 @@ class FrontierLoopScheme(Scheme):
             end_c = end_c.astype(np.int64)
 
             phase = KernelPhase.VERIFY_RECOVER
+            # What one scan costs changes only when a recovery adds records.
+            scan_depth, n_records = vr.scan_cost()
             prev_snapshot = end_c.copy()
             last_change_round = np.zeros(n, dtype=np.int64)  # round a thread's end last changed
             self.last_trace = []
@@ -160,19 +162,10 @@ class FrontierLoopScheme(Scheme):
                     stats.charge_comm(phase, n - 1 if n > 1 else 0)
 
                     # --- verification scan -------------------------------
-                    found = np.zeros(n, dtype=bool)
-                    scan_depth = 0
-                    new_end = end_c.copy()
-                    for t in range(n):
-                        scan_depth = max(scan_depth, vr.count(t))
-                        hit = vr.lookup(t, int(end_p[t]))
-                        if hit is not None:
-                            found[t] = True
-                            new_end[t] = hit
+                    found, hit = vr.scan(end_p)
+                    new_end = np.where(found, hit, end_c)
                     stats.charge_verify(
-                        phase,
-                        checks_per_thread=scan_depth,
-                        total_checks=sum(vr.count(t) for t in range(n)),
+                        phase, checks_per_thread=scan_depth, total_checks=n_records
                     )
                     changed = new_end != end_c
                     end_c = new_end
@@ -205,12 +198,11 @@ class FrontierLoopScheme(Scheme):
                         assignments = self.policy.schedule(ctx)
                         n_active = len(assignments)
                         if assignments:
-                            end_c = self._execute_recoveries(
+                            recovered = self._execute_recoveries(
                                 assignments, partition, end_c, vr, stats, f
                             )
-                            last_change_round[
-                                [t for t, cid, _ in assignments if cid == t]
-                            ] = f + 1
+                            last_change_round[recovered] = f + 1
+                            scan_depth, n_records = vr.scan_cost()
                         else:
                             stats.record_recovery_round(active_threads=0)
                     vr.charge_shared_traffic(stats, phase)
@@ -257,18 +249,19 @@ class FrontierLoopScheme(Scheme):
         stats: KernelStats,
         frontier: int,
     ) -> np.ndarray:
-        """Run one parallel recovery batch and fold results into state."""
+        """Run one parallel recovery batch and fold its results into ``vr``
+        and ``end_c``; returns the threads that re-ran their own chunk."""
         n = partition.n_chunks
         phase = KernelPhase.VERIFY_RECOVER
+        threads, chunk_of, start_of = np.asarray(assignments, dtype=np.int64).T
         active = np.zeros(n, dtype=bool)
-        cids = np.arange(n, dtype=np.int64)
+        active[threads] = True
+        lanes = np.arange(n, dtype=np.int64)
+        cids = lanes.copy()
+        cids[threads] = chunk_of
         starts = np.zeros(n, dtype=np.int64)
-        non_own = np.zeros(n, dtype=bool)
-        for t, cid, st in assignments:
-            active[t] = True
-            cids[t] = cid
-            starts[t] = st
-            non_own[t] = cid != t
+        starts[threads] = start_of
+        own = chunk_of == threads
         stats.record_recovery_round(active_threads=len(assignments))
         stats.recoveries_executed += len(assignments)
 
@@ -283,13 +276,12 @@ class FrontierLoopScheme(Scheme):
             active=active,
             # Enumeration on other chunks is aggressive speculation: count
             # it as (potentially) redundant work for the redundancy metric.
-            count_redundant=non_own,
+            count_redundant=cids != lanes,
         )
         stats.recovery_exec_cycles += stats.phase_cycles.get(phase, 0.0) - before
-        for t, cid, st in assignments:
-            end = int(ends[t])
-            vr.add(cid, int(st), end, own=(cid == t))
-            if cid == t:
-                end_c[t] = end
+        ends = ends[threads]
+        vr.add_batch(chunk_of, start_of, ends, own=own)
+        recovered = threads[own]
+        end_c[recovered] = ends[own]
         stats.charge_sync(phase)
-        return end_c
+        return recovered

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import DFA, STATE_DTYPE
 from repro.gpu.device import DeviceSpec
 from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import Partition
@@ -26,6 +26,10 @@ from repro.errors import SchemeError
 
 #: The paper's lookback window (symbols of the predecessor chunk replayed).
 LOOKBACK = 2
+
+#: Most ``windows × n_states`` replay lanes processed at once; bounds the
+#: predictor's working memory on large automata / wide partitions.
+REPLAY_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -155,21 +159,37 @@ def predict_start_states(
     """
     if start_state is None:
         start_state = dfa.start
-    queues: List[SpeculationQueue] = [
-        SpeculationQueue(
-            states=np.asarray([start_state]),
-            weights=np.asarray([dfa.n_states]),
+    queues: List[Optional[SpeculationQueue]] = [None] * partition.n_chunks
+    queues[0] = SpeculationQueue(
+        states=np.asarray([start_state]),
+        weights=np.asarray([dfa.n_states]),
+    )
+    # The window of boundary i is the tail of chunk i-1: ``lookback``
+    # symbols, fewer only when that chunk is shorter.  Boundaries are
+    # grouped by window length (one group unless some chunk is that short);
+    # within a group each *distinct* window is replayed and ranked once and
+    # boundaries with equal windows share the ranked arrays.
+    tails = np.minimum(np.asarray(partition.lengths[:-1], dtype=np.int64), lookback)
+    for width in sorted(set(tails.tolist())):
+        boundaries = np.flatnonzero(tails == width) + 1
+        rows = boundaries - 1
+        cols = (partition.lengths[rows] - width)[:, None] + np.arange(width)
+        windows = [tuple(w) for w in partition.chunks[rows[:, None], cols].tolist()]
+        # Sorted, so windows opening with the same symbol sit together.
+        distinct = sorted(set(windows))
+        ranked = dict(
+            zip(
+                distinct,
+                _rank_windows(
+                    dfa.table,
+                    np.array(distinct, dtype=np.int64).reshape(len(distinct), width),
+                    tie_break,
+                ),
+            )
         )
-    ]
-    for i in range(1, partition.n_chunks):
-        window = partition.last_symbols_of(i - 1, lookback)
-        ends = dfa.run_all_states(window)
-        states, counts = np.unique(ends, return_counts=True)
-        # Most frequent first; ties broken by (translated) state id for
-        # determinism and layout invariance.
-        keys = tie_break(states) if tie_break is not None else states
-        order = np.lexsort((keys, -counts))
-        queues.append(SpeculationQueue(states=states[order], weights=counts[order]))
+        for i, window in zip(boundaries.tolist(), windows):
+            states, weights = ranked[window]
+            queues[i] = SpeculationQueue(states=states, weights=weights)
 
     if stats is not None:
         dev = device if device is not None else stats.device
@@ -181,6 +201,52 @@ def predict_start_states(
         cost = rounds * lookback * (dev.shared_cycles + dev.transition_compute_cycles)
         stats.charge("predict", float(cost))
     return Prediction(queues=queues)
+
+
+def _rank_windows(table: np.ndarray, windows: np.ndarray, tie_break) -> list:
+    """All-state replay of every row of ``windows``; per row the ranked
+    ``(states, weights)`` of its end-state set.
+
+    One ``(windows × n_states)`` gather per window symbol replays a whole
+    block of windows; the end states are counted with one ``bincount`` over
+    ``(window, state)`` keys and ordered with one ``lexsort`` — most frequent
+    first, ties broken by the (translated) state id for determinism and
+    layout invariance.  Blocks hold at most :data:`REPLAY_BLOCK_ELEMENTS`
+    lanes, so memory does not grow with ``n_chunks × n_states``.
+    """
+    n_windows, width = windows.shape
+    n_states = table.shape[0]
+    block = max(1, REPLAY_BLOCK_ELEMENTS // n_states)
+    ranked = []
+    for lo in range(0, n_windows, block):
+        symbols = windows[lo : lo + block]
+        n_rows = symbols.shape[0]
+        if width == 0:
+            ends = np.broadcast_to(
+                np.arange(n_states, dtype=STATE_DTYPE), (n_rows, n_states)
+            )
+        else:
+            # First symbol from every state is a table column: fetch each
+            # distinct symbol's column once (a strided read of the table)
+            # and hand it to its windows, instead of gathering it per lane.
+            first, which = np.unique(symbols[:, 0], return_inverse=True)
+            ends = table[:, first].T[which]
+        for k in range(1, width):
+            ends = table[ends, symbols[:, k, None]]
+        keys = ends + (np.arange(n_rows, dtype=np.int64) * n_states)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=n_rows * n_states)
+        reached = np.flatnonzero(counts)
+        row, states = np.divmod(reached, n_states)
+        weights = counts[reached]
+        tie_keys = tie_break(states) if tie_break is not None else states
+        order = np.lexsort((tie_keys, -weights, row))
+        states, weights = states[order], weights[order]
+        # ``row`` is already sorted and lexsort keeps it so: slice per row.
+        bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
+        ranked.extend(
+            (states[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
+    return ranked
 
 
 def true_start_states(dfa: DFA, partition: Partition, start_state: Optional[int] = None) -> np.ndarray:

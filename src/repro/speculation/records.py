@@ -14,12 +14,23 @@ too few and recovery results are dropped (the work is wasted and may have to
 be redone); too many and every verification round pays extra load/store and
 check cycles.  :class:`VRStore` models both capacities and reports the
 operation counts the cost model charges.
+
+Storage layout — the register file of Fig. 5, as arrays.  Chunk ``i`` owns
+row ``i`` of three dense ``(n_chunks, own_capacity + others_capacity)``
+arrays (``start``, ``end``, ``own``) and fills its slots left to right in
+arrival order; two per-chunk counters say how many of the filled slots hold
+own and foreign records.  Free slots hold :data:`EMPTY` as their start, which
+no state id equals, so the whole-store verification scan of one frontier
+round (:meth:`VRStore.scan`) is a single broadcast compare with no validity
+mask.  Everything else — :meth:`~VRStore.records`, :meth:`~VRStore.lookup`,
+:meth:`~VRStore.count`, :meth:`~VRStore.others_full`,
+:meth:`~VRStore.starts_tried` — reads the same arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +41,14 @@ from repro.errors import SchemeError
 #: Default register budget for each record class (paper finds 16 optimal).
 DEFAULT_OWN_CAPACITY = 16
 DEFAULT_OTHERS_CAPACITY = 16
+
+#: Start value of a free record slot (state ids are non-negative).
+EMPTY = -1
+
+#: Below this many records :meth:`VRStore.add_batch` stores them one by one:
+#: that many scalar :meth:`VRStore.add` calls (~2 µs each) cost less than the
+#: fixed overhead of the array operations one vectorized pass needs (~50 µs).
+_SCALAR_BATCH = 24
 
 
 @dataclass
@@ -61,8 +80,6 @@ class VRStore:
     n_chunks: int
     own_capacity: int = DEFAULT_OWN_CAPACITY
     others_capacity: int = DEFAULT_OTHERS_CAPACITY
-    _records: List[List[VRRecord]] = field(default_factory=list)
-    _index: List[dict] = field(default_factory=list)
     dropped_records: int = 0
     stores_to_shared: int = 0
     loads_from_shared: int = 0
@@ -74,8 +91,15 @@ class VRStore:
             raise SchemeError("own_capacity must be at least 1")
         if self.others_capacity < 0:
             raise SchemeError("others_capacity must be non-negative")
-        self._records = [[] for _ in range(self.n_chunks)]
-        self._index = [{} for _ in range(self.n_chunks)]
+        # The record slots and their fill counters (see the module
+        # docstring); plain attributes, so repr/eq stay on the parameters.
+        slots = (self.n_chunks, self.own_capacity + self.others_capacity)
+        self._start = np.full(slots, EMPTY, dtype=np.int64)
+        self._end = np.zeros(slots, dtype=np.int64)
+        self._own = np.zeros(slots, dtype=bool)
+        self._n_own = np.zeros(self.n_chunks, dtype=np.int64)
+        self._n_others = np.zeros(self.n_chunks, dtype=np.int64)
+        self._rows = np.arange(self.n_chunks)
 
     # ------------------------------------------------------------------
     def add(self, chunk: int, start: int, end: int, *, own: bool) -> bool:
@@ -85,39 +109,130 @@ class VRStore:
         drop.  Duplicate starts update nothing (the first result stands —
         executions are deterministic so they agree anyway).
         """
-        records = self._records[chunk]
-        if int(start) in self._index[chunk]:
+        start = int(start)
+        n_own = int(self._n_own[chunk])
+        n_others = int(self._n_others[chunk])
+        slot = n_own + n_others
+        if slot and start in self._start[chunk, :slot].tolist():
             return True
         if own:
-            used = sum(1 for r in records if r.own)
-            if used >= self.own_capacity:
+            if n_own >= self.own_capacity:
                 self.dropped_records += 1
                 return False
+            self._n_own[chunk] = n_own + 1
         else:
-            used = sum(1 for r in records if not r.own)
-            if used >= self.others_capacity:
+            if n_others >= self.others_capacity:
                 self.dropped_records += 1
                 return False
             # Foreign records transit shared memory: one store by the
             # producer, one load by the owner at next verification.
             self.stores_to_shared += 1
             self.loads_from_shared += 1
-        records.append(VRRecord(start=int(start), end=int(end), own=own))
-        self._index[chunk][int(start)] = int(end)
+            self._n_others[chunk] = n_others + 1
+        self._start[chunk, slot] = start
+        self._end[chunk, slot] = int(end)
+        self._own[chunk, slot] = own
         return True
+
+    def add_batch(self, chunks, starts, ends, *, own) -> None:
+        """Fold a batch of results in: ``add(chunks[i], starts[i], ends[i],
+        own=own[i])`` for every ``i`` in order, without a Python call per
+        record.  ``own`` is one flag for the batch or one per record.
+
+        Only records of the *same* chunk interact (first write wins, the
+        later ones are the ones capacity drops), so the batch is stored in
+        passes — every chunk's first record, then every chunk's second, …
+        — each pass one vectorized step over distinct chunks.
+        """
+        if np.ndim(own) == 0:
+            own = np.full(len(chunks), bool(own))
+        if len(chunks) < _SCALAR_BATCH:
+            for c, s, e, o in zip(
+                *(np.asarray(column).tolist() for column in (chunks, starts, ends, own))
+            ):
+                self.add(c, s, e, own=o)
+            return
+        chunks = np.asarray(chunks, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        own = np.asarray(own, dtype=bool)
+        order = np.argsort(chunks, kind="stable")
+        ordered = chunks[order]
+        first_of_run = np.flatnonzero(
+            np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        )
+        run_lengths = np.diff(np.append(first_of_run, ordered.size))
+        n_passes = int(run_lengths.max())
+        if n_passes == 1:
+            self._add_distinct(chunks, starts, ends, own)
+            return
+        # rank[i]: how many earlier records of the batch target chunks[i].
+        rank = np.empty(chunks.size, dtype=np.int64)
+        rank[order] = np.arange(chunks.size) - np.repeat(first_of_run, run_lengths)
+        for r in range(n_passes):
+            sel = rank == r
+            self._add_distinct(chunks[sel], starts[sel], ends[sel], own[sel])
+
+    def _add_distinct(self, chunks, starts, ends, own) -> None:
+        """Vectorized :meth:`add` of one record each to *distinct* chunks."""
+        n_own = self._n_own[chunks]
+        n_others = self._n_others[chunks]
+        new = ~(self._start[chunks] == starts[:, None]).any(axis=1)
+        room = np.where(
+            own, n_own < self.own_capacity, n_others < self.others_capacity
+        )
+        self.dropped_records += int(np.count_nonzero(new & ~room))
+        store = new & room
+        foreign = store & ~own
+        n_foreign = int(np.count_nonzero(foreign))
+        self.stores_to_shared += n_foreign
+        self.loads_from_shared += n_foreign
+        rows, slots = chunks[store], (n_own + n_others)[store]
+        self._start[rows, slots] = starts[store]
+        self._end[rows, slots] = ends[store]
+        self._own[rows, slots] = own[store]
+        self._n_own[chunks[store & own]] += 1
+        self._n_others[chunks[foreign]] += 1
 
     def lookup(self, chunk: int, start: int) -> Optional[int]:
         """End state recorded for running ``chunk`` from ``start`` (or None).
 
-        The dict index models the register-file scan as O(1) for the
-        *simulator's* wall clock; the simulated cost is still charged per
-        record via :meth:`charge_check`.
+        One chunk's share of :meth:`scan`; the simulated cost of the
+        register-file scan is charged per record via :meth:`charge_check`.
         """
-        return self._index[chunk].get(int(start))
+        try:
+            slot = self._start[chunk, : self.count(chunk)].tolist().index(int(start))
+        except ValueError:
+            return None
+        return int(self._end[chunk, slot])
+
+    def scan(self, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One verification round: every chunk scans its records for the
+        state forwarded to it.
+
+        ``starts[i]`` is the (non-negative) state forwarded to chunk ``i``.
+        Returns ``(found, hit)``: ``found[i]`` says whether chunk ``i`` holds
+        a record started from ``starts[i]``, ``hit[i]`` is that record's end
+        state (meaningful only where ``found``).
+        """
+        match = self._start == np.asarray(starts, dtype=np.int64)[:, None]
+        slot = match.argmax(axis=1)
+        return match[self._rows, slot], self._end[self._rows, slot]
+
+    def scan_cost(self) -> Tuple[int, int]:
+        """Compares one :meth:`scan` makes: per (lockstep) thread — the
+        deepest chunk's record count — and in total over all chunks."""
+        counts = self.counts
+        return int(counts.max()), int(counts.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        """``(n_chunks,)`` number of stored records per chunk."""
+        return self._n_own + self._n_others
 
     def count(self, chunk: int) -> int:
         """Number of stored records for ``chunk``."""
-        return len(self._records[chunk])
+        return int(self._n_own[chunk] + self._n_others[chunk])
 
     def others_full(self, chunk: int) -> bool:
         """True when ``VR_chunk^others`` has no free register slot.
@@ -127,16 +242,23 @@ class VRStore:
         pure waste (the Fig. 7 trade-off's left arm comes from *capacity*
         limiting coverage, not from blindly dropping finished work).
         """
-        used = sum(1 for r in self._records[chunk] if not r.own)
-        return used >= self.others_capacity
+        return bool(self._n_others[chunk] >= self.others_capacity)
 
     def records(self, chunk: int) -> Tuple[VRRecord, ...]:
-        """Immutable view of ``chunk``'s records."""
-        return tuple(self._records[chunk])
+        """``chunk``'s records in arrival order (an immutable snapshot)."""
+        n = self.count(chunk)
+        return tuple(
+            VRRecord(start=s, end=e, own=o)
+            for s, e, o in zip(
+                self._start[chunk, :n].tolist(),
+                self._end[chunk, :n].tolist(),
+                self._own[chunk, :n].tolist(),
+            )
+        )
 
     def starts_tried(self, chunk: int) -> np.ndarray:
         """All start states already executed on ``chunk``."""
-        return np.asarray([r.start for r in self._records[chunk]], dtype=np.int64)
+        return self._start[chunk, : self.count(chunk)].copy()
 
     # ------------------------------------------------------------------
     def charge_check(self, stats: KernelStats, chunk: int, phase: str) -> None:

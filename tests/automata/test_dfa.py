@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.automata.dfa import DFA, run_lockstep
+from repro.automata.dfa import DFA, STATE_DTYPE, run_lockstep
 from repro.errors import AutomatonError
 from repro.workloads import classic
 
@@ -79,6 +79,28 @@ class TestVectorized:
         ends = div7.run_many(data, range(7))
         for q in range(7):
             assert ends[q] == div7.run(data, start=q)
+
+    def test_run_many_takes_arrays_ranges_and_generators_alike(self, div7):
+        expected = [div7.run(b"1011", start=q) for q in (3, 0, 6)]
+        for starts in (
+            np.array([3, 0, 6]),
+            np.array([3, 0, 6], dtype=STATE_DTYPE),
+            [3, 0, 6],
+            (3, 0, 6),
+            (q for q in (3, 0, 6)),
+        ):
+            ends = div7.run_many(b"1011", starts)
+            assert ends.dtype == STATE_DTYPE
+            assert ends.tolist() == expected
+        assert div7.run_many(b"10", range(7)).tolist() == (
+            div7.run_all_states(b"10").tolist()
+        )
+
+    def test_run_many_never_returns_the_callers_array(self, div7):
+        starts = np.array([1, 2], dtype=STATE_DTYPE)
+        ends = div7.run_many(b"", starts)
+        assert ends.tolist() == [1, 2]
+        assert not np.shares_memory(ends, starts)
 
     def test_run_all_states_shape(self, div7):
         ends = div7.run_all_states(b"10")

@@ -1,0 +1,259 @@
+"""The two-pass executor against the per-position accounting loop it replaced.
+
+``reference_run`` is the former body of ``LockstepExecutor.run``: it keeps
+the ledger *while* stepping, one symbol position at a time.  It stays here
+as the oracle — the executor's cost pass must reproduce its end states, its
+ledger (``phase_cycles`` exactly: every cycle constant is an integer or
+0.25, so float64 sums do not depend on their order) and its metrics.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.automata.dfa import STATE_DTYPE
+from repro.gpu import executor as executor_module
+from repro.gpu.device import RTX3090, DeviceSpec
+from repro.gpu.executor import LockstepExecutor, distinct_chunks_per_warp
+from repro.gpu.memory import MemoryModel, TableLayout
+from repro.gpu.stats import KernelStats
+from repro.observability import MetricsRegistry
+
+# Few resident warps, so wide cases exercise the serialized (sum / residency)
+# branch of the phase charge as well as the max-over-warps one.
+DEV = DeviceSpec(warp_size=4, n_sms=2, max_resident_warps_per_sm=2)
+
+
+def reference_run(
+    ex,
+    chunks,
+    starts,
+    *,
+    stats=None,
+    phase="execution",
+    lengths=None,
+    active=None,
+    count_redundant=None,
+    chunk_ids=None,
+):
+    """Per-position lockstep loop with in-loop accounting (the oracle)."""
+    chunks = np.ascontiguousarray(chunks)
+    n_threads, chunk_len = chunks.shape
+    states = np.asarray(starts, dtype=STATE_DTYPE).copy()
+    active_mask = (
+        np.ones(n_threads, dtype=bool)
+        if active is None
+        else np.asarray(active, dtype=bool).copy()
+    )
+    lens = (
+        np.full(n_threads, chunk_len, dtype=np.int64)
+        if lengths is None
+        else np.asarray(lengths, dtype=np.int64)
+    )
+    if chunk_len == 0 or not active_mask.any():
+        if ex.metrics is not None:
+            ex.metrics.counter("executor.batches").inc()
+            ex.metrics.counter("executor.empty_batches").inc()
+        return states
+
+    device = ex.device
+    ws = device.warp_size
+    n_warps = -(-n_threads // ws)
+    per_warp_cycles = np.zeros(n_warps, dtype=np.float64)
+
+    lane_chunk = np.full(n_warps * ws, -1, dtype=np.int64)
+    if chunk_ids is None:
+        lane_chunk[:n_threads][active_mask] = np.flatnonzero(active_mask)
+    else:
+        cid = np.asarray(chunk_ids, dtype=np.int64)
+        lane_chunk[:n_threads][active_mask] = cid[active_mask]
+    distinct = distinct_chunks_per_warp(lane_chunk, n_warps, ws)
+    per_warp_fetch = np.where(
+        distinct > 0,
+        device.input_fetch_cycles
+        + np.maximum(distinct - 1, 0) * device.input_issue_cycles,
+        0.0,
+    )
+    shared_hits = global_hits = total_transitions = redundant = 0
+    overhead = ex.memory.per_step_overhead_cycles
+    compute = device.transition_compute_cycles
+    table = ex.table
+    lane_working = np.zeros(n_warps * ws, dtype=bool)
+    lane_cold = np.zeros(n_warps * ws, dtype=bool)
+    g0 = float(device.global_cycles)
+    gi = float(device.global_issue_cycles)
+    sh = float(device.shared_cycles)
+    divergent_warp_steps = warp_steps = 0
+
+    for j in range(chunk_len):
+        working = active_mask & (j < lens)
+        n_working = int(np.count_nonzero(working))
+        if n_working == 0:
+            break
+        hot = ex.memory.hot_mask(states) & working
+        cold = working & ~hot
+        n_hot = int(np.count_nonzero(hot))
+        shared_hits += n_hot
+        global_hits += n_working - n_hot
+        total_transitions += n_working
+        if count_redundant is not None:
+            redundant += int(np.count_nonzero(working & count_redundant))
+
+        lane_working[:n_threads] = working
+        lane_cold[:n_threads] = cold
+        warp_active = lane_working.reshape(n_warps, ws).any(axis=1)
+        warp_cold = lane_cold.reshape(n_warps, ws).sum(axis=1)
+        mem_cost = np.where(
+            warp_cold > 0,
+            g0 + np.maximum(0, warp_cold - 1) * gi,
+            np.where(warp_active, sh, 0.0),
+        )
+        per_warp_cycles += mem_cost
+        per_warp_cycles += np.where(
+            warp_active, compute + overhead + per_warp_fetch, 0.0
+        )
+        warp_hot_any = (lane_working & ~lane_cold).reshape(n_warps, ws).any(axis=1)
+        divergent_warp_steps += int(np.count_nonzero((warp_cold > 0) & warp_hot_any))
+        warp_steps += int(np.count_nonzero(warp_active))
+
+        col = np.where(working, chunks[:, j], 0)
+        nxt = table[states, col]
+        states = np.where(working, nxt, states).astype(STATE_DTYPE, copy=False)
+
+    if stats is not None:
+        if device.concurrency_factor(n_warps) == 1.0:
+            phase_cycles = float(per_warp_cycles.max())
+        else:
+            phase_cycles = float(per_warp_cycles.sum() / device.max_concurrent_warps)
+        stats.charge(phase, phase_cycles)
+        stats.transitions += total_transitions
+        stats.redundant_transitions += redundant
+        stats.shared_accesses += shared_hits
+        stats.global_accesses += global_hits
+    if ex.metrics is not None:
+        m = ex.metrics
+        m.counter("executor.batches").inc()
+        m.counter("executor.transitions").inc(total_transitions)
+        m.counter("executor.redundant_transitions").inc(redundant)
+        m.counter("executor.warp_steps").inc(warp_steps)
+        m.counter("executor.divergent_warp_steps").inc(divergent_warp_steps)
+        m.histogram("executor.active_lanes").observe(
+            int(np.count_nonzero(active_mask))
+        )
+        ex.memory.observe(m, shared_hits=shared_hits, global_hits=global_hits)
+    return states
+
+
+def _memory(device, layout, n_states, hot, rng):
+    if layout is TableLayout.HASH:
+        ids = frozenset(int(s) for s in rng.permutation(n_states)[:hot])
+        return MemoryModel(
+            device=device, hot_state_count=hot, layout=layout, hot_state_ids=ids
+        )
+    return MemoryModel(device=device, hot_state_count=hot, layout=layout)
+
+
+def _assert_same(device, table, memory, chunks, starts, with_metrics, **kwargs):
+    """Run both implementations on fresh ledgers/registries and compare."""
+    outcomes = []
+    for run in (LockstepExecutor.run, reference_run):
+        registry = MetricsRegistry() if with_metrics else None
+        ex = LockstepExecutor(table, memory, device, metrics=registry)
+        stats = KernelStats(device=device, n_threads=chunks.shape[0])
+        ends = run(ex, chunks, starts, stats=stats, phase="p", **kwargs)
+        outcomes.append((ends, stats, registry))
+    (ends, stats, registry), (ref_ends, ref_stats, ref_registry) = outcomes
+    assert ends.dtype == ref_ends.dtype
+    np.testing.assert_array_equal(ends, ref_ends)
+    assert stats.phase_cycles == ref_stats.phase_cycles  # exact, not approx
+    assert stats.cycles == ref_stats.cycles
+    for name in (
+        "transitions",
+        "redundant_transitions",
+        "shared_accesses",
+        "global_accesses",
+    ):
+        assert getattr(stats, name) == getattr(ref_stats, name), name
+    if with_metrics:
+        assert registry.as_dict() == ref_registry.as_dict()
+
+
+@st.composite
+def batch(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n_states = draw(st.integers(min_value=1, max_value=12))
+    n_symbols = 6
+    table = rng.integers(0, n_states, size=(n_states, n_symbols)).astype(np.int32)
+    # Thread counts around the warp size (4): partial warps, several warps,
+    # and enough warps to exceed the device's residency (4 warps).
+    n_threads = draw(st.integers(min_value=1, max_value=23))
+    chunk_len = draw(st.integers(min_value=0, max_value=12))
+    symbol_dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    chunks = rng.integers(0, n_symbols, size=(n_threads, chunk_len)).astype(
+        symbol_dtype
+    )
+    starts = rng.integers(0, n_states, size=n_threads)
+    kwargs = {}
+    if draw(st.booleans()):  # ragged, zero-length lanes included
+        kwargs["lengths"] = rng.integers(0, chunk_len + 1, size=n_threads)
+    if draw(st.booleans()):  # inactive lanes (possibly all of them)
+        kwargs["active"] = rng.random(n_threads) < draw(
+            st.sampled_from([0.0, 0.3, 0.8])
+        )
+    if draw(st.booleans()):  # lanes of one warp sharing a chunk's stream
+        kwargs["chunk_ids"] = rng.integers(0, max(1, n_threads // 2), size=n_threads)
+    if draw(st.booleans()):
+        kwargs["count_redundant"] = rng.random(n_threads) < 0.5
+    layout = draw(st.sampled_from(list(TableLayout)))
+    hot = draw(st.integers(min_value=0, max_value=n_states))
+    memory = _memory(DEV, layout, n_states, hot, rng)
+    with_metrics = draw(st.booleans())
+    return table, memory, chunks, starts, with_metrics, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch())
+def test_two_pass_run_equals_per_position_loop(case):
+    table, memory, chunks, starts, with_metrics, kwargs = case
+    _assert_same(DEV, table, memory, chunks, starts, with_metrics, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch(), st.integers(min_value=1, max_value=40))
+def test_block_budget_does_not_change_the_result(case, budget):
+    """Any position-block size — down to one position a block — gives the
+    reference ledger; the budget only bounds memory."""
+    table, memory, chunks, starts, with_metrics, kwargs = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor_module, "TRACE_BLOCK_ELEMENTS", budget)
+        _assert_same(DEV, table, memory, chunks, starts, with_metrics, **kwargs)
+
+
+@pytest.mark.parametrize("layout", list(TableLayout))
+def test_wide_batch_spanning_several_position_blocks(layout):
+    """At the shipped budget: 8 200 lanes × 100 positions on the RTX 3090
+    model take several position blocks, with a partial last warp and
+    ragged, inactive and stream-sharing lanes."""
+    rng = np.random.default_rng(7)
+    n_states, n_symbols, n_threads, chunk_len = 40, 16, 8200, 100
+    width = -(-n_threads // RTX3090.warp_size) * RTX3090.warp_size
+    assert chunk_len > 3 * (executor_module.TRACE_BLOCK_ELEMENTS // width)
+    table = rng.integers(0, n_states, size=(n_states, n_symbols)).astype(np.int32)
+    chunks = rng.integers(0, n_symbols, size=(n_threads, chunk_len)).astype(np.uint8)
+    starts = rng.integers(0, n_states, size=n_threads)
+    memory = _memory(RTX3090, layout, n_states, 12, rng)
+    _assert_same(
+        RTX3090,
+        table,
+        memory,
+        chunks,
+        starts,
+        True,
+        lengths=rng.integers(0, chunk_len + 1, size=n_threads),
+        active=rng.random(n_threads) < 0.9,
+        chunk_ids=rng.integers(0, n_threads // 8, size=n_threads),
+        count_redundant=rng.random(n_threads) < 0.3,
+    )
+    # ... and the rectangular, all-active form of the same batch.
+    _assert_same(RTX3090, table, memory, chunks, starts, True)

@@ -152,16 +152,17 @@ class TestViolationsDetected:
         assert 2 in exc.value.lanes
 
     def test_vr_overflow_raises(self, scanner_dfa, rng):
-        from repro.speculation.records import VRRecord, VRStore
+        from repro.speculation.records import VRStore
 
         scheme = _audited_scheme(scanner_dfa, rng)
         data = random_stream(rng, 200)
         result = scheme.run(data)
-        vr = VRStore(n_chunks=4, own_capacity=1, others_capacity=0)
-        # Bypass add()'s capacity enforcement — the bug class the audit exists for.
-        vr._records[1].extend(
-            [VRRecord(start=s, end=0, own=True) for s in range(3)]
-        )
+        vr = VRStore(n_chunks=4, own_capacity=1, others_capacity=2)
+        # Bypass add()'s capacity enforcement — the bug class the audit
+        # exists for: three own records where one register is budgeted.
+        vr._start[1] = [0, 1, 2]
+        vr._own[1] = True
+        vr._n_own[1] = 3
         scheme._audit_stash = {"vr": vr}
         with pytest.raises(SelfCheckError) as exc:
             audit_scheme_run(scheme, data, None, result)
@@ -223,22 +224,24 @@ class TestViolationsDetected:
         scheme = _audited_scheme(scanner_dfa, rng, name="rr")
         data = random_stream(rng, 240)
 
-        # Corrupt the recovery path: lookups for chunk 2 return a wrong end
-        # state, so round 2's frontier check must fire with frontier=2.
-        orig_lookup = VRStore.lookup
+        # Corrupt the recovery path where the frontier round reads it — the
+        # verification scan: chunk 2's hit comes back one state off, so
+        # round 2's frontier check must fire with frontier=2.
+        orig_scan = VRStore.scan
 
-        def bad_lookup(self, chunk, start):
-            hit = orig_lookup(self, chunk, start)
-            if chunk == 2 and hit is not None:
-                return (hit + 1) % scheme.sim.exec_dfa.n_states
-            return hit
+        def bad_scan(self, starts):
+            found, hit = orig_scan(self, starts)
+            hit = hit.copy()
+            if found[2]:
+                hit[2] = (hit[2] + 1) % scheme.sim.exec_dfa.n_states
+            return found, hit
 
         with pytest.raises(SelfCheckError) as exc:
             try:
-                VRStore.lookup = bad_lookup
+                VRStore.scan = bad_scan
                 scheme.run(data)
             finally:
-                VRStore.lookup = orig_lookup
+                VRStore.scan = orig_scan
         assert exc.value.invariant == "frontier_oracle"
         assert exc.value.frontier == 2
         assert exc.value.lanes == [2]

@@ -160,15 +160,15 @@ class TestWrongAnswerDetection:
         in-run audit, so check_case reports it as a selfcheck violation."""
         from repro.speculation.records import VRStore
 
-        orig = VRStore.lookup
+        orig = VRStore.scan
 
-        def bad(self, chunk, start):
-            hit = orig(self, chunk, start)
-            if hit is not None and chunk % 2 == 1:
-                return (hit + 1) % 1_000_000  # wrong, possibly out of range
-            return hit
+        def bad(self, starts):
+            found, hit = orig(self, starts)
+            hit = hit.copy()
+            hit[1::2] = (hit[1::2] + 1) % 1_000_000  # wrong, possibly out of range
+            return found, hit
 
-        monkeypatch.setattr(VRStore, "lookup", bad)
+        monkeypatch.setattr(VRStore, "scan", bad)
         messages = []
         for i in range(20):
             case = random_case(SEED + i, schemes=("sre", "rr", "nf"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.automata.dfa import DFA
 from repro.gpu.device import RTX3090
 from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import partition_input
@@ -143,3 +144,89 @@ class TestTrueStarts:
         truth = true_start_states(div7, p)
         for i in range(1, 5):
             assert truth[i] == div7.run(p.chunk(i - 1), start=int(truth[i - 1]))
+
+
+def _per_boundary_queues(dfa, partition, lookback, tie_break):
+    """The per-boundary construction ``predict_start_states`` used to run:
+    one all-state replay, ``np.unique`` and ``lexsort`` per chunk boundary.
+    Kept as the reference for the batched replay."""
+    queues = []
+    for i in range(1, partition.n_chunks):
+        ends = dfa.run_all_states(partition.last_symbols_of(i - 1, lookback))
+        states, counts = np.unique(ends, return_counts=True)
+        keys = tie_break(states) if tie_break is not None else states
+        order = np.lexsort((keys, -counts))
+        queues.append((states[order].tolist(), counts[order].tolist()))
+    return queues
+
+
+class TestBatchedReplay:
+    """Batched, window-sharing prediction == the per-boundary construction,
+    compared as ``(states, weights)`` in queue order."""
+
+    @staticmethod
+    def _random_dfa(rng, n_states=23, n_symbols=5):
+        # Few symbols → windows repeat across boundaries; a random table
+        # → partial convergence, so frequency ties occur and matter.
+        table = rng.integers(0, n_states, size=(n_states, n_symbols))
+        return DFA(table=table, start=0)
+
+    @staticmethod
+    def _assert_batched_equals_reference(dfa, partition, lookback, tie_break):
+        pred = predict_start_states(
+            dfa, partition, lookback=lookback, tie_break=tie_break
+        )
+        assert pred.n_chunks == partition.n_chunks
+        assert pred.queues[0].states.tolist() == [dfa.start]
+        assert pred.queues[0].weights.tolist() == [dfa.n_states]
+        got = [(q.states.tolist(), q.weights.tolist()) for q in pred.queues[1:]]
+        assert got == _per_boundary_queues(dfa, partition, lookback, tie_break)
+        for q in pred.queues:
+            assert q.states.dtype == np.int64 and q.weights.dtype == np.int64
+
+    @pytest.mark.parametrize("lookback", [0, 1, 2, 4])
+    @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("with_tie_break", [False, True])
+    def test_equals_per_boundary_construction(
+        self, rng, lookback, symbol_dtype, with_tie_break
+    ):
+        dfa = self._random_dfa(rng)
+        scramble = rng.permutation(dfa.n_states)
+        tie_break = (lambda states: scramble[states]) if with_tie_break else None
+        # 40 boundaries over 5**lookback possible windows: repeats for sure
+        # at lookback 1 and 2, mostly distinct windows at 4.
+        data = rng.integers(0, dfa.n_symbols, size=41 * 6 + 3).astype(symbol_dtype)
+        partition = partition_input(data, 41)
+        self._assert_batched_equals_reference(dfa, partition, lookback, tie_break)
+
+    @pytest.mark.parametrize("lookback", [1, 2, 4])
+    @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
+    def test_predecessor_chunks_shorter_than_the_lookback(
+        self, rng, lookback, symbol_dtype
+    ):
+        """13 symbols over 8 chunks is the balanced split 2,2,2,2,2,1,1,1:
+        windows of one *and* two symbols in the same partition."""
+        dfa = self._random_dfa(rng)
+        data = rng.integers(0, dfa.n_symbols, size=13).astype(symbol_dtype)
+        partition = partition_input(data, 8)
+        assert sorted(set(partition.lengths.tolist())) == [1, 2]
+        self._assert_batched_equals_reference(dfa, partition, lookback, None)
+
+    def test_boundaries_with_equal_windows_get_independent_queues(self, rng):
+        dfa = self._random_dfa(rng)
+        partition = partition_input(np.zeros(40, dtype=np.uint8), 8)
+        pred = predict_start_states(dfa, partition)
+        first = pred.queues[1].dequeue()
+        assert pred.queues[2].front() == first  # same window, own cursor
+
+    def test_replay_block_budget_does_not_change_the_queues(self, rng, monkeypatch):
+        """One window a block, or all at once: same queues."""
+        from repro.speculation import predictor
+
+        dfa = self._random_dfa(rng)
+        data = rng.integers(0, dfa.n_symbols, size=300).astype(np.uint8)
+        partition = partition_input(data, 32)
+        monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 1)
+        self._assert_batched_equals_reference(dfa, partition, 2, None)
+        monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 3 * dfa.n_states)
+        self._assert_batched_equals_reference(dfa, partition, 2, None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.speculation.predictor import SpeculationQueue
+from repro.speculation import records
 from repro.speculation.records import VRStore
 from repro.errors import SchemeError
 
@@ -102,3 +103,74 @@ def test_vrstore_shared_traffic_counts_foreign_only(case):
             seen.add((chunk, start))
     assert vr.stores_to_shared == foreign_stored
     assert vr.loads_from_shared == foreign_stored
+
+
+@settings(max_examples=60, deadline=None)
+@given(vr_ops(), st.integers(min_value=0, max_value=2**31 - 1))
+def test_vrstore_scan_agrees_with_lookup(case, seed):
+    """The whole-store verification scan is ``lookup`` chunk by chunk, and
+    ``counts`` is ``count`` — on stores with duplicates and capacity drops."""
+    n_chunks, own_cap, others_cap, ops = case
+    vr = VRStore(n_chunks=n_chunks, own_capacity=own_cap, others_capacity=others_cap)
+    rng = np.random.default_rng(seed)
+
+    def check_scan():
+        forwarded = rng.integers(0, 20, size=n_chunks)
+        found, hit = vr.scan(forwarded)
+        for c in range(n_chunks):
+            expected = vr.lookup(c, int(forwarded[c]))
+            assert bool(found[c]) == (expected is not None)
+            if expected is not None:
+                assert int(hit[c]) == expected
+        per_chunk = [vr.count(c) for c in range(n_chunks)]
+        assert vr.counts.tolist() == per_chunk
+        assert vr.scan_cost() == (max(per_chunk), sum(per_chunk))
+
+    check_scan()  # empty store
+    for chunk, start, end, own in ops:
+        vr.add(chunk, start, end, own=own)
+        check_scan()
+
+
+@pytest.mark.parametrize("scalar_cutover", [0, 8])
+@settings(max_examples=80, deadline=None)
+@given(case=vr_ops(), batch_size=st.integers(min_value=1, max_value=40))
+def test_vrstore_add_batch_equals_adds_in_order(scalar_cutover, case, batch_size):
+    """``add_batch`` is the record-by-record loop: same slots in the same
+    order, same drops, same shared-memory traffic — with chunks repeated
+    inside one batch, every batch vectorized (cut-over 0) and batches on
+    either side of a cut-over."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_SCALAR_BATCH", scalar_cutover)
+        _check_add_batch(case, batch_size)
+
+
+def _check_add_batch(case, batch_size):
+    n_chunks, own_cap, others_cap, ops = case
+    one_by_one = VRStore(
+        n_chunks=n_chunks, own_capacity=own_cap, others_capacity=others_cap
+    )
+    batched = VRStore(
+        n_chunks=n_chunks, own_capacity=own_cap, others_capacity=others_cap
+    )
+    for lo in range(0, len(ops), batch_size):
+        batch = ops[lo : lo + batch_size]
+        for chunk, start, end, own in batch:
+            one_by_one.add(chunk, start, end, own=own)
+        chunks, starts, ends, own = (list(column) for column in zip(*batch))
+        batched.add_batch(chunks, starts, ends, own=own)
+        for c in range(n_chunks):
+            assert batched.records(c) == one_by_one.records(c)
+        assert batched.counts.tolist() == one_by_one.counts.tolist()
+        assert batched.dropped_records == one_by_one.dropped_records
+        assert batched.stores_to_shared == one_by_one.stores_to_shared
+        assert batched.loads_from_shared == one_by_one.loads_from_shared
+
+
+def test_vrstore_add_batch_broadcasts_one_own_flag():
+    vr = VRStore(n_chunks=12, own_capacity=1, others_capacity=1)
+    vr.add_batch(np.arange(12), np.arange(12) + 5, np.arange(12) + 7, own=True)
+    assert all(vr.records(c)[0].own for c in range(12))
+    assert [vr.lookup(c, c + 5) for c in range(12)] == list(range(7, 19))
+    vr.add_batch(np.arange(12), np.arange(12) + 6, np.arange(12), own=True)
+    assert vr.dropped_records == 12 and vr.counts.tolist() == [1] * 12
