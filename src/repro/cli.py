@@ -295,26 +295,22 @@ def cmd_serve(args) -> int:
 
     from repro.framework.config import GSpecPalConfig
     from repro.gateway import GatewayServer
-    from repro.observability import MetricsRegistry
     from repro.serving.cache import PlanCache
     from repro.serving.pool import MatcherPool
 
-    registry = MetricsRegistry()
     config = GSpecPalConfig(n_threads=args.threads)
     pool = MatcherPool(
-        PlanCache(capacity=args.capacity, config=config, metrics=registry),
+        PlanCache(capacity=args.capacity, config=config),
         config=config,
         backend=args.backend,
         max_streams=args.max_streams,
         open_timeout=args.open_timeout,
         fused=args.fused,
-        metrics=registry,
     )
     server = GatewayServer(
         pool,
         host=args.host,
         port=args.port,
-        metrics=registry,
         drain_timeout=args.drain_timeout,
         log=print,
     )

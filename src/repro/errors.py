@@ -106,7 +106,10 @@ class ServingError(ReproError):
         - ``"no_training_input"`` — a cold-cache miss had nothing to
           compile from;
         - ``"invalid_argument"`` — structurally bad call (missing dfa/plan,
-          non-positive capacity, ...).
+          non-positive capacity, ...);
+        - ``"invalid_symbol"`` — a segment or training input holds a symbol
+          outside the automaton's alphabet; the stream is left untouched,
+          so the client can resend a corrected segment.
 
         The network gateway (:mod:`repro.gateway`) passes these codes
         through the wire verbatim and adds its own:

@@ -15,6 +15,9 @@ Requests (``op`` selects the verb, ``id`` is echoed in the response)::
     {"op": "close",     "id": 4, "stream": 0}
     {"op": "stats",     "id": 5}
 
+``stats`` answers the gateway's, pool's and cache's counts and, under
+``"metrics"``, the full flat export of the registry they are views of.
+
 Responses carry ``{"id": ..., "ok": true, ...}`` on success or
 ``{"id": ..., "ok": false, "error": {...}}`` on failure, where the error
 object is the wire form of a structured
@@ -22,7 +25,10 @@ object is the wire form of a structured
 ``message`` (+ ``stream_id`` / ``fingerprint`` when applicable).  A
 rejected open at capacity therefore arrives as
 ``{"code": "capacity", "retryable": true}``: the wire-level backpressure
-signal (cheap by construction — admission runs before any compile).
+signal (cheap by construction — admission runs before any compile), and
+a byte outside the submitted automaton's alphabet as
+``{"code": "invalid_symbol"}`` (per outcome inside a ``feed_many``; the
+stream is untouched and the connection stays usable).
 The gateway adds two codes of its own on top of the serving tier's:
 ``"bad_request"`` (malformed JSON, unknown op, missing/ill-typed field)
 and ``"not_owner"`` (a connection addressed a stream another connection

@@ -36,9 +36,11 @@ Design contract
   (``drain_revisions``); revise threads still alive afterwards are
   reported via ``gateway.drain_stragglers`` and the return value.
 
-Metrics (the ``gateway.*`` family, see ``docs/observability.md``) are
-recorded under a dedicated lock, so attaching the same registry as the
-pool keeps every serving + gateway counter in one export.
+Metrics (the ``gateway.*`` family, see ``docs/observability.md``) go into
+the pool's registry unless another is given, so one export — carried by
+the ``stats`` op as ``stats["metrics"]`` — covers every serving + gateway
+count.  Instruments are safe to record from the loop and the worker
+threads alike; ``_glock`` guards only the ownership map.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ class GatewayServer:
         the bound one after :meth:`start` — the tests and the embedded
         scenario runner rely on this).
     metrics:
-        Optional :class:`~repro.observability.MetricsRegistry` receiving
-        the ``gateway.*`` family.  Defaults to the pool's registry so one
-        export covers both tiers.
+        The :class:`~repro.observability.MetricsRegistry` receiving the
+        ``gateway.*`` family; defaults to the pool's so one export covers
+        both tiers.  :meth:`stats` is a view of it, and a registry is the
+        scope of its counts: servers sharing one report its totals.
     drain_timeout:
         Shared deadline (seconds) for :meth:`stop`'s revise drain.
     max_line_bytes:
@@ -91,7 +94,7 @@ class GatewayServer:
         self.pool = pool
         self.host = host
         self._requested_port = int(port)
-        self.metrics = metrics if metrics is not None else pool.metrics
+        self.metrics = metrics or pool.metrics
         self.drain_timeout = float(drain_timeout)
         self.max_line_bytes = int(max_line_bytes)
         self.log = log
@@ -101,30 +104,8 @@ class GatewayServer:
         self._owners: Dict[int, int] = {}
         self._next_conn_id = 0
         self._stopping = False
-        #: guards gateway metric records + the ownership map (pool calls
-        #: run in worker threads; bookkeeping must stay exact).
+        #: guards the ownership map and the connection-id cursor.
         self._glock = threading.Lock()
-        self._connections_total = 0
-        self._requests_total = 0
-        self._rejects_total = 0
-        self._orphans_closed = 0
-        self._drained_streams = 0
-        self._drain_stragglers = 0
-
-    # ------------------------------------------------------------------
-    # metrics (called with self._glock held)
-    # ------------------------------------------------------------------
-    def _metric_inc(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
-    def _metric_observe(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
-
-    def _metric_gauge(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(name).set(value)
 
     # ------------------------------------------------------------------
     @property
@@ -135,19 +116,24 @@ class GatewayServer:
         return self._server.sockets[0].getsockname()[1]
 
     def stats(self) -> Dict[str, object]:
-        """Gateway-level counters + the wrapped pool's stats."""
-        with self._glock:
-            return {
-                "protocol_version": protocol.PROTOCOL_VERSION,
-                "connections": self._connections_total,
-                "active_connections": len(self._handlers),
-                "requests": self._requests_total,
-                "rejects": self._rejects_total,
-                "orphans_closed": self._orphans_closed,
-                "drained_streams": self._drained_streams,
-                "drain_stragglers": self._drain_stragglers,
-                "pool": self.pool.stats(),
-            }
+        """A view of the registry's ``gateway.*`` counts, the wrapped
+        pool's stats and the registry's full export (``metrics``, taken
+        last so it holds every count the view read)."""
+        count = self.metrics.counter
+        return {
+            "protocol_version": protocol.PROTOCOL_VERSION,
+            "connections": int(count("gateway.connections").value),
+            "active_connections": len(self._handlers),
+            "requests": int(count("gateway.requests").value),
+            "rejects": int(count("gateway.rejects").value),
+            "orphans_closed": int(count("gateway.orphans_closed").value),
+            "drained_streams": int(count("gateway.drained_streams").value),
+            "drain_stragglers": int(
+                self.metrics.gauge("gateway.drain_stragglers").value
+            ),
+            "pool": self.pool.stats(),
+            "metrics": self.metrics.as_dict(),
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -192,11 +178,9 @@ class GatewayServer:
         stragglers = await asyncio.to_thread(
             self.pool.drain_revisions, self.drain_timeout
         )
+        self.metrics.counter("gateway.drained_streams").inc(len(closed))
+        self.metrics.gauge("gateway.drain_stragglers").set(stragglers)
         with self._glock:
-            self._drained_streams += len(closed)
-            self._metric_inc("gateway.drained_streams", len(closed))
-            self._drain_stragglers = stragglers
-            self._metric_gauge("gateway.drain_stragglers", stragglers)
             self._owners.clear()
         if self.log is not None:
             self.log(
@@ -215,9 +199,8 @@ class GatewayServer:
         with self._glock:
             conn_id = self._next_conn_id
             self._next_conn_id += 1
-            self._connections_total += 1
-            self._metric_inc("gateway.connections")
-            self._metric_gauge("gateway.active_connections", len(self._handlers))
+        self.metrics.counter("gateway.connections").inc()
+        self.metrics.gauge("gateway.active_connections").set(len(self._handlers))
         try:
             while not self._stopping:
                 try:
@@ -250,10 +233,9 @@ class GatewayServer:
             except Exception:
                 pass
             await self._cleanup_connection(conn_id)
-            with self._glock:
-                self._metric_gauge(
-                    "gateway.active_connections", len(self._handlers)
-                )
+            self.metrics.gauge("gateway.active_connections").set(
+                len(self._handlers)
+            )
 
     async def _cleanup_connection(self, conn_id: int) -> None:
         """Close every stream the dropped connection still owned."""
@@ -273,9 +255,7 @@ class GatewayServer:
             except ServingError:
                 pass  # already closed (e.g. the drain got there first)
             else:
-                with self._glock:
-                    self._orphans_closed += 1
-                    self._metric_inc("gateway.orphans_closed")
+                self.metrics.counter("gateway.orphans_closed").inc()
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -292,17 +272,13 @@ class GatewayServer:
                     f"unknown op {op!r} (expected one of "
                     f"{', '.join(protocol.KNOWN_OPS)})"
                 )
-            with self._glock:
-                self._requests_total += 1
-                self._metric_inc("gateway.requests")
-                self._metric_inc(f"gateway.requests.{op}")
+            self.metrics.counter("gateway.requests").inc()
+            self.metrics.counter(f"gateway.requests.{op}").inc()
             handler = getattr(self, f"_op_{op}")
             body = await handler(conn_id, message)
         except ServingError as exc:
             if exc.code == "capacity":
-                with self._glock:
-                    self._rejects_total += 1
-                    self._metric_inc("gateway.rejects")
+                self.metrics.counter("gateway.rejects").inc()
             return {
                 "id": request_id,
                 "ok": False,
@@ -319,10 +295,9 @@ class GatewayServer:
                 },
             }
         finally:
-            with self._glock:
-                self._metric_observe(
-                    "gateway.request_ms", (perf_counter() - started) * 1e3
-                )
+            self.metrics.histogram("gateway.request_ms").observe(
+                (perf_counter() - started) * 1e3
+            )
         body["id"] = request_id
         body["ok"] = True
         return body
@@ -361,9 +336,9 @@ class GatewayServer:
         )
         with self._glock:
             self._owners[sid] = conn_id
-            self._metric_observe(
-                "gateway.open_ms", (perf_counter() - started) * 1e3
-            )
+        self.metrics.histogram("gateway.open_ms").observe(
+            (perf_counter() - started) * 1e3
+        )
         return {"stream": sid}
 
     async def _op_feed(self, conn_id: int, message) -> Dict:
@@ -371,10 +346,9 @@ class GatewayServer:
         segment = protocol.segment_from_wire(message.get("segment_b64"))
         started = perf_counter()
         result = await asyncio.to_thread(self.pool.feed, sid, segment)
-        with self._glock:
-            self._metric_observe(
-                "gateway.feed_ms", (perf_counter() - started) * 1e3
-            )
+        self.metrics.histogram("gateway.feed_ms").observe(
+            (perf_counter() - started) * 1e3
+        )
         return {
             "end_state": int(result.end_state),
             "accepts": bool(result.accepts),
@@ -395,10 +369,9 @@ class GatewayServer:
             )
         started = perf_counter()
         outcomes = await asyncio.to_thread(self.pool.feed_many, batch)
-        with self._glock:
-            self._metric_observe(
-                "gateway.feed_ms", (perf_counter() - started) * 1e3
-            )
+        self.metrics.histogram("gateway.feed_ms").observe(
+            (perf_counter() - started) * 1e3
+        )
         return {
             "outcomes": [
                 {

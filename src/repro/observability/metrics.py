@@ -8,14 +8,16 @@ returns the same :class:`Counter` every call — and exports to a flat dict
 whose key names are part of the observability contract (see
 ``docs/observability.md``).
 
-All instruments are plain python objects with no background machinery.
-Instrument *creation* is lock-protected so concurrent serving threads can
-share one registry safely, but the instruments themselves are lock-free
-(the simulator hot path is single-threaded): code recording into a shared
-instrument from several threads must hold its own lock — the serving tier
-records every ``serving.*`` metric under its pool/cache locks for exactly
-this reason (see ``docs/observability.md``).  When no registry is attached
-(the default) the instrumented code skips recording entirely.
+All instruments are plain python objects with no background machinery, and
+they are safe to record into from any thread: ``Counter.inc``,
+``Gauge.set``, ``Histogram.observe``, ``as_dict()`` and ``clear()``
+synchronise themselves on one lock per registry, shared by its instruments
+(a stand-alone instrument carries its own).  Recording layers therefore
+keep their locks for their *state* and take none for the sake of a metric.
+A registry is the scope of its counts: everything recorded into it is
+summed there, so callers that want separate totals attach separate
+registries.  Layers that take an optional registry (the executor, the
+memory model, the schemes) skip recording entirely when none is attached.
 """
 
 from __future__ import annotations
@@ -33,11 +35,15 @@ class Counter:
 
     name: str
     value: float = 0.0
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def inc(self, amount: Number = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        self.value += amount
+        with self.lock:
+            self.value += amount
 
 
 @dataclass
@@ -46,9 +52,13 @@ class Gauge:
 
     name: str
     value: float = 0.0
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def set(self, value: Number) -> None:
-        self.value = float(value)
+        with self.lock:
+            self.value = float(value)
 
 
 @dataclass
@@ -64,15 +74,19 @@ class Histogram:
     total: float = 0.0
     min: float = field(default=float("inf"))
     max: float = field(default=float("-inf"))
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def observe(self, value: Number) -> None:
         value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        with self.lock:
+            self.count += 1
+            self.total += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     @property
     def mean(self) -> float:
@@ -86,8 +100,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # Guards create-on-first-use only; recording into an instrument is
-        # the caller's concurrency problem (see module docstring).
+        # Guards create-on-first-use, the export and every record: the
+        # instruments below share it (see module docstring).
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -95,26 +109,37 @@ class MetricsRegistry:
         inst = self._counters.get(name)
         if inst is None:
             with self._lock:
-                inst = self._counters.setdefault(name, Counter(name))
+                inst = self._counters.setdefault(
+                    name, Counter(name, lock=self._lock)
+                )
         return inst
 
     def gauge(self, name: str) -> Gauge:
         inst = self._gauges.get(name)
         if inst is None:
             with self._lock:
-                inst = self._gauges.setdefault(name, Gauge(name))
+                inst = self._gauges.setdefault(
+                    name, Gauge(name, lock=self._lock)
+                )
         return inst
 
     def histogram(self, name: str) -> Histogram:
         inst = self._histograms.get(name)
         if inst is None:
             with self._lock:
-                inst = self._histograms.setdefault(name, Histogram(name))
+                inst = self._histograms.setdefault(
+                    name, Histogram(name, lock=self._lock)
+                )
         return inst
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
+
+    def __bool__(self) -> bool:
+        # An empty registry is still a registry: ``metrics or default`` in
+        # the serving constructors must keep the one the caller passed.
+        return True
 
     def as_dict(self) -> Dict[str, float]:
         """Flat name → value export.
@@ -123,18 +148,20 @@ class MetricsRegistry:
         ``<name>.count`` / ``<name>.mean`` / ``<name>.min`` / ``<name>.max``.
         """
         out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        for name, hist in self._histograms.items():
-            out[f"{name}.count"] = float(hist.count)
-            out[f"{name}.mean"] = hist.mean
-            out[f"{name}.min"] = hist.min if hist.count else 0.0
-            out[f"{name}.max"] = hist.max if hist.count else 0.0
+        with self._lock:
+            for name, counter in self._counters.items():
+                out[name] = counter.value
+            for name, gauge in self._gauges.items():
+                out[name] = gauge.value
+            for name, hist in self._histograms.items():
+                out[f"{name}.count"] = float(hist.count)
+                out[f"{name}.mean"] = hist.mean
+                out[f"{name}.min"] = hist.min if hist.count else 0.0
+                out[f"{name}.max"] = hist.max if hist.count else 0.0
         return dict(sorted(out.items()))
 
     def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()

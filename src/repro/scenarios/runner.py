@@ -47,7 +47,6 @@ from repro.errors import ServingError
 from repro.framework.config import GSpecPalConfig
 from repro.gateway.client import GatewayClient
 from repro.gateway.server import GatewayServer
-from repro.observability import MetricsRegistry
 from repro.scenarios.schema import Scenario
 from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftConfig
@@ -521,17 +520,17 @@ def _serving_audits(
     scenario: Scenario,
     classes: Set[str],
     stats: Dict[str, Any],
-    metrics: Dict[str, float],
     spilled: Optional[Set[str]],
 ) -> List[str]:
     """What an embedded run's own counters must show, whatever the gates.
 
     ``classes`` are the canonical fingerprints of the tenants that got a
-    stream opened, ``stats`` the gateway's stats after the drain,
-    ``metrics`` the shared registry's export and ``spilled`` the plan
-    files the run left in its spill directory (``None`` without one).
+    stream opened, ``stats`` the gateway's stats after the drain (its
+    ``metrics`` entry is the stack's registry export) and ``spilled`` the
+    plan files the run left in its spill directory (``None`` without one).
     """
     pool, cache = stats["pool"], stats["pool"]["cache"]
+    metrics = stats["metrics"]
     failures = []
     if (
         not cache["evictions"]
@@ -593,7 +592,6 @@ def run_scenario(
     port: Optional[int] = None,
     out_path: Optional[str] = None,
     spill_dir: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
     log=None,
 ) -> ScenarioReport:
     """Run ``scenario`` and return its audited report.
@@ -613,9 +611,8 @@ def run_scenario(
     fleet, trainings = scenario.build_fleet()
     foreign_spills = _spill_files(spill_dir)  # an earlier run's: not ours
 
-    async def main() -> Tuple[List[RequestRecord], List[str], Dict, Dict, int]:
+    async def main() -> Tuple[List[RequestRecord], List[str], Dict, int]:
         server = None
-        registry = metrics if metrics is not None else MetricsRegistry()
         target_host, target_port = host, port
         if target_host is None:
             config = GSpecPalConfig(n_threads=scenario.n_threads)
@@ -624,17 +621,15 @@ def run_scenario(
                     capacity=scenario.pool.cache_capacity,
                     config=config,
                     directory=spill_dir,
-                    metrics=registry,
                 ),
                 config=config,
                 backend=scenario.backend,
                 max_streams=scenario.pool.max_streams,
                 open_timeout=scenario.pool.open_timeout,
                 fused=scenario.pool.fused,
-                metrics=registry,
                 drift=DRIFT_CONFIG if scenario.pool.drift else None,
             )
-            server = GatewayServer(pool, metrics=registry, log=log)
+            server = GatewayServer(pool, log=log)
             await server.start()
             target_host, target_port = server.host, server.port
         elif target_port is None:
@@ -652,16 +647,14 @@ def run_scenario(
             )
         finally:
             gateway_stats: Dict[str, Any] = {}
-            exported: Dict[str, float] = {}
             stragglers = 0
             if server is not None:
                 stragglers = await server.stop()
                 gateway_stats = server.stats()
-                exported = registry.as_dict()
-        return records, errors, gateway_stats, exported, stragglers
+        return records, errors, gateway_stats, stragglers
 
     started = perf_counter()
-    records, errors, gateway_stats, exported, stragglers = asyncio.run(main())
+    records, errors, gateway_stats, stragglers = asyncio.run(main())
     elapsed = perf_counter() - started
     records.sort(key=lambda r: r.index)
 
@@ -688,9 +681,7 @@ def run_scenario(
             if spill_dir is None
             else _spill_files(spill_dir) - (foreign_spills - classes)
         )
-        errors = errors + _serving_audits(
-            scenario, classes, gateway_stats, exported, spilled
-        )
+        errors = errors + _serving_audits(scenario, classes, gateway_stats, spilled)
 
     measured = [r for r in records if r.phase == "measure"]
     completed = [r for r in measured if r.ok]
@@ -731,7 +722,7 @@ def run_scenario(
         drain_stragglers=stragglers,
         require_all_completed=scenario.require_all_completed,
         gateway_stats=gateway_stats,
-        metrics=exported,
+        metrics=gateway_stats.get("metrics", {}),
         records=records,
         out_path=out_path,
     )

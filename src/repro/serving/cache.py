@@ -51,7 +51,7 @@ from time import perf_counter
 from typing import Dict, Optional
 
 from repro.errors import PlanError, ServingError
-from repro.observability import NULL_TRACER
+from repro.observability import NULL_TRACER, MetricsRegistry
 from repro.plan import CompiledPlan, compile_plan, load_plan, save_plan
 
 
@@ -85,10 +85,10 @@ class PlanCache:
         miss, so a restarted server re-serves without recompiling (the
         CLI's ``--plan-cache`` flag builds on this).
     metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; the cache
-        records ``serving.cache.*`` counters/gauges/histograms into it
-        (always under the cache lock, so the counts are exact even under
-        concurrent traffic).
+        The :class:`~repro.observability.MetricsRegistry` the cache records
+        its ``serving.cache.*`` counters/gauges/histograms into (a private
+        one when omitted).  :meth:`stats` is a view of it, and a registry
+        is the scope of its counts: caches sharing one report its totals.
     tracer:
         Optional tracer handed to :func:`~repro.plan.compile_plan` so cold
         compiles emit their usual ``compile`` span tree.  A shared
@@ -115,7 +115,7 @@ class PlanCache:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: plan store, keyed by canonical fingerprint (LRU order).
         self._plans: "OrderedDict[str, CompiledPlan]" = OrderedDict()
@@ -123,42 +123,12 @@ class PlanCache:
         self._alias: Dict[str, str] = {}
         self._inflight: Dict[str, _InFlightCompile] = {}
         self._lock = threading.RLock()
-        #: observability counters (monotonic over the cache's lifetime).
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.compiles = 0
-        self.disk_loads = 0
-        #: calls that blocked on another thread's in-flight compile.
-        self.compile_waits = 0
-        #: resolutions served by a plan compiled for a *different* content
-        #: fingerprint in the same language class.
-        self.alias_hits = 0
-        #: new content fingerprints that joined an already-known language
-        #: class instead of starting their own compile.
-        self.dedupes = 0
 
-    # ------------------------------------------------------------------
-    # metrics plumbing (always called with self._lock held: the registry's
-    # instruments are not thread-safe on their own)
-    # ------------------------------------------------------------------
-    def _metric_inc(self, name: str, amount: float = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
-    def _metric_observe(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
-
-    def _metric_in_flight(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("serving.cache.in_flight").set(len(self._inflight))
-
-    def _note_alias_hit_locked(self, plan: CompiledPlan, fingerprint: str) -> None:
-        """Record that ``fingerprint`` was served by an aliased plan."""
+    def _note_alias_hit(self, plan: CompiledPlan, fingerprint: str) -> None:
+        """Record that ``fingerprint`` was served by a plan compiled for a
+        *different* content fingerprint in the same language class."""
         if plan.fingerprint != fingerprint:
-            self.alias_hits += 1
-            self._metric_inc("serving.cache.alias_hits")
+            self.metrics.counter("serving.cache.alias_hits").inc()
 
     # ------------------------------------------------------------------
     def _resolve_locked(self, fingerprint: str) -> str:
@@ -180,18 +150,21 @@ class PlanCache:
             return tuple(self._plans)
 
     def stats(self) -> Dict[str, int]:
+        """Live sizes plus a view of the registry's ``serving.cache.*``
+        counters (monotonic over the registry's lifetime)."""
+        count = self.metrics.counter
         with self._lock:
             return {
                 "size": len(self._plans),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "compiles": self.compiles,
-                "disk_loads": self.disk_loads,
-                "compile_waits": self.compile_waits,
-                "alias_hits": self.alias_hits,
-                "dedupes": self.dedupes,
+                "hits": int(count("serving.cache.hits").value),
+                "misses": int(count("serving.cache.misses").value),
+                "evictions": int(count("serving.cache.evictions").value),
+                "compiles": int(count("serving.cache.compiles").value),
+                "disk_loads": int(count("serving.cache.disk_loads").value),
+                "compile_waits": int(count("serving.cache.compile_waits").value),
+                "alias_hits": int(count("serving.cache.alias_hits").value),
+                "dedupes": int(count("serving.cache.dedupes").value),
                 "aliases": len(self._alias),
                 "in_flight": len(self._inflight),
             }
@@ -208,12 +181,10 @@ class PlanCache:
             plan = self._plans.get(canonical)
             if plan is not None:
                 self._plans.move_to_end(canonical)
-                self.hits += 1
-                self._metric_inc("serving.cache.hits")
-                self._note_alias_hit_locked(plan, fingerprint)
+                self.metrics.counter("serving.cache.hits").inc()
+                self._note_alias_hit(plan, fingerprint)
                 return plan
-            self.misses += 1
-            self._metric_inc("serving.cache.misses")
+            self.metrics.counter("serving.cache.misses").inc()
             return None
 
     def put(self, plan: CompiledPlan) -> None:
@@ -250,8 +221,7 @@ class PlanCache:
         self._plans.move_to_end(canonical)
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
-            self.evictions += 1
-            self._metric_inc("serving.cache.evictions")
+            self.metrics.counter("serving.cache.evictions").inc()
         return plan.revision > (resident.revision if resident is not None else 0)
 
     # ------------------------------------------------------------------
@@ -284,37 +254,34 @@ class PlanCache:
             with self._lock:
                 if fingerprint not in self._alias:
                     if canonical in self._plans or canonical in self._inflight:
-                        self.dedupes += 1
-                        self._metric_inc("serving.cache.dedupes")
+                        # A new content fingerprint joins a known language
+                        # class instead of starting its own compile.
+                        self.metrics.counter("serving.cache.dedupes").inc()
                     self._alias[fingerprint] = canonical
                 plan = self._plans.get(canonical)
                 if plan is not None:
                     self._plans.move_to_end(canonical)
-                    self.hits += 1
-                    self._metric_inc("serving.cache.hits")
-                    self._note_alias_hit_locked(plan, fingerprint)
+                    self.metrics.counter("serving.cache.hits").inc()
+                    self._note_alias_hit(plan, fingerprint)
                     return plan
-                self.misses += 1
-                self._metric_inc("serving.cache.misses")
+                self.metrics.counter("serving.cache.misses").inc()
                 flight = self._inflight.get(canonical)
                 if flight is None:
                     flight = self._inflight[canonical] = _InFlightCompile()
-                    self._metric_in_flight()
+                    self.metrics.gauge("serving.cache.in_flight").set(
+                        len(self._inflight)
+                    )
                     break  # this caller leads the compile
-                self.compile_waits += 1
-                self._metric_inc("serving.cache.compile_waits")
+                self.metrics.counter("serving.cache.compile_waits").inc()
             waited_from = perf_counter()
             flight.event.wait()
-            with self._lock:
-                self._metric_observe(
-                    "serving.cache.compile_wait_ms",
-                    (perf_counter() - waited_from) * 1e3,
-                )
-                if flight.plan is not None:
-                    self._note_alias_hit_locked(flight.plan, fingerprint)
+            self.metrics.histogram("serving.cache.compile_wait_ms").observe(
+                (perf_counter() - waited_from) * 1e3
+            )
             if flight.error is not None:
                 raise flight.error
             if flight.plan is not None:
+                self._note_alias_hit(flight.plan, fingerprint)
                 return flight.plan
             # Leader vanished without a result (should not happen); retry.
 
@@ -342,13 +309,13 @@ class PlanCache:
                 self._spill(plan)
             with self._lock:
                 if from_disk:
-                    self.disk_loads += 1
-                    self._metric_inc("serving.cache.disk_loads")
-                    self._note_alias_hit_locked(plan, fingerprint)
+                    self.metrics.counter("serving.cache.disk_loads").inc()
+                    self._note_alias_hit(plan, fingerprint)
                 else:
-                    self.compiles += 1
-                    self._metric_inc("serving.cache.compiles")
-                    self._metric_observe("serving.cache.compile_ms", compile_ms)
+                    self.metrics.counter("serving.cache.compiles").inc()
+                    self.metrics.histogram("serving.cache.compile_ms").observe(
+                        compile_ms
+                    )
                 self._put_locked(plan)
             flight.plan = plan
             return plan
@@ -358,7 +325,9 @@ class PlanCache:
         finally:
             with self._lock:
                 self._inflight.pop(canonical, None)
-                self._metric_in_flight()
+                self.metrics.gauge("serving.cache.in_flight").set(
+                    len(self._inflight)
+                )
             flight.event.set()
 
     # ------------------------------------------------------------------

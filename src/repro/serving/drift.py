@@ -24,8 +24,9 @@ Design points:
   scheme (sfa/seq) goes dormant — those runs carry no boundary samples,
   so there is no accuracy signal left to diverge.
 * **Not thread-safe by itself.**  :class:`~repro.serving.MatcherPool`
-  calls ``observe``/``snapshot``/``rearm`` under the pool lock, exactly
-  like the rest of the serving metrics.
+  calls ``observe``/``snapshot``/``rearm`` under the pool lock — the
+  monitor is state, unlike the ``drift.*`` metrics recorded beside it,
+  which are safe from any thread.
 """
 
 from __future__ import annotations

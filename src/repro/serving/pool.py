@@ -84,7 +84,8 @@ class FeedOutcome:
     so instead of raising, ``feed_many`` reports every feed individually:
     ``ok`` feeds carry the stream's new carried state, failed feeds carry
     the structured :class:`~repro.errors.ServingError` a lone :meth:`feed`
-    would have raised (``unknown_stream`` / ``stream_closed``).
+    would have raised (``unknown_stream`` / ``stream_closed`` /
+    ``invalid_symbol``).
 
     Attributes
     ----------
@@ -111,6 +112,22 @@ class FeedOutcome:
     error: Optional[ServingError] = None
 
 
+def _checked_symbols(segment, n_symbols: int, stream_id=None) -> np.ndarray:
+    """``segment`` as a symbol array, refused unless every symbol is in the
+    serving DFA's alphabet — the pool boundary's only input check, so no
+    layer below ever indexes a table with a tenant's raw byte."""
+    symbols = _as_symbol_array(segment)
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= n_symbols):
+        at = int(np.argmax((symbols < 0) | (symbols >= n_symbols)))
+        raise ServingError(
+            f"symbol {int(symbols[at])} at offset {at} is outside the "
+            f"automaton's alphabet [0, {n_symbols})",
+            code="invalid_symbol",
+            stream_id=stream_id,
+        )
+    return symbols
+
+
 class _StreamEntry:
     """Pool-side record of one open stream.
 
@@ -119,14 +136,24 @@ class _StreamEntry:
     it instead of touching the released session.
     """
 
-    __slots__ = ("session", "fingerprint", "canonical", "lock", "closed")
+    __slots__ = (
+        "session", "fingerprint", "canonical", "n_symbols", "lock", "closed"
+    )
 
-    def __init__(self, session: StreamSession, fingerprint: str, canonical: str):
+    def __init__(
+        self,
+        session: StreamSession,
+        fingerprint: str,
+        canonical: str,
+        n_symbols: int,
+    ):
         self.session = session
         #: content fingerprint of the plan this stream was opened with.
         self.fingerprint = fingerprint
         #: canonical fingerprint — the pool's matcher/gang-scheduling key.
         self.canonical = canonical
+        #: alphabet size of the serving matcher's DFA (feed validation).
+        self.n_symbols = n_symbols
         self.lock = threading.Lock()
         self.closed = False
 
@@ -138,9 +165,7 @@ class MatcherPool:
     ----------
     cache:
         Shared :class:`PlanCache`; a private default-capacity one is
-        created when omitted.  A pool-level ``metrics`` registry is
-        adopted by a metrics-less cache so serving counters land in one
-        place.
+        created when omitted.
     config:
         Default compile-time configuration for plans the pool must compile.
     backend / selfcheck:
@@ -175,9 +200,13 @@ class MatcherPool:
         and the matcher, and open sessions pick up the new scheme at their
         next segment boundary.  Off (``None``) by default.
     tracer / metrics:
-        Observability sinks.  Serving metrics (``serving.pool.*``) are
-        recorded under the pool's locks and are exact under concurrency; a
-        shared :class:`~repro.observability.Tracer` span stack is *not*
+        Observability sinks.  ``metrics`` is the registry the pool records
+        ``serving.pool.*`` / ``drift.*`` into and hands to its matchers; it
+        defaults to the cache's, so one stack shares one registry.
+        Instruments are safe to record from any thread, :meth:`stats` is a
+        view of the registry, and a registry is the scope of its counts:
+        pools sharing one report its totals.  A shared
+        :class:`~repro.observability.Tracer` span stack is *not*
         thread-safe, so attach a tracer only for single-threaded serving.
     """
 
@@ -219,9 +248,7 @@ class MatcherPool:
         self.fused_min_streams = int(fused_min_streams)
         self.open_timeout = open_timeout
         self.tracer = tracer
-        self.metrics = metrics
-        if metrics is not None and self.cache.metrics is None:
-            self.cache.metrics = metrics
+        self.metrics = metrics or self.cache.metrics
         self.drift = drift
         self._matchers: Dict[str, GSpecPal] = {}
         self._entries: Dict[int, _StreamEntry] = {}
@@ -232,9 +259,6 @@ class MatcherPool:
         #: guard) → the worker thread, or None while launching/inline.
         self._revising: Dict[str, Optional[threading.Thread]] = {}
         self._next_id = 0
-        self._opened = 0
-        self._closed = 0
-        self._rejected = 0
         #: admission slots reserved by opens that are still compiling —
         #: they count against ``max_streams`` but have no entry yet.
         self._reserved = 0
@@ -244,26 +268,6 @@ class MatcherPool:
         self._slot_freed = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
-    # metrics plumbing (call with self._lock held — instruments are not
-    # thread-safe on their own)
-    # ------------------------------------------------------------------
-    def _metric_inc(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
-    def _metric_inc_by(self, name: str, amount: float) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
-
-    def _metric_observe(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
-
-    def _metric_active(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("serving.pool.active").set(len(self._entries))
-
-    # ------------------------------------------------------------------
     @property
     def active(self) -> int:
         """Number of currently open streams."""
@@ -271,12 +275,15 @@ class MatcherPool:
             return len(self._entries)
 
     def stats(self) -> Dict[str, object]:
+        """Live sizes plus a view of the registry's ``serving.pool.*``
+        lifecycle counters."""
+        count = self.metrics.counter
         with self._lock:
             return {
                 "active_streams": len(self._entries),
-                "opened": self._opened,
-                "closed": self._closed,
-                "rejected": self._rejected,
+                "opened": int(count("serving.pool.opened").value),
+                "closed": int(count("serving.pool.closed").value),
+                "rejected": int(count("serving.pool.rejected").value),
                 "reserved": self._reserved,
                 "matchers": len(self._matchers),
                 "revising": len(self._revising),
@@ -344,7 +351,9 @@ class MatcherPool:
         forces a scheme for this stream; it is validated against
         ``GSpecPal.KNOWN_SCHEMES`` *before* any compile work, so a typo
         fails immediately instead of after paying a cold compile.  By
-        default every segment uses the plan's compiled selection.
+        default every segment uses the plan's compiled selection.  A
+        ``training_input`` holding a symbol outside ``dfa``'s alphabet is
+        refused with ``code="invalid_symbol"``.
 
         At capacity, the call raises a retryable
         ``ServingError(code="capacity")`` — or, when ``open_timeout`` is
@@ -367,6 +376,10 @@ class MatcherPool:
         self._reserve_slot(plan.fingerprint if plan is not None else None)
         try:
             if plan is None:
+                if training_input is not None:
+                    training_input = _checked_symbols(
+                        training_input, dfa.n_symbols
+                    )
                 plan = self.cache.get_or_compile(
                     dfa, training_input, self.config
                 )
@@ -388,12 +401,14 @@ class MatcherPool:
             self._reserved -= 1
             stream_id = self._next_id
             self._next_id += 1
-            self._opened += 1
             self._entries[stream_id] = _StreamEntry(
-                session, plan.fingerprint, plan.canonical_fingerprint
+                session,
+                plan.fingerprint,
+                plan.canonical_fingerprint,
+                matcher.dfa.n_symbols,
             )
-            self._metric_inc("serving.pool.opened")
-            self._metric_active()
+            self.metrics.counter("serving.pool.opened").inc()
+            self.metrics.gauge("serving.pool.active").set(len(self._entries))
             return stream_id
 
     def _reserve_slot(self, fingerprint: Optional[str] = None) -> None:
@@ -414,8 +429,7 @@ class MatcherPool:
                     if remaining > 0:
                         self._slot_freed.wait(remaining)
                         continue
-                self._rejected += 1
-                self._metric_inc("serving.pool.rejected")
+                self.metrics.counter("serving.pool.rejected").inc()
                 raise ServingError(
                     f"stream capacity exhausted ({self.max_streams} open); "
                     "close a stream before opening another",
@@ -467,13 +481,16 @@ class MatcherPool:
         Feeds to the same stream are serialized by its per-stream lock
         (two threads can never interleave on one session's carried state);
         feeds to different streams proceed concurrently.  Feeding a stream
-        that a racing thread closed raises ``code="stream_closed"``.
+        that a racing thread closed raises ``code="stream_closed"``; a
+        segment holding a symbol outside the DFA's alphabet is refused with
+        ``code="invalid_symbol"`` and leaves the stream untouched.
         """
         entry = self._entry(stream_id)
-        return self._feed_entry(stream_id, entry, segment)
+        symbols = _checked_symbols(segment, entry.n_symbols, stream_id)
+        return self._feed_entry(stream_id, entry, symbols)
 
     def _feed_entry(
-        self, stream_id: int, entry: _StreamEntry, segment
+        self, stream_id: int, entry: _StreamEntry, segment: np.ndarray
     ) -> SchemeResult:
         started = perf_counter()
         with entry.lock:
@@ -485,37 +502,35 @@ class MatcherPool:
                     fingerprint=entry.fingerprint,
                 )
             result = entry.session.feed(segment)
-        with self._lock:
-            self._metric_inc("serving.pool.feeds")
-            self._metric_observe(
-                "serving.pool.feed_ms", (perf_counter() - started) * 1e3
-            )
-            fire = self._observe_locked(entry.canonical, result.observations)
-        if fire:
+        self.metrics.counter("serving.pool.feeds").inc()
+        self.metrics.histogram("serving.pool.feed_ms").observe(
+            (perf_counter() - started) * 1e3
+        )
+        if self._observe(entry.canonical, result.observations):
             self._launch_revise(entry.canonical)
         return result
 
     # ------------------------------------------------------------------
     # online adaptation (drift detection + plan hot-swap)
     # ------------------------------------------------------------------
-    def _observe_locked(self, canonical: str, observations) -> bool:
+    def _observe(self, canonical: str, observations) -> bool:
         """Feed one run's evidence to the class's drift monitor.
 
-        Called with the pool lock held (like every other serving metric).
-        Returns True when the monitor just fired and a revise should be
-        launched (after releasing the lock).
+        The monitor is state, so it is folded under the pool lock (taken
+        only when drift detection is on).  Returns True when the monitor
+        just fired and a revise should be launched.
         """
         if self.drift is None or observations is None:
             return False
-        monitor = self._monitors.get(canonical)
-        if monitor is None:
-            return False
-        fired = monitor.observe(observations)
-        self._metric_inc("drift.observations")
-        if self.metrics is not None:
+        with self._lock:
+            monitor = self._monitors.get(canonical)
+            if monitor is None:
+                return False
+            fired = monitor.observe(observations)
+            self.metrics.counter("drift.observations").inc()
             self.metrics.gauge("drift.divergence").set(monitor.divergence)
-        if fired:
-            self._metric_inc("drift.triggers")
+            if fired:
+                self.metrics.counter("drift.triggers").inc()
         return fired
 
     def _launch_revise(self, canonical: str) -> None:
@@ -568,20 +583,21 @@ class MatcherPool:
                     and matcher.plan.config_hash == revised.config_hash
                 ):
                     matcher.adopt_plan(revised)
-                self._metric_inc("drift.revises")
+                self.metrics.counter("drift.revises").inc()
                 if revised.scheme != stale.scheme:
-                    self._metric_inc("drift.swaps")
+                    self.metrics.counter("drift.swaps").inc()
                 if monitor is not None:
                     lag = monitor.rearm(revised)
-                    self._metric_observe("drift.observation_lag_segments", lag)
+                    self.metrics.histogram(
+                        "drift.observation_lag_segments"
+                    ).observe(lag)
         except Exception:
             # A failed revise must not poison the feed path (synchronous
             # mode) or kill the worker silently: the stale plan keeps
             # serving — it is still correct, just slow — the monitor stays
             # latched so the failure cannot refire in a loop, and the
             # error is visible in the counter.
-            with self._lock:
-                self._metric_inc("drift.revise_errors")
+            self.metrics.counter("drift.revise_errors").inc()
         finally:
             with self._lock:
                 self._revising.pop(canonical, None)
@@ -637,9 +653,9 @@ class MatcherPool:
         successive dispatch waves.
 
         Returns one :class:`FeedOutcome` per input feed, in input order.
-        Serving-contract failures (unknown/closed streams) are reported in
-        the outcomes instead of raised, so one bad stream never poisons
-        its batchmates.
+        Serving-contract failures (unknown/closed streams, a symbol outside
+        the alphabet) are reported in the outcomes instead of raised, so
+        one bad feed never poisons its batchmates.
         """
         feeds = list(feeds)
         outcomes: List[Optional[FeedOutcome]] = [None] * len(feeds)
@@ -677,15 +693,17 @@ class MatcherPool:
         groups: Dict[str, List[Tuple[int, int, _StreamEntry, object]]] = {}
         for idx, stream_id, segment in wave:
             entry = entries.get(stream_id)
-            if entry is None:
+            try:
+                if entry is None:
+                    raise self._missing_stream_error(stream_id, next_id)
+                symbols = _checked_symbols(segment, entry.n_symbols, stream_id)
+            except ServingError as exc:
                 outcomes[idx] = FeedOutcome(
-                    stream_id=stream_id,
-                    ok=False,
-                    error=self._missing_stream_error(stream_id, next_id),
+                    stream_id=stream_id, ok=False, error=exc
                 )
                 continue
             groups.setdefault(entry.canonical, []).append(
-                (idx, stream_id, entry, segment)
+                (idx, stream_id, entry, symbols)
             )
         for fingerprint, group in groups.items():
             if self.fused and len(group) >= self.fused_min_streams:
@@ -708,10 +726,9 @@ class MatcherPool:
                     ok=True,
                     end_state=int(result.end_state),
                     accepts=bool(result.accepts),
-                    symbols=int(_as_symbol_array(segment).size),
+                    symbols=int(segment.size),
                 )
-            with self._lock:
-                self._metric_inc("serving.pool.fused_fallbacks")
+            self.metrics.counter("serving.pool.fused_fallbacks").inc()
 
     def _dispatch_fused(self, fingerprint, group, outcomes) -> None:
         """One fused dispatch over every live stream in the group.
@@ -746,7 +763,7 @@ class MatcherPool:
             with self._lock:
                 matcher = self._matchers[fingerprint]
             engine = matcher.fused_engine()
-            segments = [_as_symbol_array(segment) for *_ignored, segment in live]
+            segments = [segment for *_ignored, segment in live]
             starts = [entry.session.state for _, _, entry, _ in live]
             dispatch = engine.dispatch(segments, starts)
             for pos, (idx, stream_id, entry, _segment) in enumerate(live):
@@ -764,40 +781,36 @@ class MatcherPool:
         finally:
             for entry in reversed(locked):
                 entry.lock.release()
-        with self._lock:
-            self._metric_inc("serving.pool.fused_dispatches")
-            self._metric_inc_by("serving.pool.feeds", len(live))
-            self._metric_inc_by("serving.pool.fused_streams", len(live))
-            self._metric_inc_by(
-                "serving.pool.fused_symbols", dispatch.total_symbols
+        count = self.metrics.counter
+        count("serving.pool.fused_dispatches").inc()
+        count("serving.pool.feeds").inc(len(live))
+        count("serving.pool.fused_streams").inc(len(live))
+        count("serving.pool.fused_symbols").inc(dispatch.total_symbols)
+        self.metrics.histogram("serving.pool.fused_batch_width").observe(len(live))
+        self.metrics.histogram("serving.pool.fused_ms").observe(
+            (perf_counter() - started) * 1e3
+        )
+        # Fused execution bypasses the scheme layer, so it verifies no
+        # chunk boundaries — stash a sample-free observation (traffic
+        # volume + symbol sketch) so the drift aggregate still sees
+        # the distribution this class is serving.
+        if self.drift is not None:
+            sketch = np.zeros(matcher.dfa.n_symbols, dtype=np.int64)
+            for seg in segments:
+                sketch += np.bincount(
+                    seg.astype(np.int64, copy=False),
+                    minlength=matcher.dfa.n_symbols,
+                )
+            self._observe(
+                fingerprint,
+                LiveObservations(
+                    scheme="fused",
+                    spec_k=1,
+                    segments=len(live),
+                    symbols=int(dispatch.total_symbols),
+                    symbol_sketch=sketch,
+                ),
             )
-            self._metric_observe("serving.pool.fused_batch_width", len(live))
-            self._metric_observe(
-                "serving.pool.fused_ms", (perf_counter() - started) * 1e3
-            )
-            # Fused execution bypasses the scheme layer, so it verifies no
-            # chunk boundaries — stash a sample-free observation (traffic
-            # volume + symbol sketch) so the drift aggregate still sees
-            # the distribution this class is serving.
-            if self.drift is not None and fingerprint in self._monitors:
-                matcher = self._matchers.get(fingerprint)
-                if matcher is not None:
-                    sketch = np.zeros(matcher.dfa.n_symbols, dtype=np.int64)
-                    for seg in segments:
-                        sketch += np.bincount(
-                            seg.astype(np.int64, copy=False),
-                            minlength=matcher.dfa.n_symbols,
-                        )
-                    self._observe_locked(
-                        fingerprint,
-                        LiveObservations(
-                            scheme="fused",
-                            spec_k=1,
-                            segments=len(live),
-                            symbols=int(dispatch.total_symbols),
-                            symbol_sketch=sketch,
-                        ),
-                    )
 
     def close(self, stream_id: int) -> StreamStats:
         """Close a stream and return its final summary.
@@ -821,7 +834,6 @@ class MatcherPool:
             session = entry.session
             with self._slot_freed:
                 del self._entries[stream_id]
-                self._closed += 1
                 scheme = session.scheme
                 decision_path = tuple(session.decision_path)
                 if scheme is None:
@@ -842,8 +854,8 @@ class MatcherPool:
                     scheme_switches=session.scheme_switches,
                     decision_path=decision_path,
                 )
-                self._metric_inc("serving.pool.closed")
-                self._metric_active()
+                self.metrics.counter("serving.pool.closed").inc()
+                self.metrics.gauge("serving.pool.active").set(len(self._entries))
                 self._slot_freed.notify()
         return stats
 

@@ -1,5 +1,9 @@
 """MetricsRegistry unit tests: instruments, create-on-first-use, export."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.observability import Counter, Gauge, Histogram, MetricsRegistry
@@ -79,6 +83,11 @@ class TestRegistry:
         flat = reg.as_dict()
         assert flat["h.min"] == 0.0 and flat["h.max"] == 0.0
 
+    def test_empty_registry_is_truthy(self):
+        reg = MetricsRegistry()
+        assert len(reg) == 0 and reg
+        assert (reg or MetricsRegistry()) is reg
+
     def test_clear(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()
@@ -86,3 +95,69 @@ class TestRegistry:
         assert len(reg) == 0
         assert reg.as_dict() == {}
         assert reg.counter("a").value == 0.0
+
+
+class TestThreadSafety:
+    """Instruments synchronise themselves: records racing from many threads
+    (and racing create-on-first-use and the export) lose nothing."""
+
+    THREADS = 8
+    RECORDS = 100_000
+
+    def test_concurrent_records_are_exact(self):
+        reg = MetricsRegistry()
+        start = threading.Barrier(self.THREADS + 1)
+        exports, errors = [], []
+
+        def record(worker: int) -> None:
+            try:
+                start.wait(timeout=30)
+                for i in range(self.RECORDS):
+                    # Create-on-first-use races the records: every thread
+                    # resolves the instruments by name, every time.
+                    reg.counter("hammer.events").inc()
+                    reg.histogram("hammer.values").observe(worker * self.RECORDS + i)
+                    reg.gauge("hammer.level").set(worker)
+                    if i % 1000 == 0:  # the export's dicts keep growing
+                        reg.counter(f"hammer.lap.{worker}.{i}").inc()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def export() -> None:
+            try:
+                start.wait(timeout=30)
+                while any(t.is_alive() for t in workers):
+                    exports.append(reg.as_dict())
+                    time.sleep(0.001)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        workers = [
+            threading.Thread(target=record, args=(w,)) for w in range(self.THREADS)
+        ]
+        exporter = threading.Thread(target=export)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in (*workers, exporter):
+                thread.start()
+            for thread in (*workers, exporter):
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*workers, exporter))
+        assert not errors
+        assert exports  # the export really ran beside the records
+
+        n = self.THREADS * self.RECORDS
+        hist = reg.histogram("hammer.values")
+        assert reg.counter("hammer.events").value == n
+        assert hist.count == n
+        assert hist.total == n * (n - 1) / 2  # exact: every term < 2**53
+        assert hist.min == 0 and hist.max == n - 1
+        assert reg.gauge("hammer.level").value in range(self.THREADS)
+        laps = self.THREADS * self.RECORDS // 1000
+        assert len(reg) == 3 + laps
+        assert sum(
+            v for k, v in reg.as_dict().items() if k.startswith("hammer.lap.")
+        ) == laps

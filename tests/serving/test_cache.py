@@ -31,8 +31,8 @@ def test_get_or_compile_compiles_exactly_once(scanner_dfa, training, config):
     first = cache.get_or_compile(scanner_dfa, training)
     again = cache.get_or_compile(scanner_dfa, training)
     assert again is first
-    assert cache.compiles == 1
-    assert cache.hits == 1 and cache.misses == 1
+    assert cache.stats()["compiles"] == 1
+    assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
     # Even with no training input a hit still serves.
     assert cache.get_or_compile(scanner_dfa) is first
 
@@ -43,7 +43,7 @@ def test_structurally_equal_dfas_share_one_plan(training, config):
     b = classic.div7().renumbered(np.arange(a.n_states))  # same behaviour
     plan = cache.get_or_compile(a, training)
     assert cache.get_or_compile(b, training) is plan
-    assert cache.compiles == 1
+    assert cache.stats()["compiles"] == 1
 
 
 def test_miss_without_training_is_an_error(scanner_dfa):
@@ -58,7 +58,7 @@ def test_lru_eviction_order(training, config):
     p3, p5 = (cache.get_or_compile(d, training) for d in dfas[:2])
     cache.get(p3.fingerprint)  # refresh div3 → div5 is now LRU
     cache.get_or_compile(dfas[2], training)
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     assert p5.fingerprint not in cache
     assert p3.fingerprint in cache
     assert len(cache) == 2
@@ -70,19 +70,19 @@ def test_evicted_plan_recompiles(training, config):
     cache.get_or_compile(dfas[0], training)
     cache.get_or_compile(dfas[1], training)  # evicts div3
     cache.get_or_compile(dfas[0], training)  # must recompile
-    assert cache.compiles == 3
+    assert cache.stats()["compiles"] == 3
 
 
 def test_disk_spill_survives_restart(scanner_dfa, training, config, tmp_path):
     first = PlanCache(config=config, directory=tmp_path)
     plan = first.get_or_compile(scanner_dfa, training)
-    assert first.compiles == 1
+    assert first.stats()["compiles"] == 1
 
     # "Restart": a fresh cache over the same directory serves from disk.
     second = PlanCache(config=config, directory=tmp_path)
     reloaded = second.get_or_compile(scanner_dfa, training)
-    assert second.compiles == 0
-    assert second.disk_loads == 1
+    assert second.stats()["compiles"] == 0
+    assert second.stats()["disk_loads"] == 1
     assert reloaded.fingerprint == plan.fingerprint
     assert reloaded.scheme == plan.scheme
 
@@ -96,7 +96,7 @@ def test_corrupt_spill_recompiles(scanner_dfa, training, config, tmp_path):
     second = PlanCache(config=config, directory=tmp_path)
     reloaded = second.get_or_compile(scanner_dfa, training)
     # The destroyed container is discarded and the plan recompiled fresh.
-    assert second.compiles == 1 and second.disk_loads == 0
+    assert second.stats()["compiles"] == 1 and second.stats()["disk_loads"] == 0
     assert reloaded.fingerprint == plan.fingerprint
 
 
@@ -123,7 +123,7 @@ def test_revised_plan_outlives_its_lru_slot(training, config, tmp_path):
     assert stale.fingerprint not in cache
 
     reloaded = cache.get_or_compile(div3)  # no training: disk or nothing
-    assert cache.disk_loads == 1 and cache.compiles == 2
+    assert cache.stats()["disk_loads"] == 1 and cache.stats()["compiles"] == 2
     assert reloaded.revision == 1
     assert reloaded.scheme == revised.scheme
     assert reloaded.live_provenance == revised.live_provenance
@@ -138,7 +138,7 @@ def test_empty_training_miss_is_the_no_training_error(scanner_dfa, config):
     with pytest.raises(ServingError) as excinfo:
         cache.get_or_compile(scanner_dfa, b"")
     assert excinfo.value.code == "no_training_input"
-    assert cache.stats()["in_flight"] == 0 and cache.compiles == 0
+    assert cache.stats()["in_flight"] == 0 and cache.stats()["compiles"] == 0
 
 
 def test_stats_snapshot(scanner_dfa, training, config):

@@ -22,6 +22,7 @@ import pytest
 import repro.serving.cache as cache_mod
 from repro.errors import SchemeError, ServingError
 from repro.framework import GSpecPal, GSpecPalConfig
+from repro.gateway import GatewayServer
 from repro.observability import MetricsRegistry
 from repro.plan import compile_plan, load_plan, save_plan
 from repro.scenarios import builtin_scenario, run_scenario
@@ -125,7 +126,7 @@ def test_racing_cold_compiles_are_single_flight(training, config):
         # Hold the compile until every other racer is parked on the
         # in-flight event, so the overlap is guaranteed, not lucky timing.
         deadline = perf_counter() + 10.0
-        while cache.compile_waits < n - 1 and perf_counter() < deadline:
+        while cache.stats()["compile_waits"] < n - 1 and perf_counter() < deadline:
             sleep(0.001)
         return real_compile(*args, **kwargs)
 
@@ -150,8 +151,8 @@ def test_racing_cold_compiles_are_single_flight(training, config):
         cache_mod.compile_plan = real_compile
 
     assert errors == []
-    assert cache.compiles == 1  # one leader compiled; everyone else waited
-    assert cache.compile_waits == n - 1
+    assert cache.stats()["compiles"] == 1  # one leader compiled; everyone else waited
+    assert cache.stats()["compile_waits"] == n - 1
     assert len({id(plan) for plan in results}) == 1  # same plan object
     assert cache.stats()["in_flight"] == 0
 
@@ -193,7 +194,7 @@ def test_cache_hit_unblocked_while_other_compile_in_flight(training, config):
         gate.set()
         cache_mod.compile_plan = real_compile
     leader.join(timeout=30)
-    assert cache.compiles == 1
+    assert cache.stats()["compiles"] == 1
     assert slow_dfa.fingerprint() in cache
 
 
@@ -631,8 +632,10 @@ def test_fused_pool_invalid_min_streams_rejected(config):
 # serving metrics
 # ----------------------------------------------------------------------
 def test_serving_metrics_threaded_into_registry(fsms, training, config):
-    registry = MetricsRegistry()
-    pool = MatcherPool(config=config, metrics=registry, max_streams=1)
+    # No ``metrics=`` anywhere: the cache makes the stack's one registry.
+    pool = MatcherPool(config=config, max_streams=1)
+    server = GatewayServer(pool)
+    assert server.metrics is pool.metrics is pool.cache.metrics
     sid = pool.open(fsms[0], training_input=training)
     pool.feed(sid, b"abc" * 20)
     with pytest.raises(ServingError):
@@ -643,7 +646,11 @@ def test_serving_metrics_threaded_into_registry(fsms, training, config):
     sid2 = pool.open(fsms[0], training_input=training)  # cache hit
     pool.close(sid2)
 
-    exported = registry.as_dict()
+    stats = server.stats()
+    assert stats["pool"]["opened"] == 2 and stats["pool"]["rejected"] == 1
+    assert stats["pool"]["cache"]["compiles"] == 1
+    exported = stats["metrics"]
+    assert exported == pool.metrics.as_dict()
     assert exported["serving.cache.compiles"] == 1
     assert exported["serving.cache.misses"] == 1
     assert exported["serving.cache.hits"] == 1
@@ -665,7 +672,7 @@ def test_compile_wait_time_recorded(training, config):
 
     def slow_compile(*args, **kwargs):
         deadline = perf_counter() + 10.0
-        while cache.compile_waits < 1 and perf_counter() < deadline:
+        while cache.stats()["compile_waits"] < 1 and perf_counter() < deadline:
             sleep(0.001)
         return real_compile(*args, **kwargs)
 

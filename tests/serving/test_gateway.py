@@ -101,7 +101,7 @@ def test_concurrent_clients_match_oracle(config, fsms, training, rng):
         async with serving(server) as srv:
             await asyncio.gather(*(client_task(srv, c) for c in range(4)))
             # 8 wire streams, 2 automata: one compile per fingerprint.
-            assert srv.pool.cache.compiles == 2
+            assert srv.pool.cache.stats()["compiles"] == 2
             assert srv.pool.active == 0
         assert srv.stats()["orphans_closed"] == 0
 
@@ -165,13 +165,13 @@ def test_capacity_reject_round_trip_costs_no_compile(config, fsms, training):
                 assert excinfo.value.code == "capacity"
                 assert excinfo.value.retryable
                 # The rejected tenant's automaton was never compiled.
-                assert srv.pool.cache.compiles == 1
+                assert srv.pool.cache.stats()["compiles"] == 1
                 assert srv.stats()["rejects"] == 1
                 # Free the slot; the same open now succeeds.
                 await a.close_stream(sid)
                 sid_b = await b.open(fsms[1], training=training)
                 await b.close_stream(sid_b)
-                assert srv.pool.cache.compiles == 2
+                assert srv.pool.cache.stats()["compiles"] == 2
             finally:
                 await a.aclose()
                 await b.aclose()
@@ -355,7 +355,7 @@ def test_training_bytes_from_the_wire_never_surface_raw_exceptions(
                 assert summary["end_state"] == fsms[0].run(segment)
                 stats = srv.pool.stats()
                 assert stats["reserved"] == 0 and stats["active_streams"] == 0
-                assert srv.pool.cache.compiles == 1
+                assert srv.pool.cache.stats()["compiles"] == 1
 
     asyncio.run(main())
 
@@ -376,3 +376,102 @@ def test_stats_op_exposes_gateway_and_pool_counters(config, fsms, training):
                 await cl.close_stream(sid)
 
     asyncio.run(main())
+
+
+def test_out_of_alphabet_bytes_are_invalid_symbol_on_the_wire(config, rng):
+    """A byte outside the submitted automaton's alphabet is the structured
+    ``invalid_symbol`` — never ``internal`` — at open, feed and inside a
+    feed_many; the connection and the refused stream both stay usable."""
+    dfa = classic.cyclic_rotator(6, n_symbols=4)
+    training = bytes(rng.integers(0, 4, size=512).astype(np.uint8))
+    good = bytes(rng.integers(0, 4, size=128).astype(np.uint8))
+    bad = good[:77] + b"\xff" + good[78:]
+
+    async def main():
+        server = make_server(config)
+        async with serving(server) as srv:
+            async with await GatewayClient.connect(
+                "127.0.0.1", srv.port
+            ) as cl:
+                with pytest.raises(ServingError) as excinfo:
+                    await cl.open(dfa, training=training + b"\x04")
+                assert excinfo.value.code == "invalid_symbol"
+                assert srv.pool.stats()["reserved"] == 0
+                sid = await cl.open(dfa, training=training)
+                other = await cl.open(dfa, training=training)
+                with pytest.raises(ServingError) as excinfo:
+                    await cl.feed(sid, bad)
+                assert excinfo.value.code == "invalid_symbol"
+                assert excinfo.value.stream_id == sid
+                assert not excinfo.value.retryable
+                outcomes = await cl.feed_many([(sid, bad), (other, good)])
+                assert [o["ok"] for o in outcomes] == [False, True]
+                assert outcomes[0]["error"]["code"] == "invalid_symbol"
+                assert outcomes[1]["end_state"] == dfa.run(good)
+                # The refused stream then takes a good segment, and closes
+                # on the oracle state of only what was accepted.
+                out = await cl.feed(sid, good)
+                assert out["end_state"] == dfa.run(good)
+                summary = await cl.close_stream(sid)
+                assert summary["end_state"] == dfa.run(good)
+                assert summary["total_symbols"] == len(good)
+                await cl.close_stream(other)
+        assert srv.pool.active == 0
+
+    asyncio.run(main())
+
+
+def test_every_stats_count_is_a_view_of_the_registry(config, fsms, training):
+    """One count, one store: after a mixed run every counter key of the
+    three ``stats()`` views equals its entry in the registry export."""
+
+    async def main():
+        server = make_server(config, max_streams=2)
+        async with serving(server) as srv:
+            a = await GatewayClient.connect("127.0.0.1", srv.port)
+            b = await GatewayClient.connect("127.0.0.1", srv.port)
+            sid = await a.open(fsms[0], training=training)
+            left_open = await b.open(fsms[1], training=training)
+            await a.feed(sid, b"one feed")
+            outcomes = await a.feed_many([(sid, b"and a gang of one")])
+            assert outcomes[0]["ok"]
+            for attempt, code in (
+                (a.open(fsms[0], training=training), "capacity"),
+                (a.feed(left_open, b"stolen"), "not_owner"),
+            ):
+                with pytest.raises(ServingError) as excinfo:
+                    await attempt
+                assert excinfo.value.code == code
+            await b.aclose()  # dropped with ``left_open`` still open
+            deadline = time.monotonic() + 5.0
+            while srv.pool.active > 1 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            await a.close_stream(sid)
+            await a.aclose()
+        return srv
+
+    srv = asyncio.run(main())
+    stats = srv.stats()
+    exported = stats["metrics"]
+    assert exported == srv.metrics.as_dict()
+    views = (
+        ("gateway", stats, ("active_connections", "protocol_version")),
+        ("serving.pool", stats["pool"], ("active_streams", "reserved", "matchers", "revising")),
+        ("serving.cache", stats["pool"]["cache"], ("size", "capacity", "aliases", "in_flight")),
+    )
+    for family, view, live in views:
+        counts = {
+            key: value
+            for key, value in view.items()
+            if key not in live and not isinstance(value, dict)
+        }
+        assert counts and all(type(v) is int for v in counts.values())
+        assert counts == {
+            key: exported[f"{family}.{key}"] for key in counts
+        }, family
+    assert stats["connections"] == 2 and stats["rejects"] == 1
+    assert stats["orphans_closed"] == 1 and stats["drained_streams"] == 0
+    assert stats["pool"]["opened"] == stats["pool"]["closed"] == 2
+    assert stats["pool"]["rejected"] == 1
+    assert stats["pool"]["cache"]["compiles"] == 2
+    assert srv.pool.active == 0

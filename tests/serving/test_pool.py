@@ -45,7 +45,7 @@ def test_two_fsms_eight_streams_one_compile_each(fsms, training, config, rng):
         sid = pool.open(dfa, training_input=training)
         streams.append((sid, dfa, []))
     assert pool.active == 8
-    assert cache.compiles == 2  # one per fingerprint, not per stream
+    assert cache.stats()["compiles"] == 2  # one per fingerprint, not per stream
     assert pool.stats()["matchers"] == 2  # one matcher per FSM too
 
     # Interleave segments round-robin across all open streams.
@@ -62,7 +62,7 @@ def test_two_fsms_eight_streams_one_compile_each(fsms, training, config, rng):
         assert stats.end_state == dfa.run(b"".join(fed))
         assert stats.accepts == (stats.end_state in dfa.accepting)
     assert pool.active == 0
-    assert cache.compiles == 2  # serving never re-compiled
+    assert cache.stats()["compiles"] == 2  # serving never re-compiled
 
 
 def test_open_with_precompiled_plan_skips_compiling(fsms, training, config):
@@ -73,7 +73,7 @@ def test_open_with_precompiled_plan_skips_compiling(fsms, training, config):
     pool.feed(sid, b"abc" * 40)
     stats = pool.close(sid)
     assert stats.fingerprint == plan.fingerprint
-    assert cache.compiles == 0
+    assert cache.stats()["compiles"] == 0
     assert plan.fingerprint in cache  # seeded for future streams
 
 
@@ -131,6 +131,64 @@ def test_close_all(fsms, training, config):
     summaries = pool.close_all()
     assert len(summaries) == 3
     assert pool.active == 0
+
+
+# ----------------------------------------------------------------------
+# hostile input: a symbol outside the automaton's alphabet
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("fused", [False, True])
+@pytest.mark.parametrize(
+    "offset", [0, 255, 100], ids=["first", "last", "mid-chunk"]
+)  # 100 is 4 symbols into a 32-symbol chunk: outside any lookback window
+def test_out_of_alphabet_symbol_is_refused_and_resendable(
+    backend, fused, offset, config, rng
+):
+    dfa = classic.cyclic_rotator(6, n_symbols=4)
+    training = bytes(rng.integers(0, 4, size=512).astype(np.uint8))
+    first, good = (
+        bytes(rng.integers(0, 4, size=n).astype(np.uint8)) for n in (64, 256)
+    )
+    bad = bytearray(good)
+    bad[offset] = 9
+    pool = MatcherPool(config=config, backend=backend, fused=fused)
+    a, b, c = (pool.open(dfa, training_input=training) for _ in range(3))
+    pool.feed(c, first)  # carried state the refusals must leave alone
+
+    with pytest.raises(ServingError) as excinfo:
+        pool.feed(c, bytes(bad))
+    assert excinfo.value.code == "invalid_symbol"
+    assert not excinfo.value.retryable and excinfo.value.stream_id == c
+    with pytest.raises(ServingError) as excinfo:  # signed arrays: lower bound
+        pool.feed(c, np.array([0, 1, -1, 2]))
+    assert excinfo.value.code == "invalid_symbol"
+
+    # One bad feed in a gang: reported per outcome, batchmates served.
+    outcomes = pool.feed_many([(a, good), (c, bytes(bad)), (b, good)])
+    assert [o.ok for o in outcomes] == [True, False, True]
+    assert outcomes[0].fused == outcomes[2].fused == fused
+    assert outcomes[0].end_state == outcomes[2].end_state == dfa.run(good)
+    assert outcomes[1].error.code == "invalid_symbol"
+    assert outcomes[1].error.stream_id == c and outcomes[1].symbols == 0
+
+    # Nothing was half-applied: the refused stream takes the resend.
+    assert pool.feed(c, good).end_state == dfa.run(first + good)
+    summary = pool.close(c)
+    assert (summary.segments, summary.total_symbols) == (2, 64 + 256)
+    assert summary.end_state == dfa.run(first + good)
+    assert pool.close(a).total_symbols == pool.close(b).total_symbols == 256
+
+
+def test_out_of_alphabet_training_input_releases_its_slot(config):
+    pool = MatcherPool(config=config, max_streams=1)
+    dfa = classic.cyclic_rotator(6, n_symbols=4)
+    with pytest.raises(ServingError) as excinfo:
+        pool.open(dfa, training_input=b"\x00\x01\x07")
+    assert excinfo.value.code == "invalid_symbol"
+    stats = pool.stats()
+    assert stats["reserved"] == 0 and stats["active_streams"] == 0
+    assert stats["cache"]["compiles"] == 0 and stats["cache"]["in_flight"] == 0
+    pool.close(pool.open(dfa, training_input=b"\x00\x01\x02" * 64))
 
 
 # ----------------------------------------------------------------------

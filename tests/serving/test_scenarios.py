@@ -401,10 +401,13 @@ def test_serving_audits_catch_each_corrupted_input(tmp_path):
     report = run_scenario(scenario, spill_dir=str(tmp_path))
     classes = {p.stem for p in tmp_path.glob("*.npz")}
     assert len(classes) == 2
-    stats = report.gateway_stats
+    assert report.metrics == report.gateway_stats["metrics"]
     # No drifting_phase tenant, so nothing drifted: stand in one revise.
-    metrics = {**report.metrics, "drift.revises": 1.0}
-    assert _serving_audits(scenario, classes, stats, metrics, classes) == []
+    stats = {
+        **report.gateway_stats,
+        "metrics": {**report.metrics, "drift.revises": 1.0},
+    }
+    assert _serving_audits(scenario, classes, stats, classes) == []
 
     def corrupted(path, value):
         broken = json.loads(json.dumps(stats))
@@ -412,13 +415,13 @@ def test_serving_audits_catch_each_corrupted_input(tmp_path):
         for key in path[:-1]:
             section = section[key]
         section[path[-1]] = value
-        return _serving_audits(scenario, classes, broken, metrics, classes)
+        return _serving_audits(scenario, classes, broken, classes)
 
     assert "3 compiles" in corrupted(("pool", "cache", "compiles"), 3)[0]
     # ... unless the cache says a plan was evicted or loaded from disk.
     evicted = json.loads(json.dumps(stats))
     evicted["pool"]["cache"].update(compiles=3, evictions=1)
-    assert _serving_audits(scenario, classes, evicted, metrics, classes) == []
+    assert _serving_audits(scenario, classes, evicted, classes) == []
     for path in (
         ("pool", "active_streams"),
         ("pool", "reserved"),
@@ -433,11 +436,9 @@ def test_serving_audits_catch_each_corrupted_input(tmp_path):
         ("drift.revises", 0.0, "no background revise"),
         ("serving.pool.fused_dispatches", 0.0, "no fused dispatch"),
     ):
-        changed = {**metrics, counter: value}
-        failure = _serving_audits(scenario, classes, stats, changed, classes)
-        assert message in failure[0]
+        assert message in corrupted(("metrics", counter), value)[0]
     for spilled in (set(), classes | {"f" * 64}):
-        failure = _serving_audits(scenario, classes, stats, metrics, spilled)
+        failure = _serving_audits(scenario, classes, stats, spilled)
         assert "spill files" in failure[0]
 
 
