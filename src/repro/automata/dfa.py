@@ -56,7 +56,8 @@ class DFA:
     name: str = "dfa"
 
     def __post_init__(self) -> None:
-        table = np.ascontiguousarray(np.asarray(self.table, dtype=STATE_DTYPE))
+        wide = np.asarray(self.table)
+        table = np.ascontiguousarray(wide, dtype=STATE_DTYPE)
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise AutomatonError(f"transition table must be 2-D, got shape {table.shape}")
@@ -65,7 +66,9 @@ class DFA:
             raise AutomatonError("a DFA needs at least one state")
         if not (0 <= self.start < n_states):
             raise AutomatonError(f"start state {self.start} out of range [0, {n_states})")
-        if table.size and (table.min() < 0 or table.max() >= n_states):
+        # Checked as given: narrowing to STATE_DTYPE wraps modulo 2**32, so
+        # an entry of 2**32 would read as state 0 after the cast.
+        if table.size and (wide.min() < 0 or wide.max() >= n_states):
             raise AutomatonError("transition table references states out of range")
         acc = frozenset(int(s) for s in self.accepting)
         for s in acc:

@@ -7,8 +7,10 @@ parser is a client — and maps one-to-one onto the
 
 Requests (``op`` selects the verb, ``id`` is echoed in the response)::
 
-    {"op": "open",      "id": 1, "dfa": {...}, "training_b64": "...",
-     "scheme": null}
+    {"op": "open",      "id": 1, "dfa": {"table_b64": "...", "dtype": "<u1",
+                                         "shape": [254, 256], "start": 0,
+                                         "accepting": [7], "name": "..."},
+     "training_b64": "...", "scheme": null}
     {"op": "feed",      "id": 2, "stream": 0, "segment_b64": "..."}
     {"op": "feed_many", "id": 3, "feeds": [{"stream": 0,
                                             "segment_b64": "..."}, ...]}
@@ -30,16 +32,36 @@ a byte outside the submitted automaton's alphabet as
 ``{"code": "invalid_symbol"}`` (per outcome inside a ``feed_many``; the
 stream is untouched and the connection stays usable).
 The gateway adds two codes of its own on top of the serving tier's:
-``"bad_request"`` (malformed JSON, unknown op, missing/ill-typed field)
-and ``"not_owner"`` (a connection addressed a stream another connection
-opened).
+``"bad_request"`` (malformed JSON, unknown op or scheme, missing/ill-typed
+field, a line over the reader limit — that one also drops the connection,
+its framing being lost) and ``"not_owner"`` (a connection addressed a
+stream another connection opened).
 
-Automata travel inline: ``dfa`` is the dense-table JSON form produced by
-:func:`dfa_to_wire` (``table`` / ``start`` / ``accepting`` / ``name``),
-so a tenant submits its machine with its first ``open``.  Byte segments
-and training inputs are base64 (``*_b64`` fields).  ``NaN`` cycle totals
-(answer-only backends) are mapped to JSON ``null`` — the wire never
-carries bare ``NaN`` tokens.
+Automata travel inline, so a tenant submits its machine with its first
+``open``.  ``dfa`` carries ``start`` (integer), ``accepting`` (list of
+integers), an optional ``name`` and the dense ``n_states x n_symbols``
+transition table in one of two forms:
+
+* **packed** (what :func:`dfa_to_wire` writes): ``table_b64`` is the
+  base64 of the table's C-order bytes, ``dtype`` the unsigned
+  little-endian type of one entry and ``shape`` ``[n_states, n_symbols]``.
+  The writer picks the narrowest type that holds ``n_states - 1`` —
+  ``"<u1"`` up to 256 states, ``"<u2"`` up to 65 536, else ``"<u4"`` —
+  and the reader accepts any of the three, provided the byte count is
+  exactly ``n_states * n_symbols * itemsize``;
+* **list**: ``table`` is a JSON list of ``n_states`` rows of
+  ``n_symbols`` integers — the form a client without a byte-packing
+  library can write.  Only decoded, never written, by this package.
+
+Both forms are one automaton: they decode to the same table, hence the
+same content fingerprint and the same cached plan.  A float, a boolean or
+an out-of-range entry anywhere in ``dfa`` is ``bad_request``; nothing is
+truncated or wrapped into range.  Byte segments and training inputs are
+base64 (``*_b64`` fields).  ``NaN`` cycle totals (answer-only backends)
+are mapped to JSON ``null`` — the wire never carries bare ``NaN`` tokens.
+
+Versions (``protocol_version`` in the ``stats`` reply): 1 — list tables
+only; 2 — packed tables understood, every version-1 request still valid.
 """
 
 from __future__ import annotations
@@ -54,8 +76,9 @@ import numpy as np
 from repro.automata.dfa import DFA
 from repro.errors import ServingError
 
-#: Protocol revision, reported by the ``stats`` op.
-PROTOCOL_VERSION = 1
+#: Protocol revision, reported by the ``stats`` op (history in the module
+#: docstring).
+PROTOCOL_VERSION = 2
 
 #: Ops a well-formed request may carry.
 KNOWN_OPS = ("open", "feed", "feed_many", "close", "stats")
@@ -63,6 +86,9 @@ KNOWN_OPS = ("open", "feed", "feed_many", "close", "stats")
 #: Upper bound on one request line (guards the reader against a rogue
 #: client streaming an unbounded line; DFA tables dominate real sizes).
 MAX_LINE_BYTES = 32 * 1024 * 1024
+
+#: Entry types a packed table may declare, narrowest first.
+TABLE_DTYPES = ("<u1", "<u2", "<u4")
 
 
 def bad_request(message: str) -> ServingError:
@@ -81,7 +107,7 @@ def segment_to_wire(segment) -> str:
 
 
 def segment_from_wire(value: Any, field: str = "segment_b64") -> bytes:
-    """Decode a base64 segment field, raising ``bad_request`` on junk."""
+    """Decode a base64 (``*_b64``) field, raising ``bad_request`` on junk."""
     if not isinstance(value, str):
         raise bad_request(f"{field} must be a base64 string")
     try:
@@ -90,33 +116,79 @@ def segment_from_wire(value: Any, field: str = "segment_b64") -> bytes:
         raise bad_request(f"{field} is not valid base64: {exc}") from exc
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true``/``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dfa_to_wire(dfa: DFA) -> Dict[str, Any]:
-    """JSON-safe dense-table form of ``dfa``."""
+    """JSON-safe packed form of ``dfa`` (the module docstring's grammar)."""
+    n_states, n_symbols = dfa.table.shape
+    dtype = next(
+        d for d in TABLE_DTYPES if n_states <= 1 << 8 * np.dtype(d).itemsize
+    )
     return {
-        "table": np.asarray(dfa.table).tolist(),
+        "table_b64": base64.b64encode(
+            np.ascontiguousarray(dfa.table, dtype=dtype)
+        ).decode("ascii"),
+        "dtype": dtype,
+        "shape": [n_states, n_symbols],
         "start": int(dfa.start),
         "accepting": sorted(int(s) for s in dfa.accepting),
         "name": str(dfa.name),
     }
 
 
+def _table_from_wire(payload: Mapping) -> np.ndarray:
+    """The transition table of a ``dfa`` payload, in either wire form."""
+    if "table_b64" not in payload:
+        table = np.asarray(payload["table"])
+        if table.dtype.kind not in "iu":
+            raise bad_request("dfa table must be rows of integers")
+        if table.ndim != 2:
+            raise bad_request(f"dfa table must be 2-D, got {table.ndim}-D")
+        return table
+    dtype, shape = payload.get("dtype"), payload.get("shape")
+    if dtype not in TABLE_DTYPES:
+        raise bad_request(
+            f"dfa dtype must be one of {', '.join(TABLE_DTYPES)}, got {dtype!r}"
+        )
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(_is_int(n) and n > 0 for n in shape)
+    ):
+        raise bad_request(
+            "dfa shape must be [n_states, n_symbols], both positive integers"
+        )
+    raw = segment_from_wire(payload["table_b64"], "table_b64")
+    rows, cols = shape
+    expected = rows * cols * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise bad_request(
+            f"table_b64 holds {len(raw)} bytes, shape {rows}x{cols} of "
+            f"{dtype} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(rows, cols)
+
+
 def dfa_from_wire(payload: Any) -> DFA:
     """Rebuild a :class:`DFA` from its wire form (``bad_request`` on junk)."""
     if not isinstance(payload, Mapping):
-        raise bad_request("dfa must be an object with table/start/accepting")
+        raise bad_request("dfa must be an object with a table, start, accepting")
     try:
-        table = np.asarray(payload["table"], dtype=np.int64)
-        start = int(payload["start"])
-        accepting = frozenset(int(s) for s in payload.get("accepting", ()))
+        table = _table_from_wire(payload)
+        start = payload["start"]
+        accepting = tuple(payload.get("accepting", ()))
         name = str(payload.get("name", "wire-dfa"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise bad_request(f"malformed dfa payload: {exc}") from exc
-    if table.ndim != 2:
-        raise bad_request(
-            f"dfa table must be 2-D, got {table.ndim}-D"
-        )
+    if not (_is_int(start) and all(map(_is_int, accepting))):
+        raise bad_request("dfa start and accepting states must be integers")
     try:
-        return DFA(table=table, start=start, accepting=accepting, name=name)
+        return DFA(
+            table=table, start=start, accepting=frozenset(accepting), name=name
+        )
     except Exception as exc:  # AutomatonError: invalid machine
         raise bad_request(f"invalid dfa: {exc}") from exc
 
@@ -189,7 +261,7 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 def require_int(message: Mapping, field: str) -> int:
     """A required integer field, with a structured error when missing."""
     value = message.get(field)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise bad_request(f"request field {field!r} must be an integer")
     return value
 
@@ -217,6 +289,7 @@ __all__ = [
     "KNOWN_OPS",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
+    "TABLE_DTYPES",
     "bad_request",
     "decode_line",
     "dfa_from_wire",

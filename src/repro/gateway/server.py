@@ -50,9 +50,14 @@ import threading
 from time import perf_counter
 from typing import Dict, Optional, Set
 
-from repro.errors import ServingError
+from repro.errors import SchemeError, ServingError
 from repro.gateway import protocol
 from repro.serving.pool import MatcherPool
+
+
+def _refusal(request_id, exc: ServingError) -> Dict:
+    """The failure response carrying ``exc`` in its wire form."""
+    return {"id": request_id, "ok": False, "error": protocol.error_to_wire(exc)}
 
 
 class GatewayServer:
@@ -205,23 +210,28 @@ class GatewayServer:
             while not self._stopping:
                 try:
                     line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                    ConnectionError,
-                ):
-                    # Oversized line or torn connection: the framing is
-                    # unrecoverable, drop the client.
+                except ConnectionError:
+                    break  # torn connection
+                except (asyncio.LimitOverrunError, ValueError):
+                    # Oversized line: the framing is unrecoverable, so say
+                    # why (best effort) and drop the client.
+                    await self._send(
+                        writer,
+                        _refusal(
+                            None,
+                            protocol.bad_request(
+                                "request line exceeds "
+                                f"{self.max_line_bytes} bytes"
+                            ),
+                        ),
+                    )
                     break
                 if not line:
                     break  # EOF: client hung up
                 if not line.strip():
                     continue
                 response = await self._handle_line(conn_id, line)
-                try:
-                    writer.write(protocol.encode_line(response))
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
+                if not await self._send(writer, response):
                     break
         except asyncio.CancelledError:
             pass  # server stopping; fall through to cleanup
@@ -236,6 +246,16 @@ class GatewayServer:
             self.metrics.gauge("gateway.active_connections").set(
                 len(self._handlers)
             )
+
+    @staticmethod
+    async def _send(writer, response: Dict) -> bool:
+        """Write one response line; False when the client is gone."""
+        try:
+            writer.write(protocol.encode_line(response))
+            await writer.drain()
+        except (ConnectionError, RuntimeError):
+            return False
+        return True
 
     async def _cleanup_connection(self, conn_id: int) -> None:
         """Close every stream the dropped connection still owned."""
@@ -279,11 +299,7 @@ class GatewayServer:
         except ServingError as exc:
             if exc.code == "capacity":
                 self.metrics.counter("gateway.rejects").inc()
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": protocol.error_to_wire(exc),
-            }
+            return _refusal(request_id, exc)
         except Exception as exc:  # noqa: BLE001 - fault barrier per request
             return {
                 "id": request_id,
@@ -329,11 +345,14 @@ class GatewayServer:
         if scheme is not None and not isinstance(scheme, str):
             raise protocol.bad_request("scheme must be a string or null")
         started = perf_counter()
-        sid = await asyncio.to_thread(
-            lambda: self.pool.open(
-                dfa, training_input=training, scheme=scheme
+        try:
+            sid = await asyncio.to_thread(
+                lambda: self.pool.open(
+                    dfa, training_input=training, scheme=scheme
+                )
             )
-        )
+        except SchemeError as exc:  # an unknown scheme name
+            raise protocol.bad_request(str(exc)) from exc
         with self._glock:
             self._owners[sid] = conn_id
         self.metrics.histogram("gateway.open_ms").observe(

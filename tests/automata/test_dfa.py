@@ -29,6 +29,14 @@ class TestConstruction:
         with pytest.raises(AutomatonError):
             DFA(table=table, start=0)
 
+    @pytest.mark.parametrize(
+        "entry, dtype", [(2**32, np.int64), (2**32 - 1, np.uint32), (-(2**32), np.int64)]
+    )
+    def test_rejects_a_transition_that_would_wrap_into_range(self, entry, dtype):
+        # Narrowing to int32 maps 2**32 to state 0; the check runs first.
+        with pytest.raises(AutomatonError):
+            DFA(table=np.array([[0, entry]], dtype=dtype), start=0)
+
     def test_rejects_out_of_range_accepting(self):
         with pytest.raises(AutomatonError):
             DFA(table=np.zeros((2, 2), dtype=np.int32), start=0, accepting={7})

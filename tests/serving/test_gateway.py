@@ -13,13 +13,17 @@ connections — nothing is mocked.  The acceptance contract:
 """
 
 import asyncio
+import base64
 import contextlib
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.automata.dfa import DFA
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
 from repro.gateway import GatewayClient, GatewayServer, protocol
@@ -312,7 +316,10 @@ def test_malformed_lines_answer_bad_request_without_dropping(config):
                 await writer.drain()
                 response = protocol.decode_line(await reader.readline())
                 assert response["ok"] is True
-                assert response["stats"]["protocol_version"] == 1
+                assert (
+                    response["stats"]["protocol_version"]
+                    == protocol.PROTOCOL_VERSION
+                )
             finally:
                 writer.close()
                 await writer.wait_closed()
@@ -369,7 +376,7 @@ def test_stats_op_exposes_gateway_and_pool_counters(config, fsms, training):
             ) as cl:
                 sid = await cl.open(fsms[0], training=training)
                 stats = await cl.stats()
-                assert stats["protocol_version"] == 1
+                assert stats["protocol_version"] == protocol.PROTOCOL_VERSION
                 assert stats["active_connections"] == 1
                 assert stats["pool"]["active_streams"] == 1
                 assert stats["requests"] >= 2
@@ -475,3 +482,311 @@ def test_every_stats_count_is_a_view_of_the_registry(config, fsms, training):
     assert stats["pool"]["rejected"] == 1
     assert stats["pool"]["cache"]["compiles"] == 2
     assert srv.pool.active == 0
+
+
+# ----------------------------------------------------------------------
+# the wire boundary: packed and list tables, malformed payloads, line cap
+# ----------------------------------------------------------------------
+def random_table_dfa(rng, n_states, n_symbols=1):
+    return DFA(
+        table=rng.integers(0, n_states, size=(n_states, n_symbols)),
+        start=int(rng.integers(n_states)),
+        accepting=frozenset(rng.integers(0, n_states, size=3).tolist()),
+        name=f"random{n_states}",
+    )
+
+
+def assert_same_machine(got, dfa):
+    assert got.table.dtype == dfa.table.dtype
+    assert np.array_equal(got.table, dfa.table)
+    assert (got.start, got.accepting) == (dfa.start, dfa.accepting)
+    assert got.fingerprint() == dfa.fingerprint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_wire_dfa_round_trip_keeps_the_fingerprint(n_states, n_symbols, seed):
+    """Through a real line, packed and as the list a v1 client writes."""
+    dfa = random_table_dfa(np.random.default_rng(seed), n_states, n_symbols)
+    wire = protocol.dfa_to_wire(dfa)
+    assert wire["dtype"] == "<u1" and wire["shape"] == [n_states, n_symbols]
+    as_list = {**wire, "table": dfa.table.tolist()}
+    del as_list["table_b64"]
+    for payload in (wire, as_list):
+        line = protocol.encode_line({"op": "open", "id": 0, "dfa": payload})
+        got = protocol.dfa_from_wire(protocol.decode_line(line)["dfa"])
+        assert_same_machine(got, dfa)
+        assert got.name == dfa.name
+
+
+@pytest.mark.parametrize(
+    "n_states, dtype",
+    [
+        (1, "<u1"),
+        (256, "<u1"),
+        (257, "<u2"),
+        (65536, "<u2"),
+        (65537, "<u4"),
+    ],
+)
+def test_wire_dfa_packs_into_the_narrowest_dtype(rng, n_states, dtype):
+    dfa = random_table_dfa(rng, n_states)
+    dfa.table[-1, 0] = n_states - 1  # the widest entry the dtype must hold
+    wire = protocol.dfa_to_wire(dfa)
+    assert wire["dtype"] == dtype
+    raw = base64.b64decode(wire["table_b64"])
+    assert len(raw) == n_states * np.dtype(dtype).itemsize
+    assert_same_machine(protocol.dfa_from_wire(wire), dfa)
+
+
+def packed(entries, dtype="<u1", shape=None, **fields):
+    raw = np.asarray(entries, dtype=dtype)
+    return {
+        "table_b64": base64.b64encode(raw.tobytes()).decode("ascii"),
+        "dtype": dtype,
+        "shape": list(raw.shape) if shape is None else shape,
+        "start": 0,
+        "accepting": [0],
+        **fields,
+    }
+
+
+def listed(**fields):
+    return {"table": [[0, 1], [1, 0]], "start": 0, "accepting": [0], **fields}
+
+
+MALFORMED_DFAS = {
+    # packed form
+    "dtype-signed": packed([[0, 1], [1, 0]], dtype="<i4"),
+    "dtype-big-endian": packed([[0, 1], [1, 0]], dtype=">u2"),
+    "dtype-missing": packed([[0, 1], [1, 0]], dtype=None),
+    "shape-not-a-list": packed([[0, 1], [1, 0]], shape="2x2"),
+    "shape-negative": packed([[0, 1], [1, 0]], shape=[-2, -2]),
+    "shape-zero": packed([[0, 1], [1, 0]], shape=[4, 0]),
+    "shape-3-element": packed([[0, 1], [1, 0]], shape=[2, 2, 1]),
+    "shape-float": packed([[0, 1], [1, 0]], shape=[2.0, 2]),
+    "shape-bool": packed([[0]], shape=[True, 1]),
+    "bytes-short": packed([[0, 1], [1, 0]], shape=[2, 3]),
+    "bytes-long": packed([[0, 1], [1, 0]], dtype="<u2", shape=[2, 1]),
+    "base64-invalid": packed([[0]], table_b64="!not base64!"),
+    "base64-not-a-string": packed([[0]], table_b64=[0]),
+    "entry-equals-n-states": packed([[0, 2], [1, 0]]),
+    "u4-entry-wraps-to-minus-one": packed([[0, 0xFFFFFFFF]], dtype="<u4"),
+    "u4-entry-2**31": packed([[0, 2**31]], dtype="<u4"),
+    # list form
+    "list-entry-beyond-int64": {"table": [[2**70, 0]], "start": 0},
+    "list-entry-wraps-to-zero": {"table": [[2**32, 0]], "start": 0},
+    "list-entry-float": {"table": [[0.5, 0]], "start": 0},
+    "list-entry-bool": {"table": [[False, True], [True, False]], "start": 0},
+    "list-ragged": {"table": [[0, 1], [1]], "start": 0},
+    "list-1-D": {"table": [0, 0], "start": 0},
+    "table-missing": {"start": 0},
+    # either form (one code path; written as lists, which the parent took)
+    "start-float": listed(start=0.9),
+    "start-infinite": listed(start=float("inf")),
+    "start-bool": listed(start=True),
+    "start-out-of-range": listed(start=2**70),
+    "start-missing": {"table": [[0]]},
+    "accepting-infinite": listed(accepting=[float("inf")]),
+    "accepting-float-twin": listed(accepting=[1, 1.0]),
+    "accepting-not-a-list": listed(accepting=1),
+    "accepting-out-of-range": packed([[0, 1], [1, 0]], accepting=[2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DFAS))
+def test_wire_malformed_dfa_is_bad_request(name):
+    with pytest.raises(ServingError) as excinfo:
+        protocol.dfa_from_wire(MALFORMED_DFAS[name])
+    assert excinfo.value.code == "bad_request"
+    assert not excinfo.value.retryable
+
+
+def foreign_line(message):
+    """A line no ``encode_line`` would write: ``1e400`` parses as infinity."""
+    return json.dumps(message).replace("Infinity", "1e400").encode() + b"\n"
+
+
+async def exchange(reader, writer, line):
+    writer.write(line)
+    await writer.drain()
+    return protocol.decode_line(await reader.readline())
+
+
+def test_wire_malformed_opens_leave_the_connection_and_pool_clean(
+    config, fsms, training
+):
+    """Every bad ``open`` is ``bad_request`` over a live socket — a 1e400
+    arrives as JSON's infinity, an unknown scheme as the pool's own
+    ``SchemeError`` — and the same connection then opens for real."""
+    training_b64 = protocol.segment_to_wire(training)
+    requests = [
+        {"dfa": dfa, "training_b64": training_b64}
+        for _, dfa in sorted(MALFORMED_DFAS.items())
+    ]
+    requests.append(
+        {
+            "dfa": protocol.dfa_to_wire(fsms[0]),
+            "training_b64": training_b64,
+            "scheme": "nope",
+        }
+    )
+
+    async def main():
+        server = make_server(config)
+        async with serving(server) as srv:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            try:
+                for i, fields in enumerate(requests):
+                    response = await exchange(
+                        reader,
+                        writer,
+                        foreign_line({"op": "open", "id": i, **fields}),
+                    )
+                    assert response["id"] == i and response["ok"] is False
+                    assert response["error"]["code"] == "bad_request", fields
+                    assert response["error"]["retryable"] is False
+                stats = srv.pool.stats()
+                assert stats["reserved"] == 0 and stats["active_streams"] == 0
+                assert stats["cache"]["compiles"] == 0
+                response = await exchange(
+                    reader,
+                    writer,
+                    protocol.encode_line(
+                        {"op": "open", "id": "last", **requests[-1], "scheme": "pm"}
+                    ),
+                )
+                assert response["ok"] is True
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        assert srv.pool.active == 0
+
+    asyncio.run(main())
+
+
+def test_wire_v1_list_table_and_packed_table_are_one_fingerprint(config):
+    """A hand-written version-1 ``open`` still works, and the same machine
+    sent packed lands on the plan the list upload compiled."""
+    dfa = DFA(table=[[0, 1], [1, 0]], start=0, accepting=frozenset({1}))
+    segment = bytes([0, 1, 1, 0, 1] * 20)
+    training_b64 = protocol.segment_to_wire(bytes([0, 1] * 128))
+    v1_open = (
+        b'{"op": "open", "id": 1, "dfa": {"table": [[0, 1], [1, 0]], '
+        b'"start": 0, "accepting": [1]}, "training_b64": "%s"}\n'
+        % training_b64.encode()
+    )
+
+    async def main():
+        server = make_server(config)
+        async with serving(server) as srv:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            try:
+                response = await exchange(reader, writer, v1_open)
+                assert response["ok"] is True, response
+                feed = await exchange(
+                    reader,
+                    writer,
+                    protocol.encode_line(
+                        {
+                            "op": "feed",
+                            "id": 2,
+                            "stream": response["stream"],
+                            "segment_b64": protocol.segment_to_wire(segment),
+                        }
+                    ),
+                )
+                assert feed["end_state"] == dfa.run(segment)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            async with await GatewayClient.connect(
+                "127.0.0.1", srv.port
+            ) as cl:
+                sid = await cl.open(dfa, training=bytes([0, 1] * 128))
+                summary = await cl.close_stream(sid)
+                assert summary["fingerprint"] == dfa.fingerprint()
+            cache = srv.pool.cache.stats()
+            assert (cache["compiles"], cache["hits"]) == (1, 1)
+            assert (cache["aliases"], cache["alias_hits"]) == (1, 0)
+
+    asyncio.run(main())
+
+
+def test_wire_oversize_line_answers_bad_request_then_drops_only_that_client(
+    config, fsms, training
+):
+    async def main():
+        registry = MetricsRegistry()
+        pool = MatcherPool(config=config, metrics=registry)
+        server = GatewayServer(pool, metrics=registry, max_line_bytes=4096)
+        async with serving(server) as srv:
+            bystander = await GatewayClient.connect("127.0.0.1", srv.port)
+            sid = await bystander.open(
+                classic.cyclic_rotator(3, n_symbols=4), training=b"\x00\x01"
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            try:
+                # fsms[0]'s open is ~2.8 KiB of table and 0.7 KiB of
+                # training: under the cap.  Padded, it is one line over it.
+                message = {
+                    "op": "open",
+                    "id": 1,
+                    "dfa": protocol.dfa_to_wire(fsms[0]),
+                    "training_b64": protocol.segment_to_wire(training),
+                }
+                response = await exchange(
+                    reader, writer, protocol.encode_line(message)
+                )
+                assert response["ok"] is True
+                message["pad"] = "x" * 4096
+                response = await exchange(
+                    reader, writer, protocol.encode_line(message)
+                )
+                assert response["id"] is None and response["ok"] is False
+                assert response["error"]["code"] == "bad_request"
+                assert "4096" in response["error"]["message"]
+                assert await reader.readline() == b""  # then EOF
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            # The dropped client's stream is reaped; the bystander's is not.
+            deadline = time.monotonic() + 5.0
+            while srv.pool.active > 1 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert srv.pool.active == 1
+            fed = await bystander.feed(sid, b"\x01\x02" * 8)
+            assert fed["end_state"] == 16 % 3
+            await bystander.close_stream(sid)
+            await bystander.aclose()
+            assert srv.pool.active == 0
+            assert srv.stats()["orphans_closed"] == 1
+
+    asyncio.run(main())
+
+
+def test_wire_open_line_stays_near_the_packed_table_size(rng):
+    """A 254-state x 256 byte scanner is a 63.5 KiB ``<u1`` table; base64
+    makes that 4/3.  The same open with a JSON list of ints is 217 529 B."""
+    dfa = random_table_dfa(rng, 254, 256)
+    training_b64 = protocol.segment_to_wire(bytes(8192))
+    line = protocol.encode_line(
+        {
+            "op": "open",
+            "id": 0,
+            "dfa": protocol.dfa_to_wire(dfa),
+            "training_b64": training_b64,
+            "scheme": None,
+        }
+    )
+    assert len(line) <= 1.4 * 254 * 256 + len(training_b64) + 512
