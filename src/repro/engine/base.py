@@ -161,6 +161,8 @@ def validate_batch_inputs(
     chunks = np.asarray(chunks)
     if chunks.size == 0:
         return
+    if chunks.dtype.kind == "u" and np.iinfo(chunks.dtype).max < n_symbols:
+        return  # the dtype cannot hold an out-of-range symbol (wire bytes)
     bad_syms = (chunks < 0) | (chunks >= n_symbols)
     if not bad_syms.any():
         return

@@ -2,25 +2,41 @@
 
 ``FastBackend`` serves the production question — *what state does this
 input end in?* — without simulating the GPU that the paper's measurements
-need.  It keeps the transition table as one flattened row-major vector and
-advances all lanes with a single ``flat[state * n_symbols + symbol]``
-gather per input position: no memory-model hot/cold classification, no
-per-warp reductions, no ledger charges, no metrics.  The ``stats``,
-``phase``, ``chunk_ids`` and ``count_redundant`` parameters are accepted
-for signature parity with :class:`~repro.engine.sim.SimBackend` and
-ignored — with this backend a :class:`~repro.gpu.stats.KernelStats` ledger
-only ever contains what the *scheme* charged (launch, comm, verify, sync),
-never execution cycles.
+need.  All four entry points share **one** stepping kernel
+(:meth:`FastBackend._advance`) built so that a step is one add and one
+gather, ``st = pre[st + row]``:
 
-The functional contract is bit-identical to the lockstep executor:
-inactive lanes keep their start state, positions beyond a lane's length
-are skipped, and the returned dtype matches
+* **premultiplied table** — the only copy of the table the kernel reads is
+  the flat int64 ``pre[s·m + a] = table[s, a]·m`` (``m`` = alphabet size).
+  Lane states are carried premultiplied and divided by ``m`` once on exit,
+  so no per-step multiply is left;
+* **time-major symbols** — the ``(lanes × positions)`` block is transposed
+  once into a contiguous ``(positions × lanes)`` int64 array and the loop
+  iterates its rows: no per-position strided column, no index arithmetic;
+* **prefix runs, not masks** — lanes are ordered by descending length, so
+  the lanes still working at any position are a prefix.  Positions are
+  grouped into at most ``n_lanes`` runs sharing one prefix width and each
+  run is a tight loop over ``rows[a:b, :k]``.  Masked or unsorted batches
+  compress their working lanes, sort them once, run the same kernel and
+  scatter back; padding past a lane's length never reaches a gather.
+
+There is no memory-model hot/cold classification, no per-warp reduction,
+no ledger charge, no metrics.  The ``stats``, ``phase``, ``chunk_ids`` and
+``count_redundant`` parameters are accepted for signature parity with
+:class:`~repro.engine.sim.SimBackend` and ignored — with this backend a
+:class:`~repro.gpu.stats.KernelStats` ledger only ever contains what the
+*scheme* charged (launch, comm, verify, sync), never execution cycles.
+
+The functional contract is bit-identical to the lockstep executor
+(:func:`repro.automata.dfa.run_lockstep` is the reference the tests pin
+the kernel to): inactive lanes keep their start state, positions beyond a
+lane's length are skipped, and the returned dtype matches
 :data:`~repro.automata.dfa.STATE_DTYPE`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +46,7 @@ from repro.errors import SimulationError
 
 
 class FastBackend:
-    """Flattened-gather DFA execution for answer-only serving."""
+    """Premultiplied-gather DFA execution for answer-only serving."""
 
     name = "fast"
     accounts_cycles = False
@@ -41,9 +57,80 @@ class FastBackend:
             raise SimulationError("transition table must be 2-D")
         self.table = table
         self.n_states, self.n_symbols = table.shape
-        # int64 flat copy: index arithmetic and gathers stay in one dtype,
-        # so the inner loop is a single fancy-index per position.
-        self._flat = table.ravel().astype(np.int64)
+        # pre[s*m + a] = table[s, a] * m: index arithmetic and gathers stay
+        # in int64 and a gathered value is already the next row offset.
+        self._pre = table.ravel().astype(np.int64)
+        self._pre *= self.n_symbols
+
+    # ------------------------------------------------------------------
+    def _checked(
+        self, chunks, starts, lengths, what: str
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Shape and range checks every entry point makes before stepping.
+
+        Returns contiguous ``chunks``, int64 ``starts`` (``None`` passes
+        through: :meth:`run_mappings` has none) and int64 ``lengths`` —
+        ``None`` when absent or rectangular after all.
+        """
+        chunks = np.ascontiguousarray(chunks)
+        if chunks.ndim != 2:
+            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
+        n_lanes, width = chunks.shape
+        if starts is not None:
+            starts = np.asarray(starts, dtype=np.int64)
+            if starts.shape != (n_lanes,):
+                raise SimulationError(f"starts must match the number of {what}")
+        if lengths is None:
+            return chunks, starts, None
+        lens = np.asarray(lengths, dtype=np.int64)
+        if lens.shape != (n_lanes,):
+            raise SimulationError(f"lengths must match the number of {what}")
+        if (lens < 0).any() or (lens > width).any():
+            raise SimulationError("lengths out of range")
+        return chunks, starts, None if (lens == width).all() else lens
+
+    def _advance(self, chunks, states, lens, lanes=None) -> np.ndarray:
+        """The stepping kernel: every transition of this backend runs here.
+
+        ``states`` is ``(n,)`` — or the ``(n, n_states)`` plane of
+        :meth:`run_mappings` — in table numbering and is not modified.
+        ``lanes`` lists the lanes to step, ordered by descending ``lens``
+        (``None``: all of them, already in that order; ``lens`` ``None``:
+        every lane runs the full width); lanes not listed keep their state.
+        """
+        every = states
+        if lanes is not None:
+            chunks, states = chunks[lanes], states[lanes]
+            lens = None if lens is None else lens[lanes]
+        n_lanes, longest = chunks.shape
+        if lens is not None and n_lanes:
+            longest = int(lens[0])
+        if n_lanes == 0 or longest == 0:
+            return every.astype(STATE_DTYPE)
+        pre, m = self._pre, self.n_symbols
+        st = states * m
+        rows = np.ascontiguousarray(chunks[:, :longest].T, dtype=np.int64)
+        if st.ndim == 2:
+            rows = rows[:, :, None]  # one symbol per chunk, all states
+        # Prefix widths, widest first: all lanes, then every width at which
+        # the (descending) length drops.  Width k works up to lens[k - 1].
+        widths, ends = [n_lanes], [longest]
+        if lens is not None:
+            widths += (np.flatnonzero(lens[:-1] != lens[1:])[::-1] + 1).tolist()
+            ends = lens[np.asarray(widths) - 1].tolist()
+        a = 0
+        for k, b in zip(widths, ends):
+            part = st[:k]
+            for row in rows[a:b, :k]:
+                part = pre[part + row]
+            st[:k] = part
+            a = b
+        st //= m
+        if lanes is None:
+            return st.astype(STATE_DTYPE)
+        out = every.astype(STATE_DTYPE)
+        out[lanes] = st
+        return out
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -58,29 +145,8 @@ class FastBackend:
         count_redundant: Optional[np.ndarray] = None,
         chunk_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        chunks = np.ascontiguousarray(chunks)
-        if chunks.ndim != 2:
-            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
-        n_threads, chunk_len = chunks.shape
-        states = np.asarray(starts, dtype=np.int64).copy()
-        if states.shape != (n_threads,):
-            raise SimulationError("starts must match the number of threads")
-
-        if active is None:
-            active_mask = None
-        else:
-            active_mask = np.asarray(active, dtype=bool)
-        if lengths is None:
-            lens = None
-        else:
-            lens = np.asarray(lengths, dtype=np.int64)
-            if lens.shape != (n_threads,):
-                raise SimulationError("lengths must match the number of threads")
-            if (lens < 0).any() or (lens > chunk_len).any():
-                raise SimulationError("lengths out of range")
-            if (lens == chunk_len).all():
-                lens = None  # rectangular after all
-
+        chunks, states, lens = self._checked(chunks, starts, lengths, "threads")
+        active_mask = None if active is None else np.asarray(active, dtype=bool)
         validate_batch_inputs(
             chunks,
             states,
@@ -90,32 +156,16 @@ class FastBackend:
             active=active_mask,
             backend=self.name,
         )
-
-        if chunk_len == 0 or (active_mask is not None and not active_mask.any()):
-            return states.astype(STATE_DTYPE)
-
-        flat = self._flat
-        m = self.n_symbols
-        syms = chunks.astype(np.int64, copy=False)
-
         if active_mask is None and lens is None:
-            # Rectangular all-active batch: one gather per position.
-            for j in range(chunk_len):
-                states = flat[states * m + syms[:, j]]
-            return states.astype(STATE_DTYPE)
-
-        # Ragged and/or masked batch: gather only the working lanes.
+            return self._advance(chunks, states, None)
+        # Ragged and/or masked: compress to the active lanes, longest first.
         if active_mask is None:
-            active_mask = np.ones(n_threads, dtype=bool)
-        if lens is None:
-            lens = np.full(n_threads, chunk_len, dtype=np.int64)
-        max_len = int(lens[active_mask].max(initial=0))
-        for j in range(max_len):
-            working = active_mask & (j < lens)
-            if not working.any():
-                break
-            states[working] = flat[states[working] * m + syms[working, j]]
-        return states.astype(STATE_DTYPE)
+            lanes = np.arange(len(states))
+        else:
+            lanes = np.flatnonzero(active_mask)
+        if lens is not None:
+            lanes = lanes[np.argsort(-lens[lanes], kind="stable")]
+        return self._advance(chunks, states, lens, lanes)
 
     # ------------------------------------------------------------------
     def run_streams(
@@ -128,28 +178,14 @@ class FastBackend:
 
         The serving tier's gang scheduler
         (:class:`~repro.engine.fused.FusedBatchEngine`) pads N same-plan
-        stream segments into one ``(streams × lanes)`` matrix and sorts the
-        rows by descending segment length, so at every position the lanes
-        still working form a contiguous *prefix* — this loop advances them
-        with one prefix-sliced flattened-table gather per position, no
-        boolean masks, no per-lane branching.  Answer-identical to
-        :meth:`run_batch` with the same ``lengths``; exists because the
-        prefix slice is measurably cheaper than masked gathers at serving
-        batch widths.
+        stream segments into one ``(streams × positions)`` matrix and sorts
+        the rows by descending segment length, which is the order the
+        kernel wants: it runs without the compress / sort / scatter that
+        :meth:`run_batch` does for a ragged batch.  Answer-identical to
+        :meth:`run_batch` with the same ``lengths``.
         """
-        chunks = np.ascontiguousarray(chunks)
-        if chunks.ndim != 2:
-            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
-        n_streams, max_len = chunks.shape
-        states = np.asarray(starts, dtype=np.int64).copy()
-        if states.shape != (n_streams,):
-            raise SimulationError("starts must match the number of streams")
-        lens = np.asarray(lengths, dtype=np.int64)
-        if lens.shape != (n_streams,):
-            raise SimulationError("lengths must match the number of streams")
-        if (lens < 0).any() or (lens > max_len).any():
-            raise SimulationError("lengths out of range")
-        if (np.diff(lens) > 0).any():
+        chunks, states, lens = self._checked(chunks, starts, lengths, "streams")
+        if lens is not None and (lens[:-1] < lens[1:]).any():
             raise SimulationError(
                 "run_streams requires lanes sorted by descending length"
             )
@@ -161,24 +197,7 @@ class FastBackend:
             lengths=lens,
             backend=self.name,
         )
-        if max_len == 0:
-            return states.astype(STATE_DTYPE)
-
-        flat = self._flat
-        m = self.n_symbols
-        syms = chunks.astype(np.int64, copy=False)
-        # lens is descending, so the number of lanes with lens > j is the
-        # insertion point of -j in the ascending -lens (precomputed for all
-        # positions in one vectorized searchsorted).
-        longest = int(lens.max(initial=0))
-        counts = np.searchsorted(-lens, -np.arange(longest), side="left")
-        for j in range(longest):
-            k = int(counts[j])
-            if k == 0:
-                break
-            prefix = states[:k]
-            states[:k] = flat[prefix * m + syms[:k, j]]
-        return states.astype(STATE_DTYPE)
+        return self._advance(chunks, states, lens)
 
     # ------------------------------------------------------------------
     def run_mappings(
@@ -195,25 +214,13 @@ class FastBackend:
         Returns a ``(n_chunks, n_states)`` matrix whose ``[c, s]`` entry is
         the state reached by running chunk ``c`` from state ``s`` — i.e. the
         chunk's transition *function*, not one speculated path.  All
-        ``n_states`` columns advance together with one matrix gather per
-        input position, so the construction is vectorized over the full
-        ``(chunks × states)`` plane.  ``stats``/``phase``/``chunk_ids`` are
-        accepted for parity with the sim backend and ignored.
+        ``n_states`` columns advance together through the same kernel, one
+        matrix gather per input position over the ``(chunks × states)``
+        plane.  ``stats``/``phase``/``chunk_ids`` are accepted for parity
+        with the sim backend and ignored.
         """
-        chunks = np.ascontiguousarray(chunks)
-        if chunks.ndim != 2:
-            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
-        n_chunks, chunk_len = chunks.shape
-        if lengths is None:
-            lens = None
-        else:
-            lens = np.asarray(lengths, dtype=np.int64)
-            if lens.shape != (n_chunks,):
-                raise SimulationError("lengths must match the number of chunks")
-            if (lens < 0).any() or (lens > chunk_len).any():
-                raise SimulationError("lengths out of range")
-            if (lens == chunk_len).all():
-                lens = None
+        chunks, _, lens = self._checked(chunks, None, lengths, "chunks")
+        n_chunks = chunks.shape[0]
         validate_batch_inputs(
             chunks,
             np.zeros(n_chunks, dtype=np.int64),
@@ -222,27 +229,11 @@ class FastBackend:
             lengths=lens,
             backend=self.name,
         )
-        states = np.broadcast_to(
+        plane = np.broadcast_to(
             np.arange(self.n_states, dtype=np.int64), (n_chunks, self.n_states)
-        ).copy()
-        if chunk_len == 0 or n_chunks == 0:
-            return states.astype(STATE_DTYPE)
-        flat = self._flat
-        m = self.n_symbols
-        syms = chunks.astype(np.int64, copy=False)
-        if lens is None:
-            for j in range(chunk_len):
-                states = flat[states * m + syms[:, j][:, None]]
-            return states.astype(STATE_DTYPE)
-        max_len = int(lens.max(initial=0))
-        for j in range(max_len):
-            working = j < lens
-            if not working.any():
-                break
-            states[working] = flat[
-                states[working] * m + syms[working, j][:, None]
-            ]
-        return states.astype(STATE_DTYPE)
+        )
+        lanes = None if lens is None else np.argsort(-lens, kind="stable")
+        return self._advance(chunks, plane, lens, lanes)
 
     # ------------------------------------------------------------------
     def run_gathered(

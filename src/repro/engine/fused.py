@@ -4,12 +4,14 @@ The serving tier multiplexes N concurrent streams over one
 :class:`~repro.plan.CompiledPlan`, but a per-stream ``feed`` pays N separate
 numpy dispatches per segment — partitioning, prediction and recovery rounds
 for every stream, however short its segment.  :class:`FusedBatchEngine`
-widens the flattened-table gather of :class:`~repro.engine.fast.FastBackend`
+widens the stepping kernel of :class:`~repro.engine.fast.FastBackend`
 across *streams*: all segments that share one plan advance in a single
-``(streams × lanes)`` lockstep batch, one vectorized gather per symbol
-position, with ragged segment lengths handled by **length-sorted grouping**
-— streams are ordered by descending segment length so the working set at
-every position is a contiguous prefix slice, never a boolean mask.
+``(streams × positions)`` lockstep batch, one gather per symbol position.
+The dispatch only *lays the batch out* — segments padded into one matrix
+of their own dtype (uint8 for wire bytes; the kernel makes the single
+int64 time-major copy) with rows in **descending segment length**, so the
+streams still working at any position are a contiguous prefix and the
+kernel steps prefix runs, never a boolean mask.
 
 Semantics contract (pinned by ``tests/engine/test_fused_differential.py``
 and the serving property suite): a fused dispatch is *answer-identical* to
@@ -147,7 +149,11 @@ class FusedBatchEngine:
         # streams in input order (determinism under audit).
         order = np.argsort(-lengths, kind="stable")
         sorted_lengths = lengths[order]
-        padded = np.zeros((n_streams, max_len), dtype=np.int64)
+        # Padded in the segments' own dtype (uint8 for wire bytes: an eighth
+        # of int64); the backend widens once, into its time-major layout.
+        dtypes = {row.dtype for row in symbol_rows}
+        dtype = dtypes.pop() if len(dtypes) == 1 else np.int64
+        padded = np.zeros((n_streams, max_len), dtype=dtype)
         for rank, idx in enumerate(order):
             row = symbol_rows[idx]
             if row.size:
@@ -187,12 +193,14 @@ class FusedBatchEngine:
     # ------------------------------------------------------------------
     def _run_fused(self, padded, starts, lengths) -> np.ndarray:
         """One fused dispatch over descending-length-sorted lanes."""
+        # The only backend fork on the fused path: ``fast`` has a
+        # sorted-lanes entry that skips run_batch's compress/sort/scatter;
+        # ``sim`` has no ``run_streams`` — its lockstep executor handles
+        # ragged lengths itself, and a pure functional run (no ledger)
+        # keeps the fused path answer-only on every backend.
         run_streams = getattr(self.engine, "run_streams", None)
         if run_streams is not None:
             return run_streams(padded, starts, lengths)
-        # Generic backend (``sim``): the lockstep executor already handles
-        # ragged lengths; a pure functional run (no ledger) keeps the fused
-        # path answer-only on every backend.
         return self.engine.run_batch(padded, starts, stats=None, lengths=lengths)
 
     def _run_blockwise(self, padded, starts, lengths):

@@ -480,6 +480,9 @@ class StreamSession:
         #: state, so per-segment re-instantiation was pure waste).
         self._runner = None
         self._runner_name: Optional[str] = None
+        #: the ``seq`` instance that serves segments shorter than the
+        #: plan's thread count (built on the first such segment).
+        self._short_runner = None
         #: how many times the serving scheme changed between segments —
         #: each increment is one segment-boundary hot-swap (drift-driven
         #: plan revision, or a live selector changing its mind).
@@ -541,10 +544,19 @@ class StreamSession:
                 if self._scheme is not None
                 else self._pal.current_decision_path()
             )
-            runner = self._scheme_runner(name)
+            if symbols.size < self._pal.config.n_threads:
+                # Too short to give every thread a symbol (partition_input
+                # would refuse it): one sequential lane, no speculation —
+                # and so no boundary samples for the drift monitor.  The
+                # session's selected scheme (and switch count) is untouched.
+                if self._short_runner is None:
+                    self._short_runner = self._pal.build_scheme("seq")
+                runner = self._short_runner
+            else:
+                runner = self._scheme_runner(name)
             result = runner.run(symbols, start_state=self.state)
             if span:
-                span.set_attr("scheme", name)
+                span.set_attr("scheme", result.scheme)
                 span.set_attr("end_state", result.end_state)
         self.state = result.end_state
         self.segments += 1

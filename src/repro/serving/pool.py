@@ -795,12 +795,10 @@ class MatcherPool:
         # volume + symbol sketch) so the drift aggregate still sees
         # the distribution this class is serving.
         if self.drift is not None:
-            sketch = np.zeros(matcher.dfa.n_symbols, dtype=np.int64)
-            for seg in segments:
-                sketch += np.bincount(
-                    seg.astype(np.int64, copy=False),
-                    minlength=matcher.dfa.n_symbols,
-                )
+            sketch = np.bincount(
+                np.concatenate(segments).astype(np.int64, copy=False),
+                minlength=matcher.dfa.n_symbols,
+            )
             self._observe(
                 fingerprint,
                 LiveObservations(

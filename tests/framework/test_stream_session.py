@@ -160,3 +160,45 @@ def test_scheme_property_exposes_run_scheme(pal, rng):
     assert forced.scheme == "rr"  # known before any segment runs
     forced.feed(b"abc" * 16)
     assert forced.scheme == "rr"
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("length", [0, 1, 7, 8])
+def test_segment_shorter_than_the_thread_count_runs_sequentially(
+    scanner_dfa, rng, backend, length
+):
+    """Fewer symbols than threads cannot be partitioned: the segment takes
+    one ``seq`` lane from the carried state, and the stream goes on under
+    its selected scheme with no switch counted."""
+    training = bytes(rng.integers(97, 123, size=256).astype(np.uint8))
+    pal = GSpecPal(
+        scanner_dfa,
+        GSpecPalConfig(n_threads=8, backend=backend),
+        training_input=training,
+    )
+    head = bytes(rng.integers(97, 123, size=40).astype(np.uint8))
+    short = b"abcabcab"[:length]
+    session = pal.stream()
+    session.feed(head)
+    selected = session.scheme
+    result = session.feed(short)
+    assert result.end_state == session.state == scanner_dfa.run(head + short)
+    assert result.accepts == session.accepts
+    assert result.scheme == ("seq" if length < 8 else selected)
+    if length < 8:
+        # no boundary was verified: nothing for the drift monitor to sample
+        assert result.observations.spec_hits == result.observations.spec_misses == 0
+    session.feed(head)
+    assert session.state == scanner_dfa.run(head + short + head)
+    assert (session.scheme, session.scheme_switches) == (selected, 0)
+    assert (session.segments, session.total_symbols) == (3, 80 + length)
+
+
+def test_short_first_feed_needs_no_training_input(scanner_dfa):
+    """ROADMAP item 5's one-line repro: used to raise ``SchemeError: input
+    of 2 symbols cannot be split into 8 chunks``."""
+    session = GSpecPal(
+        scanner_dfa, GSpecPalConfig(n_threads=8, backend="fast")
+    ).stream()
+    assert session.feed(b"ab").end_state == scanner_dfa.run(b"ab")
+    assert session.feed(b"cabcabcabc").end_state == scanner_dfa.run(b"abcabcabcabc")

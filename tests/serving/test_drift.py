@@ -12,6 +12,7 @@ stale plan can never roll back a revise).
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
@@ -189,7 +190,7 @@ def test_cache_never_rolls_back_a_revision():
 # ----------------------------------------------------------------------
 # Pool integration: the ISSUE 9 acceptance scenario
 # ----------------------------------------------------------------------
-def _drift_pool(backend, metrics, cache=None, **drift_kwargs):
+def _drift_pool(backend, metrics, cache=None, fused=False, **drift_kwargs):
     config = GSpecPalConfig(n_threads=32)
     cache = cache or PlanCache(capacity=2, config=config, metrics=metrics)
     kwargs = dict(
@@ -205,6 +206,7 @@ def _drift_pool(backend, metrics, cache=None, **drift_kwargs):
         config=config,
         backend=backend,
         metrics=metrics,
+        fused=fused,
         drift=DriftConfig(**kwargs),
     )
     return pool, cache, config
@@ -262,6 +264,34 @@ def test_drifting_phase_revises_once_and_stays_oracle_exact(backend):
     assert stats2.scheme_switches == 0
     assert stats2.decision_path == ("speculation_floor",)
     assert stats2.end_state == int(dfa.run(seg))
+
+
+def test_fused_gang_sketch_equals_per_segment_counts(monkeypatch):
+    """One bincount over the concatenated gang == the per-segment sum."""
+    dfa = classic.drifting_phase(128)
+    training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
+    pool, _, _ = _drift_pool("fast", MetricsRegistry(), fused=True)
+    seen = []
+    monkeypatch.setattr(
+        pool, "_observe", lambda _canonical, obs: seen.append(obs) or False
+    )
+    sids = [pool.open(dfa, training_input=training) for _ in range(3)]
+    segments = [
+        classic.drifting_phase_input(n, drift_at=0.5, seed=500 + n)
+        for n in (700, 0, 33)
+    ]
+    outcomes = pool.feed_many(list(zip(sids, segments)))
+    assert all(o.ok and o.fused for o in outcomes)
+    (obs,) = seen
+    expected = sum(
+        np.bincount(np.frombuffer(seg, dtype=np.uint8), minlength=dfa.n_symbols)
+        for seg in segments
+    )
+    assert obs.scheme == "fused" and obs.symbols == 733
+    assert obs.symbol_sketch.shape == (dfa.n_symbols,)
+    assert np.array_equal(obs.symbol_sketch, expected)
+    for sid in sids:
+        pool.close(sid)
 
 
 def test_forced_stream_is_exempt_from_swaps():

@@ -428,6 +428,35 @@ def test_out_of_alphabet_bytes_are_invalid_symbol_on_the_wire(config, rng):
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_feed_shorter_than_the_thread_count_answers_the_oracle(config, backend):
+    """A wire ``feed`` of 0 … n_threads − 1 bytes used to answer
+    ``code="internal"`` (the partition refused it); it now answers the
+    sequential oracle, the stream stays usable and no slot leaks."""
+    dfa = classic.divisibility(7)
+    digits = b"31415926535897932384626433832795"
+
+    async def main():
+        server = make_server(config, backend=backend)
+        async with serving(server) as srv:
+            async with await GatewayClient.connect("127.0.0.1", srv.port) as cl:
+                sid = await cl.open(dfa, training=digits * 16)
+                fed = b""
+                for n in (2, 0, 1, config.n_threads - 1, len(digits), 3):
+                    fed += digits[:n]
+                    out = await cl.feed(sid, digits[:n])
+                    assert out["end_state"] == dfa.run(fed), n
+                    assert out["accepts"] == (dfa.run(fed) in dfa.accepting)
+                summary = await cl.close_stream(sid)
+                assert summary["end_state"] == dfa.run(fed)
+                assert summary["total_symbols"] == len(fed)
+                assert summary["segments"] == 6
+        stats = srv.pool.stats()
+        assert (srv.pool.active, stats["reserved"]) == (0, 0)
+
+    asyncio.run(main())
+
+
 def test_every_stats_count_is_a_view_of_the_registry(config, fsms, training):
     """One count, one store: after a mixed run every counter key of the
     three ``stats()`` views equals its entry in the registry export."""
