@@ -12,15 +12,20 @@ Design notes (per the HPC guides).  A batch is processed in two passes:
 
 * the **trajectory pass** is the only python loop over symbol positions,
   and its body holds nothing but the store of the pre-step states into a
-  ``(positions × lanes)`` trace and the transition gather itself; lanes
-  that are inactive, past their ragged length or warp padding are fed
-  symbol 0 (one ``np.where`` per block, outside the loop) and their end
-  states are read back from the trace at the position where they stopped;
+  ``(positions × lanes)`` trace and the transition gather itself — on flat
+  indices, ``flat[s * m + a]`` into ``table.ravel()`` (a view of the
+  executor's own table, no copy) with the block's symbols transposed to
+  int64 once, which numpy gathers faster than the 2-D ``table[s, a]``;
+  lanes that are inactive, past their ragged length or warp padding are
+  fed symbol 0 (one masked multiply per block, outside the loop) and their
+  end states are read back from the trace at the position where they
+  stopped;
 * the **cost pass** derives everything the ledger and the ``executor.*`` /
-  ``memory.*`` counters need — hot/cold placement, per-warp cold counts,
-  memory, fetch and compute charges, transitions, divergence — from that
-  trace with whole-array operations, Ko et al.'s split of a SIMD automaton
-  step into "gather in the loop, bookkeeping on vectors afterwards".
+  ``memory.*`` counters need — hot/cold placement, per-warp cold counts
+  (one ``reduceat`` over warp-sized lane segments), memory, fetch and
+  compute charges, transitions, divergence — from that trace with
+  whole-array operations, Ko et al.'s split of a SIMD automaton step into
+  "gather in the loop, bookkeeping on vectors afterwards".
 
 The two passes alternate over **position blocks** of at most
 :data:`TRACE_BLOCK_ELEMENTS` trace elements, so a 65 536-lane SFA mapping
@@ -222,8 +227,11 @@ class LockstepExecutor:
         steps[:n_threads] = np.where(active_mask, lens, 0)
         max_len = int(steps.max())
         masked = bool((steps != max_len).any())
+        steps32 = steps.astype(np.int32)  # a narrower compare for ``working``
 
-        table = self.table
+        # Flat view of the table: state s on symbol a is flat[s * m + a].
+        flat = self.table.ravel()
+        m = np.int64(n_symbols)
         track_metrics = self.metrics is not None
         cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
         cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
@@ -238,24 +246,34 @@ class LockstepExecutor:
         lane_states = np.zeros(width, dtype=STATE_DTYPE)
         lane_states[:n_threads] = states
         ends = lane_states.copy()  # lanes that never step keep their start
+        warp_starts = np.arange(0, width, ws)
+
+        def per_warp(mask):
+            """``(positions × warps)`` count of set lanes in each warp."""
+            return np.add.reduceat(
+                mask.view(np.int8), warp_starts, axis=1, dtype=np.int64
+            )
+
         block = max(1, TRACE_BLOCK_ELEMENTS // width)
         trace = np.empty((min(block, max_len), width), dtype=STATE_DTYPE)
         for lo in range(0, max_len, block):
             hi = min(lo + block, max_len)
             pre = trace[: hi - lo]  # pre[j]: lane states before position lo + j
             if masked:
-                working = np.arange(lo, hi)[:, None] < steps
-                cols = np.zeros(pre.shape, dtype=chunks.dtype)
-                cols[:, :n_threads] = np.where(
-                    working[:, :n_threads], chunks[:, lo:hi].T, 0
+                working = np.arange(lo, hi, dtype=np.int32)[:, None] < steps32
+                cols = np.zeros(pre.shape, dtype=np.int64)
+                np.multiply(
+                    chunks[:, lo:hi].T, working[:, :n_threads], out=cols[:, :n_threads]
                 )
             else:
-                cols = np.ascontiguousarray(chunks[:, lo:hi].T)
+                cols = np.ascontiguousarray(chunks[:, lo:hi].T, dtype=np.int64)
 
             # --- trajectory pass: store, gather -------------------------
+            # One flat index per lane and step, s * m + a, in int64 (an
+            # intp array the gather takes as is, on any table size).
             for j in range(hi - lo):
                 pre[j] = lane_states
-                lane_states = table[lane_states, cols[j]]
+                lane_states = flat[lane_states * m + cols[j]]
             if masked:
                 stopped = np.flatnonzero((steps >= lo) & (steps < hi))
                 ends[stopped] = pre[steps[stopped] - lo, stopped]
@@ -268,18 +286,14 @@ class LockstepExecutor:
             cold = ~self.memory.hot_mask(pre)
             if masked:
                 cold &= working
-            warp_cold = cold.reshape(hi - lo, n_warps, ws).sum(axis=2)
+            warp_cold = per_warp(cold)
             cold_steps += np.count_nonzero(warp_cold, axis=0)
             cold_lanes += warp_cold.sum(axis=0)
             if track_metrics:
                 # Memory divergence: a warp step mixing hot and cold lanes
                 # serializes transactions — the effect the paper's
                 # transformation shrinks, surfaced here as a counter.
-                warp_working = (
-                    working.reshape(hi - lo, n_warps, ws).sum(axis=2)
-                    if masked
-                    else ws
-                )
+                warp_working = per_warp(working) if masked else ws
                 divergent_warp_steps += int(
                     np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
                 )

@@ -66,6 +66,15 @@ class MemoryModel:
     def __post_init__(self) -> None:
         if self.hot_state_count < 0:
             raise SimulationError("hot_state_count must be non-negative")
+        # HASH with an explicit set: a dense membership table, built once
+        # (``hot_mask`` runs once per executor trace block).  Its last
+        # entry is a False sentinel every id past the largest hot one maps to.
+        lookup = None
+        if self.layout is TableLayout.HASH and self.hot_state_ids:
+            ids = np.fromiter(self.hot_state_ids, dtype=np.int64)
+            lookup = np.zeros(int(ids.max()) + 2, dtype=bool)
+            lookup[ids] = True
+        object.__setattr__(self, "_hot_lookup", lookup)
 
     @classmethod
     def for_dfa(
@@ -94,10 +103,10 @@ class MemoryModel:
         if self.layout is TableLayout.GLOBAL_ONLY or self.hot_state_count == 0:
             return np.zeros(states.shape, dtype=bool)
         if self.layout is TableLayout.HASH and self.hot_state_ids is not None:
-            if len(self.hot_state_ids) == 0:
+            lookup = self._hot_lookup
+            if lookup is None:  # an empty hot set
                 return np.zeros(states.shape, dtype=bool)
-            ids = np.fromiter(self.hot_state_ids, dtype=np.int64)
-            return np.isin(states, ids)
+            return lookup[np.minimum(states, lookup.size - 1)]
         return states < self.hot_state_count
 
     @property

@@ -90,9 +90,7 @@ def _predictor_stats(dfa: DFA, symbols: np.ndarray, n_chunks: int, features) -> 
     """
     partition = partition_input(symbols, n_chunks)
     prediction = predict_start_states(dfa, partition)
-    sizes = np.asarray(
-        [q.states.size for q in prediction.queues[1:]], dtype=np.int64
-    )
+    sizes = prediction.sizes[1:]
     return {
         "predictor": f"lookback-{LOOKBACK}",
         "lookback": int(LOOKBACK),

@@ -311,10 +311,7 @@ class Scheme(abc.ABC):
         The front candidate is *dequeued* so later recovery scheduling
         enumerates genuinely new states.
         """
-        starts = np.asarray(
-            [prediction.queues[i].dequeue() for i in range(partition.n_chunks)],
-            dtype=np.int64,
-        )
+        starts = prediction.dequeue_fronts()
         ends = self.engine.run_batch(
             partition.chunks,
             starts,

@@ -10,17 +10,36 @@ need many candidates tried before one matches.  A side benefit the paper
 measures (Fig. 9): many threads running the *same* chunk fetch the same
 input stream, which reduces divergence and improves locality — modeled here
 by the executor's input-fetch coalescing.
+
+Draining is capacity-aware: a chunk whose ``VR^others`` is full is passed
+without dequeuing, and one chunk takes at most ``others_capacity`` threads a
+round (counted against this round's picks only, not the records it already
+holds).  The round is scheduled as array work over blocks of chunks: each
+chunk in a block wants ``others_capacity`` untried candidates (0 when full),
+one pass finds them
+(:func:`~repro.schemes.recovery_common.untried_candidates`), and the threads
+take the picks in chunk-then-queue order until they run out — the chunk
+where they do keeps only the picks it got, later chunks are not visited.
+As for RR, a round with fewer idle threads than
+:data:`~repro.schemes.recovery_common.ARRAY_SCHEDULE_THREADS` runs the
+per-thread loop instead, with the same assignments and cursors.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.schemes.recovery_common import (
     Assignment,
     FrontierLoopScheme,
     RecoveryPolicy,
     RoundContext,
+    advance_cursors,
+    per_thread_round,
+    rear_assignments,
+    untried_candidates,
 )
 
 
@@ -28,45 +47,73 @@ class NFPolicy(RecoveryPolicy):
     """Rear threads act like SRE; idle threads drain the nearest queues."""
 
     def schedule(self, ctx: RoundContext) -> List[Assignment]:
+        if per_thread_round(ctx):
+            return self._per_thread(ctx)
+        # Rear threads (tid >= f): stay on their own chunk (Alg. 5 ll.26-27).
+        assignments = rear_assignments(ctx)
+
+        # Non-rear threads: nearest-first queue draining (ll.28-34).
+        n = ctx.partition.n_chunks
+        f = ctx.frontier
+        capacity = ctx.vr.others_capacity
+        idle = f  # non-rear threads not yet given a task
+        first = f + 1
+        # Twice the chunks the idle threads fill if none is full or runs
+        # dry; twice as many again for every block that falls short.
+        span = 2 * -(-idle // capacity) if capacity else 0
+        while idle and span and first < n:
+            chunks = np.arange(first, min(n, first + span))
+            span *= 2
+            want = np.where(ctx.vr.others_room(chunks), capacity, 0)
+            owner, states, positions = untried_candidates(ctx, chunks, want)
+            picks = np.bincount(owner, minlength=chunks.size)
+            taken = np.cumsum(picks)
+            if taken[-1] >= idle:
+                # The threads run out inside chunk ``last``: it keeps the
+                # picks they took, the chunks after it are not visited.
+                last = int(np.searchsorted(taken, idle))
+                chunks, want = chunks[: last + 1], want[: last + 1]
+                want[last] = idle - (taken[last] - picks[last])
+                owner, states, positions = owner[:idle], states[:idle], positions[:idle]
+            advance_cursors(ctx.prediction, chunks, want, owner, positions)
+            threads = f - idle + np.arange(owner.size)
+            assignments.extend(
+                zip(threads.tolist(), chunks[owner].tolist(), states.tolist())
+            )
+            idle -= owner.size
+            first = int(chunks[-1]) + 1
+        return assignments
+
+    @staticmethod
+    def _per_thread(ctx: RoundContext) -> List[Assignment]:
+        """The same round, one thread, ``dequeue`` and ``lookup`` at a time."""
         assignments: List[Assignment] = []
         n = ctx.partition.n_chunks
         f = ctx.frontier
-
-        # Rear threads (tid >= f): stay on their own chunk (Alg. 5 ll.26-27).
         for t in range(f, n):
             if ctx.found[t]:
                 continue
             if t == f or ctx.stable[t]:
                 assignments.append((t, t, int(ctx.end_p[t])))
-
-        # Non-rear threads: nearest-first queue draining (ll.28-34).
         if f >= n - 1:
             return assignments
         cid = f + 1
-        pending = {cid: 0}  # records scheduled this round but not yet stored
+        scheduled = 0  # records scheduled on ``cid`` this round
         for t in range(f):
             st = None
             while cid < n:
-                queue = ctx.prediction.queues[cid]
-                scheduled = pending.get(cid, 0)
-                # Capacity-aware draining: once a chunk's VR^others slots
-                # (plus this round's pending writes) are spoken for, move on
-                # — enumerating past capacity would drop the result.
-                room = (
-                    not ctx.vr.others_full(cid)
-                    and scheduled < ctx.vr.others_capacity
-                )
-                if room:
+                queue = ctx.prediction.queue(cid)
+                if not ctx.vr.others_full(cid) and scheduled < ctx.vr.others_capacity:
                     while queue.size > 0:
                         candidate = queue.dequeue()
                         if ctx.vr.lookup(cid, candidate) is None:
                             st = candidate
                             break
                 if st is not None:
-                    pending[cid] = scheduled + 1
+                    scheduled += 1
                     break
                 cid += 1  # drained or full; move to the next chunk
-                pending.setdefault(cid, 0)
+                scheduled = 0
             if st is None:
                 break  # every rear queue is exhausted: remaining threads idle
             assignments.append((t, cid, int(st)))

@@ -41,7 +41,7 @@ from repro.gpu.kernel import KernelPhase
 from repro.gpu.stats import KernelStats
 from repro.schemes.base import Scheme, SchemeResult
 from repro.speculation.chunks import Partition
-from repro.speculation.predictor import Prediction
+from repro.speculation.predictor import Prediction, segment_positions
 from repro.speculation.records import VRStore
 
 
@@ -60,6 +60,81 @@ class RoundContext:
 
 #: A scheduled recovery task: (thread, chunk, start_state).
 Assignment = Tuple[int, int, int]
+
+
+#: RR/NF schedule a round with fewer idle (non-rear) threads than this one
+#: thread at a time — a few ``dequeue``/``lookup`` calls cost less than the
+#: ~40 array operations of a whole-round schedule (always so at 8 chunks).
+ARRAY_SCHEDULE_THREADS = 8
+
+
+def per_thread_round(ctx: RoundContext) -> bool:
+    """Whether RR/NF schedule this round one thread at a time."""
+    return ctx.frontier < ARRAY_SCHEDULE_THREADS
+
+
+def rear_assignments(ctx: RoundContext) -> List[Assignment]:
+    """The rear threads' tasks (Alg. 3 ll.19-21, Alg. 4-5 alike): a thread
+    at or after the frontier whose scan found no record re-runs its own
+    chunk from its forwarded state — the frontier thread always (the
+    must-be-done recovery), the others when that state is stable."""
+    f = ctx.frontier
+    rear = ctx.stable[f:] & ~ctx.found[f:]
+    if rear.size:
+        rear[0] = not ctx.found[f]
+    threads = np.flatnonzero(rear) + f
+    owned = threads.tolist()
+    return list(zip(owned, owned, ctx.end_p[threads].tolist()))
+
+
+def untried_candidates(
+    ctx: RoundContext, chunks: np.ndarray, want: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``want[j]`` dequeue-until-untried calls on chunk ``chunks[j]``'s
+    queue would return, for distinct ``chunks``, without dequeuing: the
+    first ``want[j]`` candidates past the cursor that ``ctx.vr`` holds no
+    record for (fewer when the queue runs dry).
+
+    Returns ``(owner, states, positions)`` in chunk-then-queue order:
+    ``owner`` indexes ``chunks`` and ``positions`` are indices into
+    ``ctx.prediction.states``.  A queue's candidates are distinct and a
+    chunk holds at most ``vr.count(c)`` records, so the picks sit among its
+    next ``want + count`` candidates — only those are compared.
+    """
+    prediction = ctx.prediction
+    lo = prediction.bounds[chunks] + prediction.cursors[chunks]
+    remaining = prediction.bounds[chunks + 1] - lo
+    sizes = np.minimum(remaining, want + ctx.vr.counts[chunks])
+    positions, owner = segment_positions(lo, sizes)
+    states = prediction.states[positions]
+    fresh = ~ctx.vr.holds(chunks[owner], states)
+    # Rank of each untried candidate within its chunk.
+    seen = np.cumsum(fresh)
+    before = np.concatenate(([0], seen))[np.cumsum(sizes) - sizes]
+    pick = fresh & (seen - before[owner] <= want[owner])
+    return owner[pick], states[pick], positions[pick]
+
+
+def advance_cursors(
+    prediction: Prediction,
+    chunks: np.ndarray,
+    want: np.ndarray,
+    owner: np.ndarray,
+    positions: np.ndarray,
+) -> None:
+    """Leave each ``chunks[j]``'s cursor where ``want[j]`` dequeue-until-
+    untried calls leave it, given the picks they made (``owner`` /
+    ``positions`` as :func:`untried_candidates` returns them): just past
+    the last pick when all ``want[j]`` were found, at the queue's end when
+    it ran dry, untouched when ``want[j]`` is 0."""
+    taken = np.bincount(owner, minlength=chunks.size)
+    cursors = prediction.bounds[chunks + 1] - prediction.bounds[chunks]
+    satisfied = np.flatnonzero((taken == want) & (want > 0))
+    last = np.cumsum(taken)[satisfied] - 1
+    cursors[satisfied] = positions[last] + 1 - prediction.bounds[chunks[satisfied]]
+    idle = want == 0
+    cursors[idle] = prediction.cursors[chunks[idle]]
+    prediction.cursors[chunks] = cursors
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,35 @@ verified, so they would otherwise idle) are spread over the unverified chunks
 from that chunk's speculation queue ``QS_cid`` and executing a speculative
 recovery from it.  The paper's bound — at most ``1 + ceil((f-1)/(N-f))``
 threads per chunk — falls out of the modular assignment.
+
+The round is scheduled as array work rather than thread by thread: thread
+``t`` serves chunk offset ``t mod R`` (``R = N-1-f``) as that chunk's
+``t div R``-th visitor, so chunk ``c`` wants as many untried candidates as
+it has visitors — none when its ``VR^others`` is full, since a thread skips
+such a chunk without dequeuing.  One pass over every visited chunk's queue
+(:func:`~repro.schemes.recovery_common.untried_candidates`) finds them and
+leaves each cursor where the per-thread dequeue loop would.  A round with
+fewer idle threads than
+:data:`~repro.schemes.recovery_common.ARRAY_SCHEDULE_THREADS` (every round
+at 8 chunks) runs that loop instead: it is the cheaper of the two there,
+and both give the same assignments and cursors.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.schemes.recovery_common import (
     Assignment,
     FrontierLoopScheme,
     RecoveryPolicy,
     RoundContext,
+    advance_cursors,
+    per_thread_round,
+    rear_assignments,
+    untried_candidates,
 )
 
 
@@ -27,36 +45,65 @@ class RRPolicy(RecoveryPolicy):
     """Rear threads act like SRE; idle threads round-robin over rear chunks."""
 
     def schedule(self, ctx: RoundContext) -> List[Assignment]:
+        if per_thread_round(ctx):
+            return self._per_thread(ctx)
+        # Rear threads (tid >= f): stay on their own chunk (Alg. 4 ll.19-21).
+        assignments = rear_assignments(ctx)
+
+        # Non-rear threads: round-robin over chunks f+1 .. n-1 (ll.22-25).
+        f = ctx.frontier
+        n_rear_chunks = ctx.partition.n_chunks - 1 - f
+        if n_rear_chunks <= 0 or f == 0:
+            return assignments
+        visited = min(n_rear_chunks, f)
+        offset = np.arange(visited)
+        chunks = f + 1 + offset
+        visitors = f // n_rear_chunks + (offset < f % n_rear_chunks)
+        # No register slot left for a foreign record: the visitors idle.
+        want = np.where(ctx.vr.others_room(chunks), visitors, 0)
+        owner, states, positions = untried_candidates(ctx, chunks, want)
+        advance_cursors(ctx.prediction, chunks, want, owner, positions)
+        # A chunk's j-th untried candidate goes to its j-th visitor.
+        taken = np.bincount(owner, minlength=visited)
+        rank = np.arange(owner.size) - (np.cumsum(taken) - taken)[owner]
+        threads = owner + rank * n_rear_chunks
+        order = np.argsort(threads)
+        assignments.extend(
+            zip(
+                threads[order].tolist(),
+                chunks[owner[order]].tolist(),
+                states[order].tolist(),
+            )
+        )
+        return assignments
+
+    @staticmethod
+    def _per_thread(ctx: RoundContext) -> List[Assignment]:
+        """The same round, one thread, ``dequeue`` and ``lookup`` at a time."""
         assignments: List[Assignment] = []
         n = ctx.partition.n_chunks
         f = ctx.frontier
-
-        # Rear threads (tid >= f): stay on their own chunk (Alg. 4 ll.19-21).
         for t in range(f, n):
             if ctx.found[t]:
                 continue
             if t == f or ctx.stable[t]:
                 assignments.append((t, t, int(ctx.end_p[t])))
-
-        # Non-rear threads: round-robin over chunks f+1 .. n-1 (ll.22-25).
         n_rear_chunks = n - 1 - f
         if n_rear_chunks <= 0:
             return assignments
         for t in range(f):
             cid = (f + 1) + (t % n_rear_chunks)
-            queue = ctx.prediction.queues[cid]
+            queue = ctx.prediction.queue(cid)
             if ctx.vr.others_full(cid):
-                continue  # no register slot left for a foreign record
-            # Skip candidates already executed on this chunk.
+                continue
             st = None
             while queue.size > 0:
                 candidate = queue.dequeue()
                 if ctx.vr.lookup(cid, candidate) is None:
                     st = candidate
                     break
-            if st is None:
-                continue  # queue exhausted: the thread idles this round
-            assignments.append((t, cid, int(st)))
+            if st is not None:
+                assignments.append((t, cid, int(st)))
         return assignments
 
 

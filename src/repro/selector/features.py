@@ -191,10 +191,13 @@ def profile_features(
             f"training input too short: {symbols.size} symbols for {n_chunks} chunks"
         )
     t0 = time.perf_counter()
+    # One sequential walk of the slice gives every true start state below:
+    # path[i] is the state after the first i symbols.
+    path = dfa.run_path(symbols)
 
     partition = partition_input(symbols, n_chunks)
     prediction = predict_start_states(dfa, partition)
-    truth = true_start_states(dfa, partition)
+    truth = path[partition.offsets]
     acc1 = prediction.accuracy_against(truth, k=1)
     acc4 = prediction.accuracy_against(truth, k=4)
     acc16 = prediction.accuracy_against(truth, k=16)
@@ -204,13 +207,13 @@ def profile_features(
     portion_accs = []
     chunks_per_portion = max(8, n_chunks // n_portions)
     for p in range(n_portions):
-        piece = symbols[p * portion_len : (p + 1) * portion_len]
+        lo = p * portion_len
+        piece = symbols[lo : lo + portion_len]
         if piece.size < chunks_per_portion:
             continue
         part = partition_input(piece, chunks_per_portion)
-        pred = predict_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
-        tru = true_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
-        portion_accs.append(pred.accuracy_against(tru, k=1))
+        pred = predict_start_states(dfa, part, start_state=int(path[lo]))
+        portion_accs.append(pred.accuracy_against(path[lo + part.offsets], k=1))
     sensitivity = float(np.std(portion_accs)) if len(portion_accs) > 1 else 0.0
 
     conv = convergence_profile(

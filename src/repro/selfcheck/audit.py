@@ -143,11 +143,8 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
     # --- speculation queues never dequeued past exhaustion ------------
     prediction = stash.get("prediction")
     if prediction is not None:
-        bad = [
-            i
-            for i, q in enumerate(prediction.queues)
-            if not (0 <= q._cursor <= q.states.size)
-        ]
+        cursors = prediction.cursors
+        bad = np.flatnonzero((cursors < 0) | (cursors > prediction.sizes)).tolist()
         if bad:
             _fail(
                 scheme,

@@ -9,16 +9,31 @@ the speculation queue ``QS_i`` — most likely state first.
 The queues drive every scheme: spec-1 takes ``QS_i.front()``, PM's spec-k
 takes the top-k, and the RR/NF heuristics dequeue further candidates when
 scheduling speculative recoveries.
+
+How the replay is computed.  A run from all ``n_states`` states collapses
+within a symbol or two onto a small state *set* (Sin'ya & Matsuzaki's
+simultaneous automata rest on the same fact), so the replay carries that
+set with multiplicities instead of one lane per start state: the first
+window symbol is a table column, counted once per distinct first symbol
+with one ``bincount``; every further symbol gathers only the support, and
+duplicate ``(window, state)`` pairs merge with summed weights.  The weights
+are exactly the per-lane appearance counts, so the ranking — count
+descending, then the ``tie_break`` key, then the state id — is the one a
+lane-per-state replay produces.  Each *distinct* window is replayed once
+and boundaries with equal windows share its ranked segment.
+
+The queues of all chunks live in one CSR layout (:class:`Prediction`), so
+the recovery schedulers can read and advance every queue's cursor with
+array operations; :class:`SpeculationQueue` is a view of one chunk's slice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.automata.dfa import DFA, STATE_DTYPE
+from repro.automata.dfa import DFA
 from repro.gpu.device import DeviceSpec
 from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import Partition
@@ -27,12 +42,17 @@ from repro.errors import SchemeError
 #: The paper's lookback window (symbols of the predecessor chunk replayed).
 LOOKBACK = 2
 
-#: Most ``windows × n_states`` replay lanes processed at once; bounds the
-#: predictor's working memory on large automata / wide partitions.
-REPLAY_BLOCK_ELEMENTS = 1 << 16
+#: Most ``n_states × first symbols`` column elements counted in one
+#: ``bincount``; bounds the replay's working memory on large automata.
+REPLAY_BLOCK_ELEMENTS = 1 << 18
+
+#: Up to this many ``boundaries × n_states`` replay lanes a window group is
+#: replayed one lane per start state and boundary (fewer numpy calls win on
+#: small automata and few chunks); above it, each distinct window once, as
+#: a state set with multiplicities.  Both produce identical queues.
+PER_LANE_REPLAY = 1 << 12
 
 
-@dataclass
 class SpeculationQueue:
     """Ranked candidate start states for one chunk (``QS_i`` in Table I).
 
@@ -40,17 +60,36 @@ class SpeculationQueue:
     counts from the all-state replay.  ``dequeue`` pops the front — the
     concurrent-queue semantics the heuristics rely on (our simulator is
     single-threaded, so a plain cursor suffices for thread-safety).
+
+    Inside a :class:`Prediction` a queue is a view: ``states``/``weights``
+    are slices of the prediction's ranked arrays and the cursor is one slot
+    of its ``cursors`` array.  A queue built on its own owns both.
     """
 
-    states: np.ndarray
-    weights: np.ndarray
-    _cursor: int = 0
+    __slots__ = ("states", "weights", "_cursors", "_slot")
 
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.int64)
+    def __init__(self, states, weights):
+        self.states = np.asarray(states, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=np.int64)
         if self.states.shape != self.weights.shape:
             raise SchemeError("queue states/weights must align")
+        self._cursors = np.zeros(1, dtype=np.int64)
+        self._slot = 0
+
+    def _bind(self, prediction: "Prediction", slot: int, lo: int, hi: int) -> None:
+        self.states = prediction.states[lo:hi]
+        self.weights = prediction.weights[lo:hi]
+        self._cursors = prediction.cursors
+        self._slot = slot
+
+    @property
+    def _cursor(self) -> int:
+        """How many candidates have been dequeued."""
+        return int(self._cursors[self._slot])
+
+    @_cursor.setter
+    def _cursor(self, value: int) -> None:
+        self._cursors[self._slot] = value
 
     @property
     def size(self) -> int:
@@ -66,7 +105,7 @@ class SpeculationQueue:
     def dequeue(self) -> int:
         """Pop and return the front candidate."""
         state = self.front()
-        self._cursor += 1
+        self._cursors[self._slot] += 1
         return state
 
     def top_k(self, k: int) -> np.ndarray:
@@ -84,27 +123,99 @@ class SpeculationQueue:
         self._cursor = 0
 
 
-@dataclass
 class Prediction:
-    """Output of the predictor: one queue per chunk.
+    """Output of the predictor: one ranked queue per chunk.
 
+    The queues are one CSR array: chunk ``i``'s candidates are
+    ``states[bounds[i]:bounds[i + 1]]`` (``weights`` alike), most likely
+    first, and ``cursors[i]`` says how many of them have been dequeued.
+    ``queues[i]`` is a :class:`SpeculationQueue` view of that slice;
     ``queues[0]`` is the degenerate queue containing only the real start
     state (chunk 0 never speculates).
+
+    ``Prediction(queues)`` packs separately built queues and rebinds each
+    as a view; the lookback predictor builds the arrays directly
+    (:meth:`from_arrays`) and materialises views only when asked.
     """
 
-    queues: List[SpeculationQueue]
+    def __init__(self, queues: Sequence[SpeculationQueue]):
+        queues = list(queues)
+        sizes = [q.states.size for q in queues]
+        bounds = np.zeros(len(queues) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        self._set_arrays(
+            _concat([q.states for q in queues]),
+            _concat([q.weights for q in queues]),
+            bounds,
+            np.asarray([q._cursor for q in queues], dtype=np.int64),
+        )
+        edges = bounds.tolist()
+        for i, q in enumerate(queues):
+            q._bind(self, i, edges[i], edges[i + 1])
+        self._queues = queues
+
+    @classmethod
+    def from_arrays(
+        cls, states: np.ndarray, weights: np.ndarray, bounds: np.ndarray
+    ) -> "Prediction":
+        """A prediction over ready CSR arrays, every cursor at 0."""
+        self = cls.__new__(cls)
+        self._set_arrays(
+            states, weights, bounds, np.zeros(bounds.size - 1, dtype=np.int64)
+        )
+        self._queues = None
+        return self
+
+    def _set_arrays(self, states, weights, bounds, cursors) -> None:
+        self.states = np.asarray(states, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=np.int64)
+        self.bounds = bounds
+        self.cursors = cursors
+
+    @property
+    def queues(self) -> List[SpeculationQueue]:
+        if self._queues is None:
+            edges = self.bounds.tolist()
+            self._queues = [
+                self._view(i, edges[i], edges[i + 1]) for i in range(len(edges) - 1)
+            ]
+        return self._queues
+
+    def queue(self, i: int) -> SpeculationQueue:
+        """``queues[i]``, without building the other chunks' views."""
+        if self._queues is not None:
+            return self._queues[i]
+        return self._view(i, int(self.bounds[i]), int(self.bounds[i + 1]))
+
+    def _view(self, i: int, lo: int, hi: int) -> SpeculationQueue:
+        q = SpeculationQueue.__new__(SpeculationQueue)
+        q._bind(self, i, lo, hi)
+        return q
 
     @property
     def n_chunks(self) -> int:
-        return len(self.queues)
+        return int(self.bounds.size - 1)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """``(n_chunks,)`` queue lengths, dequeued candidates included."""
+        return np.diff(self.bounds)
 
     def front_states(self) -> np.ndarray:
-        """spec-1 start state for every chunk."""
-        return np.asarray([q.front() for q in self.queues], dtype=np.int64)
+        """spec-1 start state for every chunk (raises when a queue is
+        exhausted)."""
+        if (self.cursors >= self.sizes).any():
+            raise SchemeError("speculation queue exhausted")
+        return self.states[self.bounds[:-1] + self.cursors]
+
+    def dequeue_fronts(self) -> np.ndarray:
+        """Pop every chunk's front candidate; returns them (spec-1 starts)."""
+        fronts = self.front_states()
+        self.cursors += 1
+        return fronts
 
     def reset(self) -> None:
-        for q in self.queues:
-            q.reset()
+        self.cursors[:] = 0
 
     def accuracy_against(self, true_starts: np.ndarray, k: int = 1) -> float:
         """Fraction of speculated chunks whose true start is in the top-k.
@@ -113,15 +224,31 @@ class Prediction:
         ``accuracy(spec-k)`` definition in Table II.
         """
         true_starts = np.asarray(true_starts)
-        if len(self.queues) != true_starts.size:
+        n = self.n_chunks
+        if n != true_starts.size:
             raise SchemeError("true_starts must have one entry per chunk")
-        if len(self.queues) <= 1:
+        if n <= 1:
             return 1.0
-        hits = 0
-        for i in range(1, len(self.queues)):
-            if true_starts[i] in self.queues[i].top_k(k):
-                hits += 1
-        return hits / (len(self.queues) - 1)
+        sizes = self.sizes
+        owner = np.repeat(np.arange(n), sizes)
+        rank = np.arange(self.states.size) - self.bounds[owner]
+        hit = (rank < k) & (self.states == true_starts[owner])
+        hits = np.count_nonzero(np.bincount(owner[hit], minlength=n)[1:])
+        return hits / (n - 1)
+
+
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
+
+
+def segment_positions(
+    lo: np.ndarray, sizes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the segments ``[lo[j], lo[j] + sizes[j])`` laid end
+    to end, and the segment each position belongs to."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(owner.size) + (lo - starts)[owner], owner
 
 
 def predict_start_states(
@@ -159,94 +286,169 @@ def predict_start_states(
     """
     if start_state is None:
         start_state = dfa.start
-    queues: List[Optional[SpeculationQueue]] = [None] * partition.n_chunks
-    queues[0] = SpeculationQueue(
-        states=np.asarray([start_state]),
-        weights=np.asarray([dfa.n_states]),
-    )
-    # The window of boundary i is the tail of chunk i-1: ``lookback``
-    # symbols, fewer only when that chunk is shorter.  Boundaries are
-    # grouped by window length (one group unless some chunk is that short);
-    # within a group each *distinct* window is replayed and ranked once and
-    # boundaries with equal windows share the ranked arrays.
+    n = partition.n_chunks
+    # Chunk 0's queue is the real start state; boundary i's comes from the
+    # replay of its window, the tail of chunk i-1: ``lookback`` symbols,
+    # fewer only when that chunk is shorter.  Boundaries are grouped by
+    # window length (one group unless some chunk is that short).
     tails = np.minimum(np.asarray(partition.lengths[:-1], dtype=np.int64), lookback)
+    groups = []
     for width in sorted(set(tails.tolist())):
         boundaries = np.flatnonzero(tails == width) + 1
         rows = boundaries - 1
         cols = (partition.lengths[rows] - width)[:, None] + np.arange(width)
-        windows = [tuple(w) for w in partition.chunks[rows[:, None], cols].tolist()]
-        # Sorted, so windows opening with the same symbol sit together.
-        distinct = sorted(set(windows))
-        ranked = dict(
-            zip(
-                distinct,
-                _rank_windows(
-                    dfa.table,
-                    np.array(distinct, dtype=np.int64).reshape(len(distinct), width),
-                    tie_break,
-                ),
-            )
-        )
-        for i, window in zip(boundaries.tolist(), windows):
-            states, weights = ranked[window]
-            queues[i] = SpeculationQueue(states=states, weights=weights)
+        windows = partition.chunks[rows[:, None], cols]
+        groups.append((boundaries, _rank_boundaries(dfa.table, windows, tie_break)))
+
+    if len(groups) == 1:  # every window has the full lookback
+        _, (g_states, g_weights, g_bounds) = groups[0]
+        states = np.concatenate(([start_state], g_states))
+        weights = np.concatenate(([dfa.n_states], g_weights))
+        bounds = np.concatenate(([0], g_bounds + 1))
+    else:
+        sizes = np.ones(n, dtype=np.int64)
+        for boundaries, (_, _, g_bounds) in groups:
+            sizes[boundaries] = np.diff(g_bounds)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        states = np.empty(int(bounds[-1]), dtype=np.int64)
+        weights = np.empty_like(states)
+        states[0], weights[0] = start_state, dfa.n_states
+        for boundaries, (g_states, g_weights, _) in groups:
+            dst, _ = segment_positions(bounds[boundaries], sizes[boundaries])
+            states[dst] = g_states
+            weights[dst] = g_weights
 
     if stats is not None:
         dev = device if device is not None else stats.device
-        lanes = dfa.n_states * max(0, partition.n_chunks - 1)
+        lanes = dfa.n_states * max(0, n - 1)
         total_lanes = dev.n_sms * dev.cores_per_sm
         rounds = -(-lanes // total_lanes) if lanes else 0
         # Each replay step is a (mostly-hot) table lookup; charge shared
         # latency — the prediction cost is the constant C of Eq. 1.
         cost = rounds * lookback * (dev.shared_cycles + dev.transition_compute_cycles)
         stats.charge("predict", float(cost))
-    return Prediction(queues=queues)
+    return Prediction.from_arrays(states, weights, bounds)
 
 
-def _rank_windows(table: np.ndarray, windows: np.ndarray, tie_break) -> list:
-    """All-state replay of every row of ``windows``; per row the ranked
-    ``(states, weights)`` of its end-state set.
+def _rank_boundaries(
+    table: np.ndarray, windows: np.ndarray, tie_break
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranked CSR ``(states, weights, bounds)`` with one segment per row of
+    ``windows`` (per boundary).  A small replay runs one lane per start
+    state and boundary; a large one replays each distinct window once as a
+    state set and hands its segment to every boundary with that window."""
+    if windows.shape[0] * table.shape[0] <= PER_LANE_REPLAY:
+        return _rank_windows_per_lane(table, windows, tie_break)
+    distinct, which = _distinct_rows(windows)
+    states, weights, bounds = _rank_windows(table, distinct, tie_break)
+    sizes = np.diff(bounds)[which]
+    src, _ = segment_positions(bounds[which], sizes)
+    out = np.zeros(which.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return states[src], weights[src], out
 
-    One ``(windows × n_states)`` gather per window symbol replays a whole
-    block of windows; the end states are counted with one ``bincount`` over
-    ``(window, state)`` keys and ordered with one ``lexsort`` — most frequent
-    first, ties broken by the (translated) state id for determinism and
-    layout invariance.  Blocks hold at most :data:`REPLAY_BLOCK_ELEMENTS`
-    lanes, so memory does not grow with ``n_chunks × n_states``.
+
+def _distinct_rows(windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``windows`` and, per row, its distinct index."""
+    n_rows, width = windows.shape
+    if width == 0:
+        return windows[:1], np.zeros(n_rows, dtype=np.int64)
+    order = np.lexsort(windows.T[::-1])
+    ordered = windows[order]
+    new = np.ones(n_rows, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    which = np.empty(n_rows, dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    return ordered[new], which
+
+
+def _rank_windows(
+    table: np.ndarray, windows: np.ndarray, tie_break
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-state replay of every row of ``windows``, as ranked CSR arrays
+    ``(states, weights, bounds)``: row ``r``'s end-state set is
+    ``states[bounds[r]:bounds[r + 1]]``, most frequent first.
+
+    The replay carries ``(row, state, weight)`` triples — the states a row's
+    all-state run currently occupies and how many start states sit on each
+    — rather than ``n_states`` lanes a row; see the module docstring.
     """
-    n_windows, width = windows.shape
+    n_rows, width = windows.shape
     n_states = table.shape[0]
-    block = max(1, REPLAY_BLOCK_ELEMENTS // n_states)
-    ranked = []
-    for lo in range(0, n_windows, block):
-        symbols = windows[lo : lo + block]
-        n_rows = symbols.shape[0]
-        if width == 0:
-            ends = np.broadcast_to(
-                np.arange(n_states, dtype=STATE_DTYPE), (n_rows, n_states)
+    if width == 0:
+        row = np.repeat(np.arange(n_rows, dtype=np.int64), n_states)
+        states = np.tile(np.arange(n_states, dtype=np.int64), n_rows)
+        weights = np.ones(row.size, dtype=np.int64)
+    else:
+        # First symbol: the image of all states is a table column; count
+        # each distinct symbol's column once (a strided read of the table),
+        # a block of columns per bincount.
+        first, which = np.unique(windows[:, 0], return_inverse=True)
+        block = max(1, REPLAY_BLOCK_ELEMENTS // n_states)
+        supports, multiplicities = [], []
+        for lo in range(0, first.size, block):
+            columns = first[lo : lo + block]
+            offsets = np.arange(0, columns.size * n_states, n_states)
+            counts = np.bincount(
+                (np.take(table, columns, axis=1) + offsets).ravel(),
+                minlength=columns.size * n_states,
             )
-        else:
-            # First symbol from every state is a table column: fetch each
-            # distinct symbol's column once (a strided read of the table)
-            # and hand it to its windows, instead of gathering it per lane.
-            first, which = np.unique(symbols[:, 0], return_inverse=True)
-            ends = table[:, first].T[which]
+            support = np.flatnonzero(counts > 0)
+            supports.append(support + lo * n_states)
+            multiplicities.append(counts[support])
+        support = np.concatenate(supports)
+        symbol, column_states = np.divmod(support, n_states)
+        edges = np.searchsorted(symbol, np.arange(first.size + 1))
+        src, row = segment_positions(edges[which], np.diff(edges)[which])
+        states = column_states[src]
+        weights = np.concatenate(multiplicities)[src]
         for k in range(1, width):
-            ends = table[ends, symbols[:, k, None]]
-        keys = ends + (np.arange(n_rows, dtype=np.int64) * n_states)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=n_rows * n_states)
-        reached = np.flatnonzero(counts)
-        row, states = np.divmod(reached, n_states)
-        weights = counts[reached]
-        tie_keys = tie_break(states) if tie_break is not None else states
-        order = np.lexsort((tie_keys, -weights, row))
-        states, weights = states[order], weights[order]
-        # ``row`` is already sorted and lexsort keeps it so: slice per row.
-        bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
-        ranked.extend(
-            (states[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-        )
-    return ranked
+            states = table[states, windows[row, k]]
+            # Merge the start states that met on one state.
+            keys = row * n_states + states
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            head = np.ones(keys.size, dtype=bool)
+            head[1:] = keys[1:] != keys[:-1]
+            heads = np.flatnonzero(head)
+            weights = np.add.reduceat(weights[order], heads)
+            row, states = np.divmod(keys[heads], n_states)
+    return _ranked(row, states, weights, n_rows, tie_break)
+
+
+def _rank_windows_per_lane(
+    table: np.ndarray, windows: np.ndarray, tie_break
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_rank_windows` with one lane per ``(row, start state)``: one
+    ``(rows × n_states)`` gather per window symbol, counted with one
+    ``bincount``.  Fewer numpy calls than the support replay, so it is the
+    faster one while the whole replay is small (:data:`PER_LANE_REPLAY`)."""
+    n_rows, width = windows.shape
+    n_states = table.shape[0]
+    if width == 0:
+        ends = np.broadcast_to(np.arange(n_states), (n_rows, n_states))
+    else:
+        first, which = np.unique(windows[:, 0], return_inverse=True)
+        ends = table[:, first].T[which]
+    for k in range(1, width):
+        ends = table[ends, windows[:, k, None]]
+    keys = ends + (np.arange(n_rows, dtype=np.int64) * n_states)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=n_rows * n_states)
+    reached = np.flatnonzero(counts)
+    row, states = np.divmod(reached, n_states)
+    return _ranked(row, states, counts[reached], n_rows, tie_break)
+
+
+def _ranked(row, states, weights, n_rows: int, tie_break):
+    """CSR ``(states, weights, bounds)`` of ``(row, state, weight)`` triples
+    given in ``(row, state)`` order: per row count descending, then the
+    ``tie_break`` key, then the state id."""
+    tie_keys = tie_break(states) if tie_break is not None else states
+    order = np.lexsort((tie_keys, -weights, row))
+    bounds = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=bounds[1:])
+    return states[order], weights[order], bounds
 
 
 def true_start_states(dfa: DFA, partition: Partition, start_state: Optional[int] = None) -> np.ndarray:

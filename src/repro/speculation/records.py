@@ -24,7 +24,9 @@ no state id equals, so the whole-store verification scan of one frontier
 round (:meth:`VRStore.scan`) is a single broadcast compare with no validity
 mask.  Everything else — :meth:`~VRStore.records`, :meth:`~VRStore.lookup`,
 :meth:`~VRStore.count`, :meth:`~VRStore.others_full`,
-:meth:`~VRStore.starts_tried` — reads the same arrays.
+:meth:`~VRStore.starts_tried`, and their whole-round forms
+:meth:`~VRStore.holds` / :meth:`~VRStore.others_room` the recovery
+schedulers use — reads the same arrays.
 """
 
 from __future__ import annotations
@@ -205,6 +207,15 @@ class VRStore:
         except ValueError:
             return None
         return int(self._end[chunk, slot])
+
+    def holds(self, chunks: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Vectorized ``lookup(chunks[i], starts[i]) is not None``: whether
+        each chunk already holds a record started from that state."""
+        return (self._start[chunks] == np.asarray(starts)[:, None]).any(axis=1)
+
+    def others_room(self, chunks: np.ndarray) -> np.ndarray:
+        """Vectorized ``not others_full(chunk)`` over ``chunks``."""
+        return self._n_others[chunks] < self.others_capacity
 
     def scan(self, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """One verification round: every chunk scans its records for the

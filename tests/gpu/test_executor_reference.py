@@ -257,3 +257,33 @@ def test_wide_batch_spanning_several_position_blocks(layout):
     )
     # ... and the rectangular, all-active form of the same batch.
     _assert_same(RTX3090, table, memory, chunks, starts, True)
+
+
+@pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("layout", list(TableLayout))
+def test_suite_sized_table(layout, symbol_dtype):
+    """The flat-index gather on a 6 144 × 256 table (the largest PowerEN
+    member's shape): 256 lanes over two position blocks, the last ragged,
+    with uint8 and int64 symbols up to 255."""
+    rng = np.random.default_rng(11)
+    n_states, n_symbols, n_threads, chunk_len = 6144, 256, 256, 300
+    table = rng.integers(0, n_states, size=(n_states, n_symbols)).astype(np.int32)
+    chunks = rng.integers(0, n_symbols, size=(n_threads, chunk_len)).astype(
+        symbol_dtype
+    )
+    chunks[:, -1] = n_symbols - 1
+    starts = rng.integers(0, n_states, size=n_threads)
+    memory = _memory(RTX3090, layout, n_states, 700, rng)
+    _assert_same(
+        RTX3090,
+        table,
+        memory,
+        chunks,
+        starts,
+        True,
+        lengths=rng.integers(0, chunk_len + 1, size=n_threads),
+        active=rng.random(n_threads) < 0.7,
+        chunk_ids=rng.integers(0, n_threads // 4, size=n_threads),
+        count_redundant=rng.random(n_threads) < 0.3,
+    )
+    _assert_same(RTX3090, table, memory, chunks, starts, True)

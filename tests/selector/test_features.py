@@ -66,3 +66,51 @@ def test_as_dict_roundtrip(counter_dfa, rng):
 def test_input_sensitive_flag(counter_dfa, rng):
     f = profile_features(counter_dfa, make_stream(rng, 2000), n_chunks=16)
     assert f.input_sensitive == (f.sensitivity > 0.15)
+
+
+def _accuracies_reference(dfa, symbols, n_chunks, n_portions=4):
+    """The accuracy and sensitivity half of ``profile_features`` as it was:
+    a scalar ``DFA.run`` walk for the slice's truth, and per portion two
+    walks to its start plus one more for its truth."""
+    from repro.speculation.chunks import partition_input
+    from repro.speculation.predictor import predict_start_states, true_start_states
+
+    partition = partition_input(symbols, n_chunks)
+    prediction = predict_start_states(dfa, partition)
+    truth = true_start_states(dfa, partition)
+    accs = [prediction.accuracy_against(truth, k=k) for k in (1, 4, 16)]
+    portion_len = symbols.size // n_portions
+    portion_accs = []
+    chunks_per_portion = max(8, n_chunks // n_portions)
+    for p in range(n_portions):
+        piece = symbols[p * portion_len : (p + 1) * portion_len]
+        if piece.size < chunks_per_portion:
+            continue
+        part = partition_input(piece, chunks_per_portion)
+        pred = predict_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
+        tru = true_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
+        portion_accs.append(pred.accuracy_against(tru, k=1))
+    sensitivity = float(np.std(portion_accs)) if len(portion_accs) > 1 else 0.0
+    return accs, sensitivity
+
+
+@pytest.mark.parametrize(
+    "n_chunks, size",
+    [
+        (1, 5),  # portions shorter than chunks_per_portion: all skipped
+        (1, 300),
+        (4, 16),  # 4-symbol portions, none profiled
+        (4, 37),  # ragged slice, 9-symbol portions
+        (64, 256),  # 64-symbol portions over 16 chunks each
+        (64, 4099),
+    ],
+)
+@pytest.mark.parametrize("which", ["scanner", "counter"])
+def test_one_walk_gives_the_reference_features(which, n_chunks, size, counter_dfa, rng):
+    dfa = classic.keyword_scanner(b"abc") if which == "scanner" else counter_dfa
+    hi = 123 if which == "scanner" else 64
+    symbols = rng.integers(97 if which == "scanner" else 0, hi, size=size).astype(np.uint8)
+    feats = profile_features(dfa, symbols, n_chunks=n_chunks)
+    accs, sensitivity = _accuracies_reference(dfa, symbols, n_chunks)
+    assert [feats.spec1_accuracy, feats.spec4_accuracy, feats.spec16_accuracy] == accs
+    assert feats.sensitivity == sensitivity

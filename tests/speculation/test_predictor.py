@@ -8,6 +8,7 @@ from repro.gpu.device import RTX3090
 from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import (
+    Prediction,
     SpeculationQueue,
     predict_start_states,
     true_start_states,
@@ -212,6 +213,25 @@ class TestBatchedReplay:
         assert sorted(set(partition.lengths.tolist())) == [1, 2]
         self._assert_batched_equals_reference(dfa, partition, lookback, None)
 
+    @pytest.mark.parametrize("lookback", [0, 1, 2, 4])
+    @pytest.mark.parametrize("with_tie_break", [False, True])
+    def test_state_set_replay_equals_per_boundary_construction(
+        self, rng, lookback, with_tie_break, monkeypatch
+    ):
+        """The same comparison with every window group replayed as state
+        sets (these small cases otherwise run one lane per state), short
+        predecessor chunks included."""
+        from repro.speculation import predictor
+
+        monkeypatch.setattr(predictor, "PER_LANE_REPLAY", 0)
+        dfa = self._random_dfa(rng)
+        scramble = rng.permutation(dfa.n_states)
+        tie_break = (lambda states: scramble[states]) if with_tie_break else None
+        for size, n_chunks in ((41 * 6 + 3, 41), (13, 8)):
+            data = rng.integers(0, dfa.n_symbols, size=size).astype(np.uint8)
+            partition = partition_input(data, n_chunks)
+            self._assert_batched_equals_reference(dfa, partition, lookback, tie_break)
+
     def test_boundaries_with_equal_windows_get_independent_queues(self, rng):
         dfa = self._random_dfa(rng)
         partition = partition_input(np.zeros(40, dtype=np.uint8), 8)
@@ -220,13 +240,107 @@ class TestBatchedReplay:
         assert pred.queues[2].front() == first  # same window, own cursor
 
     def test_replay_block_budget_does_not_change_the_queues(self, rng, monkeypatch):
-        """One window a block, or all at once: same queues."""
+        """The state-set replay counting one first-symbol column a block,
+        or three at once: same queues."""
         from repro.speculation import predictor
 
         dfa = self._random_dfa(rng)
         data = rng.integers(0, dfa.n_symbols, size=300).astype(np.uint8)
         partition = partition_input(data, 32)
+        monkeypatch.setattr(predictor, "PER_LANE_REPLAY", 0)
         monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 1)
         self._assert_batched_equals_reference(dfa, partition, 2, None)
         monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 3 * dfa.n_states)
         self._assert_batched_equals_reference(dfa, partition, 2, None)
+
+
+class TestQueueLayout:
+    """One CSR array per prediction; queues are views of it."""
+
+    @staticmethod
+    def _packed():
+        queues = [
+            SpeculationQueue(states=[4], weights=[9]),
+            SpeculationQueue(states=[2, 7, 1], weights=[5, 3, 1]),
+            SpeculationQueue(states=[], weights=[]),
+            SpeculationQueue(states=[6, 0], weights=[8, 1]),
+        ]
+        queues[1].dequeue()
+        return queues, Prediction(queues)
+
+    def test_packing_keeps_order_cursors_and_identity(self):
+        queues, pred = self._packed()
+        assert pred.states.tolist() == [4, 2, 7, 1, 6, 0]
+        assert pred.weights.tolist() == [9, 5, 3, 1, 8, 1]
+        assert pred.bounds.tolist() == [0, 1, 4, 4, 6]
+        assert pred.cursors.tolist() == [0, 1, 0, 0]
+        assert pred.sizes.tolist() == [1, 3, 0, 2]
+        assert all(a is b for a, b in zip(pred.queues, queues))
+        assert all(pred.queue(i) is queues[i] for i in range(4))
+
+    def test_views_share_the_cursor_array(self):
+        queues, pred = self._packed()
+        assert queues[1].dequeue() == 7
+        assert pred.cursors[1] == 2
+        pred.cursors[3] = 1
+        assert queues[3].front() == 0 and queues[3].size == 1
+        pred.reset()
+        assert [q._cursor for q in queues] == [0, 0, 0, 0]
+
+    def test_lazy_views_of_a_built_prediction(self, div7, rng):
+        data = rng.integers(48, 50, size=200).astype(np.uint8)
+        pred = predict_start_states(div7, partition_input(data, 8))
+        assert pred.queue(3).dequeue() == pred.states[pred.bounds[3]]
+        assert pred.queues[3]._cursor == 1  # a later view sees the same cursor
+        assert pred.queue(3) is pred.queues[3]  # once built, views are kept
+
+    def test_dequeue_fronts_is_one_dequeue_per_queue(self, div7, rng):
+        data = rng.integers(48, 50, size=200).astype(np.uint8)
+        pred = predict_start_states(div7, partition_input(data, 8))
+        expected = [q.front() for q in pred.queues]
+        assert pred.dequeue_fronts().tolist() == expected
+        assert pred.cursors.tolist() == [1] * 8
+        assert pred.queues[0].size == 0
+
+    def test_front_states_read_past_the_cursors(self):
+        pred = Prediction(
+            [
+                SpeculationQueue(states=[4, 5], weights=[2, 1]),
+                SpeculationQueue(states=[2, 7, 1], weights=[5, 3, 1]),
+            ]
+        )
+        pred.queues[1].dequeue()
+        assert pred.front_states().tolist() == [4, 7]
+        assert pred.dequeue_fronts().tolist() == [4, 7]
+        assert pred.front_states().tolist() == [5, 1]
+
+    def test_exhausted_front_raises(self):
+        queues, pred = self._packed()
+        with pytest.raises(SchemeError):
+            pred.front_states()  # chunk 2's queue is empty
+        with pytest.raises(SchemeError):
+            pred.dequeue_fronts()
+        assert pred.cursors.tolist() == [0, 1, 0, 0]  # nothing popped
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_accuracy_counts_ranks_below_k(self, k):
+        """Truth at rank 0, 1, 2 and absent: top-k holds the first k."""
+        pred = Prediction(
+            [SpeculationQueue(states=[9], weights=[1])]
+            + [
+                SpeculationQueue(states=[3, 1, 2], weights=[3, 2, 1])
+                for _ in range(4)
+            ]
+        )
+        truth = np.array([9, 3, 1, 2, 0])
+        assert pred.accuracy_against(truth, k=k) == k / 4
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_accuracy_equals_per_queue_top_k(self, scanner_dfa, rng, k):
+        data = rng.integers(97, 123, size=800).astype(np.uint8)
+        p = partition_input(data, 16)
+        pred = predict_start_states(scanner_dfa, p)
+        truth = true_start_states(scanner_dfa, p)
+        truth[5] = (truth[5] + 1) % scanner_dfa.n_states  # some misses too
+        hits = sum(truth[i] in pred.queues[i].top_k(k) for i in range(1, 16))
+        assert pred.accuracy_against(truth, k=k) == hits / 15
