@@ -9,27 +9,20 @@ stale PM plan.  On the post-swap segments the adapted pool must win by
 ≥2× in modeled cycles — and both pools must stay bit-identical to the
 sequential oracle, or no number is trusted.
 
-Artifacts per run: the guard above, plus one JSON record appended to
-``benchmarks/results/BENCH_adaptation.json`` (per-phase cycles, swap
-segment, revise provenance) so later PRs regress against a number.
+The run prints the post-swap speedup (EXPERIMENTS.md "Serving
+extensions").
 
 Env knobs: ``REPRO_BENCH_ADAPT_STATES`` (default 128),
 ``REPRO_BENCH_ADAPT_SEGMENT`` (segment bytes, default 4096),
 ``REPRO_BENCH_ADAPT_THREADS`` (default 32).
 """
 
-import json
 import os
-from datetime import date
-from pathlib import Path
 
 from repro.framework import GSpecPalConfig
 from repro.observability import MetricsRegistry
 from repro.serving import DriftConfig, MatcherPool, PlanCache
 from repro.workloads import classic
-
-RESULTS_DIR = Path(__file__).parent / "results"
-TRAJECTORY = RESULTS_DIR / "BENCH_adaptation.json"
 
 N_STATES = int(os.environ.get("REPRO_BENCH_ADAPT_STATES", 128))
 SEGMENT_LEN = int(os.environ.get("REPRO_BENCH_ADAPT_SEGMENT", 4096))
@@ -37,15 +30,6 @@ N_THREADS = int(os.environ.get("REPRO_BENCH_ADAPT_THREADS", 32))
 CALM_SEGMENTS = 4
 HOT_SEGMENTS = 12
 MIN_SPEEDUP = 2.0
-
-
-def _record_trajectory(entry: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def _segments():
@@ -138,25 +122,6 @@ def test_hot_swap_beats_pinned_stale_plan():
     adapted_cycles = sum(cycles[post])
     stale_cycles = sum(pinned_cycles[post])
     speedup = stale_cycles / adapted_cycles
-
-    entry = {
-        "date": date.today().isoformat(),
-        "bench": "adaptation",
-        "backend": "sim",
-        "fsm": dfa.name,
-        "n_states": N_STATES,
-        "segment_len": SEGMENT_LEN,
-        "n_threads": N_THREADS,
-        "calm_segments": CALM_SEGMENTS,
-        "hot_segments": HOT_SEGMENTS,
-        "revised_at_segment": revised_at,
-        "post_swap_segments": len(cycles[post]),
-        "pinned_post_swap_cycles": stale_cycles,
-        "adapted_post_swap_cycles": adapted_cycles,
-        "speedup_post_swap": round(speedup, 2),
-        "revise_provenance": revised.live_provenance,
-    }
-    _record_trajectory(entry)
     print(
         f"\nadaptation on {dfa.name} ({SEGMENT_LEN}B x {N_THREADS} threads): "
         f"swap after segment {revised_at}; post-swap "

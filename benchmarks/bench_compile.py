@@ -9,34 +9,23 @@ tens of thousands of states — and times the vectorized incremental
 ``minimize_dfa`` against the retained Hopcroft worklist
 ``_minimize_reference`` on identical input.
 
-Two artifacts come out of a run:
-
-* a speedup **guard** — the vectorized pass must beat the reference by
-  ≥3× (mirroring the fused-serving gate in ``bench_serving_batch.py``);
-  both outputs are cross-checked for equal state counts and language
-  equivalence before any timing is trusted; and
-* one point of the compile perf **trajectory**:
-  ``benchmarks/results/BENCH_compile.json`` accumulates a JSON record
-  per run (input/output states, wall times, speedup) so later PRs
-  regress against a number instead of a feeling.
+The run is a speedup **guard**: the vectorized pass must beat the
+reference by ≥3× (mirroring the fused-serving gate in
+``bench_serving_batch.py``); both outputs are cross-checked for equal state
+counts and language equivalence before any timing is trusted.  It prints
+the measured speedup (EXPERIMENTS.md "Serving extensions").
 
 Env knobs: ``REPRO_BENCH_PATTERNS`` (default 8 — enough for a ~40k-state
 subset construction), ``REPRO_BENCH_MIN_REPEATS`` (default 3).
 """
 
-import json
 import os
 import time
-from datetime import date
-from pathlib import Path
 
 from repro.automata import compile_disjunction
 from repro.automata.minimize import _minimize_reference, minimize_dfa
 from repro.automata.properties import are_equivalent
 from repro.workloads.patterns import snort_patterns
-
-RESULTS_DIR = Path(__file__).parent / "results"
-TRAJECTORY = RESULTS_DIR / "BENCH_compile.json"
 
 N_PATTERNS = int(os.environ.get("REPRO_BENCH_PATTERNS", 8))
 REPEATS = int(os.environ.get("REPRO_BENCH_MIN_REPEATS", 3))
@@ -51,15 +40,6 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _record_trajectory(entry: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def test_vectorized_minimization_speedup_guard():
@@ -84,18 +64,6 @@ def test_vectorized_minimization_speedup_guard():
     t_ref = _best_of(lambda: _minimize_reference(dfa))
 
     speedup = t_ref / t_fast
-    entry = {
-        "date": date.today().isoformat(),
-        "bench": "compile_minimize",
-        "patterns": N_PATTERNS,
-        "input_states": dfa.n_states,
-        "minimized_states": fast.n_states,
-        "n_symbols": dfa.n_symbols,
-        "reference_s": round(t_ref, 6),
-        "vectorized_s": round(t_fast, 6),
-        "speedup": round(speedup, 2),
-    }
-    _record_trajectory(entry)
     print(
         f"\nvectorized-vs-reference minimization "
         f"({dfa.n_states} -> {fast.n_states} states, "

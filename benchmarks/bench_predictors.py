@@ -1,6 +1,6 @@
 """Extension — predictor accuracy/overhead trade-off (§IV-A's open question).
 
-Sweeps the pluggable predictors (lookback-1/2/4/8, adaptive, oracle,
+Sweeps the predictor functions (lookback-1/2/4/8, adaptive, oracle,
 uniform) on representative members and reports spec-1 accuracy plus the
 end-to-end RR kernel time under each.  Expected shapes: accuracy is
 monotone in the lookback window; the oracle bounds everything; the paper's
@@ -8,45 +8,43 @@ lookback-2 sits at a sweet spot (longer windows barely help on these FSMs
 but cost more prediction work).
 """
 
-import numpy as np
-import pytest
+from functools import partial
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.schemes import RRScheme
 from repro.speculation.chunks import partition_input
-from repro.speculation.predictor import true_start_states
-from repro.speculation.predictors import (
-    AdaptiveLookbackPredictor,
-    LookbackPredictor,
-    OraclePredictor,
-    UniformPredictor,
+from repro.speculation.predictor import (
+    predict_adaptive,
+    predict_oracle,
+    predict_start_states,
+    predict_uniform,
+    true_start_states,
 )
 
 INPUT = 32_768
 PREDICTORS = [
-    ("uniform", UniformPredictor),
-    ("lookback-1", lambda: LookbackPredictor(1)),
-    ("lookback-2", lambda: LookbackPredictor(2)),
-    ("lookback-4", lambda: LookbackPredictor(4)),
-    ("lookback-8", lambda: LookbackPredictor(8)),
-    ("adaptive", lambda: AdaptiveLookbackPredictor(target_candidates=4, max_window=16)),
-    ("oracle", OraclePredictor),
+    ("uniform", predict_uniform),
+    *(
+        (f"lookback-{w}", partial(predict_start_states, lookback=w))
+        for w in (1, 2, 4, 8)
+    ),
+    ("adaptive", partial(predict_adaptive, target_candidates=4, max_window=16)),
+    ("oracle", predict_oracle),
 ]
 
 
-def measure(member, factory):
-    predictor = factory()
+def measure(member, predictor):
     training = member.training_input(8_192)
     data = member.generate_input(INPUT, seed=0)
     # Offline accuracy on the training slice.
     p = partition_input(training, 32)
-    pred = predictor.predict(member.dfa, p, member.dfa.start)
+    pred = predictor(member.dfa, p, member.dfa.start)
     truth = true_start_states(member.dfa, p)
     acc = pred.accuracy_against(truth, k=1)
     # End-to-end cost under RR.
     scheme = RRScheme.for_dfa(
-        member.dfa, n_threads=128, training_input=training, predictor=factory()
+        member.dfa, n_threads=128, training_input=training, predictor=predictor
     )
     result = scheme.run(data)
     assert result.end_state == member.dfa.run(data)
@@ -60,8 +58,8 @@ def test_predictor_tradeoff(benchmark, members):
         rows = []
         for member in picks:
             per = {}
-            for name, factory in PREDICTORS:
-                per[name] = measure(member, factory)
+            for name, predictor in PREDICTORS:
+                per[name] = measure(member, predictor)
             out[member.name] = per
             for name, (acc, cycles) in per.items():
                 rows.append([member.name, name, acc, cycles])

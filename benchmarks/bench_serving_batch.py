@@ -6,33 +6,23 @@ and one gang-scheduled ``pool.feed_many`` per round (ISSUE 6's fused
 ``(streams × lanes)`` dispatch) — on the answer-only ``fast`` backend, with
 the end states cross-checked for bit-identity before any timing is trusted.
 
-Two artifacts come out of a run:
-
-* a speedup **guard** — fused must beat per-stream by ≥3× at 32 streams
-  (a wall-clock ratio gate like the ones in ``bench_kernels.py``); and
-* the first measured point of the serving perf **trajectory**:
-  ``benchmarks/results/BENCH_serving.json`` accumulates one JSON record
-  per run (streams, segment length, wall times, speedup, throughput) so
-  later PRs regress against a number instead of a feeling.
+The run is a speedup **guard**: fused must beat per-stream by ≥3× at 32
+streams (a wall-clock ratio gate like the ones in ``bench_kernels.py``).
+It prints the measured speedup and fused throughput (EXPERIMENTS.md
+"Serving extensions").
 
 Env knobs: ``REPRO_BENCH_STREAMS`` (default 32), ``REPRO_BENCH_SEGMENT``
 (default 512 bytes), ``REPRO_BENCH_ROUNDS`` (default 8).
 """
 
-import json
 import os
 import time
-from datetime import date
-from pathlib import Path
 
 import numpy as np
 
 from repro.framework import GSpecPalConfig
 from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
-
-RESULTS_DIR = Path(__file__).parent / "results"
-TRAJECTORY = RESULTS_DIR / "BENCH_serving.json"
 
 N_STREAMS = int(os.environ.get("REPRO_BENCH_STREAMS", 32))
 SEGMENT_LEN = int(os.environ.get("REPRO_BENCH_SEGMENT", 512))
@@ -90,15 +80,6 @@ def _serve_fused(pool, dfa, training, traffic) -> list:
     return [pool.close(sid).end_state for sid in sids]
 
 
-def _record_trajectory(entry: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def test_fused_serving_speedup_guard():
     rng = np.random.default_rng(20260808)
     dfa = classic.keyword_scanner(b"gangsched")
@@ -130,25 +111,11 @@ def test_fused_serving_speedup_guard():
 
     total_symbols = N_STREAMS * SEGMENT_LEN * ROUNDS
     speedup = t_seq / t_fused
-    entry = {
-        "date": date.today().isoformat(),
-        "bench": "serving_batch",
-        "backend": "fast",
-        "streams": N_STREAMS,
-        "segment_len": SEGMENT_LEN,
-        "rounds": ROUNDS,
-        "per_stream_s": round(t_seq, 6),
-        "fused_s": round(t_fused, 6),
-        "speedup": round(speedup, 2),
-        "fused_msymbols_per_s": round(total_symbols / t_fused / 1e6, 3),
-        "per_stream_msymbols_per_s": round(total_symbols / t_seq / 1e6, 3),
-    }
-    _record_trajectory(entry)
     print(
         f"\nfused-vs-per-stream serving ({N_STREAMS} streams x "
         f"{ROUNDS} x {SEGMENT_LEN}B): {speedup:.1f}x "
         f"({t_seq * 1e3:.1f} ms -> {t_fused * 1e3:.1f} ms, "
-        f"{entry['fused_msymbols_per_s']:.2f} Msym/s fused)"
+        f"{total_symbols / t_fused / 1e6:.2f} Msym/s fused)"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"fused serving only {speedup:.2f}x faster than per-stream at "

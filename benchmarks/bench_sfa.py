@@ -6,50 +6,29 @@ defeats the lookback-2 predictor by construction — accuracy degrades to
 SFA sidesteps prediction entirely: each chunk builds its full state→state
 mapping and the mappings compose left-to-right, misprediction-free.
 
-Two artifacts come out of a run:
-
-* a speedup **guard** — on the simulated device SFA must beat the *best*
-  of {pm, sre, rr, nf} by ≥5× in modeled cycles, the selector must route
-  the FSM to SFA through the ``speculation_floor`` node, and every scheme
-  must agree with the sequential oracle before any number is trusted; and
-* the first measured point of the SFA perf **trajectory**:
-  ``benchmarks/results/BENCH_sfa.json`` accumulates one JSON record per
-  run (per-scheme cycles, speedup, mapping dedupe counters) so later PRs
-  regress against a number instead of a feeling.
+The run is a speedup **guard**: on the simulated device SFA must beat the
+*best* of {pm, sre, rr, nf} by ≥5× in modeled cycles, the selector must
+route the FSM to SFA through the ``speculation_floor`` node, and every
+scheme must agree with the sequential oracle before any number is trusted.
+It prints the measured speedup (EXPERIMENTS.md "Serving extensions").
 
 Env knobs: ``REPRO_BENCH_SFA_STATES`` (default 128),
 ``REPRO_BENCH_SFA_INPUT`` (default 16384), ``REPRO_BENCH_SFA_THREADS``
 (default 64 — small profiles under-sample spec-16 accuracy).
 """
 
-import json
 import os
-from datetime import date
-from pathlib import Path
 
 import numpy as np
 
 from repro.framework import GSpecPal, GSpecPalConfig
-from repro.observability import MetricsRegistry
 from repro.workloads import classic
-
-RESULTS_DIR = Path(__file__).parent / "results"
-TRAJECTORY = RESULTS_DIR / "BENCH_sfa.json"
 
 N_STATES = int(os.environ.get("REPRO_BENCH_SFA_STATES", 128))
 INPUT_LEN = int(os.environ.get("REPRO_BENCH_SFA_INPUT", 16_384))
 N_THREADS = int(os.environ.get("REPRO_BENCH_SFA_THREADS", 64))
 RIVALS = ("pm", "sre", "rr", "nf")
 MIN_SPEEDUP = 5.0
-
-
-def _record_trajectory(entry: dict) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if TRAJECTORY.exists():
-        history = json.loads(TRAJECTORY.read_text())
-    history.append(entry)
-    TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def test_sfa_speedup_guard():
@@ -59,12 +38,10 @@ def test_sfa_speedup_guard():
     training = bytes(rng.integers(0, n_symbols, size=4096).astype(np.uint8))
     data = bytes(rng.integers(0, n_symbols, size=INPUT_LEN).astype(np.uint8))
 
-    metrics = MetricsRegistry()
     pal = GSpecPal(
         dfa,
         GSpecPalConfig(n_threads=N_THREADS, backend="sim"),
         training_input=training,
-        metrics=metrics,
     )
 
     # The selector must route the hopeless FSM to SFA on its own.
@@ -81,23 +58,6 @@ def test_sfa_speedup_guard():
     best_rival = min(RIVALS, key=cycles.get)
     speedup = cycles[best_rival] / cycles["sfa"]
 
-    snap = metrics.as_dict()
-    entry = {
-        "date": date.today().isoformat(),
-        "bench": "sfa",
-        "backend": "sim",
-        "fsm": dfa.name,
-        "n_states": N_STATES,
-        "input_len": INPUT_LEN,
-        "n_threads": N_THREADS,
-        "sfa_cycles": cycles["sfa"],
-        "rival_cycles": {name: cycles[name] for name in RIVALS},
-        "best_rival": best_rival,
-        "speedup_vs_best_rival": round(speedup, 2),
-        "mappings_built": snap.get("sfa.mappings_built", 0),
-        "mappings_deduped": snap.get("sfa.mappings_deduped", 0),
-    }
-    _record_trajectory(entry)
     rivals = ", ".join(f"{name}={cycles[name]:.0f}" for name in RIVALS)
     print(
         f"\nSFA on {dfa.name} ({INPUT_LEN}B x {N_THREADS} threads): "

@@ -9,8 +9,8 @@ Public API tour
   cost model) and the vectorized lockstep executor.
 * :mod:`repro.speculation` — input chunking, the all-state lookback-2
   predictor and verification-record storage.
-* :mod:`repro.schemes` — the parallelization schemes: PM, SRE, RR, NF, plus
-  sequential/enumerative baselines.
+* :mod:`repro.schemes` — the parallelization schemes: PM, SRE, RR, NF, the
+  speculation-free SFA, plus sequential baselines.
 * :mod:`repro.selector` — offline feature profiling, the Eq. 1–4 cost model
   and the Fig. 6 decision tree.
 * :mod:`repro.framework` — the :class:`~repro.framework.GSpecPal` front end
@@ -48,7 +48,6 @@ from repro.schemes import (
     SequentialScheme,
     SpecSequentialScheme,
     SREScheme,
-    get_scheme,
 )
 from repro.selector import DecisionTreeSelector, FSMFeatures, profile_features
 from repro.serving import MatcherPool, PlanCache
@@ -80,7 +79,6 @@ __all__ = [
     "compile_plan",
     "compile_regex",
     "frequency_transform",
-    "get_scheme",
     "load_plan",
     "minimize_dfa",
     "profile_features",

@@ -6,7 +6,8 @@ Commands
                member and print the cost breakdown; ``--plan`` serves from
                a precompiled artifact (zero profiling), ``--plan-cache``
                keeps compiled plans in a directory across invocations.
-``compare``  — race all four schemes on one member (same plan flags).
+``compare``  — race the selector's five schemes on one member (same plan
+               flags; needs the cycle-accounting ``sim`` backend).
 ``compile``  — run the offline phase once and write the immutable plan
                artifact (``repro compile snort 8 -o plan.npz``).
 ``profile``  — print a member's feature vector and the selector's reasoning.
@@ -51,6 +52,7 @@ from repro.analysis.tables import render_table
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.selector import profile_features
 from repro.selector.decision_tree import DecisionTreeSelector
+from repro.selfcheck.fuzz import FUZZ_SCHEMES
 from repro.workloads.suites import REGIME_LAYOUT, SUITES, build_member
 
 
@@ -260,7 +262,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.errors import SelfCheckError
+    from repro.errors import SchemeError, SimulationError
     from repro.selfcheck.fuzz import replay, run_fuzz
 
     if args.replay:
@@ -278,11 +280,10 @@ def cmd_fuzz(args) -> int:
             schemes=tuple(args.schemes.split(",")),
             backends=tuple(args.backends.split(",")),
             log=print,
-            probes=not args.no_probes,
         )
-    except SelfCheckError as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    except (SchemeError, SimulationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if path is not None:
         print(f"FAIL: shrunk repro at {path}")
         return 1
@@ -372,6 +373,17 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.engine import resolve_backend_name
+
+    if resolve_backend_name(args.backend) != "sim":
+        # An answer-only backend counts no execution cycles, so a ranking
+        # would sort schemes on their scheme-side charges alone.
+        print(
+            "error: compare ranks schemes by modelled cycles, which only "
+            "the 'sim' backend counts; rerun with --backend sim",
+            file=sys.stderr,
+        )
+        return 2
     member, pal, data = _build(args)
     results = pal.compare_schemes(data)
     selected = pal.select_scheme()
@@ -397,7 +409,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro.cli", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -415,7 +427,7 @@ def main(argv=None) -> int:
     _add_member_args(p)
     p.add_argument(
         "--scheme",
-        choices=("pm", "sre", "rr", "nf", "sfa", "seq", "spec-seq"),
+        choices=GSpecPal.KNOWN_SCHEMES,
         default=None,
         help="force a scheme (default: selector's pick)",
     )
@@ -455,7 +467,7 @@ def main(argv=None) -> int:
     _add_member_args(p)
     p.add_argument(
         "--scheme",
-        choices=("pm", "sre", "rr", "nf", "sfa", "seq", "spec-seq"),
+        choices=GSpecPal.KNOWN_SCHEMES,
         default=None,
         help="force a scheme (default: selector's pick)",
     )
@@ -489,7 +501,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--schemes",
-        default="pm,sre,rr,nf,sfa,spec-seq",
+        default=",".join(FUZZ_SCHEMES),
         help="comma-separated scheme pool",
     )
     p.add_argument(
@@ -500,11 +512,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATH",
         help="re-run one saved repro instead of fuzzing",
-    )
-    p.add_argument(
-        "--no-probes",
-        action="store_true",
-        help="skip the deterministic contract probes",
     )
     p.set_defaults(func=cmd_fuzz)
 
@@ -587,8 +594,11 @@ def main(argv=None) -> int:
         "(audited: one plan file per language class)",
     )
     p.set_defaults(func=cmd_scenario)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -37,6 +37,7 @@ from repro.automata.dfa import DFA, _as_symbol_array
 from repro.gpu.kernel import GpuSimulator
 from repro.observability import NULL_TRACER
 from repro.schemes import (
+    SCHEME_REGISTRY,
     NFScheme,
     PMScheme,
     RRScheme,
@@ -61,7 +62,7 @@ class GSpecPal:
     SELECTABLE = ("pm", "sre", "rr", "nf", "sfa")
     #: Every scheme name ``run``/``stream``/``build_scheme`` accept (the
     #: spec-k alias ``pm-spec<k>`` is additionally accepted per config).
-    KNOWN_SCHEMES = ("pm", "sre", "rr", "nf", "sfa", "seq", "spec-seq")
+    KNOWN_SCHEMES = tuple(SCHEME_REGISTRY)
 
     def __init__(
         self,

@@ -11,11 +11,12 @@
   scheduling of idle threads over rear chunks (``rr``).
 * :class:`NFScheme` — Algorithm 5: aggressive recovery, nearest-frontier
   queue draining (``nf``).
-* :class:`EnumerativeScheme` — all-states enumeration baseline (``enum``).
 * :class:`SFAScheme` — simultaneous finite automata: misprediction-free
   full state→state mapping composition (``sfa``).
 
-Every scheme's :meth:`~repro.schemes.base.Scheme.run` returns a
+:data:`SCHEME_REGISTRY` maps every served scheme name to its class;
+``GSpecPal.KNOWN_SCHEMES`` is its key order.  Every scheme's
+:meth:`~repro.schemes.base.Scheme.run` returns a
 :class:`~repro.schemes.base.SchemeResult` whose ``end_state`` provably equals
 the sequential reference — speculation changes cost, never answers.
 """
@@ -23,7 +24,6 @@ the sequential reference — speculation changes cost, never answers.
 from typing import Dict, Type
 
 from repro.schemes.base import Scheme, SchemeResult
-from repro.schemes.enumerative import EnumerativeScheme
 from repro.schemes.nf import NFScheme
 from repro.schemes.pm import PMScheme
 from repro.schemes.rr import RRScheme
@@ -31,33 +31,19 @@ from repro.schemes.sequential import SequentialScheme
 from repro.schemes.sfa import SFAScheme
 from repro.schemes.spec_seq import SpecSequentialScheme
 from repro.schemes.sre import SREScheme
-from repro.schemes.sre_ho import SREHOScheme
 
 SCHEME_REGISTRY: Dict[str, Type[Scheme]] = {
-    "seq": SequentialScheme,
-    "spec-seq": SpecSequentialScheme,
     "pm": PMScheme,
     "sre": SREScheme,
-    "sre-ho": SREHOScheme,
     "rr": RRScheme,
     "nf": NFScheme,
-    "enum": EnumerativeScheme,
     "sfa": SFAScheme,
+    "seq": SequentialScheme,
+    "spec-seq": SpecSequentialScheme,
 }
 
 
-def get_scheme(name: str) -> Type[Scheme]:
-    """Look up a scheme class by its registry name (see SCHEME_REGISTRY)."""
-    try:
-        return SCHEME_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheme {name!r}; available: {sorted(SCHEME_REGISTRY)}"
-        ) from None
-
-
 __all__ = [
-    "EnumerativeScheme",
     "NFScheme",
     "PMScheme",
     "RRScheme",
@@ -67,7 +53,5 @@ __all__ = [
     "SchemeResult",
     "SequentialScheme",
     "SpecSequentialScheme",
-    "SREHOScheme",
     "SREScheme",
-    "get_scheme",
 ]

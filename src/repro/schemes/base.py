@@ -276,23 +276,17 @@ class Scheme(abc.ABC):
 
         Frequency ties are broken in *original* state space so speculation
         order does not depend on whether the frequency transformation is on.
-        A custom :class:`~repro.speculation.predictors.StartStatePredictor`
-        set on the scheme replaces the paper's lookback-2 default.
+        A custom predictor set on the scheme (any callable with
+        :func:`~repro.speculation.predictor.predict_start_states`' signature)
+        replaces the paper's lookback-2 default, which is looked up here at
+        call time so it can be patched on this module.
         """
         start = exec_start if exec_start is not None else self.sim.exec_start_state
-        if self.predictor is not None:
-            return self.predictor.predict(
-                self.sim.exec_dfa,
-                partition,
-                start,
-                stats=stats,
-                device=self.sim.device,
-                tie_break=self.sim.to_user_states,
-            )
-        return predict_start_states(
+        predict = self.predictor if self.predictor is not None else predict_start_states
+        return predict(
             self.sim.exec_dfa,
             partition,
-            start_state=start,
+            start,
             stats=stats,
             device=self.sim.device,
             tie_break=self.sim.to_user_states,

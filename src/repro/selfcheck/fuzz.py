@@ -10,15 +10,6 @@ exception such as a raw ``IndexError`` escaping a backend) is **shrunk** to
 a minimal failing case and written to disk as a JSON repro that
 :func:`replay` can re-execute.
 
-Before the random loop, a set of deterministic **probes** checks contracts
-the random cases cannot see directly: the cost model's ``t_comm`` must grow
-with ``k``, ``delta_specs`` must move with the register budget, both
-backends must reject out-of-range starts/symbols with a
-:class:`~repro.errors.SimulationError` (never a numpy ``IndexError`` or a
-silent wrong answer), and cycle-derived figures must be NaN on the
-answer-only backend.  Reverting any of those fixes makes ``repro fuzz``
-fail immediately with an actionable message.
-
 This module imports the full framework stack — import it explicitly
 (``from repro.selfcheck.fuzz import run_fuzz``); ``repro.selfcheck``'s
 package init deliberately does not, so the audit layer stays import-light.
@@ -34,7 +25,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.automata.dfa import DFA
-from repro.errors import ReproError, SelfCheckError
+from repro.engine import BACKEND_NAMES
+from repro.errors import ReproError, SchemeError, SelfCheckError, SimulationError
 from repro.framework.config import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal
 
@@ -355,138 +347,6 @@ def shrink_case(
 
 
 # ----------------------------------------------------------------------
-# deterministic probes (the satellite-fix tripwires)
-# ----------------------------------------------------------------------
-def run_probes() -> List[str]:
-    """Deterministic contract checks run before the random loop.
-
-    Returns a list of human-readable failure messages (empty = all pass).
-    """
-    import math
-
-    from repro.engine.fast import FastBackend
-    from repro.errors import SimulationError
-    from repro.framework.throughput import ThroughputEngine
-    from repro.gpu.kernel import GpuSimulator
-    from repro.selector.cost_model import CostModel, CostModelInputs
-    from repro.selector.features import FSMFeatures
-    from repro.workloads import classic
-
-    failures: List[str] = []
-
-    # --- cost model: t_comm must grow with k --------------------------
-    model = CostModel()
-    if not model.t_comm(4) > model.t_comm(1):
-        failures.append(
-            f"cost model: t_comm(4)={model.t_comm(4)} is not > "
-            f"t_comm(1)={model.t_comm(1)} — Eq. 2's communication term "
-            "ignores k"
-        )
-
-    # --- cost model: delta_specs must move with the register budget ---
-    feats = FSMFeatures(
-        name="probe",
-        n_states=16,
-        spec1_accuracy=0.1,
-        spec4_accuracy=0.5,
-        spec16_accuracy=0.9,
-        sensitivity=0.5,
-        convergence_states=4.0,
-        profiling_seconds=0.0,
-    )
-    d1 = model.delta_specs(feats, 1)
-    d4 = model.delta_specs(feats, 4)
-    d16 = model.delta_specs(feats, 16)
-    if not (d1 < d4 < d16):
-        failures.append(
-            f"cost model: delta_specs ignores others_capacity "
-            f"(cap=1→{d1}, cap=4→{d4}, cap=16→{d16})"
-        )
-    small = CostModelInputs(input_length=4096, others_capacity=1)
-    big = CostModelInputs(input_length=4096, others_capacity=16)
-    if model.estimate_all(feats, small)["rr"] == model.estimate_all(feats, big)["rr"]:
-        failures.append(
-            "cost model: RR estimate identical for others_capacity 1 and 16"
-        )
-
-    # --- cost model: P_mismatch must track the configured spec depth --
-    acc8 = model.spec_accuracy_at(feats, 8)
-    acc16 = model.spec_accuracy_at(feats, 16)
-    if not (feats.spec4_accuracy < acc8 < acc16):
-        failures.append(
-            f"cost model: spec accuracy is not interpolated over k "
-            f"(k=4→{feats.spec4_accuracy}, k=8→{acc8}, k=16→{acc16}) — "
-            "Eq. 2 anchors every k >= 4 to the spec-4 profile"
-        )
-    if math.isclose(acc16, feats.spec4_accuracy):
-        failures.append(
-            "cost model: estimate_pm's k=16 mismatch uses the spec-4 anchor"
-        )
-
-    # --- backend error contract: SimulationError, never IndexError ----
-    dfa = classic.divisibility(5, base=2)
-    for backend_name in FUZZ_BACKENDS:
-        sim = GpuSimulator(dfa=dfa, use_transformation=False, backend=backend_name)
-        engine = sim.engine
-        chunks = np.zeros((2, 4), dtype=np.int64)
-        for label, starts, data in (
-            ("start state", np.asarray([0, dfa.n_states + 3]), chunks),
-            (
-                "symbol",
-                np.asarray([0, 0]),
-                np.full((2, 4), dfa.n_symbols + 7, dtype=np.int64),
-            ),
-        ):
-            try:
-                engine.run_batch(data, starts)
-            except SimulationError:
-                continue
-            except Exception as exc:
-                failures.append(
-                    f"backend {backend_name!r}: out-of-range {label} raised "
-                    f"{type(exc).__name__} instead of SimulationError"
-                )
-                continue
-            failures.append(
-                f"backend {backend_name!r}: out-of-range {label} was "
-                "silently accepted"
-            )
-    # Negative start on the bare fast backend: this is the silent-wrong-
-    # answer path (negative flat-gather index wraps around).
-    fb = FastBackend(dfa.table)
-    try:
-        fb.run_batch(np.zeros((1, 2), dtype=np.int64), np.asarray([-1]))
-    except SimulationError:
-        pass
-    except Exception as exc:
-        failures.append(
-            f"FastBackend: negative start raised {type(exc).__name__} "
-            "instead of SimulationError"
-        )
-    else:
-        failures.append(
-            "FastBackend: negative start produced an answer via wraparound "
-            "indexing"
-        )
-
-    # --- NaN-cycles contract on the answer-only backend ---------------
-    batch_fast = ThroughputEngine(dfa, backend="fast").run_batch([b"\x00\x01" * 8])
-    if not math.isnan(batch_fast.latency_cycles) or not math.isnan(
-        batch_fast.throughput_symbols_per_cycle
-    ):
-        failures.append(
-            "throughput: fast-backend BatchResult reports finite cycles "
-            f"(latency={batch_fast.latency_cycles}) instead of NaN"
-        )
-    batch_sim = ThroughputEngine(dfa, backend="sim").run_batch([b"\x00\x01" * 8])
-    if math.isnan(batch_sim.latency_cycles) or batch_sim.latency_cycles <= 0:
-        failures.append(
-            "throughput: sim-backend BatchResult lost its cycle accounting"
-        )
-    return failures
-
-
-# ----------------------------------------------------------------------
 # the loop, repros, replay
 # ----------------------------------------------------------------------
 def save_repro(failure: FuzzFailure, out_dir) -> Path:
@@ -509,6 +369,16 @@ def replay(path) -> Optional[str]:
     return check_case(load_repro(path))
 
 
+def _check_pool(kind: str, names: Sequence[str], known, error) -> None:
+    """Refuse a pool that names an unknown ``kind``."""
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise error(
+            f"fuzz {kind} pool {list(names)}: unknown {unknown}; "
+            f"known {kind}s: {', '.join(known)}"
+        )
+
+
 def run_fuzz(
     iterations: int = 200,
     seed: int = 0,
@@ -516,23 +386,17 @@ def run_fuzz(
     schemes: Sequence[str] = FUZZ_SCHEMES,
     backends: Sequence[str] = FUZZ_BACKENDS,
     log: Callable[[str], None] = lambda s: None,
-    probes: bool = True,
 ) -> Optional[Path]:
     """Run the fuzz campaign; returns the repro path on failure, else None.
 
-    A probe failure (deterministic contract violation) raises
-    :class:`~repro.errors.SelfCheckError` immediately — there is no random
-    case to shrink, the message itself is the repro.
+    The pools are checked before any case is drawn: an unknown scheme
+    raises :class:`~repro.errors.SchemeError` and an unknown backend
+    :class:`~repro.errors.SimulationError`, so a typo is a usage error,
+    never a shrunk "failure".
     """
-    if probes:
-        probe_failures = run_probes()
-        if probe_failures:
-            raise SelfCheckError(
-                "deterministic probes failed:\n  - "
-                + "\n  - ".join(probe_failures),
-                invariant="probes",
-            )
-        log(f"probes passed; fuzzing {iterations} cases from seed {seed}")
+    _check_pool("scheme", schemes, GSpecPal.KNOWN_SCHEMES, SchemeError)
+    _check_pool("backend", backends, BACKEND_NAMES, SimulationError)
+    log(f"fuzzing {iterations} cases from seed {seed}")
     for i in range(iterations):
         case_seed = seed + i
         case = random_case(case_seed, schemes=schemes, backends=backends)

@@ -13,16 +13,11 @@ from repro.speculation.predictor import (
     LOOKBACK,
     Prediction,
     SpeculationQueue,
+    predict_adaptive,
+    predict_oracle,
     predict_start_states,
+    predict_uniform,
     true_start_states,
-)
-from repro.speculation.predictors import (
-    PREDICTOR_REGISTRY,
-    AdaptiveLookbackPredictor,
-    LookbackPredictor,
-    OraclePredictor,
-    StartStatePredictor,
-    UniformPredictor,
 )
 from repro.speculation.records import (
     DEFAULT_OTHERS_CAPACITY,
@@ -32,22 +27,19 @@ from repro.speculation.records import (
 )
 
 __all__ = [
-    "AdaptiveLookbackPredictor",
     "DEFAULT_OTHERS_CAPACITY",
     "DEFAULT_OWN_CAPACITY",
     "LOOKBACK",
     "LiveObservations",
-    "LookbackPredictor",
-    "OraclePredictor",
-    "PREDICTOR_REGISTRY",
-    "StartStatePredictor",
-    "UniformPredictor",
     "Partition",
     "Prediction",
     "SpeculationQueue",
     "VRRecord",
     "VRStore",
     "partition_input",
+    "predict_adaptive",
+    "predict_oracle",
     "predict_start_states",
+    "predict_uniform",
     "true_start_states",
 ]

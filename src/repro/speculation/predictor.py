@@ -25,6 +25,16 @@ and boundaries with equal windows share its ranked segment.
 The queues of all chunks live in one CSR layout (:class:`Prediction`), so
 the recovery schedulers can read and advance every queue's cursor with
 array operations; :class:`SpeculationQueue` is a view of one chunk's slice.
+
+The paper leaves the accuracy/overhead trade-off open, so three alternative
+predictors with :func:`predict_start_states`' signature bracket it (a
+scheme takes any of them as ``predictor=``; lookback-``w`` is
+``functools.partial(predict_start_states, lookback=w)``):
+
+* :func:`predict_adaptive` — per-boundary window deepening until the
+  candidate set is small;
+* :func:`predict_oracle` — the true starts, charged nothing: the upper bound;
+* :func:`predict_uniform` — every state, equal weight: the lower bound.
 """
 
 from __future__ import annotations
@@ -449,6 +459,97 @@ def _ranked(row, states, weights, n_rows: int, tie_break):
     bounds = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n_rows), out=bounds[1:])
     return states[order], weights[order], bounds
+
+
+def predict_adaptive(
+    dfa: DFA,
+    partition: Partition,
+    start_state: Optional[int] = None,
+    *,
+    stats: Optional[KernelStats] = None,
+    device: Optional[DeviceSpec] = None,
+    tie_break=None,
+    target_candidates: int = 4,
+    max_window: int = 16,
+) -> Prediction:
+    """Deepen the replay window per boundary until the queue is small.
+
+    Each boundary replays 1, 2, 4, … symbols from all states until at most
+    ``target_candidates`` end states survive or the window reaches
+    ``max_window`` (the cost ceiling): sharper queues on converging regions,
+    bounded extra cost elsewhere.  ``stats`` is charged every replayed step.
+    """
+    if target_candidates < 1 or max_window < 1:
+        raise SchemeError("target_candidates and max_window must be >= 1")
+    if start_state is None:
+        start_state = dfa.start
+    states = [np.asarray([start_state])]
+    weights = [np.asarray([dfa.n_states])]
+    replay_steps = 0
+    for i in range(1, partition.n_chunks):
+        window = 1
+        while True:
+            syms = partition.last_symbols_of(i - 1, window)
+            ends = dfa.run_all_states(syms)
+            replay_steps += len(syms)
+            candidates, counts = np.unique(ends, return_counts=True)
+            if candidates.size <= target_candidates or window >= max_window:
+                break
+            window = min(max_window, window * 2)
+        keys = tie_break(candidates) if tie_break is not None else candidates
+        order = np.lexsort((keys, -counts))
+        states.append(candidates[order])
+        weights.append(counts[order])
+    if stats is not None:
+        dev = device if device is not None else stats.device
+        rounds = -(-dfa.n_states // (dev.n_sms * dev.cores_per_sm))
+        cost = rounds * replay_steps * (dev.shared_cycles + dev.transition_compute_cycles)
+        stats.charge("predict", float(cost))
+    bounds = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in states], out=bounds[1:])
+    return Prediction.from_arrays(np.concatenate(states), np.concatenate(weights), bounds)
+
+
+def predict_oracle(
+    dfa: DFA,
+    partition: Partition,
+    start_state: Optional[int] = None,
+    *,
+    stats: Optional[KernelStats] = None,
+    device: Optional[DeviceSpec] = None,
+    tie_break=None,
+) -> Prediction:
+    """Perfect prediction, the ablation upper bound: each queue is the true
+    start alone, found by a sequential pass the ledger is never charged for
+    (deliberately unbuildable hardware)."""
+    truth = true_start_states(dfa, partition, start_state=start_state)
+    n = truth.size
+    return Prediction.from_arrays(
+        truth, np.full(n, dfa.n_states), np.arange(n + 1, dtype=np.int64)
+    )
+
+
+def predict_uniform(
+    dfa: DFA,
+    partition: Partition,
+    start_state: Optional[int] = None,
+    *,
+    stats: Optional[KernelStats] = None,
+    device: Optional[DeviceSpec] = None,
+    tie_break=None,
+) -> Prediction:
+    """No information, the ablation lower bound: every speculated chunk's
+    queue holds all states with equal weight, in ``tie_break`` order."""
+    if start_state is None:
+        start_state = dfa.start
+    n, n_states = partition.n_chunks, dfa.n_states
+    all_states = np.arange(n_states)
+    keys = tie_break(all_states) if tie_break is not None else all_states
+    ranked = all_states[np.argsort(keys)]
+    states = np.concatenate(([start_state], np.tile(ranked, n - 1)))
+    weights = np.concatenate(([n_states], np.ones(n_states * (n - 1), dtype=np.int64)))
+    bounds = np.concatenate(([0], 1 + n_states * np.arange(n, dtype=np.int64)))
+    return Prediction.from_arrays(states, weights, bounds)
 
 
 def true_start_states(dfa: DFA, partition: Partition, start_state: Optional[int] = None) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def test_suite_listing(capsys):
@@ -33,12 +33,39 @@ def test_run_forced_scheme(capsys):
 def test_compare(capsys):
     rc = main(
         ["compare", "poweren", "3", "--input-length", "8192",
-         "--threads", "64", "--training-length", "2048"]
+         "--threads", "64", "--training-length", "2048", "--backend", "sim"]
     )
     assert rc == 0
     out = capsys.readouterr().out
     assert "speedup/pm" in out
     assert "*" in out  # selector's pick marked
+
+
+def test_compare_refuses_answer_only_backend(capsys, monkeypatch):
+    """The fast backend counts no execution cycles, so there is nothing to
+    rank: compare exits 2 and names the backend that can."""
+    argv = ["compare", "poweren", "1", "--input-length", "4096", "--threads", "32"]
+    assert main(argv + ["--backend", "fast"]) == 2
+    monkeypatch.setenv("REPRO_BACKEND", "fast")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("--backend sim") == 2
+
+
+def test_scheme_names_come_from_one_list():
+    from repro.framework import GSpecPal
+    from repro.schemes import SCHEME_REGISTRY
+    from repro.selfcheck.fuzz import FUZZ_SCHEMES
+
+    assert tuple(SCHEME_REGISTRY) == GSpecPal.KNOWN_SCHEMES
+    assert set(FUZZ_SCHEMES) <= set(GSpecPal.KNOWN_SCHEMES)
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("run", "trace"):
+        (scheme,) = [a for a in commands[name]._actions if a.dest == "scheme"]
+        assert tuple(scheme.choices) == GSpecPal.KNOWN_SCHEMES
+    (pool,) = [a for a in commands["fuzz"]._actions if a.dest == "schemes"]
+    assert pool.default.split(",") == list(FUZZ_SCHEMES)
 
 
 def test_run_fast_backend(capsys):
@@ -113,7 +140,7 @@ def test_compare_with_plan(capsys, tmp_path):
     capsys.readouterr()
     rc = main(
         ["compare", "poweren", "3", "--plan", plan_path,
-         "--input-length", "8192", "--threads", "64"]
+         "--input-length", "8192", "--threads", "64", "--backend", "sim"]
     )
     assert rc == 0
     out = capsys.readouterr().out

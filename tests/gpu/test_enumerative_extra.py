@@ -1,11 +1,10 @@
-"""Cross-validation: the enumerative scheme's chunk functions double as an
-independent oracle for the lockstep executor and all chunk-composition
-logic."""
+"""Cross-validation: composed per-chunk ``Q -> Q`` functions against the
+direct run."""
 
 import numpy as np
 import pytest
 
-from repro.schemes import EnumerativeScheme, NFScheme
+from repro.schemes import NFScheme, SFAScheme
 from repro.speculation.chunks import partition_input
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
@@ -19,8 +18,8 @@ def dfa():
 
 def test_chunk_function_composition_equals_direct_run(dfa, rng):
     """Composing per-chunk Q->Q functions equals running the whole stream —
-    the algebraic identity the enumerative scheme (and every speculative
-    scheme's correctness) rests on."""
+    the algebraic identity SFA (and every speculative scheme's
+    correctness) rests on."""
     data = rng.integers(0, 32, size=640).astype(np.uint8)
     p = partition_input(data, 8)
     # Chunk functions computed the slow way.
@@ -32,34 +31,10 @@ def test_chunk_function_composition_equals_direct_run(dfa, rng):
 
 
 def test_enum_and_nf_agree(dfa, rng):
+    """SFA's enumerated chunk functions and NF's speculate-and-recover
+    reach the same end state."""
     data = bytes(rng.integers(0, 32, size=640).astype(np.uint8))
     training = bytes(rng.integers(0, 32, size=160).astype(np.uint8))
-    enum = EnumerativeScheme.for_dfa(dfa, n_threads=8, training_input=training)
+    sfa = SFAScheme.for_dfa(dfa, n_threads=8, training_input=training)
     nf = NFScheme.for_dfa(dfa, n_threads=8, training_input=training)
-    assert enum.run(data).end_state == nf.run(data).end_state
-
-
-def test_enum_oversubscription_scales_cost(dfa, rng):
-    """n_threads × n_states lanes beyond device residency must be charged
-    the concurrency factor, not hidden."""
-    from repro.gpu.device import DeviceSpec
-
-    tiny = DeviceSpec(
-        name="tiny",
-        n_sms=1,
-        cores_per_sm=8,
-        warp_size=8,
-        max_resident_warps_per_sm=2,
-        shared_memory_bytes_per_sm=64 * 1024,
-    )
-    data = bytes(rng.integers(0, 32, size=320).astype(np.uint8))
-    training = bytes(rng.integers(0, 32, size=80).astype(np.uint8))
-    small = EnumerativeScheme.for_dfa(
-        dfa, n_threads=4, training_input=training, device=tiny
-    ).run(data)
-    big = EnumerativeScheme.for_dfa(
-        dfa, n_threads=16, training_input=training, device=tiny
-    ).run(data)
-    # 16 threads × 7 states = 112 lanes = 14 warps on a 2-warp device:
-    # the oversubscribed launch cannot be cheaper per symbol.
-    assert big.cycles > small.cycles * 0.5
+    assert sfa.run(data).end_state == nf.run(data).end_state

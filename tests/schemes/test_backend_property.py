@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from repro.automata.dfa import DFA
 from repro.schemes import (
-    EnumerativeScheme,
     NFScheme,
     PMScheme,
     RRScheme,
     SequentialScheme,
     SFAScheme,
     SpecSequentialScheme,
-    SREHOScheme,
     SREScheme,
 )
 
@@ -30,10 +28,8 @@ ALL_SCHEMES = [
     SpecSequentialScheme,
     PMScheme,
     SREScheme,
-    SREHOScheme,
     RRScheme,
     NFScheme,
-    EnumerativeScheme,
     SFAScheme,
 ]
 

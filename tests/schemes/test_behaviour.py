@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from repro.schemes import (
-    EnumerativeScheme,
     NFScheme,
     PMScheme,
     RRScheme,
     SequentialScheme,
+    SFAScheme,
     SpecSequentialScheme,
     SREScheme,
 )
@@ -152,13 +152,15 @@ class TestAggressive:
 
 
 class TestEnumerative:
+    """SFA enumerates every start state per distinct chunk."""
+
     def test_redundancy_is_state_count_minus_one(self, hard_case):
         dfa, data, training = hard_case
-        r = run(EnumerativeScheme, hard_case)
+        r = run(SFAScheme, hard_case)
         assert r.stats.redundant_transitions == (dfa.n_states - 1) * len(data)
 
     def test_no_recovery_ever(self, hard_case):
-        r = run(EnumerativeScheme, hard_case)
+        r = run(SFAScheme, hard_case)
         assert r.stats.recovery_rounds == 0
 
 

@@ -10,13 +10,12 @@ import pytest
 
 from repro.schemes import (
     SCHEME_REGISTRY,
-    EnumerativeScheme,
     NFScheme,
     PMScheme,
     RRScheme,
     SequentialScheme,
+    SFAScheme,
     SpecSequentialScheme,
-    SREHOScheme,
     SREScheme,
 )
 
@@ -25,10 +24,9 @@ ALL_SCHEMES = [
     SpecSequentialScheme,
     PMScheme,
     SREScheme,
-    SREHOScheme,
     RRScheme,
     NFScheme,
-    EnumerativeScheme,
+    SFAScheme,
 ]
 
 
@@ -105,15 +103,8 @@ def test_recovery_schemes_any_capacity(rotator, rng, capacity):
 
 def test_registry_contains_all():
     assert set(SCHEME_REGISTRY) == {
-        "seq", "spec-seq", "pm", "sre", "sre-ho", "rr", "nf", "enum", "sfa",
+        "seq", "spec-seq", "pm", "sre", "rr", "nf", "sfa",
     }
-
-
-def test_get_scheme_unknown():
-    from repro.schemes import get_scheme
-
-    with pytest.raises(KeyError):
-        get_scheme("bogus")
 
 
 def test_scheme_result_fields(div7, rng):

@@ -8,12 +8,12 @@ which policy scheduled which recoveries.  Traced via ``keep_trace``.
 import numpy as np
 import pytest
 
-from repro.schemes import NFScheme, RRScheme, SREHOScheme, SREScheme
+from repro.schemes import NFScheme, RRScheme, SREScheme
 from repro.speculation.chunks import partition_input
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
 
-POLICY_SCHEMES = (SREScheme, SREHOScheme, RRScheme, NFScheme)
+POLICY_SCHEMES = (SREScheme, RRScheme, NFScheme)
 
 
 @pytest.fixture(scope="module")

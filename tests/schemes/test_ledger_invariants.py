@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from repro.schemes import (
-    EnumerativeScheme,
     NFScheme,
     PMScheme,
     RRScheme,
     SequentialScheme,
+    SFAScheme,
     SpecSequentialScheme,
-    SREHOScheme,
     SREScheme,
 )
 from repro.workloads.components import counter_component
@@ -27,10 +26,9 @@ ALL = [
     SpecSequentialScheme,
     PMScheme,
     SREScheme,
-    SREHOScheme,
     RRScheme,
     NFScheme,
-    EnumerativeScheme,
+    SFAScheme,
 ]
 
 

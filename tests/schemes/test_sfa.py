@@ -145,6 +145,36 @@ class TestMappings:
         assert periodic.stats.transitions < random_run.stats.transitions
         assert periodic.stats.cycles < random_run.stats.cycles
 
+    def test_oversubscription_scales_cost(self, rng):
+        """``chunks × states`` mapping lanes beyond device residency must be
+        charged the concurrency factor, not hidden."""
+        from repro.automata.dfa import DFA
+        from repro.gpu.device import DeviceSpec
+        from repro.workloads.components import counter_component
+
+        comp = counter_component(7, n_symbols=32, seed=11)
+        dfa = DFA(table=comp.table, start=0, accepting=frozenset({0}))
+        tiny = DeviceSpec(
+            name="tiny",
+            n_sms=1,
+            cores_per_sm=8,
+            warp_size=8,
+            max_resident_warps_per_sm=2,
+            shared_memory_bytes_per_sm=64 * 1024,
+        )
+        data = bytes(rng.integers(0, 32, size=320).astype(np.uint8))
+        training = bytes(rng.integers(0, 32, size=80).astype(np.uint8))
+        small, big = (
+            SFAScheme.for_dfa(
+                dfa, n_threads=n, training_input=training, device=tiny, backend="sim"
+            ).run(data)
+            for n in (4, 16)
+        )
+        # 16 distinct chunks × 7 states = 112 lanes = 14 warps on a 2-warp
+        # device: the oversubscribed launch cannot be cheaper per symbol.
+        assert big.stats.transitions == 7 * len(data)
+        assert big.cycles > small.cycles * 0.5
+
 
 # ----------------------------------------------------------------------
 # scheme contract

@@ -1,18 +1,17 @@
-"""The differential fuzzer: generation, checking, probes, shrinking, repros.
+"""The differential fuzzer: generation, checking, shrinking, repros.
 
 The expensive end-to-end property (hundreds of random cases) lives in the
 CI smoke job; here we pin the machinery — deterministic generation, a clean
-seeded mini-campaign, probe tripwires for the satellite bugs this PR fixes,
-and the shrinker producing a minimal, replayable JSON repro from an
-injected fault.
+seeded mini-campaign, usage errors that never masquerade as failures, and
+the shrinker producing a minimal, replayable JSON repro from an injected
+fault.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.errors import SelfCheckError
+from repro.errors import SchemeError, SimulationError
 from repro.selfcheck.fuzz import (
     FuzzCase,
     check_case,
@@ -20,7 +19,6 @@ from repro.selfcheck.fuzz import (
     random_case,
     replay,
     run_fuzz,
-    run_probes,
     save_repro,
     shrink_case,
 )
@@ -57,50 +55,32 @@ class TestChecking:
             case = random_case(SEED + i)
             assert check_case(case) is None, (i, case.scheme, case.backend)
 
-    def test_probes_pass_on_fixed_code(self):
-        assert run_probes() == []
 
-    def test_probes_catch_reverted_t_comm(self, monkeypatch):
-        from repro.selector.cost_model import CostModel
+class TestUsageErrors:
+    """A typo in a pool is a usage error: no case runs, no repro is written."""
 
-        monkeypatch.setattr(
-            CostModel,
-            "t_comm",
-            lambda self, k: float(self.device.comm_cycles) * max(1, k) / max(1, k),
-        )
-        assert any("t_comm" in f for f in run_probes())
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            ({"schemes": ("foo",)}, SchemeError),
+            ({"schemes": ("pm", "enum")}, SchemeError),
+            ({"backends": ("sim", "gpu")}, SimulationError),
+        ],
+    )
+    def test_run_fuzz_rejects_unknown_pool(self, kw, error, tmp_path):
+        with pytest.raises(error):
+            run_fuzz(iterations=1, seed=SEED, out_dir=tmp_path, **kw)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_probes_catch_reverted_backend_validation(self, monkeypatch):
-        import repro.engine.fast as fast_mod
-        import repro.gpu.executor as exec_mod
+    @pytest.mark.parametrize("flag", [["--schemes", "foo"], ["--backends", "sim,gpu"]])
+    def test_cli_exits_2_and_writes_nothing(self, flag, tmp_path, capsys):
+        from repro.cli import main
 
-        monkeypatch.setattr(
-            fast_mod, "validate_batch_inputs", lambda *a, **k: None
-        )
-        monkeypatch.setattr(
-            exec_mod, "validate_batch_inputs", lambda *a, **k: None
-        )
-        failures = run_probes()
-        assert any("IndexError" in f or "silently" in f or "wraparound" in f
-                   for f in failures)
-
-    def test_probes_catch_reverted_nan_contract(self, monkeypatch):
-        from repro.framework import throughput as tp
-
-        monkeypatch.setattr(
-            tp.BatchResult,
-            "latency_cycles",
-            property(lambda self: self.stats.cycles),
-        )
-        assert any("NaN" in f for f in run_probes())
-
-    def test_run_fuzz_raises_selfcheck_error_on_probe_failure(self, monkeypatch):
-        from repro.selector.cost_model import CostModel
-
-        monkeypatch.setattr(CostModel, "t_comm", lambda self, k: 35.0)
-        with pytest.raises(SelfCheckError) as exc:
-            run_fuzz(iterations=1, seed=SEED)
-        assert exc.value.invariant == "probes"
+        out = tmp_path / "repros"
+        rc = main(["fuzz", "--iterations", "1", "--out", str(out), *flag])
+        assert rc == 2
+        assert not out.exists()
+        assert "unknown" in capsys.readouterr().err
 
 
 class TestShrinking:
@@ -126,7 +106,6 @@ class TestShrinking:
             seed=1,
             out_dir=tmp_path,
             backends=("fast",),
-            probes=False,
         )
         assert path is not None and path.exists()
         payload = json.loads(path.read_text())

@@ -1,21 +1,36 @@
-"""Pluggable-predictor tests."""
+"""Alternative start-state predictor tests (lookback-w, adaptive, oracle,
+uniform) and the schemes running under them."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.schemes.base as scheme_base
 from repro.schemes import NFScheme, SREScheme
 from repro.speculation.chunks import partition_input
-from repro.speculation.predictor import true_start_states
-from repro.speculation.predictors import (
-    PREDICTOR_REGISTRY,
-    AdaptiveLookbackPredictor,
-    LookbackPredictor,
-    OraclePredictor,
-    UniformPredictor,
+from repro.speculation.predictor import (
+    predict_adaptive,
+    predict_oracle,
+    predict_start_states,
+    predict_uniform,
+    true_start_states,
 )
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
 from repro.errors import SchemeError
+
+
+def lookback(w):
+    return partial(predict_start_states, lookback=w)
+
+
+PREDICTORS = {
+    **{f"lookback-{w}": lookback(w) for w in (1, 2, 4, 8)},
+    "adaptive": predict_adaptive,
+    "oracle": predict_oracle,
+    "uniform": predict_uniform,
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,54 +54,45 @@ def accuracy(pred, dfa, partition, k=1):
 
 
 class TestLookback:
-    def test_window_validation(self):
-        with pytest.raises(SchemeError):
-            LookbackPredictor(0)
-
     def test_matches_default_at_window_2(self, dfa, stream):
-        from repro.speculation.predictor import predict_start_states
-
         p = partition_input(stream, 16)
-        a = LookbackPredictor(2).predict(dfa, p, dfa.start)
+        a = lookback(2)(dfa, p, dfa.start)
         b = predict_start_states(dfa, p)
         for qa, qb in zip(a.queues, b.queues):
             assert np.array_equal(qa.states, qb.states)
 
     def test_longer_window_no_worse(self, dfa, stream):
         p = partition_input(stream, 16)
-        short = accuracy(LookbackPredictor(1).predict(dfa, p, dfa.start), dfa, p)
-        long = accuracy(LookbackPredictor(8).predict(dfa, p, dfa.start), dfa, p)
+        short = accuracy(lookback(1)(dfa, p, dfa.start), dfa, p)
+        long = accuracy(lookback(8)(dfa, p, dfa.start), dfa, p)
         assert long >= short
 
     def test_truth_always_contained(self, dfa, stream):
         p = partition_input(stream, 16)
-        pred = LookbackPredictor(4).predict(dfa, p, dfa.start)
+        pred = lookback(4)(dfa, p, dfa.start)
         truth = true_start_states(dfa, p)
         for i in range(1, 16):
             assert pred.queues[i].rank_of(int(truth[i])) is not None
 
 
 class TestAdaptive:
-    def test_validation(self):
+    def test_validation(self, dfa, stream):
+        p = partition_input(stream, 16)
         with pytest.raises(SchemeError):
-            AdaptiveLookbackPredictor(target_candidates=0)
+            predict_adaptive(dfa, p, target_candidates=0)
 
     def test_truth_contained_and_queues_small_near_syncs(self, dfa, stream):
         p = partition_input(stream, 16)
-        pred = AdaptiveLookbackPredictor(target_candidates=3, max_window=32).predict(
-            dfa, p, dfa.start
-        )
+        pred = predict_adaptive(dfa, p, dfa.start, target_candidates=3, max_window=32)
         truth = true_start_states(dfa, p)
         for i in range(1, 16):
             assert pred.queues[i].rank_of(int(truth[i])) is not None
 
     def test_at_least_as_accurate_as_fixed_2(self, dfa, stream):
         p = partition_input(stream, 16)
-        fixed = accuracy(LookbackPredictor(2).predict(dfa, p, dfa.start), dfa, p, k=2)
+        fixed = accuracy(lookback(2)(dfa, p, dfa.start), dfa, p, k=2)
         adaptive = accuracy(
-            AdaptiveLookbackPredictor(target_candidates=2, max_window=32).predict(
-                dfa, p, dfa.start
-            ),
+            predict_adaptive(dfa, p, dfa.start, target_candidates=2, max_window=32),
             dfa,
             p,
             k=2,
@@ -97,20 +103,51 @@ class TestAdaptive:
 class TestBounds:
     def test_oracle_is_perfect(self, dfa, stream):
         p = partition_input(stream, 16)
-        pred = OraclePredictor().predict(dfa, p, dfa.start)
+        pred = predict_oracle(dfa, p, dfa.start)
         assert accuracy(pred, dfa, p, k=1) == 1.0
 
     def test_uniform_contains_everything(self, dfa, stream):
         p = partition_input(stream, 16)
-        pred = UniformPredictor().predict(dfa, p, dfa.start)
+        pred = predict_uniform(dfa, p, dfa.start)
         assert accuracy(pred, dfa, p, k=dfa.n_states) == 1.0
         assert pred.queues[1].states.size == dfa.n_states
 
 
+@pytest.mark.parametrize("key", sorted(PREDICTORS))
+class TestContract:
+    """What a scheme relies on from any ``predictor=`` callable."""
+
+    def test_one_queue_per_chunk_and_chunk_zero_is_the_start(self, key, dfa, stream):
+        p = partition_input(stream, 16)
+        pred = PREDICTORS[key](dfa, p, 3)
+        assert pred.n_chunks == len(pred.queues) == 16
+        assert pred.queues[0].states.tolist() == [3]
+
+    def test_queues_hold_distinct_states_ranked_by_weight(self, key, dfa, stream):
+        p = partition_input(stream, 16)
+        for q in PREDICTORS[key](dfa, p, dfa.start).queues:
+            assert q.states.size >= 1
+            assert np.unique(q.states).size == q.states.size
+            assert ((q.states >= 0) & (q.states < dfa.n_states)).all()
+            assert (np.diff(q.weights) <= 0).all()
+
+    def test_weights_count_every_start_lane(self, key, dfa, stream):
+        p = partition_input(stream, 16)
+        for q in PREDICTORS[key](dfa, p, dfa.start).queues:
+            assert int(q.weights.sum()) == dfa.n_states
+
+    def test_truth_contained_from_any_start(self, key, dfa, stream):
+        p = partition_input(stream, 16)
+        pred = PREDICTORS[key](dfa, p, 3)
+        truth = true_start_states(dfa, p, start_state=3)
+        for i in range(16):
+            assert pred.queues[i].rank_of(int(truth[i])) is not None, i
+
+
 class TestSchemesUnderPredictors:
-    @pytest.mark.parametrize("key", sorted(PREDICTOR_REGISTRY))
+    @pytest.mark.parametrize("key", sorted(PREDICTORS))
     def test_correctness_under_every_predictor(self, key, dfa, stream):
-        predictor = PREDICTOR_REGISTRY[key]()
+        predictor = PREDICTORS[key]
         truth = dfa.run(stream)
         for cls in (SREScheme, NFScheme):
             scheme = cls.for_dfa(
@@ -126,7 +163,7 @@ class TestSchemesUnderPredictors:
             dfa,
             n_threads=8,
             training_input=bytes(stream[:128]),
-            predictor=OraclePredictor(),
+            predictor=predict_oracle,
         )
         result = scheme.run(stream)
         assert result.stats.recoveries_executed == 0
@@ -139,9 +176,26 @@ class TestSchemesUnderPredictors:
 
         base = dict(n_threads=16, training_input=bytes(stream[:128]))
         look = SpecSequentialScheme.for_dfa(
-            dfa, predictor=LookbackPredictor(2), **base
+            dfa, predictor=lookback(2), **base
         ).run(stream)
         uni = SpecSequentialScheme.for_dfa(
-            dfa, predictor=UniformPredictor(), **base
+            dfa, predictor=predict_uniform, **base
         ).run(stream)
         assert look.stats.recoveries_executed <= uni.stats.recoveries_executed
+
+    def test_default_predictor_is_looked_up_on_the_base_module(
+        self, dfa, stream, monkeypatch
+    ):
+        """With no custom predictor a scheme calls the module global
+        ``repro.schemes.base.predict_start_states`` at run time — the hook
+        the end-to-end ``speculation.*`` layer metrics patch."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].n_chunks)
+            return predict_start_states(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_base, "predict_start_states", spy)
+        scheme = SREScheme.for_dfa(dfa, n_threads=8, training_input=bytes(stream[:128]))
+        assert scheme.run(stream).end_state == dfa.run(stream)
+        assert calls == [8]
