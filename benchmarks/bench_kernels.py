@@ -190,13 +190,12 @@ def test_guard_predictor_vs_reference():
     over 256 chunks), where it replays state sets; at the small-feed shape
     (7 windows × 48 states, timed as a 200-call burst), where it replays
     one lane per state, no more than 1.1× the reference's time."""
+    from tests.conftest import queue_lists
     from tests.speculation.test_predictor_reference import per_lane_queues
     from repro.workloads.suites import build_member
 
     def same(prediction, reference):
-        return [
-            (q.states.tolist(), q.weights.tolist()) for q in prediction.queues
-        ] == reference
+        return queue_lists(prediction) == reference
 
     member = build_member("poweren", 10)
     data = np.frombuffer(bytes(member.generate_input(65536, seed=0)), dtype=np.uint8)

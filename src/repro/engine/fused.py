@@ -23,11 +23,10 @@ no cycle ledger is charged (a stream fed through the fused path reports
 ``total_cycles = NaN``, exactly like the ``fast`` backend's contract).
 
 With self-checking enabled (``REPRO_SELFCHECK=1`` or an explicit flag) the
-dispatch runs block-wise and stashes a per-stream *frontier* — the carried
-state at every symbol-block boundary — so
-:func:`repro.selfcheck.audit.audit_fused_dispatch` can re-verify both the
-end-state oracle and the frontier chain for every stream instead of the
-audits being silently bypassed by the fused fast path.
+dispatch runs the very same kernel and then hands its answers to
+:func:`repro.selfcheck.audit.audit_fused_dispatch`, which re-runs every
+stream through the sequential oracle — the audit checks the path that
+serves, not a stand-in for it.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ import numpy as np
 
 from repro.automata.dfa import STATE_DTYPE, _as_symbol_array
 from repro.errors import SimulationError
-
-#: Symbol-block width used by the self-checking (frontier-stashing) path.
-DEFAULT_BLOCK = 128
 
 
 class FusedDispatchResult:
@@ -53,19 +49,14 @@ class FusedDispatchResult:
         numbering, aligned with the dispatch's input order.
     n_streams / total_symbols:
         Batch width and total symbols advanced across all streams.
-    frontiers:
-        ``None`` unless self-checking ran; otherwise, per stream, the list
-        of ``(position, user_state)`` snapshots taken at symbol-block
-        boundaries (the audit's chain evidence).
     """
 
-    __slots__ = ("end_states", "n_streams", "total_symbols", "frontiers")
+    __slots__ = ("end_states", "n_streams", "total_symbols")
 
-    def __init__(self, end_states, n_streams, total_symbols, frontiers=None):
+    def __init__(self, end_states, n_streams, total_symbols):
         self.end_states = end_states
         self.n_streams = n_streams
         self.total_symbols = total_symbols
-        self.frontiers = frontiers
 
 
 class FusedBatchEngine:
@@ -80,20 +71,15 @@ class FusedBatchEngine:
         of dispatches; it holds no per-stream state.
     selfcheck:
         Explicit audit switch; ``None`` defers to ``REPRO_SELFCHECK``.
-    block:
-        Symbol-block width for the self-checking path's frontier snapshots.
     """
 
-    def __init__(self, sim, *, selfcheck: Optional[bool] = None, block: int = DEFAULT_BLOCK):
+    def __init__(self, sim, *, selfcheck: Optional[bool] = None):
         from repro.selfcheck.audit import selfcheck_enabled
 
-        if block < 1:
-            raise SimulationError(f"block must be >= 1, got {block}")
         self.sim = sim
         self.dfa = sim.dfa
         self.engine = sim.engine
         self.selfcheck = selfcheck_enabled(selfcheck)
-        self.block = int(block)
 
     @property
     def backend_name(self) -> str:
@@ -125,10 +111,7 @@ class FusedBatchEngine:
         lengths = np.array([row.size for row in symbol_rows], dtype=np.int64)
         total_symbols = int(lengths.sum())
         if n_streams == 0:
-            return FusedDispatchResult(
-                np.empty(0, dtype=STATE_DTYPE), 0, 0,
-                frontiers=[] if self.selfcheck else None,
-            )
+            return FusedDispatchResult(np.empty(0, dtype=STATE_DTYPE), 0, 0)
 
         exec_starts = np.asarray(
             self.sim.to_exec_states(starts_arr), dtype=np.int64
@@ -137,8 +120,7 @@ class FusedBatchEngine:
         if max_len == 0:
             # Every segment empty: carried states pass through untouched.
             ends = np.asarray(starts_arr, dtype=STATE_DTYPE).copy()
-            frontiers = [[] for _ in range(n_streams)] if self.selfcheck else None
-            result = FusedDispatchResult(ends, n_streams, 0, frontiers)
+            result = FusedDispatchResult(ends, n_streams, 0)
             if self.selfcheck:
                 self._audit(symbol_rows, starts_arr, result)
             return result
@@ -159,15 +141,7 @@ class FusedBatchEngine:
             if row.size:
                 padded[rank, : row.size] = row
 
-        if self.selfcheck:
-            exec_ends_sorted, frontier_snaps = self._run_blockwise(
-                padded, exec_starts[order], sorted_lengths
-            )
-        else:
-            exec_ends_sorted = self._run_fused(
-                padded, exec_starts[order], sorted_lengths
-            )
-            frontier_snaps = None
+        exec_ends_sorted = self._run_fused(padded, exec_starts[order], sorted_lengths)
 
         inverse = np.empty(n_streams, dtype=np.int64)
         inverse[order] = np.arange(n_streams)
@@ -175,17 +149,7 @@ class FusedBatchEngine:
         ends = np.asarray(
             self.sim.to_user_states(exec_ends), dtype=STATE_DTYPE
         )
-
-        frontiers = None
-        if frontier_snaps is not None:
-            frontiers = [
-                [
-                    (pos, int(self.sim.to_user_state(state)))
-                    for pos, state in frontier_snaps[int(inverse[i])]
-                ]
-                for i in range(n_streams)
-            ]
-        result = FusedDispatchResult(ends, n_streams, total_symbols, frontiers)
+        result = FusedDispatchResult(ends, n_streams, total_symbols)
         if self.selfcheck:
             self._audit(symbol_rows, starts_arr, result)
         return result
@@ -202,36 +166,6 @@ class FusedBatchEngine:
         if run_streams is not None:
             return run_streams(padded, starts, lengths)
         return self.engine.run_batch(padded, starts, stats=None, lengths=lengths)
-
-    def _run_blockwise(self, padded, starts, lengths):
-        """Self-checking path: advance block by block, snapshot frontiers.
-
-        Returns the sorted-order end states plus, per sorted lane, the
-        ``(position, exec_state)`` snapshots at every block boundary the
-        lane was still working at.
-        """
-        n_streams, max_len = padded.shape
-        states = np.asarray(starts, dtype=np.int64).copy()
-        snaps: List[list] = [[] for _ in range(n_streams)]
-        for base in range(0, max_len, self.block):
-            width = min(self.block, max_len - base)
-            # Working prefix: lanes whose segment extends past ``base``
-            # (lengths descending ⇒ they form a prefix).
-            k = int(np.searchsorted(-lengths, -base, side="left"))
-            if k == 0:
-                break
-            sub_lengths = np.minimum(lengths[:k] - base, width)
-            states[:k] = self.engine.run_batch(
-                padded[:k, base : base + width],
-                states[:k],
-                stats=None,
-                lengths=sub_lengths,
-            )
-            boundary = base + width
-            for lane in range(k):
-                pos = min(int(lengths[lane]), boundary)
-                snaps[lane].append((pos, int(states[lane])))
-        return states, snaps
 
     def _audit(self, symbol_rows, starts, result) -> None:
         from repro.selfcheck.audit import audit_fused_dispatch

@@ -317,6 +317,35 @@ class Scheme(abc.ABC):
         stats.charge_sync(KernelPhase.SPECULATIVE_EXECUTION)
         return ends
 
+    def _recover_chunk(
+        self,
+        partition: Partition,
+        chunk: int,
+        start: int,
+        stats: KernelStats,
+        vr: VRStore,
+    ) -> int:
+        """One must-be-done recovery (Alg. 2 l.11, PM's stage 2): a single
+        thread re-executes ``chunk`` from the verified ``start`` while every
+        other thread idles — the sequential bottleneck.  The record lands
+        in ``VR_chunk^end``; returns the chunk's end state."""
+        phase = KernelPhase.VERIFY_RECOVER
+        stats.record_recovery_round(active_threads=1)
+        stats.recoveries_executed += 1
+        before = stats.phase_cycles.get(phase, 0.0)
+        ends = self.engine.run_batch(
+            partition.chunks[chunk : chunk + 1],
+            np.asarray([start], dtype=np.int64),
+            stats=stats,
+            phase=phase,
+            lengths=partition.lengths[chunk : chunk + 1],
+            chunk_ids=np.asarray([chunk]),
+        )
+        stats.recovery_exec_cycles += stats.phase_cycles.get(phase, 0.0) - before
+        end = int(ends[0])
+        vr.add(chunk, start, end, own=True)
+        return end
+
     def _finish(
         self,
         end_state_exec: int,

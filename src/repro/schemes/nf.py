@@ -37,6 +37,7 @@ from repro.schemes.recovery_common import (
     RecoveryPolicy,
     RoundContext,
     advance_cursors,
+    dequeue_untried,
     per_thread_round,
     rear_assignments,
     untried_candidates,
@@ -102,13 +103,8 @@ class NFPolicy(RecoveryPolicy):
         for t in range(f):
             st = None
             while cid < n:
-                queue = ctx.prediction.queue(cid)
                 if not ctx.vr.others_full(cid) and scheduled < ctx.vr.others_capacity:
-                    while queue.size > 0:
-                        candidate = queue.dequeue()
-                        if ctx.vr.lookup(cid, candidate) is None:
-                            st = candidate
-                            break
+                    st = dequeue_untried(ctx, cid)
                 if st is not None:
                     scheduled += 1
                     break
@@ -116,7 +112,7 @@ class NFPolicy(RecoveryPolicy):
                 scheduled = 0
             if st is None:
                 break  # every rear queue is exhausted: remaining threads idle
-            assignments.append((t, cid, int(st)))
+            assignments.append((t, cid, st))
         return assignments
 
 

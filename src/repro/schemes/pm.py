@@ -66,17 +66,25 @@ class PMScheme(Scheme):
         self.adaptive_mass = adaptive_mass
         self.name = f"pm-adaptive{k}" if adaptive else f"pm-spec{k}"
 
-    def _paths_for_chunk(self, queue) -> np.ndarray:
-        """Candidate start states this chunk will run (spec-k or adaptive)."""
+    def _paths_run(self, prediction) -> np.ndarray:
+        """How many of its queue's top candidates each chunk runs: spec-k
+        runs ``min(size, k)``; adaptive stops at the first prefix whose
+        share of the chunk's lookback weight reaches ``adaptive_mass``."""
+        paths = np.minimum(prediction.sizes, self.k)
         if not self.adaptive:
-            return queue.top_k(self.k)
-        weights = queue.weights[: self.k].astype(np.float64)
-        total = float(queue.weights.sum())
-        if total <= 0:
-            return queue.top_k(self.k)
-        covered = np.cumsum(weights) / total
-        needed = int(np.searchsorted(covered, self.adaptive_mass) + 1)
-        return queue.top_k(max(1, min(self.k, needed)))
+            return paths
+        lo, hi = prediction.bounds[:-1], prediction.bounds[1:]
+        cum = np.concatenate(([0], np.cumsum(prediction.weights)))
+        # Share of its weight each chunk's top 1..k candidates cover: 1 past
+        # the queue's end (never short of a mass <= 1), 0 for a chunk with
+        # no weight (so it keeps every path).  Integer prefix sums are
+        # exact, so each share is the float a per-queue ``cumsum / total``
+        # gives.
+        prefix = np.minimum(lo[:, None] + np.arange(1, self.k + 1), hi[:, None])
+        totals = np.maximum(cum[hi] - cum[lo], 1).astype(np.float64)
+        covered = (cum[prefix] - cum[lo][:, None]) / totals[:, None]
+        needed = 1 + np.count_nonzero(covered < self.adaptive_mass, axis=1)
+        return np.minimum(paths, needed)
 
     # ------------------------------------------------------------------
     def run(self, data, start_state=None) -> SchemeResult:
@@ -99,21 +107,15 @@ class PMScheme(Scheme):
 
             # --- spec-k parallel execution (α_k ≈ k serialized paths) ---
             with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
-                top_k = [
-                    self._paths_for_chunk(prediction.queues[i]) for i in range(n)
-                ]
-                paths_run = np.asarray([t.size for t in top_k], dtype=np.int64)
+                paths_run = self._paths_run(prediction)
+                front = prediction.bounds[:-1]
                 for j in range(self.k):
                     active = paths_run > j
                     if not active.any():
                         break
-                    starts = np.asarray(
-                        [
-                            int(top_k[i][j]) if paths_run[i] > j else 0
-                            for i in range(n)
-                        ],
-                        dtype=np.int64,
-                    )
+                    # Path j starts from each active chunk's j-th candidate.
+                    starts = np.zeros(n, dtype=np.int64)
+                    starts[active] = prediction.states[front[active] + j]
                     ends = self.engine.run_batch(
                         partition.chunks,
                         starts,
@@ -161,7 +163,7 @@ class PMScheme(Scheme):
 
             # --- stage 2: sequential verification and must-be-done
             # recovery --------------------------------------------------
-            end_p = vr.records(0)[0].end  # chunk 0 ran from the real start state
+            end_p = vr.lookup(0, exec_start)  # chunk 0 ran from the real start state
             chunk_ends = np.empty(n, dtype=np.int64)
             chunk_ends[0] = end_p
             matched_path_len = int(partition.lengths[0])
@@ -182,33 +184,14 @@ class PMScheme(Scheme):
                     active_threads=1,
                 ):
                     stats.mismatches += 1
-                    stats.record_recovery_round(active_threads=1)
-                    stats.recoveries_executed += 1
                     stats.charge_comm(KernelPhase.VERIFY_RECOVER, 1)
                     stats.charge_verify(
                         KernelPhase.VERIFY_RECOVER,
                         checks_per_thread=self.k,
                         total_checks=self.k,
                     )
-                    recovery_start = int(end_p)
-                    before = stats.phase_cycles.get(
-                        KernelPhase.VERIFY_RECOVER, 0.0
-                    )
-                    ends = self.engine.run_batch(
-                        partition.chunks[i : i + 1],
-                        np.asarray([recovery_start], dtype=np.int64),
-                        stats=stats,
-                        phase=KernelPhase.VERIFY_RECOVER,
-                        lengths=partition.lengths[i : i + 1],
-                        chunk_ids=np.asarray([i]),
-                    )
-                    stats.recovery_exec_cycles += (
-                        stats.phase_cycles.get(KernelPhase.VERIFY_RECOVER, 0.0)
-                        - before
-                    )
-                    end_p = int(ends[0])
+                    end_p = self._recover_chunk(partition, i, end_p, stats, vr)
                     chunk_ends[i] = end_p
-                    vr.add(i, recovery_start, end_p, own=True)
                     useful_transitions += int(partition.lengths[i])
 
             # Everything executed beyond the ground-truth path was redundant.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +85,24 @@ def rear_assignments(ctx: RoundContext) -> List[Assignment]:
     threads = np.flatnonzero(rear) + f
     owned = threads.tolist()
     return list(zip(owned, owned, ctx.end_p[threads].tolist()))
+
+
+def dequeue_untried(ctx: RoundContext, chunk: int) -> Optional[int]:
+    """Dequeue from ``chunk``'s queue until a candidate ``ctx.vr`` holds no
+    record for and return it (None when the queue runs dry): one step of
+    the per-thread RR/NF schedules, on the prediction's cursor array."""
+    prediction = ctx.prediction
+    lo, hi = prediction.bounds[chunk : chunk + 2].tolist()
+    pos = lo + int(prediction.cursors[chunk])
+    picked = None
+    while pos < hi:
+        candidate = int(prediction.states[pos])
+        pos += 1
+        if ctx.vr.lookup(chunk, candidate) is None:
+            picked = candidate
+            break
+    prediction.cursors[chunk] = pos - lo
+    return picked
 
 
 def untried_candidates(

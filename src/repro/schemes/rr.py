@@ -35,6 +35,7 @@ from repro.schemes.recovery_common import (
     RecoveryPolicy,
     RoundContext,
     advance_cursors,
+    dequeue_untried,
     per_thread_round,
     rear_assignments,
     untried_candidates,
@@ -93,17 +94,11 @@ class RRPolicy(RecoveryPolicy):
             return assignments
         for t in range(f):
             cid = (f + 1) + (t % n_rear_chunks)
-            queue = ctx.prediction.queue(cid)
             if ctx.vr.others_full(cid):
                 continue
-            st = None
-            while queue.size > 0:
-                candidate = queue.dequeue()
-                if ctx.vr.lookup(cid, candidate) is None:
-                    st = candidate
-                    break
+            st = dequeue_untried(ctx, cid)
             if st is not None:
-                assignments.append((t, cid, int(st)))
+                assignments.append((t, cid, st))
         return assignments
 
 

@@ -42,7 +42,7 @@ class SpecSequentialScheme(Scheme):
                 self._speculative_execution(partition, prediction, stats, vr)
 
             # Sequential verification and recovery (lines 8-14 of Alg. 2).
-            end_p = vr.records(0)[0].end  # chunk 0 started from the real state
+            end_p = vr.lookup(0, exec_start)  # chunk 0 started from the real state
             chunk_ends = np.empty(n, dtype=np.int64)
             chunk_ends[0] = end_p
             for i in range(1, n):
@@ -54,28 +54,7 @@ class SpecSequentialScheme(Scheme):
                     recorded = vr.lookup(i, int(end_p))
                     if recorded is None:
                         stats.mismatches += 1
-                        stats.record_recovery_round(active_threads=1)
-                        stats.recoveries_executed += 1
-                        before = stats.phase_cycles.get(
-                            KernelPhase.VERIFY_RECOVER, 0.0
-                        )
-                        # One thread re-executes chunk i from the verified
-                        # state; everyone else idles — this is the
-                        # sequential bottleneck.
-                        ends = self.engine.run_batch(
-                            partition.chunks[i : i + 1],
-                            np.asarray([end_p], dtype=np.int64),
-                            stats=stats,
-                            phase=KernelPhase.VERIFY_RECOVER,
-                            lengths=partition.lengths[i : i + 1],
-                            chunk_ids=np.asarray([i]),
-                        )
-                        stats.recovery_exec_cycles += (
-                            stats.phase_cycles.get(KernelPhase.VERIFY_RECOVER, 0.0)
-                            - before
-                        )
-                        end_c = int(ends[0])
-                        vr.add(i, int(end_p), end_c, own=True)
+                        end_c = self._recover_chunk(partition, i, end_p, stats, vr)
                     else:
                         stats.matches += 1
                         end_c = int(recorded)

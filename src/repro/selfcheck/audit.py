@@ -46,6 +46,7 @@ import numpy as np
 from repro.automata.dfa import _as_symbol_array
 from repro.errors import SelfCheckError
 from repro.speculation.chunks import partition_input
+from repro.speculation.records import EMPTY
 
 #: Environment variable turning the audits on process-wide.
 SELFCHECK_ENV_VAR = "REPRO_SELFCHECK"
@@ -124,13 +125,14 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
     # --- VR-store capacity was never exceeded -------------------------
     vr = stash.get("vr")
     if vr is not None:
-        bad = []
-        for c in range(vr.n_chunks):
-            records = vr.records(c)
-            own = sum(1 for r in records if r.own)
-            others = len(records) - own
-            if own > vr.own_capacity or others > vr.others_capacity:
-                bad.append(c)
+        # Count the filled slots themselves, not the store's fill counters:
+        # a write that bypassed ``add`` need not have kept those in step.
+        filled = vr._start != EMPTY
+        own = np.count_nonzero(filled & vr._own, axis=1)
+        others = np.count_nonzero(filled & ~vr._own, axis=1)
+        bad = np.flatnonzero(
+            (own > vr.own_capacity) | (others > vr.others_capacity)
+        ).tolist()
         if bad:
             _fail(
                 scheme,
@@ -215,17 +217,13 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
 
     The fused path (:class:`~repro.engine.fused.FusedBatchEngine`) bypasses
     the scheme layer, so the scheme-run audits above never see it; this
-    audit restores the same guarantees at the dispatch boundary:
+    audit restores the answer guarantee at the dispatch boundary, on the
+    answers of the same kernel an unaudited dispatch runs:
 
     ``fused_end_state_oracle``
         Every stream's fused end state (in user-space numbering) equals the
         sequential ``DFA.run`` oracle over that stream's own segment from
         its own carried state — the per-stream answer contract.
-    ``fused_frontier_chain``
-        The per-stream frontier snapshots the dispatch stashed at symbol-
-        block boundaries chain under the oracle: re-running each block's
-        slice from the previous frontier reproduces every snapshot, so the
-        fused gather never silently skipped or reordered a lane mid-batch.
 
     ``engine`` is the dispatching :class:`FusedBatchEngine`; ``segments``
     and ``starts`` are the dispatch inputs (user space); ``result`` its
@@ -246,29 +244,6 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
             scheme="fused",
             backend=engine.backend_name,
             lanes=bad_ends,
-        )
-
-    if result.frontiers is None:
-        return
-    bad_chains = []
-    for i, snaps in enumerate(result.frontiers):
-        symbols = _as_symbol_array(segments[i])
-        state = int(starts[i])
-        prev = 0
-        for pos, snap_state in snaps:
-            state = int(dfa.run(symbols[prev:pos], start=state))
-            if state != int(snap_state):
-                bad_chains.append(i)
-                break
-            prev = pos
-    if bad_chains:
-        raise SelfCheckError(
-            "fused frontier snapshots disagree with re-running each "
-            "symbol block from the previous frontier",
-            invariant="fused_frontier_chain",
-            scheme="fused",
-            backend=engine.backend_name,
-            lanes=bad_chains,
         )
 
 

@@ -48,6 +48,10 @@ from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftConfig, DriftMonitor
 from repro.speculation.observations import LiveObservations
 
+#: Narrowest same-plan group :meth:`MatcherPool.feed_many` fuses; a lone
+#: feed gains nothing from the gang layout and runs per-stream.
+FUSED_MIN_STREAMS = 2
+
 
 @dataclass(frozen=True)
 class StreamStats:
@@ -179,11 +183,9 @@ class MatcherPool:
         :class:`~repro.engine.fused.FusedBatchEngine`) instead of N
         per-stream scheme runs.  Off by default — fused streams report
         ``total_cycles = NaN`` (answer-only execution), so cycle-accounting
-        consumers should stay per-stream.
-    fused_min_streams:
-        Narrowest batch worth fusing; same-fingerprint groups below this
-        width fall back to the per-stream path (counted by
-        ``serving.pool.fused_fallbacks``).
+        consumers should stay per-stream.  Same-fingerprint groups narrower
+        than :data:`FUSED_MIN_STREAMS` fall back to the per-stream path
+        (counted by ``serving.pool.fused_fallbacks``).
     open_timeout:
         Seconds :meth:`open` may block waiting for a slot when the pool is
         at capacity (``None`` — the default — rejects immediately).  Both
@@ -219,7 +221,6 @@ class MatcherPool:
         selfcheck: Optional[bool] = None,
         max_streams: int = 64,
         fused: bool = False,
-        fused_min_streams: int = 2,
         open_timeout: Optional[float] = None,
         drift: Optional[DriftConfig] = None,
         tracer=None,
@@ -228,11 +229,6 @@ class MatcherPool:
         if max_streams < 1:
             raise ServingError(
                 f"max_streams must be >= 1, got {max_streams}",
-                code="invalid_argument",
-            )
-        if fused_min_streams < 1:
-            raise ServingError(
-                f"fused_min_streams must be >= 1, got {fused_min_streams}",
                 code="invalid_argument",
             )
         self.cache = (
@@ -245,7 +241,6 @@ class MatcherPool:
         self.selfcheck = selfcheck
         self.max_streams = int(max_streams)
         self.fused = bool(fused)
-        self.fused_min_streams = int(fused_min_streams)
         self.open_timeout = open_timeout
         self.tracer = tracer
         self.metrics = metrics or self.cache.metrics
@@ -638,7 +633,7 @@ class MatcherPool:
 
         Feeds targeting streams that share a fingerprint are coalesced
         into one fused ``(streams × lanes)`` dispatch when the pool is in
-        fused mode and the group is at least ``fused_min_streams`` wide;
+        fused mode and the group is at least :data:`FUSED_MIN_STREAMS` wide;
         everything else runs through the ordinary per-stream scheme path.
         Either way each feed is answer-identical to calling :meth:`feed`
         with the same segment (the differential suites pin this).
@@ -706,7 +701,7 @@ class MatcherPool:
                 (idx, stream_id, entry, symbols)
             )
         for fingerprint, group in groups.items():
-            if self.fused and len(group) >= self.fused_min_streams:
+            if self.fused and len(group) >= FUSED_MIN_STREAMS:
                 self._dispatch_fused(fingerprint, group, outcomes)
             else:
                 self._dispatch_sequential(group, outcomes)

@@ -12,7 +12,6 @@ from repro.speculation.observations import LiveObservations
 from repro.speculation.predictor import (
     LOOKBACK,
     Prediction,
-    SpeculationQueue,
     predict_adaptive,
     predict_oracle,
     predict_start_states,
@@ -22,7 +21,6 @@ from repro.speculation.predictor import (
 from repro.speculation.records import (
     DEFAULT_OTHERS_CAPACITY,
     DEFAULT_OWN_CAPACITY,
-    VRRecord,
     VRStore,
 )
 
@@ -33,8 +31,6 @@ __all__ = [
     "LiveObservations",
     "Partition",
     "Prediction",
-    "SpeculationQueue",
-    "VRRecord",
     "VRStore",
     "partition_input",
     "predict_adaptive",

@@ -22,9 +22,11 @@ descending, then the ``tie_break`` key, then the state id — is the one a
 lane-per-state replay produces.  Each *distinct* window is replayed once
 and boundaries with equal windows share its ranked segment.
 
-The queues of all chunks live in one CSR layout (:class:`Prediction`), so
-the recovery schedulers can read and advance every queue's cursor with
-array operations; :class:`SpeculationQueue` is a view of one chunk's slice.
+The queues of all chunks live in one CSR layout (:class:`Prediction`) and
+are read only through it: chunk ``i``'s queue is the segment
+``states[bounds[i]:bounds[i + 1]]`` and ``cursors[i]`` counts its dequeued
+candidates, so the recovery schedulers read and advance every cursor with
+array operations and the sequential loops index the same arrays.
 
 The paper leaves the accuracy/overhead trade-off open, so three alternative
 predictors with :func:`predict_start_states`' signature bracket it (a
@@ -39,7 +41,7 @@ scheme takes any of them as ``predictor=``; lookback-``w`` is
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,106 +65,17 @@ REPLAY_BLOCK_ELEMENTS = 1 << 18
 PER_LANE_REPLAY = 1 << 12
 
 
-class SpeculationQueue:
-    """Ranked candidate start states for one chunk (``QS_i`` in Table I).
-
-    ``states`` are ordered most-likely-first; ``weights`` are the appearance
-    counts from the all-state replay.  ``dequeue`` pops the front — the
-    concurrent-queue semantics the heuristics rely on (our simulator is
-    single-threaded, so a plain cursor suffices for thread-safety).
-
-    Inside a :class:`Prediction` a queue is a view: ``states``/``weights``
-    are slices of the prediction's ranked arrays and the cursor is one slot
-    of its ``cursors`` array.  A queue built on its own owns both.
-    """
-
-    __slots__ = ("states", "weights", "_cursors", "_slot")
-
-    def __init__(self, states, weights):
-        self.states = np.asarray(states, dtype=np.int64)
-        self.weights = np.asarray(weights, dtype=np.int64)
-        if self.states.shape != self.weights.shape:
-            raise SchemeError("queue states/weights must align")
-        self._cursors = np.zeros(1, dtype=np.int64)
-        self._slot = 0
-
-    def _bind(self, prediction: "Prediction", slot: int, lo: int, hi: int) -> None:
-        self.states = prediction.states[lo:hi]
-        self.weights = prediction.weights[lo:hi]
-        self._cursors = prediction.cursors
-        self._slot = slot
-
-    @property
-    def _cursor(self) -> int:
-        """How many candidates have been dequeued."""
-        return int(self._cursors[self._slot])
-
-    @_cursor.setter
-    def _cursor(self, value: int) -> None:
-        self._cursors[self._slot] = value
-
-    @property
-    def size(self) -> int:
-        """Remaining (not yet dequeued) candidates."""
-        return max(0, int(self.states.size - self._cursor))
-
-    def front(self) -> int:
-        """Most likely remaining candidate (raises when exhausted)."""
-        if self.size == 0:
-            raise SchemeError("speculation queue exhausted")
-        return int(self.states[self._cursor])
-
-    def dequeue(self) -> int:
-        """Pop and return the front candidate."""
-        state = self.front()
-        self._cursors[self._slot] += 1
-        return state
-
-    def top_k(self, k: int) -> np.ndarray:
-        """The first ``k`` candidates (fewer if the queue is shorter) —
-        regardless of the cursor; used by spec-k which reads, not consumes."""
-        return self.states[: min(k, self.states.size)].copy()
-
-    def rank_of(self, state: int) -> Optional[int]:
-        """Position of ``state`` in the ranked queue (None if absent)."""
-        hits = np.flatnonzero(self.states == state)
-        return int(hits[0]) if hits.size else None
-
-    def reset(self) -> None:
-        """Rewind the dequeue cursor (used between scheme runs)."""
-        self._cursor = 0
-
-
 class Prediction:
-    """Output of the predictor: one ranked queue per chunk.
+    """Output of the predictor: the ranked speculation queue ``QS_i``
+    (Table I) of every chunk, as one CSR array.
 
-    The queues are one CSR array: chunk ``i``'s candidates are
-    ``states[bounds[i]:bounds[i + 1]]`` (``weights`` alike), most likely
-    first, and ``cursors[i]`` says how many of them have been dequeued.
-    ``queues[i]`` is a :class:`SpeculationQueue` view of that slice;
-    ``queues[0]`` is the degenerate queue containing only the real start
-    state (chunk 0 never speculates).
-
-    ``Prediction(queues)`` packs separately built queues and rebinds each
-    as a view; the lookback predictor builds the arrays directly
-    (:meth:`from_arrays`) and materialises views only when asked.
+    Chunk ``i``'s candidates are ``states[bounds[i]:bounds[i + 1]]``, most
+    likely first, with their appearance counts from the all-state replay in
+    ``weights`` alike; ``cursors[i]`` says how many of them have been
+    dequeued (the queue's front is ``states[bounds[i] + cursors[i]]``).
+    Chunk 0's queue holds only the real start state (chunk 0 never
+    speculates).
     """
-
-    def __init__(self, queues: Sequence[SpeculationQueue]):
-        queues = list(queues)
-        sizes = [q.states.size for q in queues]
-        bounds = np.zeros(len(queues) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        self._set_arrays(
-            _concat([q.states for q in queues]),
-            _concat([q.weights for q in queues]),
-            bounds,
-            np.asarray([q._cursor for q in queues], dtype=np.int64),
-        )
-        edges = bounds.tolist()
-        for i, q in enumerate(queues):
-            q._bind(self, i, edges[i], edges[i + 1])
-        self._queues = queues
 
     @classmethod
     def from_arrays(
@@ -170,37 +83,11 @@ class Prediction:
     ) -> "Prediction":
         """A prediction over ready CSR arrays, every cursor at 0."""
         self = cls.__new__(cls)
-        self._set_arrays(
-            states, weights, bounds, np.zeros(bounds.size - 1, dtype=np.int64)
-        )
-        self._queues = None
-        return self
-
-    def _set_arrays(self, states, weights, bounds, cursors) -> None:
         self.states = np.asarray(states, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.int64)
-        self.bounds = bounds
-        self.cursors = cursors
-
-    @property
-    def queues(self) -> List[SpeculationQueue]:
-        if self._queues is None:
-            edges = self.bounds.tolist()
-            self._queues = [
-                self._view(i, edges[i], edges[i + 1]) for i in range(len(edges) - 1)
-            ]
-        return self._queues
-
-    def queue(self, i: int) -> SpeculationQueue:
-        """``queues[i]``, without building the other chunks' views."""
-        if self._queues is not None:
-            return self._queues[i]
-        return self._view(i, int(self.bounds[i]), int(self.bounds[i + 1]))
-
-    def _view(self, i: int, lo: int, hi: int) -> SpeculationQueue:
-        q = SpeculationQueue.__new__(SpeculationQueue)
-        q._bind(self, i, lo, hi)
-        return q
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.cursors = np.zeros(self.bounds.size - 1, dtype=np.int64)
+        return self
 
     @property
     def n_chunks(self) -> int:
@@ -224,9 +111,6 @@ class Prediction:
         self.cursors += 1
         return fronts
 
-    def reset(self) -> None:
-        self.cursors[:] = 0
-
     def accuracy_against(self, true_starts: np.ndarray, k: int = 1) -> float:
         """Fraction of speculated chunks whose true start is in the top-k.
 
@@ -245,10 +129,6 @@ class Prediction:
         hit = (rank < k) & (self.states == true_starts[owner])
         hits = np.count_nonzero(np.bincount(owner[hit], minlength=n)[1:])
         return hits / (n - 1)
-
-
-def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
 
 
 def segment_positions(

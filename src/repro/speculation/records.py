@@ -22,11 +22,13 @@ arrival order; two per-chunk counters say how many of the filled slots hold
 own and foreign records.  Free slots hold :data:`EMPTY` as their start, which
 no state id equals, so the whole-store verification scan of one frontier
 round (:meth:`VRStore.scan`) is a single broadcast compare with no validity
-mask.  Everything else — :meth:`~VRStore.records`, :meth:`~VRStore.lookup`,
-:meth:`~VRStore.count`, :meth:`~VRStore.others_full`,
-:meth:`~VRStore.starts_tried`, and their whole-round forms
-:meth:`~VRStore.holds` / :meth:`~VRStore.others_room` the recovery
-schedulers use — reads the same arrays.
+mask.  The store is read only through these arrays: the scalar
+:meth:`~VRStore.add` / :meth:`~VRStore.lookup` / :meth:`~VRStore.count` /
+:meth:`~VRStore.others_full` serve the inherently sequential chains
+(Algorithm 2, PM's stage 2, the small-round schedulers), and their
+whole-round forms :meth:`~VRStore.add_batch` / :meth:`~VRStore.scan` /
+:meth:`~VRStore.holds` / :meth:`~VRStore.others_room` serve the frontier
+loop and the array schedulers.
 """
 
 from __future__ import annotations
@@ -51,16 +53,6 @@ EMPTY = -1
 #: that many scalar :meth:`VRStore.add` calls (~2 µs each) cost less than the
 #: fixed overhead of the array operations one vectorized pass needs (~50 µs).
 _SCALAR_BATCH = 24
-
-
-@dataclass
-class VRRecord:
-    """One speculative execution/recovery record: ran chunk from ``start``,
-    reached ``end``; ``own`` marks records produced by the chunk's thread."""
-
-    start: int
-    end: int
-    own: bool
 
 
 @dataclass
@@ -254,22 +246,6 @@ class VRStore:
         limiting coverage, not from blindly dropping finished work).
         """
         return bool(self._n_others[chunk] >= self.others_capacity)
-
-    def records(self, chunk: int) -> Tuple[VRRecord, ...]:
-        """``chunk``'s records in arrival order (an immutable snapshot)."""
-        n = self.count(chunk)
-        return tuple(
-            VRRecord(start=s, end=e, own=o)
-            for s, e, o in zip(
-                self._start[chunk, :n].tolist(),
-                self._end[chunk, :n].tolist(),
-                self._own[chunk, :n].tolist(),
-            )
-        )
-
-    def starts_tried(self, chunk: int) -> np.ndarray:
-        """All start states already executed on ``chunk``."""
-        return self._start[chunk, : self.count(chunk)].copy()
 
     # ------------------------------------------------------------------
     def charge_check(self, stats: KernelStats, chunk: int, phase: str) -> None:

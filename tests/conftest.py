@@ -50,3 +50,13 @@ def rng():
 def random_stream(rng, length: int, lo: int = 97, hi: int = 123) -> bytes:
     """Random byte stream in [lo, hi)."""
     return bytes(rng.integers(lo, hi, size=length).astype(np.uint8))
+
+
+def queue_lists(prediction):
+    """Every chunk's queue as ``(states, weights)`` lists, sliced from the
+    prediction's CSR arrays by ``bounds``."""
+    edges = prediction.bounds.tolist()
+    return [
+        (prediction.states[lo:hi].tolist(), prediction.weights[lo:hi].tolist())
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]

@@ -212,19 +212,13 @@ def test_run_streams_validates_symbols(dfa):
 def test_fused_selfcheck_passes_on_honest_dispatch(dfa, training, backend):
     rng = np.random.default_rng(41)
     pal = _pal(dfa, training, backend)
-    fused = FusedBatchEngine(pal._simulator(), selfcheck=True, block=32)
+    fused = FusedBatchEngine(pal._simulator(), selfcheck=True)
     segments = [
         bytes(rng.integers(97, 123, size=int(n)).astype(np.uint8))
         for n in rng.integers(0, 150, size=7)
     ]
     record = fused.dispatch(segments, [dfa.start] * 7)
-    assert record.frontiers is not None
-    assert len(record.frontiers) == 7
-    # Streams long enough to cross a block boundary have snapshots, and
-    # every snapshot position is within the stream's own segment.
-    for segment, snaps in zip(segments, record.frontiers):
-        for pos, _state in snaps:
-            assert 0 < pos <= len(segment)
+    assert record.end_states.tolist() == [dfa.run(segment) for segment in segments]
 
 
 def test_fused_selfcheck_catches_corrupt_end_state(dfa, training):
@@ -244,17 +238,33 @@ def test_fused_selfcheck_catches_corrupt_end_state(dfa, training):
     assert excinfo.value.lanes == [1]
 
 
-def test_fused_selfcheck_catches_corrupt_frontier(dfa, training):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fused_selfcheck_audits_the_shipped_kernel(dfa, training, backend, monkeypatch):
+    """The audited dispatch runs the same backend entry an unaudited one
+    does (``run_streams`` on fast, ``run_batch`` on sim): a kernel that
+    corrupts one lane is caught by the per-stream oracle, not bypassed."""
     from repro.errors import SelfCheckError
-    from repro.selfcheck.audit import audit_fused_dispatch
 
-    pal = _pal(dfa, training, "fast")
-    fused = FusedBatchEngine(pal._simulator(), selfcheck=True, block=16)
-    segments = [b"fuse" * 20]
-    record = fused.dispatch(segments, [dfa.start])
-    assert record.frontiers[0], "segment long enough to snapshot"
-    pos, state = record.frontiers[0][0]
-    record.frontiers[0][0] = (pos, (state + 1) % dfa.n_states)
+    pal = _pal(dfa, training, backend)
+    sim = pal._simulator()
+    entry = "run_streams" if hasattr(sim.engine, "run_streams") else "run_batch"
+    kernel = getattr(sim.engine, entry)
+    calls = []
+
+    def corrupt_lane_0(*args, **kwargs):
+        ends = np.array(kernel(*args, **kwargs), copy=True)
+        ends[0] = (ends[0] + 1) % dfa.n_states
+        calls.append(entry)
+        return ends
+
+    monkeypatch.setattr(sim.engine, entry, corrupt_lane_0)
+    segments = [b"fuse" * 75, b"abc" * 100, b"x" * 300, b"fusefuse" * 37]
+    starts = [dfa.start] * 4
+    unaudited = FusedBatchEngine(sim, selfcheck=False).run_streams(segments, starts)
+    assert calls == [entry]
+    assert unaudited.tolist() != [dfa.run(segment) for segment in segments]
     with pytest.raises(SelfCheckError) as excinfo:
-        audit_fused_dispatch(fused, segments, [dfa.start], record)
-    assert excinfo.value.invariant == "fused_frontier_chain"
+        FusedBatchEngine(sim, selfcheck=True).dispatch(segments, starts)
+    assert calls == [entry, entry]
+    assert excinfo.value.invariant == "fused_end_state_oracle"
+    assert len(excinfo.value.lanes) == 1

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.schemes import PMScheme
+from repro.speculation.predictor import Prediction
 from repro.workloads import classic
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
@@ -58,6 +60,51 @@ def test_adaptive_keeps_paths_on_hard_fsm(hard_case):
         adaptive.stats.runtime_speculation_accuracy
         >= static.stats.runtime_speculation_accuracy - 1e-9
     )
+
+
+def paths_for_queue(weights, k, adaptive, mass):
+    """How many top candidates one chunk runs, computed on that chunk's
+    queue alone — the per-chunk rule ``PMScheme`` applied before it read
+    every chunk's count off the CSR arrays at once (the reference)."""
+    if not adaptive:
+        return min(k, weights.size)
+    total = float(weights.sum())
+    if total <= 0:
+        return min(k, weights.size)
+    covered = np.cumsum(weights[:k].astype(np.float64)) / total
+    needed = int(np.searchsorted(covered, mass) + 1)
+    return min(max(1, min(k, needed)), weights.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    queues=st.lists(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=12),
+        min_size=1,
+        max_size=20,
+    ),
+    k=st.integers(min_value=1, max_value=6),
+    adaptive=st.booleans(),
+    mass=st.sampled_from([1e-9, 0.25, 0.5, 0.9, 1 / 3, 2 / 3, 1.0]),
+)
+@example(queues=[[1, 0, 0], [0, 0], [], [3, 3, 2], [5]], k=3, adaptive=True, mass=0.9)
+def test_paths_run_equals_per_queue_rule(queues, k, adaptive, mass):
+    """Vectorized path counts == the per-queue rule, on queues with ties,
+    zero weights, all-zero and empty queues, and masses landing exactly on
+    a cumulative share."""
+    queues = [sorted(q, reverse=True) for q in queues]
+    sizes = [len(q) for q in queues]
+    prediction = Prediction.from_arrays(
+        np.array([s for q in queues for s in range(len(q))], dtype=np.int64),
+        np.array([w for q in queues for w in q], dtype=np.int64),
+        np.concatenate(([0], np.cumsum(sizes))),
+    )
+    scheme = PMScheme.__new__(PMScheme)
+    scheme.k, scheme.adaptive, scheme.adaptive_mass = k, adaptive, mass
+    expected = [
+        paths_for_queue(np.array(q, dtype=np.int64), k, adaptive, mass) for q in queues
+    ]
+    assert scheme._paths_run(prediction).tolist() == expected
 
 
 def test_adaptive_name():

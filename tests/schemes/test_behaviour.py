@@ -14,6 +14,8 @@ from repro.schemes import (
     SREScheme,
 )
 from repro.automata.dfa import DFA
+from repro.gpu.kernel import KernelPhase
+from repro.speculation.records import VRStore
 from repro.workloads import classic
 
 
@@ -95,6 +97,40 @@ class TestPM:
         r = run(PMScheme, hard_case)
         assert r.stats.recovery_rounds > 0
         assert r.stats.avg_active_threads == 1.0
+
+
+class TestMustBeDoneRecovery:
+    """``Scheme._recover_chunk``, the one sequential recovery step spec-seq
+    and PM's stage 2 share."""
+
+    @staticmethod
+    def _recover(case, backend, chunk=3, start=2):
+        dfa, data, training = case
+        scheme = SpecSequentialScheme.for_dfa(
+            dfa, n_threads=8, training_input=training, backend=backend
+        )
+        partition = scheme._partition(np.frombuffer(data, dtype=np.uint8))
+        stats = scheme.sim.new_stats(n_threads=8)
+        vr = VRStore(n_chunks=partition.n_chunks)
+        end = scheme._recover_chunk(partition, chunk, start, stats, vr)
+        expected = scheme.sim.exec_dfa.run(partition.chunk(chunk), start=start)
+        return end, expected, stats, vr
+
+    def test_recover_chunk_is_one_single_thread_round(self, hard_case):
+        _, _, stats, _ = self._recover(hard_case, "sim")
+        assert stats.recovery_rounds == 1
+        assert stats.active_thread_samples == [1]
+        assert stats.recoveries_executed == 1
+        recovery = stats.phase_cycles[KernelPhase.VERIFY_RECOVER]
+        assert recovery > 0
+        assert stats.recovery_exec_cycles == recovery
+
+    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    def test_recover_chunk_records_the_true_end_as_own(self, hard_case, backend):
+        end, expected, _, vr = self._recover(hard_case, backend)
+        assert end == expected
+        assert vr.lookup(3, 2) == end
+        assert vr.count(3) == 1 and vr._own[3, 0]
 
 
 class TestSRE:

@@ -8,7 +8,7 @@ from repro.schemes.rr import RRPolicy
 from repro.schemes.sre import SREPolicy
 from repro.schemes.recovery_common import RoundContext
 from repro.speculation.chunks import partition_input
-from repro.speculation.predictor import SpeculationQueue, Prediction
+from repro.speculation.predictor import Prediction
 from repro.speculation.records import VRStore
 
 
@@ -21,14 +21,12 @@ def make_ctx(
     others_capacity=16,
 ):
     partition = partition_input(np.arange(n * 4, dtype=np.uint8) % 16, n)
-    queues = [
-        SpeculationQueue(
-            states=np.asarray(queue_states),
-            weights=np.arange(len(queue_states), 0, -1),
-        )
-        for _ in range(n)
-    ]
-    prediction = Prediction(queues=queues)
+    size = len(queue_states)
+    prediction = Prediction.from_arrays(
+        np.tile(np.asarray(queue_states, dtype=np.int64), n),
+        np.tile(np.arange(size, 0, -1), n),
+        np.arange(n + 1) * size,
+    )
     vr = VRStore(n_chunks=n, others_capacity=others_capacity)
     end_p = np.arange(n) + 100
     if found is None:

@@ -2,7 +2,8 @@
 
 ``rr_loop`` and ``nf_loop`` are the former bodies of ``RRPolicy.schedule``
 and ``NFPolicy.schedule``: one ``dequeue`` plus one ``VRStore.lookup`` per
-candidate, thread by thread.  They stay here as the oracle — the array
+candidate, thread by thread, with the queue read through the prediction's
+CSR arrays (``_size`` / ``_dequeue`` are a queue's size and dequeue).  They stay here as the oracle — the array
 schedules must return the same assignment list in the same order *and*
 leave every queue cursor where the loops leave it (the cursors carry into
 later rounds).  Both sides of ``ARRAY_SCHEDULE_THREADS`` are checked at
@@ -18,8 +19,20 @@ from repro.schemes.nf import NFPolicy
 from repro.schemes.recovery_common import RoundContext
 from repro.schemes.rr import RRPolicy
 from repro.speculation.chunks import partition_input
-from repro.speculation.predictor import Prediction, SpeculationQueue
+from repro.speculation.predictor import Prediction
 from repro.speculation.records import VRStore
+
+
+def _size(prediction, cid):
+    """Candidates left in chunk ``cid``'s queue."""
+    return max(0, int(prediction.sizes[cid] - prediction.cursors[cid]))
+
+
+def _dequeue(prediction, cid):
+    """Pop chunk ``cid``'s front candidate."""
+    state = int(prediction.states[prediction.bounds[cid] + prediction.cursors[cid]])
+    prediction.cursors[cid] += 1
+    return state
 
 
 def _rear_loop(ctx):
@@ -42,12 +55,12 @@ def rr_loop(ctx):
         return assignments
     for t in range(f):
         cid = (f + 1) + (t % n_rear_chunks)
-        queue = ctx.prediction.queues[cid]
+        prediction = ctx.prediction
         if ctx.vr.others_full(cid):
             continue
         st = None
-        while queue.size > 0:
-            candidate = queue.dequeue()
+        while _size(prediction, cid) > 0:
+            candidate = _dequeue(prediction, cid)
             if ctx.vr.lookup(cid, candidate) is None:
                 st = candidate
                 break
@@ -69,15 +82,15 @@ def nf_loop(ctx):
     for t in range(f):
         st = None
         while cid < n:
-            queue = ctx.prediction.queues[cid]
+            prediction = ctx.prediction
             scheduled = pending.get(cid, 0)
             room = (
                 not ctx.vr.others_full(cid)
                 and scheduled < ctx.vr.others_capacity
             )
             if room:
-                while queue.size > 0:
-                    candidate = queue.dequeue()
+                while _size(prediction, cid) > 0:
+                    candidate = _dequeue(prediction, cid)
                     if ctx.vr.lookup(cid, candidate) is None:
                         st = candidate
                         break
@@ -97,14 +110,18 @@ def _context(seed, n, frontier, others_capacity, n_states, max_queue):
     records (own and foreign, some chunks' ``VR^others`` full) that overlap
     the queues, random found/stable flags."""
     rng = np.random.default_rng(seed)
-    queues = []
+    states, cursors = [], []
     for _ in range(n):
         size = int(rng.integers(0, max_queue + 1))
-        states = rng.permutation(n_states)[:size]
-        q = SpeculationQueue(states=states, weights=np.arange(states.size, 0, -1))
-        q._cursor = int(rng.integers(0, states.size + 1))
-        queues.append(q)
-    prediction = Prediction(queues)
+        states.append(rng.permutation(n_states)[:size])
+        cursors.append(int(rng.integers(0, states[-1].size + 1)))
+    sizes = [queue.size for queue in states]
+    prediction = Prediction.from_arrays(
+        np.concatenate(states),
+        np.concatenate([np.arange(size, 0, -1) for size in sizes]),
+        np.concatenate(([0], np.cumsum(sizes))),
+    )
+    prediction.cursors[:] = cursors
     vr = VRStore(n_chunks=n, own_capacity=4, others_capacity=others_capacity)
     for c in range(n):
         for _ in range(int(rng.integers(0, 4))):

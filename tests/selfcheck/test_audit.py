@@ -14,6 +14,7 @@ from repro.framework import GSpecPal, GSpecPalConfig
 from repro.schemes import SREScheme
 from repro.schemes.base import Scheme
 from repro.selfcheck import SELFCHECK_ENV_VAR, audit_scheme_run, selfcheck_enabled
+from repro.speculation.predictor import Prediction
 from tests.conftest import random_stream
 
 ALL_SCHEMES = ("pm", "sre", "rr", "nf", "sfa", "seq", "spec-seq")
@@ -174,10 +175,11 @@ class TestViolationsDetected:
         scheme = _audited_scheme(scanner_dfa, rng)
         data = random_stream(rng, 200)
         result = scheme.run(data)
-        partition = scheme._partition(np.frombuffer(data, dtype=np.uint8))
-        stats = scheme.sim.new_stats(n_threads=4)
-        prediction = scheme._predict(partition, stats)
-        prediction.queues[3]._cursor = prediction.queues[3].states.size + 5
+        # Four queues of sizes 1, 2, 0, 3; chunk 3's cursor runs past its end.
+        prediction = Prediction.from_arrays(
+            np.arange(6), np.ones(6, dtype=np.int64), np.array([0, 1, 3, 3, 6])
+        )
+        prediction.cursors[3] = 3 + 5
         scheme._audit_stash = {"prediction": prediction}
         with pytest.raises(SelfCheckError) as exc:
             audit_scheme_run(scheme, data, None, result)

@@ -520,7 +520,7 @@ def test_close_during_fused_batch_is_serialized(fsms, training, config):
     batch — the per-stream lock is held across the whole dispatch — and a
     feed whose stream lost the race reports stream_closed in its outcome
     instead of poisoning its batchmates."""
-    pool = MatcherPool(config=config, fused=True, fused_min_streams=2)
+    pool = MatcherPool(config=config, fused=True)
     survivor = pool.open(fsms[0], training_input=training)
     victim = pool.open(fsms[0], training_input=training)
     stop = threading.Event()
@@ -574,20 +574,18 @@ def test_close_during_fused_batch_is_serialized(fsms, training, config):
 
 
 def test_feed_many_falls_back_below_min_width(fsms, training, config):
-    """A group narrower than fused_min_streams runs the ordinary scheme
-    path — and still lands the same answer."""
+    """A one-stream group (narrower than FUSED_MIN_STREAMS) runs the
+    ordinary scheme path — and still lands the same answer."""
     registry = MetricsRegistry()
-    pool = MatcherPool(
-        config=config, fused=True, fused_min_streams=4, metrics=registry
-    )
-    sids = [pool.open(fsms[0], training_input=training) for _ in range(2)]
+    pool = MatcherPool(config=config, fused=True, metrics=registry)
+    sids = [pool.open(fsms[i], training_input=training) for i in range(2)]
     outcomes = pool.feed_many([(sid, b"alpha" * 10) for sid in sids])
     assert all(o.ok and not o.fused for o in outcomes)
     exported = registry.as_dict()
     assert exported.get("serving.pool.fused_dispatches", 0) == 0
     assert exported["serving.pool.fused_fallbacks"] == 2
-    for sid in sids:
-        assert pool.close(sid).end_state == fsms[0].run(b"alpha" * 10)
+    for i, sid in enumerate(sids):
+        assert pool.close(sid).end_state == fsms[i].run(b"alpha" * 10)
 
 
 def test_feed_many_mixed_fingerprints_fuse_per_group(fsms, training, config):
@@ -620,12 +618,6 @@ def test_fused_stream_cycles_go_nan(fsms, training, config):
     assert all(o.ok and o.fused for o in outcomes)
     for sid in sids:
         assert np.isnan(pool.close(sid).total_cycles)
-
-
-def test_fused_pool_invalid_min_streams_rejected(config):
-    with pytest.raises(ServingError) as excinfo:
-        MatcherPool(config=config, fused=True, fused_min_streams=0)
-    assert excinfo.value.code == "invalid_argument"
 
 
 # ----------------------------------------------------------------------

@@ -9,51 +9,13 @@ from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import (
     Prediction,
-    SpeculationQueue,
     predict_start_states,
+    segment_positions,
     true_start_states,
 )
 from repro.workloads import classic
 from repro.errors import SchemeError
-
-
-class TestSpeculationQueue:
-    def test_front_and_dequeue(self):
-        q = SpeculationQueue(states=np.array([3, 1, 2]), weights=np.array([5, 2, 1]))
-        assert q.front() == 3
-        assert q.dequeue() == 3
-        assert q.front() == 1
-        assert q.size == 2
-
-    def test_exhaustion_raises(self):
-        q = SpeculationQueue(states=np.array([1]), weights=np.array([1]))
-        q.dequeue()
-        with pytest.raises(SchemeError):
-            q.front()
-
-    def test_top_k_ignores_cursor(self):
-        q = SpeculationQueue(states=np.array([3, 1, 2]), weights=np.array([5, 2, 1]))
-        q.dequeue()
-        assert q.top_k(2).tolist() == [3, 1]
-
-    def test_top_k_truncates(self):
-        q = SpeculationQueue(states=np.array([3]), weights=np.array([5]))
-        assert q.top_k(10).tolist() == [3]
-
-    def test_rank_of(self):
-        q = SpeculationQueue(states=np.array([3, 1, 2]), weights=np.array([5, 2, 1]))
-        assert q.rank_of(1) == 1
-        assert q.rank_of(9) is None
-
-    def test_reset(self):
-        q = SpeculationQueue(states=np.array([3, 1]), weights=np.array([5, 2]))
-        q.dequeue()
-        q.reset()
-        assert q.front() == 3
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SchemeError):
-            SpeculationQueue(states=np.array([1, 2]), weights=np.array([1]))
+from tests.conftest import queue_lists
 
 
 class TestPrediction:
@@ -61,7 +23,7 @@ class TestPrediction:
         data = rng.integers(48, 50, size=200).astype(np.uint8)
         p = partition_input(data, 8)
         pred = predict_start_states(div7, p)
-        assert pred.queues[0].front() == div7.start
+        assert pred.front_states()[0] == div7.start
 
     def test_truth_always_in_queue(self, div7, rng):
         """The convergence property guarantees the true start is in the
@@ -70,22 +32,23 @@ class TestPrediction:
         p = partition_input(data, 16)
         pred = predict_start_states(div7, p)
         truth = true_start_states(div7, p)
+        queues = queue_lists(pred)
         for i in range(1, 16):
-            assert pred.queues[i].rank_of(int(truth[i])) is not None
+            assert int(truth[i]) in queues[i][0]
 
     def test_queue_ranked_by_weight(self, scanner_dfa, rng):
         data = rng.integers(97, 123, size=600).astype(np.uint8)
         p = partition_input(data, 8)
         pred = predict_start_states(scanner_dfa, p)
-        for q in pred.queues[1:]:
-            assert (np.diff(q.weights) <= 0).all()
+        for _, weights in queue_lists(pred)[1:]:
+            assert (np.diff(weights) <= 0).all()
 
     def test_weights_sum_to_state_count(self, div7, rng):
         data = rng.integers(48, 50, size=200).astype(np.uint8)
         p = partition_input(data, 4)
         pred = predict_start_states(div7, p)
-        for q in pred.queues[1:]:
-            assert q.weights.sum() == div7.n_states
+        for _, weights in queue_lists(pred)[1:]:
+            assert sum(weights) == div7.n_states
 
     def test_rotator_queue_is_single_state(self, rng):
         """A pure rotation maps all states 1:1: lookback-2 from all states
@@ -94,8 +57,7 @@ class TestPrediction:
         data = rng.integers(0, 8, size=50).astype(np.uint8)
         p = partition_input(data, 5)
         pred = predict_start_states(rot, p)
-        for q in pred.queues[1:]:
-            assert q.states.size == 5  # no convergence: everything possible
+        assert pred.sizes[1:].tolist() == [5] * 4  # no convergence: everything possible
 
     def test_accuracy_against_perfect(self, div7, rng):
         data = rng.integers(48, 50, size=300).astype(np.uint8)
@@ -178,12 +140,10 @@ class TestBatchedReplay:
             dfa, partition, lookback=lookback, tie_break=tie_break
         )
         assert pred.n_chunks == partition.n_chunks
-        assert pred.queues[0].states.tolist() == [dfa.start]
-        assert pred.queues[0].weights.tolist() == [dfa.n_states]
-        got = [(q.states.tolist(), q.weights.tolist()) for q in pred.queues[1:]]
-        assert got == _per_boundary_queues(dfa, partition, lookback, tie_break)
-        for q in pred.queues:
-            assert q.states.dtype == np.int64 and q.weights.dtype == np.int64
+        queues = queue_lists(pred)
+        assert queues[0] == ([dfa.start], [dfa.n_states])
+        assert queues[1:] == _per_boundary_queues(dfa, partition, lookback, tie_break)
+        assert pred.states.dtype == np.int64 and pred.weights.dtype == np.int64
 
     @pytest.mark.parametrize("lookback", [0, 1, 2, 4])
     @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
@@ -236,8 +196,9 @@ class TestBatchedReplay:
         dfa = self._random_dfa(rng)
         partition = partition_input(np.zeros(40, dtype=np.uint8), 8)
         pred = predict_start_states(dfa, partition)
-        first = pred.queues[1].dequeue()
-        assert pred.queues[2].front() == first  # same window, own cursor
+        assert pred.states[pred.bounds[1]] == pred.states[pred.bounds[2]]
+        pred.cursors[1] += 1  # dequeue chunk 1's front
+        assert pred.cursors[2] == 0  # same window, own cursor
 
     def test_replay_block_budget_does_not_change_the_queues(self, rng, monkeypatch):
         """The state-set replay counting one first-symbol column a block,
@@ -254,68 +215,100 @@ class TestBatchedReplay:
         self._assert_batched_equals_reference(dfa, partition, 2, None)
 
 
+class TestSpeculationQueue:
+    """One chunk's speculation queue ``QS_i``, read through the CSR arrays."""
+
+    @staticmethod
+    def _queue(states, weights):
+        return Prediction.from_arrays(
+            np.array(states), np.array(weights), np.array([0, len(states)])
+        )
+
+    def test_front_and_dequeue(self):
+        pred = self._queue([3, 1, 2], [5, 2, 1])
+        assert pred.front_states().tolist() == [3]
+        assert pred.dequeue_fronts().tolist() == [3]
+        assert pred.front_states().tolist() == [1]
+        assert (pred.sizes - pred.cursors).tolist() == [2]  # candidates left
+
+    def test_exhaustion_raises(self):
+        pred = self._queue([1], [1])
+        pred.dequeue_fronts()
+        with pytest.raises(SchemeError):
+            pred.front_states()
+
+    def test_top_k_ignores_cursor(self):
+        """Top-k accuracy ranks from the queue's head, dequeued candidates
+        included: a dequeue does not shift which states count as top-k."""
+        pred = Prediction.from_arrays(
+            np.array([0, 3, 1, 2]), np.array([3, 5, 2, 1]), np.array([0, 1, 4])
+        )
+        pred.dequeue_fronts()
+        assert pred.accuracy_against(np.array([0, 3]), k=1) == 1.0
+        assert pred.accuracy_against(np.array([0, 1]), k=1) == 0.0
+        assert pred.accuracy_against(np.array([0, 1]), k=2) == 1.0
+
+    def test_top_k_truncates(self):
+        pred = Prediction.from_arrays(
+            np.array([0, 3]), np.array([1, 5]), np.array([0, 1, 2])
+        )
+        assert pred.accuracy_against(np.array([0, 3]), k=10) == 1.0
+        assert pred.accuracy_against(np.array([0, 4]), k=10) == 0.0
+
+    def test_shape_mismatch(self):
+        pred = self._queue([3, 1], [5, 2])
+        with pytest.raises(SchemeError):
+            pred.accuracy_against(np.array([3, 1]))
+
+
 class TestQueueLayout:
-    """One CSR array per prediction; queues are views of it."""
+    """One CSR array per prediction, read and advanced as arrays."""
 
     @staticmethod
     def _packed():
-        queues = [
-            SpeculationQueue(states=[4], weights=[9]),
-            SpeculationQueue(states=[2, 7, 1], weights=[5, 3, 1]),
-            SpeculationQueue(states=[], weights=[]),
-            SpeculationQueue(states=[6, 0], weights=[8, 1]),
-        ]
-        queues[1].dequeue()
-        return queues, Prediction(queues)
+        pred = Prediction.from_arrays(
+            np.array([4, 2, 7, 1, 6, 0]),
+            np.array([9, 5, 3, 1, 8, 1]),
+            np.array([0, 1, 4, 4, 6]),
+        )
+        pred.cursors[1] = 1
+        return pred
 
-    def test_packing_keeps_order_cursors_and_identity(self):
-        queues, pred = self._packed()
-        assert pred.states.tolist() == [4, 2, 7, 1, 6, 0]
-        assert pred.weights.tolist() == [9, 5, 3, 1, 8, 1]
-        assert pred.bounds.tolist() == [0, 1, 4, 4, 6]
-        assert pred.cursors.tolist() == [0, 1, 0, 0]
-        assert pred.sizes.tolist() == [1, 3, 0, 2]
-        assert all(a is b for a, b in zip(pred.queues, queues))
-        assert all(pred.queue(i) is queues[i] for i in range(4))
+    def test_from_arrays_starts_every_cursor_at_zero(self):
+        pred = Prediction.from_arrays(
+            np.array([4, 2, 7]), np.array([9, 5, 3]), np.array([0, 1, 1, 3])
+        )
+        assert pred.n_chunks == 3
+        assert pred.sizes.tolist() == [1, 0, 2]
+        assert pred.cursors.tolist() == [0, 0, 0]
+        assert pred.states.dtype == pred.weights.dtype == np.int64
 
-    def test_views_share_the_cursor_array(self):
-        queues, pred = self._packed()
-        assert queues[1].dequeue() == 7
-        assert pred.cursors[1] == 2
-        pred.cursors[3] = 1
-        assert queues[3].front() == 0 and queues[3].size == 1
-        pred.reset()
-        assert [q._cursor for q in queues] == [0, 0, 0, 0]
-
-    def test_lazy_views_of_a_built_prediction(self, div7, rng):
-        data = rng.integers(48, 50, size=200).astype(np.uint8)
-        pred = predict_start_states(div7, partition_input(data, 8))
-        assert pred.queue(3).dequeue() == pred.states[pred.bounds[3]]
-        assert pred.queues[3]._cursor == 1  # a later view sees the same cursor
-        assert pred.queue(3) is pred.queues[3]  # once built, views are kept
+    def test_segment_positions_lay_segments_end_to_end(self):
+        """Segments ``[lo, lo + size)`` gathered in order, an empty one
+        contributing nothing, each position tagged with its segment."""
+        positions, owner = segment_positions(np.array([7, 2, 5, 0]), np.array([2, 3, 0, 1]))
+        assert positions.tolist() == [7, 8, 2, 3, 4, 0]
+        assert owner.tolist() == [0, 0, 1, 1, 1, 3]
 
     def test_dequeue_fronts_is_one_dequeue_per_queue(self, div7, rng):
         data = rng.integers(48, 50, size=200).astype(np.uint8)
         pred = predict_start_states(div7, partition_input(data, 8))
-        expected = [q.front() for q in pred.queues]
+        expected = [states[0] for states, _ in queue_lists(pred)]
         assert pred.dequeue_fronts().tolist() == expected
         assert pred.cursors.tolist() == [1] * 8
-        assert pred.queues[0].size == 0
+        assert pred.cursors[0] == pred.sizes[0]  # chunk 0's queue is drained
 
     def test_front_states_read_past_the_cursors(self):
-        pred = Prediction(
-            [
-                SpeculationQueue(states=[4, 5], weights=[2, 1]),
-                SpeculationQueue(states=[2, 7, 1], weights=[5, 3, 1]),
-            ]
+        pred = Prediction.from_arrays(
+            np.array([4, 5, 2, 7, 1]), np.array([2, 1, 5, 3, 1]), np.array([0, 2, 5])
         )
-        pred.queues[1].dequeue()
+        pred.cursors[1] = 1
         assert pred.front_states().tolist() == [4, 7]
         assert pred.dequeue_fronts().tolist() == [4, 7]
         assert pred.front_states().tolist() == [5, 1]
 
     def test_exhausted_front_raises(self):
-        queues, pred = self._packed()
+        pred = self._packed()
         with pytest.raises(SchemeError):
             pred.front_states()  # chunk 2's queue is empty
         with pytest.raises(SchemeError):
@@ -325,12 +318,10 @@ class TestQueueLayout:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_accuracy_counts_ranks_below_k(self, k):
         """Truth at rank 0, 1, 2 and absent: top-k holds the first k."""
-        pred = Prediction(
-            [SpeculationQueue(states=[9], weights=[1])]
-            + [
-                SpeculationQueue(states=[3, 1, 2], weights=[3, 2, 1])
-                for _ in range(4)
-            ]
+        pred = Prediction.from_arrays(
+            np.array([9] + [3, 1, 2] * 4),
+            np.array([1] + [3, 2, 1] * 4),
+            np.array([0, 1, 4, 7, 10, 13]),
         )
         truth = np.array([9, 3, 1, 2, 0])
         assert pred.accuracy_against(truth, k=k) == k / 4
@@ -342,5 +333,6 @@ class TestQueueLayout:
         pred = predict_start_states(scanner_dfa, p)
         truth = true_start_states(scanner_dfa, p)
         truth[5] = (truth[5] + 1) % scanner_dfa.n_states  # some misses too
-        hits = sum(truth[i] in pred.queues[i].top_k(k) for i in range(1, 16))
+        queues = queue_lists(pred)
+        hits = sum(int(truth[i]) in queues[i][0][:k] for i in range(1, 16))
         assert pred.accuracy_against(truth, k=k) == hits / 15

@@ -16,6 +16,7 @@ from repro.automata.dfa import DFA, STATE_DTYPE
 from repro.speculation import predictor
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import predict_start_states
+from tests.conftest import queue_lists
 
 
 def _rank_windows_per_lane(table, windows, tie_break, block_elements=1 << 16):
@@ -126,8 +127,8 @@ def _assert_equals_reference(dfa, partition, start, lookback, tie_break):
     pred = predict_start_states(
         dfa, partition, start_state=start, lookback=lookback, tie_break=tie_break
     )
-    got = [(q.states.tolist(), q.weights.tolist()) for q in pred.queues]
-    assert got == per_lane_queues(dfa, partition, start, lookback, tie_break)
+    expected = per_lane_queues(dfa, partition, start, lookback, tie_break)
+    assert queue_lists(pred) == expected
     assert pred.states.dtype == np.int64 and pred.weights.dtype == np.int64
     assert pred.cursors.tolist() == [0] * partition.n_chunks
 

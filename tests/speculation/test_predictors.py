@@ -19,6 +19,7 @@ from repro.speculation.predictor import (
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
 from repro.errors import SchemeError
+from tests.conftest import queue_lists
 
 
 def lookback(w):
@@ -58,8 +59,7 @@ class TestLookback:
         p = partition_input(stream, 16)
         a = lookback(2)(dfa, p, dfa.start)
         b = predict_start_states(dfa, p)
-        for qa, qb in zip(a.queues, b.queues):
-            assert np.array_equal(qa.states, qb.states)
+        assert queue_lists(a) == queue_lists(b)
 
     def test_longer_window_no_worse(self, dfa, stream):
         p = partition_input(stream, 16)
@@ -69,10 +69,10 @@ class TestLookback:
 
     def test_truth_always_contained(self, dfa, stream):
         p = partition_input(stream, 16)
-        pred = lookback(4)(dfa, p, dfa.start)
+        queues = queue_lists(lookback(4)(dfa, p, dfa.start))
         truth = true_start_states(dfa, p)
         for i in range(1, 16):
-            assert pred.queues[i].rank_of(int(truth[i])) is not None
+            assert int(truth[i]) in queues[i][0]
 
 
 class TestAdaptive:
@@ -84,9 +84,10 @@ class TestAdaptive:
     def test_truth_contained_and_queues_small_near_syncs(self, dfa, stream):
         p = partition_input(stream, 16)
         pred = predict_adaptive(dfa, p, dfa.start, target_candidates=3, max_window=32)
+        queues = queue_lists(pred)
         truth = true_start_states(dfa, p)
         for i in range(1, 16):
-            assert pred.queues[i].rank_of(int(truth[i])) is not None
+            assert int(truth[i]) in queues[i][0]
 
     def test_at_least_as_accurate_as_fixed_2(self, dfa, stream):
         p = partition_input(stream, 16)
@@ -110,7 +111,7 @@ class TestBounds:
         p = partition_input(stream, 16)
         pred = predict_uniform(dfa, p, dfa.start)
         assert accuracy(pred, dfa, p, k=dfa.n_states) == 1.0
-        assert pred.queues[1].states.size == dfa.n_states
+        assert pred.sizes[1] == dfa.n_states
 
 
 @pytest.mark.parametrize("key", sorted(PREDICTORS))
@@ -120,28 +121,28 @@ class TestContract:
     def test_one_queue_per_chunk_and_chunk_zero_is_the_start(self, key, dfa, stream):
         p = partition_input(stream, 16)
         pred = PREDICTORS[key](dfa, p, 3)
-        assert pred.n_chunks == len(pred.queues) == 16
-        assert pred.queues[0].states.tolist() == [3]
+        assert pred.n_chunks == pred.sizes.size == pred.cursors.size == 16
+        assert queue_lists(pred)[0][0] == [3]
 
     def test_queues_hold_distinct_states_ranked_by_weight(self, key, dfa, stream):
         p = partition_input(stream, 16)
-        for q in PREDICTORS[key](dfa, p, dfa.start).queues:
-            assert q.states.size >= 1
-            assert np.unique(q.states).size == q.states.size
-            assert ((q.states >= 0) & (q.states < dfa.n_states)).all()
-            assert (np.diff(q.weights) <= 0).all()
+        for states, weights in queue_lists(PREDICTORS[key](dfa, p, dfa.start)):
+            assert len(states) >= 1
+            assert len(set(states)) == len(states)
+            assert all(0 <= s < dfa.n_states for s in states)
+            assert (np.diff(weights) <= 0).all()
 
     def test_weights_count_every_start_lane(self, key, dfa, stream):
         p = partition_input(stream, 16)
-        for q in PREDICTORS[key](dfa, p, dfa.start).queues:
-            assert int(q.weights.sum()) == dfa.n_states
+        for _, weights in queue_lists(PREDICTORS[key](dfa, p, dfa.start)):
+            assert sum(weights) == dfa.n_states
 
     def test_truth_contained_from_any_start(self, key, dfa, stream):
         p = partition_input(stream, 16)
-        pred = PREDICTORS[key](dfa, p, 3)
+        queues = queue_lists(PREDICTORS[key](dfa, p, 3))
         truth = true_start_states(dfa, p, start_state=3)
         for i in range(16):
-            assert pred.queues[i].rank_of(int(truth[i])) is not None, i
+            assert int(truth[i]) in queues[i][0], i
 
 
 class TestSchemesUnderPredictors:

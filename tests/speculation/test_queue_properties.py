@@ -4,47 +4,73 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.speculation.predictor import SpeculationQueue
 from repro.speculation import records
+from repro.speculation.predictor import Prediction
 from repro.speculation.records import VRStore
 from repro.errors import SchemeError
+from tests.conftest import queue_lists
+
+#: A state id no generated queue holds.
+ABSENT = 100
 
 
 @st.composite
-def queue(draw):
-    n = draw(st.integers(min_value=1, max_value=30))
+def prediction(draw, min_chunks=1):
+    """A CSR prediction of queues of 1–12 distinct states each, ranked by
+    descending weight."""
+    n_chunks = draw(st.integers(min_value=min_chunks, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    states = rng.permutation(100)[:n]
-    weights = np.sort(rng.integers(1, 50, size=n))[::-1]
-    return SpeculationQueue(states=states, weights=weights)
+    sizes = rng.integers(1, 13, size=n_chunks)
+    states = np.concatenate([rng.permutation(ABSENT)[:s] for s in sizes])
+    weights = np.concatenate([np.sort(rng.integers(1, 50, size=s))[::-1] for s in sizes])
+    return Prediction.from_arrays(states, weights, np.concatenate(([0], np.cumsum(sizes))))
 
 
 @settings(max_examples=50, deadline=None)
-@given(queue())
-def test_dequeue_drains_in_order(q):
-    expected = q.states.tolist()
-    drained = [q.dequeue() for _ in range(q.size)]
-    assert drained == expected
-    assert q.size == 0
+@given(prediction())
+def test_dequeue_drains_in_order(pred):
+    """Each ``dequeue_fronts`` pops every queue's next candidate in rank
+    order; once the shortest queue is drained the next one raises and pops
+    nothing."""
+    queues = queue_lists(pred)
+    depth = int(pred.sizes.min())
+    for rank in range(depth):
+        assert pred.dequeue_fronts().tolist() == [states[rank] for states, _ in queues]
     with pytest.raises(SchemeError):
-        q.front()
+        pred.dequeue_fronts()
+    assert pred.cursors.tolist() == [depth] * pred.n_chunks
 
 
 @settings(max_examples=50, deadline=None)
-@given(queue(), st.integers(min_value=0, max_value=40))
-def test_top_k_prefix_property(q, k):
-    top = q.top_k(k)
-    assert top.size == min(k, q.states.size)
-    assert np.array_equal(top, q.states[: top.size])
+@given(prediction(), st.integers(min_value=0, max_value=14), st.integers(0, 2**31 - 1))
+def test_top_k_prefix_property(pred, k, seed):
+    """Top-k accuracy counts exactly the speculated chunks whose true start
+    is in the first ``k`` states of their queue segment."""
+    rng = np.random.default_rng(seed)
+    queues = queue_lists(pred)
+    truth = np.array(
+        [rng.choice(states + [ABSENT]) for states, _ in queues], dtype=np.int64
+    )
+    if pred.n_chunks == 1:
+        assert pred.accuracy_against(truth, k=k) == 1.0
+        return
+    hits = sum(int(truth[i]) in queues[i][0][:k] for i in range(1, pred.n_chunks))
+    assert pred.accuracy_against(truth, k=k) == hits / (pred.n_chunks - 1)
 
 
 @settings(max_examples=50, deadline=None)
-@given(queue())
-def test_rank_of_consistency(q):
-    for rank, state in enumerate(q.states.tolist()):
-        assert q.rank_of(int(state)) == rank
-    assert q.rank_of(101) is None  # outside the state universe used
+@given(prediction(min_chunks=2))
+def test_rank_of_consistency(pred):
+    """The state at rank ``r`` of a chunk's segment is first a top-k hit
+    at ``k = r + 1``."""
+    n = pred.n_chunks
+    for i, (states, _) in enumerate(queue_lists(pred)[1:], start=1):
+        for rank, state in enumerate(states):
+            truth = np.full(n, ABSENT)
+            truth[i] = state
+            assert pred.accuracy_against(truth, k=rank) == 0.0
+            assert pred.accuracy_against(truth, k=rank + 1) == 1 / (n - 1)
 
 
 @st.composite
@@ -78,9 +104,9 @@ def test_vrstore_invariants(case):
         if stored and start not in model[chunk]:
             model[chunk][start] = end
         # Capacity invariants hold at every point.
-        records = vr.records(chunk)
-        assert sum(1 for r in records if r.own) <= own_cap
-        assert sum(1 for r in records if not r.own) <= others_cap
+        filled = vr._start[chunk] != records.EMPTY
+        assert np.count_nonzero(filled & vr._own[chunk]) <= own_cap
+        assert np.count_nonzero(filled & ~vr._own[chunk]) <= others_cap
     # Lookup agrees with the reference model (first-write-wins).
     for chunk in range(n_chunks):
         for start, end in model[chunk].items():
@@ -159,8 +185,10 @@ def _check_add_batch(case, batch_size):
             one_by_one.add(chunk, start, end, own=own)
         chunks, starts, ends, own = (list(column) for column in zip(*batch))
         batched.add_batch(chunks, starts, ends, own=own)
-        for c in range(n_chunks):
-            assert batched.records(c) == one_by_one.records(c)
+        for slots in ("_start", "_end", "_own"):
+            np.testing.assert_array_equal(
+                getattr(batched, slots), getattr(one_by_one, slots)
+            )
         assert batched.counts.tolist() == one_by_one.counts.tolist()
         assert batched.dropped_records == one_by_one.dropped_records
         assert batched.stores_to_shared == one_by_one.stores_to_shared
@@ -170,7 +198,7 @@ def _check_add_batch(case, batch_size):
 def test_vrstore_add_batch_broadcasts_one_own_flag():
     vr = VRStore(n_chunks=12, own_capacity=1, others_capacity=1)
     vr.add_batch(np.arange(12), np.arange(12) + 5, np.arange(12) + 7, own=True)
-    assert all(vr.records(c)[0].own for c in range(12))
+    assert vr._own[:, 0].all()
     assert [vr.lookup(c, c + 5) for c in range(12)] == list(range(7, 19))
     vr.add_batch(np.arange(12), np.arange(12) + 6, np.arange(12), own=True)
     assert vr.dropped_records == 12 and vr.counts.tolist() == [1] * 12

@@ -1,5 +1,6 @@
 """VRStore (verification-record hierarchy) tests."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.device import RTX3090
@@ -77,17 +78,33 @@ def test_charge_check(vr):
     assert stats.cycles == 2 * RTX3090.verify_cycles
 
 
-def test_records_view_immutable_tuple(vr):
-    vr.add(0, 1, 2, own=True)
-    records = vr.records(0)
-    assert isinstance(records, tuple)
-    assert records[0].start == 1 and records[0].end == 2 and records[0].own
+def test_holds_and_others_room_are_vectorized_reads(vr):
+    vr.add(2, 5, 6, own=True)
+    vr.add(2, 7, 8, own=False)
+    vr.add(3, 1, 1, own=False)
+    vr.add(3, 2, 2, own=False)
+    assert vr.holds(np.array([2, 2, 2, 0]), np.array([5, 7, 6, 5])).tolist() == [
+        True,
+        True,
+        False,
+        False,
+    ]
+    assert vr.others_room(np.arange(4)).tolist() == [
+        not vr.others_full(c) for c in range(4)
+    ]
 
 
 def test_starts_tried(vr):
+    """The starts a chunk holds records for are exactly those stored — a
+    start whose record capacity dropped is not among them."""
     vr.add(2, 5, 6, own=True)
     vr.add(2, 7, 8, own=False)
-    assert sorted(vr.starts_tried(2).tolist()) == [5, 7]
+    vr.add(2, 1, 1, own=True)
+    assert not vr.add(2, 3, 3, own=True)  # own registers full: dropped
+    states = np.arange(10)
+    tried = np.flatnonzero(vr.holds(np.full(10, 2), states)).tolist()
+    assert tried == [1, 5, 7]
+    assert tried == [s for s in states.tolist() if vr.lookup(2, s) is not None]
 
 
 def test_invalid_configs():
