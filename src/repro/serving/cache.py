@@ -53,6 +53,7 @@ from typing import Dict, Optional
 from repro.errors import PlanError, ServingError
 from repro.observability import NULL_TRACER, MetricsRegistry
 from repro.plan import CompiledPlan, compile_plan, load_plan, save_plan
+from repro.plan.artifact import config_fingerprint
 
 
 class _InFlightCompile:
@@ -82,8 +83,9 @@ class PlanCache:
     directory:
         Optional spill directory: plans are persisted as
         ``<canonical_fingerprint>.npz`` on compile and reloaded on a memory
-        miss, so a restarted server re-serves without recompiling (the
-        CLI's ``--plan-cache`` flag builds on this).
+        miss under the same compile config, so a restarted server
+        re-serves without recompiling (the CLI's ``--plan-cache`` flag
+        builds on this).
     metrics:
         The :class:`~repro.observability.MetricsRegistry` the cache records
         its ``serving.cache.*`` counters/gauges/histograms into (a private
@@ -142,12 +144,6 @@ class PlanCache:
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
             return self._resolve_locked(fingerprint) in self._plans
-
-    @property
-    def fingerprints(self) -> tuple:
-        """Resident canonical fingerprints, least-recently-used first."""
-        with self._lock:
-            return tuple(self._plans)
 
     def stats(self) -> Dict[str, int]:
         """Live sizes plus a view of the registry's ``serving.cache.*``
@@ -233,7 +229,10 @@ class PlanCache:
         Resolution order: alias-resolved memory hit → in-flight wait →
         spill-directory load → compile (requires ``training_input``).
         Whatever the source, the plan ends up resident and
-        most-recently-used under its canonical fingerprint.
+        most-recently-used under its canonical fingerprint.  A resident
+        plan is reused whatever ``config`` is given; a spill file only
+        when compiled under the requested config (``config``, else the
+        cache's, else the default), and is recompiled otherwise.
 
         Compiles are single-flight per *language class*: the first caller
         to miss a canonical fingerprint becomes its *leader* and compiles
@@ -287,7 +286,11 @@ class PlanCache:
 
         # -- leader path: all I/O and compute outside the critical section
         try:
-            plan = self._load_spilled(canonical, dfa, fingerprint)
+            if config is None:
+                from repro.framework.config import GSpecPalConfig
+
+                config = self.config if self.config is not None else GSpecPalConfig()
+            plan = self._load_spilled(canonical, dfa, fingerprint, config)
             from_disk = plan is not None
             if plan is None:
                 if training_input is None or len(training_input) == 0:
@@ -301,7 +304,7 @@ class PlanCache:
                 plan = compile_plan(
                     dfa,
                     training_input,
-                    config if config is not None else self.config,
+                    config,
                     tracer=self.tracer,
                     metrics=self.metrics,
                 )
@@ -356,23 +359,21 @@ class PlanCache:
             partial.unlink(missing_ok=True)
 
     def _load_spilled(
-        self, canonical: str, dfa, fingerprint: str
+        self, canonical: str, dfa, fingerprint: str, config
     ) -> Optional[CompiledPlan]:
         path = self._spill_path(canonical)
         if path is None or not path.exists():
             return None
         try:
             plan = load_plan(path)
-            if plan.canonical_fingerprint != canonical:
-                raise PlanError(
-                    f"spill file {path.name} holds canonical fingerprint "
-                    f"{plan.canonical_fingerprint[:12]}…, expected {canonical[:12]}…"
-                )
+            wanted = (canonical, config_fingerprint(config))
+            if (plan.canonical_fingerprint, plan.config_hash) != wanted:
+                raise PlanError(f"{path.name} holds another class or config")
             if plan.fingerprint == fingerprint:
                 # Same content: full content verification, as before.
                 plan.verify(dfa)
         except (PlanError, OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Stale, truncated or corrupt spill: drop it and recompile.
+            # Corrupt, stale or other-config spill: drop it and recompile.
             path.unlink(missing_ok=True)
             return None
         return plan

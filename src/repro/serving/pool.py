@@ -1,12 +1,15 @@
 """Multi-tenant serving: many concurrent streams over cached plans.
 
 :class:`MatcherPool` is the serve-many half of the compile-once split.  It
-keeps one plan-backed :class:`~repro.framework.GSpecPal` matcher per
-*language class* — keyed by the plan's canonical fingerprint, so tenants
-submitting language-equivalent DFAs share one warmed matcher (built via
+keeps one record per *language class and compile config* — keyed by the
+plan's canonical fingerprint and config hash, so tenants submitting
+language-equivalent DFAs share one warmed
+:class:`~repro.framework.GSpecPal` matcher (built via
 ``GSpecPal.from_plan`` — zero profiling on the serving path) — and
 multiplexes any number of concurrent
 :class:`~repro.framework.gspecpal.StreamSession`\\ s over those matchers.
+A stream keeps the record it was opened on, so after ``open`` nothing
+looks a matcher up again.
 Plans come from a shared :class:`~repro.serving.PlanCache`, so N tenants
 matching the same (or an equivalent) automaton cost one compile, one
 simulator, and one scheme instance per stream — nothing else.
@@ -132,6 +135,37 @@ def _checked_symbols(segment, n_symbols: int, stream_id=None) -> np.ndarray:
     return symbols
 
 
+def _closed_error(stream_id, fingerprint: Optional[str] = None) -> ServingError:
+    """The structured error for a feed or close of a closed stream."""
+    return ServingError(
+        f"stream {stream_id} is closed",
+        code="stream_closed",
+        stream_id=stream_id,
+        fingerprint=fingerprint,
+    )
+
+
+class _ClassRecord:
+    """One language class under one compile config: its warmed matcher
+    and, with drift detection on, its monitor.
+
+    Built once, at the first ``open`` of its ``key`` — ``(canonical
+    fingerprint, config hash)`` — and held by every stream opened on it,
+    which is also the gang-scheduling unit: streams sharing a record run
+    one transition table.
+    """
+
+    __slots__ = ("key", "matcher", "monitor")
+
+    def __init__(self, key, matcher: GSpecPal, drift: Optional[DriftConfig]):
+        self.key = key
+        self.matcher = matcher
+        #: anchored to the plan the matcher serves; None with drift off.
+        self.monitor = (
+            DriftMonitor(matcher.plan, drift) if drift is not None else None
+        )
+
+
 class _StreamEntry:
     """Pool-side record of one open stream.
 
@@ -140,24 +174,14 @@ class _StreamEntry:
     it instead of touching the released session.
     """
 
-    __slots__ = (
-        "session", "fingerprint", "canonical", "n_symbols", "lock", "closed"
-    )
+    __slots__ = ("session", "fingerprint", "record", "lock", "closed")
 
-    def __init__(
-        self,
-        session: StreamSession,
-        fingerprint: str,
-        canonical: str,
-        n_symbols: int,
-    ):
+    def __init__(self, session: StreamSession, fingerprint: str, record: _ClassRecord):
         self.session = session
         #: content fingerprint of the plan this stream was opened with.
         self.fingerprint = fingerprint
-        #: canonical fingerprint — the pool's matcher/gang-scheduling key.
-        self.canonical = canonical
-        #: alphabet size of the serving matcher's DFA (feed validation).
-        self.n_symbols = n_symbols
+        #: the class record whose matcher serves this stream.
+        self.record = record
         self.lock = threading.Lock()
         self.closed = False
 
@@ -178,13 +202,13 @@ class MatcherPool:
         Upper bound on concurrently open streams (admission control).
     fused:
         Opt into gang scheduling: :meth:`feed_many` coalesces pending
-        feeds that share a fingerprint into one fused
+        feeds whose streams share a matcher into one fused
         ``(streams × lanes)`` dispatch (see
         :class:`~repro.engine.fused.FusedBatchEngine`) instead of N
         per-stream scheme runs.  Off by default — fused streams report
         ``total_cycles = NaN`` (answer-only execution), so cycle-accounting
-        consumers should stay per-stream.  Same-fingerprint groups narrower
-        than :data:`FUSED_MIN_STREAMS` fall back to the per-stream path
+        consumers should stay per-stream.  Groups narrower than
+        :data:`FUSED_MIN_STREAMS` fall back to the per-stream path
         (counted by ``serving.pool.fused_fallbacks``).
     open_timeout:
         Seconds :meth:`open` may block waiting for a slot when the pool is
@@ -193,7 +217,7 @@ class MatcherPool:
         slot frees up.
     drift:
         Opt into online adaptation: a :class:`~repro.serving.DriftConfig`
-        attaches one :class:`~repro.serving.DriftMonitor` per matcher.
+        attaches one :class:`~repro.serving.DriftMonitor` per class record.
         Every feed's :class:`LiveObservations` are aggregated under the
         pool lock; when live speculation accuracy diverges from the plan's
         profiled anchors past the configured threshold, the pool runs one
@@ -245,14 +269,12 @@ class MatcherPool:
         self.tracer = tracer
         self.metrics = metrics or self.cache.metrics
         self.drift = drift
-        self._matchers: Dict[str, GSpecPal] = {}
+        #: (canonical fingerprint, config hash) → that class's record.
+        self._classes: Dict[Tuple[str, str], _ClassRecord] = {}
         self._entries: Dict[int, _StreamEntry] = {}
-        #: one drift monitor per matcher (canonical fingerprint), only
-        #: when drift detection is enabled.
-        self._monitors: Dict[str, DriftMonitor] = {}
-        #: canonical fingerprints with a revise in flight (single-flight
-        #: guard) → the worker thread, or None while launching/inline.
-        self._revising: Dict[str, Optional[threading.Thread]] = {}
+        #: record keys with a revise in flight (single-flight guard) →
+        #: the worker thread, or None while launching/inline.
+        self._revising: Dict[Tuple[str, str], Optional[threading.Thread]] = {}
         self._next_id = 0
         #: admission slots reserved by opens that are still compiling —
         #: they count against ``max_streams`` but have no entry yet.
@@ -280,44 +302,12 @@ class MatcherPool:
                 "closed": int(count("serving.pool.closed").value),
                 "rejected": int(count("serving.pool.rejected").value),
                 "reserved": self._reserved,
-                "matchers": len(self._matchers),
+                "matchers": len(self._classes),
                 "revising": len(self._revising),
                 "cache": self.cache.stats(),
             }
 
     # ------------------------------------------------------------------
-    def _matcher_for(self, plan) -> GSpecPal:
-        matcher = self._matchers.get(plan.canonical_fingerprint)
-        # A plan reloaded from disk is a different *object* but the same
-        # artifact, and a language-equivalent plan is a different artifact
-        # serving the same class; rebuilding the matcher (and discarding
-        # its warmed simulator) is only warranted when the compiled
-        # language class or compile-config hash actually differs.
-        if (
-            matcher is None
-            or matcher.plan.canonical_fingerprint != plan.canonical_fingerprint
-            or matcher.plan.config_hash != plan.config_hash
-        ):
-            matcher = GSpecPal.from_plan(
-                plan,
-                backend=self.backend,
-                selfcheck=self.selfcheck,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            self._matchers[plan.canonical_fingerprint] = matcher
-            if self.drift is not None:
-                # Anchor (or re-anchor) the class's drift monitor to the
-                # plan this fresh matcher serves.
-                self._monitors[plan.canonical_fingerprint] = DriftMonitor(
-                    matcher.plan, self.drift
-                )
-        elif self.drift is not None and plan.canonical_fingerprint not in self._monitors:
-            self._monitors[plan.canonical_fingerprint] = DriftMonitor(
-                matcher.plan, self.drift
-            )
-        return matcher
-
     def _spec_k(self, plan=None) -> int:
         """spec_k governing the ``pm-spec<k>`` alias for open-time scheme
         validation: pool config when set, else the plan's compile config,
@@ -385,8 +375,23 @@ class MatcherPool:
             raise
         with self._slot_freed:
             try:
-                matcher = self._matcher_for(plan)
-                session = matcher.stream(scheme=scheme)
+                # A plan reloaded from disk, or a language-equivalent one,
+                # keys the same record and so keeps its warmed matcher; a
+                # plan compiled under another config gets its own.
+                key = (plan.canonical_fingerprint, plan.config_hash)
+                record = self._classes.get(key)
+                if record is None:
+                    matcher = GSpecPal.from_plan(
+                        plan,
+                        backend=self.backend,
+                        selfcheck=self.selfcheck,
+                        tracer=self.tracer,
+                        metrics=self.metrics,
+                    )
+                    record = self._classes[key] = _ClassRecord(
+                        key, matcher, self.drift
+                    )
+                session = record.matcher.stream(scheme=scheme)
             except BaseException:
                 self._reserved -= 1
                 self._slot_freed.notify()
@@ -396,12 +401,7 @@ class MatcherPool:
             self._reserved -= 1
             stream_id = self._next_id
             self._next_id += 1
-            self._entries[stream_id] = _StreamEntry(
-                session,
-                plan.fingerprint,
-                plan.canonical_fingerprint,
-                matcher.dfa.n_symbols,
-            )
+            self._entries[stream_id] = _StreamEntry(session, plan.fingerprint, record)
             self.metrics.counter("serving.pool.opened").inc()
             self.metrics.gauge("serving.pool.active").set(len(self._entries))
             return stream_id
@@ -451,11 +451,7 @@ class MatcherPool:
         except (TypeError, ValueError):
             was_opened = False
         if was_opened:
-            return ServingError(
-                f"stream {stream_id} is closed",
-                code="stream_closed",
-                stream_id=stream_id,
-            )
+            return _closed_error(stream_id)
         return ServingError(
             f"unknown stream id {stream_id}",
             code="unknown_stream",
@@ -481,7 +477,8 @@ class MatcherPool:
         ``code="invalid_symbol"`` and leaves the stream untouched.
         """
         entry = self._entry(stream_id)
-        symbols = _checked_symbols(segment, entry.n_symbols, stream_id)
+        n_symbols = entry.record.matcher.dfa.n_symbols
+        symbols = _checked_symbols(segment, n_symbols, stream_id)
         return self._feed_entry(stream_id, entry, symbols)
 
     def _feed_entry(
@@ -490,37 +487,30 @@ class MatcherPool:
         started = perf_counter()
         with entry.lock:
             if entry.closed:
-                raise ServingError(
-                    f"stream {stream_id} is closed",
-                    code="stream_closed",
-                    stream_id=stream_id,
-                    fingerprint=entry.fingerprint,
-                )
+                raise _closed_error(stream_id, entry.fingerprint)
             result = entry.session.feed(segment)
         self.metrics.counter("serving.pool.feeds").inc()
         self.metrics.histogram("serving.pool.feed_ms").observe(
             (perf_counter() - started) * 1e3
         )
-        if self._observe(entry.canonical, result.observations):
-            self._launch_revise(entry.canonical)
+        if self._observe(entry.record, result.observations):
+            self._launch_revise(entry.record)
         return result
 
     # ------------------------------------------------------------------
     # online adaptation (drift detection + plan hot-swap)
     # ------------------------------------------------------------------
-    def _observe(self, canonical: str, observations) -> bool:
-        """Feed one run's evidence to the class's drift monitor.
+    def _observe(self, record: _ClassRecord, observations) -> bool:
+        """Feed one run's evidence to the record's drift monitor.
 
         The monitor is state, so it is folded under the pool lock (taken
         only when drift detection is on).  Returns True when the monitor
         just fired and a revise should be launched.
         """
-        if self.drift is None or observations is None:
+        monitor = record.monitor
+        if monitor is None or observations is None:
             return False
         with self._lock:
-            monitor = self._monitors.get(canonical)
-            if monitor is None:
-                return False
             fired = monitor.observe(observations)
             self.metrics.counter("drift.observations").inc()
             self.metrics.gauge("drift.divergence").set(monitor.divergence)
@@ -528,27 +518,27 @@ class MatcherPool:
                 self.metrics.counter("drift.triggers").inc()
         return fired
 
-    def _launch_revise(self, canonical: str) -> None:
-        """Kick the single-flight background revise for one language class."""
+    def _launch_revise(self, record: _ClassRecord) -> None:
+        """Kick the single-flight background revise for one class record."""
         with self._lock:
-            if canonical in self._revising:
+            if record.key in self._revising:
                 return
-            self._revising[canonical] = None
-        if self.drift is not None and self.drift.synchronous:
-            self._run_revise(canonical)
+            self._revising[record.key] = None
+        if self.drift.synchronous:
+            self._run_revise(record)
             return
         thread = threading.Thread(
             target=self._run_revise,
-            args=(canonical,),
-            name=f"drift-revise-{canonical[:8]}",
+            args=(record,),
+            name=f"drift-revise-{record.key[0][:8]}",
             daemon=True,
         )
         with self._lock:
-            self._revising[canonical] = thread
+            self._revising[record.key] = thread
         thread.start()
 
-    def _run_revise(self, canonical: str) -> None:
-        """Revise one matcher's plan from its monitor's evidence.
+    def _run_revise(self, record: _ClassRecord) -> None:
+        """Revise one record's plan from its monitor's evidence.
 
         The expensive step (``revise_plan`` — one selector walk plus one
         cost-model evaluation) runs outside the pool lock; the snapshot
@@ -561,31 +551,17 @@ class MatcherPool:
 
         try:
             with self._lock:
-                matcher = self._matchers.get(canonical)
-                monitor = self._monitors.get(canonical)
-                if matcher is None or monitor is None:
-                    return
-                stale = matcher.plan
-                observations = monitor.snapshot()
+                stale = record.matcher.plan
+                observations = record.monitor.snapshot()
             revised = revise_plan(stale, observations, tracer=None, metrics=None)
             self.cache.put(revised)
             with self._lock:
-                matcher = self._matchers.get(canonical)
-                monitor = self._monitors.get(canonical)
-                if (
-                    matcher is not None
-                    and matcher.plan.fingerprint == revised.fingerprint
-                    and matcher.plan.config_hash == revised.config_hash
-                ):
-                    matcher.adopt_plan(revised)
+                record.matcher.adopt_plan(revised)
                 self.metrics.counter("drift.revises").inc()
                 if revised.scheme != stale.scheme:
                     self.metrics.counter("drift.swaps").inc()
-                if monitor is not None:
-                    lag = monitor.rearm(revised)
-                    self.metrics.histogram(
-                        "drift.observation_lag_segments"
-                    ).observe(lag)
+                lag = record.monitor.rearm(revised)
+                self.metrics.histogram("drift.observation_lag_segments").observe(lag)
         except Exception:
             # A failed revise must not poison the feed path (synchronous
             # mode) or kill the worker silently: the stale plan keeps
@@ -595,7 +571,7 @@ class MatcherPool:
             self.metrics.counter("drift.revise_errors").inc()
         finally:
             with self._lock:
-                self._revising.pop(canonical, None)
+                self._revising.pop(record.key, None)
 
     def drain_revisions(self, timeout: Optional[float] = None) -> int:
         """Block until in-flight background revises finish (tests, shutdown).
@@ -631,7 +607,7 @@ class MatcherPool:
     def feed_many(self, feeds: Sequence[Tuple[int, object]]) -> Tuple[FeedOutcome, ...]:
         """Process many ``(stream_id, segment)`` feeds, gang-scheduled.
 
-        Feeds targeting streams that share a fingerprint are coalesced
+        Feeds targeting streams that share a class record are coalesced
         into one fused ``(streams × lanes)`` dispatch when the pool is in
         fused mode and the group is at least :data:`FUSED_MIN_STREAMS` wide;
         everything else runs through the ordinary per-stream scheme path.
@@ -672,37 +648,39 @@ class MatcherPool:
         return tuple(outcomes)  # type: ignore[arg-type]
 
     def _dispatch_wave(self, wave, outcomes) -> None:
-        """Group one wave by canonical fingerprint and dispatch each group.
+        """Group one wave by class record and dispatch each group.
 
-        Grouping on the canonical key means streams opened with different
-        but language-equivalent plans gang into one fused dispatch (their
-        sessions all run the shared matcher's transition table).  The
-        entry table is snapshotted *once* per wave under a single lock
-        acquisition — answer-identical to the per-feed lookups it
-        replaces (a close racing the wave is still caught under the
-        per-stream lock at dispatch time), without hammering the pool
-        lock N times per wave."""
+        Grouping on the record means streams opened with different but
+        language-equivalent plans of one compile config gang into one
+        fused dispatch (their sessions all run the record's transition
+        table).  The entry table is snapshotted *once* per wave under a
+        single lock acquisition — answer-identical to the per-feed
+        lookups it replaces (a close racing the wave is still caught
+        under the per-stream lock at dispatch time), without hammering
+        the pool lock N times per wave."""
         with self._lock:
             entries = dict(self._entries)
             next_id = self._next_id
-        groups: Dict[str, List[Tuple[int, int, _StreamEntry, object]]] = {}
+        groups: Dict[_ClassRecord, List[Tuple[int, int, _StreamEntry, object]]] = {}
         for idx, stream_id, segment in wave:
             entry = entries.get(stream_id)
             try:
                 if entry is None:
                     raise self._missing_stream_error(stream_id, next_id)
-                symbols = _checked_symbols(segment, entry.n_symbols, stream_id)
+                symbols = _checked_symbols(
+                    segment, entry.record.matcher.dfa.n_symbols, stream_id
+                )
             except ServingError as exc:
                 outcomes[idx] = FeedOutcome(
                     stream_id=stream_id, ok=False, error=exc
                 )
                 continue
-            groups.setdefault(entry.canonical, []).append(
+            groups.setdefault(entry.record, []).append(
                 (idx, stream_id, entry, symbols)
             )
-        for fingerprint, group in groups.items():
+        for record, group in groups.items():
             if self.fused and len(group) >= FUSED_MIN_STREAMS:
-                self._dispatch_fused(fingerprint, group, outcomes)
+                self._dispatch_fused(record, group, outcomes)
             else:
                 self._dispatch_sequential(group, outcomes)
 
@@ -725,7 +703,7 @@ class MatcherPool:
                 )
             self.metrics.counter("serving.pool.fused_fallbacks").inc()
 
-    def _dispatch_fused(self, fingerprint, group, outcomes) -> None:
+    def _dispatch_fused(self, record: _ClassRecord, group, outcomes) -> None:
         """One fused dispatch over every live stream in the group.
 
         Locks are taken in stream-id order and held across the whole
@@ -744,20 +722,13 @@ class MatcherPool:
                     outcomes[idx] = FeedOutcome(
                         stream_id=stream_id,
                         ok=False,
-                        error=ServingError(
-                            f"stream {stream_id} is closed",
-                            code="stream_closed",
-                            stream_id=stream_id,
-                            fingerprint=fingerprint,
-                        ),
+                        error=_closed_error(stream_id, entry.fingerprint),
                     )
                 else:
                     live.append((idx, stream_id, entry, segment))
             if not live:
                 return
-            with self._lock:
-                matcher = self._matchers[fingerprint]
-            engine = matcher.fused_engine()
+            engine = record.matcher.fused_engine()
             segments = [segment for *_ignored, segment in live]
             starts = [entry.session.state for _, _, entry, _ in live]
             dispatch = engine.dispatch(segments, starts)
@@ -789,13 +760,13 @@ class MatcherPool:
         # chunk boundaries — stash a sample-free observation (traffic
         # volume + symbol sketch) so the drift aggregate still sees
         # the distribution this class is serving.
-        if self.drift is not None:
+        if record.monitor is not None:
             sketch = np.bincount(
                 np.concatenate(segments).astype(np.int64, copy=False),
-                minlength=matcher.dfa.n_symbols,
+                minlength=record.matcher.dfa.n_symbols,
             )
             self._observe(
-                fingerprint,
+                record,
                 LiveObservations(
                     scheme="fused",
                     spec_k=1,
@@ -817,23 +788,18 @@ class MatcherPool:
         entry = self._entry(stream_id)
         with entry.lock:
             if entry.closed:
-                raise ServingError(
-                    f"stream {stream_id} is closed",
-                    code="stream_closed",
-                    stream_id=stream_id,
-                    fingerprint=entry.fingerprint,
-                )
+                raise _closed_error(stream_id, entry.fingerprint)
             entry.closed = True
             session = entry.session
             with self._slot_freed:
                 del self._entries[stream_id]
+                plan = entry.record.matcher.plan
                 scheme = session.scheme
                 decision_path = tuple(session.decision_path)
                 if scheme is None:
                     # Never fed: report what a segment would have run.
-                    matcher = self._matchers[entry.canonical]
-                    scheme = matcher.plan.scheme
-                    decision_path = tuple(matcher.plan.decision_path)
+                    scheme = plan.scheme
+                    decision_path = tuple(plan.decision_path)
                 stats = StreamStats(
                     stream_id=stream_id,
                     fingerprint=entry.fingerprint,
@@ -843,7 +809,7 @@ class MatcherPool:
                     total_cycles=session.total_cycles,
                     end_state=session.state,
                     accepts=session.accepts,
-                    canonical_fingerprint=entry.canonical,
+                    canonical_fingerprint=plan.canonical_fingerprint,
                     scheme_switches=session.scheme_switches,
                     decision_path=decision_path,
                 )

@@ -131,6 +131,23 @@ def test_plan_cache_compiles_once_across_invocations(capsys, tmp_path):
     assert ("scheme   :" in first) and ("scheme   :" in second)
 
 
+def test_plan_cache_recompiles_a_spill_from_another_thread_count(
+    capsys, tmp_path
+):
+    """A plan spilled by a ``--threads 32`` run must not serve a
+    ``--threads 64`` run: the output equals a fresh cache's."""
+    argv = ["run", "snort", "1", "--input-length", "4096",
+            "--training-length", "1024", "--plan-cache"]
+    shared = str(tmp_path / "shared")
+    assert main(argv + [shared, "--threads", "32"]) == 0
+    capsys.readouterr()
+    assert main(argv + [shared, "--threads", "64"]) == 0
+    served = capsys.readouterr().out
+    assert main(argv + [str(tmp_path / "fresh"), "--threads", "64"]) == 0
+    assert served == capsys.readouterr().out
+    assert len(list((tmp_path / "shared").glob("*.npz"))) == 1
+
+
 def test_compare_with_plan(capsys, tmp_path):
     plan_path = str(tmp_path / "m.npz")
     assert main(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
-from repro.plan import revise_plan
+from repro.plan import config_fingerprint, revise_plan
 from repro.serving import PlanCache
 from repro.speculation import LiveObservations
 from repro.workloads import classic
@@ -98,6 +98,30 @@ def test_corrupt_spill_recompiles(scanner_dfa, training, config, tmp_path):
     # The destroyed container is discarded and the plan recompiled fresh.
     assert second.stats()["compiles"] == 1 and second.stats()["disk_loads"] == 0
     assert reloaded.fingerprint == plan.fingerprint
+
+
+def test_spill_from_another_config_is_recompiled(
+    scanner_dfa, training, config, tmp_path
+):
+    """A spill file compiled under another config is no hit: it is
+    dropped, and the class is recompiled under the requested config and
+    spilled in its place."""
+    PlanCache(config=config, directory=tmp_path).get_or_compile(
+        scanner_dfa, training
+    )
+    other = GSpecPalConfig(n_threads=32)
+    cache = PlanCache(config=other, directory=tmp_path)
+    plan = cache.get_or_compile(scanner_dfa, training)
+    assert plan.config_hash == config_fingerprint(other)
+    assert cache.stats()["compiles"] == 1 and cache.stats()["disk_loads"] == 0
+    assert len(list(tmp_path.glob("*.npz"))) == 1
+
+    # The per-call config is the requested one; the new spill serves it.
+    restarted = PlanCache(config=config, directory=tmp_path)
+    reloaded = restarted.get_or_compile(scanner_dfa, training, other)
+    assert reloaded.config_hash == plan.config_hash
+    assert restarted.stats()["disk_loads"] == 1
+    assert restarted.stats()["compiles"] == 0
 
 
 def test_revised_plan_outlives_its_lru_slot(training, config, tmp_path):

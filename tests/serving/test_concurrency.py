@@ -450,12 +450,13 @@ def test_equal_reloaded_plan_keeps_resident_matcher(
     plan = compile_plan(fsms[0], training, config)
     pool = MatcherPool(config=config)
     sid = pool.open(plan=plan)
-    matcher = pool._matchers[plan.fingerprint]
+    key = (plan.canonical_fingerprint, plan.config_hash)
+    matcher = pool._classes[key].matcher
 
     reloaded = load_plan(save_plan(plan, tmp_path / "plan.npz"))
     assert reloaded is not plan  # different object, same artifact
     sid2 = pool.open(plan=reloaded)
-    assert pool._matchers[plan.fingerprint] is matcher  # not rebuilt
+    assert pool._classes[key].matcher is matcher  # not rebuilt
     assert pool.stats()["matchers"] == 1
     for s in (sid, sid2):
         pool.feed(s, b"alpha" * 16)

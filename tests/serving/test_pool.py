@@ -77,6 +77,39 @@ def test_open_with_precompiled_plan_skips_compiling(fsms, training, config):
     assert plan.fingerprint in cache  # seeded for future streams
 
 
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_two_configs_of_one_class_keep_their_own_matchers(
+    backend, fsms, training, rng
+):
+    """A stream keeps the matcher it was opened on: opening the same
+    language class under another compile config must not take over an
+    older stream's gang dispatch or its close summary."""
+    token = fsms[1]
+    twin = token.renumbered(rng.permutation(token.n_states), name="token-twin")
+    dfas = (token, twin)
+    plans = [
+        compile_plan(dfa, training, GSpecPalConfig(n_threads=n))
+        for dfa, n in zip(dfas, (8, 4))
+    ]
+    assert plans[0].canonical_fingerprint == plans[1].canonical_fingerprint
+    pool = MatcherPool(backend=backend, fused=True)
+    sids = [pool.open(plan=plan) for plan in plans]
+    head, tail = b"xxto" * 16, b"ken" + b"q" * 61
+    pool.feed(sids[0], head)
+    outcomes = pool.feed_many([(sid, tail) for sid in sids])
+    fed = (head + tail, tail)
+    for dfa, data, sid, outcome in zip(dfas, fed, sids, outcomes):
+        expected = dfa.run(data)
+        assert outcome.end_state == expected
+        assert outcome.accepts == (expected in dfa.accepting)
+        summary = pool.close(sid)
+        assert summary.end_state == expected
+        assert summary.accepts == (expected in dfa.accepting)
+    # Two records, so each group is one stream wide and runs per-stream.
+    assert not any(outcome.fused for outcome in outcomes)
+    assert pool.stats()["matchers"] == 2
+
+
 def test_forced_scheme_per_stream(fsms, training, config):
     pool = MatcherPool(config=config)
     sid = pool.open(fsms[0], training_input=training, scheme="rr")
