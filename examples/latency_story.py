@@ -3,9 +3,9 @@
 
 Races three GPU designs on the same rule set and the same stream:
 
-1. the classic *throughput* engine — 64 streams batch-scanned, one thread
+1. the classic *throughput* design — 64 streams batch-scanned, one thread
    each (great aggregate rate, each stream waits for a full sequential
-   scan);
+   scan); this is the serving pool's fused dispatch, charged to a ledger;
 2. the *state-parallel NFA engine* (iNFAnt lineage) — compact tables,
    per-symbol parallelism, but symbols remain strictly sequential;
 3. *GSpecPal* — chunk-parallel speculative DFA execution.
@@ -15,11 +15,9 @@ This is §I/II-B of the paper turned into a runnable script.
 Run:  python examples/latency_story.py
 """
 
-import numpy as np
-
 from repro.automata.nfa import union_nfas
 from repro.automata.regex import compile_disjunction, regex_to_nfa
-from repro.framework import GSpecPal, GSpecPalConfig, ThroughputEngine
+from repro.framework import GSpecPal, GSpecPalConfig
 from repro.schemes.nfa_engine import NFAEngine
 from repro.workloads.patterns import snort_patterns
 from repro.workloads.traces import TraceSpec, network_weights
@@ -42,23 +40,26 @@ def main() -> None:
     training = spec.generate(4_096, seed=999)
     probe = streams[0]
 
-    # 1. throughput engine
-    batch = ThroughputEngine(dfa, training_input=training).run_batch(streams)
+    pal = GSpecPal(dfa, GSpecPalConfig(n_threads=256), training_input=training)
+    # 1. stream-parallel batch: one fused dispatch, one lane per stream
+    fused = pal.fused_engine()
+    batch = fused.dispatch(
+        streams, [dfa.start] * len(streams), stats=fused.sim.new_stats(len(streams))
+    )
     # 2. NFA engine
     nfa_result = NFAEngine(nfa).run(probe)
     # 3. GSpecPal
-    pal = GSpecPal(dfa, GSpecPalConfig(n_threads=256), training_input=training)
     pal_result = pal.run(probe)
     assert pal_result.accepts == dfa.accepts(probe) == nfa_result.accepts
 
     ms = lambda cycles: f"{cycles / 1.395e6:8.3f} ms"
     print("\nhow long until stream #0's verdict is known?")
-    print(f"  throughput batch engine : {ms(batch.latency_cycles)}  "
+    print(f"  throughput batch engine : {ms(batch.cycles)}  "
           f"(but {batch.total_symbols:,} total symbols scanned)")
     print(f"  state-parallel NFA      : {ms(nfa_result.cycles)}")
     print(f"  GSpecPal ({pal_result.scheme:8s})    : {ms(pal_result.cycles)}")
     print(
-        f"\nGSpecPal answers {batch.latency_cycles / pal_result.cycles:.0f}x sooner "
+        f"\nGSpecPal answers {batch.cycles / pal_result.cycles:.0f}x sooner "
         f"than the batch engine and {nfa_result.cycles / pal_result.cycles:.0f}x sooner "
         "than the NFA engine on this stream."
     )

@@ -8,7 +8,6 @@ share bit-identical minimal tables), and materialized as dense numpy
 transition tables ready for the lockstep GPU executor.
 """
 
-from repro.automata.bitset import BitsetNFA
 from repro.automata.dfa import DFA, run_lockstep
 from repro.automata.nfa import NFA, nfa_to_dfa
 from repro.automata.regex import compile_regex, compile_disjunction, parse_regex
@@ -24,7 +23,6 @@ from repro.automata.properties import (
 from repro.automata.transform import TransformedDFA, frequency_transform
 
 __all__ = [
-    "BitsetNFA",
     "DFA",
     "NFA",
     "StateFrequencyProfile",

@@ -9,7 +9,7 @@ rest of the library operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set
 
 import numpy as np
 
@@ -187,40 +187,34 @@ def _grouped_or(rows: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) -> DFA:
-    """Determinize ``nfa`` via a vectorized bitset subset construction.
+class PackedNFA(NamedTuple):
+    """An NFA's ε-closed moves as packed uint8 bitset rows (bit ``q`` is bit
+    ``q % 8`` of byte ``q // 8``): the subset construction's building blocks
+    and the rows the state-parallel NFA engine steps."""
 
-    The resulting DFA is *complete*: a dead state is materialized for subsets
-    with no outgoing transition so that the dense table has no holes.  The
-    construction runs over symbol equivalence classes (see
-    :func:`symbol_classes`) and expands the full-width table at the end.
+    symbol_class: np.ndarray  # (n_symbols,) class id (see symbol_classes)
+    start: np.ndarray  # (n_bytes,) ε-closure of the start state
+    accepting: np.ndarray  # (n_bytes,) the accepting states
+    moves: np.ndarray  # (n_states, n_classes, n_bytes): ε-closure(move(q, c))
 
-    State sets are packed uint8 bitset rows.  ε-closures come from
-    :func:`_epsilon_closure_matrix` (a vectorized fixpoint), the per-state
-    closed moves from one segmented OR over the symbol-edge list, and the
-    frontier is expanded **one wave at a time**: a whole wave of subsets is
-    unpacked to a boolean membership matrix, its class targets computed by
-    a single segmented OR-reduction, and new subsets deduplicated with
-    ``np.unique`` over packed rows — no per-subset python inner loops.
 
-    Parameters
-    ----------
-    max_states:
-        Safety valve against exponential blow-up; raises a structured
-        :class:`AutomatonError` (carrying ``state_count`` and ``limit``)
-        when exceeded.
+def pack_nfa(nfa: NFA) -> PackedNFA:
+    """Build ``nfa``'s :class:`PackedNFA`.
+
+    ε-closures come from :func:`_epsilon_closure_matrix` (a vectorized
+    fixpoint); the closed moves from one gather of the destination closures
+    and one segmented OR over the ``(state, class)``-sorted edge list.
     """
     classes = symbol_classes(nfa)
-    reps = [cls[0] for cls in classes]
     n_classes = len(classes)
     n = nfa.n_states
     n_bytes = (n + 7) // 8
-
     closure = _epsilon_closure_matrix(nfa, n_bytes)
 
-    # closed_move[q, ci] = packed ε-closure(move(q, rep(ci))): one gather of
-    # the destination closures + one segmented OR over the (q, ci) edge list.
-    rep_class = {sym: ci for ci, sym in enumerate(reps)}
+    symbol_class = np.empty(nfa.n_symbols, dtype=np.int64)
+    for ci, cls in enumerate(classes):
+        symbol_class[cls] = ci
+    rep_class = {cls[0]: ci for ci, cls in enumerate(classes)}
     e_src: List[int] = []
     e_cls: List[int] = []
     e_dst: List[int] = []
@@ -233,7 +227,7 @@ def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) 
                 e_src.append(q)
                 e_cls.append(ci)
                 e_dst.append(d)
-    closed_move = np.zeros((n, n_classes, n_bytes), dtype=np.uint8)
+    moves = np.zeros((n, n_classes, n_bytes), dtype=np.uint8)
     if e_src:
         src = np.asarray(e_src, dtype=np.int64)
         cls_arr = np.asarray(e_cls, dtype=np.int64)
@@ -244,26 +238,52 @@ def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) 
         boundaries = np.concatenate(([0], np.flatnonzero(np.diff(key)) + 1))
         merged = np.bitwise_or.reduceat(closure[dst], boundaries, axis=0)
         group_keys = key[boundaries]
-        closed_move[group_keys // n_classes, group_keys % n_classes] = merged
-    closed_move_flat = closed_move.reshape(n, n_classes * n_bytes)
+        moves[group_keys // n_classes, group_keys % n_classes] = merged
 
-    acc_packed = np.zeros(n_bytes, dtype=np.uint8)
-    for q in nfa.accepting:
-        acc_packed[q // 8] |= np.uint8(1 << (q % 8))
+    accepting = np.zeros(n_bytes * 8, dtype=bool)
+    accepting[list(nfa.accepting)] = True
+    accepting = np.packbits(accepting, bitorder="little")
+    return PackedNFA(symbol_class, closure[nfa.start], accepting, moves)
 
-    start_row = closure[nfa.start]
-    subset_ids: Dict[bytes, int] = {start_row.tobytes(): 0}
+
+def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) -> DFA:
+    """Determinize ``nfa`` via a vectorized bitset subset construction.
+
+    The resulting DFA is *complete*: a dead state is materialized for subsets
+    with no outgoing transition so that the dense table has no holes.  The
+    construction runs over symbol equivalence classes (see
+    :func:`symbol_classes`) and expands the full-width table at the end.
+
+    State sets are packed uint8 bitset rows.  The per-state closed moves
+    come from :func:`pack_nfa`, and the frontier is expanded **one wave at
+    a time**: a whole wave of subsets is unpacked to a boolean membership
+    matrix, its class targets computed by a single segmented OR-reduction,
+    and new subsets deduplicated with ``np.unique`` over packed rows — no
+    per-subset python inner loops.
+
+    Parameters
+    ----------
+    max_states:
+        Safety valve against exponential blow-up; raises a structured
+        :class:`AutomatonError` (carrying ``state_count`` and ``limit``)
+        when exceeded.
+    """
+    packed = pack_nfa(nfa)
+    n = nfa.n_states
+    n_classes = packed.moves.shape[1]
+    n_bytes = packed.start.size
+    closed_move_flat = packed.moves.reshape(n, n_classes * n_bytes)
+
+    subset_ids: Dict[bytes, int] = {packed.start.tobytes(): 0}
     accepting: Set[int] = set()
     table_rows: List[np.ndarray] = []
-    frontier = start_row[None, :]  # (wave_size, n_bytes)
+    frontier = packed.start[None, :]  # (wave_size, n_bytes)
 
     while frontier.shape[0]:
         wave = frontier.shape[0]
-        hits = (frontier & acc_packed).any(axis=1)
+        hits = (frontier & packed.accepting).any(axis=1)
         base_id = sum(t.shape[0] for t in table_rows)
-        accepting.update(
-            int(base_id + i) for i in np.flatnonzero(hits)
-        )
+        accepting.update(int(base_id + i) for i in np.flatnonzero(hits))
 
         members = np.unpackbits(frontier, axis=1, bitorder="little")[:, :n]
         counts = members.sum(axis=1).astype(np.int64)
@@ -277,8 +297,8 @@ def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) 
         uniq_ids = np.empty(uniq.shape[0], dtype=np.int64)
         fresh_rows: List[np.ndarray] = []
         for u in range(uniq.shape[0]):
-            packed = uniq[u].tobytes()
-            sid = subset_ids.get(packed)
+            row_key = uniq[u].tobytes()
+            sid = subset_ids.get(row_key)
             if sid is None:
                 sid = len(subset_ids)
                 if sid >= max_states:
@@ -290,7 +310,7 @@ def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) 
                         limit=max_states,
                         automaton=nfa.name,
                     )
-                subset_ids[packed] = sid
+                subset_ids[row_key] = sid
                 fresh_rows.append(uniq[u])
             uniq_ids[u] = sid
         table_rows.append(
@@ -303,11 +323,8 @@ def nfa_to_dfa(nfa: NFA, name: Optional[str] = None, max_states: int = 100_000) 
         )
 
     class_table = np.concatenate(table_rows, axis=0)
-    table = np.empty((class_table.shape[0], nfa.n_symbols), dtype=STATE_DTYPE)
-    for ci, cls in enumerate(classes):
-        table[:, cls] = class_table[:, ci : ci + 1]
     return DFA(
-        table=table,
+        table=class_table[:, packed.symbol_class],
         start=0,
         accepting=frozenset(accepting),
         name=name if name is not None else nfa.name,

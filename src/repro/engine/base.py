@@ -128,6 +128,18 @@ def _lane_list(mask: np.ndarray, cap: int = 8) -> str:
     return shown
 
 
+def validate_starts(starts, *, n_states: int, backend: str = "backend") -> None:
+    """Raise :class:`~repro.errors.SimulationError` naming every lane whose
+    start state lies outside ``[0, n_states)``."""
+    starts = np.asarray(starts)
+    bad_starts = (starts < 0) | (starts >= n_states)
+    if bad_starts.any():
+        raise SimulationError(
+            f"[{backend}] start states out of range [0, {n_states}) "
+            f"on lanes {_lane_list(bad_starts)}"
+        )
+
+
 def validate_batch_inputs(
     chunks: np.ndarray,
     starts: np.ndarray,
@@ -151,13 +163,7 @@ def validate_batch_inputs(
     are only checked at positions a lane actually executes (padding beyond
     ``lengths`` and inactive lanes may hold arbitrary values).
     """
-    starts = np.asarray(starts)
-    bad_starts = (starts < 0) | (starts >= n_states)
-    if bad_starts.any():
-        raise SimulationError(
-            f"[{backend}] start states out of range [0, {n_states}) "
-            f"on lanes {_lane_list(bad_starts)}"
-        )
+    validate_starts(starts, n_states=n_states, backend=backend)
     chunks = np.asarray(chunks)
     if chunks.size == 0:
         return

@@ -17,10 +17,16 @@ Semantics contract (pinned by ``tests/engine/test_fused_differential.py``
 and the serving property suite): a fused dispatch is *answer-identical* to
 feeding every stream sequentially through its own
 :class:`~repro.framework.gspecpal.StreamSession` — same end states, same
-accepts, for every scheme and both backends, for any segmentation.  Fused
-execution is answer-only: no speculation is performed across the batch, so
-no cycle ledger is charged (a stream fed through the fused path reports
-``total_cycles = NaN``, exactly like the ``fast`` backend's contract).
+accepts, for every scheme and both backends, for any segmentation.  No
+speculation is performed across the batch, and the serving pool hands it
+no ledger, so a stream fed through the fused path reports
+``total_cycles = NaN``, exactly like the ``fast`` backend's contract.
+
+The same dispatch is Algorithm 1's *stream-level* parallelism — one lane
+per stream, each a sequential scan — which the latency-vs-throughput
+benchmark contrasts with GSpecPal's chunk parallelism.  For that it hands
+``dispatch`` a ledger: on the cycle-accounting ``sim`` backend the scan is
+charged to phase ``stream_parallel_scan``.
 
 With self-checking enabled (``REPRO_SELFCHECK=1`` or an explicit flag) the
 dispatch runs the very same kernel and then hands its answers to
@@ -49,14 +55,19 @@ class FusedDispatchResult:
         numbering, aligned with the dispatch's input order.
     n_streams / total_symbols:
         Batch width and total symbols advanced across all streams.
+    cycles:
+        Total of the ledger the dispatch charged — the batch's latency, as
+        every stream finishes with the kernel.  NaN, never zero, when no
+        ledger was handed in or the backend does not account cycles.
     """
 
-    __slots__ = ("end_states", "n_streams", "total_symbols")
+    __slots__ = ("end_states", "n_streams", "total_symbols", "cycles")
 
-    def __init__(self, end_states, n_streams, total_symbols):
+    def __init__(self, end_states, n_streams, total_symbols, cycles):
         self.end_states = end_states
         self.n_streams = n_streams
         self.total_symbols = total_symbols
+        self.cycles = cycles
 
 
 class FusedBatchEngine:
@@ -98,8 +109,15 @@ class FusedBatchEngine:
         """
         return self.dispatch(segments, starts).end_states
 
-    def dispatch(self, segments: Sequence, starts: Sequence[int]) -> FusedDispatchResult:
-        """Like :meth:`run_streams` but returns the full dispatch record."""
+    def dispatch(
+        self, segments: Sequence, starts: Sequence[int], *, stats=None
+    ) -> FusedDispatchResult:
+        """Like :meth:`run_streams` but returns the full dispatch record.
+
+        ``stats`` is an optional :class:`~repro.gpu.stats.KernelStats`
+        ledger (open it with ``sim.new_stats``); a cycle-accounting backend
+        charges the scan to it and the result's ``cycles`` is its total.
+        """
         symbol_rows: List[np.ndarray] = [_as_symbol_array(seg) for seg in segments]
         n_streams = len(symbol_rows)
         starts_arr = np.asarray(list(starts), dtype=np.int64)
@@ -109,22 +127,23 @@ class FusedBatchEngine:
                 f"({starts_arr.shape} vs {n_streams} segments)"
             )
         lengths = np.array([row.size for row in symbol_rows], dtype=np.int64)
-        total_symbols = int(lengths.sum())
-        if n_streams == 0:
-            return FusedDispatchResult(np.empty(0, dtype=STATE_DTYPE), 0, 0)
+        exec_starts = np.asarray(self.sim.to_exec_states(starts_arr), dtype=np.int64)
+        if lengths.max(initial=0) == 0:
+            # No symbols (or no streams): carried states pass through untouched.
+            ends = starts_arr.astype(STATE_DTYPE)
+        else:
+            exec_ends = self._run_fused(symbol_rows, lengths, exec_starts, stats)
+            ends = np.asarray(self.sim.to_user_states(exec_ends), dtype=STATE_DTYPE)
+        charged = stats is not None and self.engine.accounts_cycles
+        cycles = stats.cycles if charged else float("nan")
+        result = FusedDispatchResult(ends, n_streams, int(lengths.sum()), cycles)
+        if self.selfcheck:
+            self._audit(symbol_rows, starts_arr, result)
+        return result
 
-        exec_starts = np.asarray(
-            self.sim.to_exec_states(starts_arr), dtype=np.int64
-        )
-        max_len = int(lengths.max(initial=0))
-        if max_len == 0:
-            # Every segment empty: carried states pass through untouched.
-            ends = np.asarray(starts_arr, dtype=STATE_DTYPE).copy()
-            result = FusedDispatchResult(ends, n_streams, 0)
-            if self.selfcheck:
-                self._audit(symbol_rows, starts_arr, result)
-            return result
-
+    # ------------------------------------------------------------------
+    def _run_fused(self, symbol_rows, lengths, exec_starts, stats) -> np.ndarray:
+        """Executor-space end states of one fused dispatch, in input order."""
         # Length-sorted grouping: descending segment length makes the
         # still-working streams a prefix at every position, so the inner
         # loop slices instead of masking.  Stable sort keeps equal-length
@@ -135,37 +154,31 @@ class FusedBatchEngine:
         # of int64); the backend widens once, into its time-major layout.
         dtypes = {row.dtype for row in symbol_rows}
         dtype = dtypes.pop() if len(dtypes) == 1 else np.int64
-        padded = np.zeros((n_streams, max_len), dtype=dtype)
+        padded = np.zeros((len(symbol_rows), int(sorted_lengths[0])), dtype=dtype)
         for rank, idx in enumerate(order):
             row = symbol_rows[idx]
             if row.size:
                 padded[rank, : row.size] = row
 
-        exec_ends_sorted = self._run_fused(padded, exec_starts[order], sorted_lengths)
-
-        inverse = np.empty(n_streams, dtype=np.int64)
-        inverse[order] = np.arange(n_streams)
-        exec_ends = np.asarray(exec_ends_sorted, dtype=np.int64)[inverse]
-        ends = np.asarray(
-            self.sim.to_user_states(exec_ends), dtype=STATE_DTYPE
-        )
-        result = FusedDispatchResult(ends, n_streams, total_symbols)
-        if self.selfcheck:
-            self._audit(symbol_rows, starts_arr, result)
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_fused(self, padded, starts, lengths) -> np.ndarray:
-        """One fused dispatch over descending-length-sorted lanes."""
         # The only backend fork on the fused path: ``fast`` has a
-        # sorted-lanes entry that skips run_batch's compress/sort/scatter;
-        # ``sim`` has no ``run_streams`` — its lockstep executor handles
-        # ragged lengths itself, and a pure functional run (no ledger)
-        # keeps the fused path answer-only on every backend.
+        # sorted-lanes entry that skips run_batch's compress/sort/scatter
+        # (and accounts no cycles); ``sim`` has no ``run_streams`` — its
+        # lockstep executor handles ragged lengths itself and charges the
+        # ledger, if one was handed in.
         run_streams = getattr(self.engine, "run_streams", None)
         if run_streams is not None:
-            return run_streams(padded, starts, lengths)
-        return self.engine.run_batch(padded, starts, stats=None, lengths=lengths)
+            sorted_ends = run_streams(padded, exec_starts[order], sorted_lengths)
+        else:
+            sorted_ends = self.engine.run_batch(
+                padded,
+                exec_starts[order],
+                stats=stats,
+                phase="stream_parallel_scan",
+                lengths=sorted_lengths,
+            )
+        exec_ends = np.empty(len(symbol_rows), dtype=np.int64)
+        exec_ends[order] = sorted_ends
+        return exec_ends
 
     def _audit(self, symbol_rows, starts, result) -> None:
         from repro.selfcheck.audit import audit_fused_dispatch

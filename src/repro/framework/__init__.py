@@ -1,7 +1,6 @@
-"""GSpecPal framework front end (plus the throughput-mode baseline)."""
+"""GSpecPal framework front end."""
 
 from repro.framework.config import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal
-from repro.framework.throughput import BatchResult, ThroughputEngine
 
-__all__ = ["BatchResult", "GSpecPal", "GSpecPalConfig", "ThroughputEngine"]
+__all__ = ["GSpecPal", "GSpecPalConfig"]

@@ -18,6 +18,7 @@ from repro.automata.dfa import DFA
 from repro.automata.properties import StateFrequencyProfile, profile_state_frequencies
 from repro.automata.transform import TransformedDFA, frequency_transform
 from repro.engine import ExecutionBackend, create_backend
+from repro.engine.base import validate_starts
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
@@ -133,6 +134,8 @@ class GpuSimulator:
     # ------------------------------------------------------------------
     def to_exec_state(self, state: int) -> int:
         """Translate an original-DFA state id into executor space."""
+        if not 0 <= state < self.dfa.n_states:  # scalar test: no numpy per feed
+            self.to_exec_states([state])  # raises the range error
         if self.transformed is None:
             return int(state)
         return self.transformed.map_state_to_new(state)
@@ -144,8 +147,11 @@ class GpuSimulator:
         return self.transformed.map_state_to_old(state)
 
     def to_exec_states(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`to_exec_state`."""
+        """Vectorized :meth:`to_exec_state`.  Both range-check the caller's
+        starts, which a transformed table would otherwise read silently as
+        ``to_new[-1]``, or reject with a raw ``IndexError`` past the end."""
         states = np.asarray(states)
+        validate_starts(states, n_states=self.dfa.n_states, backend=self.backend_name)
         if self.transformed is None:
             return states
         return self.transformed.to_new[states]

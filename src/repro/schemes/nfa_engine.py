@@ -22,12 +22,10 @@ Cost model per symbol:
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.automata.bitset import BitsetNFA
 from repro.automata.dfa import _as_symbol_array
-from repro.automata.nfa import NFA
+from repro.automata.nfa import EPSILON, NFA, pack_nfa
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.stats import KernelStats
 from repro.errors import SchemeError
@@ -36,9 +34,8 @@ from repro.errors import SchemeError
 class NFAEngineResult:
     """Result of one NFA-engine scan."""
 
-    def __init__(self, accepts: bool, active_mask: np.ndarray, stats: KernelStats):
+    def __init__(self, accepts: bool, stats: KernelStats):
         self.accepts = accepts
-        self.active_mask = active_mask
         self.stats = stats
 
     @property
@@ -53,10 +50,14 @@ class NFAEngineResult:
 class NFAEngine:
     """State-parallel NFA execution with the simulated-GPU cost model.
 
+    The active set is a packed bitset row; one symbol ORs the ε-closed move
+    rows of every active state — the rows :func:`~repro.automata.nfa.pack_nfa`
+    builds for the subset construction, indexed by the symbol's class.
+
     Parameters
     ----------
     nfa:
-        The automaton (ε-transitions are eliminated internally).
+        The automaton (ε-moves are folded into the packed move rows).
     device:
         Simulated GPU.
     """
@@ -66,14 +67,13 @@ class NFAEngine:
     def __init__(self, nfa: NFA, device: DeviceSpec = RTX3090):
         if nfa.n_states == 0:
             raise SchemeError("NFA engine needs at least one state")
-        self.bitset = BitsetNFA.from_nfa(nfa)
+        self.n_states = nfa.n_states
+        self.packed = pack_nfa(nfa)
         self.device = device
         # Real engines store NFAs sparsely (edge lists): that compact form
         # is what decides shared-memory residency and is the footprint the
         # literature's "NFAs are memory efficient" claim refers to.  The
-        # dense bitset matrix is only this simulator's execution vehicle.
-        from repro.automata.nfa import EPSILON
-
+        # dense packed rows are only this simulator's execution vehicle.
         n_edges = sum(
             len(dsts)
             for edges in nfa.transitions
@@ -88,10 +88,21 @@ class NFAEngine:
     # ------------------------------------------------------------------
     def run(self, data) -> NFAEngineResult:
         symbols = _as_symbol_array(data)
-        stats = KernelStats(device=self.device, n_threads=self.bitset.n_states)
+        stats = KernelStats(device=self.device, n_threads=self.n_states)
         stats.charge("launch", self.device.launch_overhead_cycles)
 
-        mask, counts = self.bitset.run_counting(symbols)
+        # counts[j]: states active before symbol j (each is one thread's
+        # mask-row fetch).  A dead set stays dead, so counting stops there.
+        moves = self.packed.moves
+        row = self.packed.start
+        counts = np.zeros(symbols.size, dtype=np.int64)
+        for j, ci in enumerate(self.packed.symbol_class[symbols].tolist()):
+            active = np.flatnonzero(np.unpackbits(row, bitorder="little"))
+            if active.size == 0:
+                break
+            counts[j] = active.size
+            row = np.bitwise_or.reduce(moves[active, ci], axis=0)
+
         dev = self.device
         ws = dev.warp_size
         fetch = dev.shared_cycles if self.masks_in_shared else dev.global_cycles
@@ -117,8 +128,8 @@ class NFAEngine:
             stats.global_accesses += int(active.sum())
         stats.sync_ops += len(symbols)
 
-        accepts = bool((mask & self.bitset.accept_mask).any())
-        return NFAEngineResult(accepts=accepts, active_mask=mask, stats=stats)
+        accepts = bool((row & self.packed.accepting).any())
+        return NFAEngineResult(accepts=accepts, stats=stats)
 
     # ------------------------------------------------------------------
     @property

@@ -131,3 +131,54 @@ class TestValidateHelper:
                 n_symbols=2,
             )
         assert "64 lanes total" in str(exc.value)
+
+
+class TestUserStartStates:
+    """Caller-space starts are range-checked before the frequency
+    transformation (on by default) renumbers them: ``to_new[-1]`` would
+    otherwise answer silently, and a start past the end raise a raw
+    ``IndexError``."""
+
+    BAD_STARTS = pytest.mark.parametrize(
+        "bad_start",
+        [lambda n: -1, lambda n: n, lambda n: n + 2],
+        ids=["-1", "n_states", "n_states+2"],
+    )
+
+    @pytest.fixture(scope="class")
+    def scanner(self):
+        return classic.keyword_scanner(b"alert")
+
+    def _pal(self, scanner, backend):
+        from repro.framework import GSpecPal, GSpecPalConfig
+
+        pal = GSpecPal(
+            scanner,
+            GSpecPalConfig(n_threads=8, backend=backend),
+            training_input=b"xxalert--alertyy" * 8,
+        )
+        assert pal._simulator().transformed is not None
+        return pal
+
+    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    @BAD_STARTS
+    def test_fused_entry_rejects_bad_start(self, scanner, backend, bad_start):
+        fused = self._pal(scanner, backend).fused_engine()
+        start = bad_start(scanner.n_states)
+        for segment in (b"xxalert", b""):
+            with pytest.raises(SimulationError, match="start states out of range"):
+                fused.run_streams([b"alert", segment], [scanner.start, start])
+
+    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    @BAD_STARTS
+    def test_scheme_entry_rejects_bad_start(self, scanner, backend, bad_start):
+        scheme = self._pal(scanner, backend).build_scheme("sre")
+        with pytest.raises(SimulationError, match="start states out of range"):
+            scheme.run(b"xxalert--alert--", start_state=bad_start(scanner.n_states))
+
+    @pytest.mark.parametrize("backend", ["sim", "fast"])
+    def test_valid_starts_still_translate(self, scanner, backend):
+        fused = self._pal(scanner, backend).fused_engine()
+        starts = list(range(scanner.n_states))
+        ends = fused.run_streams([b"xxalert"] * len(starts), starts)
+        assert ends.tolist() == [scanner.run(b"xxalert", start=s) for s in starts]

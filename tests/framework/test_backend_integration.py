@@ -2,7 +2,7 @@
 
 Covers config validation, the environment-variable default,
 ``StreamSession`` carrying state identically across backends, and the
-throughput engine's functional parity.
+fused batch's functional parity.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.automata import compile_regex
 from repro.engine import BACKEND_ENV_VAR
 from repro.errors import SimulationError
 from repro.framework import GSpecPal, GSpecPalConfig
-from repro.framework.throughput import ThroughputEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +60,24 @@ def test_stream_session_parity(dfa, data):
         assert sessions["fast"].accepts == sessions["sim"].accepts
 
 
-def test_throughput_engine_parity(dfa):
+def _charged_batch(dfa, backend, streams):
+    training = np.random.default_rng(5).integers(97, 123, size=256).astype(np.uint8)
+    cfg = GSpecPalConfig(n_threads=8, backend=backend)
+    fused = GSpecPal(dfa, cfg, training_input=training).fused_engine()
+    stats = fused.sim.new_stats(n_threads=len(streams))
+    return fused.dispatch(streams, [dfa.start] * len(streams), stats=stats), stats
+
+
+def test_fused_batch_parity(dfa):
     rng = np.random.default_rng(3)
     streams = [
         rng.integers(97, 123, size=int(rng.integers(10, 400))).astype(np.uint8)
         for _ in range(12)
     ]
-    sim = ThroughputEngine(dfa, backend="sim").run_batch(streams)
-    fast = ThroughputEngine(dfa, backend="fast").run_batch(streams)
-    np.testing.assert_array_equal(fast.per_stream_ends, sim.per_stream_ends)
-    np.testing.assert_array_equal(fast.accepts, sim.accepts)
-    assert sim.stats.transitions > 0 and fast.stats.transitions == 0
+    sim, sim_stats = _charged_batch(dfa, "sim", streams)
+    fast, fast_stats = _charged_batch(dfa, "fast", streams)
+    np.testing.assert_array_equal(fast.end_states, sim.end_states)
+    assert sim_stats.transitions > 0 and fast_stats.transitions == 0
 
 
 def test_fast_backend_reports_nan_cycles_not_zero(dfa):
@@ -80,14 +86,12 @@ def test_fast_backend_reports_nan_cycles_not_zero(dfa):
     Cycle-derived figures are NaN when the engine doesn't account them."""
     rng = np.random.default_rng(7)
     streams = [rng.integers(97, 123, size=200).astype(np.uint8) for _ in range(4)]
-    fast = ThroughputEngine(dfa, backend="fast").run_batch(streams)
-    assert not fast.accounts_cycles
-    assert np.isnan(fast.latency_cycles)
-    assert np.isnan(fast.throughput_symbols_per_cycle)
-    sim = ThroughputEngine(dfa, backend="sim").run_batch(streams)
-    assert sim.accounts_cycles
-    assert np.isfinite(sim.latency_cycles) and sim.latency_cycles > 0
-    assert sim.throughput_symbols_per_cycle > 0
+    fast, _ = _charged_batch(dfa, "fast", streams)
+    assert np.isnan(fast.cycles)
+    assert np.isnan(fast.total_symbols / fast.cycles)
+    sim, _ = _charged_batch(dfa, "sim", streams)
+    assert np.isfinite(sim.cycles) and sim.cycles > 0
+    assert sim.total_symbols / sim.cycles > 0
 
 
 def test_fast_backend_session_cycles_are_nan_and_sticky(dfa, data):

@@ -1,15 +1,17 @@
-"""Tests for the two prior-art baselines: the stream-parallel throughput
-engine and the state-parallel NFA engine."""
+"""Tests for the two prior-art baselines: the stream-parallel batch (the
+fused dispatch, charged to a ledger) and the state-parallel NFA engine."""
 
 import numpy as np
 import pytest
 
-from repro.automata.regex import regex_to_nfa
-from repro.framework.throughput import ThroughputEngine
+from repro.automata.nfa import union_nfas
+from repro.automata.regex import compile_disjunction, regex_to_nfa
+from repro.framework import GSpecPal, GSpecPalConfig
 from repro.schemes import SREScheme
 from repro.schemes.nfa_engine import NFAEngine
 from repro.workloads import classic
-from repro.errors import SchemeError
+from repro.workloads.patterns import snort_patterns
+from repro.workloads.traces import TraceSpec, network_weights
 
 
 @pytest.fixture(scope="module")
@@ -25,28 +27,50 @@ def streams(rng):
     ]
 
 
-class TestThroughputEngine:
-    def test_batch_matches_scalar_runs(self, dfa, streams):
-        engine = ThroughputEngine(dfa)
-        result = engine.run_batch(streams)
+def _fused(dfa, rng, backend="sim", **config):
+    training = bytes(rng.integers(97, 123, size=256).astype(np.uint8))
+    cfg = GSpecPalConfig(n_threads=8, backend=backend, **config)
+    return GSpecPal(dfa, cfg, training_input=training).fused_engine()
+
+
+def _batch(fused, streams):
+    """One charged dispatch of every stream from the DFA's start state."""
+    stats = fused.sim.new_stats(n_threads=len(streams))
+    return fused.dispatch(streams, [fused.dfa.start] * len(streams), stats=stats), stats
+
+
+class TestStreamParallelBatch:
+    @pytest.mark.parametrize("use_transformation", [True, False])
+    def test_batch_matches_scalar_runs(self, dfa, streams, rng, use_transformation):
+        fused = _fused(dfa, rng, use_transformation=use_transformation)
+        assert (fused.sim.transformed is not None) == use_transformation
+        result, _ = _batch(fused, streams)
         for i, s in enumerate(streams):
-            assert result.per_stream_ends[i] == dfa.run(s)
-            assert result.accepts[i] == dfa.accepts(s)
+            assert result.end_states[i] == dfa.run(s)
 
-    def test_empty_batch_rejected(self, dfa):
-        with pytest.raises(SchemeError):
-            ThroughputEngine(dfa).run_batch([])
+    def test_ragged_lengths(self, dfa, rng):
+        result, _ = _batch(_fused(dfa, rng), [b"xxalertzz", b"no"])
+        accepts = dfa.accepting_mask[result.end_states]
+        assert accepts[0] and not accepts[1]
 
-    def test_ragged_lengths(self, dfa):
-        result = ThroughputEngine(dfa).run_batch([b"xxalertzz", b"no"])
-        assert result.accepts[0] and not result.accepts[1]
+    def test_scan_lands_in_its_phase(self, dfa, streams, rng):
+        fused = _fused(dfa, rng)
+        result, stats = _batch(fused, streams)
+        assert set(stats.phase_cycles) == {"launch", "stream_parallel_scan"}
+        assert result.cycles == stats.cycles
+        assert stats.transitions == sum(len(s) for s in streams)
+
+    def test_uncharged_dispatch_reports_nan(self, dfa, streams, rng):
+        """The serving pool hands no ledger: cycles are NaN, never zero."""
+        fused = _fused(dfa, rng)
+        result = fused.dispatch(streams, [dfa.start] * len(streams))
+        assert np.isnan(result.cycles)
 
     def test_throughput_beats_latency_engine_in_aggregate(self, dfa, streams, rng):
         """The classic trade-off: batch scanning moves more total symbols
         per cycle, while GSpecPal's chunk parallelism answers one stream
         sooner."""
-        # Cycle comparison: needs the cycle-accounting backend on both sides.
-        batch = ThroughputEngine(dfa, backend="sim").run_batch(streams)
+        batch, _ = _batch(_fused(dfa, rng), streams)
 
         one = streams[0]
         training = bytes(rng.integers(97, 123, size=64).astype(np.uint8))
@@ -55,20 +79,13 @@ class TestThroughputEngine:
         )
         single = latency_scheme.run(one)
 
-        # Aggregate: the batch engine processes all streams in roughly the
-        # time of the longest one.
+        # Aggregate: the batch processes all streams in roughly the time of
+        # the longest one.
         longest = max(len(s) for s in streams)
         assert batch.total_symbols > longest
         # Single-stream response: the speculative scheme answers faster
         # than the batch takes end-to-end.
-        assert single.cycles < batch.latency_cycles
-
-    def test_with_transformation(self, dfa, streams, rng):
-        training = bytes(rng.integers(97, 123, size=256).astype(np.uint8))
-        engine = ThroughputEngine(dfa, training_input=training)
-        result = engine.run_batch(streams)
-        for i, s in enumerate(streams):
-            assert result.per_stream_ends[i] == dfa.run(s)
+        assert single.cycles < batch.cycles
 
 
 class TestNFAEngine:
@@ -116,3 +133,41 @@ class TestNFAEngine:
         dfa_result = dfa_scheme.run(data)
         assert dfa_result.accepts == nfa_result.accepts
         assert dfa_result.cycles < nfa_result.cycles
+
+
+def test_latency_vs_throughput_golden():
+    """The latency-vs-throughput bench's rule set at 8 streams x 2 KiB on
+    the sim backend, with a signature planted in streams 2 and 5.  Captured
+    from the dedicated batch and bitset-NFA engines these baselines
+    replaced; the modelled cycles must not move."""
+    patterns = snort_patterns(6, seed=3)
+    dfa = compile_disjunction(patterns, name="rules")
+    nfa = union_nfas([regex_to_nfa(p, 256) for p in patterns])
+    for sym in range(256):
+        nfa.add_transition(nfa.start, sym, nfa.start)
+    nfa.make_accepting_sticky()
+    spec = TraceSpec(weights=network_weights(), name="traffic")
+    streams = [spec.generate(2048, seed=i) for i in range(8)]
+    for i in (2, 5):
+        streams[i] = streams[i].copy()
+        streams[i][1000:1007] = np.frombuffer(b"UNION4f", dtype=np.uint8)
+    training = spec.generate(1024, seed=999)
+
+    cfg = GSpecPalConfig(n_threads=8, backend="sim")
+    batch, stats = _batch(
+        GSpecPal(dfa, cfg, training_input=training).fused_engine(), streams
+    )
+    assert batch.cycles == 79312.0
+    assert dict(stats.phase_cycles) == {"launch": 2000.0, "stream_parallel_scan": 77312.0}
+    assert stats.transitions == 16384
+    assert batch.end_states.tolist() == [0, 0, 79, 0, 1, 79, 0, 0]
+    assert dfa.accepting_mask[batch.end_states].tolist() == [
+        False, False, True, False, False, True, False, False,
+    ]
+
+    engine = NFAEngine(nfa)
+    assert (nfa.n_states, engine.memory_footprint_bytes) == (142, 35264)
+    result = engine.run(streams[2])
+    assert result.cycles == 210896.0
+    assert result.stats.transitions == 15777  # active states summed over steps
+    assert result.accepts

@@ -1,7 +1,7 @@
-"""Examples must at least be importable/compilable; the quickstart's core
-path is executed end-to-end at a reduced size."""
+"""Examples must at least import (every name they import must exist); the
+quickstart's core path is executed end-to-end at a reduced size."""
 
-import py_compile
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +11,18 @@ EXAMPLES = sorted((Path(__file__).parents[2] / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
-def test_example_compiles(path):
-    py_compile.compile(str(path), doraise=True)
+def test_example_imports(path):
+    """Every example guards ``main``, so importing runs only its imports."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_examples_exist():
     names = {p.name for p in EXAMPLES}
     assert {"quickstart.py", "intrusion_detection.py", "virus_scanning.py",
-            "scheme_explorer.py"} <= names
+            "scheme_explorer.py", "latency_story.py"} <= names
 
 
 def test_quickstart_core_path():
