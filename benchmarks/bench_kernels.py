@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.automata.dfa import run_lockstep
+from repro.automata.properties import profile_state_frequencies
 from repro.automata.transform import frequency_transform
 from repro.engine import FastBackend, SimBackend
 from repro.gpu.device import RTX3090
@@ -78,9 +79,7 @@ def test_bench_predictor(benchmark, dfa, stream):
 def test_bench_frequency_transform(benchmark, dfa, stream):
     t = benchmark(
         lambda: frequency_transform(
-            dfa,
-            training_input=stream[:16_384],
-            shared_memory_entries=RTX3090.shared_table_entries,
+            dfa, profile_state_frequencies(dfa, stream[:16_384])
         )
     )
     assert t.dfa.n_states == dfa.n_states

@@ -11,17 +11,20 @@ next, and so on.  Two benefits on (simulated) GPU hardware:
 2. The "is this transition cached?" check degenerates to ``state < H``
    instead of a hash-table lookup (the approach PM used), removing one shared
    memory access and one hash computation per input symbol.
+
+This module does the renumbering only.  Sizing ``H`` is the device's
+concern: :meth:`repro.gpu.memory.MemoryModel.for_dfa` holds the one formula,
+and :class:`repro.gpu.kernel.GpuSimulator` pairs the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.automata.dfa import DFA
-from repro.automata.properties import StateFrequencyProfile, profile_state_frequencies
+from repro.automata.properties import StateFrequencyProfile
 from repro.errors import AutomatonError
 
 
@@ -37,15 +40,11 @@ class TransformedDFA:
         ``to_new[q_old] -> q_new`` mapping rule.
     to_old:
         Inverse mapping, used to translate results back for reporting.
-    hot_state_count:
-        Number of leading (hottest) states whose table rows are promoted to
-        shared memory.
     """
 
     dfa: DFA
     to_new: np.ndarray
     to_old: np.ndarray
-    hot_state_count: int
 
     def map_state_to_new(self, q_old: int) -> int:
         """Translate an original state id into the transformed numbering."""
@@ -55,109 +54,16 @@ class TransformedDFA:
         """Translate a transformed state id back to the original numbering."""
         return int(self.to_old[q_new])
 
-    def is_hot(self, q_new: int) -> bool:
-        """Hotness check in the transformed numbering — a plain compare."""
-        return q_new < self.hot_state_count
 
-    @property
-    def hot_fraction(self) -> float:
-        """Fraction of states resident in shared memory."""
-        return self.hot_state_count / float(self.dfa.n_states)
-
-
-def frequency_transform(
-    dfa: DFA,
-    profile: Optional[StateFrequencyProfile] = None,
-    *,
-    training_input=None,
-    shared_memory_entries: Optional[int] = None,
-) -> TransformedDFA:
-    """Apply the frequency-based transformation of Fig. 4.
-
-    Parameters
-    ----------
-    profile:
-        A pre-computed :class:`StateFrequencyProfile`.  If omitted,
-        ``training_input`` must be given and a profile is collected here.
-    shared_memory_entries:
-        Capacity of the (simulated) shared-memory table cache, in table
-        *entries*.  The hot state count is
-        ``min(n_states, shared_memory_entries // n_symbols)``.  When omitted,
-        all states are considered hot (useful for unit tests).
-    """
-    if profile is None:
-        if training_input is None:
-            raise AutomatonError(
-                "frequency_transform needs either a profile or a training_input"
-            )
-        profile = profile_state_frequencies(dfa, training_input)
+def frequency_transform(dfa: DFA, profile: StateFrequencyProfile) -> TransformedDFA:
+    """Apply the frequency-based transformation of Fig. 4: renumber ``dfa``
+    so that state ``i`` is the ``i``-th hottest state of ``profile``."""
     if profile.counts.shape[0] != dfa.n_states:
         raise AutomatonError(
             "profile was collected on a DFA with a different state count"
         )
-
     order = profile.order  # hottest first
     to_new = np.empty(dfa.n_states, dtype=np.int64)
     to_new[order] = np.arange(dfa.n_states)
-    to_old = order.copy()
-
     transformed = dfa.renumbered(to_new, name=f"{dfa.name}/freq-transformed")
-
-    if shared_memory_entries is None:
-        hot = dfa.n_states
-    else:
-        hot = min(dfa.n_states, int(shared_memory_entries) // max(1, dfa.n_symbols))
-    return TransformedDFA(
-        dfa=transformed,
-        to_new=to_new,
-        to_old=to_old,
-        hot_state_count=int(hot),
-    )
-
-
-def transformation_from_permutation(
-    dfa: DFA,
-    to_new: np.ndarray,
-    hot_state_count: int,
-) -> TransformedDFA:
-    """Rebuild a :class:`TransformedDFA` from a stored permutation.
-
-    The compile-once/serve-many split serializes only the transformation's
-    *decisions* — the hotness permutation and the hot-prefix size — not the
-    renumbered table.  This reconstructs the executable artifact from those
-    decisions with one vectorized renumbering; no training input or
-    frequency profile is needed.
-    """
-    to_new = np.asarray(to_new, dtype=np.int64)
-    if to_new.shape != (dfa.n_states,):
-        raise AutomatonError(
-            f"permutation has {to_new.shape} entries for {dfa.n_states} states"
-        )
-    hot = int(hot_state_count)
-    if not (0 <= hot <= dfa.n_states):
-        raise AutomatonError(
-            f"hot_state_count {hot} out of range [0, {dfa.n_states}]"
-        )
-    to_old = np.empty_like(to_new)
-    to_old[to_new] = np.arange(dfa.n_states)
-    transformed = dfa.renumbered(to_new, name=f"{dfa.name}/freq-transformed")
-    return TransformedDFA(
-        dfa=transformed,
-        to_new=to_new,
-        to_old=to_old,
-        hot_state_count=hot,
-    )
-
-
-def hot_access_fraction(transformed: TransformedDFA, data, start: Optional[int] = None) -> float:
-    """Fraction of transitions on ``data`` served by the hot (shared) rows.
-
-    Useful to validate that the transformation concentrates accesses: on the
-    training distribution this should be close to the cumulative frequency
-    mass of the hot states.
-    """
-    path = transformed.dfa.run_path(data, start=start)
-    visited = path[:-1]  # the state a transition is *looked up from*
-    if visited.size == 0:
-        return 1.0
-    return float(np.count_nonzero(visited < transformed.hot_state_count) / visited.size)
+    return TransformedDFA(dfa=transformed, to_new=to_new, to_old=order.copy())

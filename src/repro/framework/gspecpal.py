@@ -247,17 +247,15 @@ class GSpecPal:
         return self.compile_plan(data).features
 
     def _simulator(self) -> GpuSimulator:
-        """The (cached) device-loaded automaton, built from the plan's
-        *precomputed* transformation and hotness profile — raw training
-        bytes are never re-profiled here."""
+        """The (cached) device-loaded automaton, its table layout derived
+        from the plan's hotness profile — raw training bytes are never
+        re-profiled here."""
         if self._sim is None:
-            plan = self.plan
             self._sim = GpuSimulator(
                 dfa=self.dfa,
                 device=self.config.device,
                 use_transformation=self.config.use_transformation,
-                profile=plan.frequency_profile(),
-                transformation=plan.transformation(),
+                profile=self.plan.frequency_profile(),
                 metrics=self.metrics,
                 backend=self.config.backend,
             )

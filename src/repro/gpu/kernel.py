@@ -1,10 +1,10 @@
 """Kernel-launch facade: ties a DFA to the device, memory model and executor.
 
 Schemes talk to :class:`GpuSimulator` instead of wiring the pieces manually:
-it decides the hot-table placement (optionally applying the frequency-based
-transformation), builds the lockstep executor, and opens fresh
-:class:`~repro.gpu.stats.KernelStats` ledgers with the launch overhead
-pre-charged.
+it derives the hot-table placement from a frequency profile (optionally
+applying the frequency-based transformation), builds the lockstep
+executor, and opens fresh :class:`~repro.gpu.stats.KernelStats` ledgers
+with the launch overhead pre-charged.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.automata.dfa import DFA
-from repro.automata.properties import StateFrequencyProfile, profile_state_frequencies
+from repro.automata.properties import StateFrequencyProfile
 from repro.automata.transform import TransformedDFA, frequency_transform
 from repro.engine import ExecutionBackend, create_backend
 from repro.engine.base import validate_starts
@@ -43,26 +43,28 @@ class KernelPhase:
 class GpuSimulator:
     """A DFA loaded onto the simulated device, ready to launch kernels.
 
+    This is the one place a table layout is derived.  The hot set is
+    sized by :meth:`MemoryModel.for_dfa` and filled hottest-first from
+    ``profile``'s order: under the RANK layout (``use_transformation``)
+    the table is renumbered so hotness rank is the state id (Fig. 4);
+    otherwise PM's hash-table layout guards the hottest rows.
+
     Parameters
     ----------
     dfa:
-        The automaton to execute.  When ``use_transformation`` is on, the
-        frequency-based transformation (Fig. 4) is applied using
-        ``profile`` / ``training_input``; otherwise PM's hash-table layout
-        guards the hot rows.
+        The automaton to execute.
     device:
         Simulated GPU (defaults to the paper's RTX 3090).
+    profile:
+        The state-frequency profile the hot set is ranked by; required
+        for the RANK layout.  Without one, the HASH layout caches the
+        lowest state ids.
     """
 
     dfa: DFA
     device: DeviceSpec = RTX3090
     use_transformation: bool = True
     profile: Optional[StateFrequencyProfile] = None
-    training_input: Optional[bytes] = None
-    #: precomputed frequency transformation (from a compiled plan); when
-    #: given with ``use_transformation`` on, it is used as-is and neither a
-    #: profile nor a training input is needed to transform.
-    transformation: Optional[TransformedDFA] = None
     #: optional MetricsRegistry the executor/memory model record into.
     metrics: Optional[object] = None
     #: execution backend name (``"sim"``/``"fast"``); ``None`` defers to
@@ -70,41 +72,20 @@ class GpuSimulator:
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.profile is None:
-            if self.training_input is not None:
-                self.profile = profile_state_frequencies(self.dfa, self.training_input)
+        hot = MemoryModel.for_dfa(
+            self.device, self.dfa.n_states, self.dfa.n_symbols
+        ).hot_state_count
         self.transformed: Optional[TransformedDFA] = None
         if self.use_transformation:
-            if self.transformation is not None:
-                if self.transformation.to_new.shape != (self.dfa.n_states,):
-                    raise SimulationError(
-                        "precomputed transformation was built for a DFA with "
-                        f"{self.transformation.to_new.shape[0]} states, not "
-                        f"{self.dfa.n_states}"
-                    )
-                self.transformed = self.transformation
-            elif self.profile is None:
-                raise SimulationError(
-                    "the frequency transformation needs a transformation, "
-                    "a profile or a training input"
-                )
-            else:
-                self.transformed = frequency_transform(
-                    self.dfa,
-                    self.profile,
-                    shared_memory_entries=self.device.shared_table_entries,
-                )
+            if self.profile is None:
+                raise SimulationError("the frequency transformation needs a profile")
+            self.transformed = frequency_transform(self.dfa, self.profile)
             exec_dfa = self.transformed.dfa
             memory = MemoryModel(
-                device=self.device,
-                hot_state_count=self.transformed.hot_state_count,
-                layout=TableLayout.RANK,
+                device=self.device, hot_state_count=hot, layout=TableLayout.RANK
             )
         else:
             exec_dfa = self.dfa
-            hot = MemoryModel.for_dfa(
-                self.device, self.dfa.n_states, self.dfa.n_symbols
-            ).hot_state_count
             hot_ids = (
                 self.profile.hot_states(hot)
                 if self.profile is not None

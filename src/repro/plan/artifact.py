@@ -9,8 +9,10 @@ online phase — :meth:`repro.framework.GSpecPal.from_plan` and the
 :mod:`repro.serving` layer — can execute with **zero profiling work**:
 
 * the profiled :class:`~repro.selector.features.FSMFeatures` vector;
-* the frequency-transformation permutation and hot-prefix size (or the
-  raw hotness ordering for the hash-layout ablation);
+* the state-frequency profile whose hotness order fixes the table layout
+  (the Fig. 4 renumbering, or the hash layout's hot set) — the layout
+  itself is derived from it by :class:`~repro.gpu.kernel.GpuSimulator`,
+  not stored;
 * the trained lookback-2 predictor statistics measured on the training
   slice;
 * the selector's decision plus the tree path that produced it, and the
@@ -35,8 +37,8 @@ import numpy as np
 
 from repro.automata.dfa import DFA
 from repro.automata.properties import StateFrequencyProfile
-from repro.automata.transform import TransformedDFA, transformation_from_permutation
 from repro.errors import PlanError
+from repro.gpu.memory import MemoryModel
 from repro.selector.features import FSMFeatures
 
 #: Bump when the artifact layout changes incompatibly.
@@ -45,11 +47,15 @@ from repro.selector.features import FSMFeatures
 #: v3: online adaptation — ``revision`` counter and ``live_provenance``
 #: (the live-feature evidence behind a revised selection).  v2 artifacts
 #: still load: the new fields default (see ``SUPPORTED_PLAN_VERSIONS``).
-PLAN_FORMAT_VERSION = 3
+#: v4: the hotness order is the only layout input — the stored
+#: ``permutation`` and ``hot_state_count`` are gone (both were functions
+#: of the order and the device); v2/v3 files still carry them and load,
+#: the entries ignored.
+PLAN_FORMAT_VERSION = 4
 
 #: Artifact versions ``load_plan`` accepts.  Older-but-supported versions
 #: are upgraded on load by defaulting the fields they predate.
-SUPPORTED_PLAN_VERSIONS = (2, 3)
+SUPPORTED_PLAN_VERSIONS = (2, 3, 4)
 
 #: GSpecPalConfig fields frozen into a plan.  Runtime-only knobs —
 #: ``backend`` (execution engine) and ``selfcheck`` (audits) — are
@@ -124,14 +130,11 @@ class CompiledPlan:
         ``CostModel.estimate_all`` output at compile time (cycles per
         selectable scheme on the training-sized input).
     frequency_counts / frequency_order / training_symbols:
-        The state-frequency profile (hotness ordering) and the number of
-        training symbols it was collected over.
-    permutation:
-        The frequency-transformation mapping ``to_new`` (``None`` when the
-        plan was compiled with ``use_transformation=False``).
-    hot_state_count:
-        Hot-prefix size: leading states resident in shared memory under
-        the RANK layout, or the hash-layout hot-set size otherwise.
+        The state-frequency profile and the number of training symbols it
+        was collected over.  ``frequency_order`` (state ids, hottest
+        first) is the table layout's only input: ``GpuSimulator`` derives
+        the RANK renumbering or the HASH hot set from it.  It must be a
+        permutation of the DFA's states, with one count per state.
     predictor_stats:
         Trained lookback-2 statistics: window, per-k accuracies and the
         candidate-queue geometry measured on the training boundaries.
@@ -165,8 +168,6 @@ class CompiledPlan:
     frequency_counts: np.ndarray
     frequency_order: np.ndarray
     training_symbols: int
-    permutation: Optional[np.ndarray]
-    hot_state_count: int
     predictor_stats: Dict[str, float] = field(default_factory=dict)
     stage_timings_ms: Dict[str, float] = field(default_factory=dict, compare=False)
     revision: int = 0
@@ -184,13 +185,19 @@ class CompiledPlan:
             "frequency_order",
             np.ascontiguousarray(self.frequency_order, dtype=np.int64),
         )
-        if self.permutation is not None:
-            object.__setattr__(
-                self,
-                "permutation",
-                np.ascontiguousarray(self.permutation, dtype=np.int64),
-            )
         object.__setattr__(self, "decision_path", tuple(self.decision_path))
+        n = self.dfa.n_states
+        if self.frequency_counts.shape != (n,):
+            raise PlanError(
+                f"plan frequency_counts has shape {self.frequency_counts.shape} "
+                f"for {n} states (corrupt or tampered plan)"
+            )
+        order = self.frequency_order
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise PlanError(
+                f"plan frequency_order is not a permutation of the {n} states "
+                "(corrupt or tampered plan)"
+            )
 
     # ------------------------------------------------------------------
     # verification
@@ -244,15 +251,6 @@ class CompiledPlan:
             sample_length=int(self.training_symbols),
         )
 
-    def transformation(self) -> Optional[TransformedDFA]:
-        """Rebuild the frequency transformation from the stored permutation
-        (one vectorized renumbering; ``None`` for hash-layout plans)."""
-        if self.permutation is None:
-            return None
-        return transformation_from_permutation(
-            self.dfa, self.permutation, self.hot_state_count
-        )
-
     def build_config(self, *, backend: Optional[str] = None, selfcheck=None):
         """The compile-time ``GSpecPalConfig``, with runtime knobs applied."""
         return _config_from_snapshot(self.config, backend=backend, selfcheck=selfcheck)
@@ -262,6 +260,10 @@ class CompiledPlan:
     # ------------------------------------------------------------------
     def summary(self) -> str:
         """Operator-facing one-screen description (used by ``repro compile``)."""
+        hot = MemoryModel.for_dfa(
+            self.build_config().device, self.dfa.n_states, self.dfa.n_symbols
+        ).hot_state_count
+        layout = "RANK" if self.config["use_transformation"] else "HASH"
         lines = [
             f"plan for  : {self.dfa.name} ({self.dfa.n_states} states, "
             f"{self.dfa.n_symbols} symbols)",
@@ -273,12 +275,7 @@ class CompiledPlan:
             f"device={self.config['device']['name']})",
             f"scheme     : {self.scheme}  (path: {' -> '.join(self.decision_path)})"
             + (f"  [revision {self.revision}]" if self.revision else ""),
-            f"hot states : {self.hot_state_count}"
-            + (
-                " (RANK layout)"
-                if self.permutation is not None
-                else " (HASH layout)"
-            ),
+            f"hot states : {hot} ({layout} layout)",
             f"trained on : {self.training_symbols} symbols",
         ]
         lines.append("features   :")

@@ -16,7 +16,8 @@ into a :class:`~repro.plan.artifact.CompiledPlan`:
 ``select``
     The Fig. 6 decision-tree walk.
 ``transform``
-    State-frequency profiling and the Fig. 4 frequency transformation.
+    State-frequency profiling: the hotness order the Fig. 4 layout is
+    derived from when the plan is served (``GpuSimulator``).
 ``train``
     Cost-model evaluation (Eq. 1–4) and lookback-2 predictor training,
     as ``cost_model`` / ``predictor`` sub-steps.
@@ -50,7 +51,6 @@ import numpy as np
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.minimize import canonical_form
 from repro.automata.properties import profile_state_frequencies
-from repro.automata.transform import frequency_transform
 from repro.errors import PlanError
 from repro.gpu.memory import MemoryModel
 from repro.observability import NULL_TRACER
@@ -173,22 +173,11 @@ def compile_plan(
 
         with stage("transform") as tspan:
             freq = profile_state_frequencies(dfa, symbols)
-            if config.use_transformation:
-                transformed = frequency_transform(
-                    dfa,
-                    freq,
-                    shared_memory_entries=config.device.shared_table_entries,
-                )
-                permutation = transformed.to_new
-                hot = transformed.hot_state_count
-            else:
-                permutation = None
-                hot = MemoryModel.for_dfa(
-                    config.device, dfa.n_states, dfa.n_symbols
-                ).hot_state_count
             if tspan:
-                tspan.set_attr("layout", "rank" if permutation is not None else "hash")
-                tspan.set_attr("hot_states", int(hot))
+                memory = MemoryModel.for_dfa(config.device, dfa.n_states, dfa.n_symbols)
+                layout = "rank" if config.use_transformation else "hash"
+                tspan.set_attr("layout", layout)
+                tspan.set_attr("hot_states", int(memory.hot_state_count))
 
         with stage("train"):
             with tracer.span("cost_model"):
@@ -209,8 +198,6 @@ def compile_plan(
             frequency_counts=freq.counts,
             frequency_order=freq.order,
             training_symbols=int(symbols.size),
-            permutation=permutation,
-            hot_state_count=int(hot),
             predictor_stats=predictor_stats,
             stage_timings_ms=dict(timings),
         )

@@ -2,7 +2,7 @@
 
 Follows the DFA serializer's container choice (NumPy ``.npz``) so plans
 need no new dependencies: dense arrays (transition table, accepting set,
-frequency profile, permutation) are stored as compressed arrays, and every
+frequency profile) are stored as compressed arrays, and every
 scalar decision — features, selection, cost estimates, predictor stats,
 config snapshot and both hashes — rides in one embedded JSON document.
 
@@ -10,6 +10,12 @@ config snapshot and both hashes — rides in one embedded JSON document.
 (language-level) fingerprint of the embedded DFA against the stored ones,
 so a corrupted or hand-edited artifact is rejected before it can serve a
 single byte.
+
+The table layout is not stored: it is derived from the frequency order
+when the plan is served.  Files of versions 2 and 3 also carry a
+``permutation`` array and ``hot_state_count`` / ``has_permutation``
+entries; they are functions of that order and the device, and
+``load_plan`` never reads them.
 """
 
 from __future__ import annotations
@@ -48,8 +54,6 @@ def save_plan(plan: CompiledPlan, path: Union[str, Path]) -> Path:
             "cost_estimates": plan.cost_estimates,
             "predictor_stats": plan.predictor_stats,
             "training_symbols": plan.training_symbols,
-            "hot_state_count": plan.hot_state_count,
-            "has_permutation": plan.permutation is not None,
             "revision": plan.revision,
             "live_provenance": plan.live_provenance,
             "dfa": {"name": plan.dfa.name, "start": plan.dfa.start},
@@ -63,8 +67,6 @@ def save_plan(plan: CompiledPlan, path: Union[str, Path]) -> Path:
         "frequency_order": plan.frequency_order,
         "meta": np.asarray(meta),
     }
-    if plan.permutation is not None:
-        arrays["permutation"] = plan.permutation
     np.savez_compressed(path, **arrays)
     # np.savez appends .npz when the suffix is missing; report reality.
     return path if path.exists() else path.with_suffix(path.suffix + ".npz")
@@ -76,8 +78,9 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
     Raises
     ------
     PlanError
-        When the file is missing, the format version is unsupported, or
-        the embedded DFA no longer hashes to the stored fingerprint.
+        When the file is missing, the format version is unsupported, the
+        frequency order is not a permutation of the states, or the
+        embedded DFA no longer hashes to the stored fingerprint.
     """
     path = Path(path)
     if not path.exists():
@@ -115,14 +118,12 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
             frequency_counts=data["frequency_counts"],
             frequency_order=data["frequency_order"],
             training_symbols=int(meta["training_symbols"]),
-            permutation=data["permutation"] if meta["has_permutation"] else None,
-            hot_state_count=int(meta["hot_state_count"]),
             predictor_stats=meta["predictor_stats"],
             stage_timings_ms={
                 k: float(v) for k, v in meta.get("stage_timings_ms", {}).items()
             },
             # v2 artifacts predate online adaptation: default the revision
-            # counter and provenance (upgrade-on-load; saved back as v3).
+            # counter and provenance (upgrade-on-load; saved back as v4).
             revision=int(meta.get("revision", 0)),
             live_provenance=meta.get("live_provenance", {}) or {},
         )

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.automata.dfa import DFA
+from repro.automata.properties import profile_state_frequencies
 from repro.engine import ExecutionBackend
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.kernel import GpuSimulator, KernelPhase
@@ -227,7 +228,11 @@ class Scheme(abc.ABC):
             dfa=dfa,
             device=device,
             use_transformation=use_transformation,
-            training_input=bytes(training_input) if training_input is not None else None,
+            profile=(
+                profile_state_frequencies(dfa, bytes(training_input))
+                if training_input is not None
+                else None
+            ),
             metrics=metrics,
             backend=backend,
         )

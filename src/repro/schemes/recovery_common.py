@@ -155,16 +155,6 @@ def advance_cursors(
     prediction.cursors[chunks] = cursors
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    """Observability record of one frontier round (``keep_trace=True``)."""
-
-    frontier: int
-    matched: bool
-    active_threads: int
-    end_c: np.ndarray  # post-round end states (executor space)
-
-
 class RecoveryPolicy(abc.ABC):
     """Scheme-specific answer to "which chunk, from which state?"."""
 
@@ -193,16 +183,11 @@ class FrontierLoopScheme(Scheme):
         own_capacity: int = 16,
         others_capacity: int = 16,
         predictor=None,
-        keep_trace: bool = False,
         tracer=None,
     ):
         super().__init__(sim, n_threads=n_threads, predictor=predictor, tracer=tracer)
         self.own_capacity = own_capacity
         self.others_capacity = others_capacity
-        #: observability: when True, ``last_trace`` records one
-        #: ``RoundTrace`` per frontier round of the most recent run.
-        self.keep_trace = keep_trace
-        self.last_trace: List["RoundTrace"] = []
 
     # ------------------------------------------------------------------
     def run(self, data, start_state=None) -> SchemeResult:
@@ -229,7 +214,8 @@ class FrontierLoopScheme(Scheme):
             oracle_ends = None
             if self._audit_stash is not None:
                 # Exec-space ground truth per chunk, computed once: the
-                # frontier invariant says round f leaves chunk f verified.
+                # frontier invariant says round f leaves chunks 0..f
+                # verified, and no later round changes them.
                 from repro.selfcheck.audit import oracle_chunk_ends
 
                 oracle_ends = oracle_chunk_ends(self, partition, exec_start)
@@ -242,7 +228,6 @@ class FrontierLoopScheme(Scheme):
             scan_depth, n_records = vr.scan_cost()
             prev_snapshot = end_c.copy()
             last_change_round = np.zeros(n, dtype=np.int64)  # round a thread's end last changed
-            self.last_trace = []
 
             for f in range(n):
                 with self._phase_span(
@@ -300,37 +285,37 @@ class FrontierLoopScheme(Scheme):
                             stats.record_recovery_round(active_threads=0)
                     vr.charge_shared_traffic(stats, phase)
                     prev_snapshot = end_c.copy()
-                    if oracle_ends is not None and int(end_c[f]) != int(
-                        oracle_ends[f]
-                    ):
-                        from repro.errors import SelfCheckError
-
-                        raise SelfCheckError(
-                            f"frontier chunk end {int(end_c[f])} != oracle "
-                            f"{int(oracle_ends[f])} after its verification "
-                            "round",
-                            invariant="frontier_oracle",
-                            scheme=self.name,
-                            backend=self.engine.name,
-                            frontier=f,
-                            lanes=[f],
-                        )
+                    if oracle_ends is not None:
+                        self._audit_verified_prefix(end_c, oracle_ends, f)
                     if round_span:
                         round_span.set_attr("matched", mark)
                         round_span.set_attr("active_threads", n_active)
-                    if self.keep_trace:
-                        self.last_trace.append(
-                            RoundTrace(
-                                frontier=f,
-                                matched=mark,
-                                active_threads=n_active,
-                                end_c=end_c.copy(),
-                            )
-                        )
 
             with self._phase_span(KernelPhase.MERGE, stats):
                 result = self._finish(int(end_c[n - 1]), stats, chunk_ends_exec=end_c)
         return result
+
+    # ------------------------------------------------------------------
+    def _audit_verified_prefix(
+        self, end_c: np.ndarray, oracle_ends: np.ndarray, f: int
+    ) -> None:
+        """Selfcheck ``frontier_oracle``: after round ``f`` the whole
+        verified prefix ``end_c[:f+1]`` equals the ground truth."""
+        lanes = np.flatnonzero(end_c[: f + 1] != oracle_ends[: f + 1])
+        if lanes.size:
+            from repro.errors import SelfCheckError
+
+            first = int(lanes[0])
+            raise SelfCheckError(
+                f"verified chunk end {int(end_c[first])} != oracle "
+                f"{int(oracle_ends[first])} at chunk {first} after "
+                f"verification round {f}",
+                invariant="frontier_oracle",
+                scheme=self.name,
+                backend=self.engine.name,
+                frontier=f,
+                lanes=lanes.tolist(),
+            )
 
     # ------------------------------------------------------------------
     def _execute_recoveries(

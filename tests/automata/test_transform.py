@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.automata.properties import profile_state_frequencies
-from repro.automata.transform import frequency_transform, hot_access_fraction
+from repro.automata.transform import frequency_transform
 from repro.errors import AutomatonError
 from repro.workloads import classic
 
@@ -12,7 +12,7 @@ from repro.workloads import classic
 @pytest.fixture()
 def transformed(div7, rng):
     data = bytes(rng.integers(48, 50, size=2000).astype(np.uint8))
-    return data, frequency_transform(div7, training_input=data)
+    return data, frequency_transform(div7, profile_state_frequencies(div7, data))
 
 
 def test_semantics_preserved(div7, transformed, rng):
@@ -35,41 +35,11 @@ def test_mapping_roundtrip(div7, transformed):
     assert np.array_equal(t.to_old[t.to_new], np.arange(div7.n_states))
 
 
-def test_hot_check_is_plain_compare(transformed):
-    _, t = transformed
-    assert t.is_hot(0)
-    assert t.is_hot(t.hot_state_count - 1)
-    if t.hot_state_count < t.dfa.n_states:
-        assert not t.is_hot(t.hot_state_count)
-
-
-def test_hot_capacity_from_shared_entries(div7, rng):
-    data = bytes(rng.integers(48, 50, size=500).astype(np.uint8))
-    t = frequency_transform(div7, training_input=data, shared_memory_entries=3 * 256)
-    assert t.hot_state_count == 3
-    assert t.hot_fraction == pytest.approx(3 / 7)
-
-
-def test_transform_needs_profile_or_input(div7):
-    with pytest.raises(AutomatonError):
-        frequency_transform(div7)
-
-
 def test_profile_state_count_mismatch(div7, rng):
     other = classic.parity()
     prof = profile_state_frequencies(other, b"11")
     with pytest.raises(AutomatonError):
         frequency_transform(div7, prof)
-
-
-def test_hot_access_fraction_on_training_data(div7, rng):
-    """On the training distribution, accesses concentrate on the hot prefix."""
-    data = bytes(rng.integers(48, 50, size=4000).astype(np.uint8))
-    t = frequency_transform(div7, training_input=data, shared_memory_entries=4 * 256)
-    frac = hot_access_fraction(t, data)
-    prof = profile_state_frequencies(div7, data)
-    mass = prof.frequencies[prof.order[:4]].sum()
-    assert frac == pytest.approx(mass, abs=0.02)
 
 
 def test_paper_fig4_example():
@@ -94,8 +64,7 @@ def test_paper_fig4_example():
     counts = np.array([4, 4, 2, 2])
     order = np.lexsort((np.arange(4), -counts))
     prof = StateFrequencyProfile(counts=counts, order=order, sample_length=12)
-    t = frequency_transform(dfa, prof, shared_memory_entries=2 * 3)
-    assert t.hot_state_count == 2
+    t = frequency_transform(dfa, prof)
     # S0 and S1 keep ranks 0 and 1 (already hottest).
     assert t.map_state_to_new(0) == 0
     assert t.map_state_to_new(1) == 1

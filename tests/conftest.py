@@ -60,3 +60,37 @@ def queue_lists(prediction):
         (prediction.states[lo:hi].tolist(), prediction.weights[lo:hi].tolist())
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
+
+
+def save_v3_plan(plan, path, permutation=None, **meta):
+    """Write ``plan`` as a version-3 file, the layout that stored the table
+    layout beside the hotness order: a ``permutation`` array (RANK plans)
+    and ``hot_state_count`` / ``has_permutation`` entries, filled with the
+    values v3 compiles wrote.  ``permutation`` and ``meta`` override them
+    (a tampered file)."""
+    import json
+
+    from repro.gpu.memory import MemoryModel
+    from repro.plan import save_plan
+
+    path = save_plan(plan, path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    dfa, rank = plan.dfa, plan.config["use_transformation"]
+    if permutation is None and rank:
+        permutation = np.empty(dfa.n_states, dtype=np.int64)
+        permutation[plan.frequency_order] = np.arange(dfa.n_states)
+    if permutation is not None:
+        arrays["permutation"] = np.asarray(permutation, dtype=np.int64)
+    doc = json.loads(str(arrays["meta"]))
+    doc.update(
+        version=3,
+        has_permutation=permutation is not None,
+        hot_state_count=MemoryModel.for_dfa(
+            plan.build_config().device, dfa.n_states, dfa.n_symbols
+        ).hot_state_count,
+    )
+    doc.update(meta)
+    arrays["meta"] = np.asarray(json.dumps(doc, sort_keys=True))
+    np.savez_compressed(path, **arrays)
+    return path

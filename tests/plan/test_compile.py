@@ -2,7 +2,7 @@
 
 Pins down what a plan *contains* — that it is the very artifact a
 ``GSpecPal`` built from the same inputs runs from, that the stored
-permutation rebuilds the exact frequency transformation, that predictor
+hotness order yields the exact frequency transformation, that predictor
 statistics are the trained lookback-2 numbers, that compiling twice under
 identical inputs yields an identical value object, and that any non-empty
 training input compiles.
@@ -18,6 +18,7 @@ from repro.plan import compile_plan, config_fingerprint
 from repro.plan.compile import COMPILE_STAGES
 from repro.automata.transform import frequency_transform
 from repro.automata.properties import profile_state_frequencies
+from repro.gpu.memory import MemoryModel, TableLayout
 
 
 @pytest.fixture()
@@ -45,9 +46,15 @@ def test_framework_plan_is_the_standalone_plan(
     assert pal.plan.scheme == plan.scheme == pal.select_scheme()
     assert pal.plan.decision_path == plan.decision_path  # the Fig. 6 walk
     assert pal.current_decision_path() == plan.decision_path
-    assert (pal.plan.permutation is None) == (not use_transformation)
-    assert np.array_equal(pal.plan.permutation, plan.permutation)
-    assert pal.plan.hot_state_count == plan.hot_state_count
+    assert np.array_equal(pal.plan.frequency_order, plan.frequency_order)
+    ours_sim = pal._simulator()
+    theirs_sim = GSpecPal.from_plan(plan)._simulator()
+    assert (ours_sim.transformed is None) == (not use_transformation)
+    if use_transformation:
+        assert np.array_equal(
+            ours_sim.transformed.to_new, theirs_sim.transformed.to_new
+        )
+    assert ours_sim.memory == theirs_sim.memory
     # profiling_seconds is wall-clock, every other feature must agree exactly
     ours, theirs = pal.profile().as_dict(), plan.features.as_dict()
     ours.pop("profiling_seconds"), theirs.pop("profiling_seconds")
@@ -63,7 +70,7 @@ def test_compile_is_deterministic(scanner_dfa, training, config):
     assert a.scheme == b.scheme and a.decision_path == b.decision_path
     assert a.cost_estimates == b.cost_estimates
     assert np.array_equal(a.frequency_counts, b.frequency_counts)
-    assert np.array_equal(a.permutation, b.permutation)
+    assert np.array_equal(a.frequency_order, b.frequency_order)
     assert a.predictor_stats == b.predictor_stats
 
 
@@ -73,26 +80,31 @@ def test_cost_estimates_cover_selectable_schemes(scanner_dfa, training, config):
     assert all(v > 0 for v in plan.cost_estimates.values())
 
 
-def test_permutation_rebuilds_exact_transformation(scanner_dfa, training, config):
+def test_hotness_order_rebuilds_exact_transformation(scanner_dfa, training, config):
     plan = compile_plan(scanner_dfa, training, config)
-    rebuilt = plan.transformation()
+    sim = GSpecPal.from_plan(plan)._simulator()
     profile = profile_state_frequencies(scanner_dfa, training)
-    direct = frequency_transform(
-        scanner_dfa,
-        profile,
-        shared_memory_entries=config.device.shared_table_entries,
-    )
-    assert np.array_equal(rebuilt.to_new, direct.to_new)
-    assert np.array_equal(rebuilt.dfa.table, direct.dfa.table)
-    assert rebuilt.hot_state_count == direct.hot_state_count == plan.hot_state_count
+    direct = frequency_transform(scanner_dfa, profile)
+    assert np.array_equal(sim.transformed.to_new, direct.to_new)
+    assert np.array_equal(sim.transformed.dfa.table, direct.dfa.table)
+    hot = MemoryModel.for_dfa(
+        config.device, scanner_dfa.n_states, scanner_dfa.n_symbols
+    ).hot_state_count
+    assert sim.memory.layout is TableLayout.RANK
+    assert sim.memory.hot_state_count == hot
+    assert f"hot states : {hot} (RANK layout)" in plan.summary()
 
 
-def test_hash_layout_plan_has_no_permutation(scanner_dfa, training):
+def test_hash_layout_plan_has_no_transformation(scanner_dfa, training):
     cfg = GSpecPalConfig(n_threads=16, use_transformation=False)
     plan = compile_plan(scanner_dfa, training, cfg)
-    assert plan.permutation is None
-    assert plan.transformation() is None
-    assert plan.hot_state_count > 0  # hash layout still has a hot set
+    sim = GSpecPal.from_plan(plan)._simulator()
+    assert sim.transformed is None
+    assert sim.memory.layout is TableLayout.HASH
+    assert sim.memory.hot_state_count > 0  # hash layout still has a hot set
+    hottest = plan.frequency_order[: sim.memory.hot_state_count]
+    assert sim.memory.hot_state_ids == frozenset(hottest.tolist())
+    assert f"hot states : {hottest.size} (HASH layout)" in plan.summary()
 
 
 def test_predictor_stats_are_trained_lookback2(scanner_dfa, training, config):

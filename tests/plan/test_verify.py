@@ -15,6 +15,7 @@ from repro.errors import PlanError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.plan import PLAN_FORMAT_VERSION, compile_plan, load_plan, save_plan
 from repro.workloads import classic
+from tests.conftest import save_v3_plan
 
 
 @pytest.fixture()
@@ -89,13 +90,95 @@ def test_v2_plan_loads_with_adaptation_defaults(plan, tmp_path):
 
     _rewrite(path, downgrade)
     loaded = load_plan(path)
-    assert loaded.version == PLAN_FORMAT_VERSION  # saved back as v3
+    assert loaded.version == PLAN_FORMAT_VERSION  # saved back as v4
     assert loaded.revision == 0
     assert loaded.live_provenance == {}
     assert loaded.features.live_accuracy == -1.0
     assert loaded.features.live_samples == 0
     loaded.verify(plan.dfa)  # still serves the same automaton
     assert loaded.scheme == plan.scheme
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "short", "out_of_range", "negative"])
+def test_frequency_order_must_be_a_permutation(plan, tmp_path, kind):
+    """The hotness order is the table layout's only input: anything but a
+    permutation of the states is a corrupt plan, refused at load."""
+    path = save_plan(plan, tmp_path / "p.npz")
+    n = plan.dfa.n_states
+
+    def corrupt(arrays):
+        order = arrays["frequency_order"]
+        if kind == "duplicate":
+            order[1] = order[0]
+        elif kind == "short":
+            order = order[:-1]
+        elif kind == "out_of_range":
+            order[0] = n
+        else:
+            order[0] = -1
+        arrays["frequency_order"] = order
+
+    _rewrite(path, corrupt)
+    with pytest.raises(PlanError, match="frequency_order"):
+        load_plan(path)
+
+
+def test_frequency_counts_need_one_entry_per_state(plan, tmp_path):
+    path = save_plan(plan, tmp_path / "p.npz")
+
+    def corrupt(arrays):
+        arrays["frequency_counts"] = arrays["frequency_counts"][:-1]
+
+    _rewrite(path, corrupt)
+    with pytest.raises(PlanError, match="frequency_counts"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("use_transformation", [True, False])
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_v3_plan_serves_like_a_fresh_compile(
+    scanner_dfa, rng, tmp_path, use_transformation, backend
+):
+    """A v3 artifact, permutation and hot count included, loads and serves
+    cycle-identical (sim) and answer-identical (fast) to a fresh compile."""
+    training = bytes(rng.integers(97, 123, size=512).astype(np.uint8))
+    data = bytes(rng.integers(97, 123, size=2048).astype(np.uint8))
+    config = GSpecPalConfig(n_threads=16, use_transformation=use_transformation)
+    plan = compile_plan(scanner_dfa, training, config)
+    loaded = load_plan(save_v3_plan(plan, tmp_path / "v3.npz"))
+    assert loaded.version == PLAN_FORMAT_VERSION
+    expected = GSpecPal.from_plan(plan, backend=backend).run(data)
+    served = GSpecPal.from_plan(loaded, backend=backend).run(data)
+    assert served.end_state == expected.end_state == scanner_dfa.run(data)
+    assert served.accepts == expected.accepts
+    if backend == "sim":
+        assert served.cycles == expected.cycles
+        assert served.stats.phase_cycles == expected.stats.phase_cycles
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        {"hot_state_count": 0},
+        {"hot_state_count": 999},
+        {"permutation": [0] * 7},
+        {"permutation": [0, 1, 2]},
+    ],
+    ids=["hot0", "hot999", "perm-duplicate", "perm-short"],
+)
+def test_v3_layout_entries_are_ignored(div7, tmp_path, tamper):
+    """A hand-edited v3 layout cannot move a cycle: the layout is derived
+    from the hotness order, so the plan serves the fresh compile's
+    ledger (div7, 8 KiB, 16 threads, sim)."""
+    rng = np.random.default_rng(7)
+    training = bytes(rng.integers(48, 58, size=1024).astype(np.uint8))
+    data = bytes(rng.integers(48, 58, size=8192).astype(np.uint8))
+    plan = compile_plan(div7, training, GSpecPalConfig(n_threads=16))
+    fresh = GSpecPal.from_plan(plan, backend="sim").run(data)
+    loaded = load_plan(save_v3_plan(plan, tmp_path / "v3.npz", **tamper))
+    served = GSpecPal.from_plan(loaded, backend="sim").run(data)
+    assert served.end_state == fresh.end_state == div7.run(data)
+    assert served.cycles == fresh.cycles
 
 
 def test_verify_against_wrong_dfa(plan):

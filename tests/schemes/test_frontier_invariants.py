@@ -2,16 +2,21 @@
 
 These are the correctness core of Algorithms 3-5: once the frontier passes
 chunk ``f``, chunk ``f``'s end state is final and *true*, regardless of
-which policy scheduled which recoveries.  Traced via ``keep_trace``.
+which policy scheduled which recoveries.  Each round is read from its
+``verify_recover.round`` span; the verified prefix is checked every round
+by the ``frontier_oracle`` selfcheck audit.
 """
 
 import numpy as np
 import pytest
 
+from repro.automata.dfa import DFA
+from repro.errors import SelfCheckError
+from repro.observability import Tracer
 from repro.schemes import NFScheme, RRScheme, SREScheme
 from repro.speculation.chunks import partition_input
+from repro.speculation.records import VRStore
 from repro.workloads.components import counter_component
-from repro.automata.dfa import DFA
 
 POLICY_SCHEMES = (SREScheme, RRScheme, NFScheme)
 
@@ -26,14 +31,15 @@ def case():
     return dfa, data, training
 
 
-def traced_run(cls, case, n_threads=12):
-    dfa, data, training = case
+def audited_scheme(cls, case, n_threads=12):
+    dfa, _, training = case
+    tracer = Tracer()
     scheme = cls.for_dfa(
-        dfa, n_threads=n_threads, training_input=training, keep_trace=True,
+        dfa, n_threads=n_threads, training_input=training, tracer=tracer,
         use_transformation=False,  # exec space == user space for assertions
     )
-    result = scheme.run(data)
-    return scheme, result
+    scheme.selfcheck = True
+    return scheme, tracer
 
 
 def true_chunk_ends(dfa, data, n_chunks):
@@ -46,39 +52,62 @@ def true_chunk_ends(dfa, data, n_chunks):
     return ends
 
 
+def traced_rounds(cls, case, n_threads=12):
+    scheme, tracer = audited_scheme(cls, case, n_threads)
+    scheme.run(case[1])
+    return [span.attrs for span in tracer.find_all("verify_recover.round")]
+
+
 @pytest.mark.parametrize("cls", POLICY_SCHEMES)
 class TestFrontierInvariants:
     def test_one_round_per_chunk(self, case, cls):
-        scheme, result = traced_run(cls, case)
-        assert len(scheme.last_trace) == 12
-        assert [t.frontier for t in scheme.last_trace] == list(range(12))
+        rounds = traced_rounds(cls, case)
+        assert [r["frontier"] for r in rounds] == list(range(12))
 
     def test_verified_prefix_is_true_and_final(self, case, cls):
         """After round f, end_c[0..f] equals the ground truth — and never
-        changes again in any later round."""
+        changes again in any later round.  The audited run checks exactly
+        this every round, so a clean run is the proof."""
         dfa, data, _ = case
-        scheme, result = traced_run(cls, case)
-        truth = true_chunk_ends(dfa, data, 12)
-        for trace in scheme.last_trace:
-            f = trace.frontier
-            assert np.array_equal(trace.end_c[: f + 1], truth[: f + 1]), f
+        scheme, _ = audited_scheme(cls, case)
+        assert scheme.run(data).end_state == dfa.run(data)
+
+    def test_flipped_verified_chunk_end_is_caught(self, case, cls):
+        """Corrupt chunk 1's end during round 3 — two rounds after it was
+        verified.  The frontier chunk (3) is still right; the audit names
+        the round and the chunk that changed."""
+        dfa, data, _ = case
+        scheme, _ = audited_scheme(cls, case)
+        wrong = (true_chunk_ends(dfa, data, 12)[1] + 1) % dfa.n_states
+        orig_scan = VRStore.scan
+        calls = []
+
+        def flipping_scan(self, starts):
+            found, hit = orig_scan(self, starts)
+            calls.append(None)
+            if len(calls) == 4:  # one scan per round: this is round 3
+                found, hit = found.copy(), hit.copy()
+                found[1], hit[1] = True, wrong
+            return found, hit
+
+        VRStore.scan = flipping_scan
+        try:
+            with pytest.raises(SelfCheckError) as exc:
+                scheme.run(case[1])
+        finally:
+            VRStore.scan = orig_scan
+        assert exc.value.invariant == "frontier_oracle"
+        assert exc.value.frontier == 3
+        assert exc.value.lanes == [1]
 
     def test_matched_rounds_schedule_nothing(self, case, cls):
-        scheme, _ = traced_run(cls, case)
-        for trace in scheme.last_trace:
-            if trace.matched:
-                assert trace.active_threads == 0
+        for r in traced_rounds(cls, case):
+            if r["matched"]:
+                assert r["active_threads"] == 0
 
     def test_mismatch_rounds_include_frontier_recovery(self, case, cls):
         """Every mismatched round must activate at least the frontier's
         must-be-done recovery (otherwise correctness would be luck)."""
-        scheme, _ = traced_run(cls, case)
-        for trace in scheme.last_trace:
-            if not trace.matched:
-                assert trace.active_threads >= 1
-
-    def test_trace_disabled_by_default(self, case, cls):
-        dfa, data, training = case
-        scheme = cls.for_dfa(dfa, n_threads=12, training_input=training)
-        scheme.run(data)
-        assert scheme.last_trace == []
+        for r in traced_rounds(cls, case):
+            if not r["matched"]:
+                assert r["active_threads"] >= 1

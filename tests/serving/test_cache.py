@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
-from repro.plan import config_fingerprint, revise_plan
-from repro.serving import PlanCache
+from repro.plan import config_fingerprint, load_plan, revise_plan
+from repro.serving import MatcherPool, PlanCache
 from repro.speculation import LiveObservations
 from repro.workloads import classic
 
@@ -98,6 +98,31 @@ def test_corrupt_spill_recompiles(scanner_dfa, training, config, tmp_path):
     # The destroyed container is discarded and the plan recompiled fresh.
     assert second.stats()["compiles"] == 1 and second.stats()["disk_loads"] == 0
     assert reloaded.fingerprint == plan.fingerprint
+
+
+def test_spill_with_a_corrupt_hotness_order_is_recompiled(
+    scanner_dfa, training, config, tmp_path, rng
+):
+    """A spill whose frequency order is no permutation is a corrupt plan:
+    it is dropped and recompiled, and the stream answers oracle-exact."""
+    plan = PlanCache(config=config, directory=tmp_path).get_or_compile(
+        scanner_dfa, training
+    )
+    spill = tmp_path / f"{plan.canonical_fingerprint}.npz"
+    with np.load(spill, allow_pickle=False) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    arrays["frequency_order"][1] = arrays["frequency_order"][0]
+    np.savez_compressed(spill, **arrays)
+
+    cache = PlanCache(config=config, directory=tmp_path)
+    pool = MatcherPool(cache, config=config)
+    sid = pool.open(scanner_dfa, training_input=training)
+    assert cache.stats()["compiles"] == 1 and cache.stats()["disk_loads"] == 0
+    data = bytes(rng.integers(97, 123, size=512).astype(np.uint8))
+    pool.feed(sid, data)
+    assert pool.close(sid).end_state == scanner_dfa.run(data)
+    # The recompiled plan was spilled over the corrupt file.
+    assert np.array_equal(load_plan(spill).frequency_order, plan.frequency_order)
 
 
 def test_spill_from_another_config_is_recompiled(
