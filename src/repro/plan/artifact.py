@@ -112,11 +112,10 @@ class CompiledPlan:
         ``dfa.fingerprint()`` at compile time; re-verified on load and on
         every cache lookup.
     canonical_fingerprint:
-        ``dfa.canonical_fingerprint()`` at compile time — the fingerprint
-        of the minimal, BFS-renumbered canonical form, identical for all
-        language-equivalent DFAs.  The serving cache keys plan dedupe and
-        single-flight on this; re-verified on load like the content
-        fingerprint.
+        The fingerprint of the DFA's minimal, BFS-renumbered canonical
+        form at compile time, identical for all language-equivalent DFAs.
+        The serving cache keys plan dedupe and single-flight on this;
+        ``load_plan`` re-derives it, :meth:`verify` does not.
     config_hash:
         :func:`config_fingerprint` of the compile-time configuration.
     config:
@@ -206,6 +205,11 @@ class CompiledPlan:
         """Check the plan still matches its automaton (and optionally
         another DFA a caller wants to serve with it).
 
+        Content fingerprints only, no minimization: an in-memory plan's
+        canonical fingerprint is trusted, as ``compile_plan``,
+        ``revise_plan`` or ``load_plan`` (where plan bytes enter the
+        process) established it.
+
         Raises :class:`~repro.errors.PlanError` on any mismatch — the
         invalidation rule of the plan lifecycle: a plan is valid exactly
         as long as the DFA's behaviourally relevant content is unchanged.
@@ -215,13 +219,6 @@ class CompiledPlan:
             raise PlanError(
                 f"plan fingerprint mismatch: artifact says {self.fingerprint[:12]}…, "
                 f"embedded DFA hashes to {actual[:12]}… (corrupt or tampered plan)"
-            )
-        actual_canonical = self.dfa.canonical_fingerprint()
-        if actual_canonical != self.canonical_fingerprint:
-            raise PlanError(
-                "plan canonical fingerprint mismatch: artifact says "
-                f"{self.canonical_fingerprint[:12]}…, embedded DFA canonicalizes "
-                f"to {actual_canonical[:12]}… (corrupt or tampered plan)"
             )
         if dfa is not None and dfa.fingerprint() != self.fingerprint:
             raise PlanError(

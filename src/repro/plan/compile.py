@@ -8,7 +8,8 @@ into a :class:`~repro.plan.artifact.CompiledPlan`:
     Validate inputs, apply config defaults, coerce the training stream.
 ``canonicalize``
     Compute the language-level identity: minimize + BFS-renumber the DFA
-    and hash the canonical form (:meth:`DFA.canonical_fingerprint`).  The
+    and hash the canonical form (:meth:`DFA.canonical_fingerprint`), or
+    just hash the form a caller already holds (``canonical=``).  The
     plan keeps executing the *submitted* DFA — canonicalization only
     establishes identity, it never rewrites state numbering under a tenant.
 ``profile``
@@ -44,14 +45,14 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.minimize import canonical_form
 from repro.automata.properties import profile_state_frequencies
-from repro.errors import PlanError
+from repro.errors import PlanError, SelfCheckError
 from repro.gpu.memory import MemoryModel
 from repro.observability import NULL_TRACER
 from repro.plan.artifact import (
@@ -63,6 +64,7 @@ from repro.plan.artifact import (
 from repro.selector.cost_model import estimate_costs
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import profile_features
+from repro.selfcheck import selfcheck_enabled
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import LOOKBACK, predict_start_states
 
@@ -108,6 +110,7 @@ def compile_plan(
     training_input,
     config=None,
     *,
+    canonical: Optional[DFA] = None,
     tracer=None,
     metrics=None,
 ) -> CompiledPlan:
@@ -124,6 +127,9 @@ def compile_plan(
     config:
         Compile-time tunables (defaults to ``GSpecPalConfig()``).  The
         plan records a config hash; serving verifies it.
+    canonical:
+        ``canonical_form(dfa)`` when the caller already holds it (the plan
+        cache does); self-checking re-derives it and compares.
     tracer:
         Optional span sink; the phase emits one ``compile`` span tree with
         one child span per pipeline stage.
@@ -158,7 +164,16 @@ def compile_plan(
             n_chunks = max(1, min(64, config.n_threads, symbols.size // 4))
 
         with stage("canonicalize") as cnspan:
-            canonical = canonical_form(dfa)
+            if canonical is None:
+                canonical = canonical_form(dfa)
+            elif selfcheck_enabled(config.selfcheck):
+                derived = canonical_form(dfa).fingerprint()
+                if derived != canonical.fingerprint():
+                    raise SelfCheckError(
+                        f"the canonical form handed in is not {dfa.name!r}'s, "
+                        f"which canonicalizes to {derived[:12]}…",
+                        invariant="canonical_form",
+                    )
             canonical_fp = canonical.fingerprint()
             if cnspan:
                 cnspan.set_attr("canonical_states", canonical.n_states)

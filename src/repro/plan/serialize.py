@@ -9,7 +9,7 @@ config snapshot and both hashes — rides in one embedded JSON document.
 ``load_plan`` re-verifies both the content fingerprint and the canonical
 (language-level) fingerprint of the embedded DFA against the stored ones,
 so a corrupted or hand-edited artifact is rejected before it can serve a
-single byte.
+single byte.  It is the one place the canonical fingerprint is re-derived.
 
 The table layout is not stored: it is derived from the frequency order
 when the plan is served.  Files of versions 2 and 3 also carry a
@@ -80,7 +80,8 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
     PlanError
         When the file is missing, the format version is unsupported, the
         frequency order is not a permutation of the states, or the
-        embedded DFA no longer hashes to the stored fingerprint.
+        embedded DFA no longer hashes to the stored fingerprint or no
+        longer canonicalizes to the stored canonical fingerprint.
     """
     path = Path(path)
     if not path.exists():
@@ -128,6 +129,13 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
             live_provenance=meta.get("live_provenance", {}) or {},
         )
     # Fingerprint verification on load: a plan whose embedded automaton no
-    # longer hashes to what the compiler recorded must never serve.
+    # longer hashes or canonicalizes to what was recorded must never serve.
     plan.verify()
+    actual = plan.dfa.canonical_fingerprint()
+    if actual != plan.canonical_fingerprint:
+        raise PlanError(
+            "plan canonical fingerprint mismatch: artifact says "
+            f"{plan.canonical_fingerprint[:12]}…, embedded DFA canonicalizes "
+            f"to {actual[:12]}… (corrupt or tampered plan)"
+        )
     return plan

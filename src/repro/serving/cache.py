@@ -21,7 +21,9 @@ resident plan embeds (and executes) the first submitter's DFA, so its
 ``end_state`` numbering is the plan's; acceptance decisions are exact for
 every aliased tenant because the automata accept the same language.
 Canonicalization runs once per content fingerprint (outside the lock) and
-is memoized in the alias map.
+is memoized in the alias map; the compile that follows reuses the
+canonical form, so a cold miss minimizes once.  Only ``load_plan`` (a
+spill reload) re-derives a canonical fingerprint; serving a plan does not.
 
 A bounded LRU keeps memory predictable under many-tenant churn; eviction
 only drops the *plan* — matchers already serving from it keep their
@@ -50,6 +52,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, Optional
 
+from repro.automata.minimize import canonical_form
 from repro.errors import PlanError, ServingError
 from repro.observability import NULL_TRACER, MetricsRegistry
 from repro.plan import CompiledPlan, compile_plan, load_plan, save_plan
@@ -244,11 +247,13 @@ class PlanCache:
         fingerprint = dfa.fingerprint()
         with self._lock:
             canonical = self._alias.get(fingerprint)
+        form = None
         if canonical is None:
             # First sighting of this content fingerprint: canonicalize
-            # outside the lock (minimization is the expensive part) and
-            # memoize the alias below.
-            canonical = dfa.canonical_fingerprint()
+            # outside the lock (minimization is the expensive part),
+            # memoize the alias below, and hand the form to the compile.
+            form = canonical_form(dfa)
+            canonical = form.fingerprint()
         while True:
             with self._lock:
                 if fingerprint not in self._alias:
@@ -290,7 +295,7 @@ class PlanCache:
                 from repro.framework.config import GSpecPalConfig
 
                 config = self.config if self.config is not None else GSpecPalConfig()
-            plan = self._load_spilled(canonical, dfa, fingerprint, config)
+            plan = self._load_spilled(canonical, config)
             from_disk = plan is not None
             if plan is None:
                 if training_input is None or len(training_input) == 0:
@@ -305,6 +310,7 @@ class PlanCache:
                     dfa,
                     training_input,
                     config,
+                    canonical=form,
                     tracer=self.tracer,
                     metrics=self.metrics,
                 )
@@ -358,9 +364,7 @@ class PlanCache:
         finally:
             partial.unlink(missing_ok=True)
 
-    def _load_spilled(
-        self, canonical: str, dfa, fingerprint: str, config
-    ) -> Optional[CompiledPlan]:
+    def _load_spilled(self, canonical: str, config) -> Optional[CompiledPlan]:
         path = self._spill_path(canonical)
         if path is None or not path.exists():
             return None
@@ -369,9 +373,6 @@ class PlanCache:
             wanted = (canonical, config_fingerprint(config))
             if (plan.canonical_fingerprint, plan.config_hash) != wanted:
                 raise PlanError(f"{path.name} holds another class or config")
-            if plan.fingerprint == fingerprint:
-                # Same content: full content verification, as before.
-                plan.verify(dfa)
         except (PlanError, OSError, ValueError, KeyError, zipfile.BadZipFile):
             # Corrupt, stale or other-config spill: drop it and recompile.
             path.unlink(missing_ok=True)

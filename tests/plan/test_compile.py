@@ -8,10 +8,13 @@ identical inputs yields an identical value object, and that any non-empty
 training input compiles.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from repro.errors import PlanError
+from repro.automata.minimize import canonical_form
+from repro.errors import PlanError, SelfCheckError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.observability import MetricsRegistry, Tracer
 from repro.plan import compile_plan, config_fingerprint
@@ -19,6 +22,7 @@ from repro.plan.compile import COMPILE_STAGES
 from repro.automata.transform import frequency_transform
 from repro.automata.properties import profile_state_frequencies
 from repro.gpu.memory import MemoryModel, TableLayout
+from repro.workloads import classic
 
 
 @pytest.fixture()
@@ -169,3 +173,41 @@ def test_compile_stores_canonical_fingerprint(scanner_dfa, training, config):
     other = compile_plan(relabelled, training, config)
     assert other.canonical_fingerprint == plan.canonical_fingerprint
     assert other.fingerprint != plan.fingerprint
+
+
+def test_handed_in_canonical_form_is_reused(scanner_dfa, training, config):
+    """The cache's canonical form stands in for the stage's own: the plan
+    equals one compiled without it in every compared field (wall-clock
+    profiling time aside), and the span keeps its attributes."""
+    tracer = Tracer()
+    form = canonical_form(scanner_dfa)
+    plan = compile_plan(scanner_dfa, training, config, canonical=form, tracer=tracer)
+    fresh = compile_plan(scanner_dfa, training, config)
+    for f in fields(plan):
+        ours, theirs = getattr(plan, f.name), getattr(fresh, f.name)
+        if not f.compare:
+            continue
+        if isinstance(ours, np.ndarray):
+            assert np.array_equal(ours, theirs), f.name
+        elif f.name == "features":
+            assert replace(ours, profiling_seconds=0.0) == replace(
+                theirs, profiling_seconds=0.0
+            )
+        else:
+            assert ours == theirs, f.name
+    span = tracer.find("canonicalize")
+    assert span.attrs["canonical_states"] == form.n_states
+    assert span.attrs["canonical_fingerprint"] == form.fingerprint()[:16]
+
+
+def test_selfcheck_refuses_a_wrong_canonical_form(scanner_dfa, training, config):
+    wrong = canonical_form(classic.div7())
+    audited = replace(config, selfcheck=True)
+    with pytest.raises(SelfCheckError, match="canonicalizes") as excinfo:
+        compile_plan(scanner_dfa, training, audited, canonical=wrong)
+    assert excinfo.value.invariant == "canonical_form"
+    # Unaudited, the form is trusted as handed in.
+    trusting = compile_plan(
+        scanner_dfa, training, replace(config, selfcheck=False), canonical=wrong
+    )
+    assert trusting.canonical_fingerprint == wrong.fingerprint()

@@ -1,11 +1,13 @@
 """Plan verification: a stale, corrupt or mismatched artifact never serves.
 
 The fingerprint is the plan's identity — ``load_plan`` re-hashes the
-embedded automaton against the stored digest, ``verify(dfa)`` guards cache
-hits, and ``verify_config`` guards explicit-config serving.  Every mismatch
-must surface as :class:`~repro.errors.PlanError` before a byte is matched.
+embedded automaton against the stored digest and re-derives its canonical
+fingerprint, ``verify(dfa)`` guards cache hits on the content digest, and
+``verify_config`` guards explicit-config serving.  Every mismatch must
+surface as :class:`~repro.errors.PlanError` before a byte is matched.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -59,6 +61,36 @@ def test_tampered_accepting_set_rejected(plan, tmp_path):
     _rewrite(path, corrupt)
     with pytest.raises(PlanError, match="fingerprint mismatch"):
         load_plan(path)
+
+
+def test_tampered_canonical_fingerprint_rejected(plan, tmp_path):
+    """A file read is where plan bytes enter the process, so ``load_plan``
+    re-derives the canonical fingerprint; a rewritten one never serves."""
+    path = save_plan(plan, tmp_path / "p.npz")
+
+    def relabel(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        meta["canonical_fingerprint"] = "0" * 64
+        arrays["meta"] = np.asarray(json.dumps(meta))
+
+    _rewrite(path, relabel)
+    with pytest.raises(PlanError, match="canonical fingerprint mismatch"):
+        load_plan(path)
+
+
+def test_v3_plan_with_tampered_canonical_fingerprint_rejected(plan, tmp_path):
+    path = save_v3_plan(plan, tmp_path / "v3.npz", canonical_fingerprint="0" * 64)
+    with pytest.raises(PlanError, match="canonical fingerprint"):
+        load_plan(path)
+
+
+def test_verify_trusts_an_in_memory_canonical_fingerprint(plan):
+    """``verify`` checks content only: an in-memory plan's canonical
+    fingerprint was established by whatever built it (compile, revise or
+    ``load_plan``), and re-deriving it would cost a minimization."""
+    relabelled = dataclasses.replace(plan, canonical_fingerprint="0" * 64)
+    relabelled.verify(plan.dfa)
+    GSpecPal.from_plan(relabelled)
 
 
 def test_unsupported_version_rejected(plan, tmp_path):

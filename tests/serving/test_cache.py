@@ -1,9 +1,12 @@
 """PlanCache: LRU semantics and the one-compile-per-fingerprint guarantee."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.automata import DFA
+from repro.errors import PlanError, ServingError
 from repro.framework import GSpecPalConfig
 from repro.plan import config_fingerprint, load_plan, revise_plan
 from repro.serving import MatcherPool, PlanCache
@@ -123,6 +126,41 @@ def test_spill_with_a_corrupt_hotness_order_is_recompiled(
     assert pool.close(sid).end_state == scanner_dfa.run(data)
     # The recompiled plan was spilled over the corrupt file.
     assert np.array_equal(load_plan(spill).frequency_order, plan.frequency_order)
+
+
+def test_spill_holding_another_language_is_recompiled(
+    scanner_dfa, training, config, tmp_path, rng
+):
+    """A spill whose embedded automaton no longer canonicalizes to its
+    class is refused by ``load_plan``: here the accepting set is
+    complemented and the content fingerprint rewritten to match, so only
+    the canonical check stands between the tenant and wrong answers."""
+    plan = PlanCache(config=config, directory=tmp_path).get_or_compile(
+        scanner_dfa, training
+    )
+    spill = tmp_path / f"{plan.canonical_fingerprint}.npz"
+    complement = sorted(set(range(scanner_dfa.n_states)) - scanner_dfa.accepting)
+    other = DFA(scanner_dfa.table, scanner_dfa.start, frozenset(complement))
+    with np.load(spill, allow_pickle=False) as data:
+        arrays = {k: np.array(data[k]) for k in data.files}
+    arrays["accepting"] = np.asarray(complement, dtype=np.int64)
+    meta = json.loads(str(arrays["meta"]))
+    meta["fingerprint"] = other.fingerprint()
+    arrays["meta"] = np.asarray(json.dumps(meta))
+    np.savez_compressed(spill, **arrays)
+    with pytest.raises(PlanError, match="canonical fingerprint"):
+        load_plan(spill)
+
+    cache = PlanCache(config=config, directory=tmp_path)
+    pool = MatcherPool(cache, config=config)
+    sid = pool.open(scanner_dfa, training_input=training)
+    assert cache.stats()["compiles"] == 1 and cache.stats()["disk_loads"] == 0
+    data = bytes(rng.integers(97, 123, size=512).astype(np.uint8))
+    pool.feed(sid, data)
+    closed = pool.close(sid)
+    assert closed.end_state == scanner_dfa.run(data)
+    assert closed.accepts == scanner_dfa.accepts(data)
+    assert load_plan(spill).fingerprint == scanner_dfa.fingerprint()
 
 
 def test_spill_from_another_config_is_recompiled(
