@@ -13,6 +13,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
+from repro.selector import DecisionTreeSelector
 from repro.workloads.suites import REGIME_LAYOUT, SUITES
 
 
@@ -34,6 +35,7 @@ def test_table2_characteristics(benchmark, sweep, members):
 
 
 def _collect(sweep, members):
+    tree = DecisionTreeSelector()
     rows = []
     stats_by_suite = {}
     for suite in SUITES:
@@ -42,7 +44,7 @@ def _collect(sweep, members):
         s1 = np.array([f.spec1_accuracy for f in feats])
         s4 = np.array([f.spec4_accuracy for f in feats])
         conv = np.array([f.convergence_states for f in feats])
-        sensitive = sum(1 for f in feats if f.input_sensitive)
+        sensitive = sum(1 for f in feats if tree.is_input_sensitive(f))
         prof = np.array([f.profiling_seconds for f in feats])
         stats_by_suite[suite] = (states, s1, s4, conv, sensitive)
         rows.append(

@@ -5,7 +5,7 @@ Collects the text blocks the benchmark harness wrote to
 reference numbers — into a single Markdown report.  Run after the harness::
 
     pytest benchmarks/ --benchmark-only
-    python -m repro.analysis.report [output.md]
+    python -m repro.cli report [--output output.md]
 
 (EXPERIMENTS.md in the repository root is a curated snapshot of this
 output with added commentary.)
@@ -13,7 +13,6 @@ output with added commentary.)
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -95,7 +94,7 @@ def build_report(results_dir: Optional[Path] = None) -> str:
     lines = [
         "# Experiment report (auto-generated)",
         "",
-        "Produced by `python -m repro.analysis.report` from the outputs of",
+        "Produced by `python -m repro.cli report` from the outputs of",
         "`pytest benchmarks/ --benchmark-only`.",
         "",
     ]
@@ -121,17 +120,3 @@ def build_report(results_dir: Optional[Path] = None) -> str:
         )
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    report = build_report()
-    if argv:
-        Path(argv[0]).write_text(report)
-        print(f"wrote {argv[0]}")
-    else:
-        print(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -36,19 +36,10 @@ import numpy as np
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.gpu.kernel import GpuSimulator
 from repro.observability import NULL_TRACER
-from repro.schemes import (
-    SCHEME_REGISTRY,
-    NFScheme,
-    PMScheme,
-    RRScheme,
-    SchemeResult,
-    SequentialScheme,
-    SFAScheme,
-    SpecSequentialScheme,
-    SREScheme,
-)
+from repro.schemes import SCHEME_REGISTRY, SchemeResult
 from repro.schemes.base import Scheme
 from repro.selector.cost_model import estimate_costs
+from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import FSMFeatures
 from repro.framework.config import GSpecPalConfig
 from repro.errors import PlanError, SchemeError
@@ -57,9 +48,9 @@ from repro.errors import PlanError, SchemeError
 class GSpecPal:
     """Latency-sensitive speculative FSM parallelization framework."""
 
-    #: Schemes the selector may pick (the paper's four plus the
-    #: misprediction-free SFA leaf for hopeless speculation).
-    SELECTABLE = ("pm", "sre", "rr", "nf", "sfa")
+    #: Schemes the selector may pick: the Fig. 6 tree's leaves (the
+    #: paper's four plus the misprediction-free SFA leaf).
+    SELECTABLE = DecisionTreeSelector.SCHEMES
     #: Every scheme name ``run``/``stream``/``build_scheme`` accept (the
     #: spec-k alias ``pm-spec<k>`` is additionally accepted per config).
     KNOWN_SCHEMES = tuple(SCHEME_REGISTRY)
@@ -283,50 +274,18 @@ class GSpecPal:
     def build_scheme(self, name: str) -> Scheme:
         """Instantiate a scheme sharing this framework's simulator/config
         (and its tracer, so scheme phase spans nest under framework spans)."""
-        scheme = self._build_scheme(name)
-        if self.config.selfcheck is not None:
+        cfg = self.config
+        if name == f"pm-spec{cfg.spec_k}":
+            name = "pm"
+        build = SCHEME_REGISTRY.get(name)
+        if build is None:
+            raise SchemeError(f"unknown scheme {name!r}")
+        scheme = build(self._simulator(), cfg, self.tracer)
+        if cfg.selfcheck is not None:
             # Explicit config beats the REPRO_SELFCHECK environment default
             # the scheme constructor picked up.
-            scheme.selfcheck = bool(self.config.selfcheck)
+            scheme.selfcheck = bool(cfg.selfcheck)
         return scheme
-
-    def _build_scheme(self, name: str) -> Scheme:
-        sim = self._simulator()
-        cfg = self.config
-        tracer = self.tracer
-        if name in ("pm", f"pm-spec{cfg.spec_k}"):
-            return PMScheme(sim, n_threads=cfg.n_threads, k=cfg.spec_k, tracer=tracer)
-        if name == "sre":
-            return SREScheme(
-                sim,
-                n_threads=cfg.n_threads,
-                own_capacity=cfg.own_registers,
-                others_capacity=cfg.others_registers,
-                tracer=tracer,
-            )
-        if name == "rr":
-            return RRScheme(
-                sim,
-                n_threads=cfg.n_threads,
-                own_capacity=cfg.own_registers,
-                others_capacity=cfg.others_registers,
-                tracer=tracer,
-            )
-        if name == "nf":
-            return NFScheme(
-                sim,
-                n_threads=cfg.n_threads,
-                own_capacity=cfg.own_registers,
-                others_capacity=cfg.others_registers,
-                tracer=tracer,
-            )
-        if name == "sfa":
-            return SFAScheme(sim, n_threads=cfg.n_threads, tracer=tracer)
-        if name == "seq":
-            return SequentialScheme(sim, n_threads=1, tracer=tracer)
-        if name == "spec-seq":
-            return SpecSequentialScheme(sim, n_threads=cfg.n_threads, tracer=tracer)
-        raise SchemeError(f"unknown scheme {name!r}")
 
     def estimate_costs(
         self, data=None, input_length: Optional[int] = None

@@ -1,8 +1,10 @@
 """Plan (de)serialization: JSON metadata + NPZ arrays, one file.
 
-Follows the DFA serializer's container choice (NumPy ``.npz``) so plans
-need no new dependencies: dense arrays (transition table, accepting set,
-frequency profile) are stored as compressed arrays, and every
+Follows the DFA serializer's container (NumPy ``.npz``) and stores the
+embedded automaton with its encoding
+(:func:`~repro.automata.serialization.dfa_arrays`), so plans need no new
+dependencies: dense arrays (transition table, accepting set, frequency
+profile) are stored as compressed arrays, and every
 scalar decision — features, selection, cost estimates, predictor stats,
 config snapshot and both hashes — rides in one embedded JSON document.
 
@@ -26,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.automata.dfa import DFA, STATE_DTYPE
+from repro.automata.serialization import dfa_arrays, dfa_from_arrays, existing_npz
 from repro.errors import PlanError
 from repro.plan.artifact import (
     PLAN_FORMAT_VERSION,
@@ -40,6 +42,7 @@ def save_plan(plan: CompiledPlan, path: Union[str, Path]) -> Path:
     """Write ``plan`` to ``path`` (``.npz``); returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    arrays, dfa_header = dfa_arrays(plan.dfa)
     meta = json.dumps(
         {
             "version": PLAN_FORMAT_VERSION,
@@ -56,18 +59,17 @@ def save_plan(plan: CompiledPlan, path: Union[str, Path]) -> Path:
             "training_symbols": plan.training_symbols,
             "revision": plan.revision,
             "live_provenance": plan.live_provenance,
-            "dfa": {"name": plan.dfa.name, "start": plan.dfa.start},
+            "dfa": dfa_header,
         },
         sort_keys=True,
     )
-    arrays = {
-        "table": plan.dfa.table,
-        "accepting": np.asarray(sorted(plan.dfa.accepting), dtype=np.int64),
-        "frequency_counts": plan.frequency_counts,
-        "frequency_order": plan.frequency_order,
-        "meta": np.asarray(meta),
-    }
-    np.savez_compressed(path, **arrays)
+    np.savez_compressed(
+        path,
+        frequency_counts=plan.frequency_counts,
+        frequency_order=plan.frequency_order,
+        meta=np.asarray(meta),
+        **arrays,
+    )
     # np.savez appends .npz when the suffix is missing; report reality.
     return path if path.exists() else path.with_suffix(path.suffix + ".npz")
 
@@ -83,13 +85,7 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
         embedded DFA no longer hashes to the stored fingerprint or no
         longer canonicalizes to the stored canonical fingerprint.
     """
-    path = Path(path)
-    if not path.exists():
-        alt = path.with_suffix(path.suffix + ".npz")
-        if alt.exists():
-            path = alt
-        else:
-            raise PlanError(f"no plan file at {path}")
+    path = existing_npz(path, PlanError, "plan")
     with np.load(path, allow_pickle=False) as data:
         try:
             meta = json.loads(str(data["meta"]))
@@ -100,14 +96,8 @@ def load_plan(path: Union[str, Path]) -> CompiledPlan:
                 f"unsupported plan version {meta.get('version')!r} in {path} "
                 f"(this build reads versions {SUPPORTED_PLAN_VERSIONS})"
             )
-        dfa = DFA(
-            table=data["table"].astype(STATE_DTYPE),
-            start=int(meta["dfa"]["start"]),
-            accepting=frozenset(int(s) for s in data["accepting"]),
-            name=str(meta["dfa"]["name"]),
-        )
         plan = CompiledPlan(
-            dfa=dfa,
+            dfa=dfa_from_arrays(data, meta["dfa"]),
             fingerprint=str(meta["fingerprint"]),
             canonical_fingerprint=str(meta["canonical_fingerprint"]),
             config_hash=str(meta["config_hash"]),

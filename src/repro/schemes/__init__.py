@@ -14,14 +14,15 @@
 * :class:`SFAScheme` — simultaneous finite automata: misprediction-free
   full state→state mapping composition (``sfa``).
 
-:data:`SCHEME_REGISTRY` maps every served scheme name to its class;
-``GSpecPal.KNOWN_SCHEMES`` is its key order.  Every scheme's
+:data:`SCHEME_REGISTRY` maps every served scheme name to how it is built
+from a framework config; ``GSpecPal.KNOWN_SCHEMES`` (and so the CLI's
+``--scheme`` choices) is its key order.  Every scheme's
 :meth:`~repro.schemes.base.Scheme.run` returns a
 :class:`~repro.schemes.base.SchemeResult` whose ``end_state`` provably equals
 the sequential reference — speculation changes cost, never answers.
 """
 
-from typing import Dict, Type
+from typing import Callable, Dict
 
 from repro.schemes.base import Scheme, SchemeResult
 from repro.schemes.nf import NFScheme
@@ -32,14 +33,34 @@ from repro.schemes.sfa import SFAScheme
 from repro.schemes.spec_seq import SpecSequentialScheme
 from repro.schemes.sre import SREScheme
 
-SCHEME_REGISTRY: Dict[str, Type[Scheme]] = {
-    "pm": PMScheme,
-    "sre": SREScheme,
-    "rr": RRScheme,
-    "nf": NFScheme,
-    "sfa": SFAScheme,
-    "seq": SequentialScheme,
-    "spec-seq": SpecSequentialScheme,
+
+def _recovering(cls) -> Callable[..., Scheme]:
+    """A frontier-loop scheme sized by the config's register budgets."""
+    return lambda sim, cfg, tracer: cls(
+        sim,
+        n_threads=cfg.n_threads,
+        own_capacity=cfg.own_registers,
+        others_capacity=cfg.others_registers,
+        tracer=tracer,
+    )
+
+
+#: Every served scheme name → ``build(sim, config, tracer)``, which
+#: constructs it on a simulator under a ``GSpecPalConfig``.
+SCHEME_REGISTRY: Dict[str, Callable[..., Scheme]] = {
+    "pm": lambda sim, cfg, tracer: PMScheme(
+        sim, n_threads=cfg.n_threads, k=cfg.spec_k, tracer=tracer
+    ),
+    "sre": _recovering(SREScheme),
+    "rr": _recovering(RRScheme),
+    "nf": _recovering(NFScheme),
+    "sfa": lambda sim, cfg, tracer: SFAScheme(
+        sim, n_threads=cfg.n_threads, tracer=tracer
+    ),
+    "seq": lambda sim, cfg, tracer: SequentialScheme(sim, n_threads=1, tracer=tracer),
+    "spec-seq": lambda sim, cfg, tracer: SpecSequentialScheme(
+        sim, n_threads=cfg.n_threads, tracer=tracer
+    ),
 }
 
 

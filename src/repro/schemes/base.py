@@ -126,7 +126,6 @@ def _attach_observations(scheme, data, result) -> None:
         _as_symbol_array(data),
         scheme=scheme.name,
         spec_k=getattr(scheme, "k", 1),
-        n_symbols=scheme.sim.dfa.n_symbols,
         boundary_evidence=scheme.boundary_evidence,
     )
 

@@ -87,43 +87,18 @@ class CostModel:
         """The constant C: the lookback-2 replay is two lockstep steps."""
         return 2.0 * (self.device.shared_cycles + self.device.transition_compute_cycles)
 
-    def spec_accuracy_at(self, features: FSMFeatures, k: int) -> float:
-        """Interpolated spec-``k`` accuracy from the profiled anchors.
-
-        The profiler measures the lookback-2 predictor at depths 1, 4 and
-        16; accuracy is roughly linear in queue *depth* (``log2 k``), so
-        any other ``k`` is interpolated piecewise-linearly between the
-        anchors — the same curve :meth:`delta_specs` walks.  Depths beyond
-        16 clamp to the deepest profile, a depth of zero means no
-        speculation and no accuracy.
-        """
-        k = int(k)
-        if k <= 0:
-            return 0.0
-        anchors = [
-            (0.0, features.spec1_accuracy),  # log2(1)
-            (2.0, features.spec4_accuracy),  # log2(4)
-            (4.0, features.spec16_accuracy),  # log2(16)
-        ]
-        x = min(math.log2(k), anchors[-1][0])
-        acc = anchors[-1][1]
-        for (x0, y0), (x1, y1) in zip(anchors, anchors[1:]):
-            if x <= x1:
-                acc = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-                break
-        return acc
-
     def estimate_pm(self, features: FSMFeatures, inputs: CostModelInputs) -> float:
         """Eq. 2 with ``P_i^PM = 1 - accu(spec-k)`` and ``α_k = k``.
 
-        ``P_mismatch`` is the interpolated spec-``k`` accuracy at the
+        ``P_mismatch`` is the spec-``k`` accuracy
+        (:meth:`~repro.selector.features.FSMFeatures.accuracy_at`) at the
         *configured* ``k`` — a ``k = 16`` PM config is costed with spec-16
         accuracy, not stuck at the spec-4 anchor for every ``k >= 4``.
         """
         n, k = inputs.n_threads, inputs.k
         tp1 = self.t_p1(inputs)
         alpha_k = float(k)
-        p_mismatch = 1.0 - self.spec_accuracy_at(features, k)
+        p_mismatch = 1.0 - features.accuracy_at(k)
         tree = math.ceil(math.log2(max(2, n))) * (self.t_comm(k) + self.t_ver(k))
         recovery = (n - 1) * p_mismatch * (self.t_comm(1) + self.t_ver(k) + tp1)
         return self.predict_cost() + tp1 * alpha_k + tree + recovery
@@ -160,20 +135,14 @@ class CostModel:
         """Accuracy gained from idle threads enumerating more queue states —
         bounded by how often the truth hides in the top-``capacity``.
 
-        Interpolates the profiled spec-1/spec-4/spec-16 accuracy curve at
-        the actual register budget: accuracy is roughly linear in the
-        *depth* of the tried-states queue, i.e. in ``log2(capacity)``, so
-        we interpolate piecewise-linearly between the three profiled
-        anchors (capacities 1, 4 and 16).  Budgets beyond 16 clamp to the
-        deepest profile; a zero budget means no extra speculations and no
-        gain — this is what makes the Fig. 7 register sweep move.
+        Reads the profiled accuracy curve
+        (:meth:`~repro.selector.features.FSMFeatures.accuracy_at`) at the
+        actual register budget.  Budgets beyond 16 clamp to the deepest
+        profile; a zero budget means no extra speculations and no gain —
+        this is what makes the Fig. 7 register sweep move.
         """
-        cap = int(others_capacity)
-        if cap <= 0:
-            return 0.0
-        return max(
-            0.0, self.spec_accuracy_at(features, cap) - features.spec1_accuracy
-        )
+        gain = features.accuracy_at(others_capacity) - features.spec1_accuracy
+        return max(0.0, gain)
 
     def estimate_sfa(self, features: FSMFeatures, inputs: CostModelInputs) -> float:
         """SFA: mapping construction + ``log N`` composition, zero recovery.

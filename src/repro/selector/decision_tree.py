@@ -52,9 +52,52 @@ class SelectorThresholds:
     speculation_floor: float = 0.15  # spec-16 accuracy below which → SFA
 
 
+#: The line :meth:`DecisionTreeSelector.explain` prints for each node the
+#: walk visits: the measurement the node tests, beside its cut point.
+_NODE_LINES = {
+    "speculation_floor": lambda f, t: (
+        f"spec-16 accuracy {f.spec16_accuracy:.2f} "
+        f"(floor {t.speculation_floor}, "
+        f"reachable width {f.reachable_width:.1f})"
+    ),
+    "speck_accurate": lambda f, t: (
+        f"spec-4 accuracy {f.spec4_accuracy:.2f} "
+        f"(threshold {t.speck_accurate}) / spec-1 {f.spec1_accuracy:.2f}"
+    ),
+    "fast_convergence": lambda f, t: (
+        f"convergence #uniqStates(10) = {f.convergence_states:.1f} "
+        f"(threshold {t.fast_convergence})"
+    ),
+    "enumeration_gain": lambda f, t: (
+        f"enumeration gain (spec-16 - spec-1) = "
+        f"{f.spec16_accuracy - f.spec1_accuracy:.2f} "
+        f"(threshold {t.enumeration_gain})"
+    ),
+    "input_sensitive": lambda f, t: (
+        f"sensitivity {f.sensitivity:.2f} (threshold {t.input_sensitive})"
+    ),
+}
+
+#: The tree's leaves: (last node visited, scheme) → why that scheme wins.
+_VERDICTS = {
+    ("speculation_floor", "sfa"):
+        "speculation hopeless; misprediction-free mappings: SFA",
+    ("speck_accurate", "pm"):
+        "spec-k covers the truth; recovery unnecessary: PM",
+    ("fast_convergence", "sre"):
+        "fast convergence; end-state forwarding wins: SRE",
+    ("enumeration_gain", "sre"):
+        "deeper candidates do not help; stay conservative: SRE",
+    ("input_sensitive", "nf"): "input-sensitive speculation: NF",
+    ("input_sensitive", "rr"): "default aggressive recovery: RR",
+}
+
+
 class DecisionTreeSelector:
     """The GSpecPal scheme selector (Fig. 6)."""
 
+    #: The schemes at the tree's leaves — the only names a selection can
+    #: return (``GSpecPal.SELECTABLE``), in report order.
     SCHEMES = ("pm", "sre", "rr", "nf", "sfa")
 
     def __init__(self, thresholds: SelectorThresholds = SelectorThresholds()):
@@ -100,6 +143,11 @@ class DecisionTreeSelector:
             and features.spec16_accuracy < 2.0 * t.speculation_floor
         )
 
+    def is_input_sensitive(self, features: FSMFeatures) -> bool:
+        """The ``input_sensitive`` node's test — also Table II's count of
+        FSMs with highly input-sensitive speculation."""
+        return features.sensitivity >= self.thresholds.input_sensitive
+
     def _walk(self, features: FSMFeatures):
         """The tree itself: returns ``(scheme, visited-node labels)``."""
         t = self.thresholds
@@ -136,54 +184,15 @@ class DecisionTreeSelector:
         # Orange node 3: input-sensitive speculation needs concentrated
         # recovery resources near the frontier.
         path.append("input_sensitive")
-        if features.sensitivity >= t.input_sensitive:
+        if self.is_input_sensitive(features):
             return "nf", path
         return "rr", path
 
     def explain(self, features: FSMFeatures) -> str:
-        """Human-readable trace of the decision path (for reports)."""
-        t = self.thresholds
+        """Human-readable trace of the decision path (for reports): one
+        line per node :meth:`decide` visited, then the leaf's verdict."""
+        name, path = self.decide(features)
         lines = [f"FSM {features.name!r}:"]
-        lines.append(
-            f"  spec-16 accuracy {features.spec16_accuracy:.2f} "
-            f"(floor {t.speculation_floor}, "
-            f"reachable width {features.reachable_width:.1f})"
-        )
-        if self._speculation_hopeless(features, t):
-            lines.append(
-                "  -> speculation hopeless; misprediction-free mappings: SFA"
-            )
-            return "\n".join(lines)
-        lines.append(
-            f"  spec-4 accuracy {features.spec4_accuracy:.2f} "
-            f"(threshold {t.speck_accurate}) / spec-1 {features.spec1_accuracy:.2f}"
-        )
-        if (
-            features.spec4_accuracy >= t.speck_accurate
-            and features.spec1_accuracy < t.spec1_accurate
-        ):
-            lines.append("  -> spec-k covers the truth; recovery unnecessary: PM")
-            return "\n".join(lines)
-        lines.append(
-            f"  convergence #uniqStates(10) = {features.convergence_states:.1f} "
-            f"(threshold {t.fast_convergence})"
-        )
-        if features.convergence_states <= t.fast_convergence:
-            lines.append("  -> fast convergence; end-state forwarding wins: SRE")
-            return "\n".join(lines)
-        gain = features.spec16_accuracy - features.spec1_accuracy
-        lines.append(
-            f"  enumeration gain (spec-16 - spec-1) = {gain:.2f} "
-            f"(threshold {t.enumeration_gain})"
-        )
-        if gain < t.enumeration_gain:
-            lines.append("  -> deeper candidates do not help; stay conservative: SRE")
-            return "\n".join(lines)
-        lines.append(
-            f"  sensitivity {features.sensitivity:.2f} (threshold {t.input_sensitive})"
-        )
-        if features.sensitivity >= t.input_sensitive:
-            lines.append("  -> input-sensitive speculation: NF")
-        else:
-            lines.append("  -> default aggressive recovery: RR")
+        lines += [f"  {_NODE_LINES[node](features, self.thresholds)}" for node in path]
+        lines.append(f"  -> {_VERDICTS[path[-1], name]}")
         return "\n".join(lines)

@@ -17,6 +17,7 @@ The paper's selector consumes (Fig. 6, Table II):
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,12 +60,6 @@ class FSMFeatures:
     live_accuracy: float = -1.0
     live_samples: int = 0
 
-    @property
-    def input_sensitive(self) -> bool:
-        """The coarse Boolean the decision tree uses (Table II counts FSMs
-        with *highly* input-sensitive speculation)."""
-        return self.sensitivity > 0.15
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -80,14 +75,32 @@ class FSMFeatures:
             "live_samples": self.live_samples,
         }
 
-    def anchor_accuracy(self, k: int) -> float:
-        """The profiled accuracy anchor nearest to queue depth ``k`` — what
-        live spec-``k`` measurements are compared against."""
-        if k <= 1:
-            return self.spec1_accuracy
-        if k <= 4:
-            return self.spec4_accuracy
-        return self.spec16_accuracy
+    def accuracy_at(self, k: int) -> float:
+        """Spec-``k`` accuracy on the profiled curve.
+
+        The profiler measures the lookback-2 predictor at depths 1, 4 and
+        16, which this returns exactly.  Accuracy is roughly linear in
+        queue *depth* (``log2 k``), so any other ``k`` is interpolated
+        piecewise-linearly between the anchors; depths beyond 16 clamp to
+        the deepest profile, and a depth of zero means no speculation and
+        no accuracy.  The cost model (Eqs. 2–4), the drift anchor and
+        :meth:`update_from_observations` all read this one curve.
+        """
+        k = int(k)
+        if k <= 0:
+            return 0.0
+        anchors = (
+            (0.0, self.spec1_accuracy),  # log2(1)
+            (2.0, self.spec4_accuracy),  # log2(4)
+            (4.0, self.spec16_accuracy),  # log2(16)
+        )
+        x = min(math.log2(k), anchors[-1][0])
+        for (x0, y0), (x1, y1) in zip(anchors, anchors[1:]):
+            if x == x0:
+                return y0
+            if x < x1:
+                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return anchors[-1][1]
 
     def update_from_observations(self, observations, *, spec_k=None) -> "FSMFeatures":
         """Fold live evidence into the vector: re-anchor the accuracy family.
@@ -104,7 +117,7 @@ class FSMFeatures:
             return self
         k = int(spec_k if spec_k is not None else observations.spec_k)
         live = float(observations.spec_accuracy)
-        ratio = live / max(self.anchor_accuracy(k), 1e-9)
+        ratio = live / max(self.accuracy_at(k), 1e-9)
 
         def scaled(value: float) -> float:
             return float(min(1.0, max(0.0, value * ratio)))

@@ -97,11 +97,13 @@ _SAMPLE_FREE_SCHEMES = ("sfa", "seq")
 class DriftMonitor:
     """Per-language-class drift detector (one per pool matcher).
 
-    The anchor is the plan's profiled accuracy at the depth live traffic
-    actually verifies: spec-k for PM plans, spec-1 for the other
-    speculative schemes.  ``observe`` folds one run's evidence in and
-    returns ``True`` exactly once — when a sustained collapse crosses the
-    configured threshold.
+    The anchor is the plan's profiled accuracy curve
+    (``FSMFeatures.accuracy_at``) at the depth live traffic actually
+    verifies: spec-k for PM plans, spec-1 for the other speculative
+    schemes.  A depth the profiler did not measure (PM at ``k`` other than
+    4 or 16) gets the interpolated value.  ``observe`` folds one run's
+    evidence in and returns ``True`` exactly once — when a sustained
+    collapse crosses the configured threshold.
     """
 
     def __init__(self, plan, config: DriftConfig):
@@ -128,7 +130,7 @@ class DriftMonitor:
         else:
             k = 1
         self._spec_k = k
-        self._anchor = float(plan.features.anchor_accuracy(k))
+        self._anchor = float(plan.features.accuracy_at(k))
 
     @property
     def anchor(self) -> float:
@@ -157,7 +159,7 @@ class DriftMonitor:
         """Fold one run's evidence in; ``True`` when the revise should fire.
 
         Called under the pool lock.  Sample-free observations (fused
-        stashes, sfa/seq runs) still aggregate into the traffic sketch but
+        stashes, sfa/seq runs) still aggregate into the traffic volume but
         never move the EWMA or the breach counter.
         """
         if observations is None:

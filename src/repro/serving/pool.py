@@ -22,7 +22,10 @@ run in parallel, while a feed racing a close of the same stream gets a
 structured :class:`~repro.errors.ServingError` (``code="stream_closed"``)
 instead of running on a released session.  Admission control rejects opens
 beyond ``max_streams`` with a retryable ``code="capacity"`` error, or —
-with ``open_timeout`` set — waits boundedly for a slot.
+with ``open_timeout`` set — waits boundedly for a slot.  Where both locks
+are held, the pool lock is outer (pool → cache); the cache never calls
+back into the pool.  A class record is dropped once nothing needs it
+(:meth:`MatcherPool._prune_locked`).
 
 Typical serving loop::
 
@@ -149,17 +152,19 @@ class _ClassRecord:
     """One language class under one compile config: its warmed matcher
     and, with drift detection on, its monitor.
 
-    Built once, at the first ``open`` of its ``key`` — ``(canonical
+    Built at the first ``open`` of its ``key`` — ``(canonical
     fingerprint, config hash)`` — and held by every stream opened on it,
     which is also the gang-scheduling unit: streams sharing a record run
-    one transition table.
+    one transition table.  ``streams`` counts those holders (under the
+    pool lock) for :meth:`MatcherPool._prune_locked`.
     """
 
-    __slots__ = ("key", "matcher", "monitor")
+    __slots__ = ("key", "matcher", "monitor", "streams")
 
     def __init__(self, key, matcher: GSpecPal, drift: Optional[DriftConfig]):
         self.key = key
         self.matcher = matcher
+        self.streams = 0
         #: anchored to the plan the matcher serves; None with drift off.
         self.monitor = (
             DriftMonitor(matcher.plan, drift) if drift is not None else None
@@ -402,6 +407,8 @@ class MatcherPool:
             stream_id = self._next_id
             self._next_id += 1
             self._entries[stream_id] = _StreamEntry(session, plan.fingerprint, record)
+            record.streams += 1
+            self._prune_locked()
             self.metrics.counter("serving.pool.opened").inc()
             self.metrics.gauge("serving.pool.active").set(len(self._entries))
             return stream_id
@@ -572,6 +579,25 @@ class MatcherPool:
         finally:
             with self._lock:
                 self._revising.pop(record.key, None)
+                self._prune_locked()
+
+    def _prune_locked(self) -> None:
+        """Drop every class record nothing needs any more: no open stream
+        holds it, no revise is in flight for it, its canonical fingerprint
+        is no longer resident in the cache, and its class was only ever
+        submitted in one numbering.
+
+        An aliased class keeps its record: a stream's answers use the
+        numbering of the plan its record was built from (the first
+        variant opened), and a rebuild from another variant's plan would
+        renumber the answers its other tenants get.  Called under the pool
+        lock; the cache tests take the cache lock inside it (the pool →
+        cache order every caller keeps).
+        """
+        for key, record in list(self._classes.items()):
+            idle = not record.streams and key not in self._revising
+            if idle and key[0] not in self.cache and not self.cache.aliased(key[0]):
+                del self._classes[key]
 
     def drain_revisions(self, timeout: Optional[float] = None) -> int:
         """Block until in-flight background revises finish (tests, shutdown).
@@ -757,14 +783,9 @@ class MatcherPool:
             (perf_counter() - started) * 1e3
         )
         # Fused execution bypasses the scheme layer, so it verifies no
-        # chunk boundaries — stash a sample-free observation (traffic
-        # volume + symbol sketch) so the drift aggregate still sees
-        # the distribution this class is serving.
+        # chunk boundaries — stash a sample-free observation so the drift
+        # aggregate still counts the traffic this class is serving.
         if record.monitor is not None:
-            sketch = np.bincount(
-                np.concatenate(segments).astype(np.int64, copy=False),
-                minlength=record.matcher.dfa.n_symbols,
-            )
             self._observe(
                 record,
                 LiveObservations(
@@ -772,15 +793,15 @@ class MatcherPool:
                     spec_k=1,
                     segments=len(live),
                     symbols=int(dispatch.total_symbols),
-                    symbol_sketch=sketch,
                 ),
             )
 
     def close(self, stream_id: int) -> StreamStats:
         """Close a stream and return its final summary.
 
-        Matchers (and their cached plans/simulators) stay resident for
-        future streams; only the per-stream session state is released.
+        The stream's class record (matcher, simulator, drift monitor)
+        stays for future streams until :meth:`_prune_locked` finds it
+        unneeded; only the per-stream session state is released.
         The summary is built under the stream's lock — after the ``closed``
         flag flips no feed can advance the session — so the reported end
         state is exactly the state the last successful feed left behind.
@@ -793,6 +814,8 @@ class MatcherPool:
             session = entry.session
             with self._slot_freed:
                 del self._entries[stream_id]
+                entry.record.streams -= 1
+                self._prune_locked()
                 plan = entry.record.matcher.plan
                 scheme = session.scheme
                 decision_path = tuple(session.decision_path)

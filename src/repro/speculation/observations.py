@@ -11,19 +11,16 @@ counts into a structured record that rides on
 :class:`~repro.serving.drift.DriftMonitor`.
 
 The record is deliberately cheap: four counters from the run's
-:class:`~repro.gpu.stats.KernelStats` ledger plus a symbol histogram
-sketch (one ``np.bincount`` over the segment).  Misprediction-free runs
-(``sfa``, ``seq``) carry zero boundary samples — they contribute traffic
-shape but never accuracy evidence, so a pool that has already swapped to
+:class:`~repro.gpu.stats.KernelStats` ledger plus the segment's length.
+Misprediction-free runs (``sfa``, ``seq``) carry zero boundary samples —
+they contribute traffic volume but never accuracy evidence, so a pool that has already swapped to
 SFA goes dormant instead of flapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+import dataclasses
+from dataclasses import dataclass
 
 
 @dataclass
@@ -48,9 +45,6 @@ class LiveObservations:
         Verify & recover effort behind the misses.
     segments / symbols:
         Traffic volume the evidence was gathered over.
-    symbol_sketch:
-        ``(n_symbols,)`` int64 histogram of the observed input — the
-        distribution fingerprint a revised selection is provenanced with.
     """
 
     scheme: str = ""
@@ -61,7 +55,6 @@ class LiveObservations:
     spec_misses: int = 0
     recovery_rounds: int = 0
     recoveries_executed: int = 0
-    symbol_sketch: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def boundary_samples(self) -> int:
@@ -95,25 +88,9 @@ class LiveObservations:
         self.spec_misses += other.spec_misses
         self.recovery_rounds += other.recovery_rounds
         self.recoveries_executed += other.recoveries_executed
-        if other.symbol_sketch is not None:
-            if self.symbol_sketch is None:
-                self.symbol_sketch = other.symbol_sketch.copy()
-            elif self.symbol_sketch.shape == other.symbol_sketch.shape:
-                self.symbol_sketch += other.symbol_sketch
 
     def copy(self) -> "LiveObservations":
-        sketch = None if self.symbol_sketch is None else self.symbol_sketch.copy()
-        return LiveObservations(
-            scheme=self.scheme,
-            spec_k=self.spec_k,
-            segments=self.segments,
-            symbols=self.symbols,
-            spec_hits=self.spec_hits,
-            spec_misses=self.spec_misses,
-            recovery_rounds=self.recovery_rounds,
-            recoveries_executed=self.recoveries_executed,
-            symbol_sketch=sketch,
-        )
+        return dataclasses.replace(self)
 
     def summary(self) -> dict:
         """JSON-safe scalar view (plan provenance, reports)."""
@@ -137,31 +114,25 @@ class LiveObservations:
         *,
         scheme: str,
         spec_k: int,
-        n_symbols: int,
         boundary_evidence: bool = True,
     ):
         """Build the record for one scheme run from its ledger + input.
 
         ``stats`` is the run's :class:`~repro.gpu.stats.KernelStats`
         (matches/mismatches count verified chunk boundaries); ``symbols``
-        the segment as a symbol array.  ``boundary_evidence=False`` keeps
+        the segment.  ``boundary_evidence=False`` keeps
         only the traffic shape: schemes whose ledger ``matches`` are
         exact-by-construction compositions rather than verified
         speculation boundaries (SFA) must not masquerade as accuracy-1.0
         evidence.
         """
-        symbols = np.asarray(symbols)
-        sketch = np.bincount(
-            symbols.astype(np.int64, copy=False), minlength=int(n_symbols)
-        ).astype(np.int64)
         return cls(
             scheme=scheme,
             spec_k=int(spec_k),
             segments=1,
-            symbols=int(symbols.size),
+            symbols=len(symbols),
             spec_hits=int(stats.matches) if boundary_evidence else 0,
             spec_misses=int(stats.mismatches) if boundary_evidence else 0,
             recovery_rounds=int(stats.recovery_rounds),
             recoveries_executed=int(stats.recoveries_executed),
-            symbol_sketch=sketch,
         )

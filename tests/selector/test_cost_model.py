@@ -1,6 +1,8 @@
 """Cost-model (Eq. 1–4) tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.selector.cost_model import CostModel, CostModelInputs
 from tests.selector.test_decision_tree import features
@@ -135,28 +137,51 @@ def test_estimate_all_sensitive_to_capacity(model):
     assert est_deep["pm"] == pytest.approx(est_shallow["pm"])
 
 
-def test_spec_accuracy_interpolates_anchor_curve(model):
+def test_spec_accuracy_interpolates_anchor_curve():
     """Regression: estimate_pm used spec4_accuracy for *every* k >= 4, so a
     k=16 PM config was costed with the (much worse) spec-4 anchor. The
-    accuracy curve now interpolates the measured spec-1/4/16 anchors."""
+    accuracy curve — ``FSMFeatures.accuracy_at``, the one the cost model,
+    the drift anchor and revision all read — interpolates the measured
+    spec-1/4/16 anchors."""
     f = features(spec1_accuracy=0.1, spec4_accuracy=0.5, spec16_accuracy=0.9)
     # Anchors reproduce exactly.
-    assert model.spec_accuracy_at(f, 1) == pytest.approx(f.spec1_accuracy)
-    assert model.spec_accuracy_at(f, 4) == pytest.approx(f.spec4_accuracy)
-    assert model.spec_accuracy_at(f, 16) == pytest.approx(f.spec16_accuracy)
+    assert f.accuracy_at(1) == f.spec1_accuracy
+    assert f.accuracy_at(4) == f.spec4_accuracy
+    assert f.accuracy_at(16) == f.spec16_accuracy
     # Between anchors the curve is strictly between the endpoints.
-    assert f.spec1_accuracy < model.spec_accuracy_at(f, 2) < f.spec4_accuracy
-    assert f.spec4_accuracy < model.spec_accuracy_at(f, 8) < f.spec16_accuracy
-    # Beyond the deepest anchor the curve saturates (no extrapolation).
-    assert model.spec_accuracy_at(f, 32) == pytest.approx(f.spec16_accuracy)
+    assert f.spec1_accuracy < f.accuracy_at(2) < f.spec4_accuracy
+    assert f.spec4_accuracy < f.accuracy_at(8) < f.spec16_accuracy
+    # Beyond the deepest anchor the curve saturates (no extrapolation);
+    # no queue at all means no accuracy.
+    assert f.accuracy_at(32) == f.spec16_accuracy
+    assert f.accuracy_at(0) == 0.0
 
 
-def test_pm_mismatch_monotone_over_k_sweep(model):
+_accuracy = st.integers(0, 63).map(lambda hits: hits / 63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_accuracy, min_size=3, max_size=3).map(sorted))
+def test_accuracy_curve_exact_at_anchors_and_monotone(anchors):
+    """Over profiler-shaped anchors (hits out of 63 boundaries, where
+    ``y0 + (y1 - y0)`` need not round back to ``y1``): the profiled depths
+    return the stored anchors bit-exactly, and accuracy never falls as
+    the queue deepens."""
+    spec1, spec4, spec16 = anchors
+    f = features(spec1_accuracy=spec1, spec4_accuracy=spec4, spec16_accuracy=spec16)
+    assert (f.accuracy_at(1), f.accuracy_at(4), f.accuracy_at(16)) == (
+        spec1, spec4, spec16,
+    )
+    curve = [f.accuracy_at(k) for k in range(1, 65)]
+    assert all(lo <= hi for lo, hi in zip(curve, curve[1:]))
+
+
+def test_pm_mismatch_monotone_over_k_sweep():
     """Cost-monotonicity regression for the k sweep: with accuracy anchors
     increasing in k, the implied mismatch probability must be
     non-increasing — and strictly decreasing across anchor intervals."""
     f = features(spec1_accuracy=0.1, spec4_accuracy=0.5, spec16_accuracy=0.9)
-    mismatch = [1.0 - model.spec_accuracy_at(f, k) for k in (1, 2, 4, 8, 16, 32)]
+    mismatch = [1.0 - f.accuracy_at(k) for k in (1, 2, 4, 8, 16, 32)]
     for lo, hi in zip(mismatch[1:], mismatch[:-1]):
         assert lo <= hi + 1e-12
     assert mismatch[4] < mismatch[2] < mismatch[0]

@@ -1,8 +1,15 @@
 """Decision-tree selector tests (Fig. 6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.selector.decision_tree import DecisionTreeSelector, SelectorThresholds
+from repro.framework import GSpecPal
+from repro.selector.decision_tree import (
+    _VERDICTS,
+    DecisionTreeSelector,
+    SelectorThresholds,
+)
 from repro.selector.features import FSMFeatures
 
 
@@ -75,6 +82,50 @@ def test_explain_mentions_decision(sel):
 
 def test_schemes_constant():
     assert set(DecisionTreeSelector.SCHEMES) == {"pm", "sre", "rr", "nf", "sfa"}
+    # The selectable set is the tree's leaves, and the framework reads it.
+    assert set(DecisionTreeSelector.SCHEMES) == {s for _, s in _VERDICTS}
+    assert GSpecPal.SELECTABLE is DecisionTreeSelector.SCHEMES
+
+
+#: What each node's explain() line must show: the measurement it tests.
+_NODE_MENTIONS = {
+    "speculation_floor": "spec-16 accuracy",
+    "speck_accurate": "spec-4 accuracy",
+    "fast_convergence": "convergence #uniqStates(10)",
+    "enumeration_gain": "enumeration gain",
+    "input_sensitive": "sensitivity",
+}
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.lists(_unit, min_size=3, max_size=3).map(sorted),
+    sensitivity=st.floats(0.0, 0.5, allow_nan=False),
+    convergence=st.floats(1.0, 40.0, allow_nan=False),
+    width=st.sampled_from([0.0, 1.0, 8.0, 150.0, 400.0]),
+    cuts=st.tuples(_unit, _unit, st.floats(1.0, 40.0), _unit, _unit, _unit),
+)
+def test_explain_follows_decide(spec, sensitivity, convergence, width, cuts):
+    """explain() re-derives nothing: its verdict names decide()'s scheme,
+    and it prints one line per node on decide()'s path, in order."""
+    f = features(
+        spec1_accuracy=spec[0],
+        spec4_accuracy=spec[1],
+        spec16_accuracy=spec[2],
+        sensitivity=sensitivity,
+        convergence_states=convergence,
+        reachable_width=width,
+    )
+    sel = DecisionTreeSelector(SelectorThresholds(*cuts))
+    scheme, path = sel.decide(f)
+    lines = sel.explain(f).splitlines()
+    assert lines[0] == "FSM 't':"
+    assert lines[-1].startswith("  -> ") and lines[-1].endswith(f": {scheme.upper()}")
+    assert len(lines) == len(path) + 2
+    for node, line in zip(path, lines[1:-1]):
+        assert _NODE_MENTIONS[node] in line, (node, line)
 
 
 def test_speculation_floor_selects_sfa(sel):

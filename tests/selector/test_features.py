@@ -1,8 +1,11 @@
 """Feature-profiling tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.selector.decision_tree import DecisionTreeSelector, SelectorThresholds
 from repro.selector.features import profile_features, speculation_accuracy
 from repro.workloads import classic
 from repro.workloads.components import counter_component
@@ -64,8 +67,12 @@ def test_as_dict_roundtrip(counter_dfa, rng):
 
 
 def test_input_sensitive_flag(counter_dfa, rng):
+    """Table II's input-sensitive count uses the tree's own cut."""
     f = profile_features(counter_dfa, make_stream(rng, 2000), n_chunks=16)
-    assert f.input_sensitive == (f.sensitivity > 0.15)
+    cut = SelectorThresholds().input_sensitive
+    assert DecisionTreeSelector().is_input_sensitive(f) == (f.sensitivity >= cut)
+    at_cut = dataclasses.replace(f, sensitivity=cut)
+    assert DecisionTreeSelector().is_input_sensitive(at_cut)
 
 
 def _accuracies_reference(dfa, symbols, n_chunks, n_portions=4):

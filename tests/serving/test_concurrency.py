@@ -13,6 +13,7 @@ barrier-synchronised races keep their dedicated tests below.
 """
 
 import dataclasses
+import sys
 import threading
 from time import perf_counter, sleep
 
@@ -343,6 +344,46 @@ def test_concurrent_feeds_to_one_stream_never_interleave(
     assert stats.segments == 4 * per_thread
     assert stats.total_symbols == 4 * per_thread * 64
     assert stats.end_state == dfa.run(segment * (4 * per_thread))
+
+
+def test_record_pruning_under_churn_stays_exact(config):
+    """More threads than cores churn six classes through a capacity-2
+    cache: records are pruned and rebuilt concurrently, every answer stays
+    oracle-exact, and once all streams close the pool holds no record the
+    cache does not."""
+    pool = MatcherPool(PlanCache(capacity=2, config=config), config=config)
+    dfas = [classic.divisibility(m) for m in (3, 5, 7, 11, 13, 17)]
+    train = b"01" * 256
+    errors = []
+    barrier = threading.Barrier(6)
+
+    def churn(worker):
+        try:
+            barrier.wait(timeout=10)
+            for i in range(8):
+                dfa = dfas[(worker + i) % len(dfas)]
+                data = bytes(48 + (worker * 7 + i * 3 + j) % 2 for j in range(96))
+                sid = pool.open(dfa, training_input=train)
+                assert pool.feed(sid, data).end_state == dfa.run(data)
+                assert pool.close(sid).end_state == dfa.run(data)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    stats = pool.stats()
+    assert stats["active_streams"] == 0
+    assert stats["matchers"] <= stats["cache"]["size"] <= 2
 
 
 def test_close_summary_reports_public_scheme(fsms, training, config):

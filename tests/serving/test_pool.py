@@ -316,3 +316,79 @@ def test_drain_revisions_shared_deadline_and_straggler_count(config):
         pool._revising.clear()
     sleep(0.01)
     assert pool.drain_revisions(timeout=0.2) == 0
+
+
+def _digits(rng, n):
+    return bytes(rng.integers(48, 50, size=n).astype(np.uint8))
+
+
+def test_class_records_do_not_outlive_their_plans(config, rng):
+    """A record nobody holds is dropped once the cache evicts its plan, so
+    pool memory is bounded by the cache, and a pruned class reopens
+    oracle-exact from a fresh matcher."""
+    cache = PlanCache(capacity=2, config=config)
+    pool = MatcherPool(cache, config=config)
+    dfas = [classic.divisibility(m) for m in (3, 5, 7, 11, 13, 17)]
+    training = _digits(rng, 512)
+    for dfa in dfas:
+        sid = pool.open(dfa, training_input=training)
+        pool.feed(sid, _digits(rng, 256))
+        pool.close(sid)
+    stats = pool.stats()
+    assert stats["active_streams"] == 0
+    assert stats["cache"]["size"] == 2
+    assert stats["matchers"] <= 2
+
+    pruned = dfas[0]
+    sid = pool.open(pruned, training_input=training)
+    data = _digits(rng, 300)
+    result = pool.feed(sid, data)
+    assert result.end_state == pruned.run(data)
+    summary = pool.close(sid)
+    assert summary.end_state == pruned.run(data)
+    assert summary.accepts == (pruned.run(data) in pruned.accepting)
+    assert pool.stats()["matchers"] <= 2
+
+
+def test_held_or_revising_records_survive_eviction(config, rng):
+    """An open stream or an in-flight revise keeps a record whose plan the
+    cache evicted; the last holder to let go drops it."""
+    cache = PlanCache(capacity=1, config=config)
+    pool = MatcherPool(cache, config=config)
+    training = _digits(rng, 512)
+    held, other = classic.divisibility(3), classic.divisibility(5)
+    sid = pool.open(held, training_input=training)
+    (key,) = pool._classes
+    pool.close(pool.open(other, training_input=training))  # evicts held's plan
+    assert key in pool._classes
+    data = _digits(rng, 200)
+    assert pool.feed(sid, data).end_state == held.run(data)
+
+    pool._revising[key] = None  # a revise in flight holds it past the close
+    pool.close(sid)
+    assert key in pool._classes
+    with pool._lock:
+        pool._revising.pop(key)
+        pool._prune_locked()
+    assert key not in pool._classes
+
+
+def test_aliased_record_keeps_its_numbering_past_eviction(config, rng):
+    """A class submitted in two numberings keeps its record after the cache
+    evicts its plan: the twin's answers stay in the first variant's
+    numbering even when the twin's reopen recompiles the class."""
+    pool = MatcherPool(PlanCache(capacity=1, config=config), config=config)
+    training = _digits(rng, 512)
+    first = classic.divisibility(5)
+    twin = first.renumbered(np.array([3, 0, 4, 1, 2]), name="div5-twin")
+    for dfa in (first, twin):
+        pool.close(pool.open(dfa, training_input=training))
+    pool.close(pool.open(classic.divisibility(7), training_input=training))
+    assert pool.stats()["matchers"] == 2  # div5's plan is gone, its record not
+
+    sid = pool.open(twin, training_input=training)  # evicts div7
+    data = _digits(rng, 200)
+    assert first.run(data) != twin.run(data)
+    assert pool.feed(sid, data).end_state == first.run(data)
+    pool.close(sid)
+    assert pool.stats()["matchers"] == 1  # div7's record went with its plan
