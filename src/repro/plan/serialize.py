@@ -70,8 +70,7 @@ def save_plan(plan: CompiledPlan, path: Union[str, Path]) -> Path:
         meta=np.asarray(meta),
         **arrays,
     )
-    # np.savez appends .npz when the suffix is missing; report reality.
-    return path if path.exists() else path.with_suffix(path.suffix + ".npz")
+    return existing_npz(path, PlanError, "plan")
 
 
 def load_plan(path: Union[str, Path]) -> CompiledPlan:

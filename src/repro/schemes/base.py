@@ -57,7 +57,7 @@ class SchemeResult:
     observations:
         :class:`~repro.speculation.observations.LiveObservations` for this
         run — predictor hits/misses at the scheme's spec-k, recovery effort
-        and a symbol-histogram sketch.  Attached universally by the run
+        and traffic volume (segments, symbols).  Attached universally by the run
         wrapper; the serving tier feeds it to the drift monitor.
     """
 

@@ -148,14 +148,6 @@ class PlanCache:
         with self._lock:
             return self._resolve_locked(fingerprint) in self._plans
 
-    def aliased(self, canonical: str) -> bool:
-        """Whether more than one content fingerprint has resolved to the
-        language class ``canonical`` — i.e. tenants have submitted it in
-        different numberings.  The alias map is never evicted, so this
-        outlives the class's plan."""
-        with self._lock:
-            return sum(c == canonical for c in self._alias.values()) > 1
-
     def stats(self) -> Dict[str, int]:
         """Live sizes plus a view of the registry's ``serving.cache.*``
         counters (monotonic over the registry's lifetime)."""

@@ -49,6 +49,7 @@ import numpy as np
 from repro.automata.dfa import _as_symbol_array
 from repro.errors import ServingError
 from repro.framework.gspecpal import GSpecPal, StreamSession
+from repro.plan import CompiledPlan
 from repro.schemes import SchemeResult
 from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftConfig, DriftMonitor
@@ -276,6 +277,9 @@ class MatcherPool:
         self.drift = drift
         #: (canonical fingerprint, config hash) → that class's record.
         self._classes: Dict[Tuple[str, str], _ClassRecord] = {}
+        #: key of a pruned record → the plan it served; a rebuild uses it,
+        #: so the class keeps the numbering of the first variant opened.
+        self._pruned: Dict[Tuple[str, str], CompiledPlan] = {}
         self._entries: Dict[int, _StreamEntry] = {}
         #: record keys with a revise in flight (single-flight guard) →
         #: the worker thread, or None while launching/inline.
@@ -382,12 +386,13 @@ class MatcherPool:
             try:
                 # A plan reloaded from disk, or a language-equivalent one,
                 # keys the same record and so keeps its warmed matcher; a
-                # plan compiled under another config gets its own.
+                # plan compiled under another config gets its own.  A
+                # pruned record is rebuilt from the plan it served.
                 key = (plan.canonical_fingerprint, plan.config_hash)
                 record = self._classes.get(key)
                 if record is None:
                     matcher = GSpecPal.from_plan(
-                        plan,
+                        self._pruned.get(key, plan),
                         backend=self.backend,
                         selfcheck=self.selfcheck,
                         tracer=self.tracer,
@@ -396,6 +401,7 @@ class MatcherPool:
                     record = self._classes[key] = _ClassRecord(
                         key, matcher, self.drift
                     )
+                    self._pruned.pop(key, None)
                 session = record.matcher.stream(scheme=scheme)
             except BaseException:
                 self._reserved -= 1
@@ -583,20 +589,21 @@ class MatcherPool:
 
     def _prune_locked(self) -> None:
         """Drop every class record nothing needs any more: no open stream
-        holds it, no revise is in flight for it, its canonical fingerprint
-        is no longer resident in the cache, and its class was only ever
-        submitted in one numbering.
+        holds it, no revise is in flight for it, and its canonical
+        fingerprint is no longer resident in the cache.
 
-        An aliased class keeps its record: a stream's answers use the
-        numbering of the plan its record was built from (the first
-        variant opened), and a rebuild from another variant's plan would
-        renumber the answers its other tenants get.  Called under the pool
-        lock; the cache tests take the cache lock inside it (the pool →
+        The matcher (simulator, scheme state) and monitor go; the plan the
+        record served stays in ``_pruned``.  A stream's answers use the
+        numbering of that plan (the first variant opened), and the cache
+        may next compile the class from a renumbered twin, so the rebuild
+        starts from the kept plan, not the cache's.  Called under the pool
+        lock; the cache test takes the cache lock inside it (the pool →
         cache order every caller keeps).
         """
         for key, record in list(self._classes.items()):
             idle = not record.streams and key not in self._revising
-            if idle and key[0] not in self.cache and not self.cache.aliased(key[0]):
+            if idle and key[0] not in self.cache:
+                self._pruned[key] = record.matcher.plan
                 del self._classes[key]
 
     def drain_revisions(self, timeout: Optional[float] = None) -> int:

@@ -373,22 +373,29 @@ def test_held_or_revising_records_survive_eviction(config, rng):
     assert key not in pool._classes
 
 
-def test_aliased_record_keeps_its_numbering_past_eviction(config, rng):
-    """A class submitted in two numberings keeps its record after the cache
-    evicts its plan: the twin's answers stay in the first variant's
-    numbering even when the twin's reopen recompiles the class."""
+@pytest.mark.parametrize("twin_before_prune", [True, False])
+def test_pruned_class_keeps_its_numbering(config, rng, twin_before_prune):
+    """A pruned class is rebuilt from the plan its record served, so every
+    variant keeps answering in the first variant's numbering, whether the
+    renumbered twin first opens before the prune or after it (when the
+    cache recompiles the class from the twin's DFA)."""
     pool = MatcherPool(PlanCache(capacity=1, config=config), config=config)
     training = _digits(rng, 512)
     first = classic.divisibility(5)
     twin = first.renumbered(np.array([3, 0, 4, 1, 2]), name="div5-twin")
-    for dfa in (first, twin):
+    for dfa in (first, twin) if twin_before_prune else (first,):
         pool.close(pool.open(dfa, training_input=training))
     pool.close(pool.open(classic.divisibility(7), training_input=training))
-    assert pool.stats()["matchers"] == 2  # div5's plan is gone, its record not
+    assert pool.stats()["matchers"] == 1  # div5's record went with its plan
 
-    sid = pool.open(twin, training_input=training)  # evicts div7
     data = _digits(rng, 200)
     assert first.run(data) != twin.run(data)
-    assert pool.feed(sid, data).end_state == first.run(data)
-    pool.close(sid)
-    assert pool.stats()["matchers"] == 1  # div7's record went with its plan
+    compiles = pool.cache.stats()["compiles"]
+    for dfa in (twin, first):  # the twin's cold open compiles from its DFA
+        sid = pool.open(dfa, training_input=training)
+        assert pool.feed(sid, data).end_state == first.run(data)
+        summary = pool.close(sid)
+        assert summary.end_state == first.run(data)
+        assert summary.accepts == (first.run(data) in first.accepting)
+    assert pool.cache.stats()["compiles"] == compiles + 1
+    assert pool.stats()["matchers"] == 1

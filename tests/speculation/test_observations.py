@@ -2,8 +2,8 @@
 
 Every scheme run returns one (attached by the scheme layer's audit wrap):
 speculative schemes carry their verified chunk-boundary hits/misses at the
-depth they actually speculate, misprediction-free schemes carry volume and
-a symbol sketch only.  ``absorb`` must merge records from heterogeneous
+depth they actually speculate, misprediction-free schemes carry traffic
+volume (segments, symbols) only.  ``absorb`` must merge records from heterogeneous
 runs without losing counts — that is what the pool-side aggregate and the
 breach window are built from.
 """
