@@ -361,10 +361,6 @@ class GSpecPal:
         result = self.run(symbols, scheme=scheme)
         if not result.accepts:
             return None
-        if result.chunk_ends is None:
-            raise SchemeError(
-                f"scheme {result.scheme!r} does not expose per-chunk ends"
-            )
         from repro.speculation.chunks import partition_input
 
         accept = self.dfa.accepting_mask

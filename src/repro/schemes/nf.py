@@ -34,26 +34,25 @@ import numpy as np
 from repro.schemes.recovery_common import (
     Assignment,
     FrontierLoopScheme,
-    RecoveryPolicy,
     RoundContext,
     advance_cursors,
     dequeue_untried,
-    per_thread_round,
-    rear_assignments,
     untried_candidates,
 )
 
 
-class NFPolicy(RecoveryPolicy):
-    """Rear threads act like SRE; idle threads drain the nearest queues."""
+class NFScheme(FrontierLoopScheme):
+    """Algorithm 5: aggressive recovery concentrated near the frontier.
 
-    def schedule(self, ctx: RoundContext) -> List[Assignment]:
-        if per_thread_round(ctx):
-            return self._per_thread(ctx)
-        # Rear threads (tid >= f): stay on their own chunk (Alg. 5 ll.26-27).
-        assignments = rear_assignments(ctx)
+    Rear threads act like SRE; idle threads drain the nearest queues
+    (Alg. 5 ll.28-34).
+    """
 
-        # Non-rear threads: nearest-first queue draining (ll.28-34).
+    name = "nf"
+
+    @staticmethod
+    def _idle_round(ctx: RoundContext) -> List[Assignment]:
+        assignments: List[Assignment] = []
         n = ctx.partition.n_chunks
         f = ctx.frontier
         capacity = ctx.vr.others_capacity
@@ -86,16 +85,10 @@ class NFPolicy(RecoveryPolicy):
         return assignments
 
     @staticmethod
-    def _per_thread(ctx: RoundContext) -> List[Assignment]:
-        """The same round, one thread, ``dequeue`` and ``lookup`` at a time."""
+    def _idle_per_thread(ctx: RoundContext) -> List[Assignment]:
         assignments: List[Assignment] = []
         n = ctx.partition.n_chunks
         f = ctx.frontier
-        for t in range(f, n):
-            if ctx.found[t]:
-                continue
-            if t == f or ctx.stable[t]:
-                assignments.append((t, t, int(ctx.end_p[t])))
         if f >= n - 1:
             return assignments
         cid = f + 1
@@ -114,10 +107,3 @@ class NFPolicy(RecoveryPolicy):
                 break  # every rear queue is exhausted: remaining threads idle
             assignments.append((t, cid, st))
         return assignments
-
-
-class NFScheme(FrontierLoopScheme):
-    """Algorithm 5: aggressive recovery concentrated near the frontier."""
-
-    name = "nf"
-    policy = NFPolicy()

@@ -17,12 +17,10 @@ Cost model follows Eq. 2:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.gpu.kernel import KernelPhase
-from repro.schemes.base import Scheme, SchemeResult
+from repro.schemes.base import Scheme
 from repro.speculation.records import VRStore
 from repro.errors import SchemeError
 
@@ -86,117 +84,92 @@ class PMScheme(Scheme):
         needed = 1 + np.count_nonzero(covered < self.adaptive_mass, axis=1)
         return np.minimum(paths, needed)
 
+    def _root_attrs(self) -> dict:
+        return {"k": self.k}
+
     # ------------------------------------------------------------------
-    def run(self, data, start_state=None) -> SchemeResult:
-        partition = self._partition(data)
+    def _execute(self, partition, exec_start, stats):
         n = partition.n_chunks
-        stats = self.sim.new_stats(n_threads=self.n_threads)
-        with self._scheme_span(stats, n_chunks=n, k=self.k):
-            with self._launch_span(stats):
-                pass
-            exec_start = self._exec_start(start_state)
-            with self._phase_span(KernelPhase.PREDICT, stats):
-                prediction = self._predict(partition, stats, exec_start=exec_start)
-            vr = VRStore(n_chunks=n, own_capacity=max(self.k, 16))
-            self._stash_audit(
-                partition=partition,
-                prediction=prediction,
-                vr=vr,
-                exec_start=exec_start,
-            )
+        prediction = self._predict(partition, exec_start, stats)
+        vr = VRStore(n_chunks=n, own_capacity=max(self.k, 16))
+        self._stash_audit(vr=vr)
 
-            # --- spec-k parallel execution (α_k ≈ k serialized paths) ---
-            with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
-                paths_run = self._paths_run(prediction)
-                front = prediction.bounds[:-1]
-                for j in range(self.k):
-                    active = paths_run > j
-                    if not active.any():
-                        break
-                    # Path j starts from each active chunk's j-th candidate.
-                    starts = np.zeros(n, dtype=np.int64)
-                    starts[active] = prediction.states[front[active] + j]
-                    ends = self.engine.run_batch(
-                        partition.chunks,
-                        starts,
-                        stats=stats,
-                        phase=KernelPhase.SPECULATIVE_EXECUTION,
-                        lengths=partition.lengths,
-                        active=active,
-                    )
-                    vr.add_batch(
-                        np.flatnonzero(active), starts[active], ends[active], own=True
-                    )
-                stats.charge_sync(KernelPhase.SPECULATIVE_EXECUTION)
-
-            # --- stage 1: parallel tree-like verification & merge -------
-            # Two levels, as in the paper's Fig. 2: ① intra-warp
-            # verification first (register shuffles between neighbouring
-            # lanes), then ② inter-warp rounds through shared memory with
-            # barriers.
-            dev = self.sim.device
-            with self._phase_span(KernelPhase.MERGE, stats):
-                intra_rounds = (
-                    math.ceil(math.log2(min(n, dev.warp_size))) if n > 1 else 0
+        # --- spec-k parallel execution (α_k ≈ k serialized paths) -------
+        with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
+            paths_run = self._paths_run(prediction)
+            front = prediction.bounds[:-1]
+            for j in range(self.k):
+                active = paths_run > j
+                if not active.any():
+                    break
+                # Path j starts from each active chunk's j-th candidate.
+                starts = np.zeros(n, dtype=np.int64)
+                starts[active] = prediction.states[front[active] + j]
+                ends = self.engine.run_batch(
+                    partition.chunks,
+                    starts,
+                    stats=stats,
+                    phase=KernelPhase.SPECULATIVE_EXECUTION,
+                    lengths=partition.lengths,
+                    active=active,
                 )
-                n_warps = -(-n // dev.warp_size)
-                inter_rounds = (
-                    math.ceil(math.log2(n_warps)) if n_warps > 1 else 0
+                vr.add_batch(
+                    np.flatnonzero(active), starts[active], ends[active], own=True
                 )
-                for _ in range(intra_rounds):
-                    stats.comm_ops += self.k * n
-                    stats.charge(KernelPhase.MERGE, dev.shuffle_cycles)
-                    stats.charge_verify(
-                        KernelPhase.MERGE,
-                        checks_per_thread=self.k,
-                        total_checks=self.k * n,
-                    )
-                for _ in range(inter_rounds):
-                    stats.comm_ops += self.k * n_warps
-                    stats.charge(KernelPhase.MERGE, dev.comm_cycles)
-                    stats.charge_verify(
-                        KernelPhase.MERGE,
-                        checks_per_thread=self.k,
-                        total_checks=self.k * n_warps,
-                    )
-                    stats.charge_sync(KernelPhase.MERGE)
+            stats.charge_sync(KernelPhase.SPECULATIVE_EXECUTION)
 
-            # --- stage 2: sequential verification and must-be-done
-            # recovery --------------------------------------------------
-            end_p = vr.lookup(0, exec_start)  # chunk 0 ran from the real start state
-            chunk_ends = np.empty(n, dtype=np.int64)
-            chunk_ends[0] = end_p
-            matched_path_len = int(partition.lengths[0])
-            useful_transitions = matched_path_len
-            for i in range(1, n):
-                recorded = vr.lookup(i, int(end_p))
-                if recorded is not None:
-                    stats.matches += 1
-                    end_p = int(recorded)
-                    chunk_ends[i] = end_p
-                    useful_transitions += int(partition.lengths[i])
-                    continue
-                with self._phase_span(
-                    "verify_recover.round",
-                    stats,
-                    frontier=i,
-                    matched=False,
-                    active_threads=1,
-                ):
-                    stats.mismatches += 1
-                    stats.charge_comm(KernelPhase.VERIFY_RECOVER, 1)
-                    stats.charge_verify(
-                        KernelPhase.VERIFY_RECOVER,
-                        checks_per_thread=self.k,
-                        total_checks=self.k,
-                    )
-                    end_p = self._recover_chunk(partition, i, end_p, stats, vr)
-                    chunk_ends[i] = end_p
-                    useful_transitions += int(partition.lengths[i])
+        # --- stage 1: parallel tree-like verification & merge -----------
+        # Two levels, as in the paper's Fig. 2: ① intra-warp verification
+        # first (register shuffles between neighbouring lanes), then ②
+        # inter-warp rounds through shared memory with barriers.
+        dev = self.sim.device
+        with self._phase_span(KernelPhase.MERGE, stats):
+            intra_rounds, n_warps, inter_rounds = self._tree_merge_rounds(n)
+            for _ in range(intra_rounds):
+                stats.comm_ops += self.k * n
+                stats.charge(KernelPhase.MERGE, dev.shuffle_cycles)
+                stats.charge_verify(
+                    KernelPhase.MERGE,
+                    checks_per_thread=self.k,
+                    total_checks=self.k * n,
+                )
+            for _ in range(inter_rounds):
+                stats.comm_ops += self.k * n_warps
+                stats.charge(KernelPhase.MERGE, dev.comm_cycles)
+                stats.charge_verify(
+                    KernelPhase.MERGE,
+                    checks_per_thread=self.k,
+                    total_checks=self.k * n_warps,
+                )
+                stats.charge_sync(KernelPhase.MERGE)
 
-            # Everything executed beyond the ground-truth path was redundant.
-            stats.redundant_transitions += max(
-                0, stats.transitions - useful_transitions
-            )
-            result = self._finish(end_p, stats, chunk_ends_exec=chunk_ends)
-        return result
+        # --- stage 2: sequential verification and must-be-done recovery --
+        end_p = vr.lookup(0, exec_start)  # chunk 0 ran from the real start state
+        chunk_ends = np.empty(n, dtype=np.int64)
+        chunk_ends[0] = end_p
+        for i in range(1, n):
+            recorded = vr.lookup(i, int(end_p))
+            if recorded is not None:
+                stats.matches += 1
+                end_p = int(recorded)
+                chunk_ends[i] = end_p
+                continue
+            with self._phase_span(
+                "verify_recover.round",
+                stats,
+                frontier=i,
+                matched=False,
+                active_threads=1,
+            ):
+                stats.mismatches += 1
+                stats.charge_comm(KernelPhase.VERIFY_RECOVER, 1)
+                stats.charge_verify(
+                    KernelPhase.VERIFY_RECOVER,
+                    checks_per_thread=self.k,
+                    total_checks=self.k,
+                )
+                end_p = self._recover_chunk(partition, i, end_p, stats, vr)
+                chunk_ends[i] = end_p
+
+        self._charge_off_path(stats, partition)
+        return end_p, chunk_ends

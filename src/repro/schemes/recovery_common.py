@@ -5,8 +5,9 @@ chunks left to right, one round per chunk.  Each round every thread receives
 its predecessor's current end state (speculative data forwarding), scans its
 chunk's verification records for a match, and — when the *frontier* check
 mismatches (``mark == false``) — recovery work is scheduled.  The schemes
-differ only in **who** recovers **which chunk** from **which start state**,
-which is captured by the :meth:`RecoveryPolicy.schedule` hook.
+differ only in **who** recovers **which chunk** from **which start state**:
+:meth:`FrontierLoopScheme.schedule` states the rear-thread rule they share
+once, and RR and NF add their rule for the idle (non-rear) threads.
 
 Timing semantics per round:
 
@@ -31,7 +32,6 @@ schedule *all* threads each mismatch round, as Algorithms 4–5 prescribe.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.gpu.kernel import KernelPhase
 from repro.gpu.stats import KernelStats
-from repro.schemes.base import Scheme, SchemeResult
+from repro.schemes.base import Scheme
 from repro.speculation.chunks import Partition
 from repro.speculation.predictor import Prediction, segment_positions
 from repro.speculation.records import VRStore
@@ -47,7 +47,7 @@ from repro.speculation.records import VRStore
 
 @dataclass
 class RoundContext:
-    """Everything a scheduling policy may inspect in one frontier round."""
+    """Everything the recovery schedule may inspect in one frontier round."""
 
     frontier: int  # chunk being truly verified this round (f)
     end_p: np.ndarray  # forwarded predecessor end state per thread
@@ -62,29 +62,15 @@ class RoundContext:
 Assignment = Tuple[int, int, int]
 
 
-#: RR/NF schedule a round with fewer idle (non-rear) threads than this one
+#: A round with fewer idle (non-rear) threads than this is scheduled one
 #: thread at a time — a few ``dequeue``/``lookup`` calls cost less than the
 #: ~40 array operations of a whole-round schedule (always so at 8 chunks).
 ARRAY_SCHEDULE_THREADS = 8
 
 
 def per_thread_round(ctx: RoundContext) -> bool:
-    """Whether RR/NF schedule this round one thread at a time."""
+    """Whether this round is scheduled one thread at a time."""
     return ctx.frontier < ARRAY_SCHEDULE_THREADS
-
-
-def rear_assignments(ctx: RoundContext) -> List[Assignment]:
-    """The rear threads' tasks (Alg. 3 ll.19-21, Alg. 4-5 alike): a thread
-    at or after the frontier whose scan found no record re-runs its own
-    chunk from its forwarded state — the frontier thread always (the
-    must-be-done recovery), the others when that state is stable."""
-    f = ctx.frontier
-    rear = ctx.stable[f:] & ~ctx.found[f:]
-    if rear.size:
-        rear[0] = not ctx.found[f]
-    threads = np.flatnonzero(rear) + f
-    owned = threads.tolist()
-    return list(zip(owned, owned, ctx.end_p[threads].tolist()))
 
 
 def dequeue_untried(ctx: RoundContext, chunk: int) -> Optional[int]:
@@ -155,25 +141,15 @@ def advance_cursors(
     prediction.cursors[chunks] = cursors
 
 
-class RecoveryPolicy(abc.ABC):
-    """Scheme-specific answer to "which chunk, from which state?"."""
-
-    @abc.abstractmethod
-    def schedule(self, ctx: RoundContext) -> List[Assignment]:
-        """Return the recovery tasks for a ``mark == false`` round.
-
-        Must include the must-be-done frontier recovery
-        ``(f, f, end_p[f])`` when the frontier thread found no match.
-        """
-
-
 class FrontierLoopScheme(Scheme):
-    """Base class running the Algorithm-3 style loop with a pluggable policy.
+    """Base class running the Algorithm-3 style frontier loop.
 
-    Subclasses set :attr:`policy` and :attr:`name`.
+    Subclasses set :attr:`name` and, to put the idle threads to work, the
+    two forms of their idle-thread rule: :meth:`_idle_round` (the whole
+    round as array work) and :meth:`_idle_per_thread` (one thread,
+    ``dequeue`` and ``lookup`` at a time).  Both must give the same
+    assignments and leave the queue cursors in the same place.
     """
-
-    policy: RecoveryPolicy
 
     def __init__(
         self,
@@ -190,110 +166,133 @@ class FrontierLoopScheme(Scheme):
         self.others_capacity = others_capacity
 
     # ------------------------------------------------------------------
-    def run(self, data, start_state=None) -> SchemeResult:
-        partition = self._partition(data)
+    @classmethod
+    def schedule(cls, ctx: RoundContext) -> List[Assignment]:
+        """The recovery tasks of a ``mark == false`` round.
+
+        Rear threads (Alg. 3 ll.19-21, Alg. 4-5 alike): a thread at or
+        after the frontier whose scan found no record re-runs its own
+        chunk from its forwarded state — the frontier thread always (the
+        must-be-done recovery ``(f, f, end_p[f])``), the others when that
+        state is stable.  The idle threads before the frontier follow the
+        scheme's own rule after them.
+        """
+        f = ctx.frontier
+        if per_thread_round(ctx):
+            rear = [
+                (t, t, int(ctx.end_p[t]))
+                for t in range(f, ctx.partition.n_chunks)
+                if not ctx.found[t] and (t == f or ctx.stable[t])
+            ]
+            return rear + cls._idle_per_thread(ctx)
+        waiting = ctx.stable[f:] & ~ctx.found[f:]
+        if waiting.size:
+            waiting[0] = not ctx.found[f]
+        threads = np.flatnonzero(waiting) + f
+        owned = threads.tolist()
+        rear = list(zip(owned, owned, ctx.end_p[threads].tolist()))
+        return rear + cls._idle_round(ctx)
+
+    @staticmethod
+    def _idle_round(ctx: RoundContext) -> List[Assignment]:
+        """The idle threads' tasks as whole-round array work (SRE: none —
+        a thread never leaves its own chunk)."""
+        return []
+
+    @staticmethod
+    def _idle_per_thread(ctx: RoundContext) -> List[Assignment]:
+        """The same tasks, one thread at a time."""
+        return []
+
+    # ------------------------------------------------------------------
+    def _execute(self, partition, exec_start, stats):
         n = partition.n_chunks
-        stats = self.sim.new_stats(n_threads=self.n_threads)
-        with self._scheme_span(stats, n_chunks=n):
-            with self._launch_span(stats):
-                pass
-            exec_start = self._exec_start(start_state)
-            with self._phase_span(KernelPhase.PREDICT, stats):
-                prediction = self._predict(partition, stats, exec_start=exec_start)
-            vr = VRStore(
-                n_chunks=n,
-                own_capacity=self.own_capacity,
-                others_capacity=self.others_capacity,
-            )
-            self._stash_audit(
-                partition=partition,
-                prediction=prediction,
-                vr=vr,
-                exec_start=exec_start,
-            )
-            oracle_ends = None
-            if self._audit_stash is not None:
-                # Exec-space ground truth per chunk, computed once: the
-                # frontier invariant says round f leaves chunks 0..f
-                # verified, and no later round changes them.
-                from repro.selfcheck.audit import oracle_chunk_ends
+        prediction = self._predict(partition, exec_start, stats)
+        vr = VRStore(
+            n_chunks=n,
+            own_capacity=self.own_capacity,
+            others_capacity=self.others_capacity,
+        )
+        self._stash_audit(vr=vr)
+        oracle_ends = None
+        if self._audit_stash is not None:
+            # Exec-space ground truth per chunk: the frontier invariant
+            # says round f leaves chunks 0..f verified, and no later round
+            # changes them.
+            oracle_ends = self.sim.to_exec_states(self._audit_stash["oracle_chain"])
+        end_c = self._speculative_execution(partition, prediction, stats, vr)
+        end_c = end_c.astype(np.int64)
 
-                oracle_ends = oracle_chunk_ends(self, partition, exec_start)
-            with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
-                end_c = self._speculative_execution(partition, prediction, stats, vr)
-            end_c = end_c.astype(np.int64)
+        phase = KernelPhase.VERIFY_RECOVER
+        # What one scan costs changes only when a recovery adds records.
+        scan_depth, n_records = vr.scan_cost()
+        prev_snapshot = end_c.copy()
+        last_change_round = np.zeros(n, dtype=np.int64)  # round a thread's end last changed
 
-            phase = KernelPhase.VERIFY_RECOVER
-            # What one scan costs changes only when a recovery adds records.
-            scan_depth, n_records = vr.scan_cost()
-            prev_snapshot = end_c.copy()
-            last_change_round = np.zeros(n, dtype=np.int64)  # round a thread's end last changed
+        for f in range(n):
+            with self._phase_span(
+                "verify_recover.round", stats, frontier=f
+            ) as round_span:
+                # --- communication: forward predecessor end states -------
+                end_p = np.empty(n, dtype=np.int64)
+                end_p[0] = exec_start
+                end_p[1:] = prev_snapshot[:-1]
+                stats.charge_comm(phase, n - 1 if n > 1 else 0)
 
-            for f in range(n):
-                with self._phase_span(
-                    "verify_recover.round", stats, frontier=f
-                ) as round_span:
-                    # --- communication: forward predecessor end states ---
-                    end_p = np.empty(n, dtype=np.int64)
-                    end_p[0] = exec_start
-                    end_p[1:] = prev_snapshot[:-1]
-                    stats.charge_comm(phase, n - 1 if n > 1 else 0)
+                # --- verification scan -----------------------------------
+                found, hit = vr.scan(end_p)
+                new_end = np.where(found, hit, end_c)
+                stats.charge_verify(
+                    phase, checks_per_thread=scan_depth, total_checks=n_records
+                )
+                changed = new_end != end_c
+                end_c = new_end
 
-                    # --- verification scan -------------------------------
-                    found, hit = vr.scan(end_p)
-                    new_end = np.where(found, hit, end_c)
-                    stats.charge_verify(
-                        phase, checks_per_thread=scan_depth, total_checks=n_records
+                mark = bool(found[f])
+                if mark:
+                    stats.matches += 1
+                else:
+                    stats.mismatches += 1
+                stats.charge_sync(phase)
+
+                # stability: a forwarded state is stable when its producer's
+                # end state did not change in the previous round.
+                stable = np.ones(n, dtype=bool)
+                stable[1:] = last_change_round[:-1] < f  # changed this round ⇒ unstable next
+                last_change_round[changed] = f + 1
+
+                n_active = 0
+                if not mark:
+                    ctx = RoundContext(
+                        frontier=f,
+                        end_p=end_p,
+                        found=found,
+                        stable=stable,
+                        partition=partition,
+                        prediction=prediction,
+                        vr=vr,
                     )
-                    changed = new_end != end_c
-                    end_c = new_end
-
-                    mark = bool(found[f])
-                    if mark:
-                        stats.matches += 1
-                    else:
-                        stats.mismatches += 1
-                    stats.charge_sync(phase)
-
-                    # stability: a forwarded state is stable when its
-                    # producer's end state did not change in the previous
-                    # round.
-                    stable = np.ones(n, dtype=bool)
-                    stable[1:] = last_change_round[:-1] < f  # changed this round ⇒ unstable next
-                    last_change_round[changed] = f + 1
-
-                    n_active = 0
-                    if not mark:
-                        ctx = RoundContext(
-                            frontier=f,
-                            end_p=end_p,
-                            found=found,
-                            stable=stable,
-                            partition=partition,
-                            prediction=prediction,
-                            vr=vr,
+                    assignments = self.schedule(ctx)
+                    n_active = len(assignments)
+                    if assignments:
+                        recovered = self._execute_recoveries(
+                            assignments, partition, end_c, vr, stats, f
                         )
-                        assignments = self.policy.schedule(ctx)
-                        n_active = len(assignments)
-                        if assignments:
-                            recovered = self._execute_recoveries(
-                                assignments, partition, end_c, vr, stats, f
-                            )
-                            last_change_round[recovered] = f + 1
-                            scan_depth, n_records = vr.scan_cost()
-                        else:
-                            stats.record_recovery_round(active_threads=0)
-                    vr.charge_shared_traffic(stats, phase)
-                    prev_snapshot = end_c.copy()
-                    if oracle_ends is not None:
-                        self._audit_verified_prefix(end_c, oracle_ends, f)
-                    if round_span:
-                        round_span.set_attr("matched", mark)
-                        round_span.set_attr("active_threads", n_active)
+                        last_change_round[recovered] = f + 1
+                        scan_depth, n_records = vr.scan_cost()
+                    else:
+                        stats.record_recovery_round(active_threads=0)
+                vr.charge_shared_traffic(stats, phase)
+                prev_snapshot = end_c.copy()
+                if oracle_ends is not None:
+                    self._audit_verified_prefix(end_c, oracle_ends, f)
+                if round_span:
+                    round_span.set_attr("matched", mark)
+                    round_span.set_attr("active_threads", n_active)
 
-            with self._phase_span(KernelPhase.MERGE, stats):
-                result = self._finish(int(end_c[n - 1]), stats, chunk_ends_exec=end_c)
-        return result
+        with self._phase_span(KernelPhase.MERGE, stats):
+            pass
+        return int(end_c[n - 1]), end_c
 
     # ------------------------------------------------------------------
     def _audit_verified_prefix(

@@ -32,30 +32,28 @@ import numpy as np
 from repro.schemes.recovery_common import (
     Assignment,
     FrontierLoopScheme,
-    RecoveryPolicy,
     RoundContext,
     advance_cursors,
     dequeue_untried,
-    per_thread_round,
-    rear_assignments,
     untried_candidates,
 )
 
 
-class RRPolicy(RecoveryPolicy):
-    """Rear threads act like SRE; idle threads round-robin over rear chunks."""
+class RRScheme(FrontierLoopScheme):
+    """Algorithm 4: aggressive recovery with round-robin scheduling.
 
-    def schedule(self, ctx: RoundContext) -> List[Assignment]:
-        if per_thread_round(ctx):
-            return self._per_thread(ctx)
-        # Rear threads (tid >= f): stay on their own chunk (Alg. 4 ll.19-21).
-        assignments = rear_assignments(ctx)
+    Rear threads act like SRE; idle threads round-robin over rear chunks
+    (Alg. 4 ll.22-25).
+    """
 
-        # Non-rear threads: round-robin over chunks f+1 .. n-1 (ll.22-25).
+    name = "rr"
+
+    @staticmethod
+    def _idle_round(ctx: RoundContext) -> List[Assignment]:
         f = ctx.frontier
         n_rear_chunks = ctx.partition.n_chunks - 1 - f
         if n_rear_chunks <= 0 or f == 0:
-            return assignments
+            return []
         visited = min(n_rear_chunks, f)
         offset = np.arange(visited)
         chunks = f + 1 + offset
@@ -69,27 +67,19 @@ class RRPolicy(RecoveryPolicy):
         rank = np.arange(owner.size) - (np.cumsum(taken) - taken)[owner]
         threads = owner + rank * n_rear_chunks
         order = np.argsort(threads)
-        assignments.extend(
+        return list(
             zip(
                 threads[order].tolist(),
                 chunks[owner[order]].tolist(),
                 states[order].tolist(),
             )
         )
-        return assignments
 
     @staticmethod
-    def _per_thread(ctx: RoundContext) -> List[Assignment]:
-        """The same round, one thread, ``dequeue`` and ``lookup`` at a time."""
+    def _idle_per_thread(ctx: RoundContext) -> List[Assignment]:
         assignments: List[Assignment] = []
-        n = ctx.partition.n_chunks
         f = ctx.frontier
-        for t in range(f, n):
-            if ctx.found[t]:
-                continue
-            if t == f or ctx.stable[t]:
-                assignments.append((t, t, int(ctx.end_p[t])))
-        n_rear_chunks = n - 1 - f
+        n_rear_chunks = ctx.partition.n_chunks - 1 - f
         if n_rear_chunks <= 0:
             return assignments
         for t in range(f):
@@ -100,10 +90,3 @@ class RRPolicy(RecoveryPolicy):
             if st is not None:
                 assignments.append((t, cid, st))
         return assignments
-
-
-class RRScheme(FrontierLoopScheme):
-    """Algorithm 4: aggressive recovery with round-robin scheduling."""
-
-    name = "rr"
-    policy = RRPolicy()

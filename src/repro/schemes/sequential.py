@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.automata.dfa import _as_symbol_array
 from repro.gpu.kernel import KernelPhase
-from repro.schemes.base import Scheme, SchemeResult
+from repro.schemes.base import Scheme
+from repro.speculation.chunks import Partition
 
 
 class SequentialScheme(Scheme):
@@ -20,20 +20,23 @@ class SequentialScheme(Scheme):
 
     name = "seq"
 
-    def run(self, data, start_state=None) -> SchemeResult:
-        symbols = _as_symbol_array(data)
-        stats = self.sim.new_stats(n_threads=1)
-        with self._scheme_span(stats, n_chunks=1):
-            with self._launch_span(stats):
-                pass
-            start = np.asarray([self._exec_start(start_state)], dtype=np.int64)
-            with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
-                ends = self.engine.run_batch(
-                    symbols.reshape(1, -1),
-                    start,
-                    stats=stats,
-                    phase=KernelPhase.SPECULATIVE_EXECUTION,
-                )
-            with self._phase_span(KernelPhase.MERGE, stats):
-                result = self._finish(int(ends[0]), stats, chunk_ends_exec=ends)
-        return result
+    def _partition(self, symbols) -> Partition:
+        """The whole stream as one chunk (empty streams included)."""
+        return Partition(
+            chunks=symbols.reshape(1, -1),
+            lengths=np.asarray([symbols.size]),
+            offsets=np.zeros(1, dtype=np.int64),
+            symbols=symbols,
+        )
+
+    def _execute(self, partition, exec_start, stats):
+        with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
+            ends = self.engine.run_batch(
+                partition.chunks,
+                np.asarray([exec_start], dtype=np.int64),
+                stats=stats,
+                phase=KernelPhase.SPECULATIVE_EXECUTION,
+            )
+        with self._phase_span(KernelPhase.MERGE, stats):
+            pass
+        return int(ends[0]), ends

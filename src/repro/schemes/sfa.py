@@ -27,14 +27,12 @@ levers keep the cost bounded:
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
 from repro.gpu.kernel import KernelPhase
-from repro.schemes.base import Scheme, SchemeResult
-from repro.speculation.chunks import Partition
+from repro.schemes.base import Scheme
 
 #: Rabin fingerprint modulus/base.  ``MOD`` is the Mersenne prime 2^31-1 and
 #: ``BASE`` < 2^20, so ``fp * BASE + sym`` stays well inside int64 for byte
@@ -124,107 +122,68 @@ class SFAScheme(Scheme):
     #: verified speculation boundaries — never accuracy evidence.
     boundary_evidence = False
 
-    def run(self, data, start_state=None) -> SchemeResult:
-        partition: Partition = self._partition(data)
+    def _root_attrs(self) -> dict:
+        return {"n_states": self.sim.exec_dfa.n_states}
+
+    def _execute(self, partition, exec_start, stats):
         n = partition.n_chunks
-        stats = self.sim.new_stats(n_threads=self.n_threads)
         n_states = self.sim.exec_dfa.n_states
-        with self._scheme_span(stats, n_chunks=n, n_states=n_states):
-            with self._launch_span(stats):
-                pass
-            exec_start = self._exec_start(start_state)
 
-            # --- phase 1: fingerprint dedupe (host-side, cheap) ---------
-            with self._phase_span(
-                KernelPhase.PREDICT, stats, kind="fingerprint"
-            ):
-                reps, inverse = dedupe_chunks(
-                    partition.chunks, partition.lengths
-                )
-                # One rolling-hash pass over the input, pipelined across
-                # chunks: charge it like a predictor replay, not a kernel.
-                stats.charge(
-                    KernelPhase.PREDICT,
-                    2.0 * self.sim.device.transition_compute_cycles,
-                )
-            n_unique = int(reps.size)
-
-            # --- phase 2: mapping construction (the expensive part) -----
-            with self._phase_span(
-                KernelPhase.MAPPING, stats, unique_chunks=n_unique
-            ):
-                mappings = self.engine.run_mappings(
-                    partition.chunks[reps],
-                    lengths=partition.lengths[reps],
-                    stats=stats,
-                    phase=KernelPhase.MAPPING,
-                    chunk_ids=reps,
-                )
-                stats.charge_sync(KernelPhase.MAPPING)
-
-            # --- phase 3: log-depth mapping composition -----------------
-            # The device combine is a PM-style two-level tree (intra-warp
-            # shuffles, then inter-warp rounds through shared memory), but
-            # each merge forwards a full mapping — ``width`` states — not a
-            # scalar.  ``width`` is the realized image size, which the
-            # state-convergence collapse keeps far below ``n_states``.
-            dev = self.sim.device
-            width = (
-                int(
-                    np.mean(
-                        [len(np.unique(mappings[g])) for g in range(n_unique)]
-                    )
-                )
-                if n_unique
-                else 1
+        # --- phase 1: fingerprint dedupe (host-side, cheap) -------------
+        with self._phase_span(KernelPhase.PREDICT, stats, kind="fingerprint"):
+            reps, inverse = dedupe_chunks(partition.chunks, partition.lengths)
+            # One rolling-hash pass over the input, pipelined across
+            # chunks: charge it like a predictor replay, not a kernel.
+            stats.charge(
+                KernelPhase.PREDICT,
+                2.0 * self.sim.device.transition_compute_cycles,
             )
-            width = max(1, width)
-            with self._phase_span(KernelPhase.MERGE, stats, width=width):
-                intra_rounds = (
-                    math.ceil(math.log2(min(n, dev.warp_size))) if n > 1 else 0
-                )
-                n_warps = -(-n // dev.warp_size)
-                inter_rounds = (
-                    math.ceil(math.log2(n_warps)) if n_warps > 1 else 0
-                )
-                for _ in range(intra_rounds):
-                    stats.comm_ops += width * n
-                    stats.charge(
-                        KernelPhase.MERGE, width * dev.shuffle_cycles
-                    )
-                for _ in range(inter_rounds):
-                    stats.comm_ops += width * n_warps
-                    stats.charge(KernelPhase.MERGE, dev.comm_cycles)
-                    stats.charge(
-                        KernelPhase.MERGE, (width - 1) * dev.shuffle_cycles
-                    )
-                    stats.charge_sync(KernelPhase.MERGE)
+        n_unique = int(reps.size)
 
-                # Functional chain through the carried state: exact by
-                # construction, no verification and no recovery ever.
-                chunk_ends = np.empty(n, dtype=np.int64)
-                state = int(exec_start)
-                for i in range(n):
-                    state = int(mappings[inverse[i], state])
-                    chunk_ends[i] = state
-                stats.matches += n
-
-            # Every lane beyond the ground-truth path was insurance work.
-            useful_transitions = int(partition.lengths.sum())
-            stats.redundant_transitions += max(
-                0, stats.transitions - useful_transitions
+        # --- phase 2: mapping construction (the expensive part) ---------
+        with self._phase_span(KernelPhase.MAPPING, stats, unique_chunks=n_unique):
+            mappings = self.engine.run_mappings(
+                partition.chunks[reps],
+                lengths=partition.lengths[reps],
+                stats=stats,
+                phase=KernelPhase.MAPPING,
+                chunk_ids=reps,
             )
+            stats.charge_sync(KernelPhase.MAPPING)
 
-            self._stash_audit(
-                partition=partition,
-                exec_start=exec_start,
-                sfa_mappings=mappings,
-                sfa_reps=reps,
-                sfa_inverse=inverse,
-            )
-            self._record_metrics(n, n_unique, n_states, width)
-            result = self._finish(state, stats, chunk_ends_exec=chunk_ends)
-        return result
+        # --- phase 3: log-depth mapping composition ---------------------
+        # The device combine is a PM-style two-level tree (intra-warp
+        # shuffles, then inter-warp rounds through shared memory), but each
+        # merge forwards a full mapping — ``width`` states — not a scalar.
+        # ``width`` is the realized image size, which the state-convergence
+        # collapse keeps far below ``n_states``.
+        dev = self.sim.device
+        width = max(1, int(np.mean([len(np.unique(row)) for row in mappings])))
+        with self._phase_span(KernelPhase.MERGE, stats, width=width):
+            intra_rounds, n_warps, inter_rounds = self._tree_merge_rounds(n)
+            for _ in range(intra_rounds):
+                stats.comm_ops += width * n
+                stats.charge(KernelPhase.MERGE, width * dev.shuffle_cycles)
+            for _ in range(inter_rounds):
+                stats.comm_ops += width * n_warps
+                stats.charge(KernelPhase.MERGE, dev.comm_cycles)
+                stats.charge(KernelPhase.MERGE, (width - 1) * dev.shuffle_cycles)
+                stats.charge_sync(KernelPhase.MERGE)
+
+            # Functional chain through the carried state: exact by
+            # construction, no verification and no recovery ever.
+            chunk_ends = np.empty(n, dtype=np.int64)
+            state = int(exec_start)
+            for i in range(n):
+                state = int(mappings[inverse[i], state])
+                chunk_ends[i] = state
+            stats.matches += n
+
+        # Every lane beyond the ground-truth path was insurance work.
+        self._charge_off_path(stats, partition)
+        self._stash_audit(sfa_mappings=mappings, sfa_reps=reps)
+        self._record_metrics(n, n_unique, n_states, width)
+        return state, chunk_ends
 
     def _record_metrics(
         self, n_chunks: int, n_unique: int, n_states: int, width: int

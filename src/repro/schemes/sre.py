@@ -13,32 +13,11 @@ RR/NF later break.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.schemes.recovery_common import (
-    Assignment,
-    FrontierLoopScheme,
-    RecoveryPolicy,
-    RoundContext,
-)
-
-
-class SREPolicy(RecoveryPolicy):
-    """Recover own chunk from the forwarded end state (when stable)."""
-
-    def schedule(self, ctx: RoundContext) -> List[Assignment]:
-        assignments: List[Assignment] = []
-        n = ctx.partition.n_chunks
-        for t in range(ctx.frontier, n):
-            if ctx.found[t]:
-                continue
-            if t == ctx.frontier or ctx.stable[t]:
-                assignments.append((t, t, int(ctx.end_p[t])))
-        return assignments
+from repro.schemes.recovery_common import FrontierLoopScheme
 
 
 class SREScheme(FrontierLoopScheme):
-    """Algorithm 3 with end-state-forwarded speculative recovery."""
+    """Algorithm 3 with end-state-forwarded speculative recovery: the
+    frontier loop's rear-thread rule alone, every idle thread stays idle."""
 
     name = "sre"
-    policy = SREPolicy()

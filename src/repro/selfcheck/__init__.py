@@ -21,13 +21,11 @@ stack, which the audit layer (imported by ``schemes.base``) must not.
 from repro.selfcheck.audit import (
     SELFCHECK_ENV_VAR,
     audit_scheme_run,
-    oracle_chunk_ends,
     selfcheck_enabled,
 )
 
 __all__ = [
     "SELFCHECK_ENV_VAR",
     "audit_scheme_run",
-    "oracle_chunk_ends",
     "selfcheck_enabled",
 ]

@@ -3,9 +3,9 @@ scheduling decisions), exercised on hand-crafted round contexts."""
 
 import numpy as np
 
-from repro.schemes.nf import NFPolicy
-from repro.schemes.rr import RRPolicy
-from repro.schemes.sre import SREPolicy
+from repro.schemes.nf import NFScheme
+from repro.schemes.rr import RRScheme
+from repro.schemes.sre import SREScheme
 from repro.schemes.recovery_common import RoundContext
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import Prediction
@@ -47,12 +47,12 @@ def make_ctx(
 class TestSREPolicy:
     def test_frontier_always_recovers(self):
         ctx = make_ctx(stable=np.zeros(8, dtype=bool))
-        tasks = SREPolicy().schedule(ctx)
+        tasks = SREScheme.schedule(ctx)
         assert (3, 3, 103) in tasks  # frontier thread from its end_p
 
     def test_rear_threads_recover_own_chunk_when_stable(self):
         ctx = make_ctx()
-        tasks = SREPolicy().schedule(ctx)
+        tasks = SREScheme.schedule(ctx)
         assert all(t == cid for t, cid, _ in tasks)
         assert {t for t, _, _ in tasks} == {3, 4, 5, 6, 7}
 
@@ -60,19 +60,19 @@ class TestSREPolicy:
         found = np.zeros(8, dtype=bool)
         found[5] = True
         ctx = make_ctx(found=found)
-        tasks = SREPolicy().schedule(ctx)
+        tasks = SREScheme.schedule(ctx)
         assert 5 not in {t for t, _, _ in tasks}
 
     def test_unstable_non_frontier_waits(self):
         stable = np.ones(8, dtype=bool)
         stable[6] = False
         ctx = make_ctx(stable=stable)
-        tasks = SREPolicy().schedule(ctx)
+        tasks = SREScheme.schedule(ctx)
         assert 6 not in {t for t, _, _ in tasks}
 
     def test_never_schedules_foreign_chunks(self):
         ctx = make_ctx(frontier=5)
-        tasks = SREPolicy().schedule(ctx)
+        tasks = SREScheme.schedule(ctx)
         assert all(t == cid for t, cid, _ in tasks)
         assert all(t >= 5 for t, _, _ in tasks)
 
@@ -80,39 +80,39 @@ class TestSREPolicy:
 class TestRRPolicy:
     def test_non_rear_round_robin_assignment(self):
         ctx = make_ctx(frontier=3)
-        tasks = RRPolicy().schedule(ctx)
+        tasks = RRScheme.schedule(ctx)
         non_rear = [(t, cid) for t, cid, _ in tasks if t < 3]
         # Threads 0..2 spread over chunks 4..7 round-robin.
         assert [cid for _, cid in non_rear] == [4, 5, 6]
 
     def test_non_rear_dequeue_front_candidates(self):
         ctx = make_ctx(frontier=3)
-        tasks = RRPolicy().schedule(ctx)
+        tasks = RRScheme.schedule(ctx)
         starts = {cid: st for t, cid, st in tasks if t < 3}
         assert starts == {4: 5, 5: 5, 6: 5}  # each chunk's queue front
 
     def test_skips_already_tried_candidates(self):
         ctx = make_ctx(frontier=3)
         ctx.vr.add(4, 5, 99, own=False)  # front candidate already executed
-        tasks = RRPolicy().schedule(ctx)
+        tasks = RRScheme.schedule(ctx)
         starts = {cid: st for t, cid, st in tasks if t < 3}
         assert starts[4] == 6  # dequeued past the tried one
 
     def test_respects_others_capacity(self):
         ctx = make_ctx(frontier=3, others_capacity=0)
-        tasks = RRPolicy().schedule(ctx)
+        tasks = RRScheme.schedule(ctx)
         assert all(t >= 3 for t, _, _ in tasks)  # no foreign recoveries
 
     def test_frontier_at_last_chunk_no_non_rear_work(self):
         ctx = make_ctx(frontier=7)
-        tasks = RRPolicy().schedule(ctx)
+        tasks = RRScheme.schedule(ctx)
         assert all(cid == 7 for _, cid, _ in tasks)
 
 
 class TestNFPolicy:
     def test_non_rear_drain_nearest_first(self):
         ctx = make_ctx(frontier=4)
-        tasks = NFPolicy().schedule(ctx)
+        tasks = NFScheme.schedule(ctx)
         non_rear = [(t, cid, st) for t, cid, st in tasks if t < 4]
         # All four threads drain chunk 5's queue (4 candidates available).
         assert [cid for _, cid, _ in non_rear] == [5, 5, 5, 5]
@@ -120,24 +120,24 @@ class TestNFPolicy:
 
     def test_spills_to_next_chunk_when_queue_exhausted(self):
         ctx = make_ctx(frontier=4, queue_states=(5, 6))
-        tasks = NFPolicy().schedule(ctx)
+        tasks = NFScheme.schedule(ctx)
         non_rear = [(cid, st) for t, cid, st in tasks if t < 4]
         assert non_rear == [(5, 5), (5, 6), (6, 5), (6, 6)]
 
     def test_capacity_aware_moves_on(self):
         ctx = make_ctx(frontier=4, others_capacity=1)
-        tasks = NFPolicy().schedule(ctx)
+        tasks = NFScheme.schedule(ctx)
         non_rear = [cid for t, cid, _ in tasks if t < 4]
         # One foreign record per chunk: threads fan out instead of stacking.
         assert non_rear == [5, 6, 7]
 
     def test_all_queues_exhausted_threads_idle(self):
         ctx = make_ctx(frontier=4, queue_states=())
-        tasks = NFPolicy().schedule(ctx)
+        tasks = NFScheme.schedule(ctx)
         assert all(t >= 4 for t, _, _ in tasks)
 
     def test_rear_behaviour_matches_sre(self):
         ctx = make_ctx(frontier=4)
-        sre_rear = {x for x in SREPolicy().schedule(make_ctx(frontier=4))}
-        nf_rear = {x for x in NFPolicy().schedule(ctx) if x[0] >= 4}
+        sre_rear = {x for x in SREScheme.schedule(make_ctx(frontier=4))}
+        nf_rear = {x for x in NFScheme.schedule(ctx) if x[0] >= 4}
         assert sre_rear == nf_rear

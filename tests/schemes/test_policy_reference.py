@@ -1,7 +1,7 @@
 """RR/NF whole-round scheduling against the per-thread loops it replaced.
 
-``rr_loop`` and ``nf_loop`` are the former bodies of ``RRPolicy.schedule``
-and ``NFPolicy.schedule``: one ``dequeue`` plus one ``VRStore.lookup`` per
+``rr_loop`` and ``nf_loop`` are the former bodies of ``RRScheme.schedule``
+and ``NFScheme.schedule``: one ``dequeue`` plus one ``VRStore.lookup`` per
 candidate, thread by thread, with the queue read through the prediction's
 CSR arrays (``_size`` / ``_dequeue`` are a queue's size and dequeue).  They stay here as the oracle — the array
 schedules must return the same assignment list in the same order *and*
@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.schemes import recovery_common
-from repro.schemes.nf import NFPolicy
+from repro.schemes.nf import NFScheme
 from repro.schemes.recovery_common import RoundContext
-from repro.schemes.rr import RRPolicy
+from repro.schemes.rr import RRScheme
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import Prediction
 from repro.speculation.records import VRStore
@@ -160,7 +160,7 @@ def rounds(draw):
     )
 
 
-POLICIES = [(RRPolicy(), rr_loop), (NFPolicy(), nf_loop)]
+POLICIES = [(RRScheme, rr_loop), (NFScheme, nf_loop)]
 
 #: Force the whole-round array schedule (0), keep the shipped cut-over, or
 #: force the per-thread side (a round never has that many idle threads).
