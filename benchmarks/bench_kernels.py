@@ -266,3 +266,51 @@ def test_fetch_coalescing_vectorization_guard():
     print(f"\nfetch-coalescing setup ({n_warps} warps): {speedup:.1f}x "
           f"({t_naive * 1e3:.2f} ms -> {t_vec * 1e3:.2f} ms)")
     assert speedup >= 3.0, f"vectorized pass barely beats the loop ({speedup:.2f}x)"
+
+
+def test_guard_sparse_recovery_batch():
+    """A recovery batch steps only its working lanes: on poweren10's table
+    a 256-lane × 256-position batch with 96 active lanes in 6 of its 8
+    warps takes at most 1.15× the same 96 lanes run as a dense batch (a
+    full-width executor read 1.49–1.52×).  Both are timed in one process,
+    so host drift cancels."""
+    from repro.workloads.suites import build_member
+
+    member = build_member("poweren", 10)
+    table = member.dfa.table
+    mm = MemoryModel.for_dfa(RTX3090, member.dfa.n_states, member.dfa.n_symbols)
+    ex = LockstepExecutor(table, mm, RTX3090)
+    data = np.frombuffer(bytes(member.generate_input(65536, seed=0)), dtype=np.uint8)
+    chunks = data.reshape(256, 256)
+    rng = np.random.default_rng(5)
+    starts = rng.integers(0, member.dfa.n_states, size=256)
+    ws = RTX3090.warp_size
+    lanes = np.sort(
+        np.concatenate(
+            [w * ws + rng.choice(ws, size=16, replace=False) for w in range(6)]
+        )
+    )
+    active = np.zeros(256, dtype=bool)
+    active[lanes] = True
+    dense_chunks = np.ascontiguousarray(chunks[lanes])
+    dense_starts = starts[lanes]
+
+    def sparse():
+        stats = KernelStats(device=RTX3090, n_threads=256)
+        return ex.run(chunks, starts, stats=stats, phase="p", active=active)
+
+    def dense():
+        stats = KernelStats(device=RTX3090, n_threads=lanes.size)
+        return ex.run(dense_chunks, dense_starts, stats=stats, phase="p")
+
+    ends = sparse()
+    np.testing.assert_array_equal(ends[lanes], dense())
+    np.testing.assert_array_equal(ends[~active], starts[~active])
+    t_sparse = t_dense = float("inf")
+    for _ in range(15):  # interleaved, so a slow spell hits both sides
+        t_sparse = min(t_sparse, _best_of(sparse, repeats=1))
+        t_dense = min(t_dense, _best_of(dense, repeats=1))
+    ratio = t_sparse / t_dense
+    print(f"\nsparse recovery batch (96 of 256 lanes, 6 of 8 warps): {ratio:.2f}x "
+          f"the dense 96-lane batch ({t_dense * 1e3:.2f} -> {t_sparse * 1e3:.2f} ms)")
+    assert ratio <= 1.15, f"idle lanes cost {ratio:.2f}x the working lanes' batch"

@@ -1,6 +1,6 @@
 """The vectorized lockstep executor.
 
-This is the simulated GPU's compute engine: it advances *all* simulated
+This is the simulated GPU's compute engine: it advances the simulated
 threads through their chunks one symbol position at a time, exactly like a
 warp executes ``state = table[state][symbol]`` in lockstep, and charges each
 warp the latency of its slowest lane (memory divergence) while counting
@@ -8,24 +8,38 @@ shared/global accesses — so a single call yields both the functional result
 (end states) and the cost-model result (cycles into a
 :class:`~repro.gpu.stats.KernelStats`).
 
-Design notes (per the HPC guides).  A batch is processed in two passes:
+Design notes (per the HPC guides).  Only the **working lanes** — active,
+with a non-zero length — are stepped; an RR/NF recovery batch has ~100 of
+its 256 lanes at work, and the idle ones cost the host nothing (they keep
+their start state).  The working lanes stay in index order, so each warp's
+working lanes form one contiguous group.  A batch is processed in two
+passes:
 
 * the **trajectory pass** is the only python loop over symbol positions,
   and its body holds nothing but the store of the pre-step states into a
-  ``(positions × lanes)`` trace and the transition gather itself — on flat
-  indices, ``flat[s * m + a]`` into ``table.ravel()`` (a view of the
-  executor's own table, no copy) with the block's symbols transposed to
-  int64 once, which numpy gathers faster than the 2-D ``table[s, a]``;
-  lanes that are inactive, past their ragged length or warp padding are
-  fed symbol 0 (one masked multiply per block, outside the loop) and their
-  end states are read back from the trace at the position where they
-  stopped;
+  ``(positions × working lanes)`` trace and the transition gather itself —
+  on flat indices, ``flat[s * m + a]`` into ``table.ravel()`` (a view of
+  the executor's own table, no copy) with the block's symbols transposed
+  to int64 once, which numpy gathers faster than the 2-D ``table[s, a]``;
+  a working lane past its ragged length is fed symbol 0 (one masked
+  multiply per block, outside the loop) and its end state is read back
+  from the trace at the position where it stopped;
 * the **cost pass** derives everything the ledger and the ``executor.*`` /
   ``memory.*`` counters need — hot/cold placement, per-warp cold counts
-  (one ``reduceat`` over warp-sized lane segments), memory, fetch and
-  compute charges, transitions, divergence — from that trace with
-  whole-array operations, Ko et al.'s split of a SIMD automaton step into
-  "gather in the loop, bookkeeping on vectors afterwards".
+  (one ``reduceat`` over the working lanes' warp groups, then scattered
+  into the per-warp arrays), memory, fetch and compute charges,
+  transitions, divergence — from that trace with whole-array operations,
+  Ko et al.'s split of a SIMD automaton step into "gather in the loop,
+  bookkeeping on vectors afterwards".
+
+Regrouping by working lane is exact: a lane that does not work contributes
+no cold lookup, no cold step and no divergence, so a warp with no working
+lane adds 0 to every term, and a warp's counts over its working lanes are
+its counts over all its lanes.  The warp-level quantities — the per-warp
+cycle sums, ``concurrency_factor(n_warps)`` and the input-fetch
+coalescing's distinct chunks per warp — are still taken over the batch's
+full width, from the same integer counts, so the cycles charged are those
+of a full-width pass bit for bit (by the dyadic-constant argument below).
 
 The two passes alternate over **position blocks** of at most
 :data:`TRACE_BLOCK_ELEMENTS` trace elements, so a 65 536-lane SFA mapping
@@ -202,10 +216,9 @@ class LockstepExecutor:
         device = self.device
         ws = device.warp_size
         n_warps = -(-n_threads // ws)
-        width = n_warps * ws  # lanes padded to a warp multiple
 
         # Input-fetch coalescing: constant per step for a fixed assignment.
-        lane_chunk = np.full(width, -1, dtype=np.int64)
+        lane_chunk = np.full(n_warps * ws, -1, dtype=np.int64)
         if chunk_ids is None:
             lane_chunk[:n_threads][active_mask] = np.flatnonzero(active_mask)
         else:
@@ -221,52 +234,55 @@ class LockstepExecutor:
             0.0,
         )
 
-        # Lane l works at positions [0, steps[l]); inactive and padding
-        # lanes never do.  Positions past the longest lane are not run.
-        steps = np.zeros(width, dtype=np.int64)
-        steps[:n_threads] = np.where(active_mask, lens, 0)
+        # Lane l works at positions [0, steps[l]); inactive lanes never do.
+        # Only the working lanes are stepped, in index order, so each warp's
+        # working lanes form one contiguous group.  Positions past the
+        # longest lane are not run.
+        steps = np.where(active_mask, lens, 0)
         max_len = int(steps.max())
-        masked = bool((steps != max_len).any())
-        steps32 = steps.astype(np.int32)  # a narrower compare for ``working``
+        work = np.flatnonzero(steps)
+        work_steps = steps[work]
+        masked = bool((work_steps != max_len).any())
+        steps32 = work_steps.astype(np.int32)  # a narrower compare for ``working``
+        dense = work.size == n_threads
+        warp_of = work // ws
+        group_starts = np.flatnonzero(np.diff(warp_of, prepend=-1))
+        group_warps = warp_of[group_starts]
+        group_sizes = np.diff(np.append(group_starts, work.size))
 
         # Flat view of the table: state s on symbol a is flat[s * m + a].
         flat = self.table.ravel()
         m = np.int64(n_symbols)
         track_metrics = self.metrics is not None
-        cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
-        cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
+        group_cold_steps = np.zeros(group_starts.size, dtype=np.int64)
+        group_cold_lanes = np.zeros(group_starts.size, dtype=np.int64)
         divergent_warp_steps = 0
 
-        # Every lane steps through every executed position: one that has
-        # stopped (or never works — inactive, warp padding) reads symbol 0,
+        # A working lane that has stopped (ragged length) reads symbol 0,
         # so the gather stays inside the table whatever those positions of
-        # ``chunks`` hold.  Such a lane's end state is read back from the
-        # trace at the position where it stopped, and the cost pass counts
-        # working lanes only.
-        lane_states = np.zeros(width, dtype=STATE_DTYPE)
-        lane_states[:n_threads] = states
-        ends = lane_states.copy()  # lanes that never step keep their start
-        warp_starts = np.arange(0, width, ws)
+        # ``chunks`` hold; its end state is read back from the trace at the
+        # position where it stopped, and the cost pass masks it out.
+        lane_states = states[work]
+        ends = lane_states.copy()
 
-        def per_warp(mask):
-            """``(positions × warps)`` count of set lanes in each warp."""
+        def per_group(mask):
+            """``(positions × groups)`` count of set lanes in each group."""
             return np.add.reduceat(
-                mask.view(np.int8), warp_starts, axis=1, dtype=np.int64
+                mask.view(np.int8), group_starts, axis=1, dtype=np.int64
             )
 
-        block = max(1, TRACE_BLOCK_ELEMENTS // width)
-        trace = np.empty((min(block, max_len), width), dtype=STATE_DTYPE)
+        block = max(1, TRACE_BLOCK_ELEMENTS // max(work.size, 1))
+        trace = np.empty((min(block, max_len), work.size), dtype=STATE_DTYPE)
         for lo in range(0, max_len, block):
             hi = min(lo + block, max_len)
             pre = trace[: hi - lo]  # pre[j]: lane states before position lo + j
+            symbols = chunks[:, lo:hi] if dense else chunks[work, lo:hi]
             if masked:
                 working = np.arange(lo, hi, dtype=np.int32)[:, None] < steps32
-                cols = np.zeros(pre.shape, dtype=np.int64)
-                np.multiply(
-                    chunks[:, lo:hi].T, working[:, :n_threads], out=cols[:, :n_threads]
-                )
+                cols = np.empty(pre.shape, dtype=np.int64)
+                np.multiply(symbols.T, working, out=cols)
             else:
-                cols = np.ascontiguousarray(chunks[:, lo:hi].T, dtype=np.int64)
+                cols = np.ascontiguousarray(symbols.T, dtype=np.int64)
 
             # --- trajectory pass: store, gather -------------------------
             # One flat index per lane and step, s * m + a, in int64 (an
@@ -275,8 +291,8 @@ class LockstepExecutor:
                 pre[j] = lane_states
                 lane_states = flat[lane_states * m + cols[j]]
             if masked:
-                stopped = np.flatnonzero((steps >= lo) & (steps < hi))
-                ends[stopped] = pre[steps[stopped] - lo, stopped]
+                stopped = np.flatnonzero((work_steps >= lo) & (work_steps < hi))
+                ends[stopped] = pre[work_steps[stopped] - lo, stopped]
 
             # --- cost pass: whole-block accounting ----------------------
             # Warp memory cost: divergent global loads serialize into
@@ -286,29 +302,34 @@ class LockstepExecutor:
             cold = ~self.memory.hot_mask(pre)
             if masked:
                 cold &= working
-            warp_cold = per_warp(cold)
-            cold_steps += np.count_nonzero(warp_cold, axis=0)
-            cold_lanes += warp_cold.sum(axis=0)
+            warp_cold = per_group(cold)
+            group_cold_steps += np.count_nonzero(warp_cold, axis=0)
+            group_cold_lanes += warp_cold.sum(axis=0)
             if track_metrics:
                 # Memory divergence: a warp step mixing hot and cold lanes
                 # serializes transactions — the effect the paper's
                 # transformation shrinks, surfaced here as a counter.
-                warp_working = per_warp(working) if masked else ws
+                warp_working = per_group(working) if masked else group_sizes
                 divergent_warp_steps += int(
                     np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
                 )
-        states = np.where(steps == max_len, lane_states, ends)[:n_threads]
+        states[work] = np.where(work_steps == max_len, lane_states, ends)
+        # Warps without a working lane add nothing to any term.
+        cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
+        cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
+        cold_steps[group_warps] = group_cold_steps
+        cold_lanes[group_warps] = group_cold_lanes
 
         # A warp steps while any of its lanes works, i.e. for as many
         # positions as its longest lane.
-        active_steps = steps.reshape(n_warps, ws).max(axis=1)
+        active_steps = np.maximum.reduceat(steps, np.arange(0, n_threads, ws))
         total_transitions = int(steps.sum())
         global_hits = int(cold_lanes.sum())
         shared_hits = total_transitions - global_hits
         redundant = 0
         if count_redundant is not None:
             redundant = int(
-                steps[:n_threads][np.asarray(count_redundant, dtype=bool)].sum()
+                steps[np.asarray(count_redundant, dtype=bool)].sum()
             )
 
         if stats is not None:

@@ -17,6 +17,19 @@ Timing semantics per round:
   executor computes from the actual states visited (memory divergence,
   hot/cold placement, input-fetch coalescing).
 
+Host work per round.  The modelled GPU scans every chunk's records every
+round, and the ledger charges exactly that, one round at a time.  The host
+computes only what can have changed: a chunk's scan result is a function of
+its forwarded state and its records, so ``found`` / ``hit`` / ``end_p``
+persist across rounds and a round rescans just its *dirty* chunks — those
+whose predecessor's end moved last round (by scan or own recovery) and
+those a recovery batch ran on.  Every other chunk would find what it found
+before, and its end already holds that hit, so the answer, the ledger and
+the recovery schedule are those of a whole-store scan.  A round with no
+dirty chunk and no recovery moves nothing and does no array work;
+shared-memory staging traffic is charged only after a recovery, the only
+time records are added.
+
 Fidelity note (documented deviation): Algorithm 3 as printed would let every
 unverified thread re-execute from its forwarded end state in *every*
 mismatch round, which on non-converging FSMs degenerates into an all-threads
@@ -226,27 +239,39 @@ class FrontierLoopScheme(Scheme):
         phase = KernelPhase.VERIFY_RECOVER
         # What one scan costs changes only when a recovery adds records.
         scan_depth, n_records = vr.scan_cost()
-        prev_snapshot = end_c.copy()
         last_change_round = np.zeros(n, dtype=np.int64)  # round a thread's end last changed
+        # Round state carried from round to round.  A chunk's scan result
+        # depends on its forwarded state and its records alone, so a round
+        # rescans only the ``dirty`` chunks, where one of the two changed
+        # (the ledger still charges a whole-store scan every round).
+        end_p = np.empty(n, dtype=np.int64)  # forwarded predecessor end states
+        end_p[0] = exec_start
+        end_p[1:] = end_c[:-1]
+        found = np.zeros(n, dtype=bool)
+        hit = np.zeros(n, dtype=np.int64)
+        dirty = np.ones(n, dtype=bool)
 
         for f in range(n):
             with self._phase_span(
                 "verify_recover.round", stats, frontier=f
             ) as round_span:
                 # --- communication: forward predecessor end states -------
-                end_p = np.empty(n, dtype=np.int64)
-                end_p[0] = exec_start
-                end_p[1:] = prev_snapshot[:-1]
                 stats.charge_comm(phase, n - 1 if n > 1 else 0)
 
                 # --- verification scan -----------------------------------
-                found, hit = vr.scan(end_p)
-                new_end = np.where(found, hit, end_c)
+                # A chunk that is not dirty would find what it found last
+                # round, and its end already holds that hit.  With no dirty
+                # chunk and no recovery, no end state moves this round.
+                rows = dirty.nonzero()[0]
+                quiet = rows.size == 0
+                if not quiet:
+                    dirty[rows] = False
+                    found[rows], hit[rows] = vr.scan(rows, end_p[rows])
+                    changed = found & (hit != end_c)
+                    np.copyto(end_c, hit, where=changed)
                 stats.charge_verify(
                     phase, checks_per_thread=scan_depth, total_checks=n_records
                 )
-                changed = new_end != end_c
-                end_c = new_end
 
                 mark = bool(found[f])
                 if mark:
@@ -255,13 +280,15 @@ class FrontierLoopScheme(Scheme):
                     stats.mismatches += 1
                 stats.charge_sync(phase)
 
-                # stability: a forwarded state is stable when its producer's
-                # end state did not change in the previous round.
-                stable = np.ones(n, dtype=bool)
-                stable[1:] = last_change_round[:-1] < f  # changed this round ⇒ unstable next
-                last_change_round[changed] = f + 1
-
                 n_active = 0
+                if not mark:
+                    # stability: a forwarded state is stable when its
+                    # producer's end state did not change in the previous
+                    # round (changed this round ⇒ unstable next).
+                    stable = np.ones(n, dtype=bool)
+                    stable[1:] = last_change_round[:-1] < f
+                if not quiet:
+                    last_change_round[changed] = f + 1
                 if not mark:
                     ctx = RoundContext(
                         frontier=f,
@@ -275,15 +302,22 @@ class FrontierLoopScheme(Scheme):
                     assignments = self.schedule(ctx)
                     n_active = len(assignments)
                     if assignments:
-                        recovered = self._execute_recoveries(
+                        recovered, touched = self._execute_recoveries(
                             assignments, partition, end_c, vr, stats, f
                         )
                         last_change_round[recovered] = f + 1
                         scan_depth, n_records = vr.scan_cost()
+                        vr.charge_shared_traffic(stats, phase)
+                        dirty[touched] = True
+                        quiet = False
                     else:
                         stats.record_recovery_round(active_threads=0)
-                vr.charge_shared_traffic(stats, phase)
-                prev_snapshot = end_c.copy()
+                if not quiet:
+                    # Forward the round's end states: a chunk whose
+                    # forwarded state moved (by its predecessor's scan or
+                    # recovery) is dirty next round.
+                    dirty[1:] |= end_p[1:] != end_c[:-1]
+                    end_p[1:] = end_c[:-1]
                 if oracle_ends is not None:
                     self._audit_verified_prefix(end_c, oracle_ends, f)
                 if round_span:
@@ -325,9 +359,10 @@ class FrontierLoopScheme(Scheme):
         vr: VRStore,
         stats: KernelStats,
         frontier: int,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Run one parallel recovery batch and fold its results into ``vr``
-        and ``end_c``; returns the threads that re-ran their own chunk."""
+        and ``end_c``; returns the threads that re-ran their own chunk and
+        the chunks the batch ran on (those whose records may have grown)."""
         n = partition.n_chunks
         phase = KernelPhase.VERIFY_RECOVER
         threads, chunk_of, start_of = np.asarray(assignments, dtype=np.int64).T
@@ -361,4 +396,4 @@ class FrontierLoopScheme(Scheme):
         recovered = threads[own]
         end_c[recovered] = ends[own]
         stats.charge_sync(phase)
-        return recovered
+        return recovered, chunk_of

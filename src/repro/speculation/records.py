@@ -20,13 +20,14 @@ row ``i`` of three dense ``(n_chunks, own_capacity + others_capacity)``
 arrays (``start``, ``end``, ``own``) and fills its slots left to right in
 arrival order; two per-chunk counters say how many of the filled slots hold
 own and foreign records.  Free slots hold :data:`EMPTY` as their start, which
-no state id equals, so the whole-store verification scan of one frontier
-round (:meth:`VRStore.scan`) is a single broadcast compare with no validity
+no state id equals, so the verification scan of any set of rows
+(:meth:`VRStore.scan` — a frontier round passes the chunks whose forwarded
+state or records changed) is a single broadcast compare with no validity
 mask.  The store is read only through these arrays: the scalar
 :meth:`~VRStore.add` / :meth:`~VRStore.lookup` / :meth:`~VRStore.count` /
 :meth:`~VRStore.others_full` serve the inherently sequential chains
 (Algorithm 2, PM's stage 2, the small-round schedulers), and their
-whole-round forms :meth:`~VRStore.add_batch` / :meth:`~VRStore.scan` /
+many-row forms :meth:`~VRStore.add_batch` / :meth:`~VRStore.scan` /
 :meth:`~VRStore.holds` / :meth:`~VRStore.others_room` serve the frontier
 loop and the array schedulers.
 """
@@ -93,7 +94,6 @@ class VRStore:
         self._own = np.zeros(slots, dtype=bool)
         self._n_own = np.zeros(self.n_chunks, dtype=np.int64)
         self._n_others = np.zeros(self.n_chunks, dtype=np.int64)
-        self._rows = np.arange(self.n_chunks)
 
     # ------------------------------------------------------------------
     def add(self, chunk: int, start: int, end: int, *, own: bool) -> bool:
@@ -209,18 +209,21 @@ class VRStore:
         """Vectorized ``not others_full(chunk)`` over ``chunks``."""
         return self._n_others[chunks] < self.others_capacity
 
-    def scan(self, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One verification round: every chunk scans its records for the
-        state forwarded to it.
+    def scan(
+        self, chunks: np.ndarray, starts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Verification scan of the given rows: chunk ``chunks[i]`` scans its
+        records for the state ``starts[i]`` forwarded to it.
 
-        ``starts[i]`` is the (non-negative) state forwarded to chunk ``i``.
-        Returns ``(found, hit)``: ``found[i]`` says whether chunk ``i`` holds
-        a record started from ``starts[i]``, ``hit[i]`` is that record's end
-        state (meaningful only where ``found``).
+        ``chunks`` are row indices and ``starts`` non-negative states, one
+        per row.  Returns ``(found, hit)`` aligned with ``chunks``:
+        ``found[i]`` says whether the chunk holds a record started from
+        ``starts[i]``, ``hit[i]`` is that record's end state (meaningful
+        only where ``found``).
         """
-        match = self._start == np.asarray(starts, dtype=np.int64)[:, None]
+        match = self._start[chunks] == np.asarray(starts, dtype=np.int64)[:, None]
         slot = match.argmax(axis=1)
-        return match[self._rows, slot], self._end[self._rows, slot]
+        return match[np.arange(slot.size), slot], self._end[chunks, slot]
 
     def scan_cost(self) -> Tuple[int, int]:
         """Compares one :meth:`scan` makes: per (lockstep) thread — the

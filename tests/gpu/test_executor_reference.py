@@ -212,6 +212,67 @@ def batch(draw):
     return table, memory, chunks, starts, with_metrics, kwargs
 
 
+@st.composite
+def sparse_batch(draw):
+    """A recovery-shaped batch whose activity has warp structure: whole
+    idle warps, one active lane, only the last partial warp active, or all
+    active lanes inside one warp.  Metrics are always on."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    ws = DEV.warp_size
+    pattern = draw(
+        st.sampled_from(["idle_warps", "one_lane", "last_partial", "one_warp"])
+    )
+    if pattern == "last_partial":
+        n_threads = ws * draw(st.integers(min_value=1, max_value=5)) + draw(
+            st.integers(min_value=1, max_value=ws - 1)
+        )
+    else:
+        n_threads = draw(st.integers(min_value=1, max_value=23))
+    n_warps = -(-n_threads // ws)
+    lane_warp = np.arange(n_threads) // ws
+    if pattern == "idle_warps":
+        busy = rng.random(n_warps) < 0.5
+        busy[rng.integers(n_warps)] = False  # at least one idle warp
+        active = busy[lane_warp] & (rng.random(n_threads) < 0.7)
+    elif pattern == "one_lane":
+        active = np.zeros(n_threads, dtype=bool)
+        active[rng.integers(n_threads)] = True
+    elif pattern == "last_partial":
+        active = (lane_warp == n_warps - 1) & (rng.random(n_threads) < 0.8)
+    else:
+        warp = rng.integers(n_warps)
+        active = (lane_warp == warp) & (rng.random(n_threads) < 0.6)
+        active[min(warp * ws + rng.integers(ws), n_threads - 1)] = True
+    n_states = draw(st.integers(min_value=1, max_value=12))
+    n_symbols = 6
+    table = rng.integers(0, n_states, size=(n_states, n_symbols)).astype(np.int32)
+    chunk_len = draw(st.integers(min_value=1, max_value=12))
+    chunks = rng.integers(0, n_symbols, size=(n_threads, chunk_len)).astype(np.uint8)
+    starts = rng.integers(0, n_states, size=n_threads)
+    kwargs = {"active": active}
+    if draw(st.booleans()):
+        kwargs["lengths"] = rng.integers(0, chunk_len + 1, size=n_threads)
+    if draw(st.booleans()):
+        kwargs["chunk_ids"] = rng.integers(0, max(1, n_threads // 2), size=n_threads)
+    if draw(st.booleans()):
+        kwargs["count_redundant"] = rng.random(n_threads) < 0.5
+    layout = draw(st.sampled_from(list(TableLayout)))
+    hot = draw(st.integers(min_value=0, max_value=n_states))
+    memory = _memory(DEV, layout, n_states, hot, rng)
+    return table, memory, chunks, starts, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_batch())
+def test_sparse_warp_structured_batches(case):
+    """Warp-structured activity — the shape of an RR/NF recovery batch —
+    matches the oracle's ledger and its whole metrics registry, so
+    ``executor.warp_steps`` and ``executor.divergent_warp_steps`` exactly."""
+    table, memory, chunks, starts, kwargs = case
+    _assert_same(DEV, table, memory, chunks, starts, True, **kwargs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(batch())
 def test_two_pass_run_equals_per_position_loop(case):

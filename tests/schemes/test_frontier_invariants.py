@@ -77,19 +77,28 @@ class TestFrontierInvariants:
         verified.  The frontier chunk (3) is still right; the audit names
         the round and the chunk that changed."""
         dfa, data, _ = case
-        scheme, _ = audited_scheme(cls, case)
+        scheme, tracer = audited_scheme(cls, case)
         wrong = (true_chunk_ends(dfa, data, 12)[1] + 1) % dfa.n_states
         orig_scan = VRStore.scan
-        calls = []
+        recover = scheme._execute_recoveries
 
-        def flipping_scan(self, starts):
-            found, hit = orig_scan(self, starts)
-            calls.append(None)
-            if len(calls) == 4:  # one scan per round: this is round 3
+        def frontier():
+            return tracer.find_all("verify_recover.round")[-1].attrs["frontier"]
+
+        def touching_chunk_1(assignments, partition, end_c, vr, stats, f):
+            # A round rescans a verified chunk only when a recovery touched
+            # it: have round 2's batch report chunk 1, so round 3 rescans it.
+            recovered, touched = recover(assignments, partition, end_c, vr, stats, f)
+            return recovered, np.append(touched, 1) if f == 2 else touched
+
+        def flipping_scan(self, chunks, starts):
+            found, hit = orig_scan(self, chunks, starts)
+            if frontier() == 3:
                 found, hit = found.copy(), hit.copy()
-                found[1], hit[1] = True, wrong
+                found[chunks == 1], hit[chunks == 1] = True, wrong
             return found, hit
 
+        scheme._execute_recoveries = touching_chunk_1
         VRStore.scan = flipping_scan
         try:
             with pytest.raises(SelfCheckError) as exc:

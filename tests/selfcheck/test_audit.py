@@ -280,11 +280,11 @@ class TestViolationsDetected:
         # round 2's frontier check must fire with frontier=2.
         orig_scan = VRStore.scan
 
-        def bad_scan(self, starts):
-            found, hit = orig_scan(self, starts)
+        def bad_scan(self, chunks, starts):
+            found, hit = orig_scan(self, chunks, starts)
             hit = hit.copy()
-            if found[2]:
-                hit[2] = (hit[2] + 1) % scheme.sim.exec_dfa.n_states
+            two = (chunks == 2) & found
+            hit[two] = (hit[two] + 1) % scheme.sim.exec_dfa.n_states
             return found, hit
 
         with pytest.raises(SelfCheckError) as exc:

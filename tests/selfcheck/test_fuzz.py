@@ -141,10 +141,11 @@ class TestWrongAnswerDetection:
 
         orig = VRStore.scan
 
-        def bad(self, starts):
-            found, hit = orig(self, starts)
+        def bad(self, chunks, starts):
+            found, hit = orig(self, chunks, starts)
             hit = hit.copy()
-            hit[1::2] = (hit[1::2] + 1) % 1_000_000  # wrong, possibly out of range
+            odd = chunks % 2 == 1
+            hit[odd] = (hit[odd] + 1) % 1_000_000  # wrong, possibly out of range
             return found, hit
 
         monkeypatch.setattr(VRStore, "scan", bad)

@@ -134,20 +134,26 @@ def test_vrstore_shared_traffic_counts_foreign_only(case):
 @settings(max_examples=60, deadline=None)
 @given(vr_ops(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_vrstore_scan_agrees_with_lookup(case, seed):
-    """The whole-store verification scan is ``lookup`` chunk by chunk, and
-    ``counts`` is ``count`` — on stores with duplicates and capacity drops."""
+    """The verification scan of any rows — the whole store, a subset in any
+    order, none — is ``lookup`` chunk by chunk, and ``counts`` is ``count``
+    — on stores with duplicates and capacity drops."""
     n_chunks, own_cap, others_cap, ops = case
     vr = VRStore(n_chunks=n_chunks, own_capacity=own_cap, others_capacity=others_cap)
     rng = np.random.default_rng(seed)
 
     def check_scan():
-        forwarded = rng.integers(0, 20, size=n_chunks)
-        found, hit = vr.scan(forwarded)
-        for c in range(n_chunks):
-            expected = vr.lookup(c, int(forwarded[c]))
-            assert bool(found[c]) == (expected is not None)
-            if expected is not None:
-                assert int(hit[c]) == expected
+        for rows in (
+            np.arange(n_chunks),
+            rng.permutation(n_chunks)[: rng.integers(0, n_chunks + 1)],
+        ):
+            forwarded = rng.integers(0, 20, size=rows.size)
+            found, hit = vr.scan(rows, forwarded)
+            assert found.shape == hit.shape == rows.shape
+            for c, start, f, h in zip(rows, forwarded, found, hit):
+                expected = vr.lookup(int(c), int(start))
+                assert bool(f) == (expected is not None)
+                if expected is not None:
+                    assert int(h) == expected
         per_chunk = [vr.count(c) for c in range(n_chunks)]
         assert vr.counts.tolist() == per_chunk
         assert vr.scan_cost() == (max(per_chunk), sum(per_chunk))
