@@ -314,3 +314,40 @@ def test_guard_sparse_recovery_batch():
     print(f"\nsparse recovery batch (96 of 256 lanes, 6 of 8 warps): {ratio:.2f}x "
           f"the dense 96-lane batch ({t_dense * 1e3:.2f} -> {t_sparse * 1e3:.2f} ms)")
     assert ratio <= 1.15, f"idle lanes cost {ratio:.2f}x the working lanes' batch"
+
+
+def test_guard_schedule_round():
+    """RR's and NF's recovery schedule against the per-thread loops it
+    restates (``rr_loop`` / ``nf_loop``, kept in ``tests/schemes``): on
+    random 256-chunk rounds at f = 40, 128 and 200 it takes at most 0.6×
+    their time.  Both are timed in one process, interleaved, so host drift
+    cancels."""
+    from tests.schemes.policy_reference import _context, nf_loop, rr_loop
+    from repro.schemes.nf import NFScheme
+    from repro.schemes.rr import RRScheme
+
+    for name, schedule, loop in (
+        ("rr", RRScheme.schedule, rr_loop),
+        ("nf", NFScheme.schedule, nf_loop),
+    ):
+        for f in (40, 128, 200):
+            rounds = [_context(seed, 256, f, 16, 60, 40) for seed in range(8)]
+            cursors = [ctx.prediction.cursors.copy() for ctx in rounds]
+
+            def run(fn):
+                for ctx, start in zip(rounds, cursors):
+                    ctx.prediction.cursors[:] = start
+                t0 = time.perf_counter()
+                out = [fn(ctx) for ctx in rounds]
+                return out, time.perf_counter() - t0
+
+            assert run(schedule)[0] == run(loop)[0]
+            t_new = t_ref = float("inf")
+            for _ in range(5):
+                t_new = min(t_new, run(schedule)[1])
+                t_ref = min(t_ref, run(loop)[1])
+            ratio = t_new / t_ref
+            print(f"\n{name} schedule at f = {f} of 256 chunks: {ratio:.2f}x the "
+                  f"per-thread loop ({t_ref * 1e6 / len(rounds):.0f} -> "
+                  f"{t_new * 1e6 / len(rounds):.0f} us a round)")
+            assert ratio <= 0.6, f"{name} schedule takes {ratio:.2f}x the loop at f = {f}"

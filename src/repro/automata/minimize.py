@@ -27,29 +27,21 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.automata.dfa import DFA, STATE_DTYPE
+from repro.automata.properties import reachable_states
 
 
 def _restrict_to_reachable(dfa: DFA) -> DFA:
     """Drop states not reachable from the start state."""
-    n = dfa.n_states
-    seen = np.zeros(n, dtype=bool)
-    seen[dfa.start] = True
-    frontier = np.array([dfa.start], dtype=np.int64)
-    while frontier.size:
-        nxt = np.unique(dfa.table[frontier].ravel())
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
-    if seen.all():
+    old_ids = reachable_states(dfa)
+    if old_ids.size == dfa.n_states:
         return dfa
-    old_ids = np.flatnonzero(seen)
-    remap = -np.ones(n, dtype=np.int64)
+    remap = -np.ones(dfa.n_states, dtype=np.int64)
     remap[old_ids] = np.arange(old_ids.size)
     table = remap[dfa.table[old_ids]]
     return DFA(
         table=table.astype(STATE_DTYPE),
         start=int(remap[dfa.start]),
-        accepting=frozenset(int(remap[s]) for s in dfa.accepting if seen[s]),
+        accepting=frozenset(int(remap[s]) for s in dfa.accepting if remap[s] >= 0),
         name=dfa.name,
     )
 

@@ -7,7 +7,9 @@ chunk's verification records for a match, and — when the *frontier* check
 mismatches (``mark == false``) — recovery work is scheduled.  The schemes
 differ only in **who** recovers **which chunk** from **which start state**:
 :meth:`FrontierLoopScheme.schedule` states the rear-thread rule they share
-once, and RR and NF add their rule for the idle (non-rear) threads.
+once, as a loop over the threads, and RR and NF add their rule for the
+idle (non-rear) threads as a loop over the chunks they visit, whose queues
+:func:`dequeue_untried` drains in one pass.
 
 Timing semantics per round:
 
@@ -46,7 +48,7 @@ schedule *all* threads each mismatch round, as Algorithms 4–5 prescribe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from repro.gpu.kernel import KernelPhase
 from repro.gpu.stats import KernelStats
 from repro.schemes.base import Scheme
 from repro.speculation.chunks import Partition
-from repro.speculation.predictor import Prediction, segment_positions
+from repro.speculation.predictor import Prediction
 from repro.speculation.records import VRStore
 
 
@@ -75,93 +77,50 @@ class RoundContext:
 Assignment = Tuple[int, int, int]
 
 
-#: A round with fewer idle (non-rear) threads than this is scheduled one
-#: thread at a time — a few ``dequeue``/``lookup`` calls cost less than the
-#: ~40 array operations of a whole-round schedule (always so at 8 chunks).
-ARRAY_SCHEDULE_THREADS = 8
+def dequeue_untried(
+    ctx: RoundContext, first: int, wants: List[int]
+) -> List[List[int]]:
+    """Dequeue from the queues of chunks ``first, first + 1, …`` until
+    chunk ``first + j`` has ``wants[j]`` candidates ``ctx.vr`` holds no
+    record for, or its queue runs dry; returns those candidates per chunk,
+    in queue order.  ``wants[j]`` dequeue-until-untried calls, one per
+    visiting thread, would leave the cursor where this does.
 
-
-def per_thread_round(ctx: RoundContext) -> bool:
-    """Whether this round is scheduled one thread at a time."""
-    return ctx.frontier < ARRAY_SCHEDULE_THREADS
-
-
-def dequeue_untried(ctx: RoundContext, chunk: int) -> Optional[int]:
-    """Dequeue from ``chunk``'s queue until a candidate ``ctx.vr`` holds no
-    record for and return it (None when the queue runs dry): one step of
-    the per-thread RR/NF schedules, on the prediction's cursor array."""
-    prediction = ctx.prediction
-    lo, hi = prediction.bounds[chunk : chunk + 2].tolist()
-    pos = lo + int(prediction.cursors[chunk])
-    picked = None
-    while pos < hi:
-        candidate = int(prediction.states[pos])
-        pos += 1
-        if ctx.vr.lookup(chunk, candidate) is None:
-            picked = candidate
-            break
-    prediction.cursors[chunk] = pos - lo
-    return picked
-
-
-def untried_candidates(
-    ctx: RoundContext, chunks: np.ndarray, want: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``want[j]`` dequeue-until-untried calls on chunk ``chunks[j]``'s
-    queue would return, for distinct ``chunks``, without dequeuing: the
-    first ``want[j]`` candidates past the cursor that ``ctx.vr`` holds no
-    record for (fewer when the queue runs dry).
-
-    Returns ``(owner, states, positions)`` in chunk-then-queue order:
-    ``owner`` indexes ``chunks`` and ``positions`` are indices into
-    ``ctx.prediction.states``.  A queue's candidates are distinct and a
-    chunk holds at most ``vr.count(c)`` records, so the picks sit among its
-    next ``want + count`` candidates — only those are compared.
+    A chunk whose ``VR^others`` is full, or whose want is 0, is passed
+    without dequeuing.  A queue's candidates are distinct and a chunk holds
+    ``count`` records, so its picks sit among its next ``count + want``
+    candidates: only those are compared, and a chunk that finds fewer than
+    ``want`` there has run its queue dry.
     """
     prediction = ctx.prediction
-    lo = prediction.bounds[chunks] + prediction.cursors[chunks]
-    remaining = prediction.bounds[chunks + 1] - lo
-    sizes = np.minimum(remaining, want + ctx.vr.counts[chunks])
-    positions, owner = segment_positions(lo, sizes)
-    states = prediction.states[positions]
-    fresh = ~ctx.vr.holds(chunks[owner], states)
-    # Rank of each untried candidate within its chunk.
-    seen = np.cumsum(fresh)
-    before = np.concatenate(([0], seen))[np.cumsum(sizes) - sizes]
-    pick = fresh & (seen - before[owner] <= want[owner])
-    return owner[pick], states[pick], positions[pick]
-
-
-def advance_cursors(
-    prediction: Prediction,
-    chunks: np.ndarray,
-    want: np.ndarray,
-    owner: np.ndarray,
-    positions: np.ndarray,
-) -> None:
-    """Leave each ``chunks[j]``'s cursor where ``want[j]`` dequeue-until-
-    untried calls leave it, given the picks they made (``owner`` /
-    ``positions`` as :func:`untried_candidates` returns them): just past
-    the last pick when all ``want[j]`` were found, at the queue's end when
-    it ran dry, untouched when ``want[j]`` is 0."""
-    taken = np.bincount(owner, minlength=chunks.size)
-    cursors = prediction.bounds[chunks + 1] - prediction.bounds[chunks]
-    satisfied = np.flatnonzero((taken == want) & (want > 0))
-    last = np.cumsum(taken)[satisfied] - 1
-    cursors[satisfied] = positions[last] + 1 - prediction.bounds[chunks[satisfied]]
-    idle = want == 0
-    cursors[idle] = prediction.cursors[chunks[idle]]
-    prediction.cursors[chunks] = cursors
+    stop = first + len(wants)
+    bounds = prediction.bounds[first : stop + 1].tolist()
+    cursors = prediction.cursors[first:stop].tolist()
+    rows, counts, n_others = ctx.vr.rows(first, stop)
+    picks: List[List[int]] = []
+    for j, want in enumerate(wants):
+        picked: List[int] = []
+        picks.append(picked)
+        if not want or n_others[j] >= ctx.vr.others_capacity:
+            continue
+        pos = bounds[j] + cursors[j]
+        window = prediction.states[pos : min(bounds[j + 1], pos + counts[j] + want)]
+        for state in window.tolist():
+            pos += 1
+            if state not in rows[j]:
+                picked.append(state)
+                if len(picked) == want:
+                    break
+        cursors[j] = pos - bounds[j]
+    prediction.cursors[first:stop] = cursors
+    return picks
 
 
 class FrontierLoopScheme(Scheme):
     """Base class running the Algorithm-3 style frontier loop.
 
-    Subclasses set :attr:`name` and, to put the idle threads to work, the
-    two forms of their idle-thread rule: :meth:`_idle_round` (the whole
-    round as array work) and :meth:`_idle_per_thread` (one thread,
-    ``dequeue`` and ``lookup`` at a time).  Both must give the same
-    assignments and leave the queue cursors in the same place.
+    Subclasses set :attr:`name` and, to put the idle threads to work,
+    their idle-thread rule :meth:`_idle`.
     """
 
     def __init__(
@@ -191,30 +150,22 @@ class FrontierLoopScheme(Scheme):
         scheme's own rule after them.
         """
         f = ctx.frontier
-        if per_thread_round(ctx):
-            rear = [
-                (t, t, int(ctx.end_p[t]))
-                for t in range(f, ctx.partition.n_chunks)
-                if not ctx.found[t] and (t == f or ctx.stable[t])
-            ]
-            return rear + cls._idle_per_thread(ctx)
-        waiting = ctx.stable[f:] & ~ctx.found[f:]
-        if waiting.size:
-            waiting[0] = not ctx.found[f]
-        threads = np.flatnonzero(waiting) + f
-        owned = threads.tolist()
-        rear = list(zip(owned, owned, ctx.end_p[threads].tolist()))
-        return rear + cls._idle_round(ctx)
+        rear = [
+            (t, t, end_p)
+            for t, found, stable, end_p in zip(
+                range(f, ctx.partition.n_chunks),
+                ctx.found[f:].tolist(),
+                ctx.stable[f:].tolist(),
+                ctx.end_p[f:].tolist(),
+            )
+            if not found and (t == f or stable)
+        ]
+        return rear + cls._idle(ctx)
 
     @staticmethod
-    def _idle_round(ctx: RoundContext) -> List[Assignment]:
-        """The idle threads' tasks as whole-round array work (SRE: none —
-        a thread never leaves its own chunk)."""
-        return []
-
-    @staticmethod
-    def _idle_per_thread(ctx: RoundContext) -> List[Assignment]:
-        """The same tasks, one thread at a time."""
+    def _idle(ctx: RoundContext) -> List[Assignment]:
+        """The idle threads' tasks (SRE: none — a thread never leaves its
+        own chunk)."""
         return []
 
     # ------------------------------------------------------------------

@@ -26,10 +26,10 @@ state or records changed) is a single broadcast compare with no validity
 mask.  The store is read only through these arrays: the scalar
 :meth:`~VRStore.add` / :meth:`~VRStore.lookup` / :meth:`~VRStore.count` /
 :meth:`~VRStore.others_full` serve the inherently sequential chains
-(Algorithm 2, PM's stage 2, the small-round schedulers), and their
-many-row forms :meth:`~VRStore.add_batch` / :meth:`~VRStore.scan` /
-:meth:`~VRStore.holds` / :meth:`~VRStore.others_room` serve the frontier
-loop and the array schedulers.
+(Algorithm 2, PM's stage 2), the many-row :meth:`~VRStore.add_batch` /
+:meth:`~VRStore.scan` serve the frontier loop, and :meth:`~VRStore.rows`
+hands the RR/NF recovery schedule a run of rows as lists for its
+per-chunk loop.
 """
 
 from __future__ import annotations
@@ -200,14 +200,17 @@ class VRStore:
             return None
         return int(self._end[chunk, slot])
 
-    def holds(self, chunks: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Vectorized ``lookup(chunks[i], starts[i]) is not None``: whether
-        each chunk already holds a record started from that state."""
-        return (self._start[chunks] == np.asarray(starts)[:, None]).any(axis=1)
-
-    def others_room(self, chunks: np.ndarray) -> np.ndarray:
-        """Vectorized ``not others_full(chunk)`` over ``chunks``."""
-        return self._n_others[chunks] < self.others_capacity
+    def rows(self, first: int, stop: int) -> Tuple[list, list, list]:
+        """Chunks ``first … stop - 1`` as lists, for a host loop over them:
+        each chunk's record starts (padded with :data:`EMPTY` to the widest
+        of them), its record count and its number of foreign records."""
+        n_others = self._n_others[first:stop].tolist()
+        counts = [
+            own + others
+            for own, others in zip(self._n_own[first:stop].tolist(), n_others)
+        ]
+        width = max(counts, default=0)
+        return self._start[first:stop, :width].tolist(), counts, n_others
 
     def scan(
         self, chunks: np.ndarray, starts: np.ndarray

@@ -7,7 +7,7 @@ counter DFAs, with register budgets down to one own and no foreign slot,
 both must give the same answer, chunk ends, ledger (every ``KernelStats``
 field, ``phase_cycles`` and ``active_thread_samples`` exactly), prediction
 cursors, ``VRStore`` contents and counters, and span tree with cycle
-stamps — on either backend and on both sides of ``ARRAY_SCHEDULE_THREADS``.
+stamps — on either backend, at 1 to 64 threads.
 """
 
 import dataclasses

@@ -3,8 +3,8 @@
 For each ``SCHEME_REGISTRY`` scheme, on the non-converging rotator
 (mismatch-heavy: recovery rounds every frontier) and on a converging
 scanner, the ``scheme:<name>`` tree is pinned span by span: name, depth,
-``cycle_start``/``cycle_end`` and attributes.  Twelve threads put frontier
-rounds on both sides of ``ARRAY_SCHEDULE_THREADS``.  A refactor of the
+``cycle_start``/``cycle_end`` and attributes.  Twelve threads give RR
+rounds with fewer idle threads than rear chunks and with more.  A refactor of the
 scheme layer must leave this file untouched.
 
 Regenerate (only when the modelled algorithm changes on purpose) with
