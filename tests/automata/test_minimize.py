@@ -1,9 +1,11 @@
 """Hopcroft minimization tests: language preservation and minimality."""
 
 import numpy as np
+import pytest
 
 from repro.automata.dfa import DFA
-from repro.automata.minimize import minimize_dfa
+from repro.automata.minimize import _restrict_to_reachable, minimize_dfa
+from repro.automata.properties import reachable_states
 from repro.automata.regex import compile_regex
 from repro.workloads import classic
 
@@ -29,6 +31,43 @@ def test_removes_unreachable_states():
     dfa = DFA(table=table, start=0, accepting={1})
     m = minimize_dfa(dfa)
     assert m.n_states == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [classic.div7, lambda: classic.keyword_scanner(b"abcab"),
+     lambda: classic.cyclic_rotator(9, n_symbols=16)],
+    ids=["div7", "keyword", "rotator"],
+)
+def test_restrict_to_reachable_drops_exactly_the_unreachable(make):
+    """Junk states mixed into a reachable DFA (pointing anywhere, never
+    pointed to) are dropped, and the reachable ones keep their order: the
+    original DFA comes back bit for bit."""
+    dfa = make()
+    rng = np.random.default_rng(7)
+    n, junk = dfa.n_states, 5
+    order = rng.permutation(n + junk)  # order[new] = old id, junk >= n
+    new_id = np.argsort(order)
+    table = rng.integers(0, n + junk, size=(n + junk, dfa.n_symbols))
+    real = order < n
+    table[real] = new_id[dfa.table[order[real]]]
+    mixed = DFA(
+        table=table.astype(dfa.table.dtype),
+        start=int(new_id[dfa.start]),
+        accepting={int(new_id[s]) for s in dfa.accepting}
+        | {int(new_id[n])},  # an unreachable accepting state
+        name=dfa.name,
+    )
+    np.testing.assert_array_equal(reachable_states(mixed), np.sort(new_id[:n]))
+    restricted = _restrict_to_reachable(mixed)
+    back = order[np.sort(new_id[:n])]  # restricted id -> original id
+    assert restricted.n_states == n
+    np.testing.assert_array_equal(
+        back[restricted.table][np.argsort(back)], dfa.table
+    )
+    assert int(back[restricted.start]) == dfa.start
+    assert {int(back[s]) for s in restricted.accepting} == set(dfa.accepting)
+    assert _restrict_to_reachable(dfa) is dfa
 
 
 def test_merges_equivalent_states(rng):
