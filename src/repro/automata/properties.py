@@ -135,11 +135,6 @@ def reachable_states(dfa: DFA) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def is_complete(dfa: DFA) -> bool:
-    """Dense-table DFAs are complete by construction; kept for API symmetry."""
-    return dfa.table.shape[1] > 0
-
-
 def absorbing_states(dfa: DFA) -> np.ndarray:
     """States with all transitions pointing to themselves (sticky matches)."""
     idx = np.arange(dfa.n_states)[:, None]

@@ -47,29 +47,53 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.analysis.tables import render_table
+from repro.engine import BACKEND_NAMES, resolve_backend_name
+from repro.errors import ReproError, ScenarioError, SelfCheckError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.selector import profile_features
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selfcheck.fuzz import FUZZ_SCHEMES
 from repro.workloads.suites import REGIME_LAYOUT, SUITES, build_member
 
+#: The arguments that pick and run a suite member.  Each command takes a
+#: prefix of them: ``suite`` one, ``profile`` three, ``compile`` four, and
+#: ``run`` / ``trace`` / ``compare`` all six.
+_MEMBER_ARGS = (
+    ("suite", dict(choices=SUITES)),
+    ("index", dict(type=int, help="member index 1..12")),
+    ("--training-length", dict(type=int, default=8_192)),
+    ("--threads", dict(type=int, default=256)),
+    ("--input-length", dict(type=int, default=65_536)),
+    ("--seed", dict(type=int, default=0)),
+)
 
-def _add_member_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("index", type=int, help="member index 1..12")
-    p.add_argument("--input-length", type=int, default=65_536)
-    p.add_argument("--training-length", type=int, default=8_192)
-    p.add_argument("--threads", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+
+def _add_member_args(p: argparse.ArgumentParser, depth: int = 6) -> None:
+    for name, kwargs in _MEMBER_ARGS[:depth]:
+        p.add_argument(name, **kwargs)
+
+
+def _add_backend(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend",
-        choices=("sim", "fast"),
+        choices=BACKEND_NAMES,
         default=None,
-        help="execution backend: 'sim' = cycle-accurate simulation "
-        "(default), 'fast' = answer-only serving path with no cycle "
-        "ledger ($REPRO_BACKEND overrides the default)",
+        help="execution backend: 'sim' = cycle-accurate simulation, "
+        "'fast' = answer-only serving path with no cycle ledger "
+        "(default: $REPRO_BACKEND, else sim; for 'scenario', the "
+        "document's own backend first)",
+    )
+
+
+def _add_scheme(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--scheme",
+        choices=GSpecPal.KNOWN_SCHEMES,
+        default=None,
+        help="force a scheme (default: selector's pick)",
     )
 
 
@@ -154,31 +178,31 @@ def _render_timeline(samples, max_rows: int = 16) -> str:
 
     if not samples:
         return "(no recovery rounds)"
+    idx = range(len(samples))
     if len(samples) > max_rows:
         # Downsample evenly, keeping first and last rounds.
         import numpy as np
 
         idx = np.linspace(0, len(samples) - 1, max_rows).astype(int)
-        labels = [f"round {i}" for i in idx]
-        values = [float(samples[i]) for i in idx]
-    else:
-        labels = [f"round {i}" for i in range(len(samples))]
-        values = [float(s) for s in samples]
+    labels = [f"round {i}" for i in idx]
+    values = [float(samples[i]) for i in idx]
     return render_bars(labels, values, width=30, unit=" threads")
 
 
-def cmd_run(args) -> int:
-    from repro.engine import resolve_backend_name
-
-    member, pal, data = _build(args)
-    backend = resolve_backend_name(args.backend)
-    result = pal.run(data, scheme=args.scheme)
+def _print_result(member, result, backend) -> None:
+    backend = resolve_backend_name(backend)
     print(f"member   : {member.name} ({member.dfa.n_states} states)")
     print(f"scheme   : {result.scheme}")
     print(f"backend  : {backend}"
           + ("  (answer-only: cycle figures exclude execution)" if backend != "sim" else ""))
     print(f"accepts  : {result.accepts}")
     print(f"kernel   : {result.time_ms:.3f} ms ({result.cycles:.0f} cycles)")
+
+
+def cmd_run(args) -> int:
+    member, pal, data = _build(args)
+    result = pal.run(data, scheme=args.scheme)
+    _print_result(member, result, args.backend)
     stats = result.stats
     print(f"accuracy : {stats.runtime_speculation_accuracy:.1%}")
     print(f"recovery : {stats.recovery_rounds} rounds, "
@@ -205,17 +229,12 @@ def cmd_trace(args) -> int:
     metrics = MetricsRegistry()
     member, pal, data = _build(args, tracer=tracer, metrics=metrics)
     result = pal.run(data, scheme=args.scheme)
-    print(f"member   : {member.name} ({member.dfa.n_states} states)")
-    print(f"scheme   : {result.scheme}")
-    print(f"accepts  : {result.accepts}")
-    print(f"kernel   : {result.time_ms:.3f} ms ({result.cycles:.0f} cycles)")
+    _print_result(member, result, args.backend)
     print()
     print(render_timeline(tracer, title=f"{member.name}: phase timeline"))
     print()
     print(render_metrics(metrics))
     if args.jsonl:
-        from pathlib import Path
-
         path = Path(args.jsonl)
         path.write_text(tracer.to_jsonl())
         print(f"\nwrote {len(tracer.to_dicts())} spans to {path}")
@@ -227,8 +246,6 @@ def cmd_report(args) -> int:
 
     report = build_report()
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(report)
         print(f"wrote {args.output}")
     else:
@@ -237,14 +254,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    from repro.plan import compile_plan, save_plan
+    from repro.plan import save_plan
     from repro.plan.compile import COMPILE_STAGES
 
-    member = build_member(args.suite, args.index)
-    training = member.training_input(args.training_length)
-    plan = compile_plan(
-        member.dfa, training, GSpecPalConfig(n_threads=args.threads)
-    )
+    plan = _resolve_plan(args, build_member(args.suite, args.index))
     path = save_plan(plan, args.output)
     print(plan.summary())
     if args.stats:
@@ -262,7 +275,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.errors import SchemeError, SimulationError
     from repro.selfcheck.fuzz import replay, run_fuzz
 
     if args.replay:
@@ -272,18 +284,14 @@ def cmd_fuzz(args) -> int:
             return 0
         print(f"repro {args.replay}: still fails\n  {message}")
         return 1
-    try:
-        path = run_fuzz(
-            iterations=args.iterations,
-            seed=args.seed,
-            out_dir=args.out,
-            schemes=tuple(args.schemes.split(",")),
-            backends=tuple(args.backends.split(",")),
-            log=print,
-        )
-    except (SchemeError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    path = run_fuzz(
+        iterations=args.iterations,
+        seed=args.seed,
+        out_dir=args.out,
+        schemes=tuple(args.schemes.split(",")),
+        backends=tuple(args.backends.split(",")),
+        log=print,
+    )
     if path is not None:
         print(f"FAIL: shrunk repro at {path}")
         return 1
@@ -294,10 +302,8 @@ def cmd_fuzz(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from repro.framework.config import GSpecPalConfig
     from repro.gateway import GatewayServer
-    from repro.serving.cache import PlanCache
-    from repro.serving.pool import MatcherPool
+    from repro.serving import MatcherPool, PlanCache
 
     config = GSpecPalConfig(n_threads=args.threads)
     pool = MatcherPool(
@@ -348,19 +354,15 @@ def cmd_scenario(args) -> int:
             print(f"{name:12s} {doc.get('label', '')}")
         return 0
     if args.scenario is None:
-        print("error: a scenario name or file is required (or --list)")
-        return 2
+        raise ScenarioError("a scenario name or file is required (or --list)")
     if args.scenario in BUILTIN_SCENARIOS:
         scenario = builtin_scenario(args.scenario)
     else:
         scenario = load_scenario(args.scenario)
-    overrides = {}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        scenario = scenario.replace(**overrides)
+    overrides = {"backend": args.backend, "seed": args.seed}
+    scenario = scenario.replace(
+        **{key: value for key, value in overrides.items() if value is not None}
+    )
     report = run_scenario(
         scenario,
         host=args.host,
@@ -373,17 +375,13 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.engine import resolve_backend_name
-
     if resolve_backend_name(args.backend) != "sim":
         # An answer-only backend counts no execution cycles, so a ranking
         # would sort schemes on their scheme-side charges alone.
-        print(
-            "error: compare ranks schemes by modelled cycles, which only "
-            "the 'sim' backend counts; rerun with --backend sim",
-            file=sys.stderr,
+        raise ReproError(
+            "compare ranks schemes by modelled cycles, which only "
+            "the 'sim' backend counts; rerun with --backend sim"
         )
-        return 2
     member, pal, data = _build(args)
     results = pal.compare_schemes(data)
     selected = pal.select_scheme()
@@ -414,23 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("suite", help="list a suite's members")
-    p.add_argument("suite", choices=SUITES)
+    _add_member_args(p, depth=1)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("profile", help="profile a member and explain selection")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("index", type=int)
-    p.add_argument("--training-length", type=int, default=8_192)
+    _add_member_args(p, depth=3)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("run", help="run one scheme on a member")
     _add_member_args(p)
-    p.add_argument(
-        "--scheme",
-        choices=GSpecPal.KNOWN_SCHEMES,
-        default=None,
-        help="force a scheme (default: selector's pick)",
-    )
+    _add_backend(p)
+    _add_scheme(p)
     p.add_argument(
         "--timeline",
         action="store_true",
@@ -443,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="compile a member's offline phase into a reusable plan artifact",
     )
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("index", type=int, help="member index 1..12")
-    p.add_argument("--training-length", type=int, default=8_192)
-    p.add_argument("--threads", type=int, default=256)
+    _add_member_args(p, depth=4)
     p.add_argument(
         "-o",
         "--output",
@@ -465,12 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run a member with tracing and print the span timeline"
     )
     _add_member_args(p)
-    p.add_argument(
-        "--scheme",
-        choices=GSpecPal.KNOWN_SCHEMES,
-        default=None,
-        help="force a scheme (default: selector's pick)",
-    )
+    _add_backend(p)
+    _add_scheme(p)
     p.add_argument(
         "--jsonl",
         default=None,
@@ -485,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="race all schemes on a member")
     _add_member_args(p)
+    _add_backend(p)
     _add_plan_args(p)
     p.set_defaults(func=cmd_compare)
 
@@ -523,12 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=7770, help="0 picks a free port"
     )
-    p.add_argument(
-        "--backend",
-        choices=("sim", "fast"),
-        default=None,
-        help="execution backend for every matcher ($REPRO_BACKEND default)",
-    )
+    _add_backend(p)
     p.add_argument("--threads", type=int, default=8, help="lanes per matcher")
     p.add_argument("--max-streams", type=int, default=64)
     p.add_argument(
@@ -568,15 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--host",
         default=None,
-        help="target an already-running gateway instead of an embedded one",
+        help="target an already-running gateway instead of an embedded "
+        "one (needs --port too)",
     )
     p.add_argument("--port", type=int, default=None)
-    p.add_argument(
-        "--backend",
-        choices=("sim", "fast"),
-        default=None,
-        help="override the scenario's execution backend",
-    )
+    _add_backend(p)
     p.add_argument(
         "--seed", type=int, default=None, help="override the scenario's seed"
     )
@@ -598,8 +575,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Bad user input -- any :class:`ReproError` -- is
+    one ``error:`` line on stderr and exit status 2; a failed selfcheck
+    audit is a bug, so it keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SelfCheckError:
+        raise
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

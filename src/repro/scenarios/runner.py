@@ -35,6 +35,7 @@ the scenario's CI gate verdicts.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,11 +44,11 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ServingError
+from repro.errors import ScenarioError, ServingError
 from repro.framework.config import GSpecPalConfig
 from repro.gateway.client import GatewayClient
 from repro.gateway.server import GatewayServer
-from repro.scenarios.schema import Scenario
+from repro.scenarios.schema import GateSpec, Scenario
 from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftConfig
 from repro.serving.pool import MatcherPool
@@ -104,32 +105,19 @@ class RequestRecord:
     error: Optional[str] = None
 
     def to_json(self, scenario_id: str) -> Dict[str, Any]:
+        """Every field, ``index`` as ``request`` and ``feed_ms`` as its
+        mean and max."""
+        row = dataclasses.asdict(self)
+        feed_ms = row.pop("feed_ms") or [0.0]
+        row["open_ms"] = round(self.open_ms, 3)
+        row["t_start_s"] = round(self.t_start_s, 6)
+        row["t_end_s"] = round(self.t_end_s, 6)
         return {
             "scenario": scenario_id,
-            "request": self.index,
-            "phase": self.phase,
-            "tenant": self.tenant,
-            "variant": self.variant,
-            "stream": self.stream,
-            "ok": self.ok,
-            "rejects": self.rejects,
-            "segments": self.segments,
-            "symbols": self.symbols,
-            "open_ms": round(self.open_ms, 3),
-            "feed_ms_mean": (
-                round(float(np.mean(self.feed_ms)), 3) if self.feed_ms else 0.0
-            ),
-            "feed_ms_max": (
-                round(float(np.max(self.feed_ms)), 3) if self.feed_ms else 0.0
-            ),
-            "fused_feeds": self.fused_feeds,
-            "scheme_switches": self.scheme_switches,
-            "end_state": self.end_state,
-            "accepts": self.accepts,
-            "oracle_ok": self.oracle_ok,
-            "t_start_s": round(self.t_start_s, 6),
-            "t_end_s": round(self.t_end_s, 6),
-            "error": self.error,
+            "request": row.pop("index"),
+            **row,
+            "feed_ms_mean": round(float(np.mean(feed_ms)), 3),
+            "feed_ms_max": round(float(np.max(feed_ms)), 3),
         }
 
 
@@ -585,6 +573,24 @@ def _spill_files(spill_dir: Optional[str]) -> Set[str]:
     return {path.stem for path in Path(spill_dir).glob("*.npz")}
 
 
+def _gate_failures(gates: GateSpec, report: ScenarioReport) -> List[str]:
+    """One message per tripped gate: ``min_<m>`` floors the report's
+    ``<m>``, ``max_<m>`` caps it, and any other gate caps the report field
+    of its own name."""
+    failures = []
+    for gate in dataclasses.fields(gates):
+        bound = getattr(gates, gate.name)
+        if bound is None:
+            continue
+        op, metric = "<=", gate.name.removeprefix("max_")
+        if gate.name.startswith("min_"):
+            op, metric = ">=", gate.name.removeprefix("min_")
+        actual = getattr(report, metric)
+        if not (actual >= bound if op == ">=" else actual <= bound):
+            failures.append(f"{gate.name}: {actual:.3f} violates {op} {bound:.3f}")
+    return failures
+
+
 def run_scenario(
     scenario: Scenario,
     *,
@@ -596,17 +602,20 @@ def run_scenario(
 ) -> ScenarioReport:
     """Run ``scenario`` and return its audited report.
 
-    With ``host``/``port`` unset an embedded gateway is started on a free
-    localhost port (pool built from the scenario's ``pool`` / ``backend``
-    / ``n_threads`` fields, plan cache spilling to ``spill_dir`` when
-    given), gracefully drained afterwards and held to
-    :func:`_serving_audits`; otherwise the traffic targets an
+    With ``host`` and ``port`` unset an embedded gateway is started on a
+    free localhost port (pool built from the scenario's ``pool`` /
+    ``backend`` / ``n_threads`` fields, plan cache spilling to
+    ``spill_dir`` when given), gracefully drained afterwards and held to
+    :func:`_serving_audits`.  With both set the traffic targets an
     already-running external gateway and the scenario's pool knobs and
-    ``spill_dir`` are ignored.  ``out_path`` writes one JSONL line per
-    request.
+    ``spill_dir`` are ignored; one without the other is a
+    :class:`~repro.errors.ScenarioError`.  ``out_path`` writes one JSONL
+    line per request.
     """
     from repro.engine import resolve_backend_name
 
+    if (host is None) != (port is None):
+        raise ScenarioError("an external gateway needs both --host and --port")
     schedule = build_schedule(scenario)
     fleet, trainings = scenario.build_fleet()
     foreign_spills = _spill_files(spill_dir)  # an earlier run's: not ours
@@ -632,8 +641,6 @@ def run_scenario(
             server = GatewayServer(pool, log=log)
             await server.start()
             target_host, target_port = server.host, server.port
-        elif target_port is None:
-            raise ValueError("an external gateway needs both host and port")
         epoch = perf_counter()
         try:
             records, errors = await _drive(
@@ -727,33 +734,7 @@ def run_scenario(
         out_path=out_path,
     )
 
-    # -- gates ----------------------------------------------------------
-    gates = scenario.gates
-    checks = (
-        ("p99_open_ms", gates.p99_open_ms, report.p99_open_ms, "<="),
-        ("p99_feed_ms", gates.p99_feed_ms, report.p99_feed_ms, "<="),
-        (
-            "min_throughput_sym_per_s",
-            gates.min_throughput_sym_per_s,
-            report.throughput_sym_per_s,
-            ">=",
-        ),
-        (
-            "min_throughput_req_per_s",
-            gates.min_throughput_req_per_s,
-            report.throughput_req_per_s,
-            ">=",
-        ),
-        ("max_reject_rate", gates.max_reject_rate, report.reject_rate, "<="),
-    )
-    for name, bound, actual, op in checks:
-        if bound is None:
-            continue
-        passed = actual <= bound if op == "<=" else actual >= bound
-        if not passed:
-            report.gate_failures.append(
-                f"{name}: {actual:.3f} violates {op} {bound:.3f}"
-            )
+    report.gate_failures = _gate_failures(scenario.gates, report)
 
     # -- JSONL export ---------------------------------------------------
     if out_path is not None:

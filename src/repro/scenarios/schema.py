@@ -58,13 +58,22 @@ from repro.errors import ScenarioError
 from repro.workloads import classic
 
 ARRIVAL_KINDS = ("poisson", "uniform", "bursty")
-FSM_KINDS = (
-    "keyword",
-    "divisibility",
-    "parity",
-    "cyclic_rotator",
-    "drifting_phase",
-)
+
+#: ``fsm.kind`` → the :mod:`repro.workloads.classic` generator it names;
+#: the spec's other keys are its keyword arguments.
+_FSM_GENERATORS = {
+    "keyword": lambda keyword, **kw: classic.keyword_scanner(
+        keyword.encode("utf-8") if isinstance(keyword, str) else bytes(keyword),
+        **kw,
+    ),
+    "divisibility": lambda modulus, **kw: classic.divisibility(int(modulus), **kw),
+    "parity": classic.parity,
+    "cyclic_rotator": lambda n_states, **kw: classic.cyclic_rotator(
+        int(n_states), **kw
+    ),
+    "drifting_phase": classic.drifting_phase,
+}
+FSM_KINDS = tuple(_FSM_GENERATORS)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -236,25 +245,12 @@ class TenantSpec:
         fsm = dict(self.fsm)
         kind = fsm.pop("kind")
         try:
-            if kind == "keyword":
-                keyword = fsm.pop("keyword")
-                if isinstance(keyword, str):
-                    keyword = keyword.encode("utf-8")
-                return classic.keyword_scanner(bytes(keyword), **fsm)
-            if kind == "divisibility":
-                return classic.divisibility(int(fsm.pop("modulus")), **fsm)
-            if kind == "parity":
-                return classic.parity(**fsm)
-            if kind == "cyclic_rotator":
-                return classic.cyclic_rotator(int(fsm.pop("n_states")), **fsm)
-            if kind == "drifting_phase":
-                return classic.drifting_phase(**fsm)
+            return _FSM_GENERATORS[kind](**fsm)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(
                 f"tenant {self.name!r}: invalid fsm spec for kind "
                 f"{kind!r}: {exc}"
             ) from exc
-        raise ScenarioError(f"tenant {self.name!r}: unknown fsm kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -314,9 +310,12 @@ class RetrySpec:
 class GateSpec:
     """CI regression gates evaluated over the measure window.
 
-    ``None`` disables a gate.  Oracle exactness, error-freedom and the
-    embedded run's resource audits are always enforced — gates only
-    bound the performance envelope.
+    A gate's name says what it bounds: ``min_<m>`` is a floor on the
+    report's ``<m>``, ``max_<m>`` a ceiling on it, and any other name a
+    ceiling on the report field of that name.  ``None`` disables a gate.
+    Oracle exactness, error-freedom and the embedded run's resource
+    audits are always enforced — gates only bound the performance
+    envelope.
     """
 
     p99_open_ms: Optional[float] = None

@@ -54,7 +54,7 @@ from typing import Dict, Optional
 
 from repro.automata.minimize import canonical_form
 from repro.errors import PlanError, ServingError
-from repro.observability import NULL_TRACER, MetricsRegistry
+from repro.observability import MetricsRegistry
 from repro.plan import CompiledPlan, compile_plan, load_plan, save_plan
 from repro.plan.artifact import config_fingerprint
 
@@ -94,11 +94,6 @@ class PlanCache:
         its ``serving.cache.*`` counters/gauges/histograms into (a private
         one when omitted).  :meth:`stats` is a view of it, and a registry
         is the scope of its counts: caches sharing one report its totals.
-    tracer:
-        Optional tracer handed to :func:`~repro.plan.compile_plan` so cold
-        compiles emit their usual ``compile`` span tree.  A shared
-        :class:`~repro.observability.Tracer` is **not** thread-safe —
-        attach one only when the cache is driven from a single thread.
     """
 
     def __init__(
@@ -108,7 +103,6 @@ class PlanCache:
         config=None,
         directory: Optional[str] = None,
         metrics=None,
-        tracer=None,
     ):
         if capacity < 1:
             raise ServingError(
@@ -121,7 +115,6 @@ class PlanCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: plan store, keyed by canonical fingerprint (LRU order).
         self._plans: "OrderedDict[str, CompiledPlan]" = OrderedDict()
         #: content fingerprint → canonical fingerprint (never evicted).
@@ -311,7 +304,6 @@ class PlanCache:
                     training_input,
                     config,
                     canonical=form,
-                    tracer=self.tracer,
                     metrics=self.metrics,
                 )
                 compile_ms = (perf_counter() - compile_from) * 1e3

@@ -231,15 +231,13 @@ class MatcherPool:
         with ``synchronous=True``), installs the revision into the cache
         and the matcher, and open sessions pick up the new scheme at their
         next segment boundary.  Off (``None``) by default.
-    tracer / metrics:
-        Observability sinks.  ``metrics`` is the registry the pool records
-        ``serving.pool.*`` / ``drift.*`` into and hands to its matchers; it
+    metrics:
+        The registry the pool records ``serving.pool.*`` / ``drift.*`` /
+        ``compile.stage.revise_ms`` into and hands to its matchers; it
         defaults to the cache's, so one stack shares one registry.
         Instruments are safe to record from any thread, :meth:`stats` is a
         view of the registry, and a registry is the scope of its counts:
-        pools sharing one report its totals.  A shared
-        :class:`~repro.observability.Tracer` span stack is *not*
-        thread-safe, so attach a tracer only for single-threaded serving.
+        pools sharing one report its totals.
     """
 
     def __init__(
@@ -253,7 +251,6 @@ class MatcherPool:
         fused: bool = False,
         open_timeout: Optional[float] = None,
         drift: Optional[DriftConfig] = None,
-        tracer=None,
         metrics=None,
     ):
         if max_streams < 1:
@@ -264,7 +261,7 @@ class MatcherPool:
         self.cache = (
             cache
             if cache is not None
-            else PlanCache(config=config, metrics=metrics, tracer=tracer)
+            else PlanCache(config=config, metrics=metrics)
         )
         self.config = config
         self.backend = backend
@@ -272,7 +269,6 @@ class MatcherPool:
         self.max_streams = int(max_streams)
         self.fused = bool(fused)
         self.open_timeout = open_timeout
-        self.tracer = tracer
         self.metrics = metrics or self.cache.metrics
         self.drift = drift
         #: (canonical fingerprint, config hash) → that class's record.
@@ -395,7 +391,6 @@ class MatcherPool:
                         self._pruned.get(key, plan),
                         backend=self.backend,
                         selfcheck=self.selfcheck,
-                        tracer=self.tracer,
                         metrics=self.metrics,
                     )
                     record = self._classes[key] = _ClassRecord(
@@ -566,7 +561,7 @@ class MatcherPool:
             with self._lock:
                 stale = record.matcher.plan
                 observations = record.monitor.snapshot()
-            revised = revise_plan(stale, observations, tracer=None, metrics=None)
+            revised = revise_plan(stale, observations, metrics=self.metrics)
             self.cache.put(revised)
             with self._lock:
                 record.matcher.adopt_plan(revised)

@@ -18,7 +18,6 @@ from repro.workloads.suites import (
     REGIME_LAYOUT,
     SUITES,
     SuiteMember,
-    build_all_suites,
     build_member,
     build_suite,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "TraceSpec",
     "ascii_text_weights",
     "binary_weights",
-    "build_all_suites",
     "build_member",
     "build_suite",
     "classic",

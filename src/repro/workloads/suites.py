@@ -311,8 +311,3 @@ def _literal_keywords(suite: str, rng: np.random.Generator) -> List[bytes]:
 def build_suite(suite: str) -> List[SuiteMember]:
     """All 12 members of one suite."""
     return [build_member(suite, i) for i in range(1, 13)]
-
-
-def build_all_suites() -> Dict[str, List[SuiteMember]]:
-    """The full 36-FSM evaluation set."""
-    return {suite: build_suite(suite) for suite in SUITES}

@@ -1,8 +1,66 @@
 """CLI smoke tests (on the cached suite members)."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.errors import SelfCheckError
+
+SMALL = ["--input-length", "4096", "--training-length", "1024", "--threads", "32"]
+
+
+@pytest.fixture(scope="module")
+def snort1_plan(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("plan") / "snort1.npz")
+    assert main(["compile", "snort", "1", "-o", path,
+                 "--training-length", "1024", "--threads", "32"]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "snort", "13", *SMALL],
+        ["run", "snort", "1", *SMALL, "--threads", "1"],
+        ["run", "snort", "1", *SMALL, "--plan", "{tmp}/missing.npz"],
+        ["run", "snort", "2", *SMALL, "--plan", "{plan}"],
+        ["compare", "poweren", "1", *SMALL, "--backend", "fast"],
+        ["scenario"],
+        ["scenario", "{tmp}/missing.json"],
+        ["scenario", "{tmp}/no-tenants.json"],
+        ["scenario", "smoke", "--host", "127.0.0.1"],
+        ["scenario", "smoke", "--port", "7770"],
+    ],
+    ids=[
+        "member-13", "one-thread", "missing-plan", "wrong-member-plan",
+        "compare-fast", "no-scenario", "missing-scenario", "empty-tenants",
+        "host-without-port", "port-without-host",
+    ],
+)
+def test_user_errors_exit_2_with_one_line(argv, capsys, tmp_path, snort1_plan):
+    (tmp_path / "no-tenants.json").write_text(
+        json.dumps({"id": "empty", "tenants": []})
+    )
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path, plan=snort1_plan) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_selfcheck_error_keeps_its_traceback(monkeypatch):
+    """A failed audit is a bug, not bad input: it propagates out of main."""
+    def audit_fails(args):
+        raise SelfCheckError("chain broken", invariant="chunk_end_chain")
+
+    monkeypatch.setattr(cli, "cmd_suite", audit_fails)
+    with pytest.raises(SelfCheckError, match="chunk_end_chain"):
+        main(["suite", "snort"])
 
 
 def test_suite_listing(capsys):
@@ -100,19 +158,18 @@ def test_compile_then_run_from_plan(capsys, tmp_path):
 
 
 def test_run_rejects_plan_for_wrong_member(capsys, tmp_path):
-    from repro.errors import PlanError
-
     plan_path = str(tmp_path / "m.npz")
     assert main(
         ["compile", "snort", "1", "-o", plan_path,
          "--training-length", "2048", "--threads", "64"]
     ) == 0
     capsys.readouterr()
-    with pytest.raises(PlanError, match="recompile"):
-        main(
-            ["run", "snort", "2", "--plan", plan_path,
-             "--input-length", "8192", "--threads", "64"]
-        )
+    rc = main(
+        ["run", "snort", "2", "--plan", plan_path,
+         "--input-length", "8192", "--threads", "64"]
+    )
+    assert rc == 2
+    assert "recompile" in capsys.readouterr().err
 
 
 def test_plan_cache_compiles_once_across_invocations(capsys, tmp_path):

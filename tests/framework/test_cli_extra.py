@@ -1,7 +1,10 @@
-"""CLI timeline/report command tests."""
+"""CLI timeline/report/trace/scenario-list command tests."""
 
+import json
 
 from repro.cli import _render_timeline, main
+from repro.observability import SPAN_SCHEMA_KEYS
+from repro.scenarios import BUILTIN_SCENARIOS
 
 
 def test_timeline_rendering():
@@ -43,3 +46,27 @@ def test_report_to_stdout(capsys):
     assert main(["report"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 8" in out
+
+
+def test_trace_prints_timeline_and_writes_one_json_object_per_span(
+    capsys, tmp_path
+):
+    path = tmp_path / "spans.jsonl"
+    rc = main(
+        ["trace", "snort", "1", "--input-length", "4096",
+         "--training-length", "1024", "--threads", "32", "--jsonl", str(path)]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "phase timeline" in out
+    spans = [json.loads(line) for line in path.read_text().splitlines()]
+    assert spans and f"wrote {len(spans)} spans to {path}" in out
+    for span in spans:
+        assert set(SPAN_SCHEMA_KEYS) <= set(span)
+
+
+def test_scenario_list_names_every_builtin(capsys):
+    assert main(["scenario", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(BUILTIN_SCENARIOS)
+    assert len(lines) == 7

@@ -265,6 +265,22 @@ def test_drifting_phase_revises_once_and_stays_oracle_exact(backend):
     assert stats2.end_state == int(dfa.run(seg))
 
 
+def test_revise_records_its_stage_time_in_the_pool_registry():
+    """The revise a serving pool runs lands in the pool's registry as the
+    documented ``compile.stage.revise_ms`` histogram."""
+    dfa = classic.drifting_phase(128)
+    training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
+    pool, _, _ = _drift_pool("fast", MetricsRegistry())
+    sid = pool.open(dfa, training_input=training)
+    for i in range(8):
+        pool.feed(sid, classic.drifting_phase_input(2048, drift_at=0.0, seed=i))
+    pool.close(sid)
+    exported = pool.metrics.as_dict()
+    assert exported["drift.revises"] == 1
+    assert exported["compile.stage.revise_ms.count"] == 1
+    assert exported["compile.stage.revise_ms.max"] > 0
+
+
 def test_fused_gang_stashes_one_sample_free_observation(monkeypatch):
     """A fused gang verifies no boundaries: it reports its volume once."""
     dfa = classic.drifting_phase(128)

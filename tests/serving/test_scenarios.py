@@ -8,6 +8,7 @@ line per request, and fail its report when a regression gate trips, a
 serving audit fails, a connection is refused or a feed errors out.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -17,6 +18,7 @@ from repro.errors import ScenarioError, ServingError
 from repro.gateway import GatewayClient, GatewayServer
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
+    GateSpec,
     Scenario,
     build_schedule,
     builtin_scenario,
@@ -24,8 +26,22 @@ from repro.scenarios import (
     run_scenario,
     scenario_from_text,
 )
-from repro.scenarios.runner import _serving_audits
+from repro.scenarios.runner import (
+    RequestRecord,
+    ScenarioReport,
+    _gate_failures,
+    _serving_audits,
+)
 from repro.serving import PlanCache
+
+
+#: The keys of one JSONL result row.
+JSONL_KEYS = {
+    "scenario", "request", "phase", "tenant", "variant", "stream", "ok",
+    "rejects", "segments", "symbols", "open_ms", "feed_ms_mean",
+    "feed_ms_max", "fused_feeds", "scheme_switches", "end_state", "accepts",
+    "oracle_ok", "t_start_s", "t_end_s", "error",
+}
 
 
 def small_scenario(**overrides):
@@ -275,6 +291,7 @@ def test_runner_smoke_writes_gated_jsonl(tmp_path):
     phases = {line["phase"] for line in lines}
     assert phases == {"warmup", "measure"}
     for line in lines:
+        assert set(line) == JSONL_KEYS
         assert line["scenario"] == "unit"
         assert line["ok"] is True
         assert line["oracle_ok"] is True
@@ -293,6 +310,93 @@ def test_runner_reports_gate_violation():
     # The traffic itself was still healthy — only the gate tripped.
     assert report.completed == scenario.requests
     assert not report.oracle_failures
+
+
+#: Each gate, its comparison, and the report value it reads (all distinct,
+#: so a gate wired to the wrong metric reports the wrong number).
+GATES = [
+    ("p99_open_ms", "<=", 3.0),
+    ("p99_feed_ms", "<=", 7.0),
+    ("min_throughput_sym_per_s", ">=", 13_000.0),
+    ("min_throughput_req_per_s", ">=", 11.0),
+    ("max_reject_rate", "<=", 0.25),
+]
+
+
+def test_gate_table_covers_every_gate():
+    assert {name for name, _, _ in GATES} == {
+        f.name for f in dataclasses.fields(GateSpec)
+    }
+
+
+@pytest.mark.parametrize("name, op, actual", GATES)
+def test_each_gate_trips_on_its_own_metric(name, op, actual):
+    report = ScenarioReport(
+        "gates", "sim", 0, 1, 1,
+        p99_open_ms=3.0,
+        p99_feed_ms=7.0,
+        throughput_sym_per_s=13_000.0,
+        throughput_req_per_s=11.0,
+        reject_rate=0.25,
+    )
+    assert _gate_failures(GateSpec(), report) == []
+    # A bound equal to the value passes: both comparisons are inclusive.
+    assert _gate_failures(GateSpec(**{name: actual}), report) == []
+    bound = actual * 2 if op == ">=" else actual / 2
+    assert _gate_failures(GateSpec(**{name: bound}), report) == [
+        f"{name}: {actual:.3f} violates {op} {bound:.3f}"
+    ]
+
+
+def test_jsonl_row_renames_index_and_summarizes_feeds():
+    record = RequestRecord(
+        index=3,
+        phase="measure",
+        tenant="kw",
+        stream=9,
+        ok=True,
+        segments=2,
+        symbols=40,
+        open_ms=1.23456,
+        feed_ms=[1.0, 2.0004],
+        end_state=4,
+        accepts=False,
+        oracle_ok=True,
+        t_start_s=0.12345678,
+        t_end_s=0.5,
+    )
+    assert record.to_json("unit") == {
+        "scenario": "unit",
+        "request": 3,
+        "phase": "measure",
+        "tenant": "kw",
+        "variant": 0,
+        "stream": 9,
+        "ok": True,
+        "rejects": 0,
+        "segments": 2,
+        "symbols": 40,
+        "open_ms": 1.235,
+        "feed_ms_mean": 1.5,
+        "feed_ms_max": 2.0,
+        "fused_feeds": 0,
+        "scheme_switches": 0,
+        "end_state": 4,
+        "accepts": False,
+        "oracle_ok": True,
+        "t_start_s": 0.123457,
+        "t_end_s": 0.5,
+        "error": None,
+    }
+    failed = RequestRecord(index=0, phase="warmup", tenant="kw").to_json("unit")
+    assert set(failed) == JSONL_KEYS
+    assert (failed["feed_ms_mean"], failed["feed_ms_max"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("target", [{"host": "127.0.0.1"}, {"port": 7770}])
+def test_external_gateway_needs_host_and_port(target):
+    with pytest.raises(ScenarioError, match="both --host and --port"):
+        run_scenario(small_scenario(), **target)
 
 
 def test_runner_counts_capacity_rejects():
