@@ -30,6 +30,7 @@ from repro.workloads.patterns import snort_patterns
 N_PATTERNS = int(os.environ.get("REPRO_BENCH_PATTERNS", 8))
 REPEATS = int(os.environ.get("REPRO_BENCH_MIN_REPEATS", 3))
 MIN_SPEEDUP = 3.0
+UNION_GOLDEN = "8802d577869430a47c8470aafb9891b4360a14bf623b9653761353cea77d07a3"
 
 
 def _best_of(fn, repeats: int = REPEATS) -> float:
@@ -53,12 +54,16 @@ def test_vectorized_minimization_speedup_guard():
         name="bench-union",
     )
 
-    # Correctness before speed: identical state counts and languages.
+    # Correctness before speed: identical state counts and languages, and
+    # the canonical bytes pinned (a golden taken before signature rows were
+    # grouped by hash).
     fast = minimize_dfa(dfa)
     ref = _minimize_reference(dfa)
     assert fast.n_states == ref.n_states
     assert are_equivalent(fast, ref)
     assert are_equivalent(fast, dfa)
+    if N_PATTERNS == 8:
+        assert fast.fingerprint() == UNION_GOLDEN
 
     t_fast = _best_of(lambda: minimize_dfa(dfa))
     t_ref = _best_of(lambda: _minimize_reference(dfa))

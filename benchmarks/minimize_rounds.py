@@ -6,8 +6,11 @@ The question before any work on minimization itself: is a
 ``canonical_form`` expensive because it runs many refinement rounds, or
 because each round is wide?  ``repro.automata.minimize`` is measured as
 shipped.  Rounds are counted by one instrumented call that routes the
-module's ``np.unique(sig, axis=0, ...)`` — one per round — through a
-counter, which also times it.  Times are the best of ``--repeat``
+module's ``_group_rows`` — called once per round on the signature rows,
+and once by the column pass, which is not counted — through a counter,
+which also times it.  A member with more than one reachable state that
+shows no round means the counter no longer sees the loop: the script then
+exits 1.  Times are the best of ``--repeat``
 uninstrumented calls, split at the module's own helpers: *setup* is
 reachability plus the distinct column pass, *renumber* is the final BFS
 renumbering, and *refine* is the rest (the round loop and the quotient).
@@ -16,8 +19,8 @@ renumbering, and *refine* is the rest (the round loop and the quotient).
 from __future__ import annotations
 
 import argparse
+import sys
 import time
-import types
 
 import numpy as np
 
@@ -27,26 +30,30 @@ from repro.workloads.suites import build_member
 
 def _count_rounds(dfa):
     """Per round of the refinement loop: the dirty-frontier width and the
-    ms its signature ``np.unique`` took."""
-    widths, unique_ms = [], []
+    ms its signature grouping took."""
+    widths, group_ms = [], []
+    group_rows, columns = minimize._group_rows, minimize._distinct_columns
 
-    def unique(ar, *args, **kwargs):
-        if kwargs.get("axis") != 0:
-            return np.unique(ar, *args, **kwargs)
-        widths.append(int(np.shape(ar)[0]))
+    def counted(rows):
         t0 = time.perf_counter()
-        out = np.unique(ar, *args, **kwargs)
-        unique_ms.append((time.perf_counter() - t0) * 1e3)
+        out = group_rows(rows)
+        group_ms.append((time.perf_counter() - t0) * 1e3)
+        widths.append(int(rows.shape[0]))
         return out
 
-    proxy = types.SimpleNamespace(**{k: getattr(np, k) for k in dir(np)})
-    proxy.unique = unique
-    minimize.np = proxy
+    def uncounted(table):  # the column pass groups too, but is not a round
+        minimize._group_rows = group_rows
+        try:
+            return columns(table)
+        finally:
+            minimize._group_rows = counted
+
+    minimize._group_rows, minimize._distinct_columns = counted, uncounted
     try:
         minimize.minimize_dfa(dfa)
     finally:
-        minimize.np = np
-    return widths, unique_ms
+        minimize._group_rows, minimize._distinct_columns = group_rows, columns
+    return widths, group_ms
 
 
 def _timed(dfa):
@@ -86,13 +93,19 @@ def main(argv=None) -> int:
     print(
         "| member | states | reachable | minimal | rounds | mean / max frontier | "
         "total ms | setup ms | refine ms | renumber ms | refine ms / round | "
-        "signature unique ms / round |"
+        "signature grouping ms / round |"
     )
     print("| --- |" + " ---: |" * 11)
+    status = 0
     for index in (int(i) for i in args.members.split(",")):
         dfa = build_member("poweren", index).dfa
-        widths, unique_ms = _count_rounds(dfa)
+        widths, group_ms = _count_rounds(dfa)
         reachable = minimize._restrict_to_reachable(dfa).n_states
+        if not widths:
+            if reachable > 1:
+                print(f"poweren{index}: no refinement round counted", file=sys.stderr)
+                status = 1
+            continue
         minimal = minimize.minimize_dfa(dfa).n_states
         total, setup, renumber = min(_timed(dfa) for _ in range(args.repeat))
         refine = total - setup - renumber
@@ -100,9 +113,9 @@ def main(argv=None) -> int:
             f"| poweren{index} | {dfa.n_states} | {reachable} | {minimal} | "
             f"{len(widths)} | {np.mean(widths):.0f} / {max(widths)} | {total:.1f} | "
             f"{setup:.1f} | {refine:.1f} | {renumber:.1f} | "
-            f"{refine / len(widths):.2f} | {np.mean(unique_ms):.2f} |"
+            f"{refine / len(widths):.2f} | {np.mean(group_ms):.2f} |"
         )
-    return 0
+    return status
 
 
 if __name__ == "__main__":

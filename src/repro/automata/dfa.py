@@ -110,24 +110,26 @@ class DFA:
         This is the scalar reference implementation of ``FSM_Processing``;
         every speculative scheme must agree with it.
         """
-        symbols = _as_symbol_array(data)
         state = self.start if start is None else int(start)
-        table = self.table
-        for sym in symbols:
+        table = memoryview(self.table)
+        for sym in memoryview(_as_symbol_array(data)):
             state = table[state, sym]
-        return int(state)
+        return state
 
     def run_path(self, data, start: Optional[int] = None) -> np.ndarray:
-        """Return the full state trajectory (length ``len(data) + 1``)."""
-        symbols = _as_symbol_array(data)
+        """Return the full state trajectory (length ``len(data) + 1``).
+
+        Like :meth:`run`, the walk steps Python ints through memoryviews
+        of the symbols and the table, not numpy scalars.
+        """
         state = self.start if start is None else int(start)
-        path = np.empty(len(symbols) + 1, dtype=STATE_DTYPE)
-        path[0] = state
-        table = self.table
-        for i, sym in enumerate(symbols):
+        table = memoryview(self.table)
+        path = [state]
+        visit = path.append
+        for sym in memoryview(_as_symbol_array(data)):
             state = table[state, sym]
-            path[i + 1] = state
-        return path
+            visit(state)
+        return np.array(path, dtype=STATE_DTYPE)
 
     def accepts(self, data, start: Optional[int] = None) -> bool:
         """True iff running over ``data`` ends in an accepting state."""

@@ -8,10 +8,14 @@ convergence) is not polluted by unreachable or duplicate states.
 refinement: the partition lives in a flat colour array and each round
 recolours only the dirty frontier — states with a successor whose colour
 changed last round — from their ``(colour, successor colours)`` signature
-rows (``np.unique(axis=0)``), instead of walking a Python worklist of
-splitter sets.  The pre-refactor Hopcroft worklist implementation is kept as
-:func:`_minimize_reference` — it is the differential oracle for the fuzzer
-and the baseline for ``benchmarks/bench_compile.py``.
+rows, instead of walking a Python worklist of splitter sets.  Refinement
+needs those rows grouped, not ordered, so :func:`_group_rows` groups them
+by hashed 64-bit keys with exact verification.  When a block whose
+members are all dirty splits, its largest group keeps the block's id: any
+one group would yield the same minimal DFA, and the largest re-dirties the
+fewest states.  The pre-refactor Hopcroft worklist implementation is kept
+as :func:`_minimize_reference` — it is the differential oracle for the
+fuzzer and the baseline for ``benchmarks/bench_compile.py``.
 
 On top of minimization this module defines the *canonical form*: minimize,
 then breadth-first renumber states from the start state in symbol order.
@@ -22,7 +26,7 @@ the plan cache keys language-equivalence aliasing on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,9 +65,9 @@ def _bfs_renumber(dfa: DFA) -> DFA:
     frontier = np.array([dfa.start], dtype=np.int64)
     while frontier.size and assigned < n:
         succ = dfa.table[frontier].ravel()  # row-major = symbol order per state
+        succ = succ[remap[succ] < 0]
         uniq, first = np.unique(succ, return_index=True)
-        fresh = remap[uniq] < 0
-        new_states = uniq[fresh][np.argsort(first[fresh], kind="stable")]
+        new_states = uniq[np.argsort(first)]
         remap[new_states] = assigned + np.arange(new_states.size)
         assigned += new_states.size
         frontier = new_states
@@ -77,31 +81,49 @@ def _bfs_renumber(dfa: DFA) -> DFA:
     )
 
 
-def _distinct_columns(table: np.ndarray) -> np.ndarray:
-    """The distinct columns of ``table``, cheaply.
+def _hash_weights(width: int) -> np.ndarray:
+    """Fixed odd 64-bit weights, one per row entry, for :func:`_group_rows`:
+    the splitmix64 finalizer of ``1..width`` (cheaper than seeding a
+    generator on every call)."""
+    x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x | np.uint64(1)).view(np.int64)
 
-    ``np.unique(table, axis=1)`` lexicographically sorts whole columns —
-    O(n·k·log k) element comparisons, the dominant cost of minimizing wide
-    alphabets.  Instead, hash every column to one 64-bit key (fixed random
-    weights, wraparound arithmetic), group by key, and *verify* each column
-    against its group representative; any collision falls back to the exact
-    path, so the result is always exact.  Column order differs from
-    ``np.unique`` (keys, not lexicographic) but refinement only needs the
-    distinct column *set*.
+
+def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of ``rows``: ``(first, inv)``.
+
+    ``first[g]`` is the index of group ``g``'s first row and ``inv[i]`` the
+    group of row ``i``.  Each row is hashed to one 64-bit key (a matmul
+    against :func:`_hash_weights`, wrapping), the keys are grouped by a 1-D
+    ``np.unique``, and every row is then checked exactly against its
+    group's first row; on any collision the rows are grouped by the exact
+    lexicographic ``np.unique(axis=0)`` instead.  Groups come in key order,
+    not row order: callers need the rows grouped, not sorted.
     """
-    n, k = table.shape
-    if k <= 1:
+    keys = rows @ _hash_weights(rows.shape[1])
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    if not np.array_equal(rows[first[inv]], rows):
+        _, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, np.ravel(inv)
+
+
+def _distinct_columns(table: np.ndarray) -> np.ndarray:
+    """The distinct columns of ``table``, in :func:`_group_rows` order.
+
+    Refinement only needs the distinct column *set*, so hashing the columns
+    replaces ``np.unique(table, axis=1)``'s lexicographic column sort.  The
+    columns are grouped as contiguous rows of the transpose: hashing and
+    verifying a strided view reads the table column by column.
+    """
+    if table.shape[1] <= 1:
         return table
-    cols = np.ascontiguousarray(table.T).astype(np.uint64)
-    weights = np.random.default_rng(0x5EED5EED).integers(
-        1, 1 << 62, size=n, dtype=np.uint64
-    ) | np.uint64(1)
-    keys = (cols * weights).sum(axis=1)
-    uniq_keys, first = np.unique(keys, return_index=True)
-    reps = cols[first]
-    if not np.array_equal(reps[np.searchsorted(uniq_keys, keys)], cols):
-        return np.unique(table, axis=1)  # hash collision: exact fallback
-    return np.ascontiguousarray(reps.T).astype(table.dtype)
+    first, _ = _group_rows(np.ascontiguousarray(table.T))
+    return table[:, first]
 
 
 def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
@@ -115,20 +137,26 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
     to the active refinement frontier instead of ``n_states × n_symbols``,
     which is what lets deep, chain-like automata (keyword scanners, bounded
     gaps, counters) minimize in milliseconds rather than paying a full
-    table pass per distinguishing-depth level.
+    table pass per distinguishing-depth level.  Signature rows are grouped
+    by hashed keys with exact verification (:func:`_group_rows`).
 
     Colour ids are stable: when a block splits, one part keeps the old id
     and the rest get fresh never-before-used ids, so dirtiness propagates
     exactly along real colour changes.  A dirty state whose signature
     changed can never rejoin the clean remainder of its block (its
     signature now contains a fresh id the clean members' cannot), so blocks
-    with clean members send every dirty sub-group to fresh ids, while
-    fully-dirty blocks let their first signature group keep the id.
+    with clean members send every dirty sub-group to fresh ids.  A
+    fully-dirty block lets one group keep the id: its largest (the first in
+    key order among equals), as Hopcroft keeps the larger half.  Any single
+    group is correct there (Valmari): the states that keep the id are
+    exactly those whose colour did not change, and the ones that moved
+    re-dirty every predecessor that could tell them apart.  The largest
+    group only keeps the next frontier smallest.
 
     The result is in *canonical numbering* (breadth-first from the start
     state in symbol order, see :func:`_bfs_renumber`), which makes
     minimization idempotent at the byte level and gives language-equivalent
-    inputs bit-identical minimal tables.
+    inputs bit-identical minimal tables whichever group kept each id.
     """
     dfa = _restrict_to_reachable(dfa)
     n = dfa.n_states
@@ -139,19 +167,20 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
     unique_cols = _distinct_columns(dfa.table)
     k_red = unique_cols.shape[1]
 
-    # Reverse-edge CSR over the reduced table (built once): pred_sorted
-    # holds edge sources grouped by target, indptr[t]:indptr[t+1] spans
-    # the predecessors of state t.
+    # Reverse-edge CSR over the reduced table (built once): edge e runs
+    # from state e // k_red to dst[e]; pred_sorted holds edge sources
+    # grouped by target, indptr[t]:indptr[t+1] spans the predecessors of
+    # state t.  Sorting the narrowest unsigned dtype lets numpy radix-sort.
     dst = unique_cols.ravel()
-    src = np.repeat(np.arange(n, dtype=np.int64), k_red)
-    edge_order = np.argsort(dst, kind="stable")
-    pred_sorted = src[edge_order]
-    indptr = np.searchsorted(dst[edge_order], np.arange(n + 1))
+    edge_order = np.argsort(dst.astype(np.min_scalar_type(n - 1)), kind="stable")
+    pred_sorted = edge_order // k_red
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
 
-    # Initial partition: accepting / non-accepting, densified to 0-based
-    # colours (all-accepting and none-accepting DFAs start with one colour).
-    _, colour = np.unique(dfa.accepting_mask, return_inverse=True)
-    colour = np.ravel(colour).astype(np.int64)
+    # Initial partition: accepting / non-accepting as 0-based colours
+    # (all-accepting and none-accepting DFAs start with one colour).
+    mask = dfa.accepting_mask
+    colour = (mask != mask[0]).astype(np.int64)
     next_id = int(colour.max()) + 1
 
     dirty = np.arange(n, dtype=np.int64)
@@ -159,19 +188,21 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
         sig = np.concatenate(
             [colour[dirty, None], colour[unique_cols[dirty]]], axis=1
         )
-        uniq, inv = np.unique(sig, axis=0, return_inverse=True)
-        inv = np.ravel(inv)
-        block = uniq[:, 0]  # non-decreasing (lexicographic row order)
+        first, inv = _group_rows(sig)
+        block = sig[first, 0]
 
         # A block with clean (non-dirty) members keeps its id for them and
         # every dirty group splits to a fresh id; a fully-dirty block keeps
-        # the id for its first signature group only.
+        # the id for its largest group only (ties: first in key order), so
+        # the fewest states change colour and re-dirty their predecessors.
         sizes = np.bincount(colour, minlength=next_id)
         dirty_counts = np.bincount(colour[dirty], minlength=next_id)
         block_has_clean = (sizes - dirty_counts) > 0
-        keeps = np.zeros(uniq.shape[0], dtype=bool)
-        _, first_of_block = np.unique(block, return_index=True)
-        keeps[first_of_block] = True
+        by_block = np.lexsort((-np.bincount(inv), block))
+        heads = np.ones(by_block.size, dtype=bool)
+        heads[1:] = block[by_block[1:]] != block[by_block[:-1]]
+        keeps = np.zeros(first.size, dtype=bool)
+        keeps[by_block[heads]] = True
         keeps &= ~block_has_clean[block]
 
         fresh = ~keeps
@@ -183,32 +214,29 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
         changed = dirty[fresh[inv]]
         colour[dirty] = new_ids[inv]
 
-        # Next frontier: predecessors of every state whose colour changed.
-        if changed.size:
-            starts = indptr[changed]
-            counts = indptr[changed + 1] - starts
-            total = int(counts.sum())
-            offsets = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-            )
-            dirty = np.unique(pred_sorted[offsets + np.arange(total)])
-        else:
-            dirty = np.empty(0, dtype=np.int64)
+        # Next frontier: predecessors of every state whose colour changed,
+        # marked and read back in state order.
+        starts = indptr[changed]
+        counts = indptr[changed + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        marked = np.zeros(n, dtype=bool)
+        marked[pred_sorted[offsets + np.arange(offsets.size)]] = True
+        dirty = np.flatnonzero(marked)
 
-    # Quotient: one representative state per colour (first occurrence),
-    # with the sparse stable ids densified to 0-based colours.
-    uniq_ids, reps = np.unique(colour, return_index=True)
-    dense = np.full(next_id, -1, dtype=np.int64)
-    dense[uniq_ids] = np.arange(uniq_ids.size)
+    # Quotient: one representative state per colour (any member will do:
+    # the partition is stable, so members agree on successor colours), with
+    # the sparse stable ids densified to 0-based colours in id order.
+    present = np.zeros(next_id, dtype=bool)
+    present[colour] = True
+    dense = np.cumsum(present) - 1
+    reps = np.empty(next_id, dtype=np.int64)
+    reps[colour] = np.arange(n)
     colour = dense[colour]
-    table = colour[dfa.table[reps]].astype(STATE_DTYPE)
-    accepting = frozenset(
-        int(c) for c in np.unique(colour[np.flatnonzero(dfa.accepting_mask)])
-    )
+    table = colour[dfa.table[reps[present]]].astype(STATE_DTYPE)
     quotient = DFA(
         table=table,
         start=int(colour[dfa.start]),
-        accepting=accepting,
+        accepting=frozenset(colour[mask].tolist()),
         name=name if name is not None else dfa.name,
     )
     return _bfs_renumber(quotient)

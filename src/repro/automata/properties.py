@@ -128,10 +128,9 @@ def reachable_states(dfa: DFA) -> np.ndarray:
     seen[dfa.start] = True
     frontier = np.array([dfa.start], dtype=np.int64)
     while frontier.size:
-        nxt = np.unique(dfa.table[frontier].ravel())
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
+        succ = dfa.table[frontier].ravel()
+        frontier = np.unique(succ[~seen[succ]])
+        seen[frontier] = True
     return np.flatnonzero(seen)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import DFA
 from repro.automata.minimize import (
+    _bfs_renumber,
     _minimize_reference,
     canonical_fingerprint,
     canonical_form,
@@ -93,12 +94,14 @@ def test_canonical_form_invariant_under_inflation(dfa, seed):
 @given(random_dfa())
 def test_vectorized_agrees_with_reference(dfa):
     """Differential: the vectorized minimizer and the reference Hopcroft
-    worklist must agree on state count and language."""
+    worklist must agree on state count and language, and the canonical
+    form must be the reference's quotient renumbered, byte for byte."""
     fast = minimize_dfa(dfa)
     ref = _minimize_reference(dfa)
     assert fast.n_states == ref.n_states
     assert are_equivalent(fast, ref)
     assert are_equivalent(fast, dfa)
+    assert _tables_identical(canonical_form(dfa), _bfs_renumber(ref))
 
 
 @settings(max_examples=60, deadline=None)

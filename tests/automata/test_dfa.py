@@ -80,6 +80,34 @@ class TestSemantics:
     def test_accepts_list_input(self, div7):
         assert div7.run([ord("1"), ord("1"), ord("1")]) == div7.run(b"111")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_run_is_the_last_state_of_run_path(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        dfa = DFA(table=rng.integers(0, n, size=(n, k)), start=int(rng.integers(0, n)))
+        for length in (0, 1, 97):
+            data = rng.integers(0, k, size=length).astype(np.uint8)
+            q = int(rng.integers(0, n))
+            for start in (None, q, np.int64(q), np.int32(q)):
+                path = dfa.run_path(data, start=start)
+                end = dfa.run(data, start=start)
+                assert type(end) is int
+                assert path.dtype == STATE_DTYPE and path.shape == (length + 1,)
+                assert end == path[-1]
+                # Reference: the walk with numpy scalar indexing.
+                state = dfa.start if start is None else q
+                expected = [state]
+                for sym in data:
+                    state = dfa.table[state, sym]
+                    expected.append(state)
+                np.testing.assert_array_equal(path, expected)
+
+    def test_run_rejects_a_symbol_outside_the_alphabet(self, div7):
+        with pytest.raises(IndexError):
+            div7.run(np.array([1, 256]))
+        with pytest.raises(IndexError):
+            div7.run_path(np.array([1, 256]))
+
 
 class TestVectorized:
     def test_run_many_matches_scalar(self, div7, rng):

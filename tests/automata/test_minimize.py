@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.automata.minimize as minimize
 from repro.automata.dfa import DFA
-from repro.automata.minimize import _restrict_to_reachable, minimize_dfa
+from repro.automata.minimize import (
+    _restrict_to_reachable,
+    canonical_fingerprint,
+    canonical_form,
+    minimize_dfa,
+)
 from repro.automata.properties import reachable_states
 from repro.automata.regex import compile_regex
 from repro.workloads import classic
+from repro.workloads.suites import build_member
 
 
 def language_equal(a: DFA, b: DFA, rng, samples: int = 300, max_len: int = 20) -> bool:
@@ -130,3 +137,51 @@ def test_start_state_is_zero_after_minimize():
     dfa = compile_regex("ab", n_symbols=128, minimize=False)
     m = minimize_dfa(dfa)
     assert m.start == 0
+
+
+def test_every_hash_key_colliding_falls_back_to_exact_grouping(monkeypatch, rng):
+    """Zero weights give every row the same key, so the column pass and each
+    round's signature rows must take the exact ``np.unique(axis=0)``
+    fallback; the canonical form stays byte-identical."""
+    dfas = [
+        classic.keyword_scanner(b"abc"),
+        compile_regex("a(b|c){1,3}d", n_symbols=128, minimize=False),
+    ] + [
+        DFA(table=rng.integers(0, 12, size=(12, 4)), start=0, accepting={1, 5})
+        for _ in range(4)
+    ]
+    expected = [canonical_form(dfa) for dfa in dfas]
+    group_rows, calls = minimize._group_rows, []
+
+    def spy(rows):
+        first, inv = group_rows(rows)
+        n_groups = np.unique(rows, axis=0).shape[0]
+        assert first.size == n_groups
+        np.testing.assert_array_equal(rows[first[inv]], rows)
+        calls.append(n_groups > 1)  # the keys alone would give one group
+        return first, inv
+
+    monkeypatch.setattr(minimize, "_hash_weights", lambda width: np.zeros(width, np.int64))
+    monkeypatch.setattr(minimize, "_group_rows", spy)
+    for dfa, want in zip(dfas, expected):
+        calls.clear()
+        got = canonical_form(dfa)
+        assert got == want and got.fingerprint() == want.fingerprint()
+        # The first call groups the columns, the rest are refinement rounds.
+        assert len(calls) >= 2 and calls[0] and any(calls[1:])
+
+
+# canonical_fingerprint at the commit before signature rows were hashed.
+POWEREN_GOLDENS = {
+    1: "23677520e3ec91a564e6e85f74a834048fe3fe39eb179c2baa01aea9b2e61413",
+    2: "b698289df69ebc7e60a7b24a0fa48ca635a6f0dd6a1ce6c1176fbb7211c456f2",
+    3: "d4c123bf5a4fad3ffdee871a7f80f066d713c6a836a65db110ed04c4343bae2f",
+    4: "1bda572ed2b57978456665a58bc205f0b4622db9ee153f51a374d50144ea91c4",
+    10: "61f015278b10fb0d0077b9de40adb9ad0666ea3a958a3f65cb451b1058b5229f",
+}
+
+
+@pytest.mark.parametrize("index", sorted(POWEREN_GOLDENS))
+def test_canonical_fingerprint_goldens(index):
+    dfa = build_member("poweren", index).dfa
+    assert canonical_fingerprint(dfa) == POWEREN_GOLDENS[index]

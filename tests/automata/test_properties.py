@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.automata.properties import (
     absorbing_states,
@@ -91,6 +92,31 @@ class TestStructure:
         table = np.array([[0, 0], [1, 1]], dtype=np.int32)
         dfa = DFA(table=table, start=0)
         assert reachable_states(dfa).tolist() == [0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=0.0, max_value=0.9),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_reachable_states_matches_a_set_bfs(self, n, k, p_loop, seed):
+        from repro.automata.dfa import DFA
+
+        # Self-loops at rate p_loop leave some states unreachable.
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, n, size=(n, k))
+        loops = rng.random((n, k)) < p_loop
+        table = np.where(loops, np.arange(n)[:, None], targets)
+        start = int(rng.integers(0, n))
+        seen, queue = {start}, [start]
+        while queue:
+            for t in table[queue.pop()].tolist():
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        got = reachable_states(DFA(table=table, start=start))
+        assert got.tolist() == sorted(seen)
 
     def test_absorbing_states_of_scanner(self):
         d = classic.keyword_scanner(b"ab")
