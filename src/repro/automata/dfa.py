@@ -10,6 +10,7 @@ can run one gather per input position for *all* simulated GPU threads at once.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -48,6 +49,16 @@ class DFA:
         Frozenset of accepting state ids (``F`` in the paper's tuple).
     name:
         Optional human-readable label used in reports and benchmarks.
+
+    The table is owned and read-only.  The constructor adopts a C-contiguous
+    ``int32`` array that owns its data and copies anything else (a view, a
+    wider dtype, a list), so no one can write through a view's base; it then
+    clears the array's ``writeable`` flag.  A caller must not keep writing
+    through views of an adopted array made before construction.  Because
+    the table cannot change, :meth:`fingerprint` hashes it at most once.
+    Every other way of making a DFA — pickling, :mod:`copy`,
+    :func:`dataclasses.replace` — goes back through the constructor and so
+    starts without a digest.
     """
 
     table: np.ndarray
@@ -58,6 +69,9 @@ class DFA:
     def __post_init__(self) -> None:
         wide = np.asarray(self.table)
         table = np.ascontiguousarray(wide, dtype=STATE_DTYPE)
+        if not table.flags.owndata:
+            table = table.copy()
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise AutomatonError(f"transition table must be 2-D, got shape {table.shape}")
@@ -75,6 +89,11 @@ class DFA:
             if not (0 <= s < n_states):
                 raise AutomatonError(f"accepting state {s} out of range [0, {n_states})")
         object.__setattr__(self, "accepting", acc)
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the copy gets a read-only table
+        # of its own and no memoized digest.
+        return (type(self), (self.table, self.start, self.accepting, self.name))
 
     # ------------------------------------------------------------------
     # basic shape
@@ -183,9 +202,13 @@ class DFA:
         frequency-based transformation (Fig. 4) and by minimization.
         """
         perm = np.asarray(permutation, dtype=np.int64)
-        if perm.shape != (self.n_states,):
+        n = self.n_states
+        if perm.shape != (n,):
             raise AutomatonError("permutation must have one entry per state")
-        if sorted(perm.tolist()) != list(range(self.n_states)):
+        # n entries mark all n states only if each is in range and distinct.
+        hit = np.zeros(n, dtype=bool)
+        hit[perm[(perm >= 0) & (perm < n)]] = True
+        if not hit.all():
             raise AutomatonError("permutation must be a bijection on states")
         new_table = np.empty_like(self.table)
         # new_table[perm[q], a] = perm[table[q, a]]
@@ -204,15 +227,18 @@ class DFA:
         the accepting set — everything execution depends on — but not the
         cosmetic ``name``.  Used as the cache/validation key for compiled
         plans: two DFAs with equal fingerprints are interchangeable at
-        execution time.
+        execution time.  The table is read-only, so the digest is computed
+        on first call and memoized.
         """
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(f"dfa/v1:{self.n_states}x{self.n_symbols}:{self.start}:".encode())
-        h.update(",".join(str(s) for s in sorted(self.accepting)).encode())
-        h.update(self.table.tobytes())
-        return h.hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            h = hashlib.sha256()
+            h.update(f"dfa/v1:{self.n_states}x{self.n_symbols}:{self.start}:".encode())
+            h.update(",".join(str(s) for s in sorted(self.accepting)).encode())
+            h.update(self.table.data)
+            digest = h.hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     def canonical_fingerprint(self) -> str:
         """Content hash identifying this automaton's *language*.
@@ -239,7 +265,7 @@ class DFA:
         )
 
     def __hash__(self) -> int:
-        return hash((self.start, self.accepting, self.table.shape, self.table.tobytes()))
+        return hash(self.fingerprint())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -64,15 +64,20 @@ def profile_state_frequencies(
     dfa: DFA,
     training_input,
     start: Optional[int] = None,
+    *,
+    path: Optional[np.ndarray] = None,
 ) -> StateFrequencyProfile:
     """Count state visits while running ``dfa`` over ``training_input``.
 
     This is the paper's offline profiling pass: "an offline profiling is
     applied to count the frequency of each state in the original transition
-    table" using a small slice (0.5%) of representative input.
+    table" using a small slice (0.5%) of representative input.  ``path``
+    is ``dfa.run_path(training_input, start=start)`` when the caller has
+    already walked the slice; without it the walk happens here.
     """
     symbols = _as_symbol_array(training_input)
-    path = dfa.run_path(symbols, start=start)
+    if path is None:
+        path = dfa.run_path(symbols, start=start)
     counts = np.bincount(path, minlength=dfa.n_states).astype(np.int64)
     # Hottest first; break frequency ties by state id for determinism.
     order = np.lexsort((np.arange(dfa.n_states), -counts))
@@ -91,6 +96,25 @@ def unique_states_after(dfa: DFA, window, steps: Optional[int] = None) -> int:
         symbols = symbols[:steps]
     ends = dfa.run_all_states(symbols)
     return int(np.unique(ends).size)
+
+
+def image_sizes(dfa: DFA, windows: np.ndarray) -> np.ndarray:
+    """:func:`unique_states_after` for every row of ``windows`` at once.
+
+    ``windows`` is an ``(n_windows, length)`` symbol matrix.  All rows run
+    from every state together as one ``(n_windows, n_states)`` plane, one
+    gather per symbol position (a flat ``take`` of ``state * n_symbols +
+    symbol``); each row's distinct count then comes from one row-wise sort.
+    """
+    n_windows, length = windows.shape
+    flat = dfa.table.ravel()
+    plane = np.broadcast_to(
+        np.arange(dfa.n_states, dtype=flat.dtype), (n_windows, dfa.n_states)
+    )
+    for j in range(length):
+        plane = flat.take(plane * dfa.n_symbols + windows[:, j, None])
+    ordered = np.sort(plane, axis=1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
 def convergence_profile(
@@ -116,10 +140,7 @@ def convergence_profile(
     rng = np.random.default_rng(seed)
     max_offset = len(symbols) - steps
     offsets = rng.integers(0, max_offset + 1, size=n_windows)
-    out = np.empty(n_windows, dtype=np.int64)
-    for i, off in enumerate(offsets):
-        out[i] = unique_states_after(dfa, symbols[off : off + steps])
-    return out
+    return image_sizes(dfa, symbols[offsets[:, None] + np.arange(steps)])
 
 
 def reachable_states(dfa: DFA) -> np.ndarray:

@@ -208,7 +208,8 @@ class CompiledPlan:
         Content fingerprints only, no minimization: an in-memory plan's
         canonical fingerprint is trusted, as ``compile_plan``,
         ``revise_plan`` or ``load_plan`` (where plan bytes enter the
-        process) established it.
+        process) established it.  A DFA's table is read-only and its
+        digest memoized, so a DFA already hashed is not hashed again.
 
         Raises :class:`~repro.errors.PlanError` on any mismatch — the
         invalidation rule of the plan lifecycle: a plan is valid exactly

@@ -13,7 +13,9 @@ into a :class:`~repro.plan.artifact.CompiledPlan`:
     plan keeps executing the *submitted* DFA — canonicalization only
     establishes identity, it never rewrites state numbering under a tenant.
 ``profile``
-    The Table-II feature vector on the training slice.
+    The Table-II feature vector on the training slice.  The stage walks
+    the slice once (``dfa.run_path``) and predicts its chunk starts once;
+    ``transform`` and ``train`` reuse both.
 ``select``
     The Fig. 6 decision-tree walk.
 ``transform``
@@ -46,8 +48,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.minimize import canonical_form
@@ -83,15 +83,14 @@ COMPILE_STAGES = (
 REVISE_STAGE = "revise"
 
 
-def _predictor_stats(dfa: DFA, symbols: np.ndarray, n_chunks: int, features) -> dict:
+def _predictor_stats(prediction, features) -> dict:
     """Trained lookback-2 statistics: accuracies plus queue geometry.
 
-    The queue sizes measure how many candidate states the all-state replay
+    ``prediction`` is the ``profile`` stage's full-slice prediction.  The
+    queue sizes measure how many candidate states the all-state replay
     leaves alive per boundary — the quantity that decides how much work
     enumerative recovery (RR/NF) has to burn per mis-speculation.
     """
-    partition = partition_input(symbols, n_chunks)
-    prediction = predict_start_states(dfa, partition)
     sizes = prediction.sizes[1:]
     return {
         "predictor": f"lookback-{LOOKBACK}",
@@ -180,14 +179,20 @@ def compile_plan(
                 cnspan.set_attr("canonical_fingerprint", canonical_fp[:16])
 
         with stage("profile"):
-            features = profile_features(dfa, symbols, n_chunks=n_chunks)
+            # One walk of the slice and one full-slice prediction, shared
+            # by the profile, transform and train stages.
+            walk = dfa.run_path(symbols)
+            prediction = predict_start_states(dfa, partition_input(symbols, n_chunks))
+            features = profile_features(
+                dfa, symbols, n_chunks=n_chunks, path=walk, prediction=prediction
+            )
 
         selector = DecisionTreeSelector(config.thresholds)
         with stage("select") as sspan:
             scheme, path = selector.decide(features, span=sspan)
 
         with stage("transform") as tspan:
-            freq = profile_state_frequencies(dfa, symbols)
+            freq = profile_state_frequencies(dfa, symbols, path=walk)
             if tspan:
                 memory = MemoryModel.for_dfa(config.device, dfa.n_states, dfa.n_symbols)
                 layout = "rank" if config.use_transformation else "hash"
@@ -198,7 +203,7 @@ def compile_plan(
             with tracer.span("cost_model"):
                 estimates = estimate_costs(features, config, symbols.size)
             with tracer.span("predictor"):
-                predictor_stats = _predictor_stats(dfa, symbols, n_chunks, features)
+                predictor_stats = _predictor_stats(prediction, features)
 
         plan = CompiledPlan(
             dfa=dfa,

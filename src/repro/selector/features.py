@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
-from repro.automata.properties import convergence_profile
+from repro.automata.properties import convergence_profile, image_sizes
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import predict_start_states, true_start_states
 from repro.errors import SchemeError
@@ -156,29 +156,20 @@ def reachable_width(
     """Mean image size of the full state set over sample input windows.
 
     Runs *every* state through ``n_windows`` evenly spaced windows of the
-    training input (vectorized: one ``table[states, sym]`` gather per
-    position) and averages how many distinct states survive — the number
-    of mapping rows SFA's state→state construction actually has to keep
-    distinct, i.e. the active-state count of Eq. 1's mapping term.
+    training input (all windows as one plane, one gather per position:
+    :func:`~repro.automata.properties.image_sizes`) and averages how many
+    distinct states survive — the number of mapping rows SFA's
+    state→state construction actually has to keep distinct, i.e. the
+    active-state count of Eq. 1's mapping term.
     """
     symbols = _as_symbol_array(training_input)
     if symbols.size == 0:
         return float(dfa.n_states)
-    table = dfa.table
     window = max(1, min(int(window), symbols.size))
     n_windows = max(1, int(n_windows))
-    if symbols.size <= window:
-        offsets = [0]
-    else:
-        step = max(1, (symbols.size - window) // n_windows)
-        offsets = list(range(0, symbols.size - window + 1, step))[:n_windows]
-    widths = []
-    for off in offsets:
-        states = np.arange(dfa.n_states, dtype=np.int64)
-        for sym in symbols[off : off + window]:
-            states = table[states, int(sym)]
-        widths.append(int(np.unique(states).size))
-    return float(np.mean(widths))
+    step = max(1, (symbols.size - window) // n_windows)
+    offsets = np.arange(0, symbols.size - window + 1, step)[:n_windows]
+    return float(np.mean(image_sizes(dfa, symbols[offsets[:, None] + np.arange(window)])))
 
 
 def profile_features(
@@ -189,12 +180,19 @@ def profile_features(
     n_portions: int = 4,
     convergence_steps: int = 10,
     seed: int = 0,
+    path=None,
+    prediction=None,
 ) -> FSMFeatures:
     """Collect the full feature vector on ``training_input``.
 
     The training slice is split into ``n_portions`` equal portions; spec-1
     accuracy is measured on each to quantify input sensitivity, and on the
     whole slice (with ``n_chunks`` chunks) for the headline accuracies.
+
+    A caller that already holds them hands in ``path``, the slice's
+    ``dfa.run_path``, and ``prediction``, the full-slice
+    ``predict_start_states`` over ``partition_input(slice, n_chunks)``;
+    otherwise both are computed here.
     """
     symbols = _as_symbol_array(training_input)
     # A single chunk has no boundary to speculate across, so any non-empty
@@ -206,10 +204,12 @@ def profile_features(
     t0 = time.perf_counter()
     # One sequential walk of the slice gives every true start state below:
     # path[i] is the state after the first i symbols.
-    path = dfa.run_path(symbols)
+    if path is None:
+        path = dfa.run_path(symbols)
 
     partition = partition_input(symbols, n_chunks)
-    prediction = predict_start_states(dfa, partition)
+    if prediction is None:
+        prediction = predict_start_states(dfa, partition)
     truth = path[partition.offsets]
     acc1 = prediction.accuracy_against(truth, k=1)
     acc4 = prediction.accuracy_against(truth, k=4)

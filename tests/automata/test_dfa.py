@@ -1,11 +1,17 @@
 """Unit tests for the dense-table DFA core."""
 
+import copy
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.automata.dfa import DFA, STATE_DTYPE, run_lockstep
 from repro.errors import AutomatonError
 from repro.workloads import classic
+from repro.workloads.suites import build_member
 
 
 class TestConstruction:
@@ -176,13 +182,106 @@ class TestRenumbering:
         same = div7.renumbered(np.arange(7))
         assert same == div7
 
-    def test_rejects_non_bijection(self, div7):
-        with pytest.raises(AutomatonError):
-            div7.renumbered(np.zeros(7, dtype=np.int64))
+    @pytest.mark.parametrize(
+        "perm, message",
+        [
+            ([0, 0, 0, 0, 0, 0, 0], "bijection"),  # all one state
+            ([0, 1, 2, 3, 4, 5, 5], "bijection"),  # a duplicate
+            ([0, 1, 2, 3, 4, 5, 7], "bijection"),  # out of range
+            ([0, 1, 2, 3, 4, 5, -1], "bijection"),  # negative
+            ([[0, 1, 2, 3, 4, 5, 6]], "one entry per state"),  # wrong shape
+            ([0, 1, 2, 3, 4], "one entry per state"),  # wrong length
+        ],
+        ids=["all-zero", "duplicate", "out-of-range", "negative", "wrong-shape", "wrong-length"],
+    )
+    def test_rejects_a_non_permutation(self, div7, perm, message):
+        with pytest.raises(AutomatonError, match=message):
+            div7.renumbered(np.array(perm))
 
-    def test_rejects_wrong_length(self, div7):
-        with pytest.raises(AutomatonError):
-            div7.renumbered(np.arange(5))
+
+def reference_fingerprint(dfa):
+    """SHA-256 of the documented header and a copy of the table bytes."""
+    h = hashlib.sha256()
+    h.update(f"dfa/v1:{dfa.n_states}x{dfa.n_symbols}:{dfa.start}:".encode())
+    h.update(",".join(str(s) for s in sorted(dfa.accepting)).encode())
+    h.update(dfa.table.tobytes())
+    return h.hexdigest()
+
+
+# DFA.fingerprint at the commit before the digest was memoized.
+POWEREN_CONTENT_GOLDENS = {
+    1: "73b473fa25fb3464bd887657d614841912d9e73b2b40515d517fdc8da678de33",
+    2: "4dfc5bc02e0c2c99f939dc5e3523ac7e3e1356e751ca50c2c6eabc324f97703a",
+    3: "227269f07c2048ea0706ebabe7fc2e194957f19cfb8bef73ba44e7db2a8a1451",
+    4: "d78500cdc95cdaa71be68adc50f8d8dc77828db0474b40b41c7db97b32cc4ed9",
+    10: "19e0d3d178af8d4929d15560f15df4727228c18449ad26eaf95da2f54a44f6ae",
+}
+
+
+class TestOwnership:
+    """A DFA owns a read-only table, so its memoized digest cannot go stale."""
+
+    def test_writing_the_table_raises(self, div7):
+        with pytest.raises(ValueError):
+            div7.table[0, 0] = 1
+
+    def test_a_view_is_copied_and_its_base_stays_writable(self):
+        base = np.zeros((6, 2), dtype=STATE_DTYPE)
+        dfa = DFA(table=base[3:], start=0, accepting={1})
+        before, digest = dfa.table.copy(), dfa.fingerprint()
+        base[:] = 2
+        assert np.array_equal(dfa.table, before)
+        assert dfa.fingerprint() == digest == reference_fingerprint(dfa)
+        assert base.flags.writeable
+
+    def test_an_owned_table_is_adopted_and_frozen(self):
+        table = np.zeros((2, 2), dtype=STATE_DTYPE)
+        dfa = DFA(table=table, start=0)
+        assert dfa.table is table and not table.flags.writeable
+
+    def test_an_unpickled_dfa_has_no_digest_and_a_read_only_table(self, div7):
+        div7.fingerprint()
+        clone = pickle.loads(pickle.dumps(div7))
+        assert "_fingerprint" not in vars(clone)
+        assert not clone.table.flags.writeable
+        assert clone == div7 and clone.fingerprint() == div7.fingerprint()
+
+    def test_copies_go_through_the_constructor(self, div7):
+        div7.fingerprint()
+        # copy.copy shares the read-only table; deepcopy owns a new one.
+        shallow, deep = copy.copy(div7), copy.deepcopy(div7)
+        assert shallow.table is div7.table
+        assert not np.shares_memory(deep.table, div7.table)
+        for clone in (shallow, deep):
+            assert "_fingerprint" not in vars(clone)
+            assert not clone.table.flags.writeable
+            assert clone.fingerprint() == div7.fingerprint()
+
+    def test_replace_starts_without_a_digest(self, div7):
+        div7.fingerprint()
+        # dataclasses.replace calls the constructor, so a changed start
+        # state is hashed afresh rather than inheriting div7's digest.
+        moved = dataclasses.replace(div7, start=1)
+        assert "_fingerprint" not in vars(moved)
+        assert moved.fingerprint() == reference_fingerprint(moved)
+        assert moved.fingerprint() != div7.fingerprint()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fingerprint_is_sha256_of_header_and_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        dfa = DFA(
+            table=rng.integers(0, n, size=(n, int(rng.integers(1, 9)))),
+            start=int(rng.integers(n)),
+            accepting=rng.integers(0, n, size=3).tolist(),
+        )
+        assert dfa.fingerprint() == reference_fingerprint(dfa)
+        assert vars(dfa)["_fingerprint"] == reference_fingerprint(dfa)
+
+    @pytest.mark.parametrize("index", sorted(POWEREN_CONTENT_GOLDENS))
+    def test_content_fingerprint_goldens(self, index):
+        dfa = build_member("poweren", index).dfa
+        assert dfa.fingerprint() == POWEREN_CONTENT_GOLDENS[index]
 
 
 class TestEquality:

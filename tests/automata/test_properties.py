@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.dfa import DFA
 from repro.automata.properties import (
     absorbing_states,
     convergence_profile,
@@ -12,6 +13,7 @@ from repro.automata.properties import (
     unique_states_after,
 )
 from repro.errors import AutomatonError
+from repro.selector.features import reachable_width
 from repro.workloads import classic
 
 
@@ -81,6 +83,93 @@ class TestConvergence:
             convergence_profile(div7, b"101", steps=10)
 
 
+def convergence_profile_reference(dfa, training_input, steps=10, n_windows=32, seed=0):
+    """The per-window loop ``convergence_profile`` replaced."""
+    symbols = np.asarray(training_input)
+    offsets = np.random.default_rng(seed).integers(
+        0, len(symbols) - steps + 1, size=n_windows
+    )
+    return np.array(
+        [unique_states_after(dfa, symbols[off : off + steps]) for off in offsets],
+        dtype=np.int64,
+    )
+
+
+def reachable_width_reference(dfa, training_input, *, window=64, n_windows=4):
+    """The per-window loop ``reachable_width`` replaced."""
+    symbols = np.asarray(training_input)
+    if symbols.size == 0:
+        return float(dfa.n_states)
+    window = max(1, min(int(window), symbols.size))
+    n_windows = max(1, int(n_windows))
+    if symbols.size <= window:
+        offsets = [0]
+    else:
+        step = max(1, (symbols.size - window) // n_windows)
+        offsets = list(range(0, symbols.size - window + 1, step))[:n_windows]
+    widths = []
+    for off in offsets:
+        states = np.arange(dfa.n_states, dtype=np.int64)
+        for sym in symbols[off : off + window]:
+            states = dfa.table[states, int(sym)]
+        widths.append(int(np.unique(states).size))
+    return float(np.mean(widths))
+
+
+@st.composite
+def dfa_and_slice(draw):
+    """A random DFA (one state allowed) and a non-empty slice over its alphabet."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    dfa = DFA(table=rng.integers(0, n, size=(n, k)), start=int(rng.integers(n)))
+    length = draw(st.integers(min_value=1, max_value=80))
+    return dfa, rng.integers(0, k, size=length).astype(np.uint8)
+
+
+class TestBatchedWindows:
+    """All windows step as one plane; the counts equal the per-window loops."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dfa_and_slice(),
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_convergence_profile_matches_the_loop(self, case, steps, n_windows, seed):
+        dfa, symbols = case
+        steps = min(steps, symbols.size)
+        got = convergence_profile(dfa, symbols, steps=steps, n_windows=n_windows, seed=seed)
+        want = convergence_profile_reference(dfa, symbols, steps, n_windows, seed)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        dfa_and_slice(),
+        st.integers(min_value=1, max_value=100),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_reachable_width_matches_the_loop(self, case, window, n_windows):
+        dfa, symbols = case
+        got = reachable_width(dfa, symbols, window=window, n_windows=n_windows)
+        want = reachable_width_reference(dfa, symbols, window=window, n_windows=n_windows)
+        assert got == want
+
+    @pytest.mark.parametrize("n_windows", [1, 5])
+    def test_a_window_as_long_as_the_slice(self, rotator, scanner_dfa, rng, n_windows):
+        for dfa in (rotator, scanner_dfa, classic.cyclic_rotator(1, n_symbols=4)):
+            symbols = rng.integers(0, 4, size=30).astype(np.uint8)
+            assert convergence_profile(
+                dfa, symbols, steps=30, n_windows=n_windows
+            ).tolist() == convergence_profile_reference(
+                dfa, symbols, 30, n_windows
+            ).tolist()
+            assert reachable_width(
+                dfa, symbols, window=30, n_windows=n_windows
+            ) == reachable_width_reference(dfa, symbols, window=30, n_windows=n_windows)
+
+
 class TestStructure:
     def test_reachable_states_full(self, div7):
         assert reachable_states(div7).size == 7
@@ -101,8 +190,6 @@ class TestStructure:
         st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_reachable_states_matches_a_set_bfs(self, n, k, p_loop, seed):
-        from repro.automata.dfa import DFA
-
         # Self-loops at rate p_loop leave some states unreachable.
         rng = np.random.default_rng(seed)
         targets = rng.integers(0, n, size=(n, k))

@@ -516,9 +516,12 @@ def test_every_stats_count_is_a_view_of_the_registry(config, fsms, training):
 # ----------------------------------------------------------------------
 # the wire boundary: packed and list tables, malformed payloads, line cap
 # ----------------------------------------------------------------------
-def random_table_dfa(rng, n_states, n_symbols=1):
+def random_table_dfa(rng, n_states, n_symbols=1, *, widest_last=False):
+    table = rng.integers(0, n_states, size=(n_states, n_symbols))
+    if widest_last:
+        table[-1, 0] = n_states - 1  # the widest entry a packed dtype must hold
     return DFA(
-        table=rng.integers(0, n_states, size=(n_states, n_symbols)),
+        table=table,
         start=int(rng.integers(n_states)),
         accepting=frozenset(rng.integers(0, n_states, size=3).tolist()),
         name=f"random{n_states}",
@@ -563,8 +566,7 @@ def test_wire_dfa_round_trip_keeps_the_fingerprint(n_states, n_symbols, seed):
     ],
 )
 def test_wire_dfa_packs_into_the_narrowest_dtype(rng, n_states, dtype):
-    dfa = random_table_dfa(rng, n_states)
-    dfa.table[-1, 0] = n_states - 1  # the widest entry the dtype must hold
+    dfa = random_table_dfa(rng, n_states, widest_last=True)
     wire = protocol.dfa_to_wire(dfa)
     assert wire["dtype"] == dtype
     raw = base64.b64decode(wire["table_b64"])

@@ -4,13 +4,17 @@ A cold open minimizes its DFA once: the cache canonicalizes a first
 sighting and hands the form to ``compile_plan``.  ``from_plan`` and a
 spill reload's same-content check compare content hashes only, and
 ``load_plan`` — where plan bytes enter the process — is the one place a
-stored canonical fingerprint is re-derived.
+stored canonical fingerprint is re-derived.  A cold open also hashes the
+submitted table once and walks the training slice once.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 import repro.automata.minimize as minimize
+from repro.automata.dfa import DFA
 from repro.cli import main
 from repro.framework import GSpecPalConfig
 from repro.plan import compile_plan, save_plan
@@ -98,3 +102,40 @@ def test_run_from_plan_file(minimizations, tmp_path, capsys):
             "--input-length", "4096", "--threads", "32"]
     assert minimizations(lambda: main(argv)) == 1
     assert "kernel" in capsys.readouterr().out
+
+
+def test_a_cold_open_hashes_the_table_once_and_walks_the_slice_once(
+    monkeypatch, config, training
+):
+    dfa = classic.div7().renumbered(np.roll(np.arange(7), 1))
+    table_bytes = dfa.table.tobytes()
+    # The canonical form's table is hashed too, and must not be counted.
+    assert minimize.canonical_form(dfa).table.tobytes() != table_bytes
+    hashes, walks = [], []
+
+    class Tap:
+        def __init__(self, digest):
+            self.digest = digest
+
+        def update(self, data):
+            if memoryview(data).tobytes() == table_bytes:
+                hashes.append(data)
+            self.digest.update(data)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+    real_sha256, real_run_path = hashlib.sha256, DFA.run_path
+
+    def run_path(self, data, start=None):
+        path = real_run_path(self, data, start=start)
+        if path.size == len(training) + 1:
+            walks.append(path)
+        return path
+
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: Tap(real_sha256(*a)))
+    monkeypatch.setattr(DFA, "run_path", run_path)
+    pool = _pool(config)
+    pool.open(dfa, training_input=training)
+    assert pool.cache.stats()["compiles"] == 1
+    assert (len(hashes), len(walks)) == (1, 1)
