@@ -5,7 +5,6 @@ from repro.analysis.experiments import (
     DEFAULT_N_THREADS,
     MemberRun,
     run_member,
-    summarize_speedups,
     verify_against_sequential,
 )
 from repro.analysis.report import build_report
@@ -28,6 +27,5 @@ __all__ = [
     "render_series",
     "render_table",
     "run_member",
-    "summarize_speedups",
     "verify_against_sequential",
 ]

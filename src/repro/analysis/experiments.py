@@ -8,7 +8,7 @@ bench file stays a thin declaration of its figure/table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.framework.config import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal
@@ -84,14 +84,3 @@ def verify_against_sequential(run: MemberRun, data) -> bool:
     """Cross-check every scheme's end state against the plain DFA run."""
     truth = run.member.dfa.run(data)
     return all(res.end_state == truth for res in run.results.values())
-
-
-def summarize_speedups(
-    runs: Iterable[MemberRun], baseline: str = "pm"
-) -> Dict[str, List[Tuple[str, float]]]:
-    """Per-scheme list of (member name, speedup over baseline)."""
-    out: Dict[str, List[Tuple[str, float]]] = {}
-    for run in runs:
-        for scheme, speedup in run.speedup_over(baseline).items():
-            out.setdefault(scheme, []).append((run.member.name, speedup))
-    return out

@@ -182,10 +182,6 @@ class DFA:
         """
         return self.run_many(data, np.arange(self.n_states, dtype=STATE_DTYPE))
 
-    def step_vector(self, states: np.ndarray, symbol: int) -> np.ndarray:
-        """Vectorized single step for a batch of states."""
-        return self.table[np.asarray(states, dtype=STATE_DTYPE), symbol]
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------

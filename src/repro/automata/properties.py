@@ -155,12 +155,6 @@ def reachable_states(dfa: DFA) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def absorbing_states(dfa: DFA) -> np.ndarray:
-    """States with all transitions pointing to themselves (sticky matches)."""
-    idx = np.arange(dfa.n_states)[:, None]
-    return np.flatnonzero((dfa.table == idx).all(axis=1))
-
-
 def are_equivalent(a: DFA, b: DFA) -> bool:
     """True iff ``a`` and ``b`` accept the same language.
 

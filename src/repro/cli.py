@@ -189,8 +189,8 @@ def _render_timeline(samples, max_rows: int = 16) -> str:
     return render_bars(labels, values, width=30, unit=" threads")
 
 
-def _print_result(member, result, backend) -> None:
-    backend = resolve_backend_name(backend)
+def _print_result(member, pal, result) -> None:
+    backend = pal.config.backend
     print(f"member   : {member.name} ({member.dfa.n_states} states)")
     print(f"scheme   : {result.scheme}")
     print(f"backend  : {backend}"
@@ -202,7 +202,7 @@ def _print_result(member, result, backend) -> None:
 def cmd_run(args) -> int:
     member, pal, data = _build(args)
     result = pal.run(data, scheme=args.scheme)
-    _print_result(member, result, args.backend)
+    _print_result(member, pal, result)
     stats = result.stats
     print(f"accuracy : {stats.runtime_speculation_accuracy:.1%}")
     print(f"recovery : {stats.recovery_rounds} rounds, "
@@ -229,7 +229,7 @@ def cmd_trace(args) -> int:
     metrics = MetricsRegistry()
     member, pal, data = _build(args, tracer=tracer, metrics=metrics)
     result = pal.run(data, scheme=args.scheme)
-    _print_result(member, result, args.backend)
+    _print_result(member, pal, result)
     print()
     print(render_timeline(tracer, title=f"{member.name}: phase timeline"))
     print()

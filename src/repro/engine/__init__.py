@@ -14,14 +14,19 @@ whether simulated cycles are accounted — is an
 
 End states are bit-identical across backends for every scheme (enforced by
 the differential and hypothesis suites); only ``sim`` populates the cycle
-ledger.  Select a backend via ``GpuSimulator(backend=...)``,
-``GSpecPalConfig(backend=...)``, the ``--backend`` CLI flag, or the
-``REPRO_BACKEND`` environment variable.
+ledger.
+
+Where the switch is resolved: :class:`~repro.framework.GSpecPalConfig`
+(and a directly built :class:`~repro.gpu.kernel.GpuSimulator`) resolves
+``backend`` once at construction — the explicit name, else
+``$REPRO_BACKEND``, else ``"sim"`` — and stores the result; the simulator
+builds the backend from it, and every scheme, stream session and fused
+engine on that simulator shares it.  Above the config, ``from_plan`` and
+``MatcherPool`` take a ``backend=`` that beats the config's, and the CLI's
+``--backend`` flag feeds that argument.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.engine.base import (
     BACKEND_ENV_VAR,
@@ -45,33 +50,6 @@ __all__ = [
     "FusedBatchEngine",
     "FusedDispatchResult",
     "SimBackend",
-    "create_backend",
     "resolve_backend_name",
 ]
 
-
-def create_backend(
-    name: Optional[str],
-    *,
-    executor=None,
-    table=None,
-) -> ExecutionBackend:
-    """Build the named backend (``None`` → ``$REPRO_BACKEND`` or ``sim``).
-
-    Parameters
-    ----------
-    executor:
-        The :class:`~repro.gpu.executor.LockstepExecutor` the ``sim``
-        backend wraps (required for ``sim``).
-    table:
-        The executor-space transition table the ``fast`` backend gathers
-        from (required for ``fast``).
-    """
-    resolved = resolve_backend_name(name)
-    if resolved == "sim":
-        if executor is None:
-            raise ValueError("the sim backend needs an executor to wrap")
-        return SimBackend(executor)
-    if table is None:
-        raise ValueError("the fast backend needs a transition table")
-    return FastBackend(table)

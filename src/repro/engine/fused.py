@@ -28,7 +28,7 @@ benchmark contrasts with GSpecPal's chunk parallelism.  For that it hands
 ``dispatch`` a ledger: on the cycle-accounting ``sim`` backend the scan is
 charged to phase ``stream_parallel_scan``.
 
-With self-checking enabled (``REPRO_SELFCHECK=1`` or an explicit flag) the
+With self-checking enabled (the simulator's ``selfcheck`` switch) the
 dispatch runs the very same kernel and then hands its answers to
 :func:`repro.selfcheck.audit.audit_fused_dispatch`, which re-runs every
 stream through the sequential oracle — the audit checks the path that
@@ -37,7 +37,7 @@ serves, not a stand-in for it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -77,20 +77,16 @@ class FusedBatchEngine:
     ----------
     sim:
         The shared :class:`~repro.gpu.kernel.GpuSimulator` — supplies the
-        (possibly frequency-transformed) execution table, the backend and
-        the user↔executor state translation.  One engine serves any number
-        of dispatches; it holds no per-stream state.
-    selfcheck:
-        Explicit audit switch; ``None`` defers to ``REPRO_SELFCHECK``.
+        (possibly frequency-transformed) execution table, the backend, the
+        ``selfcheck`` switch and the user↔executor state translation.  One
+        engine serves any number of dispatches; it holds no per-stream
+        state.
     """
 
-    def __init__(self, sim, *, selfcheck: Optional[bool] = None):
-        from repro.selfcheck.audit import selfcheck_enabled
-
+    def __init__(self, sim):
         self.sim = sim
         self.dfa = sim.dfa
         self.engine = sim.engine
-        self.selfcheck = selfcheck_enabled(selfcheck)
 
     @property
     def backend_name(self) -> str:
@@ -137,7 +133,7 @@ class FusedBatchEngine:
         charged = stats is not None and self.engine.accounts_cycles
         cycles = stats.cycles if charged else float("nan")
         result = FusedDispatchResult(ends, n_streams, int(lengths.sum()), cycles)
-        if self.selfcheck:
+        if self.sim.selfcheck:
             self._audit(symbol_rows, starts_arr, result)
         return result
 
@@ -188,5 +184,5 @@ class FusedBatchEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FusedBatchEngine(backend={self.backend_name!r}, "
-            f"selfcheck={self.selfcheck})"
+            f"selfcheck={self.sim.selfcheck})"
         )

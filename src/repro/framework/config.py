@@ -8,6 +8,7 @@ from typing import Optional
 from repro.engine import resolve_backend_name
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.selector.decision_tree import SelectorThresholds
+from repro.selfcheck.audit import selfcheck_enabled
 from repro.errors import SchemeError
 
 
@@ -36,13 +37,17 @@ class GSpecPalConfig:
     thresholds:
         Decision-tree cut points.
     backend:
-        Execution backend name: ``"sim"`` (cycle-accurate, the default) or
-        ``"fast"`` (answer-only serving path, no cycle ledger).  ``None``
-        defers to the ``REPRO_BACKEND`` environment variable.
+        Execution backend name: ``"sim"`` (cycle-accurate) or ``"fast"``
+        (answer-only serving path, no cycle ledger).  ``None`` resolves
+        to ``$REPRO_BACKEND``, else ``"sim"``.
     selfcheck:
-        Runtime invariant audits (:mod:`repro.selfcheck`): ``True`` forces
-        them on, ``False`` forces them off, ``None`` (default) defers to
-        the ``REPRO_SELFCHECK`` environment variable.
+        Runtime invariant audits (:mod:`repro.selfcheck`); ``None``
+        resolves to ``$REPRO_SELFCHECK``.
+
+    ``backend`` and ``selfcheck`` are runtime switches, not compile
+    inputs: they stay out of the plan's config hash.  Both are resolved
+    once, here, and stored resolved, so every layer built from a config
+    reads the same values whatever the environment does later.
     """
 
     n_threads: int = 256
@@ -64,7 +69,6 @@ class GSpecPalConfig:
             raise SchemeError("spec_k must be >= 1")
         if not (0.0 < self.training_fraction <= 1.0):
             raise SchemeError("training_fraction must be in (0, 1]")
-        # Fail on typos now, not at first kernel launch ("sim"/"fast"; an
-        # explicit name also bypasses $REPRO_BACKEND at simulator build).
-        if self.backend is not None:
-            resolve_backend_name(self.backend)
+        # Resolved once (a typo fails now, not at first kernel launch).
+        object.__setattr__(self, "backend", resolve_backend_name(self.backend))
+        object.__setattr__(self, "selfcheck", selfcheck_enabled(self.selfcheck))

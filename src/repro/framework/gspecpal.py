@@ -92,7 +92,6 @@ class GSpecPal:
         cls,
         plan,
         *,
-        config: Optional[GSpecPalConfig] = None,
         backend: Optional[str] = None,
         selfcheck: Optional[bool] = None,
         tracer=None,
@@ -102,32 +101,13 @@ class GSpecPal:
 
         The plan supplies the DFA, the profiled features, the scheme
         selection and the transformation/hotness artifacts; no training
-        bytes are touched and no ``compile`` span is ever emitted.
-
-        Parameters
-        ----------
-        config:
-            Optional explicit configuration; must hash to the plan's
-            ``config_hash`` (:class:`~repro.errors.PlanError` otherwise).
-            When omitted, the plan's compile-time config is rebuilt.
-        backend / selfcheck:
-            Runtime knobs (not part of the compiled artifact), applied on
-            top of the plan's config.
+        bytes are touched and no ``compile`` span is ever emitted.  The
+        config is the plan's compile-time one, rebuilt with the runtime
+        switches ``backend`` / ``selfcheck`` (not part of the compiled
+        artifact; ``None`` resolves from the environment).
         """
         plan.verify()
-        if config is not None:
-            plan.verify_config(config)
-            if backend is not None or selfcheck is not None:
-                from dataclasses import replace
-
-                overrides = {}
-                if backend is not None:
-                    overrides["backend"] = backend
-                if selfcheck is not None:
-                    overrides["selfcheck"] = selfcheck
-                config = replace(config, **overrides)
-        else:
-            config = plan.build_config(backend=backend, selfcheck=selfcheck)
+        config = plan.build_config(backend=backend, selfcheck=selfcheck)
         pal = cls(plan.dfa, config, tracer=tracer, metrics=metrics)
         pal._plan = plan
         return pal
@@ -249,6 +229,7 @@ class GSpecPal:
                 profile=self.plan.frequency_profile(),
                 metrics=self.metrics,
                 backend=self.config.backend,
+                selfcheck=self.config.selfcheck,
             )
         return self._sim
 
@@ -280,12 +261,7 @@ class GSpecPal:
         build = SCHEME_REGISTRY.get(name)
         if build is None:
             raise SchemeError(f"unknown scheme {name!r}")
-        scheme = build(self._simulator(), cfg, self.tracer)
-        if cfg.selfcheck is not None:
-            # Explicit config beats the REPRO_SELFCHECK environment default
-            # the scheme constructor picked up.
-            scheme.selfcheck = bool(cfg.selfcheck)
-        return scheme
+        return build(self._simulator(), cfg, self.tracer)
 
     def estimate_costs(
         self, data=None, input_length: Optional[int] = None
@@ -388,9 +364,7 @@ class GSpecPal:
         if self._fused is None:
             from repro.engine.fused import FusedBatchEngine
 
-            self._fused = FusedBatchEngine(
-                self._simulator(), selfcheck=self.config.selfcheck
-            )
+            self._fused = FusedBatchEngine(self._simulator())
         return self._fused
 
     def stream(self, scheme: Optional[str] = None) -> "StreamSession":

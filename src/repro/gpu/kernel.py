@@ -17,12 +17,13 @@ import numpy as np
 from repro.automata.dfa import DFA
 from repro.automata.properties import StateFrequencyProfile
 from repro.automata.transform import TransformedDFA, frequency_transform
-from repro.engine import ExecutionBackend, create_backend
-from repro.engine.base import validate_starts
+from repro.engine import ExecutionBackend, FastBackend, SimBackend
+from repro.engine.base import resolve_backend_name, validate_starts
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.gpu.stats import KernelStats
+from repro.selfcheck.audit import selfcheck_enabled
 from repro.errors import SimulationError
 
 
@@ -59,6 +60,12 @@ class GpuSimulator:
         The state-frequency profile the hot set is ranked by; required
         for the RANK layout.  Without one, the HASH layout caches the
         lowest state ids.
+    backend / selfcheck:
+        The runtime switches, resolved at construction like
+        :class:`~repro.framework.GSpecPalConfig`'s (``None`` →
+        ``$REPRO_BACKEND`` → ``"sim"``; ``None`` → ``$REPRO_SELFCHECK``)
+        and stored resolved.  The schemes and the fused engine built on
+        this simulator read them from here.
     """
 
     dfa: DFA
@@ -67,11 +74,12 @@ class GpuSimulator:
     profile: Optional[StateFrequencyProfile] = None
     #: optional MetricsRegistry the executor/memory model record into.
     metrics: Optional[object] = None
-    #: execution backend name (``"sim"``/``"fast"``); ``None`` defers to
-    #: ``$REPRO_BACKEND`` and ultimately the cycle-accurate default.
     backend: Optional[str] = None
+    selfcheck: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        self.backend = resolve_backend_name(self.backend)
+        self.selfcheck = selfcheck_enabled(self.selfcheck)
         hot = MemoryModel.for_dfa(
             self.device, self.dfa.n_states, self.dfa.n_symbols
         ).hot_state_count
@@ -105,10 +113,11 @@ class GpuSimulator:
         #: the handle every transition step routes through.  ``sim`` wraps
         #: the executor above (ledger + metrics unchanged); ``fast`` skips
         #: cycle accounting entirely.
-        self.engine: ExecutionBackend = create_backend(
-            self.backend, executor=self.executor, table=exec_dfa.table
+        self.engine: ExecutionBackend = (
+            SimBackend(self.executor)
+            if self.backend == "sim"
+            else FastBackend(exec_dfa.table)
         )
-        self.backend_name: str = self.engine.name
 
     # ------------------------------------------------------------------
     # state-id translation between caller space and execution space
@@ -132,7 +141,7 @@ class GpuSimulator:
         starts, which a transformed table would otherwise read silently as
         ``to_new[-1]``, or reject with a raw ``IndexError`` past the end."""
         states = np.asarray(states)
-        validate_starts(states, n_states=self.dfa.n_states, backend=self.backend_name)
+        validate_starts(states, n_states=self.dfa.n_states, backend=self.backend)
         if self.transformed is None:
             return states
         return self.transformed.to_new[states]

@@ -8,9 +8,6 @@ Two layouts from the paper are modeled:
 * :attr:`TableLayout.RANK` — the paper's frequency-based transformation:
   state ids are hotness ranks, so the hotness test is ``state < H`` (a
   register compare) and hot lookups go straight to shared memory.
-* :attr:`TableLayout.GLOBAL_ONLY` — no caching at all; every lookup pays the
-  global-memory latency (the pathological baseline the paper motivates
-  against).
 
 The :class:`MemoryModel` answers, for a batch of current states, which
 lookups are hot and what per-step overhead the layout imposes.
@@ -33,7 +30,6 @@ class TableLayout(enum.Enum):
 
     RANK = "rank"  # frequency-transformed: hotness == state id < H
     HASH = "hash"  # PM-style: hash table in shared memory guards the cache
-    GLOBAL_ONLY = "global"  # nothing cached
 
 
 @dataclass(frozen=True)
@@ -78,29 +74,20 @@ class MemoryModel:
 
     @classmethod
     def for_dfa(
-        cls,
-        device: DeviceSpec,
-        n_states: int,
-        n_symbols: int,
-        layout: TableLayout = TableLayout.RANK,
-        hot_state_ids: Optional[frozenset] = None,
+        cls, device: DeviceSpec, n_states: int, n_symbols: int
     ) -> "MemoryModel":
-        """Build a model sizing the hot region to the device's shared memory."""
+        """Build a RANK model sizing the hot region to the device's shared
+        memory."""
         if n_symbols <= 0:
             raise SimulationError("alphabet must be non-empty")
         hot = min(n_states, device.shared_table_entries // n_symbols)
-        return cls(
-            device=device,
-            hot_state_count=hot,
-            layout=layout,
-            hot_state_ids=hot_state_ids,
-        )
+        return cls(device=device, hot_state_count=hot)
 
     # ------------------------------------------------------------------
     def hot_mask(self, states: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``states``' next lookups hit shared memory."""
         states = np.asarray(states)
-        if self.layout is TableLayout.GLOBAL_ONLY or self.hot_state_count == 0:
+        if self.hot_state_count == 0:
             return np.zeros(states.shape, dtype=bool)
         if self.layout is TableLayout.HASH and self.hot_state_ids is not None:
             lookup = self._hot_lookup
@@ -120,18 +107,6 @@ class MemoryModel:
         if self.layout is TableLayout.HASH:
             return float(self.device.shared_cycles + self.device.hash_compute_cycles)
         return 0.0
-
-    def lookup_cycles(self, hot: np.ndarray) -> np.ndarray:
-        """Per-lane lookup latency for a hotness mask."""
-        return np.where(
-            np.asarray(hot, dtype=bool),
-            float(self.device.shared_cycles),
-            float(self.device.global_cycles),
-        )
-
-    def shared_bytes_used(self, n_symbols: int, entry_bytes: int = 4) -> int:
-        """Shared-memory footprint of the cached rows."""
-        return self.hot_state_count * n_symbols * entry_bytes
 
     # ------------------------------------------------------------------
     def observe(self, registry, *, shared_hits: int, global_hits: int) -> None:

@@ -141,10 +141,6 @@ class KernelStats:
         """Redundant transitions / total transitions."""
         return self.redundant_transitions / self.transitions if self.transitions else 0.0
 
-    def merge_phase_breakdown(self) -> Dict[str, float]:
-        """Copy of the per-phase cycle breakdown."""
-        return dict(self.phase_cycles)
-
     def summary(self) -> Dict[str, float]:
         """Flat dict of the headline metrics (handy for tables/benchmarks)."""
         return {

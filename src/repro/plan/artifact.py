@@ -228,16 +228,6 @@ class CompiledPlan:
                 "recompile the plan for this automaton"
             )
 
-    def verify_config(self, config) -> None:
-        """Ensure ``config`` matches the plan's compile-time configuration."""
-        actual = config_fingerprint(config)
-        if actual != self.config_hash:
-            raise PlanError(
-                "configuration does not match the plan's compile-time config "
-                f"(plan {self.config_hash[:12]}…, given {actual[:12]}…); "
-                "recompile, or serve with the plan's own config"
-            )
-
     # ------------------------------------------------------------------
     # executable artifacts
     # ------------------------------------------------------------------

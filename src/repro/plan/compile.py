@@ -64,7 +64,6 @@ from repro.plan.artifact import (
 from repro.selector.cost_model import estimate_costs
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import profile_features
-from repro.selfcheck import selfcheck_enabled
 from repro.speculation.chunks import partition_input
 from repro.speculation.predictor import LOOKBACK, predict_start_states
 
@@ -165,7 +164,7 @@ def compile_plan(
         with stage("canonicalize") as cnspan:
             if canonical is None:
                 canonical = canonical_form(dfa)
-            elif selfcheck_enabled(config.selfcheck):
+            elif config.selfcheck:
                 derived = canonical_form(dfa).fingerprint()
                 if derived != canonical.fingerprint():
                     raise SelfCheckError(

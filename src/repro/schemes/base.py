@@ -30,7 +30,7 @@ from repro.speculation.chunks import Partition, partition_input
 from repro.speculation.observations import LiveObservations
 from repro.speculation.predictor import Prediction, predict_start_states
 from repro.speculation.records import VRStore
-from repro.selfcheck.audit import audit_scheme_run, oracle_chain, selfcheck_enabled
+from repro.selfcheck.audit import audit_scheme_run, oracle_chain
 from repro.errors import MissingTrainingInputWarning, SchemeError
 
 
@@ -110,10 +110,9 @@ class Scheme(abc.ABC):
         self.predictor = predictor  # None -> the paper's lookback-2
         #: span sink; the no-op default keeps tracing opt-in and free.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: runtime invariant audits (repro.selfcheck); defaults to the
-        #: ``REPRO_SELFCHECK`` environment variable, overridable per
-        #: instance (GSpecPal threads its config's flag through here).
-        self.selfcheck = selfcheck_enabled()
+        #: runtime invariant audits (repro.selfcheck): the simulator's
+        #: resolved switch, overridable per instance.
+        self.selfcheck = sim.selfcheck
         #: per-run scratch the audit reads; a dict only while an audited
         #: run is in flight (see ``_stash_audit``), ``None`` otherwise.
         self._audit_stash = None

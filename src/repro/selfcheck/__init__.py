@@ -4,10 +4,13 @@ Two complementary tools keep the codebase honest about the paper's core
 contract (every speculative scheme bit-matches the sequential oracle):
 
 * :mod:`repro.selfcheck.audit` — opt-in runtime audits, enabled via
-  ``REPRO_SELFCHECK=1`` or ``GSpecPalConfig(selfcheck=True)``, that verify
-  the paper-level invariants at every scheme-run boundary (and every
-  frontier round) and raise a structured
-  :class:`~repro.errors.SelfCheckError` on violation;
+  ``GSpecPalConfig(selfcheck=True)`` or ``REPRO_SELFCHECK=1`` (an
+  explicit config value wins), that verify the paper-level invariants at
+  every scheme-run boundary (and every frontier round) and raise a
+  structured :class:`~repro.errors.SelfCheckError` on violation.  The
+  switch is resolved once, by ``GSpecPalConfig`` or a directly built
+  ``GpuSimulator``; schemes and the fused engine read the simulator's
+  ``selfcheck``;
 * :mod:`repro.selfcheck.fuzz` — a differential DFA fuzzer (``repro fuzz``)
   that generates random automata, inputs and segmentations, runs all
   schemes × both backends × streaming vs one-shot against ``DFA.run``, and

@@ -40,7 +40,7 @@ Typical serving loop::
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.automata.dfa import _as_symbol_array
 from repro.errors import ServingError
+from repro.framework import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal, StreamSession
 from repro.plan import CompiledPlan
 from repro.schemes import SchemeResult
@@ -201,9 +202,19 @@ class MatcherPool:
         Shared :class:`PlanCache`; a private default-capacity one is
         created when omitted.
     config:
-        Default compile-time configuration for plans the pool must compile.
-    backend / selfcheck:
-        Runtime knobs applied to every matcher built from a plan.
+        The pool's serving config: what plans the pool compiles are
+        compiled under, whose ``spec_k`` names the ``pm-spec<k>`` alias at
+        :meth:`open` (a handed-in plan's own ``spec_k`` names it for that
+        plan), and whose resolved ``backend`` / ``selfcheck`` switches
+        every matcher is served with.  Omitted, the cache's
+        config is used, else the default :class:`GSpecPalConfig`; either
+        way it is settled once, here.
+    backend:
+        Overrides the serving config's backend (which already resolved
+        ``$REPRO_BACKEND``, else ``"sim"``).  Precedence, highest first:
+        this argument, the config's explicit ``backend``,
+        ``$REPRO_BACKEND``, ``"sim"``.  ``selfcheck`` has no override: the
+        config's explicit value, else ``$REPRO_SELFCHECK``.
     max_streams:
         Upper bound on concurrently open streams (admission control).
     fused:
@@ -246,7 +257,6 @@ class MatcherPool:
         *,
         config=None,
         backend: Optional[str] = None,
-        selfcheck: Optional[bool] = None,
         max_streams: int = 64,
         fused: bool = False,
         open_timeout: Optional[float] = None,
@@ -263,9 +273,10 @@ class MatcherPool:
             if cache is not None
             else PlanCache(config=config, metrics=metrics)
         )
+        config = config or self.cache.config or GSpecPalConfig()
+        if backend is not None:
+            config = replace(config, backend=backend)
         self.config = config
-        self.backend = backend
-        self.selfcheck = selfcheck
         self.max_streams = int(max_streams)
         self.fused = bool(fused)
         self.open_timeout = open_timeout
@@ -313,19 +324,6 @@ class MatcherPool:
             }
 
     # ------------------------------------------------------------------
-    def _spec_k(self, plan=None) -> int:
-        """spec_k governing the ``pm-spec<k>`` alias for open-time scheme
-        validation: pool config when set, else the plan's compile config,
-        else the framework default (``matcher.stream`` re-validates with
-        the authoritative config either way)."""
-        if self.config is not None:
-            return self.config.spec_k
-        if plan is not None:
-            return int(plan.config["spec_k"])
-        from repro.framework.config import GSpecPalConfig
-
-        return GSpecPalConfig().spec_k
-
     def open(
         self,
         dfa=None,
@@ -354,7 +352,9 @@ class MatcherPool:
         itself runs outside the pool lock against a reserved slot that is
         released if the compile fails.
         """
-        GSpecPal.validate_scheme_name(scheme, spec_k=self._spec_k(plan))
+        # A handed-in plan is served under its own compile fields.
+        spec_k = self.config.spec_k if plan is None else int(plan.config["spec_k"])
+        GSpecPal.validate_scheme_name(scheme, spec_k=spec_k)
         if plan is None and dfa is None:
             raise ServingError(
                 "open() needs a dfa or a precompiled plan",
@@ -389,8 +389,8 @@ class MatcherPool:
                 if record is None:
                     matcher = GSpecPal.from_plan(
                         self._pruned.get(key, plan),
-                        backend=self.backend,
-                        selfcheck=self.selfcheck,
+                        backend=self.config.backend,
+                        selfcheck=self.config.selfcheck,
                         metrics=self.metrics,
                     )
                     record = self._classes[key] = _ClassRecord(

@@ -46,10 +46,6 @@ class Partition:
     def chunk_len(self) -> int:
         return int(self.chunks.shape[1])
 
-    @property
-    def total_length(self) -> int:
-        return int(self.symbols.size)
-
     def chunk(self, i: int) -> np.ndarray:
         """The ``i``-th chunk trimmed to its effective length."""
         return self.chunks[i, : self.lengths[i]]

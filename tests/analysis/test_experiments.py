@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.experiments import (
     run_member,
-    summarize_speedups,
     verify_against_sequential,
 )
 from repro.automata.dfa import DFA
@@ -51,13 +50,6 @@ def test_best_scheme_minimizes_cycles(mini_run):
     assert all(
         mini_run.results[best].cycles <= r.cycles for r in mini_run.results.values()
     )
-
-
-def test_summarize_speedups(mini_run):
-    summary = summarize_speedups([mini_run], baseline="pm")
-    assert set(summary) >= {"pm", "sre", "rr", "nf"}
-    for entries in summary.values():
-        assert entries[0][0] == "snort1"
 
 
 def test_requested_scheme_subset(mini_member):

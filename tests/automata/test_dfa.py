@@ -148,11 +148,6 @@ class TestVectorized:
         ends = div7.run_all_states(b"10")
         assert ends.shape == (7,)
 
-    def test_step_vector(self, div7):
-        states = np.arange(7)
-        out = div7.step_vector(states, ord("0"))
-        assert np.array_equal(out, div7.table[states, ord("0")])
-
     def test_run_lockstep_matches_scalar(self, div7, rng):
         chunks = rng.integers(48, 50, size=(5, 40)).astype(np.uint8)
         starts = rng.integers(0, 7, size=5)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import DFA
 from repro.automata.properties import (
-    absorbing_states,
     convergence_profile,
     profile_state_frequencies,
     reachable_states,
@@ -204,8 +203,3 @@ class TestStructure:
                     queue.append(t)
         got = reachable_states(DFA(table=table, start=start))
         assert got.tolist() == sorted(seen)
-
-    def test_absorbing_states_of_scanner(self):
-        d = classic.keyword_scanner(b"ab")
-        acc = absorbing_states(d)
-        assert set(acc.tolist()) == set(d.accepting)

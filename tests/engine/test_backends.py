@@ -17,7 +17,6 @@ from repro.engine import (
     ExecutionBackend,
     FastBackend,
     SimBackend,
-    create_backend,
     resolve_backend_name,
 )
 from repro.errors import SimulationError
@@ -57,14 +56,6 @@ def test_resolve_rejects_unknown_names(monkeypatch):
         resolve_backend_name(None)
 
 
-def test_create_backend_requires_its_ingredients():
-    table = np.zeros((2, 2), dtype=np.int64)
-    with pytest.raises(ValueError):
-        create_backend("sim", table=table)  # no executor
-    with pytest.raises(ValueError):
-        create_backend("fast", executor=object())  # no table
-
-
 def test_backends_satisfy_the_protocol():
     table = np.zeros((3, 2), dtype=np.int64)
     mm = MemoryModel.for_dfa(RTX3090, 3, 2)
@@ -83,15 +74,18 @@ def test_simulator_exposes_engine(monkeypatch):
     dfa = DFA(table=table, start=0, accepting=frozenset({1}), name="t")
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     sim = GpuSimulator(dfa=dfa, use_transformation=False)
-    assert sim.backend_name == "sim"
+    assert sim.backend == "sim"
     assert isinstance(sim.engine, SimBackend)
     monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
     sim_fast = GpuSimulator(dfa=dfa, use_transformation=False)
-    assert sim_fast.backend_name == "fast"
+    assert sim_fast.backend == "fast"
     assert isinstance(sim_fast.engine, FastBackend)
     # Explicit selection beats the environment.
     pinned = GpuSimulator(dfa=dfa, use_transformation=False, backend="sim")
-    assert pinned.backend_name == "sim"
+    assert pinned.backend == "sim"
+    assert isinstance(pinned.engine, SimBackend)
+    with pytest.raises(SimulationError):
+        GpuSimulator(dfa=dfa, use_transformation=False, backend="cuda")
 
 
 # ----------------------------------------------------------------------

@@ -271,8 +271,10 @@ def test_fused_dispatch_pads_in_the_segments_dtype(monkeypatch):
         accepting=frozenset({1}),
         name="narrow",
     )
-    sim = GpuSimulator(dfa=dfa, use_transformation=False, backend="fast")
-    fused = FusedBatchEngine(sim, selfcheck=False)
+    sim = GpuSimulator(
+        dfa=dfa, use_transformation=False, backend="fast", selfcheck=False
+    )
+    fused = FusedBatchEngine(sim)
     seen = []
     real = sim.engine.run_streams
     monkeypatch.setattr(

@@ -211,8 +211,8 @@ def test_run_streams_validates_symbols(dfa):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fused_selfcheck_passes_on_honest_dispatch(dfa, training, backend):
     rng = np.random.default_rng(41)
-    pal = _pal(dfa, training, backend)
-    fused = FusedBatchEngine(pal._simulator(), selfcheck=True)
+    pal = _pal(dfa, training, backend, selfcheck=True)
+    fused = pal.fused_engine()
     segments = [
         bytes(rng.integers(97, 123, size=int(n)).astype(np.uint8))
         for n in rng.integers(0, 150, size=7)
@@ -225,8 +225,8 @@ def test_fused_selfcheck_catches_corrupt_end_state(dfa, training):
     from repro.errors import SelfCheckError
     from repro.selfcheck.audit import audit_fused_dispatch
 
-    pal = _pal(dfa, training, "fast")
-    fused = FusedBatchEngine(pal._simulator(), selfcheck=True)
+    pal = _pal(dfa, training, "fast", selfcheck=True)
+    fused = pal.fused_engine()
     segments = [b"fusefuse", b"abc"]
     record = fused.dispatch(segments, [dfa.start] * 2)
     # Corrupt one lane's answer: the per-stream oracle audit must name it.
@@ -245,8 +245,9 @@ def test_fused_selfcheck_audits_the_shipped_kernel(dfa, training, backend, monke
     corrupts one lane is caught by the per-stream oracle, not bypassed."""
     from repro.errors import SelfCheckError
 
-    pal = _pal(dfa, training, backend)
+    pal = _pal(dfa, training, backend, selfcheck=False)
     sim = pal._simulator()
+    fused = pal.fused_engine()
     entry = "run_streams" if hasattr(sim.engine, "run_streams") else "run_batch"
     kernel = getattr(sim.engine, entry)
     calls = []
@@ -260,11 +261,12 @@ def test_fused_selfcheck_audits_the_shipped_kernel(dfa, training, backend, monke
     monkeypatch.setattr(sim.engine, entry, corrupt_lane_0)
     segments = [b"fuse" * 75, b"abc" * 100, b"x" * 300, b"fusefuse" * 37]
     starts = [dfa.start] * 4
-    unaudited = FusedBatchEngine(sim, selfcheck=False).run_streams(segments, starts)
+    unaudited = fused.run_streams(segments, starts)
     assert calls == [entry]
     assert unaudited.tolist() != [dfa.run(segment) for segment in segments]
+    sim.selfcheck = True  # the engine reads its simulator's switch per dispatch
     with pytest.raises(SelfCheckError) as excinfo:
-        FusedBatchEngine(sim, selfcheck=True).dispatch(segments, starts)
+        fused.dispatch(segments, starts)
     assert calls == [entry, entry]
     assert excinfo.value.invariant == "fused_end_state_oracle"
     assert len(excinfo.value.lanes) == 1

@@ -33,14 +33,14 @@ def test_config_rejects_unknown_backend():
 def test_config_backend_reaches_the_simulator(dfa, data):
     pal = GSpecPal(dfa, GSpecPalConfig(n_threads=8, backend="fast"))
     pal.run(data, scheme="rr")
-    assert pal._simulator().backend_name == "fast"
+    assert pal._simulator().backend == "fast"
 
 
 def test_env_var_sets_the_default(dfa, data, monkeypatch):
     monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
     pal = GSpecPal(dfa, GSpecPalConfig(n_threads=8))
     pal.run(data, scheme="nf")
-    assert pal._simulator().backend_name == "fast"
+    assert pal._simulator().backend == "fast"
 
 
 def test_stream_session_parity(dfa, data):

@@ -25,11 +25,6 @@ def test_hash_layout_with_explicit_ids():
     assert mm.hot_mask(states).tolist() == [False, True, True, False]
 
 
-def test_global_only_layout():
-    mm = MemoryModel(device=RTX3090, hot_state_count=100, layout=TableLayout.GLOBAL_ONLY)
-    assert not mm.hot_mask(np.arange(5)).any()
-
-
 def test_hash_layout_pays_per_step_overhead():
     rank = MemoryModel(device=RTX3090, hot_state_count=4, layout=TableLayout.RANK)
     hashed = MemoryModel(device=RTX3090, hot_state_count=4, layout=TableLayout.HASH)
@@ -46,21 +41,9 @@ def test_for_dfa_sizes_hot_region():
     assert big.hot_state_count == RTX3090.shared_table_entries // 256
 
 
-def test_lookup_cycles():
-    mm = MemoryModel(device=RTX3090, hot_state_count=1)
-    out = mm.lookup_cycles(np.array([True, False]))
-    assert out[0] == RTX3090.shared_cycles
-    assert out[1] == RTX3090.global_cycles
-
-
 def test_negative_hot_count_rejected():
     with pytest.raises(SimulationError):
         MemoryModel(device=RTX3090, hot_state_count=-1)
-
-
-def test_shared_bytes_used():
-    mm = MemoryModel(device=RTX3090, hot_state_count=5)
-    assert mm.shared_bytes_used(n_symbols=256) == 5 * 256 * 4
 
 
 def test_empty_hash_set_all_cold():
@@ -76,7 +59,7 @@ def test_empty_hash_set_all_cold():
 def _hot_mask_reference(mm, states):
     """``hot_mask`` as it was: the id array rebuilt and ``np.isin`` per call."""
     states = np.asarray(states)
-    if mm.layout is TableLayout.GLOBAL_ONLY or mm.hot_state_count == 0:
+    if mm.hot_state_count == 0:
         return np.zeros(states.shape, dtype=bool)
     if mm.layout is TableLayout.HASH and mm.hot_state_ids is not None:
         if len(mm.hot_state_ids) == 0:
@@ -91,7 +74,6 @@ def _hot_mask_reference(mm, states):
     [
         (TableLayout.RANK, 0, None),
         (TableLayout.RANK, 17, None),
-        (TableLayout.GLOBAL_ONLY, 17, None),
         (TableLayout.HASH, 17, None),  # ids < hot_state_count assumed
         (TableLayout.HASH, 17, frozenset()),  # an empty hot set
         (TableLayout.HASH, 0, frozenset({3})),

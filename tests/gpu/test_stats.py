@@ -97,10 +97,3 @@ def test_summary_keys(stats):
         "speculation_accuracy",
     ):
         assert key in summary
-
-
-def test_merge_phase_breakdown_is_copy(stats):
-    stats.charge("x", 10)
-    copy = stats.merge_phase_breakdown()
-    copy["x"] = 0
-    assert stats.phase_cycles["x"] == 10

@@ -11,10 +11,9 @@ backends.
 import numpy as np
 import pytest
 
-from repro.errors import PlanError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.observability import Tracer
-from repro.plan import compile_plan, load_plan, save_plan
+from repro.plan import compile_plan, config_fingerprint, load_plan, save_plan
 
 
 @pytest.fixture()
@@ -101,19 +100,14 @@ def test_from_plan_never_profiles(plan, data, tmp_path):
     assert [s.name for s in tracer.roots] == ["gspecpal.run"]
 
 
-def test_from_plan_accepts_matching_config_only(plan, config):
-    pal = GSpecPal.from_plan(plan, config=config)
-    assert pal.config.n_threads == config.n_threads
-    with pytest.raises(PlanError):
-        GSpecPal.from_plan(plan, config=GSpecPalConfig(n_threads=32))
-
-
-def test_from_plan_applies_runtime_knobs(plan):
+def test_from_plan_applies_runtime_knobs(plan, config):
     pal = GSpecPal.from_plan(plan, backend="fast", selfcheck=True)
     assert pal.config.backend == "fast"
     assert pal.config.selfcheck is True
-    # Runtime knobs are not part of the compiled identity.
-    plan.verify_config(pal.config)
+    # The compile fields are the plan's; runtime knobs are not part of
+    # the compiled identity.
+    assert pal.config.n_threads == config.n_threads
+    assert config_fingerprint(pal.config) == plan.config_hash
 
 
 def test_streaming_from_plan(plan, scanner_dfa, data, tmp_path):

@@ -2,9 +2,9 @@
 
 The fingerprint is the plan's identity — ``load_plan`` re-hashes the
 embedded automaton against the stored digest and re-derives its canonical
-fingerprint, ``verify(dfa)`` guards cache hits on the content digest, and
-``verify_config`` guards explicit-config serving.  Every mismatch must
-surface as :class:`~repro.errors.PlanError` before a byte is matched.
+fingerprint, and ``verify(dfa)`` guards cache hits on the content
+digest.  Every mismatch must surface as :class:`~repro.errors.PlanError`
+before a byte is matched.
 """
 
 import dataclasses
@@ -218,11 +218,6 @@ def test_verify_against_wrong_dfa(plan):
     with pytest.raises(PlanError, match="recompile"):
         plan.verify(other)
     plan.verify(plan.dfa)  # the right automaton passes
-
-
-def test_from_plan_rejects_mismatched_config(plan):
-    with pytest.raises(PlanError, match="config"):
-        GSpecPal.from_plan(plan, config=GSpecPalConfig(n_threads=64))
 
 
 def test_fingerprint_ignores_name_but_not_behaviour(scanner_dfa):

@@ -55,7 +55,6 @@ def test_fused_schedule_matches_oracle(schedule):
     pool = MatcherPool(
         SHARED_CACHE,
         config=CONFIG,
-        backend="fast",
         fused=True,
         max_streams=32,
     )
@@ -129,7 +128,6 @@ def test_fused_ragged_widths_match_oracle(lengths, data):
     pool = MatcherPool(
         SHARED_CACHE,
         config=CONFIG,
-        backend="fast",
         fused=True,
         max_streams=len(lengths),
     )

@@ -65,7 +65,7 @@ def minimizations(monkeypatch):
 
 def _pool(config, directory=None):
     cache = PlanCache(config=config, directory=directory)
-    return MatcherPool(cache, config=config, selfcheck=False)
+    return MatcherPool(cache, config=config)
 
 
 def test_cold_warm_and_alias_twin_opens(minimizations, config, training):

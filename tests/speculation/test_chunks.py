@@ -12,7 +12,7 @@ def test_even_split():
     assert p.n_chunks == 4
     assert p.chunk_len == 25
     assert p.lengths.tolist() == [25, 25, 25, 25]
-    assert p.total_length == 100
+    assert p.symbols.size == 100
 
 
 def test_ragged_tail():
@@ -81,5 +81,5 @@ def test_zero_chunks_rejected():
 
 def test_bytes_input():
     p = partition_input(b"hello world!", 3)
-    assert p.total_length == 12
+    assert p.symbols.size == 12
     assert bytes(p.symbols) == b"hello world!"
