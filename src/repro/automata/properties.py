@@ -104,7 +104,8 @@ def image_sizes(dfa: DFA, windows: np.ndarray) -> np.ndarray:
     ``windows`` is an ``(n_windows, length)`` symbol matrix.  All rows run
     from every state together as one ``(n_windows, n_states)`` plane, one
     gather per symbol position (a flat ``take`` of ``state * n_symbols +
-    symbol``); each row's distinct count then comes from one row-wise sort.
+    symbol``); each row's distinct count then comes from
+    :func:`distinct_per_row`.
     """
     n_windows, length = windows.shape
     flat = dfa.table.ravel()
@@ -113,6 +114,12 @@ def image_sizes(dfa: DFA, windows: np.ndarray) -> np.ndarray:
     )
     for j in range(length):
         plane = flat.take(plane * dfa.n_symbols + windows[:, j, None])
+    return distinct_per_row(plane)
+
+
+def distinct_per_row(plane: np.ndarray) -> np.ndarray:
+    """Number of distinct values in each row of a 2-D array with at least
+    one column: one row-wise sort, then a count of adjacent changes."""
     ordered = np.sort(plane, axis=1)
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 

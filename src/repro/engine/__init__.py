@@ -2,8 +2,7 @@
 
 The speculation pipeline (predict → speculate → verify/recover → merge)
 is pure algorithm; *how* each batch of transitions actually executes — and
-whether simulated cycles are accounted — is an
-:class:`~repro.engine.base.ExecutionBackend`:
+whether simulated cycles are accounted — is a backend:
 
 * ``"sim"`` — :class:`~repro.engine.sim.SimBackend`: the cycle-accurate
   lockstep executor with the memory model, warp timing and metrics.  The
@@ -12,9 +11,15 @@ whether simulated cycles are accounted — is an
   flattened-gather numpy path for production serving, where simulated
   cycles are irrelevant and wall clock is everything.
 
-End states are bit-identical across backends for every scheme (enforced by
-the differential and hypothesis suites); only ``sim`` populates the cycle
-ledger.
+Both have ``run_batch``, ``run_gathered`` and ``run_mappings`` under one
+batch contract, stated once in :mod:`repro.engine.base`:
+``validate_batch_inputs`` checks every batch (shape of ``chunks`` and of
+each per-lane array, lengths, start states, executed symbols) and
+``gather_chunks`` range-checks ``run_gathered``'s chunk ids, so a malformed
+batch raises the same :class:`~repro.errors.SimulationError` on either
+backend.  End states are bit-identical across backends for every scheme
+(enforced by the differential and hypothesis suites); only ``sim``
+populates the cycle ledger.
 
 Where the switch is resolved: :class:`~repro.framework.GSpecPalConfig`
 (and a directly built :class:`~repro.gpu.kernel.GpuSimulator`) resolves
@@ -32,8 +37,6 @@ from repro.engine.base import (
     BACKEND_ENV_VAR,
     BACKEND_NAMES,
     DEFAULT_BACKEND,
-    CostSink,
-    ExecutionBackend,
     resolve_backend_name,
 )
 from repro.engine.fast import FastBackend
@@ -44,8 +47,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
-    "CostSink",
-    "ExecutionBackend",
     "FastBackend",
     "FusedBatchEngine",
     "FusedDispatchResult",

@@ -1,18 +1,24 @@
 """The execution-backend contract: functional execution, pluggable cost.
 
-Every scheme drives ``state = T[state, sym]`` through an
-:class:`ExecutionBackend` instead of a concrete executor.  The contract has
+Every scheme drives ``state = T[state, sym]`` through a backend (``"sim"``
+or ``"fast"``) instead of a concrete executor.  Both backends have
+``run_batch``, ``run_gathered`` and ``run_mappings`` with the same
+signatures, a ``name`` and an ``accounts_cycles`` flag.  The contract has
 two halves:
 
 * **function** — ``run_batch`` maps ``(chunks, starts, lengths, active,
   chunk_ids)`` to end states, and is required to be *bit-identical* across
   backends (the differential and hypothesis suites enforce this for every
   scheme × DFA × input);
-* **cost** — an optional :class:`CostSink` (in practice a
-  :class:`~repro.gpu.stats.KernelStats` ledger) the backend may charge.
-  Only backends with :attr:`ExecutionBackend.accounts_cycles` set populate
-  it; answer-only backends accept the ledger for signature parity and leave
-  it untouched.
+* **cost** — an optional :class:`~repro.gpu.stats.KernelStats` ledger.
+  Only a backend with ``accounts_cycles`` set charges it; the answer-only
+  backend accepts the ledger for signature parity and leaves it untouched.
+
+What a batch must look like is stated once, here:
+:func:`validate_batch_inputs` checks a batch and returns it normalized, and
+:func:`gather_chunks` resolves ``run_gathered``'s thread→chunk binding.
+Both backends call them before any transition, so a malformed batch raises
+the same :class:`~repro.errors.SimulationError` on either.
 
 Backend selection is by name (``"sim"``, ``"fast"``); when no name is given
 the ``REPRO_BACKEND`` environment variable decides, defaulting to ``"sim"``
@@ -22,7 +28,7 @@ so existing cost-model workflows are unchanged.
 from __future__ import annotations
 
 import os
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,87 +42,6 @@ DEFAULT_BACKEND = "sim"
 
 #: Names accepted by :func:`resolve_backend_name`, in registration order.
 BACKEND_NAMES: Tuple[str, ...] = ("sim", "fast")
-
-
-@runtime_checkable
-class CostSink(Protocol):
-    """The ledger slice a cycle-accounting backend charges into.
-
-    Structurally matched by :class:`~repro.gpu.stats.KernelStats`; the
-    protocol exists so future backends (and tests) can depend on the engine
-    layer without importing the GPU cost model.
-    """
-
-    transitions: int
-    redundant_transitions: int
-    shared_accesses: int
-    global_accesses: int
-
-    def charge(self, phase: str, cycles: float) -> None:
-        """Add ``cycles`` to the total and to ``phase``'s bucket."""
-        ...
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """One way of executing chunk batches of DFA transitions.
-
-    Implementations must agree on the *functional* result for identical
-    inputs; they differ only in what else they compute (cycle accounting,
-    metrics) and how fast they run on the host.
-    """
-
-    #: Registry name (``"sim"``, ``"fast"`` …).
-    name: str
-    #: Whether ``run_batch`` charges the ``stats`` ledger it is handed.
-    accounts_cycles: bool
-
-    def run_batch(
-        self,
-        chunks: np.ndarray,
-        starts: np.ndarray,
-        *,
-        stats: Optional[CostSink] = None,
-        phase: str = "execution",
-        lengths: Optional[np.ndarray] = None,
-        active: Optional[np.ndarray] = None,
-        count_redundant: Optional[np.ndarray] = None,
-        chunk_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Advance each thread through its chunk; return the end states.
-
-        Semantics (shared by all backends): inactive lanes keep their start
-        state; positions at or beyond a lane's ``lengths`` entry are
-        skipped; ``chunk_ids``/``count_redundant`` only influence cost
-        accounting and may be ignored by answer-only backends.
-        """
-        ...
-
-    def run_gathered(
-        self,
-        input_chunks: np.ndarray,
-        chunk_ids: np.ndarray,
-        starts: np.ndarray,
-        **kwargs,
-    ) -> np.ndarray:
-        """Run with an explicit thread→chunk assignment (broken binding)."""
-        ...
-
-    def run_mappings(
-        self,
-        chunks: np.ndarray,
-        *,
-        lengths: Optional[np.ndarray] = None,
-        stats: Optional[CostSink] = None,
-        phase: str = "execution",
-        chunk_ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Full state→state mapping of every chunk: a ``(n_chunks,
-        n_states)`` matrix whose ``[c, s]`` entry is the end state of
-        running chunk ``c`` from state ``s`` (the SFA construction).
-        Backends must agree on the matrix; only cost accounting differs.
-        """
-        ...
 
 
 def _lane_list(mask: np.ndarray, cap: int = 8) -> str:
@@ -142,51 +67,120 @@ def validate_starts(starts, *, n_states: int, backend: str = "backend") -> None:
 
 def validate_batch_inputs(
     chunks: np.ndarray,
-    starts: np.ndarray,
+    starts: Optional[np.ndarray],
     *,
     n_states: int,
     n_symbols: int,
     lengths: Optional[np.ndarray] = None,
     active: Optional[np.ndarray] = None,
+    count_redundant: Optional[np.ndarray] = None,
+    chunk_ids: Optional[np.ndarray] = None,
     backend: str = "backend",
-) -> None:
-    """Validate start states and symbols against the table's domain.
+) -> Tuple[Optional[np.ndarray], ...]:
+    """Check one batch against the contract and return it normalized.
 
-    Shared by both backends so they agree on the error contract: an
-    out-of-range start state or symbol raises
-    :class:`~repro.errors.SimulationError` naming the offending lanes,
-    instead of surfacing as a raw numpy ``IndexError`` (or, worse, a
-    silently wrong answer via negative indexing in the flat gather).
+    Shape: ``chunks`` is a 2-D ``(lanes × width)`` matrix, and ``starts``,
+    ``lengths``, ``active``, ``count_redundant`` and ``chunk_ids`` each hold
+    one entry per lane; lengths lie in ``[0, width]``.  Range: ``starts``
+    lies in ``[0, n_states)`` on *every* lane (schemes hand inactive lanes
+    a valid placeholder, so a bad start is always a real bug), and symbols
+    lie in ``[0, n_symbols)`` at every position a lane executes (padding
+    beyond ``lengths`` and inactive lanes may hold arbitrary values).  The
+    symbol scan is skipped only where it is vacuous: an unsigned dtype
+    whose maximum is below ``n_symbols`` (wire bytes).  A violation raises
+    :class:`~repro.errors.SimulationError` naming ``backend`` — never a raw
+    numpy ``IndexError``, nor a silently wrong answer via negative indexing
+    in a flat gather.
 
-    ``starts`` is checked for *every* lane — schemes hand inactive lanes a
-    valid placeholder start, so a bad start is always a real bug.  Symbols
-    are only checked at positions a lane actually executes (padding beyond
-    ``lengths`` and inactive lanes may hold arbitrary values).
+    Returns ``(chunks, starts, lengths, active, count_redundant,
+    chunk_ids)``: contiguous ``chunks`` in their own dtype, int64
+    ``starts`` (``None`` passes through: ``run_mappings`` has none), int64
+    ``lengths`` (``None`` when absent or every lane runs the full width),
+    bool ``active`` and ``count_redundant`` and int64 ``chunk_ids``
+    (``None`` when absent).
     """
-    validate_starts(starts, n_states=n_states, backend=backend)
-    chunks = np.asarray(chunks)
-    if chunks.size == 0:
-        return
-    if chunks.dtype.kind == "u" and np.iinfo(chunks.dtype).max < n_symbols:
-        return  # the dtype cannot hold an out-of-range symbol (wire bytes)
-    bad_syms = (chunks < 0) | (chunks >= n_symbols)
-    if not bad_syms.any():
-        return
-    # Restrict to executed positions before deciding it is an error.
-    n_threads, chunk_len = chunks.shape
-    executed = np.ones((n_threads, chunk_len), dtype=bool)
-    if active is not None:
-        executed &= np.asarray(active, dtype=bool)[:, None]
-    if lengths is not None:
-        executed &= np.arange(chunk_len)[None, :] < np.asarray(
-            lengths, dtype=np.int64
-        )[:, None]
-    bad_syms &= executed
-    if bad_syms.any():
+    chunks = np.ascontiguousarray(chunks)
+    if chunks.ndim != 2:
         raise SimulationError(
-            f"[{backend}] input symbols out of range [0, {n_symbols}) "
-            f"on lanes {_lane_list(bad_syms.any(axis=1))}"
+            f"[{backend}] chunks must be 2-D, got shape {chunks.shape}"
         )
+    n_lanes, width = chunks.shape
+
+    def per_lane(name, values, dtype):
+        if values is None:
+            return None
+        values = np.asarray(values, dtype=dtype)
+        if values.shape != (n_lanes,):
+            raise SimulationError(
+                f"[{backend}] {name} has shape {values.shape}, "
+                f"expected one entry per lane ({n_lanes},)"
+            )
+        return values
+
+    starts = per_lane("starts", starts, np.int64)
+    lengths = per_lane("lengths", lengths, np.int64)
+    active = per_lane("active", active, bool)
+    count_redundant = per_lane("count_redundant", count_redundant, bool)
+    chunk_ids = per_lane("chunk_ids", chunk_ids, np.int64)
+    if lengths is not None:
+        bad_lengths = (lengths < 0) | (lengths > width)
+        if bad_lengths.any():
+            raise SimulationError(
+                f"[{backend}] lengths out of range [0, {width}] "
+                f"on lanes {_lane_list(bad_lengths)}"
+            )
+        if (lengths == width).all():
+            lengths = None
+    if starts is not None:
+        validate_starts(starts, n_states=n_states, backend=backend)
+
+    vacuous = chunks.dtype.kind == "u" and np.iinfo(chunks.dtype).max < n_symbols
+    if chunks.size and not vacuous:
+        bad_syms = (chunks < 0) | (chunks >= n_symbols)
+        if bad_syms.any():
+            # Restrict to executed positions before deciding it is an error.
+            if active is not None:
+                bad_syms &= active[:, None]
+            if lengths is not None:
+                bad_syms &= np.arange(width)[None, :] < lengths[:, None]
+            if bad_syms.any():
+                raise SimulationError(
+                    f"[{backend}] input symbols out of range [0, {n_symbols}) "
+                    f"on lanes {_lane_list(bad_syms.any(axis=1))}"
+                )
+    return chunks, starts, lengths, active, count_redundant, chunk_ids
+
+
+def gather_chunks(
+    input_chunks: np.ndarray, chunk_ids: np.ndarray, n_lanes: int, *, backend: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each lane's row of ``input_chunks``: ``run_gathered``'s explicit
+    thread→chunk binding (the one-to-one binding RR/NF recovery breaks).
+
+    ``chunk_ids`` holds one row index in ``[0, len(input_chunks))`` per
+    lane.  Returns the gathered ``(n_lanes × width)`` rows and the ids as
+    int64, which the caller hands on as ``chunk_ids`` so that the input
+    fetch of lanes sharing a chunk coalesces.
+    """
+    input_chunks = np.asarray(input_chunks)
+    if input_chunks.ndim != 2:
+        raise SimulationError(
+            f"[{backend}] chunks must be 2-D, got shape {input_chunks.shape}"
+        )
+    chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
+    if chunk_ids.shape != (n_lanes,):
+        raise SimulationError(
+            f"[{backend}] chunk_ids has shape {chunk_ids.shape}, "
+            f"expected one entry per lane ({n_lanes},)"
+        )
+    n_chunks = input_chunks.shape[0]
+    bad_ids = (chunk_ids < 0) | (chunk_ids >= n_chunks)
+    if bad_ids.any():
+        raise SimulationError(
+            f"[{backend}] chunk ids out of range [0, {n_chunks}) "
+            f"on lanes {_lane_list(bad_ids)}"
+        )
+    return input_chunks[chunk_ids], chunk_ids
 
 
 def resolve_backend_name(name: Optional[str] = None) -> str:

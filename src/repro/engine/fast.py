@@ -23,11 +23,17 @@ gather, ``st = pre[st + row]``:
 There is no memory-model hot/cold classification, no per-warp reduction,
 no ledger charge, no metrics.  The ``stats``, ``phase``, ``chunk_ids`` and
 ``count_redundant`` parameters are accepted for signature parity with
-:class:`~repro.engine.sim.SimBackend` and ignored — with this backend a
-:class:`~repro.gpu.stats.KernelStats` ledger only ever contains what the
-*scheme* charged (launch, comm, verify, sync), never execution cycles.
+:class:`~repro.engine.sim.SimBackend` and otherwise ignored — with this
+backend a :class:`~repro.gpu.stats.KernelStats` ledger only ever contains
+what the *scheme* charged (launch, comm, verify, sync), never execution
+cycles.
 
-The functional contract is bit-identical to the lockstep executor
+Every entry point first checks its batch with
+:func:`~repro.engine.base.validate_batch_inputs` (``run_gathered``
+resolves its chunk ids with :func:`~repro.engine.base.gather_chunks`
+first), the same checks the lockstep executor makes, so a malformed batch
+fails the same way on either backend.  The functional contract is
+bit-identical to the lockstep executor
 (:func:`repro.automata.dfa.run_lockstep` is the reference the tests pin
 the kernel to): inactive lanes keep their start state, positions beyond a
 lane's length are skipped, and the returned dtype matches
@@ -36,12 +42,12 @@ lane's length are skipped, and the returned dtype matches
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.automata.dfa import STATE_DTYPE
-from repro.engine.base import validate_batch_inputs
+from repro.engine.base import gather_chunks, validate_batch_inputs
 from repro.errors import SimulationError
 
 
@@ -63,32 +69,6 @@ class FastBackend:
         self._pre *= self.n_symbols
 
     # ------------------------------------------------------------------
-    def _checked(
-        self, chunks, starts, lengths, what: str
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-        """Shape and range checks every entry point makes before stepping.
-
-        Returns contiguous ``chunks``, int64 ``starts`` (``None`` passes
-        through: :meth:`run_mappings` has none) and int64 ``lengths`` —
-        ``None`` when absent or rectangular after all.
-        """
-        chunks = np.ascontiguousarray(chunks)
-        if chunks.ndim != 2:
-            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
-        n_lanes, width = chunks.shape
-        if starts is not None:
-            starts = np.asarray(starts, dtype=np.int64)
-            if starts.shape != (n_lanes,):
-                raise SimulationError(f"starts must match the number of {what}")
-        if lengths is None:
-            return chunks, starts, None
-        lens = np.asarray(lengths, dtype=np.int64)
-        if lens.shape != (n_lanes,):
-            raise SimulationError(f"lengths must match the number of {what}")
-        if (lens < 0).any() or (lens > width).any():
-            raise SimulationError("lengths out of range")
-        return chunks, starts, None if (lens == width).all() else lens
-
     def _advance(self, chunks, states, lens, lanes=None) -> np.ndarray:
         """The stepping kernel: every transition of this backend runs here.
 
@@ -145,24 +125,24 @@ class FastBackend:
         count_redundant: Optional[np.ndarray] = None,
         chunk_ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        chunks, states, lens = self._checked(chunks, starts, lengths, "threads")
-        active_mask = None if active is None else np.asarray(active, dtype=bool)
-        validate_batch_inputs(
+        chunks, states, lens, active, _, _ = validate_batch_inputs(
             chunks,
-            states,
+            starts,
             n_states=self.n_states,
             n_symbols=self.n_symbols,
-            lengths=lens,
-            active=active_mask,
+            lengths=lengths,
+            active=active,
+            count_redundant=count_redundant,
+            chunk_ids=chunk_ids,
             backend=self.name,
         )
-        if active_mask is None and lens is None:
+        if active is None and lens is None:
             return self._advance(chunks, states, None)
         # Ragged and/or masked: compress to the active lanes, longest first.
-        if active_mask is None:
+        if active is None:
             lanes = np.arange(len(states))
         else:
-            lanes = np.flatnonzero(active_mask)
+            lanes = np.flatnonzero(active)
         if lens is not None:
             lanes = lanes[np.argsort(-lens[lanes], kind="stable")]
         return self._advance(chunks, states, lens, lanes)
@@ -184,19 +164,19 @@ class FastBackend:
         :meth:`run_batch` does for a ragged batch.  Answer-identical to
         :meth:`run_batch` with the same ``lengths``.
         """
-        chunks, states, lens = self._checked(chunks, starts, lengths, "streams")
-        if lens is not None and (lens[:-1] < lens[1:]).any():
-            raise SimulationError(
-                "run_streams requires lanes sorted by descending length"
-            )
-        validate_batch_inputs(
+        chunks, states, lens, _, _, _ = validate_batch_inputs(
             chunks,
-            states,
+            starts,
             n_states=self.n_states,
             n_symbols=self.n_symbols,
-            lengths=lens,
+            lengths=lengths,
             backend=self.name,
         )
+        if lens is not None and (lens[:-1] < lens[1:]).any():
+            raise SimulationError(
+                f"[{self.name}] run_streams requires lanes sorted by "
+                "descending length"
+            )
         return self._advance(chunks, states, lens)
 
     # ------------------------------------------------------------------
@@ -219,16 +199,15 @@ class FastBackend:
         plane.  ``stats``/``phase``/``chunk_ids`` are accepted for parity
         with the sim backend and ignored.
         """
-        chunks, _, lens = self._checked(chunks, None, lengths, "chunks")
-        n_chunks = chunks.shape[0]
-        validate_batch_inputs(
+        chunks, _, lens, _, _, _ = validate_batch_inputs(
             chunks,
-            np.zeros(n_chunks, dtype=np.int64),
+            None,
             n_states=self.n_states,
             n_symbols=self.n_symbols,
-            lengths=lens,
+            lengths=lengths,
             backend=self.name,
         )
+        n_chunks = chunks.shape[0]
         plane = np.broadcast_to(
             np.arange(self.n_states, dtype=np.int64), (n_chunks, self.n_states)
         )
@@ -243,11 +222,12 @@ class FastBackend:
         starts: np.ndarray,
         **kwargs,
     ) -> np.ndarray:
-        """Run with an explicit thread→chunk assignment."""
-        chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
-        gathered = np.asarray(input_chunks)[chunk_ids]
-        kwargs.setdefault("chunk_ids", chunk_ids)
-        return self.run_batch(gathered, starts, **kwargs)
+        """Run with an explicit thread→chunk assignment: ``chunk_ids[t]``
+        selects the row of ``input_chunks`` thread ``t`` processes."""
+        gathered, ids = gather_chunks(
+            input_chunks, chunk_ids, np.size(starts), backend=self.name
+        )
+        return self.run_batch(gathered, starts, chunk_ids=ids, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FastBackend(n_states={self.n_states}, n_symbols={self.n_symbols})"

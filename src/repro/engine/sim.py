@@ -1,15 +1,21 @@
 """The cycle-accurate backend: delegates to the lockstep executor.
 
-``SimBackend`` is a thin adapter giving the existing
-:class:`~repro.gpu.executor.LockstepExecutor` (memory model, warp timing,
-metrics recording and all) the :class:`~repro.engine.base.ExecutionBackend`
-shape.  It introduces **no** behavioural change: every call forwards
-verbatim, so ledgers and metrics are bit-identical to pre-engine code.
+``SimBackend`` gives the :class:`~repro.gpu.executor.LockstepExecutor`
+(memory model, warp timing, metrics recording and all) the backend shape
+described in :mod:`repro.engine.base`.  Every entry point ends in exactly
+one :meth:`~repro.gpu.executor.LockstepExecutor.run` call, which checks the
+batch with :func:`~repro.engine.base.validate_batch_inputs`;
+``run_gathered`` and ``run_mappings`` first resolve their thread→chunk
+binding with :func:`~repro.engine.base.gather_chunks`, the same helper the
+fast backend uses.  Ledgers and metrics are those of calling the executor
+directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.engine.base import gather_chunks
 
 
 class SimBackend:
@@ -26,7 +32,12 @@ class SimBackend:
         return self.executor.run(chunks, starts, **kwargs)
 
     def run_gathered(self, input_chunks, chunk_ids, starts, **kwargs) -> np.ndarray:
-        return self.executor.run_gathered(input_chunks, chunk_ids, starts, **kwargs)
+        """Run with an explicit thread→chunk assignment: ``chunk_ids[t]``
+        selects the row of ``input_chunks`` thread ``t`` processes."""
+        gathered, ids = gather_chunks(
+            input_chunks, chunk_ids, np.size(starts), backend=self.name
+        )
+        return self.executor.run(gathered, starts, chunk_ids=ids, **kwargs)
 
     def run_mappings(
         self,
@@ -46,19 +57,19 @@ class SimBackend:
         pressure SFA's mapping construction puts on the device.  Returns
         the same ``(n_chunks, n_states)`` matrix as the fast backend.
         """
-        chunks = np.ascontiguousarray(chunks)
-        n_chunks = chunks.shape[0]
+        n_chunks = len(chunks)
         n_states = int(self.executor.table.shape[0])
-        kwargs = {"stats": stats, "phase": phase}
+        ids = np.repeat(np.arange(n_chunks, dtype=np.int64), n_states)
+        gathered, ids = gather_chunks(chunks, ids, ids.size, backend=self.name)
         if lengths is not None:
-            kwargs["lengths"] = np.repeat(
-                np.asarray(lengths, dtype=np.int64), n_states
-            )
-        ends = self.executor.run_gathered(
-            chunks,
-            np.repeat(np.arange(n_chunks, dtype=np.int64), n_states),
+            lengths = np.repeat(np.asarray(lengths, dtype=np.int64), n_states)
+        ends = self.executor.run(
+            gathered,
             np.tile(np.arange(n_states, dtype=np.int64), n_chunks),
-            **kwargs,
+            stats=stats,
+            phase=phase,
+            lengths=lengths,
+            chunk_ids=ids,
         )
         return ends.reshape(n_chunks, n_states)
 

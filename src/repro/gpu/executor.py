@@ -145,6 +145,10 @@ class LockstepExecutor:
     ) -> np.ndarray:
         """Run one lockstep batch and charge its cost.
 
+        The batch is first checked by
+        :func:`~repro.engine.base.validate_batch_inputs`; a malformed one
+        raises :class:`~repro.errors.SimulationError`.
+
         Parameters
         ----------
         chunks:
@@ -175,37 +179,26 @@ class LockstepExecutor:
         -------
         ``(n_threads,)`` end states (inactive lanes return their start).
         """
-        chunks = np.ascontiguousarray(chunks)
-        if chunks.ndim != 2:
-            raise SimulationError(f"chunks must be 2-D, got shape {chunks.shape}")
-        n_threads, chunk_len = chunks.shape
-        states = np.asarray(starts, dtype=STATE_DTYPE).copy()
-        if states.shape != (n_threads,):
-            raise SimulationError("starts must match the number of threads")
-
-        if active is None:
-            active_mask = np.ones(n_threads, dtype=bool)
-        else:
-            active_mask = np.asarray(active, dtype=bool).copy()
-        if lengths is None:
-            lens = np.full(n_threads, chunk_len, dtype=np.int64)
-        else:
-            lens = np.asarray(lengths, dtype=np.int64)
-            if lens.shape != (n_threads,):
-                raise SimulationError("lengths must match the number of threads")
-            if (lens < 0).any() or (lens > chunk_len).any():
-                raise SimulationError("lengths out of range")
-
         n_states, n_symbols = self.table.shape
-        validate_batch_inputs(
-            chunks,
-            states,
-            n_states=n_states,
-            n_symbols=n_symbols,
-            lengths=None if lengths is None else lens,
-            active=active_mask,
-            backend="sim",
+        chunks, starts, lens, active_mask, count_redundant, chunk_ids = (
+            validate_batch_inputs(
+                chunks,
+                starts,
+                n_states=n_states,
+                n_symbols=n_symbols,
+                lengths=lengths,
+                active=active,
+                count_redundant=count_redundant,
+                chunk_ids=chunk_ids,
+                backend="sim",
+            )
         )
+        n_threads, chunk_len = chunks.shape
+        states = starts.astype(STATE_DTYPE)
+        if active_mask is None:
+            active_mask = np.ones(n_threads, dtype=bool)
+        if lens is None:
+            lens = np.full(n_threads, chunk_len, dtype=np.int64)
 
         if chunk_len == 0 or not active_mask.any():
             if self.metrics is not None:
@@ -222,10 +215,7 @@ class LockstepExecutor:
         if chunk_ids is None:
             lane_chunk[:n_threads][active_mask] = np.flatnonzero(active_mask)
         else:
-            cid = np.asarray(chunk_ids, dtype=np.int64)
-            if cid.shape != (n_threads,):
-                raise SimulationError("chunk_ids must match the number of threads")
-            lane_chunk[:n_threads][active_mask] = cid[active_mask]
+            lane_chunk[:n_threads][active_mask] = chunk_ids[active_mask]
         distinct = distinct_chunks_per_warp(lane_chunk, n_warps, ws)
         per_warp_fetch = np.where(
             distinct > 0,
@@ -328,9 +318,7 @@ class LockstepExecutor:
         shared_hits = total_transitions - global_hits
         redundant = 0
         if count_redundant is not None:
-            redundant = int(
-                steps[np.asarray(count_redundant, dtype=bool)].sum()
-            )
+            redundant = int(steps[count_redundant].sum())
 
         if stats is not None:
             per_warp_cycles = (
@@ -368,22 +356,3 @@ class LockstepExecutor:
                 m, shared_hits=shared_hits, global_hits=global_hits
             )
         return states
-
-    # ------------------------------------------------------------------
-    def run_gathered(
-        self,
-        input_chunks: np.ndarray,
-        chunk_ids: np.ndarray,
-        starts: np.ndarray,
-        **kwargs,
-    ) -> np.ndarray:
-        """Run with an explicit thread→chunk assignment.
-
-        ``chunk_ids[t]`` selects which row of ``input_chunks`` thread ``t``
-        processes — this is the broken one-to-one binding that aggressive
-        speculative recovery (RR/NF) introduces.
-        """
-        chunk_ids = np.asarray(chunk_ids, dtype=np.int64)
-        gathered = input_chunks[chunk_ids]
-        kwargs.setdefault("chunk_ids", chunk_ids)
-        return self.run(gathered, starts, **kwargs)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.automata.dfa import DFA
 from repro.automata.properties import StateFrequencyProfile
 from repro.automata.transform import TransformedDFA, frequency_transform
-from repro.engine import ExecutionBackend, FastBackend, SimBackend
+from repro.engine import FastBackend, SimBackend
 from repro.engine.base import resolve_backend_name, validate_starts
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.executor import LockstepExecutor
@@ -113,7 +113,7 @@ class GpuSimulator:
         #: the handle every transition step routes through.  ``sim`` wraps
         #: the executor above (ledger + metrics unchanged); ``fast`` skips
         #: cycle accounting entirely.
-        self.engine: ExecutionBackend = (
+        self.engine = (
             SimBackend(self.executor)
             if self.backend == "sim"
             else FastBackend(exec_dfa.table)

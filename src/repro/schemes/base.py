@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.properties import profile_state_frequencies
-from repro.engine import ExecutionBackend
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.kernel import GpuSimulator, KernelPhase
 from repro.gpu.stats import KernelStats
@@ -128,7 +127,7 @@ class Scheme(abc.ABC):
 
     # ------------------------------------------------------------------
     @property
-    def engine(self) -> ExecutionBackend:
+    def engine(self):
         """The execution backend every transition step routes through."""
         return self.sim.engine
 

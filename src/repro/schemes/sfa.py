@@ -31,6 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.automata.properties import distinct_per_row
 from repro.gpu.kernel import KernelPhase
 from repro.schemes.base import Scheme
 
@@ -158,7 +159,7 @@ class SFAScheme(Scheme):
         # ``width`` is the realized image size, which the state-convergence
         # collapse keeps far below ``n_states``.
         dev = self.sim.device
-        width = max(1, int(np.mean([len(np.unique(row)) for row in mappings])))
+        width = max(1, int(np.mean(distinct_per_row(mappings))))
         with self._phase_span(KernelPhase.MERGE, stats, width=width):
             intra_rounds, n_warps, inter_rounds = self._tree_merge_rounds(n)
             for _ in range(intra_rounds):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.automata.dfa import DFA
 from repro.automata.properties import (
     convergence_profile,
+    distinct_per_row,
     profile_state_frequencies,
     reachable_states,
     unique_states_after,
@@ -167,6 +168,22 @@ class TestBatchedWindows:
             assert reachable_width(
                 dfa, symbols, window=30, n_windows=n_windows
             ) == reachable_width_reference(dfa, symbols, window=30, n_windows=n_windows)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (7, 1), (1, 9), (12, 5), (40, 33), (3, 200)]
+    )
+    @pytest.mark.parametrize("high", [1, 2, 6, 1000])
+    def test_distinct_per_row_matches_the_unique_loop(self, shape, high):
+        """SFA's merge width once ran ``np.unique`` per mapping row; the
+        row-sort count must give the same counts and the same width."""
+        rng = np.random.default_rng(shape[0] * 1009 + shape[1] * 31 + high)
+        mappings = rng.integers(0, high, size=shape).astype(np.int32)
+        mappings[0] = mappings[0, 0]  # an all-equal row
+        loop = [len(np.unique(row)) for row in mappings]
+        counts = distinct_per_row(mappings)
+        assert counts.tolist() == loop
+        assert int(np.mean(counts)) == int(np.mean(loop))
+        assert np.mean(counts) == np.mean(loop)
 
 
 class TestStructure:

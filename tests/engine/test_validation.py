@@ -3,12 +3,15 @@
 Out-of-range start states or symbols must surface as a
 :class:`SimulationError` naming the offending lanes — never a raw numpy
 ``IndexError``, and never a silently wrong answer via negative flat-gather
-indexing (the fast backend's failure mode before validation).
+indexing (the fast backend's failure mode before validation).  Malformed
+batch shapes and chunk ids (``CONTRACT_CASES``) fail the same way on both
+backends, with the backend named in the message.
 """
 
 import numpy as np
 import pytest
 
+from repro.automata.dfa import DFA
 from repro.engine.base import validate_batch_inputs
 from repro.engine.fast import FastBackend
 from repro.errors import SimulationError
@@ -110,6 +113,53 @@ class TestBackendsAgree:
                 np.zeros((1, 3), dtype=np.int64) + ord("0"),
                 np.asarray([-1]),
             )
+
+
+#: A 4-state, 3-symbol table and a 4-lane batch on it.
+_TABLE = np.asarray([[1, 2, 3], [0, 0, 1], [3, 2, 1], [2, 3, 0]])
+_CHUNKS = np.asarray([[0, 1, 2, 0, 1]] * 4)
+_STARTS = np.zeros(4, dtype=np.int64)
+
+#: (case, call) — every call breaks the batch contract once.
+CONTRACT_CASES = {
+    "gathered_chunk_id_out_of_range": lambda e: e.run_gathered(
+        _CHUNKS[:3], [0, 3, 1, 2], _STARTS
+    ),
+    "gathered_negative_chunk_id": lambda e: e.run_gathered(
+        _CHUNKS[:3], [0, -1, 1, 2], _STARTS
+    ),
+    "gathered_chunk_ids_wrong_length": lambda e: e.run_gathered(
+        _CHUNKS, [0, 1, 2], _STARTS
+    ),
+    "chunk_ids_wrong_length": lambda e: e.run_batch(
+        _CHUNKS, _STARTS, chunk_ids=[0, 1, 2]
+    ),
+    "active_wrong_length": lambda e: e.run_batch(
+        _CHUNKS, _STARTS, active=[True, True, True]
+    ),
+    "count_redundant_wrong_length": lambda e: e.run_batch(
+        _CHUNKS, _STARTS, count_redundant=[True, False, True]
+    ),
+    "starts_wrong_length": lambda e: e.run_batch(_CHUNKS, _STARTS[:3]),
+    "chunks_1d": lambda e: e.run_batch(_CHUNKS[0], _STARTS),
+    "lengths_beyond_width": lambda e: e.run_batch(
+        _CHUNKS, _STARTS, lengths=[5, 5, 6, 5]
+    ),
+    "lengths_negative": lambda e: e.run_batch(
+        _CHUNKS, _STARTS, lengths=[5, -1, 5, 5]
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_batch_contract_holds_on_both_backends(case, backend):
+    """One contract, stated in ``engine.base``: each malformed batch raises
+    a :class:`SimulationError` naming the backend, on both backends."""
+    dfa = DFA(table=_TABLE, start=0, accepting=frozenset({1}), name="t4x3")
+    engine = GpuSimulator(dfa=dfa, use_transformation=False, backend=backend).engine
+    with pytest.raises(SimulationError, match=rf"^\[{backend}\] "):
+        CONTRACT_CASES[case](engine)
 
 
 class TestValidateHelper:

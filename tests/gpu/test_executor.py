@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.sim import SimBackend
 from repro.gpu.device import DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
@@ -52,7 +53,7 @@ class TestFunctional:
         chunks = make_chunks(rng, 3, 15)
         cids = np.array([2, 0, 2])
         starts = np.array([0, 1, 3])
-        ends = executor.run_gathered(chunks, cids, starts)
+        ends = SimBackend(executor).run_gathered(chunks, cids, starts)
         for t in range(3):
             assert ends[t] == div7.run(chunks[cids[t]], start=int(starts[t]))
 
@@ -122,12 +123,12 @@ class TestAccounting:
         ex = LockstepExecutor(div7.table, mm, dev)
         chunks = make_chunks(rng, 4, 10)
         same = KernelStats(device=dev, n_threads=4)
-        ex.run_gathered(
+        SimBackend(ex).run_gathered(
             chunks, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
             stats=same, phase="p",
         )
         spread = KernelStats(device=dev, n_threads=4)
-        ex.run_gathered(
+        SimBackend(ex).run_gathered(
             chunks, np.arange(4), np.zeros(4, dtype=np.int64),
             stats=spread, phase="p",
         )

@@ -10,6 +10,7 @@ monotonicity the recovery schedulers rely on.
 import numpy as np
 import pytest
 
+from repro.engine.sim import SimBackend
 from repro.gpu.device import DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
@@ -108,7 +109,7 @@ class TestCoalescingAccounting:
             "four": np.array([0, 1, 2, 3]),
         }.items():
             stats = KernelStats(device=dev, n_threads=4)
-            ex.run_gathered(
+            SimBackend(ex).run_gathered(
                 chunks, cids, np.zeros(4, dtype=np.int64), stats=stats, phase="p"
             )
             costs[label] = stats.phase_cycles["p"]
