@@ -3,7 +3,7 @@
 The drifting-phase workload trains calm (the selector rightly picks PM),
 then the live distribution flips hot and PM's speculation collapses to
 near-sequential recovery.  A drift-enabled pool must detect the collapse,
-revise in the background (one single-flight ``revise_plan``, no recompile)
+revise inside the feed that fired (one ``revise_plan``, no recompile)
 and hot-swap to SFA at a segment boundary; a pinned pool keeps serving the
 stale PM plan.  On the post-swap segments the adapted pool must win by
 ≥2× in modeled cycles — and both pools must stay bit-identical to the
@@ -69,7 +69,7 @@ def _serve(drift_config):
         fed += segment
         cycles.append(float(result.stats.cycles))
         if revised_at is None and metrics.as_dict().get("drift.revises", 0):
-            revised_at = i  # synchronous: the swap serves from i + 1 on
+            revised_at = i  # revised inline: the swap serves from i + 1 on
     stats = pool.close(sid)
 
     # Correctness before speed: bit-identical to the sequential oracle.
@@ -99,11 +99,10 @@ def test_hot_swap_beats_pinned_stale_plan():
             min_samples=60,
             ewma_alpha=0.5,
             hysteresis=2,
-            synchronous=True,
         )
     )
 
-    # Exactly one background revise + segment-boundary hot-swap.
+    # Exactly one inline revise + segment-boundary hot-swap.
     assert exported["drift.triggers"] == 1
     assert exported["drift.revises"] == 1
     assert exported["drift.swaps"] == 1

@@ -314,31 +314,22 @@ def cmd_serve(args) -> int:
         open_timeout=args.open_timeout,
         fused=args.fused,
     )
-    server = GatewayServer(
-        pool,
-        host=args.host,
-        port=args.port,
-        drain_timeout=args.drain_timeout,
-        log=print,
-    )
+    server = GatewayServer(pool, host=args.host, port=args.port, log=print)
 
-    async def serve() -> int:
+    async def serve() -> None:
         await server.start()
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
-            stragglers = await server.stop()
-            if stragglers:
-                print(f"WARNING: {stragglers} revise threads outlived drain")
-                return 1
-        return 0
+            await server.stop()
 
     try:
-        return asyncio.run(serve())
+        asyncio.run(serve())
     except KeyboardInterrupt:
-        return 0
+        pass
+    return 0
 
 
 def cmd_scenario(args) -> int:
@@ -524,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fused",
         action="store_true",
         help="gang-schedule same-fingerprint feeds into fused batches",
-    )
-    p.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        help="shared deadline for background revise threads at shutdown",
     )
     p.set_defaults(func=cmd_serve)
 

@@ -30,11 +30,11 @@ Design contract
   then fails with the retryable ``code="capacity"`` error — which the
   admission-before-compile ordering guarantees cost no compile work —
   so the wire-level reject is cheap and honest.
-* **Graceful drain.**  :meth:`stop` stops accepting, closes client
-  connections, closes every remaining stream (``close_all``), then
-  drains in-flight background revises under one shared deadline
-  (``drain_revisions``); revise threads still alive afterwards are
-  reported via ``gateway.drain_stragglers`` and the return value.
+* **Graceful drain.**  :meth:`stop` stops accepting, drops every
+  client connection, waits for the requests still in flight to finish
+  their pool calls, then closes every remaining stream (``close_all``).
+  Drift revises run inside the feed that fires them, so once the
+  handlers are done no pool work is left running.
 
 Metrics (the ``gateway.*`` family, see ``docs/observability.md``) go into
 the pool's registry unless another is given, so one export — carried by
@@ -48,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from time import perf_counter
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.errors import SchemeError, ServingError
 from repro.gateway import protocol
@@ -76,8 +76,6 @@ class GatewayServer:
         ``gateway.*`` family; defaults to the pool's so one export covers
         both tiers.  :meth:`stats` is a view of it, and a registry is the
         scope of its counts: servers sharing one report its totals.
-    drain_timeout:
-        Shared deadline (seconds) for :meth:`stop`'s revise drain.
     max_line_bytes:
         Reader limit per request line (a rogue client cannot balloon
         memory; overruns answer ``bad_request`` and drop the connection).
@@ -92,7 +90,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         metrics=None,
-        drain_timeout: float = 10.0,
         max_line_bytes: int = protocol.MAX_LINE_BYTES,
         log=None,
     ):
@@ -100,11 +97,11 @@ class GatewayServer:
         self.host = host
         self._requested_port = int(port)
         self.metrics = metrics or pool.metrics
-        self.drain_timeout = float(drain_timeout)
         self.max_line_bytes = int(max_line_bytes)
         self.log = log
         self._server: Optional[asyncio.AbstractServer] = None
-        self._handlers: Set[asyncio.Task] = set()
+        #: connection handler task → its writer (aborted by :meth:`stop`).
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: stream id → connection id (ownership map; gateway-level state).
         self._owners: Dict[int, int] = {}
         self._next_conn_id = 0
@@ -133,9 +130,6 @@ class GatewayServer:
             "rejects": int(count("gateway.rejects").value),
             "orphans_closed": int(count("gateway.orphans_closed").value),
             "drained_streams": int(count("gateway.drained_streams").value),
-            "drain_stragglers": int(
-                self.metrics.gauge("gateway.drain_stragglers").value
-            ),
             "pool": self.pool.stats(),
             "metrics": self.metrics.as_dict(),
         }
@@ -165,34 +159,35 @@ class GatewayServer:
             await self._server.serve_forever()
 
     async def stop(self) -> int:
-        """Graceful drain: stop accepting, close streams, drain revises.
+        """Graceful drain: stop accepting, finish in-flight requests, close
+        every stream.
 
-        Returns the number of revise threads still running when the
-        shared drain deadline expired (0 on a clean shutdown; also
-        recorded as ``gateway.drain_stragglers``).
+        Each connection's transport is aborted, so an idle handler reads
+        EOF and one blocked writing to a client that stopped reading is
+        released (a plain ``close`` would wait to flush that client's
+        unread responses, forever).  The handlers are then awaited, not
+        cancelled, so one inside a pool call (a compiling ``open``, a
+        ``feed`` running a drift revise) finishes that call before
+        ``close_all`` runs — no stream or admission slot outlives the
+        drain.  Nothing is left running afterwards, so the result is
+        always 0; it stays an ``int`` for callers that audit a clean stop.
         """
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in tuple(self._handlers):
-            task.cancel()
+        for writer in tuple(self._handlers.values()):
+            writer.transport.abort()
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         closed = await asyncio.to_thread(self.pool.close_all)
-        stragglers = await asyncio.to_thread(
-            self.pool.drain_revisions, self.drain_timeout
-        )
         self.metrics.counter("gateway.drained_streams").inc(len(closed))
-        self.metrics.gauge("gateway.drain_stragglers").set(stragglers)
         with self._glock:
             self._owners.clear()
         if self.log is not None:
-            self.log(
-                f"gateway drained: {len(closed)} streams closed, "
-                f"{stragglers} revise stragglers"
-            )
-        return stragglers
+            self.log(f"gateway drained: {len(closed)} streams closed")
+        return 0
 
     # ------------------------------------------------------------------
     # connection handling
@@ -200,7 +195,7 @@ class GatewayServer:
     async def _handle_connection(self, reader, writer) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._handlers.add(task)
+            self._handlers[task] = writer
         with self._glock:
             conn_id = self._next_conn_id
             self._next_conn_id += 1
@@ -227,17 +222,20 @@ class GatewayServer:
                     )
                     break
                 if not line:
-                    break  # EOF: client hung up
+                    break  # EOF: client hung up, or stop() closed us
                 if not line.strip():
                     continue
                 response = await self._handle_line(conn_id, line)
                 if not await self._send(writer, response):
                     break
         except asyncio.CancelledError:
-            pass  # server stopping; fall through to cleanup
+            # The event loop is shutting down.  Not re-raised: Python
+            # 3.11's stream-server callback calls ``exception()`` on the
+            # finished task, which raises on a cancelled one.
+            pass
         finally:
             if task is not None:
-                self._handlers.discard(task)
+                self._handlers.pop(task, None)
             try:
                 writer.close()
             except Exception:

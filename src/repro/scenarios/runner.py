@@ -145,7 +145,6 @@ class ScenarioReport:
     throughput_sym_per_s: float = 0.0
     elapsed_s: float = 0.0
     measure_elapsed_s: float = 0.0
-    drain_stragglers: int = 0
     require_all_completed: bool = True
     #: embedded runs only: the gateway's stats after the drain and the
     #: shared registry's export (``serving.*`` / ``drift.*`` / ``gateway.*``).
@@ -158,14 +157,12 @@ class ScenarioReport:
     def ok(self) -> bool:
         """True when the run is answer-exact and inside every gate: no
         worker errors or failed serving audits (both land in ``errors``),
-        every closed stream oracle-identical, no revise stragglers after
-        the drain, all gates green — and, unless the scenario opted out,
-        every request completed."""
+        every closed stream oracle-identical, all gates green — and,
+        unless the scenario opted out, every request completed."""
         return (
             not self.errors
             and not self.oracle_failures
             and not self.gate_failures
-            and self.drain_stragglers == 0
             and (not self.require_all_completed or self.failed == 0)
         )
 
@@ -534,7 +531,6 @@ def _serving_audits(
         for name, count in (
             ("active_streams", pool["active_streams"]),
             ("reserved", pool["reserved"]),
-            ("revising", pool["revising"]),
             # Streams a client left open are closed by the gateway, at the
             # disconnect or at the drain: either way the client leaked them.
             ("orphans_closed", stats["orphans_closed"]),
@@ -546,14 +542,14 @@ def _serving_audits(
         failures.append(f"leaked past the drain: {leaked}")
     if metrics.get("drift.revise_errors", 0):
         failures.append(
-            f"{int(metrics['drift.revise_errors'])} background revises failed"
+            f"{int(metrics['drift.revise_errors'])} drift revises failed"
         )
     if (
         scenario.pool.drift
         and scenario.drift_at is not None
         and not metrics.get("drift.revises", 0)
     ):
-        failures.append("the drifting traffic provoked no background revise")
+        failures.append("the drifting traffic provoked no revise")
     if scenario.pool.fused and not metrics.get(
         "serving.pool.fused_dispatches", 0
     ):
@@ -654,14 +650,13 @@ def run_scenario(
             )
         finally:
             gateway_stats: Dict[str, Any] = {}
-            stragglers = 0
             if server is not None:
-                stragglers = await server.stop()
+                await server.stop()
                 gateway_stats = server.stats()
-        return records, errors, gateway_stats, stragglers
+        return records, errors, gateway_stats
 
     started = perf_counter()
-    records, errors, gateway_stats, stragglers = asyncio.run(main())
+    records, errors, gateway_stats = asyncio.run(main())
     elapsed = perf_counter() - started
     records.sort(key=lambda r: r.index)
 
@@ -726,7 +721,6 @@ def run_scenario(
         throughput_sym_per_s=(symbols / window if window > 0 else 0.0),
         elapsed_s=elapsed,
         measure_elapsed_s=window,
-        drain_stragglers=stragglers,
         require_all_completed=scenario.require_all_completed,
         gateway_stats=gateway_stats,
         metrics=gateway_stats.get("metrics", {}),

@@ -18,9 +18,9 @@ Design points:
   ``hysteresis`` *consecutive* breaching observations.  A borderline
   stream oscillating around the threshold resets the breach run and never
   fires.
-* **Fires once.**  ``observe`` latches after the first trigger; the pool
-  runs a single background revise and re-arms the monitor against the
-  revised plan's anchors.  A monitor re-armed onto a misprediction-free
+* **Fires once.**  ``observe`` latches after the first trigger; the feed
+  that fired runs a single revise inline and re-arms the monitor against
+  the revised plan's anchors.  A monitor re-armed onto a misprediction-free
   scheme (sfa/seq) goes dormant — those runs carry no boundary samples,
   so there is no accuracy signal left to diverge.
 * **Not thread-safe by itself.**  :class:`~repro.serving.MatcherPool`
@@ -54,17 +54,12 @@ class DriftConfig:
         Weight of the newest per-observation accuracy sample in the EWMA.
     hysteresis:
         Consecutive breaching observations required to fire.
-    synchronous:
-        Run the revise inline inside the feeding thread instead of a
-        background worker.  Deterministic — meant for tests and
-        benchmarks; production pools keep the default background mode.
     """
 
     threshold: float = 0.3
     min_samples: int = 64
     ewma_alpha: float = 0.3
     hysteresis: int = 3
-    synchronous: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.threshold <= 1.0):
@@ -205,7 +200,8 @@ class DriftMonitor:
 
         Returns the number of segments observed between the trigger and
         this re-arm — the observation lag the ``drift.observation_lag_segments``
-        histogram records (0 under ``synchronous`` revises).
+        histogram records: segments other streams of the class fed while
+        the firing feed ran its revise.
         """
         lag = self._post_fire_segments
         self.fired = False

@@ -22,9 +22,11 @@ run in parallel, while a feed racing a close of the same stream gets a
 structured :class:`~repro.errors.ServingError` (``code="stream_closed"``)
 instead of running on a released session.  Admission control rejects opens
 beyond ``max_streams`` with a retryable ``code="capacity"`` error, or —
-with ``open_timeout`` set — waits boundedly for a slot.  Where both locks
-are held, the pool lock is outer (pool → cache); the cache never calls
-back into the pool.  A class record is dropped once nothing needs it
+with ``open_timeout`` set — waits boundedly for a slot.  Locks nest
+stream → pool → cache, and the cache never calls back into the pool.
+With drift detection on, the feed whose evidence fires a class's monitor
+runs that class's revise inline, under its stream lock, so the pool
+starts no thread.  A class record is dropped once nothing needs it
 (:meth:`MatcherPool._prune_locked`).
 
 Typical serving loop::
@@ -237,11 +239,12 @@ class MatcherPool:
         attaches one :class:`~repro.serving.DriftMonitor` per class record.
         Every feed's :class:`LiveObservations` are aggregated under the
         pool lock; when live speculation accuracy diverges from the plan's
-        profiled anchors past the configured threshold, the pool runs one
-        single-flight ``revise_plan`` (in a background thread, or inline
-        with ``synchronous=True``), installs the revision into the cache
-        and the matcher, and open sessions pick up the new scheme at their
-        next segment boundary.  Off (``None``) by default.
+        profiled anchors past the configured threshold, the feed that
+        fired runs one ``revise_plan`` inline before it returns, installs
+        the revision into the cache and the matcher, and open sessions
+        pick up the new scheme at their next segment boundary.  With a
+        spill directory, that feed also writes the revision's spill file.
+        Off (``None``) by default.
     metrics:
         The registry the pool records ``serving.pool.*`` / ``drift.*`` /
         ``compile.stage.revise_ms`` into and hands to its matchers; it
@@ -288,9 +291,6 @@ class MatcherPool:
         #: so the class keeps the numbering of the first variant opened.
         self._pruned: Dict[Tuple[str, str], CompiledPlan] = {}
         self._entries: Dict[int, _StreamEntry] = {}
-        #: record keys with a revise in flight (single-flight guard) →
-        #: the worker thread, or None while launching/inline.
-        self._revising: Dict[Tuple[str, str], Optional[threading.Thread]] = {}
         self._next_id = 0
         #: admission slots reserved by opens that are still compiling —
         #: they count against ``max_streams`` but have no entry yet.
@@ -319,7 +319,6 @@ class MatcherPool:
                 "rejected": int(count("serving.pool.rejected").value),
                 "reserved": self._reserved,
                 "matchers": len(self._classes),
-                "revising": len(self._revising),
                 "cache": self.cache.stats(),
             }
 
@@ -399,8 +398,7 @@ class MatcherPool:
                     self._pruned.pop(key, None)
                 session = record.matcher.stream(scheme=scheme)
             except BaseException:
-                self._reserved -= 1
-                self._slot_freed.notify()
+                self._release_slot()
                 raise
             # Convert the reservation into the entry (net slot count is
             # unchanged, so no waiter is woken).
@@ -497,12 +495,12 @@ class MatcherPool:
             if entry.closed:
                 raise _closed_error(stream_id, entry.fingerprint)
             result = entry.session.feed(segment)
+            if self._observe(entry.record, result.observations):
+                self._run_revise(entry.record)
         self.metrics.counter("serving.pool.feeds").inc()
         self.metrics.histogram("serving.pool.feed_ms").observe(
             (perf_counter() - started) * 1e3
         )
-        if self._observe(entry.record, result.observations):
-            self._launch_revise(entry.record)
         return result
 
     # ------------------------------------------------------------------
@@ -513,7 +511,7 @@ class MatcherPool:
 
         The monitor is state, so it is folded under the pool lock (taken
         only when drift detection is on).  Returns True when the monitor
-        just fired and a revise should be launched.
+        just fired and the caller should run the revise.
         """
         monitor = record.monitor
         if monitor is None or observations is None:
@@ -526,34 +524,20 @@ class MatcherPool:
                 self.metrics.counter("drift.triggers").inc()
         return fired
 
-    def _launch_revise(self, record: _ClassRecord) -> None:
-        """Kick the single-flight background revise for one class record."""
-        with self._lock:
-            if record.key in self._revising:
-                return
-            self._revising[record.key] = None
-        if self.drift.synchronous:
-            self._run_revise(record)
-            return
-        thread = threading.Thread(
-            target=self._run_revise,
-            args=(record,),
-            name=f"drift-revise-{record.key[0][:8]}",
-            daemon=True,
-        )
-        with self._lock:
-            self._revising[record.key] = thread
-        thread.start()
-
     def _run_revise(self, record: _ClassRecord) -> None:
         """Revise one record's plan from its monitor's evidence.
 
-        The expensive step (``revise_plan`` — one selector walk plus one
-        cost-model evaluation) runs outside the pool lock; the snapshot
-        before it and the install after it each take the lock briefly.
-        The revision is installed into both the shared cache (so future
-        opens get it) and the live matcher (so open sessions swap at
-        their next segment boundary).
+        Runs in the feed that fired the monitor, under that stream's lock:
+        the stream holds the record for the whole revise (a racing
+        ``close`` waits on the lock), and the monitor's fire-once latch
+        keeps it to one revise per trigger.  The expensive step
+        (``revise_plan`` — one selector walk plus one cost-model
+        evaluation) and the cache install (with its spill file, if any)
+        run outside the pool lock; the snapshot before them and the
+        matcher install after them each take it briefly.  The revision
+        goes into both the shared cache (so future opens get it) and the
+        live matcher (so open sessions swap at their next segment
+        boundary).
         """
         from repro.plan import revise_plan
 
@@ -571,21 +555,16 @@ class MatcherPool:
                 lag = record.monitor.rearm(revised)
                 self.metrics.histogram("drift.observation_lag_segments").observe(lag)
         except Exception:
-            # A failed revise must not poison the feed path (synchronous
-            # mode) or kill the worker silently: the stale plan keeps
-            # serving — it is still correct, just slow — the monitor stays
-            # latched so the failure cannot refire in a loop, and the
-            # error is visible in the counter.
+            # A failed revise must not fail the feed that fired it: the
+            # stale plan keeps serving — it is still correct, just slow —
+            # the monitor stays latched so the failure cannot refire in a
+            # loop, and the error is visible in the counter.
             self.metrics.counter("drift.revise_errors").inc()
-        finally:
-            with self._lock:
-                self._revising.pop(record.key, None)
-                self._prune_locked()
 
     def _prune_locked(self) -> None:
         """Drop every class record nothing needs any more: no open stream
-        holds it, no revise is in flight for it, and its canonical
-        fingerprint is no longer resident in the cache.
+        holds it and its canonical fingerprint is no longer resident in
+        the cache.
 
         The matcher (simulator, scheme state) and monitor go; the plan the
         record served stays in ``_pruned``.  A stream's answers use the
@@ -596,38 +575,9 @@ class MatcherPool:
         cache order every caller keeps).
         """
         for key, record in list(self._classes.items()):
-            idle = not record.streams and key not in self._revising
-            if idle and key[0] not in self.cache:
+            if not record.streams and key[0] not in self.cache:
                 self._pruned[key] = record.matcher.plan
                 del self._classes[key]
-
-    def drain_revisions(self, timeout: Optional[float] = None) -> int:
-        """Block until in-flight background revises finish (tests, shutdown).
-
-        ``timeout`` bounds the *total* wait across every in-flight revise
-        thread (one shared deadline, not N per-thread waits), so a
-        graceful shutdown with ``timeout=5`` takes at most ~5 seconds no
-        matter how many revises are running.  Returns the number of
-        revise threads still alive when the wait ended — 0 on a clean
-        drain — so callers (the gateway's shutdown path, and through it
-        the scenario runner) can log or fail on stragglers instead of
-        silently leaving live threads behind.  Synchronous-mode pools have nothing
-        to drain.
-        """
-        with self._lock:
-            threads = [t for t in self._revising.values() if t is not None]
-        deadline = (
-            None if timeout is None else perf_counter() + float(timeout)
-        )
-        for thread in threads:
-            if deadline is None:
-                thread.join()
-            else:
-                remaining = deadline - perf_counter()
-                if remaining <= 0 and thread.is_alive():
-                    continue
-                thread.join(max(remaining, 0.0))
-        return sum(1 for thread in threads if thread.is_alive())
 
     # ------------------------------------------------------------------
     # gang scheduling (fused cross-stream dispatch)

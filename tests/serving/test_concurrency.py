@@ -75,7 +75,7 @@ def test_soak_eight_threads_four_fingerprints(backend):
     ids=["sim", "fast", "fast-fused"],
 )
 def test_drift_soak_revises_under_contention(backend, fused):
-    """Drift document: live traffic collapses mid-run, background revises
+    """Drift document: live traffic collapses mid-run, inline revises
     and segment-boundary hot-swaps race the connections' pool threads
     (and, fused, their gang dispatches), and every closed stream still
     matches the oracle bit-for-bit."""
@@ -86,7 +86,7 @@ def test_drift_soak_revises_under_contention(backend, fused):
     report = run_scenario(scenario)
     assert report.ok, report.summary()
     assert report.metrics.get("drift.revise_errors", 0) == 0
-    # The distribution shift provoked at least one background revise, and
+    # The distribution shift provoked at least one revise, and
     # streams open across the swap were switched at a segment boundary
     # (visible in their wire close summaries).
     assert report.metrics["drift.revises"] >= 1
@@ -95,7 +95,6 @@ def test_drift_soak_revises_under_contention(backend, fused):
     # Revises never touch the compiler: still one compile per class.
     pool = report.gateway_stats["pool"]
     assert pool["cache"]["compiles"] == len(scenario.tenants)
-    assert pool["revising"] == 0
 
 
 def test_soak_is_deterministic_per_stream():

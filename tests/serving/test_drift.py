@@ -1,9 +1,10 @@
-"""Online adaptation: drift detection, background revise, and plan hot-swap.
+"""Online adaptation: drift detection, inline revise, and plan hot-swap.
 
-The acceptance bar (ISSUE 9): on the two-phase ``classic.drifting_phase``
-workload a drift-enabled pool must run **exactly one** background revise
-and segment-boundary hot-swap (PM → SFA) while every closed stream stays
-bit-identical to the sequential ``dfa.run`` oracle — on both backends.
+The acceptance bar: on the two-phase ``classic.drifting_phase``
+workload a drift-enabled pool must run **exactly one** revise, inside the
+feed that fires it, and segment-boundary hot-swap (PM → SFA) while every
+closed stream stays bit-identical to the sequential ``dfa.run`` oracle —
+on both backends.
 The :class:`DriftMonitor` unit suite pins the hysteresis contract (no
 flapping, warm-up gate, fire-once latch, dormant on misprediction-free
 schemes), and the cache suite pins revision monotonicity (a re-submitted
@@ -197,7 +198,6 @@ def _drift_pool(backend, metrics, cache=None, fused=False, **drift_kwargs):
         min_samples=60,
         ewma_alpha=0.5,
         hysteresis=2,
-        synchronous=True,
     )
     kwargs.update(drift_kwargs)
     pool = MatcherPool(
@@ -340,26 +340,88 @@ def test_calm_traffic_never_triggers():
     assert metrics.as_dict().get("drift.triggers", 0) == 0
 
 
-def test_background_revise_lands_after_drain():
+def test_revise_lands_in_the_firing_feed(monkeypatch):
+    """The feed that fires the monitor runs the revise itself: it starts
+    no thread, and the revision is installed before the feed returns."""
+    import repro.serving.pool
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a drift revise started a thread")
+
+    monkeypatch.setattr(repro.serving.pool.threading, "Thread", no_thread)
     dfa = classic.drifting_phase(128)
     training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
     metrics = MetricsRegistry()
-    pool, cache, config = _drift_pool("fast", metrics, synchronous=False)
+    pool, cache, config = _drift_pool("fast", metrics)
     sid = pool.open(dfa, training_input=training)
+    (record,) = pool._classes.values()
     fed = bytearray()
-    for i in range(4):
-        seg = classic.drifting_phase_input(2048, drift_at=1.0, seed=100 + i)
+    phases = [(1.0, 100 + i) for i in range(4)] + [(0.0, 200 + i) for i in range(8)]
+    for drift_at, seed in phases:
+        seg = classic.drifting_phase_input(2048, drift_at=drift_at, seed=seed)
         pool.feed(sid, seg)
         fed += seg
-    for i in range(8):
-        seg = classic.drifting_phase_input(2048, drift_at=0.0, seed=200 + i)
-        pool.feed(sid, seg)
-        fed += seg
-    pool.drain_revisions(timeout=60.0)
+        exported = metrics.as_dict()
+        revises = exported.get("drift.revises", 0)
+        assert revises == exported.get("drift.triggers", 0)
+        assert record.matcher.plan.revision == revises
     stats = pool.close(sid)
     assert stats.end_state == int(dfa.run(bytes(fed)))
     exported = metrics.as_dict()
     assert exported["drift.revises"] == 1
     assert exported.get("drift.revise_errors", 0) == 0
+    # One stream: nothing else fed between the trigger and the install.
+    assert exported["drift.observation_lag_segments.max"] == 0
     assert cache.get_or_compile(dfa, training, config).revision == 1
-    assert pool.stats()["revising"] == 0
+
+
+def test_close_racing_an_inline_revise_waits_for_it(monkeypatch):
+    """A close that lands while the firing feed runs its revise waits on
+    the stream lock, and the record it leaves behind serves the revision."""
+    import threading
+
+    import repro.plan
+
+    entered, release = threading.Event(), threading.Event()
+    revise = repro.plan.revise_plan
+
+    def gated(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=30)
+        return revise(*args, **kwargs)
+
+    monkeypatch.setattr(repro.plan, "revise_plan", gated)
+    dfa = classic.drifting_phase(128)
+    training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
+    metrics = MetricsRegistry()
+    pool, cache, config = _drift_pool("fast", metrics)
+    sid = pool.open(dfa, training_input=training)
+    (key,) = pool._classes
+    fed, summaries = bytearray(), []
+
+    def feeder():
+        for i in range(8):
+            seg = classic.drifting_phase_input(2048, drift_at=0.0, seed=200 + i)
+            try:
+                pool.feed(sid, seg)
+            except ServingError as exc:
+                assert exc.code == "stream_closed"
+                return
+            fed.extend(seg)
+
+    feeding = threading.Thread(target=feeder)
+    feeding.start()
+    assert entered.wait(timeout=30)
+    closing = threading.Thread(target=lambda: summaries.append(pool.close(sid)))
+    closing.start()
+    closing.join(timeout=0.2)
+    assert closing.is_alive()  # waits on the lock the revising feed holds
+    release.set()
+    closing.join(timeout=30)
+    feeding.join(timeout=30)
+    assert not closing.is_alive() and not feeding.is_alive()
+    (stats,) = summaries
+    assert stats.end_state == int(dfa.run(bytes(fed)))
+    assert metrics.as_dict()["drift.revises"] == 1
+    assert pool._classes[key].matcher.plan.revision == 1
+    assert cache.get_or_compile(dfa, training, config).revision == 1

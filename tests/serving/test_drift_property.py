@@ -3,7 +3,7 @@
 Hypothesis drives a random serving schedule — interleaved opens (selected
 and forced-sequential streams), calm feeds, drifted-hot feeds, and closes
 — over a drift-enabled :class:`MatcherPool` with a hair-trigger
-synchronous :class:`DriftConfig`, so revises and segment-boundary
+:class:`DriftConfig`, so revises and segment-boundary
 hot-swaps fire *inside* the schedule whenever the traffic happens to
 collapse accuracy.  Whatever the schedule and however many swaps land,
 every stream's final state at close must equal ``dfa.run`` over exactly
@@ -35,7 +35,6 @@ DRIFT = DriftConfig(
     min_samples=8,
     ewma_alpha=0.8,
     hysteresis=1,
-    synchronous=True,
 )
 
 seed = st.integers(min_value=0, max_value=2**31 - 1)
@@ -111,4 +110,3 @@ def test_drifting_schedule_matches_oracle(backend, schedule):
     while open_streams:
         check_close(len(open_streams) - 1)
     assert pool.active == 0
-    assert pool.stats()["revising"] == 0  # synchronous revises never linger

@@ -9,7 +9,8 @@ connections — nothing is mocked.  The acceptance contract:
 * a capacity reject crosses the wire as the structured retryable
   ``code="capacity"`` error and costs zero compiles;
 * a connection dropped mid-feed has its orphaned streams reaped;
-* a graceful stop closes every stream and leaves no live revise thread.
+* a graceful stop lets every in-flight request finish its pool call,
+  then closes every stream.
 """
 
 import asyncio
@@ -216,9 +217,7 @@ def test_mid_feed_disconnect_reaps_orphaned_streams(config, fsms, training):
 # ----------------------------------------------------------------------
 # graceful drain
 # ----------------------------------------------------------------------
-def test_stop_closes_streams_and_drains_revise_threads(
-    config, fsms, training
-):
+def test_stop_closes_streams_left_open(config, fsms, training):
     async def main():
         server = make_server(config, max_streams=4)
         await server.start()
@@ -226,40 +225,81 @@ def test_stop_closes_streams_and_drains_revise_threads(
         for _ in range(2):
             sid = await cl.open(fsms[0], training=training)
             await cl.feed(sid, b"left open on purpose")
-        # A background revise still in flight when the drain starts.
-        fake = threading.Thread(target=time.sleep, args=(0.2,))
-        fake.start()
-        server.pool._revising[9999] = fake
-        stragglers = await server.stop()
-        assert stragglers == 0
-        assert not fake.is_alive()  # drain joined it
+        assert await server.stop() == 0
         assert server.pool.active == 0
-        stats = server.stats()
-        assert stats["drained_streams"] == 2
-        assert stats["drain_stragglers"] == 0
+        assert server.stats()["drained_streams"] == 2
         await cl.aclose()
 
     asyncio.run(main())
 
 
-def test_stop_reports_stragglers_past_the_shared_deadline(config):
+def test_stop_waits_for_an_open_in_flight(
+    config, fsms, training, monkeypatch
+):
+    """A stop that lands while an ``open`` is compiling lets the open
+    finish, then closes its stream: no stream or admission slot outlives
+    the drain."""
+    import repro.serving.cache as cache_module
+
+    release = threading.Event()
+    compile_plan = cache_module.compile_plan
+
+    def gated(*args, **kwargs):
+        assert release.wait(timeout=30)
+        return compile_plan(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "compile_plan", gated)
+
     async def main():
-        server = GatewayServer(
-            MatcherPool(config=config), drain_timeout=0.1
-        )
+        server = make_server(config)
         await server.start()
-        release = threading.Event()
-        slow = threading.Thread(target=release.wait)
-        slow.start()
-        server.pool._revising[1] = slow
-        started = time.monotonic()
-        stragglers = await server.stop()
-        elapsed = time.monotonic() - started
+        cl = await GatewayClient.connect("127.0.0.1", server.port)
+        opening = asyncio.ensure_future(cl.open(fsms[0], training=training))
+        deadline = time.monotonic() + 10.0
+        while server.pool.stats()["reserved"] != 1:
+            assert time.monotonic() < deadline
+            await asyncio.sleep(0.005)
+        stopping = asyncio.ensure_future(server.stop())
+        await asyncio.sleep(0.1)
         release.set()
-        slow.join()
-        assert stragglers == 1
-        assert elapsed < 2.0  # one shared deadline, not per-thread
-        assert server.stats()["drain_stragglers"] == 1
+        assert await stopping == 0
+        # Let an open that stop() did not wait for land, so a leak shows.
+        while server.pool.stats()["reserved"] and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        assert server.pool.active == 0
+        assert server.stats()["drained_streams"] == 1
+        await asyncio.gather(opening, return_exceptions=True)
+        await cl.aclose()
+
+    asyncio.run(main())
+
+
+def test_stop_releases_a_handler_blocked_on_a_client_that_never_reads(config):
+    """A client that pipelines requests and never reads the replies leaves
+    its handler blocked writing; stop() still returns."""
+    import socket
+
+    async def main():
+        server = make_server(config)
+        await server.start()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", server.port))
+        sock.setblocking(False)
+        burst = protocol.encode_line({"op": "stats", "id": 0}) * 64
+        # Pipeline until the request count stalls: the handler is then
+        # stuck in drain() behind replies nobody reads.
+        deadline = time.monotonic() + 20
+        seen, stalled_since = -1, time.monotonic()
+        while time.monotonic() - stalled_since < 0.3:
+            assert time.monotonic() < deadline
+            with contextlib.suppress(BlockingIOError):
+                sock.send(burst)
+            await asyncio.sleep(0.01)
+            if server.stats()["requests"] != seen:
+                seen, stalled_since = server.stats()["requests"], time.monotonic()
+        assert await asyncio.wait_for(server.stop(), timeout=10) == 0
+        sock.close()
 
     asyncio.run(main())
 
@@ -492,7 +532,7 @@ def test_every_stats_count_is_a_view_of_the_registry(config, fsms, training):
     assert exported == srv.metrics.as_dict()
     views = (
         ("gateway", stats, ("active_connections", "protocol_version")),
-        ("serving.pool", stats["pool"], ("active_streams", "reserved", "matchers", "revising")),
+        ("serving.pool", stats["pool"], ("active_streams", "reserved", "matchers")),
         ("serving.cache", stats["pool"]["cache"], ("size", "capacity", "aliases", "in_flight")),
     )
     for family, view, live in views:

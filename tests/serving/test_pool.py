@@ -285,39 +285,6 @@ def test_concurrent_opens_cannot_overadmit_during_compile(
     assert pool.active == 1
 
 
-def test_drain_revisions_shared_deadline_and_straggler_count(config):
-    """drain_revisions(timeout=...) bounds the *total* wait (one shared
-    deadline, not N per-thread timeouts) and reports how many revise
-    threads were still alive when it gave up."""
-    import threading
-    from time import perf_counter, sleep
-
-    pool = MatcherPool(config=config)
-    release = threading.Event()
-    workers = [
-        threading.Thread(target=release.wait, args=(5.0,), daemon=True)
-        for _ in range(4)
-    ]
-    for i, worker in enumerate(workers):
-        worker.start()
-        pool._revising[f"fake-{i}"] = worker
-    try:
-        started = perf_counter()
-        stragglers = pool.drain_revisions(timeout=0.2)
-        elapsed = perf_counter() - started
-        assert stragglers == 4
-        # Per-thread timeouts would wait ~4 x 0.2s; the shared deadline
-        # caps the whole drain near 0.2s.
-        assert elapsed < 0.6
-    finally:
-        release.set()
-        for worker in workers:
-            worker.join(timeout=5)
-        pool._revising.clear()
-    sleep(0.01)
-    assert pool.drain_revisions(timeout=0.2) == 0
-
-
 def _digits(rng, n):
     return bytes(rng.integers(48, 50, size=n).astype(np.uint8))
 
@@ -350,9 +317,9 @@ def test_class_records_do_not_outlive_their_plans(config, rng):
     assert pool.stats()["matchers"] <= 2
 
 
-def test_held_or_revising_records_survive_eviction(config, rng):
-    """An open stream or an in-flight revise keeps a record whose plan the
-    cache evicted; the last holder to let go drops it."""
+def test_held_records_survive_eviction(config, rng):
+    """An open stream keeps a record whose plan the cache evicted; the
+    close that lets go of it drops it."""
     cache = PlanCache(capacity=1, config=config)
     pool = MatcherPool(cache, config=config)
     training = _digits(rng, 512)
@@ -363,13 +330,7 @@ def test_held_or_revising_records_survive_eviction(config, rng):
     assert key in pool._classes
     data = _digits(rng, 200)
     assert pool.feed(sid, data).end_state == held.run(data)
-
-    pool._revising[key] = None  # a revise in flight holds it past the close
     pool.close(sid)
-    assert key in pool._classes
-    with pool._lock:
-        pool._revising.pop(key)
-        pool._prune_locked()
     assert key not in pool._classes
 
 
