@@ -2,7 +2,8 @@
 
 The drifting-phase workload trains calm (the selector rightly picks PM),
 then the live distribution flips hot and PM's speculation collapses to
-near-sequential recovery.  A drift-enabled pool must detect the collapse,
+near-sequential recovery.  A drift-enabled pool (``drift=True``: the one
+fixed policy of :mod:`repro.serving.drift`) must detect the collapse,
 revise inside the feed that fired (one ``revise_plan``, no recompile)
 and hot-swap to SFA at a segment boundary; a pinned pool keeps serving the
 stale PM plan.  On the post-swap segments the adapted pool must win by
@@ -21,7 +22,7 @@ import os
 
 from repro.framework import GSpecPalConfig
 from repro.observability import MetricsRegistry
-from repro.serving import DriftConfig, MatcherPool, PlanCache
+from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
 
 N_STATES = int(os.environ.get("REPRO_BENCH_ADAPT_STATES", 128))
@@ -44,7 +45,7 @@ def _segments():
     return calm + hot
 
 
-def _serve(drift_config):
+def _serve(drift):
     """Feed the two-phase schedule through one pool; per-segment cycles."""
     config = GSpecPalConfig(n_threads=N_THREADS, backend="sim")
     metrics = MetricsRegistry()
@@ -54,7 +55,7 @@ def _serve(drift_config):
         config=config,
         backend="sim",
         metrics=metrics,
-        drift=drift_config,
+        drift=drift,
     )
     dfa = classic.drifting_phase(N_STATES)
     training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
@@ -80,7 +81,7 @@ def _serve(drift_config):
 
 
 def test_hot_swap_beats_pinned_stale_plan():
-    pinned_stats, pinned_cycles, _, pinned_metrics, *_ = _serve(None)
+    pinned_stats, pinned_cycles, _, pinned_metrics, *_ = _serve(False)
     assert pinned_stats.scheme_switches == 0
     assert pinned_metrics.get("drift.revises", 0) == 0
 
@@ -93,14 +94,7 @@ def test_hot_swap_beats_pinned_stale_plan():
         dfa,
         training,
         config,
-    ) = _serve(
-        DriftConfig(
-            threshold=0.3,
-            min_samples=60,
-            ewma_alpha=0.5,
-            hysteresis=2,
-        )
-    )
+    ) = _serve(True)
 
     # Exactly one inline revise + segment-boundary hot-swap.
     assert exported["drift.triggers"] == 1

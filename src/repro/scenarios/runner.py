@@ -50,22 +50,12 @@ from repro.gateway.client import GatewayClient
 from repro.gateway.server import GatewayServer
 from repro.scenarios.schema import GateSpec, Scenario
 from repro.serving.cache import PlanCache
-from repro.serving.drift import DriftConfig
 from repro.serving.pool import MatcherPool
 from repro.workloads import classic
 
 #: Streams one connection opens, gang-feeds and closes together when the
 #: scenario's pool is fused (a plain scenario drives them one at a time).
 GANG_WIDTH = 4
-
-#: What ``pool.drift: true`` turns on.  Sized for the builtin ``drift``
-#: document's ~100-190 byte segments at 8 lanes: a heavy newest-sample
-#: weight so a handful of collapsed segments drags the EWMA through the
-#: threshold, two consecutive breaches to fire, and a warm-up that a few
-#: calm segments per class already satisfy.
-DRIFT_CONFIG = DriftConfig(
-    threshold=0.3, min_samples=32, ewma_alpha=0.5, hysteresis=2
-)
 
 
 @dataclass
@@ -632,7 +622,7 @@ def run_scenario(
                 max_streams=scenario.pool.max_streams,
                 open_timeout=scenario.pool.open_timeout,
                 fused=scenario.pool.fused,
-                drift=DRIFT_CONFIG if scenario.pool.drift else None,
+                drift=scenario.pool.drift,
             )
             server = GatewayServer(pool, log=log)
             await server.start()

@@ -281,8 +281,8 @@ class PoolSpec:
 
     ``fused`` builds a gang-scheduling pool *and* makes every client
     connection drive its streams as gangs fed with ``feed_many``;
-    ``drift`` turns on drift detection with the runner's one fixed
-    :class:`~repro.serving.DriftConfig`.
+    ``drift`` turns on drift detection, whose one fixed policy is
+    :mod:`repro.serving.drift`'s.
     """
 
     max_streams: int = 32

@@ -95,8 +95,8 @@ class Scheme(abc.ABC):
     #: *verified speculation boundaries*.  Misprediction-free schemes
     #: whose matches are exact by construction (SFA's mapping
     #: compositions) set this False so their runs carry traffic shape
-    #: but zero accuracy evidence — the drift monitor's dormancy
-    #: contract depends on it.
+    #: but zero accuracy evidence — the drift monitor never moves its
+    #: EWMA on a sample-free run.
     boundary_evidence: bool = True
 
     def __init__(

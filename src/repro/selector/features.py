@@ -102,7 +102,7 @@ class FSMFeatures:
                 return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         return anchors[-1][1]
 
-    def update_from_observations(self, observations, *, spec_k=None) -> "FSMFeatures":
+    def update_from_observations(self, observations) -> "FSMFeatures":
         """Fold live evidence into the vector: re-anchor the accuracy family.
 
         The live measurement fixes the accuracy at one queue depth; the
@@ -115,7 +115,7 @@ class FSMFeatures:
         """
         if observations is None or observations.boundary_samples == 0:
             return self
-        k = int(spec_k if spec_k is not None else observations.spec_k)
+        k = int(observations.spec_k)
         live = float(observations.spec_accuracy)
         ratio = live / max(self.accuracy_at(k), 1e-9)
 

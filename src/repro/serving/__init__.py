@@ -13,11 +13,10 @@ over the gateway by the ``soak`` / ``soak-fused`` / ``equivalent-mix`` /
 """
 
 from repro.serving.cache import PlanCache
-from repro.serving.drift import DriftConfig, DriftMonitor
+from repro.serving.drift import DriftMonitor
 from repro.serving.pool import FeedOutcome, MatcherPool, StreamStats
 
 __all__ = [
-    "DriftConfig",
     "DriftMonitor",
     "FeedOutcome",
     "MatcherPool",

@@ -7,22 +7,28 @@ PM/SRE degrades toward its sequential worst case while the pinned plan
 never notices.  :class:`DriftMonitor` watches the live evidence every
 scheme run already produces (:class:`~repro.speculation.observations.
 LiveObservations`) and fires when the live accuracy diverges from the
-plan's anchor by more than a configurable margin.
+plan's anchor by more than :data:`THRESHOLD`.
+
+The policy is fixed: the four module constants below are the only values
+it reads, and ``MatcherPool(drift=True)`` is the only switch.  They are
+sized for short segments at few lanes (the ``drift`` scenario's ~100–190
+byte segments at 8 lanes): a heavy newest-sample weight so a handful of
+collapsed segments drags the EWMA through the threshold, two consecutive
+breaches to fire, and a warm-up that a few calm segments already satisfy.
 
 Design points:
 
 * **EWMA + hysteresis, so it can't flap.**  Per-segment accuracy is a
   noisy few-boundary sample; the monitor smooths it with an exponentially
-  weighted moving average, refuses to judge before ``min_samples``
+  weighted moving average, refuses to judge before :data:`MIN_SAMPLES`
   verified boundaries have accumulated, and only fires after
-  ``hysteresis`` *consecutive* breaching observations.  A borderline
+  :data:`HYSTERESIS` *consecutive* breaching observations.  A borderline
   stream oscillating around the threshold resets the breach run and never
   fires.
 * **Fires once.**  ``observe`` latches after the first trigger; the feed
   that fired runs a single revise inline and re-arms the monitor against
-  the revised plan's anchors.  A monitor re-armed onto a misprediction-free
-  scheme (sfa/seq) goes dormant — those runs carry no boundary samples,
-  so there is no accuracy signal left to diverge.
+  the revised plan's anchors.  Sample-free observations (sfa/seq runs,
+  fused stashes) carry no accuracy signal, so they never move the EWMA.
 * **Not thread-safe by itself.**  :class:`~repro.serving.MatcherPool`
   calls ``observe``/``snapshot``/``rearm`` under the pool lock — the
   monitor is state, unlike the ``drift.*`` metrics recorded beside it,
@@ -31,66 +37,23 @@ Design points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ServingError
 from repro.speculation.observations import LiveObservations
 
-
-@dataclass(frozen=True)
-class DriftConfig:
-    """Tunables of the serving tier's drift detection.
-
-    Attributes
-    ----------
-    threshold:
-        Minimum divergence (anchor accuracy − live EWMA) that counts as a
-        breach.
-    min_samples:
-        Verified chunk boundaries that must accumulate since the last
-        (re-)arm before the monitor may judge at all.
-    ewma_alpha:
-        Weight of the newest per-observation accuracy sample in the EWMA.
-    hysteresis:
-        Consecutive breaching observations required to fire.
-    """
-
-    threshold: float = 0.3
-    min_samples: int = 64
-    ewma_alpha: float = 0.3
-    hysteresis: int = 3
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.threshold <= 1.0):
-            raise ServingError(
-                f"drift threshold must be in (0, 1], got {self.threshold}",
-                code="drift-config",
-            )
-        if self.min_samples < 1:
-            raise ServingError(
-                f"drift min_samples must be >= 1, got {self.min_samples}",
-                code="drift-config",
-            )
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ServingError(
-                f"drift ewma_alpha must be in (0, 1], got {self.ewma_alpha}",
-                code="drift-config",
-            )
-        if self.hysteresis < 1:
-            raise ServingError(
-                f"drift hysteresis must be >= 1, got {self.hysteresis}",
-                code="drift-config",
-            )
-
-
-#: Schemes that verify no chunk boundaries — a monitor anchored to one of
-#: these never receives accuracy evidence and stays dormant.
-_SAMPLE_FREE_SCHEMES = ("sfa", "seq")
+#: Minimum divergence (anchor accuracy − live EWMA) that counts as a breach.
+THRESHOLD = 0.3
+#: Verified chunk boundaries that must accumulate since the last (re-)arm
+#: before the monitor may judge at all.
+MIN_SAMPLES = 32
+#: Weight of the newest per-observation accuracy sample in the EWMA.
+EWMA_ALPHA = 0.5
+#: Consecutive breaching observations required to fire.
+HYSTERESIS = 2
 
 
 class DriftMonitor:
-    """Per-language-class drift detector (one per pool matcher).
+    """Per-language-class drift detector (one per pool class record).
 
     The anchor is the plan's profiled accuracy curve
     (``FSMFeatures.accuracy_at``) at the depth live traffic actually
@@ -98,49 +61,27 @@ class DriftMonitor:
     schemes.  A depth the profiler did not measure (PM at ``k`` other than
     4 or 16) gets the interpolated value.  ``observe`` folds one run's
     evidence in and returns ``True`` exactly once — when a sustained
-    collapse crosses the configured threshold.
+    collapse crosses :data:`THRESHOLD`.
     """
 
-    def __init__(self, plan, config: DriftConfig):
-        self.config = config
+    def __init__(self, plan):
+        self._arm(plan)
+
+    def _arm(self, plan) -> None:
         self.fired = False
+        #: verified boundaries accumulated since the last (re-)arm.
+        self.samples = 0
         self._ewma: Optional[float] = None
         self._breaches = 0
-        self._aggregate = LiveObservations()
         #: evidence gathered during the current consecutive-breach run —
-        #: what the revise is computed from.  A lifetime aggregate would
-        #: dilute the post-drift signal with pre-drift evidence (the calm
-        #: phase's hits would drag the revised features back toward the
-        #: stale anchors); the breach window holds only the traffic that
-        #: made the monitor fire.
+        #: what the revise is computed from.  Evidence from before the run
+        #: would dilute the post-drift signal (the calm phase's hits would
+        #: drag the revised features back toward the stale anchors); the
+        #: breach window holds only the traffic that made the monitor fire.
         self._window = LiveObservations()
         self._post_fire_segments = 0
-        self._anchor_to(plan)
-
-    # ------------------------------------------------------------------
-    def _anchor_to(self, plan) -> None:
-        self._scheme = plan.scheme
-        if plan.scheme.startswith("pm"):
-            k = int(plan.config.get("spec_k", 4))
-        else:
-            k = 1
-        self._spec_k = k
+        k = int(plan.config.get("spec_k", 4)) if plan.scheme.startswith("pm") else 1
         self._anchor = float(plan.features.accuracy_at(k))
-
-    @property
-    def anchor(self) -> float:
-        """The profiled accuracy the live EWMA is compared against."""
-        return self._anchor
-
-    @property
-    def dormant(self) -> bool:
-        """True when the anchored scheme produces no accuracy evidence."""
-        return self._scheme in _SAMPLE_FREE_SCHEMES
-
-    @property
-    def samples(self) -> int:
-        """Verified boundaries accumulated since the last (re-)arm."""
-        return self._aggregate.boundary_samples
 
     @property
     def divergence(self) -> float:
@@ -153,47 +94,43 @@ class DriftMonitor:
     def observe(self, observations: LiveObservations) -> bool:
         """Fold one run's evidence in; ``True`` when the revise should fire.
 
-        Called under the pool lock.  Sample-free observations (fused
-        stashes, sfa/seq runs) still aggregate into the traffic volume but
-        never move the EWMA or the breach counter.
+        Called under the pool lock.  Once fired, observations only count
+        toward the re-arm lag; sample-free ones never move the EWMA, the
+        warm-up count or the breach counter.
         """
-        if observations is None:
-            return False
-        self._aggregate.absorb(observations)
         if self.fired:
             self._post_fire_segments += observations.segments
             return False
         batch = observations.boundary_samples
         if batch == 0:
             return False
+        self.samples += batch
         accuracy = observations.spec_accuracy
         if self._ewma is None:
             self._ewma = accuracy
         else:
-            a = self.config.ewma_alpha
-            self._ewma = a * accuracy + (1.0 - a) * self._ewma
-        if self.divergence > self.config.threshold:
+            self._ewma = EWMA_ALPHA * accuracy + (1.0 - EWMA_ALPHA) * self._ewma
+        if self.divergence > THRESHOLD:
             self._breaches += 1
             self._window.absorb(observations)
         else:
             self._breaches = 0
             self._window = LiveObservations()
-        if self.samples < self.config.min_samples:
+        if self.samples < MIN_SAMPLES:
             return False
-        if self._breaches >= self.config.hysteresis:
+        if self._breaches >= HYSTERESIS:
             self.fired = True
             return True
         return False
 
     def snapshot(self) -> LiveObservations:
-        """The evidence to revise from: the current breach window.
+        """The evidence to revise from: the breach window that fired.
 
-        Falls back to the lifetime aggregate when the window is empty
-        (only possible if a caller snapshots an unfired monitor).
+        Called after a fire, when the window holds the :data:`HYSTERESIS`
+        (or more) breaching observations, each with boundary samples — a
+        latched monitor never touches the window again.
         """
-        if self._window.boundary_samples:
-            return self._window.copy()
-        return self._aggregate.copy()
+        return self._window.copy()
 
     def rearm(self, plan) -> int:
         """Re-anchor against a freshly revised plan; reset all state.
@@ -204,11 +141,5 @@ class DriftMonitor:
         the firing feed ran its revise.
         """
         lag = self._post_fire_segments
-        self.fired = False
-        self._ewma = None
-        self._breaches = 0
-        self._aggregate = LiveObservations()
-        self._window = LiveObservations()
-        self._post_fire_segments = 0
-        self._anchor_to(plan)
+        self._arm(plan)
         return lag

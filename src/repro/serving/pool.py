@@ -55,7 +55,7 @@ from repro.framework.gspecpal import GSpecPal, StreamSession
 from repro.plan import CompiledPlan
 from repro.schemes import SchemeResult
 from repro.serving.cache import PlanCache
-from repro.serving.drift import DriftConfig, DriftMonitor
+from repro.serving.drift import DriftMonitor
 from repro.speculation.observations import LiveObservations
 
 #: Narrowest same-plan group :meth:`MatcherPool.feed_many` fuses; a lone
@@ -165,14 +165,12 @@ class _ClassRecord:
 
     __slots__ = ("key", "matcher", "monitor", "streams")
 
-    def __init__(self, key, matcher: GSpecPal, drift: Optional[DriftConfig]):
+    def __init__(self, key, matcher: GSpecPal, drift: bool):
         self.key = key
         self.matcher = matcher
         self.streams = 0
         #: anchored to the plan the matcher serves; None with drift off.
-        self.monitor = (
-            DriftMonitor(matcher.plan, drift) if drift is not None else None
-        )
+        self.monitor = DriftMonitor(matcher.plan) if drift else None
 
 
 class _StreamEntry:
@@ -183,14 +181,23 @@ class _StreamEntry:
     it instead of touching the released session.
     """
 
-    __slots__ = ("session", "fingerprint", "record", "lock", "closed")
+    __slots__ = ("session", "fingerprint", "record", "forced", "lock", "closed")
 
-    def __init__(self, session: StreamSession, fingerprint: str, record: _ClassRecord):
+    def __init__(
+        self,
+        session: StreamSession,
+        fingerprint: str,
+        record: _ClassRecord,
+        forced: bool,
+    ):
         self.session = session
         #: content fingerprint of the plan this stream was opened with.
         self.fingerprint = fingerprint
         #: the class record whose matcher serves this stream.
         self.record = record
+        #: opened with a forced scheme: its accuracy describes that scheme,
+        #: not the plan's selection, so it feeds no drift evidence.
+        self.forced = forced
         self.lock = threading.Lock()
         self.closed = False
 
@@ -235,16 +242,18 @@ class MatcherPool:
         paths raise a retryable ``ServingError(code="capacity")`` when no
         slot frees up.
     drift:
-        Opt into online adaptation: a :class:`~repro.serving.DriftConfig`
-        attaches one :class:`~repro.serving.DriftMonitor` per class record.
-        Every feed's :class:`LiveObservations` are aggregated under the
-        pool lock; when live speculation accuracy diverges from the plan's
-        profiled anchors past the configured threshold, the feed that
-        fired runs one ``revise_plan`` inline before it returns, installs
-        the revision into the cache and the matcher, and open sessions
-        pick up the new scheme at their next segment boundary.  With a
-        spill directory, that feed also writes the revision's spill file.
-        Off (``None``) by default.
+        Opt into online adaptation: ``True`` attaches one
+        :class:`~repro.serving.DriftMonitor` (the fixed policy of
+        :mod:`repro.serving.drift`) per class record.  Every unforced
+        feed's :class:`LiveObservations` are folded in under the pool
+        lock; when live speculation accuracy diverges from the plan's
+        profiled anchors past ``drift.THRESHOLD``, the feed that fired
+        runs one ``revise_plan`` inline before it returns, installs the
+        revision into the cache and the matcher, and open sessions pick
+        up the new scheme at their next segment boundary.  With a spill
+        directory, that feed also writes the revision's spill file.  A
+        stream opened with a forced ``scheme`` is exempt both ways: it
+        feeds no evidence and never swaps.  Off by default.
     metrics:
         The registry the pool records ``serving.pool.*`` / ``drift.*`` /
         ``compile.stage.revise_ms`` into and hands to its matchers; it
@@ -263,7 +272,7 @@ class MatcherPool:
         max_streams: int = 64,
         fused: bool = False,
         open_timeout: Optional[float] = None,
-        drift: Optional[DriftConfig] = None,
+        drift: bool = False,
         metrics=None,
     ):
         if max_streams < 1:
@@ -284,7 +293,7 @@ class MatcherPool:
         self.fused = bool(fused)
         self.open_timeout = open_timeout
         self.metrics = metrics or self.cache.metrics
-        self.drift = drift
+        self.drift = bool(drift)
         #: (canonical fingerprint, config hash) → that class's record.
         self._classes: Dict[Tuple[str, str], _ClassRecord] = {}
         #: key of a pruned record → the plan it served; a rebuild uses it,
@@ -405,7 +414,9 @@ class MatcherPool:
             self._reserved -= 1
             stream_id = self._next_id
             self._next_id += 1
-            self._entries[stream_id] = _StreamEntry(session, plan.fingerprint, record)
+            self._entries[stream_id] = _StreamEntry(
+                session, plan.fingerprint, record, scheme is not None
+            )
             record.streams += 1
             self._prune_locked()
             self.metrics.counter("serving.pool.opened").inc()
@@ -495,7 +506,7 @@ class MatcherPool:
             if entry.closed:
                 raise _closed_error(stream_id, entry.fingerprint)
             result = entry.session.feed(segment)
-            if self._observe(entry.record, result.observations):
+            if self._observe(entry.record, result.observations, entry.forced):
                 self._run_revise(entry.record)
         self.metrics.counter("serving.pool.feeds").inc()
         self.metrics.histogram("serving.pool.feed_ms").observe(
@@ -506,15 +517,17 @@ class MatcherPool:
     # ------------------------------------------------------------------
     # online adaptation (drift detection + plan hot-swap)
     # ------------------------------------------------------------------
-    def _observe(self, record: _ClassRecord, observations) -> bool:
+    def _observe(self, record: _ClassRecord, observations, forced=False) -> bool:
         """Feed one run's evidence to the record's drift monitor.
 
         The monitor is state, so it is folded under the pool lock (taken
-        only when drift detection is on).  Returns True when the monitor
-        just fired and the caller should run the revise.
+        only when drift detection is on).  A forced stream's evidence is
+        dropped: its accuracy was measured at another scheme's depth than
+        the plan's anchor.  Returns True when the monitor just fired and
+        the caller should run the revise.
         """
         monitor = record.monitor
-        if monitor is None or observations is None:
+        if monitor is None or observations is None or forced:
             return False
         with self._lock:
             fired = monitor.observe(observations)

@@ -14,7 +14,7 @@ The record is deliberately cheap: four counters from the run's
 :class:`~repro.gpu.stats.KernelStats` ledger plus the segment's length.
 Misprediction-free runs (``sfa``, ``seq``) carry zero boundary samples —
 they contribute traffic volume but never accuracy evidence, so a pool that has already swapped to
-SFA goes dormant instead of flapping.
+SFA never fires again instead of flapping.
 """
 
 from __future__ import annotations

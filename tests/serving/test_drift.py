@@ -5,10 +5,12 @@ workload a drift-enabled pool must run **exactly one** revise, inside the
 feed that fires it, and segment-boundary hot-swap (PM → SFA) while every
 closed stream stays bit-identical to the sequential ``dfa.run`` oracle —
 on both backends.
-The :class:`DriftMonitor` unit suite pins the hysteresis contract (no
-flapping, warm-up gate, fire-once latch, dormant on misprediction-free
-schemes), and the cache suite pins revision monotonicity (a re-submitted
-stale plan can never roll back a revise).
+The :class:`DriftMonitor` unit suite pins the hysteresis contract of the
+one shipped policy (no flapping, warm-up gate, fire-once latch, no signal
+from misprediction-free schemes), the forced-stream probe pins that a
+stream opened with a forced scheme cannot revise its class, and the cache
+suite pins revision monotonicity (a re-submitted stale plan can never
+roll back a revise).
 """
 
 from types import SimpleNamespace
@@ -20,7 +22,8 @@ from repro.framework import GSpecPalConfig
 from repro.observability import MetricsRegistry
 from repro.plan import revise_plan
 from repro.selector.features import FSMFeatures
-from repro.serving import DriftConfig, DriftMonitor, MatcherPool, PlanCache
+from repro.serving import DriftMonitor, MatcherPool, PlanCache
+from repro.serving.drift import HYSTERESIS, MIN_SAMPLES, THRESHOLD
 from repro.speculation import LiveObservations
 from repro.workloads import classic
 
@@ -59,102 +62,81 @@ GOOD = dict(hits=15, misses=1)  # accuracy 15/16 — right at the anchor
 
 
 # ----------------------------------------------------------------------
-# DriftConfig validation
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"threshold": 0.0},
-        {"threshold": 1.5},
-        {"min_samples": 0},
-        {"ewma_alpha": 0.0},
-        {"ewma_alpha": 1.5},
-        {"hysteresis": 0},
-    ],
-)
-def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ServingError) as info:
-        DriftConfig(**kwargs)
-    assert info.value.code == "drift-config"
-
-
-# ----------------------------------------------------------------------
-# DriftMonitor hysteresis contract
+# DriftMonitor hysteresis contract (the shipped policy: threshold 0.3,
+# 32 warm-up samples, EWMA alpha 0.5, 2 consecutive breaches)
 # ----------------------------------------------------------------------
 def test_warmup_gate_blocks_early_firing():
-    monitor = DriftMonitor(
-        _plan(),
-        DriftConfig(threshold=0.3, min_samples=50, ewma_alpha=1.0, hysteresis=1),
-    )
-    # Three collapsed observations = 48 boundaries: still warming up.
+    monitor = DriftMonitor(_plan())
+    # Collapsed 8-boundary observations breach from the first one, so by
+    # the second only the warm-up gate holds the fire back: three of them
+    # are 24 boundaries, still warming up.
     for _ in range(3):
-        assert monitor.observe(_obs(**BAD)) is False
+        assert monitor.observe(_obs(hits=1, misses=7)) is False
     assert not monitor.fired
-    # The fourth crosses min_samples and the sustained breach fires.
-    assert monitor.observe(_obs(**BAD)) is True
+    assert monitor.samples == 24
+    # The fourth reaches MIN_SAMPLES and the sustained breach fires.
+    assert monitor.observe(_obs(hits=1, misses=7)) is True
     assert monitor.fired
 
 
 def test_borderline_oscillation_never_fires():
-    monitor = DriftMonitor(
-        _plan(),
-        DriftConfig(threshold=0.3, min_samples=1, ewma_alpha=1.0, hysteresis=3),
-    )
-    # Two breaches, then a recovery, forever: the consecutive-breach run
-    # resets before reaching the hysteresis depth, so a borderline stream
-    # oscillating around the threshold cannot flap the plan.
+    monitor = DriftMonitor(_plan())
+    for _ in range(3):  # past the warm-up gate, EWMA at the anchor
+        assert monitor.observe(_obs(**GOOD)) is False
+    # A collapse, then a perfect recovery, forever: each collapse breaches
+    # but the recovery pulls the EWMA back under the threshold, so the
+    # consecutive-breach run resets before reaching HYSTERESIS and a
+    # borderline stream oscillating around the threshold cannot flap.
     for _ in range(10):
         assert monitor.observe(_obs(**BAD)) is False
-        assert monitor.observe(_obs(**BAD)) is False
-        assert monitor.observe(_obs(**GOOD)) is False
+        assert monitor.divergence > THRESHOLD
+        assert monitor.observe(_obs(hits=16, misses=0)) is False
+        assert monitor.divergence < THRESHOLD
     assert not monitor.fired
-    assert monitor.divergence < 0.3
 
 
 def test_sustained_collapse_fires_exactly_once():
-    monitor = DriftMonitor(
-        _plan(),
-        DriftConfig(threshold=0.3, min_samples=1, ewma_alpha=1.0, hysteresis=2),
-    )
+    monitor = DriftMonitor(_plan())
     assert monitor.observe(_obs(**BAD)) is False
     assert monitor.observe(_obs(**BAD)) is True
-    # Latched: further evidence is absorbed but never re-fires.
+    # Latched: further evidence only counts toward the lag.
     for _ in range(5):
         assert monitor.observe(_obs(**BAD, segments=2)) is False
     lag = monitor.rearm(_plan(scheme="sfa"))
     assert lag == 10  # 5 post-fire observations x 2 segments
     assert not monitor.fired
     assert monitor.samples == 0
-    assert monitor.dormant  # re-armed onto a misprediction-free scheme
+    # Re-armed onto a misprediction-free scheme: its runs carry no
+    # boundary samples, so nothing can fire again.
+    for _ in range(2 * HYSTERESIS):
+        sfa_run = LiveObservations(scheme="sfa", spec_k=1, segments=1, symbols=512)
+        assert monitor.observe(sfa_run) is False
+    assert monitor.divergence == 0.0
+    assert not monitor.fired
 
 
 def test_snapshot_returns_breach_window_not_lifetime():
-    monitor = DriftMonitor(
-        _plan(),
-        DriftConfig(threshold=0.3, min_samples=1, ewma_alpha=1.0, hysteresis=2),
-    )
+    monitor = DriftMonitor(_plan())
     for _ in range(3):
         monitor.observe(_obs(**GOOD))
-    monitor.observe(_obs(**BAD))
+    assert monitor.observe(_obs(**BAD)) is False
     assert monitor.observe(_obs(**BAD)) is True
     window = monitor.snapshot()
     # Only the two breaching observations: the calm evidence that would
     # dilute the revise back toward the stale anchors is excluded.
     assert window.boundary_samples == 32
     assert window.spec_accuracy == pytest.approx(2 / 32)
-    # The lifetime aggregate still saw everything.
+    # The warm-up count still saw everything.
     assert monitor.samples == 80
 
 
 def test_sample_free_observations_never_move_the_ewma():
-    monitor = DriftMonitor(
-        _plan(scheme="sfa"),
-        DriftConfig(threshold=0.3, min_samples=1, ewma_alpha=1.0, hysteresis=1),
-    )
-    assert monitor.dormant
+    monitor = DriftMonitor(_plan(scheme="sfa"))
     sketchy = LiveObservations(scheme="sfa", spec_k=1, segments=1, symbols=512)
-    assert monitor.observe(sketchy) is False
+    for _ in range(MIN_SAMPLES):
+        assert monitor.observe(sketchy) is False
     assert monitor.divergence == 0.0
+    assert monitor.samples == 0
     assert not monitor.fired
 
 
@@ -190,23 +172,16 @@ def test_cache_never_rolls_back_a_revision():
 # ----------------------------------------------------------------------
 # Pool integration: the ISSUE 9 acceptance scenario
 # ----------------------------------------------------------------------
-def _drift_pool(backend, metrics, cache=None, fused=False, **drift_kwargs):
+def _drift_pool(backend, metrics, cache=None, fused=False):
     config = GSpecPalConfig(n_threads=32)
     cache = cache or PlanCache(capacity=2, config=config, metrics=metrics)
-    kwargs = dict(
-        threshold=0.3,
-        min_samples=60,
-        ewma_alpha=0.5,
-        hysteresis=2,
-    )
-    kwargs.update(drift_kwargs)
     pool = MatcherPool(
         cache,
         config=config,
         backend=backend,
         metrics=metrics,
         fused=fused,
-        drift=DriftConfig(**kwargs),
+        drift=True,
     )
     return pool, cache, config
 
@@ -323,6 +298,37 @@ def test_forced_stream_is_exempt_from_swaps():
     assert stats.decision_path == ("forced",)
     assert stats.end_state == int(dfa.run(bytes(fed)))
     assert metrics.as_dict().get("drift.triggers", 0) == 0
+
+
+@pytest.mark.parametrize("scheme", ["sre", "nf", "pm-spec4"])
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_forced_stream_feeds_no_evidence_to_its_class(backend, scheme):
+    """A forced scheme's accuracy describes that scheme, not the plan's
+    selection: forced SRE on calm traffic verifies spec-1 boundaries
+    (~0.1 here) against PM's spec-4 anchor (~0.97), which once read as a
+    collapse and swapped the whole class off its right plan."""
+    dfa = classic.drifting_phase(128)
+    training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
+    metrics = MetricsRegistry()
+    pool, cache, config = _drift_pool(backend, metrics)
+    sid = pool.open(dfa, training_input=training, scheme=scheme)
+    (record,) = pool._classes.values()
+    assert record.matcher.plan.scheme == "pm"
+    fed = bytearray()
+    for i in range(20):
+        seg = classic.drifting_phase_input(4096, drift_at=1.0, seed=400 + i)
+        pool.feed(sid, seg)
+        fed += seg
+    stats = pool.close(sid)
+    assert stats.scheme == scheme and stats.decision_path == ("forced",)
+    assert stats.end_state == int(dfa.run(bytes(fed)))
+    exported = metrics.as_dict()
+    assert exported.get("drift.triggers", 0) == 0
+    assert exported.get("drift.revises", 0) == 0
+    assert record.matcher.plan.revision == 0
+    assert record.matcher.plan.scheme == "pm"
+    resident = cache.get_or_compile(dfa, training, config)
+    assert (resident.revision, resident.scheme) == (0, "pm")
 
 
 def test_calm_traffic_never_triggers():

@@ -2,12 +2,13 @@
 
 Hypothesis drives a random serving schedule — interleaved opens (selected
 and forced-sequential streams), calm feeds, drifted-hot feeds, and closes
-— over a drift-enabled :class:`MatcherPool` with a hair-trigger
-:class:`DriftConfig`, so revises and segment-boundary
-hot-swaps fire *inside* the schedule whenever the traffic happens to
-collapse accuracy.  Whatever the schedule and however many swaps land,
-every stream's final state at close must equal ``dfa.run`` over exactly
-the bytes that stream was fed, in order — on both backends.
+— over a drift-enabled :class:`MatcherPool` running the one shipped
+policy, so revises and segment-boundary hot-swaps fire *inside* the
+schedule whenever the traffic collapses accuracy for long enough; an
+explicit hot schedule, served from a freshly compiled plan, must revise.
+Whatever the schedule and however many swaps land, every stream's final
+state at close must equal ``dfa.run`` over exactly the bytes that stream
+was fed, in order — on both backends.
 
 Plans are compiled once into a module-shared cache; revises mutate the
 resident plan (that is the point), so later examples also exercise
@@ -15,11 +16,12 @@ serving from an already-revised artifact.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.framework import GSpecPalConfig
-from repro.serving import DriftConfig, MatcherPool, PlanCache
+from repro.observability import MetricsRegistry
+from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
 
 CONFIG = GSpecPalConfig(n_threads=8)
@@ -28,14 +30,6 @@ TRAINING = classic.drifting_phase_input(1024, drift_at=1.0, seed=3)
 #: Warm, shared across examples: the fingerprint compiles exactly once
 #: for the whole module, not once per shrink attempt.
 SHARED_CACHE = PlanCache(capacity=2, config=CONFIG)
-#: Hair-trigger so random schedules actually revise: one breaching
-#: observation past an 8-boundary warm-up fires, inline.
-DRIFT = DriftConfig(
-    threshold=0.2,
-    min_samples=8,
-    ewma_alpha=0.8,
-    hysteresis=1,
-)
 
 seed = st.integers(min_value=0, max_value=2**31 - 1)
 # Per-stream feeds partition each segment into n_threads chunks, so a
@@ -50,6 +44,15 @@ op = st.one_of(
     st.tuples(st.just("close"), st.integers(0, 63)),
 )
 
+#: Sustained drifted-hot feeds on one selected stream (seven boundaries
+#: each at 8 lanes, so the fifth passes the warm-up), beside a forced
+#: stream that is fed hot too, then calm traffic after the swap.
+HOT_SCHEDULE = (
+    [("open", False), ("open", True)]
+    + [("hot", 0, 96, 10 + i) for i in range(6)]
+    + [("hot", 1, 64, 20), ("calm", 0, 96, 30), ("close", 1)]
+)
+
 
 @pytest.mark.parametrize("backend", ["fast", "sim"])
 @settings(
@@ -57,14 +60,20 @@ op = st.one_of(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+@example(schedule=HOT_SCHEDULE)
 @given(schedule=st.lists(op, min_size=1, max_size=24))
 def test_drifting_schedule_matches_oracle(backend, schedule):
+    hot = schedule == HOT_SCHEDULE
+    metrics = MetricsRegistry()
     pool = MatcherPool(
-        SHARED_CACHE,
+        # The hot schedule starts from the calm-trained plan, not from one
+        # an earlier example already revised.
+        PlanCache(capacity=2, config=CONFIG) if hot else SHARED_CACHE,
         config=CONFIG,
         backend=backend,
         max_streams=16,
-        drift=DRIFT,
+        drift=True,
+        metrics=metrics,
     )
     #: [stream_id, bytearray of everything fed, forced?]
     open_streams = []
@@ -110,3 +119,5 @@ def test_drifting_schedule_matches_oracle(backend, schedule):
     while open_streams:
         check_close(len(open_streams) - 1)
     assert pool.active == 0
+    if hot:
+        assert metrics.as_dict().get("drift.revises", 0) >= 1
