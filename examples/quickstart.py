@@ -37,7 +37,7 @@ def main() -> None:
         f"convergence #uniqStates(10) = {features.convergence_states:.1f}"
     )
     print(f"selector says: {pal.select_scheme()}")
-    print(DecisionTreeSelector(pal.config.thresholds).explain(features))
+    print(DecisionTreeSelector().explain(features))
 
     result = pal.run(stream)
     value_mod_7 = "divisible" if result.accepts else "not divisible"

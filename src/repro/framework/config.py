@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.engine import resolve_backend_name
 from repro.gpu.device import RTX3090, DeviceSpec
-from repro.selector.decision_tree import SelectorThresholds
 from repro.selfcheck.audit import selfcheck_enabled
 from repro.errors import SchemeError
 
@@ -16,14 +15,15 @@ from repro.errors import SchemeError
 class GSpecPalConfig:
     """Tunables of the GSpecPal framework.
 
+    The paper's fixed parameters are constants, not fields: PM's
+    ``SPEC_K`` = 4 paths, the 16/16 ``VR`` register budgets and the
+    default ``SelectorThresholds``.  Sweeps set them on the scheme or
+    selector objects.
+
     Attributes
     ----------
     n_threads:
         GPU threads == input chunks ``N``.
-    spec_k:
-        Paths per thread when PM is selected (paper baseline: 4).
-    own_registers / others_registers:
-        Register budgets for ``VR^end`` / ``VR^others`` (paper: 16 / 16).
     use_transformation:
         Apply the frequency-based DFA transformation (§IV-B).  Turning it
         off falls back to PM's hash-table hot layout (the ablation knob).
@@ -34,8 +34,6 @@ class GSpecPalConfig:
         Lower bound on the profiling slice.
     device:
         Simulated GPU.
-    thresholds:
-        Decision-tree cut points.
     backend:
         Execution backend name: ``"sim"`` (cycle-accurate) or ``"fast"``
         (answer-only serving path, no cycle ledger).  ``None`` resolves
@@ -51,22 +49,16 @@ class GSpecPalConfig:
     """
 
     n_threads: int = 256
-    spec_k: int = 4
-    own_registers: int = 16
-    others_registers: int = 16
     use_transformation: bool = True
     training_fraction: float = 0.005
     min_training_symbols: int = 2048
     device: DeviceSpec = RTX3090
-    thresholds: SelectorThresholds = field(default_factory=SelectorThresholds)
     backend: Optional[str] = None
     selfcheck: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.n_threads < 2:
             raise SchemeError("GSpecPal needs at least 2 threads/chunks")
-        if self.spec_k < 1:
-            raise SchemeError("spec_k must be >= 1")
         if not (0.0 < self.training_fraction <= 1.0):
             raise SchemeError("training_fraction must be in (0, 1]")
         # Resolved once (a typo fails now, not at first kernel launch).

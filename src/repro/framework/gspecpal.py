@@ -38,6 +38,7 @@ from repro.gpu.kernel import GpuSimulator
 from repro.observability import NULL_TRACER
 from repro.schemes import SCHEME_REGISTRY, SchemeResult
 from repro.schemes.base import Scheme
+from repro.schemes.pm import SPEC_K
 from repro.selector.cost_model import estimate_costs
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import FSMFeatures
@@ -51,9 +52,11 @@ class GSpecPal:
     #: Schemes the selector may pick: the Fig. 6 tree's leaves (the
     #: paper's four plus the misprediction-free SFA leaf).
     SELECTABLE = DecisionTreeSelector.SCHEMES
-    #: Every scheme name ``run``/``stream``/``build_scheme`` accept (the
-    #: spec-k alias ``pm-spec<k>`` is additionally accepted per config).
+    #: Every registered scheme name; ``run``/``stream``/``build_scheme``
+    #: also accept PM's served name, :data:`PM_ALIAS`.
     KNOWN_SCHEMES = tuple(SCHEME_REGISTRY)
+    #: The name ``pm`` serves under: ``pm-spec4``, the paper's baseline.
+    PM_ALIAS = f"pm-spec{SPEC_K}"
 
     def __init__(
         self,
@@ -168,28 +171,20 @@ class GSpecPal:
     # scheme-name validation (fail fast, before any expensive phase)
     # ------------------------------------------------------------------
     @classmethod
-    def validate_scheme_name(
-        cls, name: Optional[str], *, spec_k: int = 4
-    ) -> None:
-        """Reject an unknown forced-scheme name with an actionable error.
+    def validate_scheme_name(cls, name: Optional[str]) -> None:
+        """Reject an unknown forced-scheme name with an actionable error,
+        before any profiling, compile or simulator work.
 
         Class-level so callers that have no framework instance yet — the
         serving pool validating ``open(scheme=...)`` before paying a
         compile — fail as fast as the run path does.  ``None`` (selector's
         choice) always passes.
         """
-        if name is None:
-            return
-        known = cls.KNOWN_SCHEMES + (f"pm-spec{spec_k}",)
-        if name not in known:
+        known = cls.KNOWN_SCHEMES + (cls.PM_ALIAS,)
+        if name is not None and name not in known:
             raise SchemeError(
                 f"unknown scheme {name!r}; known schemes: {', '.join(known)}"
             )
-
-    def _validate_scheme(self, name: Optional[str]) -> None:
-        """Reject a forced scheme typo *before* profiling or simulator
-        construction, so the failure is immediate and actionable."""
-        self.validate_scheme_name(name, spec_k=self.config.spec_k)
 
     # ------------------------------------------------------------------
     # profiling
@@ -255,13 +250,10 @@ class GSpecPal:
     def build_scheme(self, name: str) -> Scheme:
         """Instantiate a scheme sharing this framework's simulator/config
         (and its tracer, so scheme phase spans nest under framework spans)."""
-        cfg = self.config
-        if name == f"pm-spec{cfg.spec_k}":
-            name = "pm"
-        build = SCHEME_REGISTRY.get(name)
+        build = SCHEME_REGISTRY.get("pm" if name == self.PM_ALIAS else name)
         if build is None:
             raise SchemeError(f"unknown scheme {name!r}")
-        return build(self._simulator(), cfg, self.tracer)
+        return build(self._simulator(), self.config, self.tracer)
 
     def estimate_costs(
         self, data=None, input_length: Optional[int] = None
@@ -270,8 +262,7 @@ class GSpecPal:
 
         The estimates are for ``input_length`` symbols — by default the
         length of ``data``, else of the training input the plan was
-        compiled on — and move with the configured register budget
-        (Fig. 7; see :func:`~repro.selector.cost_model.estimate_costs`).
+        compiled on (see :func:`~repro.selector.cost_model.estimate_costs`).
         """
         plan = self.compile_plan(data)
         if input_length is None:
@@ -290,7 +281,7 @@ class GSpecPal:
         scheme:
             Force a specific scheme instead of consulting the selector.
         """
-        self._validate_scheme(scheme)
+        self.validate_scheme_name(scheme)
         symbols = _as_symbol_array(data)
         with self.tracer.span(
             "gspecpal.run", input_symbols=int(symbols.size)
@@ -316,7 +307,7 @@ class GSpecPal:
         """
         names = tuple(schemes) if schemes is not None else self.SELECTABLE
         for name in names:
-            self._validate_scheme(name)
+            self.validate_scheme_name(name)
         with self.tracer.span("gspecpal.compare", schemes=list(names)):
             return {name: self.run(data, scheme=name) for name in names}
 
@@ -375,7 +366,7 @@ class GSpecPal:
         (network taps) that cannot be buffered whole.  A forced ``scheme``
         is validated here, before any profiling or simulator work.
         """
-        self._validate_scheme(scheme)
+        self.validate_scheme_name(scheme)
         return StreamSession(self, scheme=scheme)
 
 

@@ -63,9 +63,6 @@ SUPPORTED_PLAN_VERSIONS = (2, 3, 4)
 #: was *compiled*.
 _CONFIG_FIELDS = (
     "n_threads",
-    "spec_k",
-    "own_registers",
-    "others_registers",
     "use_transformation",
     "training_fraction",
     "min_training_symbols",
@@ -76,7 +73,6 @@ def config_snapshot(config) -> Dict[str, Any]:
     """JSON-able snapshot of the compile-relevant configuration fields."""
     snap: Dict[str, Any] = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     snap["device"] = asdict(config.device)
-    snap["thresholds"] = asdict(config.thresholds)
     return snap
 
 
@@ -87,14 +83,17 @@ def config_fingerprint(config) -> str:
 
 
 def _config_from_snapshot(snapshot: Dict[str, Any], **overrides):
-    """Rebuild a ``GSpecPalConfig`` from a stored snapshot."""
+    """Rebuild a ``GSpecPalConfig`` from a stored snapshot.
+
+    Keys outside :data:`_CONFIG_FIELDS` — the ``spec_k``, register-budget
+    and ``thresholds`` entries older plans carry — are ignored: those are
+    constants now.
+    """
     from repro.framework.config import GSpecPalConfig
     from repro.gpu.device import DeviceSpec
-    from repro.selector.decision_tree import SelectorThresholds
 
     kwargs = {name: snapshot[name] for name in _CONFIG_FIELDS}
     kwargs["device"] = DeviceSpec(**snapshot["device"])
-    kwargs["thresholds"] = SelectorThresholds(**snapshot["thresholds"])
     kwargs.update(overrides)
     return GSpecPalConfig(**kwargs)
 
@@ -259,7 +258,6 @@ class CompiledPlan:
             f"canonical  : {self.canonical_fingerprint}",
             f"config     : {self.config_hash[:16]}… "
             f"(n_threads={self.config['n_threads']}, "
-            f"spec_k={self.config['spec_k']}, "
             f"device={self.config['device']['name']})",
             f"scheme     : {self.scheme}  (path: {' -> '.join(self.decision_path)})"
             + (f"  [revision {self.revision}]" if self.revision else ""),

@@ -186,9 +186,8 @@ def compile_plan(
                 dfa, symbols, n_chunks=n_chunks, path=walk, prediction=prediction
             )
 
-        selector = DecisionTreeSelector(config.thresholds)
         with stage("select") as sspan:
-            scheme, path = selector.decide(features, span=sspan)
+            scheme, path = DecisionTreeSelector().decide(features, span=sspan)
 
         with stage("transform") as tspan:
             freq = profile_state_frequencies(dfa, symbols, path=walk)
@@ -275,9 +274,7 @@ def revise_plan(
         features = plan.features.update_from_observations(observations)
 
         with tracer.span("select") as sspan:
-            scheme, path = DecisionTreeSelector(config.thresholds).decide(
-                features, span=sspan
-            )
+            scheme, path = DecisionTreeSelector().decide(features, span=sspan)
 
         with tracer.span("train"):
             estimates = estimate_costs(features, config, plan.training_symbols)

@@ -4,7 +4,7 @@
 * :class:`SpecSequentialScheme` — Algorithm 2: speculation + strictly
   sequential verification/recovery (``spec-seq``).
 * :class:`PMScheme` — Parallel Merge with spec-k enumerative speculation,
-  the state-of-the-art baseline (``pm-spec4`` by default).
+  the state-of-the-art baseline (served as ``pm-spec4``, :data:`SPEC_K`).
 * :class:`SREScheme` — Algorithm 3: immediate speculative recovery from
   forwarded predecessor end states (``sre``).
 * :class:`RRScheme` — Algorithm 4: aggressive recovery, round-robin
@@ -26,7 +26,7 @@ from typing import Callable, Dict
 
 from repro.schemes.base import Scheme, SchemeResult
 from repro.schemes.nf import NFScheme
-from repro.schemes.pm import PMScheme
+from repro.schemes.pm import SPEC_K, PMScheme
 from repro.schemes.rr import RRScheme
 from repro.schemes.sequential import SequentialScheme
 from repro.schemes.sfa import SFAScheme
@@ -34,33 +34,22 @@ from repro.schemes.spec_seq import SpecSequentialScheme
 from repro.schemes.sre import SREScheme
 
 
-def _recovering(cls) -> Callable[..., Scheme]:
-    """A frontier-loop scheme sized by the config's register budgets."""
-    return lambda sim, cfg, tracer: cls(
-        sim,
-        n_threads=cfg.n_threads,
-        own_capacity=cfg.own_registers,
-        others_capacity=cfg.others_registers,
-        tracer=tracer,
-    )
+def _parallel(cls) -> Callable[..., Scheme]:
+    """A scheme on the config's ``n_threads`` and its own paper defaults
+    (PM's :data:`SPEC_K`, the 16/16 ``VR`` register budgets)."""
+    return lambda sim, cfg, tracer: cls(sim, n_threads=cfg.n_threads, tracer=tracer)
 
 
 #: Every served scheme name → ``build(sim, config, tracer)``, which
 #: constructs it on a simulator under a ``GSpecPalConfig``.
 SCHEME_REGISTRY: Dict[str, Callable[..., Scheme]] = {
-    "pm": lambda sim, cfg, tracer: PMScheme(
-        sim, n_threads=cfg.n_threads, k=cfg.spec_k, tracer=tracer
-    ),
-    "sre": _recovering(SREScheme),
-    "rr": _recovering(RRScheme),
-    "nf": _recovering(NFScheme),
-    "sfa": lambda sim, cfg, tracer: SFAScheme(
-        sim, n_threads=cfg.n_threads, tracer=tracer
-    ),
+    "pm": _parallel(PMScheme),
+    "sre": _parallel(SREScheme),
+    "rr": _parallel(RRScheme),
+    "nf": _parallel(NFScheme),
+    "sfa": _parallel(SFAScheme),
     "seq": lambda sim, cfg, tracer: SequentialScheme(sim, n_threads=1, tracer=tracer),
-    "spec-seq": lambda sim, cfg, tracer: SpecSequentialScheme(
-        sim, n_threads=cfg.n_threads, tracer=tracer
-    ),
+    "spec-seq": _parallel(SpecSequentialScheme),
 }
 
 
@@ -69,6 +58,7 @@ __all__ = [
     "PMScheme",
     "RRScheme",
     "SCHEME_REGISTRY",
+    "SPEC_K",
     "SFAScheme",
     "Scheme",
     "SchemeResult",

@@ -24,6 +24,11 @@ from repro.schemes.base import Scheme
 from repro.speculation.records import VRStore
 from repro.errors import SchemeError
 
+#: PM's paths per thread: the paper's PM-spec4 baseline, and the depth the
+#: Fig. 6 tree's PM node and the drift anchor read.  Fig. 3's sweep varies
+#: ``k`` on :class:`PMScheme` itself.
+SPEC_K = 4
+
 
 class PMScheme(Scheme):
     """Parallel Merge with spec-k enumerative speculation.
@@ -31,8 +36,8 @@ class PMScheme(Scheme):
     Parameters
     ----------
     k:
-        Number of speculative paths each thread maintains (the paper's
-        baseline uses ``k = 4``).
+        Number of speculative paths each thread maintains (default
+        :data:`SPEC_K`, the paper's baseline).
     adaptive:
         Extension (motivated by §II-C's critique that a static ``k`` wastes
         resources on easy chunks and under-covers hard ones): choose each
@@ -48,7 +53,7 @@ class PMScheme(Scheme):
         sim,
         n_threads: int = 256,
         *,
-        k: int = 4,
+        k: int = SPEC_K,
         adaptive: bool = False,
         adaptive_mass: float = 0.9,
         predictor=None,

@@ -57,7 +57,11 @@ from repro.gpu.stats import KernelStats
 from repro.schemes.base import Scheme
 from repro.speculation.chunks import Partition
 from repro.speculation.predictor import Prediction
-from repro.speculation.records import VRStore
+from repro.speculation.records import (
+    DEFAULT_OTHERS_CAPACITY,
+    DEFAULT_OWN_CAPACITY,
+    VRStore,
+)
 
 
 @dataclass
@@ -128,8 +132,8 @@ class FrontierLoopScheme(Scheme):
         sim,
         n_threads: int = 256,
         *,
-        own_capacity: int = 16,
-        others_capacity: int = 16,
+        own_capacity: int = DEFAULT_OWN_CAPACITY,
+        others_capacity: int = DEFAULT_OTHERS_CAPACITY,
         predictor=None,
         tracer=None,
     ):

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.gpu.device import RTX3090, DeviceSpec
+from repro.schemes.pm import SPEC_K
 from repro.selector.features import FSMFeatures
+from repro.speculation.records import DEFAULT_OTHERS_CAPACITY
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,10 @@ class CostModelInputs:
 
     input_length: int
     n_threads: int = 256
-    k: int = 4
+    k: int = SPEC_K
     hot_fraction: float = 1.0  # fraction of lookups served by shared memory
-    others_capacity: int = 16  # VR registers for other chunks' speculations
+    # VR registers for other chunks' speculations
+    others_capacity: int = DEFAULT_OTHERS_CAPACITY
 
 
 class CostModel:
@@ -203,17 +206,14 @@ class CostModel:
 def estimate_costs(features: FSMFeatures, config, input_length: int) -> Dict[str, float]:
     """Eqs. 1–4 for every selectable scheme under a ``GSpecPalConfig``.
 
-    The one place the configuration's workload parameters — ``n_threads``,
-    ``spec_k`` and the ``others_registers`` budget the Δ-specs term depends
-    on (Fig. 7) — are threaded into :class:`CostModelInputs`; plan
-    compilation, online revision and ``GSpecPal.estimate_costs`` all
-    evaluate the model through here.
+    The one place a configuration is threaded into
+    :class:`CostModelInputs`: its ``n_threads`` and ``device``; ``k`` and
+    the ``others_capacity`` budget the Δ-specs term depends on (Fig. 7)
+    keep the served schemes' constants.  Plan compilation, online revision
+    and ``GSpecPal.estimate_costs`` all evaluate the model through here.
     """
     inputs = CostModelInputs(
-        input_length=int(input_length),
-        n_threads=config.n_threads,
-        k=config.spec_k,
-        others_capacity=config.others_registers,
+        input_length=int(input_length), n_threads=config.n_threads
     )
     estimates = CostModel(config.device).estimate_all(features, inputs)
     return {name: float(cycles) for name, cycles in estimates.items()}

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.schemes.pm import SPEC_K
 from repro.speculation.observations import LiveObservations
 
 #: Minimum divergence (anchor accuracy − live EWMA) that counts as a breach.
@@ -57,11 +58,10 @@ class DriftMonitor:
 
     The anchor is the plan's profiled accuracy curve
     (``FSMFeatures.accuracy_at``) at the depth live traffic actually
-    verifies: spec-k for PM plans, spec-1 for the other speculative
-    schemes.  A depth the profiler did not measure (PM at ``k`` other than
-    4 or 16) gets the interpolated value.  ``observe`` folds one run's
-    evidence in and returns ``True`` exactly once — when a sustained
-    collapse crosses :data:`THRESHOLD`.
+    verifies: spec-:data:`~repro.schemes.pm.SPEC_K` for PM plans (the
+    depth PM is served at), spec-1 for the other speculative schemes.
+    ``observe`` folds one run's evidence in and returns ``True`` exactly
+    once — when a sustained collapse crosses :data:`THRESHOLD`.
     """
 
     def __init__(self, plan):
@@ -80,7 +80,7 @@ class DriftMonitor:
         #: breach window holds only the traffic that made the monitor fire.
         self._window = LiveObservations()
         self._post_fire_segments = 0
-        k = int(plan.config.get("spec_k", 4)) if plan.scheme.startswith("pm") else 1
+        k = SPEC_K if plan.scheme.startswith("pm") else 1
         self._anchor = float(plan.features.accuracy_at(k))
 
     @property

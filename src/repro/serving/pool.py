@@ -212,10 +212,8 @@ class MatcherPool:
         created when omitted.
     config:
         The pool's serving config: what plans the pool compiles are
-        compiled under, whose ``spec_k`` names the ``pm-spec<k>`` alias at
-        :meth:`open` (a handed-in plan's own ``spec_k`` names it for that
-        plan), and whose resolved ``backend`` / ``selfcheck`` switches
-        every matcher is served with.  Omitted, the cache's
+        compiled under, and whose resolved ``backend`` / ``selfcheck``
+        switches every matcher is served with.  Omitted, the cache's
         config is used, else the default :class:`GSpecPalConfig`; either
         way it is settled once, here.
     backend:
@@ -345,7 +343,8 @@ class MatcherPool:
         Pass either a precompiled ``plan`` or a ``dfa`` (with
         ``training_input`` if its plan may not be cached yet).  ``scheme``
         forces a scheme for this stream; it is validated against
-        ``GSpecPal.KNOWN_SCHEMES`` *before* any compile work, so a typo
+        ``GSpecPal.KNOWN_SCHEMES`` and ``GSpecPal.PM_ALIAS``
+        (``pm-spec4``) *before* any compile work, so a typo
         fails immediately instead of after paying a cold compile.  By
         default every segment uses the plan's compiled selection.  A
         ``training_input`` holding a symbol outside ``dfa``'s alphabet is
@@ -360,9 +359,7 @@ class MatcherPool:
         itself runs outside the pool lock against a reserved slot that is
         released if the compile fails.
         """
-        # A handed-in plan is served under its own compile fields.
-        spec_k = self.config.spec_k if plan is None else int(plan.config["spec_k"])
-        GSpecPal.validate_scheme_name(scheme, spec_k=spec_k)
+        GSpecPal.validate_scheme_name(scheme)
         if plan is None and dfa is None:
             raise ServingError(
                 "open() needs a dfa or a precompiled plan",

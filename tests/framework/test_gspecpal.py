@@ -5,6 +5,7 @@ import pytest
 
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.observability import Tracer
+from repro.schemes import RRScheme
 from repro.workloads import classic
 from repro.errors import SchemeError
 
@@ -28,17 +29,42 @@ class TestConfig:
     def test_defaults(self):
         cfg = GSpecPalConfig()
         assert cfg.n_threads == 256
-        assert cfg.spec_k == 4
-        assert cfg.own_registers == cfg.others_registers == 16
         assert cfg.use_transformation
 
     def test_validation(self):
         with pytest.raises(SchemeError):
             GSpecPalConfig(n_threads=1)
         with pytest.raises(SchemeError):
-            GSpecPalConfig(spec_k=0)
-        with pytest.raises(SchemeError):
             GSpecPalConfig(training_fraction=0.0)
+
+
+class TestFixedSpecK:
+    """PM runs at one depth, the one the Fig. 6 tree's PM node reads."""
+
+    @pytest.mark.parametrize(
+        "field", ["spec_k", "own_registers", "others_registers", "thresholds"]
+    )
+    def test_paper_constants_are_not_config_fields(self, field):
+        with pytest.raises(TypeError):
+            GSpecPalConfig(**{field: 1})
+
+    def test_tree_picks_pm_on_spec4_evidence_and_serves_spec4(self):
+        """drifting_phase(128): spec-4 accuracy 1.00, spec-1 0.13.  The
+        tree's ``speck_accurate`` node picks PM, and PM-spec4 serves it at
+        427 523 cycles (64 KiB, 32 threads, sim)."""
+        dfa = classic.drifting_phase(128)
+        pal = GSpecPal(
+            dfa,
+            GSpecPalConfig(n_threads=32, backend="sim"),
+            training_input=classic.drifting_phase_input(8192, drift_at=1.0, seed=1),
+        )
+        data = classic.drifting_phase_input(65536, drift_at=1.0, seed=2)
+        assert pal.plan.decision_path[-1] == "speck_accurate"
+        assert pal.plan.scheme == "pm"
+        result = pal.run(data)
+        assert result.scheme == GSpecPal.PM_ALIAS == "pm-spec4"
+        assert result.end_state == dfa.run(data)
+        assert result.cycles == 427_523
 
 
 class TestProfiling:
@@ -151,7 +177,7 @@ class TestRun:
 
     def test_spec_k_alias_accepted(self, easy_dfa, stream, training):
         pal = GSpecPal(easy_dfa, GSpecPalConfig(n_threads=16), training_input=training)
-        result = pal.run(stream, scheme=f"pm-spec{pal.config.spec_k}")
+        result = pal.run(stream, scheme="pm-spec4")
         assert result.end_state == easy_dfa.run(stream)
 
     def test_select_scheme_on_easy_fsm(self, easy_dfa, stream, training):
@@ -184,10 +210,8 @@ class TestRun:
         assert on.cycles < off.cycles
 
     def test_register_config_respected(self, easy_dfa, stream, training):
-        pal = GSpecPal(
-            easy_dfa,
-            GSpecPalConfig(n_threads=16, others_registers=2),
-            training_input=training,
+        rr = RRScheme.for_dfa(
+            easy_dfa, n_threads=16, training_input=training, others_capacity=2
         )
-        result = pal.run(stream, scheme="rr")
-        assert result.end_state == easy_dfa.run(stream)
+        assert rr.others_capacity == 2
+        assert rr.run(stream).end_state == easy_dfa.run(stream)

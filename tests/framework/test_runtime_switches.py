@@ -3,7 +3,7 @@
 ``GSpecPalConfig`` (and a directly built ``GpuSimulator``) resolves them at
 construction; every layer below reads the stored value.  A ``MatcherPool``
 settles on one serving config — its own, else its cache's, else the
-default — and serves, compiles and names schemes with it.  The backend
+default — and serves and compiles with it.  The backend
 precedence is pool ``backend=`` > config > ``$REPRO_BACKEND`` > ``"sim"``;
 the selfcheck precedence is config > ``$REPRO_SELFCHECK``.
 """
@@ -58,27 +58,14 @@ def test_pool_serves_with_the_config_it_compiles_with(clean_env, training):
     assert math.isnan(pool.close(sid).total_cycles)
 
 
-def test_pool_names_schemes_by_its_caches_config(clean_env, training):
-    cache = PlanCache(config=GSpecPalConfig(n_threads=16, spec_k=8))
-    pool = MatcherPool(cache)
+def test_pool_serves_pm_at_the_one_spec_k(clean_env, training):
+    pool = MatcherPool(PlanCache(config=GSpecPalConfig(n_threads=16)))
     with pytest.raises(SchemeError, match="pm-spec8"):
-        pool.open(classic.div7(), training_input=training, scheme="pm-spec4")
+        pool.open(classic.div7(), training_input=training, scheme="pm-spec8")
     assert pool.stats()["cache"]["compiles"] == 0
     assert pool.stats()["reserved"] == 0
-    sid = pool.open(classic.div7(), training_input=training, scheme="pm-spec8")
-    assert _served_scheme(pool, sid).name == "pm-spec8"
-    assert pool.config.spec_k == 8
-
-
-def test_a_handed_in_plan_names_schemes_by_its_own_config(clean_env, training):
-    config8 = GSpecPalConfig(n_threads=8, spec_k=8)
-    plan8 = compile_plan(classic.div7(), training, config8)
-    pool = MatcherPool(config=GSpecPalConfig(n_threads=8))
-    with pytest.raises(SchemeError, match="pm-spec8"):
-        pool.open(plan=plan8, scheme="pm-spec4")
-    assert pool.stats()["reserved"] == 0
-    sid = pool.open(plan=plan8, scheme="pm-spec8")
-    assert _served_scheme(pool, sid).name == "pm-spec8"
+    sid = pool.open(classic.div7(), training_input=training, scheme="pm-spec4")
+    assert _served_scheme(pool, sid).name == "pm-spec4"
 
 
 @pytest.mark.parametrize("env", SWITCHES)

@@ -231,3 +231,35 @@ def test_fingerprint_ignores_name_but_not_behaviour(scanner_dfa):
         name=scanner_dfa.name,
     )
     assert flipped.fingerprint() != scanner_dfa.fingerprint()
+
+
+def test_older_config_snapshots_load(div7, tmp_path):
+    """Plans written while ``spec_k``, the register budgets and the tree
+    thresholds were config fields carry them in their snapshot: the keys
+    are ignored, and the plan serves the constants' PM-spec4 with the
+    fresh compile's ledger (div7, 8 KiB, 16 threads, sim)."""
+    rng = np.random.default_rng(43)
+    training = bytes(rng.integers(48, 58, size=1024).astype(np.uint8))
+    data = bytes(rng.integers(48, 58, size=8192).astype(np.uint8))
+    plan = compile_plan(div7, training, GSpecPalConfig(n_threads=16))
+    path = save_plan(plan, tmp_path / "p.npz")
+
+    def widen(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        meta["config"].update(
+            spec_k=8,
+            own_registers=2,
+            others_registers=2,
+            thresholds={"speck_accurate": 0.0},
+        )
+        arrays["meta"] = np.asarray(json.dumps(meta))
+
+    _rewrite(path, widen)
+    loaded = load_plan(path)
+    assert loaded.build_config() == plan.build_config()
+    assert "spec_k" not in loaded.summary()
+    fresh = GSpecPal.from_plan(plan, backend="sim").run(data, scheme="pm")
+    served = GSpecPal.from_plan(loaded, backend="sim").run(data, scheme="pm")
+    assert served.scheme == "pm-spec4"
+    assert served.end_state == fresh.end_state == div7.run(data)
+    assert served.cycles == fresh.cycles

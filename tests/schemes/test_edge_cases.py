@@ -93,6 +93,10 @@ class TestConfigBoundaries:
         s = PMScheme.for_dfa(div7, n_threads=8, training_input=data[:64], k=100)
         assert s.run(data).end_state == div7.run(data)
 
+    def test_spec_k_needs_one_path(self, div7):
+        with pytest.raises(SchemeError, match="k >= 1"):
+            PMScheme.for_dfa(div7, n_threads=8, training_input=b"10" * 16, k=0)
+
     def test_many_threads_short_chunks(self, div7, rng):
         data = bytes(rng.integers(48, 50, size=256).astype(np.uint8))
         s = NFScheme.for_dfa(div7, n_threads=128, training_input=data[:64])

@@ -219,27 +219,3 @@ def test_sfa_estimate_falls_back_to_n_states(model, inputs):
     assert model.estimate_sfa(legacy, inputs) == pytest.approx(
         model.estimate_sfa(full, inputs)
     )
-
-
-def test_gspecpal_threads_capacity_into_estimates(rng):
-    """GSpecPal.estimate_costs feeds the configured others_registers into
-    the cost model instead of a hard-coded default."""
-    import numpy as np
-
-    from repro.framework import GSpecPal, GSpecPalConfig
-    from repro.workloads import classic
-
-    dfa = classic.keyword_scanner(b"abc")
-    training = bytes(rng.integers(97, 123, size=512).astype(np.uint8))
-    shallow = GSpecPal(
-        dfa,
-        GSpecPalConfig(n_threads=32, others_registers=1),
-        training_input=training,
-    ).estimate_costs(input_length=65536)
-    deep = GSpecPal(
-        dfa,
-        GSpecPalConfig(n_threads=32, others_registers=16),
-        training_input=training,
-    ).estimate_costs(input_length=65536)
-    assert set(shallow) == {"pm", "sre", "rr", "nf", "sfa"}
-    assert deep["rr"] <= shallow["rr"]

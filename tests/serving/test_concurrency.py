@@ -526,9 +526,7 @@ def test_stream_rejects_unknown_scheme_at_open(fsms, training, config):
 
 def test_spec_alias_accepted_at_open(fsms, training, config):
     pool = MatcherPool(config=config)
-    sid = pool.open(
-        fsms[0], training_input=training, scheme=f"pm-spec{config.spec_k}"
-    )
+    sid = pool.open(fsms[0], training_input=training, scheme=GSpecPal.PM_ALIAS)
     pool.feed(sid, b"xyz" * 10)
     pool.close(sid)
 

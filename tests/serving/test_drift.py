@@ -28,8 +28,8 @@ from repro.speculation import LiveObservations
 from repro.workloads import classic
 
 
-def _plan(scheme="pm", spec1=0.30, spec4=0.95, spec16=1.0, spec_k=4):
-    """A duck-typed plan: DriftMonitor only reads scheme/features/config."""
+def _plan(scheme="pm", spec1=0.30, spec4=0.95, spec16=1.0):
+    """A duck-typed plan: DriftMonitor only reads scheme/features."""
     features = FSMFeatures(
         name="duck",
         n_states=64,
@@ -41,9 +41,7 @@ def _plan(scheme="pm", spec1=0.30, spec4=0.95, spec16=1.0, spec_k=4):
         profiling_seconds=0.0,
         reachable_width=4.0,
     )
-    return SimpleNamespace(
-        scheme=scheme, features=features, config={"spec_k": spec_k}
-    )
+    return SimpleNamespace(scheme=scheme, features=features)
 
 
 def _obs(hits, misses, segments=1, spec_k=4):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.automata import compile_disjunction
 from repro.errors import ServingError
-from repro.framework import GSpecPalConfig
+from repro.framework import GSpecPal, GSpecPalConfig
 from repro.plan import compile_plan
 from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
@@ -124,7 +124,7 @@ def test_default_scheme_is_the_plans(fsms, training, config):
     plan = pool.cache.get(fsms[0].fingerprint())
     pool.feed(sid, b"abc" * 40)
     closed = pool.close(sid)
-    assert closed.scheme in (plan.scheme, f"pm-spec{config.spec_k}")
+    assert closed.scheme in (plan.scheme, GSpecPal.PM_ALIAS)
 
 
 def test_unknown_and_closed_stream_ids_rejected(fsms, training, config):
