@@ -56,19 +56,16 @@ def run_member(
     seed: int = 0,
     config: Optional[GSpecPalConfig] = None,
     tracer=None,
-    metrics=None,
 ) -> MemberRun:
     """Profile a member, run the requested schemes, record the selection.
 
-    ``tracer``/``metrics`` are forwarded to the framework so benchmark runs
-    can dump span timelines (see ``benchmarks/conftest.py``).
+    ``tracer`` is forwarded to the framework so benchmark runs can dump
+    span timelines (see ``benchmarks/conftest.py``).
     """
     training = member.training_input(training_length, seed=10_000 + seed)
     data = member.generate_input(input_length, seed=seed)
     cfg = config if config is not None else GSpecPalConfig(n_threads=n_threads)
-    pal = GSpecPal(
-        member.dfa, cfg, training_input=training, tracer=tracer, metrics=metrics
-    )
+    pal = GSpecPal(member.dfa, cfg, training_input=training, tracer=tracer)
     features = pal.profile()
     selected = pal.select_scheme()
     results = pal.compare_schemes(data, schemes=schemes)

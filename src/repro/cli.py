@@ -12,9 +12,10 @@ Commands
                artifact (``repro compile snort 8 -o plan.npz``).
 ``profile``  — print a member's feature vector and the selector's reasoning.
 ``suite``    — list a suite's members and their regimes.
-``trace``    — run a member with tracing on and print the per-phase span
-               timeline plus executor/memory metrics; ``--jsonl`` exports
-               the spans for external tooling.
+``trace``    — run a member with tracing on and print ``run``'s result
+               plus the per-phase span timeline, the warp-step counts and
+               the table layout; ``--jsonl`` exports the spans for
+               external tooling.
 ``fuzz``     — differential fuzzing: random DFAs × schemes × backends ×
                streaming cross-checked against the sequential oracle with
                runtime invariant audits on; failures are shrunk and saved
@@ -140,14 +141,13 @@ def _resolve_plan(args, member, tracer=None):
     return compile_plan(member.dfa, training, config, tracer=tracer)
 
 
-def _build(args, tracer=None, metrics=None):
+def _build(args, tracer=None):
     member = build_member(args.suite, args.index)
     data = member.generate_input(args.input_length, seed=args.seed)
     pal = GSpecPal.from_plan(
         _resolve_plan(args, member, tracer),
         backend=getattr(args, "backend", None),
         tracer=tracer,
-        metrics=metrics,
     )
     return member, pal, data
 
@@ -189,51 +189,57 @@ def _render_timeline(samples, max_rows: int = 16) -> str:
     return render_bars(labels, values, width=30, unit=" threads")
 
 
-def _print_result(member, pal, result) -> None:
-    backend = pal.config.backend
+def _print_result(member, pal, result, *, detail=False, timeline=False) -> None:
+    """The run's ledger, shared by ``run`` and ``trace``.  ``detail`` (the
+    ``trace`` view) adds the warp-step counts and the simulator's layout.
+    The memory and warp-step lines are measurements only on a backend that
+    accounts cycles; an answer-only one gets a single ``n/a`` line."""
+    sim = pal._simulator()
+    stats = result.stats
     print(f"member   : {member.name} ({member.dfa.n_states} states)")
     print(f"scheme   : {result.scheme}")
-    print(f"backend  : {backend}"
-          + ("  (answer-only: cycle figures exclude execution)" if backend != "sim" else ""))
+    print(f"backend  : {sim.backend}"
+          + ("" if sim.engine.accounts_cycles
+             else "  (answer-only: cycle figures exclude execution)"))
     print(f"accepts  : {result.accepts}")
     print(f"kernel   : {result.time_ms:.3f} ms ({result.cycles:.0f} cycles)")
+    print(f"accuracy : {stats.runtime_speculation_accuracy:.1%}")
+    print(f"recovery : {stats.recovery_rounds} rounds, "
+          f"{stats.avg_active_threads:.1f} avg active threads")
+    if not sim.engine.accounts_cycles:
+        print("memory   : n/a (answer-only backend)")
+    else:
+        print(f"memory   : {stats.hot_access_fraction:.1%} shared-memory hits")
+        if detail:
+            print(f"warps    : {stats.warp_steps} warp_steps, "
+                  f"{stats.divergent_warp_steps} divergent_warp_steps")
+    if detail:
+        print(f"layout   : {sim.memory.layout.value}, "
+              f"{sim.memory.hot_state_count} hot states")
+    print("phases   :")
+    for phase, cycles in sorted(stats.phase_cycles.items(), key=lambda kv: -kv[1]):
+        print(f"  {phase:24s} {cycles:14.0f} cycles")
+    if timeline:
+        print("recovery-round activity:")
+        print(_render_timeline(stats.active_thread_samples))
 
 
 def cmd_run(args) -> int:
     member, pal, data = _build(args)
     result = pal.run(data, scheme=args.scheme)
-    _print_result(member, pal, result)
-    stats = result.stats
-    print(f"accuracy : {stats.runtime_speculation_accuracy:.1%}")
-    print(f"recovery : {stats.recovery_rounds} rounds, "
-          f"{stats.avg_active_threads:.1f} avg active threads")
-    print(f"memory   : {stats.hot_access_fraction:.1%} shared-memory hits")
-    print("phases   :")
-    for phase, cycles in sorted(stats.phase_cycles.items(), key=lambda kv: -kv[1]):
-        print(f"  {phase:24s} {cycles:14.0f} cycles")
-    if args.timeline:
-        print("recovery-round activity:")
-        print(_render_timeline(stats.active_thread_samples))
+    _print_result(member, pal, result, timeline=args.timeline)
     return 0
 
 
 def cmd_trace(args) -> int:
-    from repro.observability import (
-        MetricsRegistry,
-        Tracer,
-        render_metrics,
-        render_timeline,
-    )
+    from repro.observability import Tracer, render_timeline
 
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    member, pal, data = _build(args, tracer=tracer, metrics=metrics)
+    member, pal, data = _build(args, tracer=tracer)
     result = pal.run(data, scheme=args.scheme)
-    _print_result(member, pal, result)
+    _print_result(member, pal, result, detail=True)
     print()
     print(render_timeline(tracer, title=f"{member.name}: phase timeline"))
-    print()
-    print(render_metrics(metrics))
     if args.jsonl:
         path = Path(args.jsonl)
         path.write_text(tracer.to_jsonl())

@@ -5,7 +5,7 @@ is pure algorithm; *how* each batch of transitions actually executes — and
 whether simulated cycles are accounted — is a backend:
 
 * ``"sim"`` — :class:`~repro.engine.sim.SimBackend`: the cycle-accurate
-  lockstep executor with the memory model, warp timing and metrics.  The
+  lockstep executor with the memory model and warp timing.  The
   default; what every paper figure is measured with.
 * ``"fast"`` — :class:`~repro.engine.fast.FastBackend`: an answer-only
   flattened-gather numpy path for production serving, where simulated

@@ -21,7 +21,7 @@ gather, ``st = pre[st + row]``:
   scatter back; padding past a lane's length never reaches a gather.
 
 There is no memory-model hot/cold classification, no per-warp reduction,
-no ledger charge, no metrics.  The ``stats``, ``phase``, ``chunk_ids`` and
+no ledger charge.  The ``stats``, ``phase``, ``chunk_ids`` and
 ``count_redundant`` parameters are accepted for signature parity with
 :class:`~repro.engine.sim.SimBackend` and otherwise ignored — with this
 backend a :class:`~repro.gpu.stats.KernelStats` ledger only ever contains

@@ -1,14 +1,13 @@
 """The cycle-accurate backend: delegates to the lockstep executor.
 
 ``SimBackend`` gives the :class:`~repro.gpu.executor.LockstepExecutor`
-(memory model, warp timing, metrics recording and all) the backend shape
+(memory model, warp timing and ledger charges) the backend shape
 described in :mod:`repro.engine.base`.  Every entry point ends in exactly
 one :meth:`~repro.gpu.executor.LockstepExecutor.run` call, which checks the
 batch with :func:`~repro.engine.base.validate_batch_inputs`;
 ``run_gathered`` and ``run_mappings`` first resolve their thread→chunk
 binding with :func:`~repro.engine.base.gather_chunks`, the same helper the
-fast backend uses.  Ledgers and metrics are those of calling the executor
-directly.
+fast backend uses.  Ledgers are those of calling the executor directly.
 """
 
 from __future__ import annotations

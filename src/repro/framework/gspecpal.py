@@ -65,14 +65,12 @@ class GSpecPal:
         *,
         training_input=None,
         tracer=None,
-        metrics=None,
     ):
         self.dfa = dfa
         self.config = config if config is not None else GSpecPalConfig()
-        #: observability sinks; both default to off (no-op tracer / no
-        #: registry) so instrumented paths cost nothing unless asked for.
+        #: the span sink; defaults to the no-op tracer, so instrumented
+        #: paths cost nothing unless asked for.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         #: explicit sample the plan is compiled from (``None`` = the
         #: leading slice of the first data seen).
         self._training: Optional[np.ndarray] = (
@@ -98,7 +96,6 @@ class GSpecPal:
         backend: Optional[str] = None,
         selfcheck: Optional[bool] = None,
         tracer=None,
-        metrics=None,
     ) -> "GSpecPal":
         """Serve a :class:`~repro.plan.CompiledPlan` with zero profiling.
 
@@ -111,7 +108,7 @@ class GSpecPal:
         """
         plan.verify()
         config = plan.build_config(backend=backend, selfcheck=selfcheck)
-        pal = cls(plan.dfa, config, tracer=tracer, metrics=metrics)
+        pal = cls(plan.dfa, config, tracer=tracer)
         pal._plan = plan
         return pal
 
@@ -222,7 +219,6 @@ class GSpecPal:
                 device=self.config.device,
                 use_transformation=self.config.use_transformation,
                 profile=self.plan.frequency_profile(),
-                metrics=self.metrics,
                 backend=self.config.backend,
                 selfcheck=self.config.selfcheck,
             )

@@ -24,13 +24,14 @@ passes:
   a working lane past its ragged length is fed symbol 0 (one masked
   multiply per block, outside the loop) and its end state is read back
   from the trace at the position where it stopped;
-* the **cost pass** derives everything the ledger and the ``executor.*`` /
-  ``memory.*`` counters need — hot/cold placement, per-warp cold counts
-  (one ``reduceat`` over the working lanes' warp groups, then scattered
-  into the per-warp arrays), memory, fetch and compute charges,
-  transitions, divergence — from that trace with whole-array operations,
-  Ko et al.'s split of a SIMD automaton step into "gather in the loop,
-  bookkeeping on vectors afterwards".
+* the **cost pass** derives everything the ledger needs — hot/cold
+  placement, per-warp cold counts (one ``reduceat`` over the working
+  lanes' warp groups, then scattered into the per-warp arrays), memory,
+  fetch and compute charges, transitions, warp steps and their
+  divergence — from that trace with whole-array operations, Ko et al.'s
+  split of a SIMD automaton step into "gather in the loop, bookkeeping on
+  vectors afterwards".  The :class:`~repro.gpu.stats.KernelStats` ledger
+  is the one destination of that bookkeeping.
 
 Regrouping by working lane is exact: a lane that does not work contributes
 no cold lookup, no cold step and no divergence, so a warp with no working
@@ -109,26 +110,14 @@ class LockstepExecutor:
         The :class:`MemoryModel` describing hot-row placement.
     device:
         The simulated GPU.
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; when
-        attached, each batch records executor counters (batches,
-        transitions, warp-step divergence) and the memory model records its
-        access traffic.  ``None`` (the default) skips all recording.
     """
 
-    def __init__(
-        self,
-        table: np.ndarray,
-        memory: MemoryModel,
-        device: DeviceSpec,
-        metrics=None,
-    ):
+    def __init__(self, table: np.ndarray, memory: MemoryModel, device: DeviceSpec):
         self.table = np.ascontiguousarray(np.asarray(table, dtype=STATE_DTYPE))
         if self.table.ndim != 2:
             raise SimulationError("transition table must be 2-D")
         self.memory = memory
         self.device = device
-        self.metrics = metrics
 
     # ------------------------------------------------------------------
     def run(
@@ -201,9 +190,6 @@ class LockstepExecutor:
             lens = np.full(n_threads, chunk_len, dtype=np.int64)
 
         if chunk_len == 0 or not active_mask.any():
-            if self.metrics is not None:
-                self.metrics.counter("executor.batches").inc()
-                self.metrics.counter("executor.empty_batches").inc()
             return states
 
         device = self.device
@@ -243,7 +229,6 @@ class LockstepExecutor:
         # Flat view of the table: state s on symbol a is flat[s * m + a].
         flat = self.table.ravel()
         m = np.int64(n_symbols)
-        track_metrics = self.metrics is not None
         group_cold_steps = np.zeros(group_starts.size, dtype=np.int64)
         group_cold_lanes = np.zeros(group_starts.size, dtype=np.int64)
         divergent_warp_steps = 0
@@ -295,14 +280,13 @@ class LockstepExecutor:
             warp_cold = per_group(cold)
             group_cold_steps += np.count_nonzero(warp_cold, axis=0)
             group_cold_lanes += warp_cold.sum(axis=0)
-            if track_metrics:
-                # Memory divergence: a warp step mixing hot and cold lanes
-                # serializes transactions — the effect the paper's
-                # transformation shrinks, surfaced here as a counter.
-                warp_working = per_group(working) if masked else group_sizes
-                divergent_warp_steps += int(
-                    np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
-                )
+            # Memory divergence: a warp step mixing hot and cold lanes
+            # serializes transactions — the effect the paper's
+            # transformation shrinks.
+            warp_working = per_group(working) if masked else group_sizes
+            divergent_warp_steps += int(
+                np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
+            )
         states[work] = np.where(work_steps == max_len, lane_states, ends)
         # Warps without a working lane add nothing to any term.
         cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
@@ -342,17 +326,6 @@ class LockstepExecutor:
             stats.redundant_transitions += redundant
             stats.shared_accesses += shared_hits
             stats.global_accesses += global_hits
-        if track_metrics:
-            m = self.metrics
-            m.counter("executor.batches").inc()
-            m.counter("executor.transitions").inc(total_transitions)
-            m.counter("executor.redundant_transitions").inc(redundant)
-            m.counter("executor.warp_steps").inc(int(active_steps.sum()))
-            m.counter("executor.divergent_warp_steps").inc(divergent_warp_steps)
-            m.histogram("executor.active_lanes").observe(
-                int(np.count_nonzero(active_mask))
-            )
-            self.memory.observe(
-                m, shared_hits=shared_hits, global_hits=global_hits
-            )
+            stats.warp_steps += int(active_steps.sum())
+            stats.divergent_warp_steps += divergent_warp_steps
         return states

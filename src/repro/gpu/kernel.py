@@ -72,8 +72,6 @@ class GpuSimulator:
     device: DeviceSpec = RTX3090
     use_transformation: bool = True
     profile: Optional[StateFrequencyProfile] = None
-    #: optional MetricsRegistry the executor/memory model record into.
-    metrics: Optional[object] = None
     backend: Optional[str] = None
     selfcheck: Optional[bool] = None
 
@@ -107,12 +105,10 @@ class GpuSimulator:
             )
         self.exec_dfa: DFA = exec_dfa
         self.memory: MemoryModel = memory
-        self.executor = LockstepExecutor(
-            exec_dfa.table, memory, self.device, metrics=self.metrics
-        )
+        self.executor = LockstepExecutor(exec_dfa.table, memory, self.device)
         #: the handle every transition step routes through.  ``sim`` wraps
-        #: the executor above (ledger + metrics unchanged); ``fast`` skips
-        #: cycle accounting entirely.
+        #: the executor above (ledger unchanged); ``fast`` skips cycle
+        #: accounting entirely.
         self.engine = (
             SimBackend(self.executor)
             if self.backend == "sim"

@@ -107,20 +107,3 @@ class MemoryModel:
         if self.layout is TableLayout.HASH:
             return float(self.device.shared_cycles + self.device.hash_compute_cycles)
         return 0.0
-
-    # ------------------------------------------------------------------
-    def observe(self, registry, *, shared_hits: int, global_hits: int) -> None:
-        """Record one batch's table-lookup traffic into a metrics registry.
-
-        Counter names (``memory.*``) are part of the observability
-        contract — see ``docs/observability.md``.
-        """
-        registry.counter("memory.shared_accesses").inc(shared_hits)
-        registry.counter("memory.global_accesses").inc(global_hits)
-        registry.gauge("memory.hot_state_count").set(self.hot_state_count)
-        registry.gauge("memory.layout_overhead_cycles").set(
-            self.per_step_overhead_cycles
-        )
-        total = shared_hits + global_hits
-        if total:
-            registry.gauge("memory.hot_access_fraction").set(shared_hits / total)

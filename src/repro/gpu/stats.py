@@ -42,6 +42,11 @@ class KernelStats:
     active_thread_samples:
         One entry per recovery round: number of threads that executed a
         recovery task that round.  ``avg_active_threads`` averages it.
+    warp_steps / divergent_warp_steps:
+        Lockstep executor warp steps (a warp steps while any of its lanes
+        works), and those mixing hot and cold lanes — the memory
+        divergence the frequency transformation shrinks.  Charged by every
+        sim batch; not part of :meth:`summary`.
     """
 
     device: DeviceSpec
@@ -62,6 +67,8 @@ class KernelStats:
     active_thread_samples: List[int] = field(default_factory=list)
     mismatches: int = 0
     matches: int = 0
+    warp_steps: int = 0
+    divergent_warp_steps: int = 0
 
     # ------------------------------------------------------------------
     # charging
@@ -98,7 +105,7 @@ class KernelStats:
         self.active_thread_samples.append(int(active_threads))
 
     # ------------------------------------------------------------------
-    # derived metrics
+    # derived figures
     # ------------------------------------------------------------------
     @property
     def time_ms(self) -> float:
@@ -142,7 +149,7 @@ class KernelStats:
         return self.redundant_transitions / self.transitions if self.transitions else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """Flat dict of the headline metrics (handy for tables/benchmarks)."""
+        """Flat dict of the headline figures (handy for tables/benchmarks)."""
         return {
             "cycles": self.cycles,
             "time_ms": self.time_ms,

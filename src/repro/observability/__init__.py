@@ -9,18 +9,21 @@ Two complementary instruments:
   :meth:`Tracer.to_jsonl`, inspect with
   :func:`~repro.observability.render.render_timeline` or
   ``python -m repro.cli trace``.
-* :class:`MetricsRegistry` — counters/gauges/histograms the executor and
-  memory model record low-level traffic into (batches, transitions,
-  divergence, shared/global accesses).
+* :class:`MetricsRegistry` — counters/gauges/histograms the serving
+  tier records its own counts into (cache, pool, drift, gateway, compile
+  stages).  Simulated kernel work is not a metric: it is the run's
+  :class:`~repro.gpu.stats.KernelStats` ledger (transitions, shared/global
+  accesses, warp steps and their divergence), which ``repro trace``
+  prints beside the timeline.
 
-Both default to *off*: every instrumented object holds :data:`NULL_TRACER`
-(a no-op) and a ``None`` registry unless the caller opts in, so the
-simulated cycle accounting — and therefore every ``SchemeResult`` — is
+Tracing defaults to *off*: every instrumented object holds
+:data:`NULL_TRACER` (a no-op) unless the caller opts in, so the simulated
+cycle accounting — and therefore every ``SchemeResult`` — is
 bit-identical with tracing enabled or disabled.
 """
 
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.observability.render import render_metrics, render_timeline
+from repro.observability.render import render_timeline
 from repro.observability.tracer import (
     NULL_SPAN,
     NULL_TRACER,
@@ -41,6 +44,5 @@ __all__ = [
     "SPAN_SCHEMA_KEYS",
     "Span",
     "Tracer",
-    "render_metrics",
     "render_timeline",
 ]

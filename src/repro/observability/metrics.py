@@ -1,12 +1,13 @@
-"""Counter/gauge/histogram registry for low-level instrumentation.
+"""Counter/gauge/histogram registry for host-side, serving-wide counts.
 
-The executor and memory model are too hot (and too far from any
-``KernelStats`` ledger consumer) to grow ad-hoc reporting fields; instead
-they record into a :class:`MetricsRegistry` when one is attached.  The
-registry is create-on-first-use — ``registry.counter("executor.batches")``
-returns the same :class:`Counter` every call — and exports to a flat dict
-whose key names are part of the observability contract (see
-``docs/observability.md``).
+The serving tier — plan cache, matcher pool, drift monitor, gateway and
+the compile stages — records what the server itself did into a
+:class:`MetricsRegistry`.  Simulated kernel work is not recorded here: it
+lives in each run's :class:`~repro.gpu.stats.KernelStats` ledger and span
+tree.  The registry is create-on-first-use —
+``registry.counter("serving.pool.feeds")`` returns the same
+:class:`Counter` every call — and exports to a flat dict whose key names
+are part of the observability contract (see ``docs/observability.md``).
 
 All instruments are plain python objects with no background machinery, and
 they are safe to record into from any thread: ``Counter.inc``,
@@ -16,8 +17,7 @@ synchronise themselves on one lock per registry, shared by its instruments
 keep their locks for their *state* and take none for the sake of a metric.
 A registry is the scope of its counts: everything recorded into it is
 summed there, so callers that want separate totals attach separate
-registries.  Layers that take an optional registry (the executor, the
-memory model, the schemes) skip recording entirely when none is attached.
+registries.
 """
 
 from __future__ import annotations

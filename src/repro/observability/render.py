@@ -117,13 +117,3 @@ def render_timeline(tracer: Tracer, *, max_run: int = 8, title: Optional[str] = 
         title=title,
     )
 
-
-def render_metrics(registry, *, title: str = "metrics") -> str:
-    """Render a :class:`MetricsRegistry` as a two-column table."""
-    from repro.analysis.tables import render_table
-
-    flat = registry.as_dict()
-    if not flat:
-        return "(no metrics recorded)"
-    rows = [[name, value] for name, value in flat.items()]
-    return render_table(["metric", "value"], rows, title=title, precision=3)

@@ -141,7 +141,6 @@ class Scheme(abc.ABC):
         device: DeviceSpec = RTX3090,
         training_input=None,
         use_transformation: bool = True,
-        metrics=None,
         backend: Optional[str] = None,
         **kwargs,
     ) -> "Scheme":
@@ -149,9 +148,9 @@ class Scheme(abc.ABC):
         scheme.  ``training_input`` feeds the frequency profile; when absent
         the transformation is skipped (hash layout with a trivial profile)
         and a :class:`~repro.errors.MissingTrainingInputWarning` is emitted.
-        ``metrics`` attaches a registry to the executor; ``backend`` selects
-        the execution engine (``"sim"``/``"fast"``, default per
-        ``$REPRO_BACKEND``); a ``tracer`` kwarg is forwarded to the scheme."""
+        ``backend`` selects the execution engine (``"sim"``/``"fast"``,
+        default per ``$REPRO_BACKEND``); a ``tracer`` kwarg is forwarded to
+        the scheme."""
         if training_input is None and use_transformation:
             use_transformation = False
             warnings.warn(
@@ -162,8 +161,6 @@ class Scheme(abc.ABC):
                 MissingTrainingInputWarning,
                 stacklevel=2,
             )
-            if metrics is not None:
-                metrics.counter("scheme.transformation_auto_disabled").inc()
         sim = GpuSimulator(
             dfa=dfa,
             device=device,
@@ -173,7 +170,6 @@ class Scheme(abc.ABC):
                 if training_input is not None
                 else None
             ),
-            metrics=metrics,
             backend=backend,
         )
         return cls(sim, n_threads=n_threads, **kwargs)

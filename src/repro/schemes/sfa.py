@@ -128,7 +128,6 @@ class SFAScheme(Scheme):
 
     def _execute(self, partition, exec_start, stats):
         n = partition.n_chunks
-        n_states = self.sim.exec_dfa.n_states
 
         # --- phase 1: fingerprint dedupe (host-side, cheap) -------------
         with self._phase_span(KernelPhase.PREDICT, stats, kind="fingerprint"):
@@ -183,16 +182,4 @@ class SFAScheme(Scheme):
         # Every lane beyond the ground-truth path was insurance work.
         self._charge_off_path(stats, partition)
         self._stash_audit(sfa_mappings=mappings, sfa_reps=reps)
-        self._record_metrics(n, n_unique, n_states, width)
         return state, chunk_ends
-
-    def _record_metrics(
-        self, n_chunks: int, n_unique: int, n_states: int, width: int
-    ) -> None:
-        metrics = getattr(self.sim, "metrics", None)
-        if metrics is None:
-            return
-        metrics.counter("sfa.mappings_built").inc(n_unique)
-        metrics.counter("sfa.mappings_deduped").inc(n_chunks - n_unique)
-        metrics.histogram("sfa.mapping_width").observe(width)
-        metrics.histogram("sfa.mapping_lanes").observe(n_unique * n_states)

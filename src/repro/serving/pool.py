@@ -254,8 +254,9 @@ class MatcherPool:
         feeds no evidence and never swaps.  Off by default.
     metrics:
         The registry the pool records ``serving.pool.*`` / ``drift.*`` /
-        ``compile.stage.revise_ms`` into and hands to its matchers; it
-        defaults to the cache's, so one stack shares one registry.
+        ``compile.stage.revise_ms`` into; it defaults to the cache's, so
+        one stack shares one registry.  Its matchers record nothing into
+        it: simulated work lives in each feed's ledger.
         Instruments are safe to record from any thread, :meth:`stats` is a
         view of the registry, and a registry is the scope of its counts:
         pools sharing one report its totals.
@@ -396,7 +397,6 @@ class MatcherPool:
                         self._pruned.get(key, plan),
                         backend=self.config.backend,
                         selfcheck=self.config.selfcheck,
-                        metrics=self.metrics,
                     )
                     record = self._classes[key] = _ClassRecord(
                         key, matcher, self.drift

@@ -138,6 +138,39 @@ def test_run_fast_backend(capsys):
     assert "answer-only" in out
 
 
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_memory_and_warp_lines_only_where_cycles_are_accounted(
+    capsys, command, backend
+):
+    """``run`` and ``trace`` share one printer: on ``sim`` it prints the
+    ledger's memory line (and, for ``trace``, its warp steps); the
+    answer-only backend counts no lookups, so it gets one ``n/a`` line."""
+    argv = [command, "snort", "1", "--scheme", "sre", "--backend", backend, *SMALL]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    memory = [line for line in lines if line.startswith("memory")]
+    warps = [line for line in lines if line.startswith("warps")]
+    layout = [line for line in lines if line.startswith("layout")]
+    if backend == "sim":
+        assert len(memory) == 1 and memory[0].endswith("shared-memory hits")
+        if command == "trace":
+            assert len(warps) == 1
+            assert "warp_steps" in warps[0]
+            assert "divergent_warp_steps" in warps[0]
+        else:
+            assert warps == []
+    else:
+        assert memory == ["memory   : n/a (answer-only backend)"]
+        assert warps == []
+    if command == "trace":
+        assert len(layout) == 1
+        assert layout[0].startswith("layout   : rank, ")
+        assert layout[0].endswith(" hot states")
+    else:
+        assert layout == []
+
+
 def test_compile_then_run_from_plan(capsys, tmp_path):
     plan_path = str(tmp_path / "m.npz")
     rc = main(

@@ -15,7 +15,6 @@ from repro.gpu.device import DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.gpu.stats import KernelStats
-from repro.observability import MetricsRegistry
 
 
 @pytest.fixture()
@@ -70,19 +69,8 @@ class TestDegenerateLanes:
         )
         assert ends.tolist() == [4, 3, 2, 1]
         assert stats.transitions == 0
+        assert stats.warp_steps == stats.divergent_warp_steps == 0
         assert "p" not in stats.phase_cycles
-
-    def test_all_inactive_batch_counts_as_empty(self, div7, dev, rng):
-        """Metrics mark skipped batches so traces explain 'silent' rounds."""
-        registry = MetricsRegistry()
-        mm = MemoryModel(device=dev, hot_state_count=3)
-        ex = LockstepExecutor(div7.table, mm, dev, metrics=registry)
-        ex.run(make_chunks(rng, 4, 10), np.zeros(4, dtype=np.int64),
-               active=np.zeros(4, dtype=bool))
-        flat = registry.as_dict()
-        assert flat["executor.batches"] == 1
-        assert flat["executor.empty_batches"] == 1
-        assert "executor.transitions" not in flat
 
     def test_single_symbol_chunks(self, executor, div7, rng):
         """chunk_len == 1: exactly one transition per lane."""

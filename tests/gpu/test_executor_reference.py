@@ -4,7 +4,8 @@
 the ledger *while* stepping, one symbol position at a time.  It stays here
 as the oracle — the executor's cost pass must reproduce its end states, its
 ledger (``phase_cycles`` exactly: every cycle constant is an integer or
-0.25, so float64 sums do not depend on their order) and its metrics.
+0.25, so float64 sums do not depend on their order), its warp steps and
+their divergence included.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.executor import LockstepExecutor, distinct_chunks_per_warp
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.gpu.stats import KernelStats
-from repro.observability import MetricsRegistry
 
 # Few resident warps, so wide cases exercise the serialized (sum / residency)
 # branch of the phase charge as well as the max-over-warps one.
@@ -51,9 +51,6 @@ def reference_run(
         else np.asarray(lengths, dtype=np.int64)
     )
     if chunk_len == 0 or not active_mask.any():
-        if ex.metrics is not None:
-            ex.metrics.counter("executor.batches").inc()
-            ex.metrics.counter("executor.empty_batches").inc()
         return states
 
     device = ex.device
@@ -130,17 +127,8 @@ def reference_run(
         stats.redundant_transitions += redundant
         stats.shared_accesses += shared_hits
         stats.global_accesses += global_hits
-    if ex.metrics is not None:
-        m = ex.metrics
-        m.counter("executor.batches").inc()
-        m.counter("executor.transitions").inc(total_transitions)
-        m.counter("executor.redundant_transitions").inc(redundant)
-        m.counter("executor.warp_steps").inc(warp_steps)
-        m.counter("executor.divergent_warp_steps").inc(divergent_warp_steps)
-        m.histogram("executor.active_lanes").observe(
-            int(np.count_nonzero(active_mask))
-        )
-        ex.memory.observe(m, shared_hits=shared_hits, global_hits=global_hits)
+        stats.warp_steps += warp_steps
+        stats.divergent_warp_steps += divergent_warp_steps
     return states
 
 
@@ -153,16 +141,15 @@ def _memory(device, layout, n_states, hot, rng):
     return MemoryModel(device=device, hot_state_count=hot, layout=layout)
 
 
-def _assert_same(device, table, memory, chunks, starts, with_metrics, **kwargs):
-    """Run both implementations on fresh ledgers/registries and compare."""
+def _assert_same(device, table, memory, chunks, starts, **kwargs):
+    """Run both implementations on fresh ledgers and compare."""
     outcomes = []
     for run in (LockstepExecutor.run, reference_run):
-        registry = MetricsRegistry() if with_metrics else None
-        ex = LockstepExecutor(table, memory, device, metrics=registry)
+        ex = LockstepExecutor(table, memory, device)
         stats = KernelStats(device=device, n_threads=chunks.shape[0])
         ends = run(ex, chunks, starts, stats=stats, phase="p", **kwargs)
-        outcomes.append((ends, stats, registry))
-    (ends, stats, registry), (ref_ends, ref_stats, ref_registry) = outcomes
+        outcomes.append((ends, stats))
+    (ends, stats), (ref_ends, ref_stats) = outcomes
     assert ends.dtype == ref_ends.dtype
     np.testing.assert_array_equal(ends, ref_ends)
     assert stats.phase_cycles == ref_stats.phase_cycles  # exact, not approx
@@ -172,10 +159,10 @@ def _assert_same(device, table, memory, chunks, starts, with_metrics, **kwargs):
         "redundant_transitions",
         "shared_accesses",
         "global_accesses",
+        "warp_steps",
+        "divergent_warp_steps",
     ):
         assert getattr(stats, name) == getattr(ref_stats, name), name
-    if with_metrics:
-        assert registry.as_dict() == ref_registry.as_dict()
 
 
 @st.composite
@@ -208,15 +195,14 @@ def batch(draw):
     layout = draw(st.sampled_from(list(TableLayout)))
     hot = draw(st.integers(min_value=0, max_value=n_states))
     memory = _memory(DEV, layout, n_states, hot, rng)
-    with_metrics = draw(st.booleans())
-    return table, memory, chunks, starts, with_metrics, kwargs
+    return table, memory, chunks, starts, kwargs
 
 
 @st.composite
 def sparse_batch(draw):
     """A recovery-shaped batch whose activity has warp structure: whole
     idle warps, one active lane, only the last partial warp active, or all
-    active lanes inside one warp.  Metrics are always on."""
+    active lanes inside one warp."""
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     ws = DEV.warp_size
@@ -267,28 +253,29 @@ def sparse_batch(draw):
 @given(sparse_batch())
 def test_sparse_warp_structured_batches(case):
     """Warp-structured activity — the shape of an RR/NF recovery batch —
-    matches the oracle's ledger and its whole metrics registry, so
-    ``executor.warp_steps`` and ``executor.divergent_warp_steps`` exactly."""
+    matches the oracle's ledger, ``warp_steps`` and
+    ``divergent_warp_steps`` exactly."""
     table, memory, chunks, starts, kwargs = case
-    _assert_same(DEV, table, memory, chunks, starts, True, **kwargs)
+    _assert_same(DEV, table, memory, chunks, starts, **kwargs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(batch())
 def test_two_pass_run_equals_per_position_loop(case):
-    table, memory, chunks, starts, with_metrics, kwargs = case
-    _assert_same(DEV, table, memory, chunks, starts, with_metrics, **kwargs)
+    table, memory, chunks, starts, kwargs = case
+    _assert_same(DEV, table, memory, chunks, starts, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch(), st.integers(min_value=1, max_value=40))
 def test_block_budget_does_not_change_the_result(case, budget):
     """Any position-block size — down to one position a block — gives the
-    reference ledger; the budget only bounds memory."""
-    table, memory, chunks, starts, with_metrics, kwargs = case
+    reference ledger, warp steps and their divergence included; the budget
+    only bounds memory."""
+    table, memory, chunks, starts, kwargs = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor_module, "TRACE_BLOCK_ELEMENTS", budget)
-        _assert_same(DEV, table, memory, chunks, starts, with_metrics, **kwargs)
+        _assert_same(DEV, table, memory, chunks, starts, **kwargs)
 
 
 @pytest.mark.parametrize("layout", list(TableLayout))
@@ -310,14 +297,13 @@ def test_wide_batch_spanning_several_position_blocks(layout):
         memory,
         chunks,
         starts,
-        True,
         lengths=rng.integers(0, chunk_len + 1, size=n_threads),
         active=rng.random(n_threads) < 0.9,
         chunk_ids=rng.integers(0, n_threads // 8, size=n_threads),
         count_redundant=rng.random(n_threads) < 0.3,
     )
     # ... and the rectangular, all-active form of the same batch.
-    _assert_same(RTX3090, table, memory, chunks, starts, True)
+    _assert_same(RTX3090, table, memory, chunks, starts)
 
 
 @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
@@ -341,10 +327,9 @@ def test_suite_sized_table(layout, symbol_dtype):
         memory,
         chunks,
         starts,
-        True,
         lengths=rng.integers(0, chunk_len + 1, size=n_threads),
         active=rng.random(n_threads) < 0.7,
         chunk_ids=rng.integers(0, n_threads // 4, size=n_threads),
         count_redundant=rng.random(n_threads) < 0.3,
     )
-    _assert_same(RTX3090, table, memory, chunks, starts, True)
+    _assert_same(RTX3090, table, memory, chunks, starts)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.framework import GSpecPal, GSpecPalConfig
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import Tracer
 from repro.workloads import classic
 
 ALL_SCHEMES = ("pm", "sre", "rr", "nf", "sfa", "seq", "spec-seq")
@@ -30,17 +30,16 @@ def rotator_dfa():
     return classic.cyclic_rotator(12, n_symbols=64)
 
 
-def make_pal(dfa, tracer=None, metrics=None, n_threads=8, lo=0, hi=64):
+def make_pal(dfa, tracer=None, n_threads=8, lo=0, hi=64):
     rng = np.random.default_rng(99)
     training = bytes(rng.integers(lo, hi, size=160).astype(np.uint8))
     return GSpecPal(
         dfa,
-        # Pinned to the sim backend: these tests assert on executor/memory
-        # counters and cycle tiling, which only SimBackend produces.
+        # Pinned to the sim backend: these tests assert on the executor's
+        # ledger charges and cycle tiling, which only SimBackend produces.
         GSpecPalConfig(n_threads=n_threads, backend="sim"),
         training_input=training,
         tracer=tracer,
-        metrics=metrics,
     )
 
 
@@ -168,39 +167,8 @@ class TestZeroCostWhenDisabled:
         else:
             np.testing.assert_array_equal(plain.chunk_ends, traced.chunk_ends)
 
-    def test_metrics_do_not_disturb_the_ledger(self, rotator_dfa):
-        data = make_data()
-        plain = make_pal(rotator_dfa).run(data, scheme="rr")
-        metered = make_pal(rotator_dfa, metrics=MetricsRegistry()).run(
-            data, scheme="rr"
-        )
-        assert plain.cycles == metered.cycles
-        assert plain.stats.summary() == metered.stats.summary()
 
-
-class TestMetricsIntegration:
-    def test_framework_run_populates_executor_and_memory_counters(
-        self, rotator_dfa
-    ):
-        registry = MetricsRegistry()
-        pal = make_pal(rotator_dfa, metrics=registry)
-        result = pal.run(make_data(), scheme="nf")
-        flat = registry.as_dict()
-        assert flat["executor.batches"] >= 1
-        # Counters agree with the stats ledger's own accounting.
-        assert flat["executor.transitions"] == result.stats.transitions
-        # Every executor transition is exactly one table lookup; the ledger
-        # additionally counts predict-phase lookups charged outside the
-        # executor, so the metrics totals are a lower bound of the ledger's.
-        executor_lookups = (
-            flat["memory.shared_accesses"] + flat["memory.global_accesses"]
-        )
-        assert executor_lookups == flat["executor.transitions"]
-        assert executor_lookups <= (
-            result.stats.shared_accesses + result.stats.global_accesses
-        )
-        assert flat["executor.active_lanes.max"] <= pal.config.n_threads
-
+class TestTraceExport:
     def test_trace_jsonl_export_from_real_run(self, rotator_dfa, tmp_path):
         tracer = Tracer()
         pal = make_pal(rotator_dfa, tracer=tracer)
@@ -215,13 +183,11 @@ class TestMetricsIntegration:
         assert {"gspecpal.run", "predict", "merge"} <= names
 
     def test_render_timeline_smoke(self, rotator_dfa):
-        from repro.observability import render_metrics, render_timeline
+        from repro.observability import render_timeline
 
         tracer = Tracer()
-        registry = MetricsRegistry()
-        pal = make_pal(rotator_dfa, tracer=tracer, metrics=registry)
+        pal = make_pal(rotator_dfa, tracer=tracer)
         pal.run(make_data(), scheme="rr")
         text = render_timeline(tracer, max_run=4)
         assert "scheme:rr" in text and "verify_recover.round" in text
         assert "more" in text  # the 8 round spans exceed max_run=4: elided
-        assert "executor.transitions" in render_metrics(registry)

@@ -64,6 +64,12 @@ class TestLedger:
         assert stats.shared_accesses + stats.global_accesses >= stats.transitions
         # (>= because VR staging also goes through shared memory)
 
+    def test_warp_steps_bound_their_divergence(self, results, cls):
+        """Every sim run steps warps; a divergent warp step is one of them."""
+        stats = results[cls].stats
+        assert 0 <= stats.divergent_warp_steps <= stats.warp_steps
+        assert stats.warp_steps > 0
+
     def test_launch_charged_once(self, results, cls):
         stats = results[cls].stats
         assert stats.phase_cycles.get("launch", 0) > 0

@@ -6,7 +6,7 @@ import pytest
 from repro.engine.fast import FastBackend
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.gpu.kernel import KernelPhase
-from repro.observability import MetricsRegistry
+from repro.observability import Tracer
 from repro.schemes.sfa import SFAScheme, dedupe_chunks, fingerprint_chunks
 from repro.selector.features import profile_features, reachable_width
 from repro.speculation.chunks import partition_input
@@ -228,15 +228,22 @@ class TestSchemeContract:
         result = scheme.run(data)  # audit raises SelfCheckError on violation
         assert result.end_state == affine.run(data)
 
-    def test_metrics_recorded(self, div7):
-        registry = MetricsRegistry()
+    def test_mapping_figures_on_spans(self, div7):
+        """The mapping figures are span attributes: chunks mapped
+        (``mapping.unique_chunks``), chunks deduped (the root's ``n_chunks``
+        less those), mapping width (``merge.width``) and lanes
+        (``unique_chunks × n_states``)."""
+        tracer = Tracer()
         scheme = SFAScheme.for_dfa(
-            div7, n_threads=8, use_transformation=False, metrics=registry
+            div7, n_threads=8, use_transformation=False, tracer=tracer
         )
         scheme.run(b"01" * 400)
-        snap = registry.as_dict()
-        assert snap["sfa.mappings_built"] >= 1
-        assert snap["sfa.mappings_deduped"] >= 1
+        (root,) = [s for s in tracer.roots if s.name == "scheme:sfa"]
+        (mapping,) = tracer.find_all("mapping")
+        (merge,) = tracer.find_all("merge")
+        built = mapping.attrs["unique_chunks"]
+        assert 1 <= built < root.attrs["n_chunks"]  # periodic input dedupes
+        assert 1 <= merge.attrs["width"] <= root.attrs["n_states"]
 
 
 # ----------------------------------------------------------------------
