@@ -6,7 +6,7 @@ The question before any work on minimization itself: is a
 ``canonical_form`` expensive because it runs many refinement rounds, or
 because each round is wide?  ``repro.automata.minimize`` is measured as
 shipped.  Rounds are counted by one instrumented call that routes the
-module's ``_group_rows`` — called once per round on the signature rows,
+module's ``group_rows`` — called once per round on the signature rows,
 and once by the column pass, which is not counted — through a counter,
 which also times it.  A member with more than one reachable state that
 shows no round means the counter no longer sees the loop: the script then
@@ -32,7 +32,7 @@ def _count_rounds(dfa):
     """Per round of the refinement loop: the dirty-frontier width and the
     ms its signature grouping took."""
     widths, group_ms = [], []
-    group_rows, columns = minimize._group_rows, minimize._distinct_columns
+    group_rows, columns = minimize.group_rows, minimize._distinct_columns
 
     def counted(rows):
         t0 = time.perf_counter()
@@ -42,17 +42,17 @@ def _count_rounds(dfa):
         return out
 
     def uncounted(table):  # the column pass groups too, but is not a round
-        minimize._group_rows = group_rows
+        minimize.group_rows = group_rows
         try:
             return columns(table)
         finally:
-            minimize._group_rows = counted
+            minimize.group_rows = counted
 
-    minimize._group_rows, minimize._distinct_columns = counted, uncounted
+    minimize.group_rows, minimize._distinct_columns = counted, uncounted
     try:
         minimize.minimize_dfa(dfa)
     finally:
-        minimize._group_rows, minimize._distinct_columns = group_rows, columns
+        minimize.group_rows, minimize._distinct_columns = group_rows, columns
     return widths, group_ms
 
 

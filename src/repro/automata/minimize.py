@@ -9,7 +9,7 @@ refinement: the partition lives in a flat colour array and each round
 recolours only the dirty frontier — states with a successor whose colour
 changed last round — from their ``(colour, successor colours)`` signature
 rows, instead of walking a Python worklist of splitter sets.  Refinement
-needs those rows grouped, not ordered, so :func:`_group_rows` groups them
+needs those rows grouped, not ordered, so :func:`group_rows` groups them
 by hashed 64-bit keys with exact verification.  When a block whose
 members are all dirty splits, its largest group keeps the block's id: any
 one group would yield the same minimal DFA, and the largest re-dirties the
@@ -26,6 +26,7 @@ the plan cache keys language-equivalence aliasing on.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -81,20 +82,25 @@ def _bfs_renumber(dfa: DFA) -> DFA:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_weights(width: int) -> np.ndarray:
-    """Fixed odd 64-bit weights, one per row entry, for :func:`_group_rows`:
+    """Fixed odd 64-bit weights, one per row entry, for :func:`group_rows`:
     the splitmix64 finalizer of ``1..width`` (cheaper than seeding a
-    generator on every call)."""
+    generator on every call).  Cached read-only per width: on the few
+    short rows of a feed's lookback windows, deriving them costs as much
+    as grouping."""
     x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
-    return (x | np.uint64(1)).view(np.int64)
+    weights = (x | np.uint64(1)).view(np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
-def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Group the equal rows of ``rows``: ``(first, inv)``.
 
     ``first[g]`` is the index of group ``g``'s first row and ``inv[i]`` the
@@ -103,7 +109,8 @@ def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``np.unique``, and every row is then checked exactly against its
     group's first row; on any collision the rows are grouped by the exact
     lexicographic ``np.unique(axis=0)`` instead.  Groups come in key order,
-    not row order: callers need the rows grouped, not sorted.
+    not row order: callers need the rows grouped, not sorted.  SFA's chunk
+    dedupe and the predictor's distinct lookback windows group through it.
     """
     keys = rows @ _hash_weights(rows.shape[1])
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
@@ -113,7 +120,7 @@ def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_columns(table: np.ndarray) -> np.ndarray:
-    """The distinct columns of ``table``, in :func:`_group_rows` order.
+    """The distinct columns of ``table``, in :func:`group_rows` order.
 
     Refinement only needs the distinct column *set*, so hashing the columns
     replaces ``np.unique(table, axis=1)``'s lexicographic column sort.  The
@@ -122,7 +129,7 @@ def _distinct_columns(table: np.ndarray) -> np.ndarray:
     """
     if table.shape[1] <= 1:
         return table
-    first, _ = _group_rows(np.ascontiguousarray(table.T))
+    first, _ = group_rows(np.ascontiguousarray(table.T))
     return table[:, first]
 
 
@@ -138,7 +145,7 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
     which is what lets deep, chain-like automata (keyword scanners, bounded
     gaps, counters) minimize in milliseconds rather than paying a full
     table pass per distinguishing-depth level.  Signature rows are grouped
-    by hashed keys with exact verification (:func:`_group_rows`).
+    by hashed keys with exact verification (:func:`group_rows`).
 
     Colour ids are stable: when a block splits, one part keeps the old id
     and the rest get fresh never-before-used ids, so dirtiness propagates
@@ -188,7 +195,7 @@ def minimize_dfa(dfa: DFA, name: Optional[str] = None) -> DFA:
         sig = np.concatenate(
             [colour[dirty, None], colour[unique_cols[dirty]]], axis=1
         )
-        first, inv = _group_rows(sig)
+        first, inv = group_rows(sig)
         block = sig[first, 0]
 
         # A block with clean (non-dirty) members keeps its id for them and

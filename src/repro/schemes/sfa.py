@@ -14,11 +14,12 @@ of one, so SFA only wins where speculation accuracy is so low that the four
 speculative schemes degrade toward their sequential worst case.  Two
 levers keep the cost bounded:
 
-* **Rabin-fingerprint deduplication** (the arXiv:1512.09228 SDFA trick):
-  chunks are grouped by a polynomial rolling fingerprint of their content
-  (with an exact content compare inside each bucket, so hash collisions can
-  never change the answer) and one mapping is built per *unique* chunk —
-  periodic or low-entropy inputs collapse to a handful of constructions.
+* **Fingerprint deduplication** (the arXiv:1512.09228 SDFA trick):
+  chunks are grouped by a hash-and-verify fingerprint of their content —
+  :func:`~repro.automata.minimize.group_rows`, whose exact check means a
+  hash collision can never change the answer — and one mapping is built
+  per *unique* chunk: periodic or low-entropy inputs collapse to a
+  handful of constructions.
 * **Reachable-width pruning happens naturally**: after a few symbols the
   image of the full state set typically collapses to a small set of
   surviving states, which is why the cost model prices SFA with the
@@ -31,76 +32,28 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.automata.minimize import group_rows
 from repro.automata.properties import distinct_per_row
 from repro.gpu.kernel import KernelPhase
 from repro.schemes.base import Scheme
 
-#: Rabin fingerprint modulus/base.  ``MOD`` is the Mersenne prime 2^31-1 and
-#: ``BASE`` < 2^20, so ``fp * BASE + sym`` stays well inside int64 for byte
-#: alphabets — the rolling update needs no 128-bit arithmetic.
-FINGERPRINT_MOD = (1 << 31) - 1
-FINGERPRINT_BASE = 1_000_003
 
-
-def fingerprint_chunks(
-    chunks: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Rabin polynomial fingerprint of every chunk's live prefix.
-
-    Vectorized across chunks: one rolling-hash update per input position
-    advances all chunk fingerprints together (symbols are offset by one so
-    a chunk of zeros does not hash like an empty chunk).
-    """
-    chunks = np.asarray(chunks)
-    lens = np.asarray(lengths, dtype=np.int64)
-    n, chunk_len = chunks.shape
-    fp = np.zeros(n, dtype=np.int64)
-    if n == 0 or chunk_len == 0:
-        return fp
-    syms = chunks.astype(np.int64, copy=False)
-    max_len = int(lens.max(initial=0))
-    for j in range(max_len):
-        live = j < lens
-        if not live.any():
-            break
-        fp[live] = (
-            fp[live] * FINGERPRINT_BASE + syms[live, j] + 1
-        ) % FINGERPRINT_MOD
-    return fp
-
-
-def dedupe_chunks(
+def group_chunks(
     chunks: np.ndarray, lengths: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Group identical chunks: ``(representatives, inverse)``.
 
-    ``representatives[g]`` is the chunk index whose content defines group
-    ``g``; ``inverse[i]`` maps every chunk to its group.  Grouping keys on
-    the ``(fingerprint, length)`` pair but membership is decided by an
-    exact content compare against the representative, so a fingerprint
-    collision costs one extra mapping instead of a wrong answer.
+    ``representatives[g]`` is the first chunk of group ``g`` and
+    ``inverse[i]`` the group of chunk ``i``; groups are numbered in order
+    of first appearance.  One :func:`~repro.automata.minimize.group_rows`
+    call groups the ``[chunks | lengths]`` rows: the padding past a chunk's
+    length is zero, so two rows are equal exactly when the chunks are.
     """
-    chunks = np.asarray(chunks)
-    lens = np.asarray(lengths, dtype=np.int64)
-    fingerprints = fingerprint_chunks(chunks, lens)
-    n = chunks.shape[0]
-    buckets: dict = {}
-    reps: list = []
-    inverse = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        key = (int(fingerprints[i]), int(lens[i]))
-        gid = None
-        for candidate in buckets.get(key, ()):
-            r = reps[candidate]
-            if np.array_equal(chunks[i, : lens[i]], chunks[r, : lens[r]]):
-                gid = candidate
-                break
-        if gid is None:
-            gid = len(reps)
-            reps.append(i)
-            buckets.setdefault(key, []).append(gid)
-        inverse[i] = gid
-    return np.asarray(reps, dtype=np.int64), inverse
+    first, inv = group_rows(np.column_stack((chunks, lengths)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inv]
 
 
 class SFAScheme(Scheme):
@@ -108,8 +61,8 @@ class SFAScheme(Scheme):
 
     Three phases replace the predict/speculate/recover pipeline:
 
-    1. **dedupe** — Rabin-fingerprint the chunks and keep one
-       representative per distinct content;
+    1. **dedupe** — fingerprint the chunks and keep one representative
+       per distinct content;
     2. **mapping** — build each unique chunk's full state→state mapping on
        the execution backend (``run_mappings``: ``n_states`` lanes per
        chunk advance in lockstep);
@@ -131,9 +84,9 @@ class SFAScheme(Scheme):
 
         # --- phase 1: fingerprint dedupe (host-side, cheap) -------------
         with self._phase_span(KernelPhase.PREDICT, stats, kind="fingerprint"):
-            reps, inverse = dedupe_chunks(partition.chunks, partition.lengths)
-            # One rolling-hash pass over the input, pipelined across
-            # chunks: charge it like a predictor replay, not a kernel.
+            reps, inverse = group_chunks(partition.chunks, partition.lengths)
+            # One hash pass over the input, pipelined across chunks:
+            # charge it like a predictor replay, not a kernel.
             stats.charge(
                 KernelPhase.PREDICT,
                 2.0 * self.sim.device.transition_compute_cycles,

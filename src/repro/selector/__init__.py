@@ -3,7 +3,7 @@ Fig. 6 decision tree."""
 
 from repro.selector.cost_model import CostModel, CostModelInputs
 from repro.selector.decision_tree import DecisionTreeSelector, SelectorThresholds
-from repro.selector.features import FSMFeatures, profile_features, speculation_accuracy
+from repro.selector.features import FSMFeatures, profile_features
 
 __all__ = [
     "CostModel",
@@ -12,5 +12,4 @@ __all__ = [
     "FSMFeatures",
     "SelectorThresholds",
     "profile_features",
-    "speculation_accuracy",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.properties import convergence_profile, image_sizes
 from repro.speculation.chunks import partition_input
-from repro.speculation.predictor import predict_start_states, true_start_states
+from repro.speculation.predictor import predict_start_states
 from repro.errors import SchemeError
 
 
@@ -130,20 +130,6 @@ class FSMFeatures:
             live_accuracy=live,
             live_samples=int(observations.boundary_samples),
         )
-
-
-def speculation_accuracy(
-    dfa: DFA,
-    training_input,
-    *,
-    n_chunks: int = 64,
-    k: int = 1,
-) -> float:
-    """Top-k speculation accuracy of the lookback-2 predictor on a slice."""
-    partition = partition_input(training_input, n_chunks)
-    prediction = predict_start_states(dfa, partition)
-    truth = true_start_states(dfa, partition)
-    return prediction.accuracy_against(truth, k=k)
 
 
 def reachable_width(

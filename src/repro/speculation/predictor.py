@@ -19,8 +19,9 @@ with one ``bincount``; every further symbol gathers only the support, and
 duplicate ``(window, state)`` pairs merge with summed weights.  The weights
 are exactly the per-lane appearance counts, so the ranking — count
 descending, then the ``tie_break`` key, then the state id — is the one a
-lane-per-state replay produces.  Each *distinct* window is replayed once
-and boundaries with equal windows share its ranked segment.
+lane-per-state replay produces.  Each *distinct* window (grouped by
+:func:`~repro.automata.minimize.group_rows`) is replayed once and
+boundaries with equal windows share its ranked segment.
 
 The queues of all chunks live in one CSR layout (:class:`Prediction`) and
 are read only through it: chunk ``i``'s queue is the segment
@@ -33,8 +34,8 @@ predictors with :func:`predict_start_states`' signature bracket it (a
 scheme takes any of them as ``predictor=``; lookback-``w`` is
 ``functools.partial(predict_start_states, lookback=w)``):
 
-* :func:`predict_adaptive` — per-boundary window deepening until the
-  candidate set is small;
+* :func:`predict_adaptive` — window deepening until each boundary's
+  candidate set is small, one :func:`rank_queues` call per window width;
 * :func:`predict_oracle` — the true starts, charged nothing: the upper bound;
 * :func:`predict_uniform` — every state, equal weight: the lower bound.
 """
@@ -46,6 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.automata.dfa import DFA
+from repro.automata.minimize import group_rows
 from repro.gpu.device import DeviceSpec
 from repro.gpu.stats import KernelStats
 from repro.speculation.chunks import Partition
@@ -177,38 +179,9 @@ def predict_start_states(
     if start_state is None:
         start_state = dfa.start
     n = partition.n_chunks
-    # Chunk 0's queue is the real start state; boundary i's comes from the
-    # replay of its window, the tail of chunk i-1: ``lookback`` symbols,
-    # fewer only when that chunk is shorter.  Boundaries are grouped by
-    # window length (one group unless some chunk is that short).
-    tails = np.minimum(np.asarray(partition.lengths[:-1], dtype=np.int64), lookback)
-    groups = []
-    for width in sorted(set(tails.tolist())):
-        boundaries = np.flatnonzero(tails == width) + 1
-        rows = boundaries - 1
-        cols = (partition.lengths[rows] - width)[:, None] + np.arange(width)
-        windows = partition.chunks[rows[:, None], cols]
-        groups.append((boundaries, _rank_boundaries(dfa.table, windows, tie_break)))
-
-    if len(groups) == 1:  # every window has the full lookback
-        _, (g_states, g_weights, g_bounds) = groups[0]
-        states = np.concatenate(([start_state], g_states))
-        weights = np.concatenate(([dfa.n_states], g_weights))
-        bounds = np.concatenate(([0], g_bounds + 1))
-    else:
-        sizes = np.ones(n, dtype=np.int64)
-        for boundaries, (_, _, g_bounds) in groups:
-            sizes[boundaries] = np.diff(g_bounds)
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        states = np.empty(int(bounds[-1]), dtype=np.int64)
-        weights = np.empty_like(states)
-        states[0], weights[0] = start_state, dfa.n_states
-        for boundaries, (g_states, g_weights, _) in groups:
-            dst, _ = segment_positions(bounds[boundaries], sizes[boundaries])
-            states[dst] = g_states
-            weights[dst] = g_weights
-
+    # Chunk 0's queue is the real start state; every later chunk's comes
+    # from the replay of its predecessor's tail.
+    queues = rank_queues(dfa.table, partition, np.arange(1, n), lookback, tie_break)
     if stats is not None:
         dev = device if device is not None else stats.device
         lanes = dfa.n_states * max(0, n - 1)
@@ -218,7 +191,68 @@ def predict_start_states(
         # latency — the prediction cost is the constant C of Eq. 1.
         cost = rounds * lookback * (dev.shared_cycles + dev.transition_compute_cycles)
         stats.charge("predict", float(cost))
-    return Prediction.from_arrays(states, weights, bounds)
+    return _after_start(start_state, dfa.n_states, *queues)
+
+
+def _after_start(start_state, n_states, states, weights, bounds) -> Prediction:
+    """The prediction whose chunk 0 queue is the real start state and whose
+    later queues are the boundary CSR ``(states, weights, bounds)``."""
+    return Prediction.from_arrays(
+        np.concatenate(([start_state], states)),
+        np.concatenate(([n_states], weights)),
+        np.concatenate(([0], bounds + 1)),
+    )
+
+
+def rank_queues(
+    table: np.ndarray,
+    partition: Partition,
+    boundaries: np.ndarray,
+    lookback: int,
+    tie_break,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranked CSR ``(states, weights, bounds)`` with segment ``j`` the queue
+    of chunk ``boundaries[j]`` (each ``>= 1``): the all-state replay of its
+    window, the last ``lookback`` symbols of the chunk before it — fewer
+    only when that chunk is shorter.  Boundaries are grouped by window
+    length; with one group (no chunk that short) its CSR is the answer."""
+    rows = boundaries - 1
+    tails = np.minimum(np.asarray(partition.lengths[rows], dtype=np.int64), lookback)
+    widths = sorted(set(tails.tolist()))
+    if len(widths) == 1:
+        return _rank_boundaries(table, _windows(partition, rows, widths[0]), tie_break)
+    parts = []
+    for width in widths:
+        members = np.flatnonzero(tails == width)
+        states, weights, bounds = _rank_boundaries(
+            table, _windows(partition, rows[members], width), tie_break
+        )
+        parts.append((members, states, weights, np.diff(bounds)))
+    return _interleave(rows.size, parts)
+
+
+def _windows(partition: Partition, rows: np.ndarray, width: int) -> np.ndarray:
+    """The last ``width`` symbols of each chunk in ``rows``, one row each."""
+    cols = (partition.lengths[rows] - width)[:, None] + np.arange(width)
+    return partition.chunks[rows[:, None], cols]
+
+
+def _interleave(n: int, parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One CSR ``(states, weights, bounds)`` over ``n`` segments from parts
+    ``(segments, states, weights, sizes)``: each part holds, laid end to
+    end, the ``sizes[j]`` entries of segment ``segments[j]``."""
+    sizes = np.zeros(n, dtype=np.int64)
+    for segments, _, _, part_sizes in parts:
+        sizes[segments] = part_sizes
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    states = np.empty(int(bounds[-1]), dtype=np.int64)
+    weights = np.empty_like(states)
+    for segments, part_states, part_weights, part_sizes in parts:
+        dst, _ = segment_positions(bounds[segments], part_sizes)
+        states[dst] = part_states
+        weights[dst] = part_weights
+    return states, weights, bounds
 
 
 def _rank_boundaries(
@@ -230,27 +264,13 @@ def _rank_boundaries(
     state set and hands its segment to every boundary with that window."""
     if windows.shape[0] * table.shape[0] <= PER_LANE_REPLAY:
         return _rank_windows_per_lane(table, windows, tie_break)
-    distinct, which = _distinct_rows(windows)
-    states, weights, bounds = _rank_windows(table, distinct, tie_break)
+    first, which = group_rows(windows)
+    states, weights, bounds = _rank_windows(table, windows[first], tie_break)
     sizes = np.diff(bounds)[which]
     src, _ = segment_positions(bounds[which], sizes)
     out = np.zeros(which.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=out[1:])
     return states[src], weights[src], out
-
-
-def _distinct_rows(windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``windows`` and, per row, its distinct index."""
-    n_rows, width = windows.shape
-    if width == 0:
-        return windows[:1], np.zeros(n_rows, dtype=np.int64)
-    order = np.lexsort(windows.T[::-1])
-    ordered = windows[order]
-    new = np.ones(n_rows, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    which = np.empty(n_rows, dtype=np.int64)
-    which[order] = np.cumsum(new) - 1
-    return ordered[new], which
 
 
 def _rank_windows(
@@ -357,37 +377,36 @@ def predict_adaptive(
     Each boundary replays 1, 2, 4, … symbols from all states until at most
     ``target_candidates`` end states survive or the window reaches
     ``max_window`` (the cost ceiling): sharper queues on converging regions,
-    bounded extra cost elsewhere.  ``stats`` is charged every replayed step.
+    bounded extra cost elsewhere.  Every window width is one
+    :func:`rank_queues` call over the boundaries still undecided.
+    ``stats`` is charged every replayed step.
     """
     if target_candidates < 1 or max_window < 1:
         raise SchemeError("target_candidates and max_window must be >= 1")
     if start_state is None:
         start_state = dfa.start
-    states = [np.asarray([start_state])]
-    weights = [np.asarray([dfa.n_states])]
-    replay_steps = 0
-    for i in range(1, partition.n_chunks):
-        window = 1
-        while True:
-            syms = partition.last_symbols_of(i - 1, window)
-            ends = dfa.run_all_states(syms)
-            replay_steps += len(syms)
-            candidates, counts = np.unique(ends, return_counts=True)
-            if candidates.size <= target_candidates or window >= max_window:
-                break
-            window = min(max_window, window * 2)
-        keys = tie_break(candidates) if tie_break is not None else candidates
-        order = np.lexsort((keys, -counts))
-        states.append(candidates[order])
-        weights.append(counts[order])
+    n = partition.n_chunks
+    lengths = np.asarray(partition.lengths, dtype=np.int64)
+    parts = []
+    pending = np.arange(1, n)
+    replay_steps, window = 0, 1
+    while pending.size:
+        states, weights, bounds = rank_queues(
+            dfa.table, partition, pending, window, tie_break
+        )
+        replay_steps += int(np.minimum(lengths[pending - 1], window).sum())
+        sizes = np.diff(bounds)
+        done = (sizes <= target_candidates) | (window >= max_window)
+        src, _ = segment_positions(bounds[:-1][done], sizes[done])
+        parts.append((pending[done] - 1, states[src], weights[src], sizes[done]))
+        pending = pending[~done]
+        window = min(max_window, window * 2)
     if stats is not None:
         dev = device if device is not None else stats.device
         rounds = -(-dfa.n_states // (dev.n_sms * dev.cores_per_sm))
         cost = rounds * replay_steps * (dev.shared_cycles + dev.transition_compute_cycles)
         stats.charge("predict", float(cost))
-    bounds = np.zeros(len(states) + 1, dtype=np.int64)
-    np.cumsum([s.size for s in states], out=bounds[1:])
-    return Prediction.from_arrays(np.concatenate(states), np.concatenate(weights), bounds)
+    return _after_start(start_state, dfa.n_states, *_interleave(n - 1, parts))
 
 
 def predict_oracle(
@@ -433,12 +452,7 @@ def predict_uniform(
 
 
 def true_start_states(dfa: DFA, partition: Partition, start_state: Optional[int] = None) -> np.ndarray:
-    """Ground-truth start state of every chunk (sequential reference run)."""
-    if start_state is None:
-        start_state = dfa.start
-    starts = np.empty(partition.n_chunks, dtype=np.int64)
-    state = int(start_state)
-    for i in range(partition.n_chunks):
-        starts[i] = state
-        state = dfa.run(partition.chunk(i), start=state)
-    return starts
+    """Ground-truth start state of every chunk: one sequential walk of the
+    stream (the reference run), read at the chunk offsets."""
+    path = dfa.run_path(partition.symbols, start=start_state)
+    return path[partition.offsets].astype(np.int64)

@@ -151,7 +151,7 @@ def test_every_hash_key_colliding_falls_back_to_exact_grouping(monkeypatch, rng)
         for _ in range(4)
     ]
     expected = [canonical_form(dfa) for dfa in dfas]
-    group_rows, calls = minimize._group_rows, []
+    group_rows, calls = minimize.group_rows, []
 
     def spy(rows):
         first, inv = group_rows(rows)
@@ -162,7 +162,7 @@ def test_every_hash_key_colliding_falls_back_to_exact_grouping(monkeypatch, rng)
         return first, inv
 
     monkeypatch.setattr(minimize, "_hash_weights", lambda width: np.zeros(width, np.int64))
-    monkeypatch.setattr(minimize, "_group_rows", spy)
+    monkeypatch.setattr(minimize, "group_rows", spy)
     for dfa, want in zip(dfas, expected):
         calls.clear()
         got = canonical_form(dfa)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.automata.minimize as minimize
 from repro.engine.fast import FastBackend
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.gpu.kernel import KernelPhase
 from repro.observability import Tracer
-from repro.schemes.sfa import SFAScheme, dedupe_chunks, fingerprint_chunks
+from repro.schemes.sfa import SFAScheme, group_chunks
 from repro.selector.features import profile_features, reachable_width
 from repro.speculation.chunks import partition_input
 from repro.workloads import classic
@@ -30,10 +32,23 @@ def affine_io():
 # ----------------------------------------------------------------------
 # fingerprint dedupe
 # ----------------------------------------------------------------------
+def _first_appearance_groups(chunks, lengths):
+    """Exact grouping by live content, groups in order of first appearance
+    (the reference)."""
+    seen, reps, inverse = {}, [], []
+    for row, length in zip(chunks.tolist(), lengths.tolist()):
+        key = tuple(row[:length])
+        if key not in seen:
+            seen[key] = len(reps)
+            reps.append(len(inverse))
+        inverse.append(seen[key])
+    return reps, inverse
+
+
 class TestDedupe:
     def test_identical_chunks_share_one_group(self):
         partition = partition_input(b"0123" * 300, 12)
-        reps, inverse = dedupe_chunks(partition.chunks, partition.lengths)
+        reps, inverse = group_chunks(partition.chunks, partition.lengths)
         # 1200/12 = 100 symbols per chunk; 100 % 4 == 0 so every chunk has
         # identical content: one group serves all twelve.
         assert reps.size == 1
@@ -42,7 +57,7 @@ class TestDedupe:
     def test_distinct_chunks_stay_distinct(self, rng):
         data = rng.integers(0, 64, size=640).astype(np.uint8)
         partition = partition_input(data, 8)
-        reps, inverse = dedupe_chunks(partition.chunks, partition.lengths)
+        reps, inverse = group_chunks(partition.chunks, partition.lengths)
         assert reps.size == 8
         np.testing.assert_array_equal(inverse, np.arange(8))
 
@@ -50,7 +65,7 @@ class TestDedupe:
         period = rng.integers(0, 8, size=50).astype(np.uint8)
         data = np.tile(period, 40)  # 2000 symbols, heavy repetition
         partition = partition_input(data, 16)
-        reps, inverse = dedupe_chunks(partition.chunks, partition.lengths)
+        reps, inverse = group_chunks(partition.chunks, partition.lengths)
         assert reps.size < 16
         for i in range(partition.n_chunks):
             r = int(reps[inverse[i]])
@@ -58,29 +73,48 @@ class TestDedupe:
                 partition.chunk(i), partition.chunk(r)
             )
 
-    def test_fingerprint_distinguishes_zero_prefixes(self):
-        # The +1 symbol offset: a chunk of zeros must not hash like a
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.lists(st.integers(0, 2), min_size=1, max_size=200),
+        period=st.integers(1, 12),
+        n_chunks=st.integers(1, 40),
+    )
+    def test_groups_in_order_of_first_appearance(self, data, period, n_chunks):
+        symbols = np.resize(np.asarray(data[:period], np.uint8), len(data))
+        partition = partition_input(symbols, min(n_chunks, symbols.size))
+        reps, inverse = group_chunks(partition.chunks, partition.lengths)
+        want = _first_appearance_groups(partition.chunks, partition.lengths)
+        assert (reps.tolist(), inverse.tolist()) == want
+        assert reps.dtype == inverse.dtype == np.int64
+
+    def test_zero_chunks_of_different_lengths_stay_apart(self):
+        # The length column: a chunk of zeros must not group with a
         # shorter zero chunk padded out.
         chunks = np.zeros((2, 4), dtype=np.int64)
         lengths = np.asarray([2, 4])
-        fp = fingerprint_chunks(chunks, lengths)
-        assert fp[0] != fp[1]
+        reps, inverse = group_chunks(chunks, lengths)
+        assert reps.tolist() == [0, 1]
+        assert inverse.tolist() == [0, 1]
 
-    def test_collision_guard_compares_content(self, monkeypatch):
-        # Force every fingerprint to collide: grouping must fall back to
-        # the exact content compare and still keep distinct chunks apart.
-        import repro.schemes.sfa as sfa_mod
+    def test_colliding_hash_keys_change_nothing(self, monkeypatch):
+        """Every hash key colliding sends ``group_rows`` to its exact
+        fallback: the groups, the answer and the cycles stay the same."""
+        data = np.frombuffer(b"abcabcabd" * 64 + b"xyz" * 40, dtype=np.uint8)
+        partition = partition_input(data, 24)
+        dfa = classic.keyword_scanner(b"abd")
+        scheme = SFAScheme.for_dfa(dfa, n_threads=24, use_transformation=False)
 
-        monkeypatch.setattr(
-            sfa_mod,
-            "fingerprint_chunks",
-            lambda chunks, lengths: np.zeros(chunks.shape[0], dtype=np.int64),
-        )
-        chunks = np.asarray([[1, 2, 3], [1, 2, 4], [1, 2, 3]], dtype=np.int64)
-        lengths = np.asarray([3, 3, 3])
-        reps, inverse = sfa_mod.dedupe_chunks(chunks, lengths)
-        assert reps.size == 2
-        assert inverse[0] == inverse[2] != inverse[1]
+        def observe():
+            reps, inverse = group_chunks(partition.chunks, partition.lengths)
+            result = scheme.run(data)
+            return reps.tolist(), inverse.tolist(), result.end_state, result.stats.cycles
+
+        hashed = observe()
+        monkeypatch.setattr(minimize, "_hash_weights", lambda width: np.zeros(width, np.int64))
+        assert observe() == hashed
+        reps = hashed[0]
+        assert 1 < len(reps) < partition.n_chunks
+        assert hashed[2] == dfa.run(data)
 
 
 # ----------------------------------------------------------------------

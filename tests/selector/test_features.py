@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.selector.decision_tree import DecisionTreeSelector, SelectorThresholds
-from repro.selector.features import profile_features, speculation_accuracy
+from repro.selector.features import profile_features
+from repro.speculation.chunks import partition_input
+from repro.speculation.predictor import predict_start_states, true_start_states
 from repro.workloads import classic
 from repro.workloads.components import counter_component
 from repro.automata.dfa import DFA
@@ -47,9 +49,11 @@ def test_scanner_is_easy(rng):
 
 
 def test_speculation_accuracy_topk_monotone(counter_dfa, rng):
-    data = make_stream(rng, 3000)
-    a1 = speculation_accuracy(counter_dfa, data, k=1)
-    a9 = speculation_accuracy(counter_dfa, data, k=9)
+    partition = partition_input(make_stream(rng, 3000), 64)
+    prediction = predict_start_states(counter_dfa, partition)
+    truth = true_start_states(counter_dfa, partition)
+    a1 = prediction.accuracy_against(truth, k=1)
+    a9 = prediction.accuracy_against(truth, k=9)
     assert a9 >= a1
     assert a9 == 1.0  # truth always inside the counter's full queue
 
@@ -75,16 +79,21 @@ def test_input_sensitive_flag(counter_dfa, rng):
     assert DecisionTreeSelector().is_input_sensitive(at_cut)
 
 
+def _chunk_walk(dfa, partition, start):
+    """Every chunk's true start, one scalar ``DFA.run`` per chunk."""
+    starts = [int(start)]
+    for i in range(partition.n_chunks - 1):
+        starts.append(dfa.run(partition.chunk(i), start=starts[-1]))
+    return np.asarray(starts)
+
+
 def _accuracies_reference(dfa, symbols, n_chunks, n_portions=4):
     """The accuracy and sensitivity half of ``profile_features`` as it was:
     a scalar ``DFA.run`` walk for the slice's truth, and per portion two
     walks to its start plus one more for its truth."""
-    from repro.speculation.chunks import partition_input
-    from repro.speculation.predictor import predict_start_states, true_start_states
-
     partition = partition_input(symbols, n_chunks)
     prediction = predict_start_states(dfa, partition)
-    truth = true_start_states(dfa, partition)
+    truth = _chunk_walk(dfa, partition, dfa.start)
     accs = [prediction.accuracy_against(truth, k=k) for k in (1, 4, 16)]
     portion_len = symbols.size // n_portions
     portion_accs = []
@@ -95,7 +104,7 @@ def _accuracies_reference(dfa, symbols, n_chunks, n_portions=4):
             continue
         part = partition_input(piece, chunks_per_portion)
         pred = predict_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
-        tru = true_start_states(dfa, part, start_state=dfa.run(symbols[: p * portion_len]))
+        tru = _chunk_walk(dfa, part, dfa.run(symbols[: p * portion_len]))
         portion_accs.append(pred.accuracy_against(tru, k=1))
     sensitivity = float(np.std(portion_accs)) if len(portion_accs) > 1 else 0.0
     return accs, sensitivity
