@@ -120,7 +120,7 @@ class PlanCache:
         #: content fingerprint → canonical fingerprint (never evicted).
         self._alias: Dict[str, str] = {}
         self._inflight: Dict[str, _InFlightCompile] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def _note_alias_hit(self, plan: CompiledPlan, fingerprint: str) -> None:
         """Record that ``fingerprint`` was served by a plan compiled for a

@@ -1,33 +1,15 @@
 """Multi-tenant serving: many concurrent streams over cached plans.
 
-:class:`MatcherPool` is the serve-many half of the compile-once split.  It
-keeps one record per *language class and compile config* — keyed by the
-plan's canonical fingerprint and config hash, so tenants submitting
-language-equivalent DFAs share one warmed
-:class:`~repro.framework.GSpecPal` matcher (built via
-``GSpecPal.from_plan`` — zero profiling on the serving path) — and
-multiplexes any number of concurrent
-:class:`~repro.framework.gspecpal.StreamSession`\\ s over those matchers.
-A stream keeps the record it was opened on, so after ``open`` nothing
-looks a matcher up again.
-Plans come from a shared :class:`~repro.serving.PlanCache`, so N tenants
-matching the same (or an equivalent) automaton cost one compile, one
-simulator, and one scheme instance per stream — nothing else.
-
-Concurrency contract (see ``docs/architecture.md``): every public method is
-thread-safe.  The pool lock only guards bookkeeping; each stream carries
-its own lock making :meth:`MatcherPool.feed` and :meth:`MatcherPool.close`
-mutually exclusive *per stream id* — concurrent feeds to different streams
-run in parallel, while a feed racing a close of the same stream gets a
-structured :class:`~repro.errors.ServingError` (``code="stream_closed"``)
-instead of running on a released session.  Admission control rejects opens
-beyond ``max_streams`` with a retryable ``code="capacity"`` error, or —
-with ``open_timeout`` set — waits boundedly for a slot.  Locks nest
-stream → pool → cache, and the cache never calls back into the pool.
-With drift detection on, the feed whose evidence fires a class's monitor
-runs that class's revise inline, under its stream lock, so the pool
-starts no thread.  A class record is dropped once nothing needs it
-(:meth:`MatcherPool._prune_locked`).
+:class:`MatcherPool` is the serve-many half of the compile-once split: one
+warmed plan-backed matcher per language class and compile config, shared by
+tenants whose DFAs are language-equivalent, and any number of concurrent
+streams over those matchers.  It is the locking shell around
+:class:`~repro.serving.state.PoolState`: each critical section takes the
+pool's one plain lock, applies one transition and lets go, while compiles,
+scheme feeds, fused dispatch and revises run outside it.  Every public
+method is thread-safe, each stream's own lock serializes its feeds and
+close, and locks nest stream → pool → cache (``docs/architecture.md``,
+"Serving concurrency contract").
 
 Typical serving loop::
 
@@ -51,15 +33,14 @@ import numpy as np
 from repro.automata.dfa import _as_symbol_array
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
-from repro.framework.gspecpal import GSpecPal, StreamSession
-from repro.plan import CompiledPlan
+from repro.framework.gspecpal import GSpecPal
 from repro.schemes import SchemeResult
 from repro.serving.cache import PlanCache
 from repro.serving.drift import DriftMonitor
+from repro.serving.state import ClassRecord, PoolState, StreamEntry, closed_error
 from repro.speculation.observations import LiveObservations
 
-#: Narrowest same-plan group :meth:`MatcherPool.feed_many` fuses; a lone
-#: feed gains nothing from the gang layout and runs per-stream.
+#: Narrowest same-record group :meth:`MatcherPool.feed_many` fuses.
 FUSED_MIN_STREAMS = 2
 
 
@@ -67,14 +48,10 @@ FUSED_MIN_STREAMS = 2
 class StreamStats:
     """Summary returned by :meth:`MatcherPool.close`.
 
-    ``fingerprint`` is the content fingerprint of the plan the stream was
-    opened with; ``canonical_fingerprint`` identifies its language class
-    (shared across aliased tenants served by one matcher).
-    ``scheme_switches`` counts segment-boundary scheme changes over the
-    stream's lifetime (drift hot-swaps land here), and ``decision_path``
-    is the Fig. 6 node path behind the selection the stream last served
-    (``("forced",)`` when a scheme was forced at open) — together they let
-    close-time audits assert when and why a stream was swapped.
+    ``fingerprint`` is the content fingerprint of the stream's plan,
+    ``canonical_fingerprint`` its language class; ``scheme_switches``
+    counts drift hot-swaps and ``decision_path`` is the Fig. 6 path of the
+    selection last served (``("forced",)`` for a forced scheme).
     """
 
     stream_id: int
@@ -92,30 +69,9 @@ class StreamStats:
 
 @dataclass(frozen=True)
 class FeedOutcome:
-    """Per-feed result of one :meth:`MatcherPool.feed_many` call.
-
-    A gang dispatch must not let one closed stream poison its batchmates,
-    so instead of raising, ``feed_many`` reports every feed individually:
-    ``ok`` feeds carry the stream's new carried state, failed feeds carry
-    the structured :class:`~repro.errors.ServingError` a lone :meth:`feed`
-    would have raised (``unknown_stream`` / ``stream_closed`` /
-    ``invalid_symbol``).
-
-    Attributes
-    ----------
-    stream_id / ok:
-        The feed's target and whether it was applied.
-    end_state / accepts:
-        Carried state after the segment (``None`` on failure).
-    symbols:
-        Symbols advanced by this feed (0 on failure).
-    fused:
-        True when the segment ran inside a fused cross-stream dispatch;
-        False when it fell back to the per-stream scheme path (pool not in
-        fused mode, or the batch too narrow to gang).
-    error:
-        The structured error for a failed feed, ``None`` otherwise.
-    """
+    """Per-feed result of :meth:`MatcherPool.feed_many`: the new carried
+    state of an ``ok`` feed, else the ``error`` a lone ``feed`` would have
+    raised (one bad feed never poisons its batchmates)."""
 
     stream_id: int
     ok: bool
@@ -142,124 +98,40 @@ def _checked_symbols(segment, n_symbols: int, stream_id=None) -> np.ndarray:
     return symbols
 
 
-def _closed_error(stream_id, fingerprint: Optional[str] = None) -> ServingError:
-    """The structured error for a feed or close of a closed stream."""
-    return ServingError(
-        f"stream {stream_id} is closed",
-        code="stream_closed",
-        stream_id=stream_id,
-        fingerprint=fingerprint,
-    )
-
-
-class _ClassRecord:
-    """One language class under one compile config: its warmed matcher
-    and, with drift detection on, its monitor.
-
-    Built at the first ``open`` of its ``key`` — ``(canonical
-    fingerprint, config hash)`` — and held by every stream opened on it,
-    which is also the gang-scheduling unit: streams sharing a record run
-    one transition table.  ``streams`` counts those holders (under the
-    pool lock) for :meth:`MatcherPool._prune_locked`.
-    """
-
-    __slots__ = ("key", "matcher", "monitor", "streams")
-
-    def __init__(self, key, matcher: GSpecPal, drift: bool):
-        self.key = key
-        self.matcher = matcher
-        self.streams = 0
-        #: anchored to the plan the matcher serves; None with drift off.
-        self.monitor = DriftMonitor(matcher.plan) if drift else None
-
-
-class _StreamEntry:
-    """Pool-side record of one open stream.
-
-    ``lock`` serializes feed/close on this stream only; ``closed`` flips
-    exactly once, under the lock, so a feed that raced the close observes
-    it instead of touching the released session.
-    """
-
-    __slots__ = ("session", "fingerprint", "record", "forced", "lock", "closed")
-
-    def __init__(
-        self,
-        session: StreamSession,
-        fingerprint: str,
-        record: _ClassRecord,
-        forced: bool,
-    ):
-        self.session = session
-        #: content fingerprint of the plan this stream was opened with.
-        self.fingerprint = fingerprint
-        #: the class record whose matcher serves this stream.
-        self.record = record
-        #: opened with a forced scheme: its accuracy describes that scheme,
-        #: not the plan's selection, so it feeds no drift evidence.
-        self.forced = forced
-        self.lock = threading.Lock()
-        self.closed = False
-
-
 class MatcherPool:
     """Serve many concurrent streams over plan-cached matchers.
 
     Parameters
     ----------
     cache:
-        Shared :class:`PlanCache`; a private default-capacity one is
-        created when omitted.
+        Shared :class:`PlanCache` (a private one when omitted).
     config:
-        The pool's serving config: what plans the pool compiles are
-        compiled under, and whose resolved ``backend`` / ``selfcheck``
-        switches every matcher is served with.  Omitted, the cache's
-        config is used, else the default :class:`GSpecPalConfig`; either
-        way it is settled once, here.
+        The serving config plans are compiled under and whose resolved
+        ``backend`` / ``selfcheck`` every matcher is served with; omitted,
+        the cache's, else the default :class:`GSpecPalConfig`.
     backend:
-        Overrides the serving config's backend (which already resolved
-        ``$REPRO_BACKEND``, else ``"sim"``).  Precedence, highest first:
-        this argument, the config's explicit ``backend``,
-        ``$REPRO_BACKEND``, ``"sim"``.  ``selfcheck`` has no override: the
-        config's explicit value, else ``$REPRO_SELFCHECK``.
+        Beats the config's backend (which beats ``$REPRO_BACKEND``, then
+        ``"sim"``).  ``selfcheck`` has no override.
     max_streams:
         Upper bound on concurrently open streams (admission control).
     fused:
-        Opt into gang scheduling: :meth:`feed_many` coalesces pending
-        feeds whose streams share a matcher into one fused
-        ``(streams × lanes)`` dispatch (see
-        :class:`~repro.engine.fused.FusedBatchEngine`) instead of N
-        per-stream scheme runs.  Off by default — fused streams report
-        ``total_cycles = NaN`` (answer-only execution), so cycle-accounting
-        consumers should stay per-stream.  Groups narrower than
-        :data:`FUSED_MIN_STREAMS` fall back to the per-stream path
-        (counted by ``serving.pool.fused_fallbacks``).
+        :meth:`feed_many` runs each group of at least
+        :data:`FUSED_MIN_STREAMS` feeds on one class record as one
+        answer-only fused dispatch (``total_cycles`` is NaN).
     open_timeout:
-        Seconds :meth:`open` may block waiting for a slot when the pool is
-        at capacity (``None`` — the default — rejects immediately).  Both
-        paths raise a retryable ``ServingError(code="capacity")`` when no
-        slot frees up.
+        Seconds :meth:`open` may wait for a slot at capacity (``None``
+        rejects at once with a retryable ``code="capacity"``).
     drift:
-        Opt into online adaptation: ``True`` attaches one
-        :class:`~repro.serving.DriftMonitor` (the fixed policy of
-        :mod:`repro.serving.drift`) per class record.  Every unforced
-        feed's :class:`LiveObservations` are folded in under the pool
-        lock; when live speculation accuracy diverges from the plan's
-        profiled anchors past ``drift.THRESHOLD``, the feed that fired
-        runs one ``revise_plan`` inline before it returns, installs the
-        revision into the cache and the matcher, and open sessions pick
-        up the new scheme at their next segment boundary.  With a spill
-        directory, that feed also writes the revision's spill file.  A
-        stream opened with a forced ``scheme`` is exempt both ways: it
-        feeds no evidence and never swaps.  Off by default.
+        One :class:`~repro.serving.DriftMonitor` per class record folds
+        every unforced feed's evidence (a forced-scheme stream's, alone
+        or in a fused gang, is dropped); the feed that fires it revises
+        the plan inline, and open sessions swap at their next boundary.
     metrics:
-        The registry the pool records ``serving.pool.*`` / ``drift.*`` /
-        ``compile.stage.revise_ms`` into; it defaults to the cache's, so
-        one stack shares one registry.  Its matchers record nothing into
-        it: simulated work lives in each feed's ledger.
-        Instruments are safe to record from any thread, :meth:`stats` is a
-        view of the registry, and a registry is the scope of its counts:
-        pools sharing one report its totals.
+        The registry for ``serving.pool.*`` / ``drift.*`` (the cache's by
+        default); :meth:`stats` is a view of it.
+
+    ``state`` is the :class:`~repro.serving.state.PoolState` the pool's
+    lock guards: read it to inspect the bookkeeping, never transition it.
     """
 
     def __init__(
@@ -276,355 +148,195 @@ class MatcherPool:
     ):
         if max_streams < 1:
             raise ServingError(
-                f"max_streams must be >= 1, got {max_streams}",
-                code="invalid_argument",
+                f"max_streams must be >= 1, got {max_streams}", code="invalid_argument"
             )
-        self.cache = (
-            cache
-            if cache is not None
-            else PlanCache(config=config, metrics=metrics)
-        )
-        config = config or self.cache.config or GSpecPalConfig()
-        if backend is not None:
-            config = replace(config, backend=backend)
-        self.config = config
+        if cache is None:
+            cache = PlanCache(config=config, metrics=metrics)
+        self.cache = cache
+        config = config or cache.config or GSpecPalConfig()
+        self.config = config if backend is None else replace(config, backend=backend)
         self.max_streams = int(max_streams)
         self.fused = bool(fused)
         self.open_timeout = open_timeout
-        self.metrics = metrics or self.cache.metrics
+        self.metrics = metrics or cache.metrics
         self.drift = bool(drift)
-        #: (canonical fingerprint, config hash) → that class's record.
-        self._classes: Dict[Tuple[str, str], _ClassRecord] = {}
-        #: key of a pruned record → the plan it served; a rebuild uses it,
-        #: so the class keeps the numbering of the first variant opened.
-        self._pruned: Dict[Tuple[str, str], CompiledPlan] = {}
-        self._entries: Dict[int, _StreamEntry] = {}
-        self._next_id = 0
-        #: admission slots reserved by opens that are still compiling —
-        #: they count against ``max_streams`` but have no entry yet.
-        self._reserved = 0
-        self._lock = threading.RLock()
-        #: signalled whenever a close (or an abandoned reservation) frees
-        #: a stream slot.
+        self.state = PoolState(self.max_streams, cache.__contains__)
+        self._lock = threading.Lock()
+        #: signalled whenever a close or an abandoned reservation frees a slot.
         self._slot_freed = threading.Condition(self._lock)
 
-    # ------------------------------------------------------------------
     @property
     def active(self) -> int:
         """Number of currently open streams."""
         with self._lock:
-            return len(self._entries)
+            return self.state.active
 
     def stats(self) -> Dict[str, object]:
-        """Live sizes plus a view of the registry's ``serving.pool.*``
-        lifecycle counters."""
+        """Live sizes plus a view of the ``serving.pool.*`` counters."""
         count = self.metrics.counter
         with self._lock:
             return {
-                "active_streams": len(self._entries),
+                "active_streams": self.state.active,
                 "opened": int(count("serving.pool.opened").value),
                 "closed": int(count("serving.pool.closed").value),
                 "rejected": int(count("serving.pool.rejected").value),
-                "reserved": self._reserved,
-                "matchers": len(self._classes),
+                "reserved": self.state.reserved,
+                "matchers": len(self.state.classes),
                 "cache": self.cache.stats(),
             }
 
-    # ------------------------------------------------------------------
     def open(
-        self,
-        dfa=None,
-        *,
-        training_input=None,
-        plan=None,
-        scheme: Optional[str] = None,
+        self, dfa=None, *, training_input=None, plan=None, scheme: Optional[str] = None
     ) -> int:
-        """Open a stream; returns its id for :meth:`feed`/:meth:`close`.
+        """Open a stream on a precompiled ``plan`` or a ``dfa`` (with
+        ``training_input`` if its plan may not be cached); returns its id.
 
-        Pass either a precompiled ``plan`` or a ``dfa`` (with
-        ``training_input`` if its plan may not be cached yet).  ``scheme``
-        forces a scheme for this stream; it is validated against
-        ``GSpecPal.KNOWN_SCHEMES`` and ``GSpecPal.PM_ALIAS``
-        (``pm-spec4``) *before* any compile work, so a typo
-        fails immediately instead of after paying a cold compile.  By
-        default every segment uses the plan's compiled selection.  A
-        ``training_input`` holding a symbol outside ``dfa``'s alphabet is
-        refused with ``code="invalid_symbol"``.
-
-        At capacity, the call raises a retryable
-        ``ServingError(code="capacity")`` — or, when ``open_timeout`` is
-        set, waits up to that many seconds for another stream to close
-        before rejecting.  Admission runs *before* any compile work: a
-        rejected open costs the caller nothing (rejections must be cheap
-        — they are the wire-level backpressure signal), and the compile
-        itself runs outside the pool lock against a reserved slot that is
-        released if the compile fails.
+        ``scheme`` forces a scheme, checked before any compile work.
+        Admission runs first, so a rejected open (``code="capacity"``, the
+        wire's backpressure signal) costs nothing; the compile then runs
+        outside the pool lock on the reserved slot, released if it fails.
         """
         GSpecPal.validate_scheme_name(scheme)
         if plan is None and dfa is None:
             raise ServingError(
-                "open() needs a dfa or a precompiled plan",
-                code="invalid_argument",
+                "open() needs a dfa or a precompiled plan", code="invalid_argument"
             )
-        # Admission first: reserve a slot (bounded wait with open_timeout)
-        # before paying for a compile, so a tenant rejected at capacity
-        # never burns a cold compile on a stream it cannot open.
-        self._reserve_slot(plan.fingerprint if plan is not None else None)
+        with self._slot_freed:
+            deadline = perf_counter() + (self.open_timeout or 0)
+            while not self.state.reserve():
+                remaining = deadline - perf_counter()
+                if remaining <= 0:
+                    self.metrics.counter("serving.pool.rejected").inc()
+                    raise ServingError(
+                        f"stream capacity exhausted ({self.max_streams} open); "
+                        "close a stream before opening another",
+                        code="capacity",
+                        retryable=True,
+                        fingerprint=plan.fingerprint if plan is not None else None,
+                    )
+                self._slot_freed.wait(remaining)
         try:
             if plan is None:
                 if training_input is not None:
-                    training_input = _checked_symbols(
-                        training_input, dfa.n_symbols
-                    )
-                plan = self.cache.get_or_compile(
-                    dfa, training_input, self.config
-                )
+                    training_input = _checked_symbols(training_input, dfa.n_symbols)
+                plan = self.cache.get_or_compile(dfa, training_input, self.config)
             else:
                 self.cache.put(plan)
         except BaseException:
-            self._release_slot()
+            with self._slot_freed:
+                self.state.release()
+                self._slot_freed.notify()
             raise
+        # A reloaded or language-equivalent plan keys the same record and
+        # keeps its warmed matcher; another config's plan gets its own.
         with self._slot_freed:
             try:
-                # A plan reloaded from disk, or a language-equivalent one,
-                # keys the same record and so keeps its warmed matcher; a
-                # plan compiled under another config gets its own.  A
-                # pruned record is rebuilt from the plan it served.
-                key = (plan.canonical_fingerprint, plan.config_hash)
-                record = self._classes.get(key)
-                if record is None:
-                    matcher = GSpecPal.from_plan(
-                        self._pruned.get(key, plan),
-                        backend=self.config.backend,
-                        selfcheck=self.config.selfcheck,
-                    )
-                    record = self._classes[key] = _ClassRecord(
-                        key, matcher, self.drift
-                    )
-                    self._pruned.pop(key, None)
-                session = record.matcher.stream(scheme=scheme)
-            except BaseException:
-                self._release_slot()
-                raise
-            # Convert the reservation into the entry (net slot count is
-            # unchanged, so no waiter is woken).
-            self._reserved -= 1
-            stream_id = self._next_id
-            self._next_id += 1
-            self._entries[stream_id] = _StreamEntry(
-                session, plan.fingerprint, record, scheme is not None
-            )
-            record.streams += 1
-            self._prune_locked()
-            self.metrics.counter("serving.pool.opened").inc()
-            self.metrics.gauge("serving.pool.active").set(len(self._entries))
-            return stream_id
-
-    def _reserve_slot(self, fingerprint: Optional[str] = None) -> None:
-        """Claim one admission slot or raise the retryable capacity error.
-
-        Reserved slots count against ``max_streams`` alongside live
-        entries, so concurrent opens cannot over-admit while their
-        compiles are in flight.  ``fingerprint`` only annotates the error
-        (it is known when the caller brought a precompiled plan).
-        """
-        with self._slot_freed:
-            deadline = None
-            while len(self._entries) + self._reserved >= self.max_streams:
-                if self.open_timeout is not None and self.open_timeout > 0:
-                    if deadline is None:
-                        deadline = perf_counter() + self.open_timeout
-                    remaining = deadline - perf_counter()
-                    if remaining > 0:
-                        self._slot_freed.wait(remaining)
-                        continue
-                self.metrics.counter("serving.pool.rejected").inc()
-                raise ServingError(
-                    f"stream capacity exhausted ({self.max_streams} open); "
-                    "close a stream before opening another",
-                    code="capacity",
-                    retryable=True,
-                    fingerprint=fingerprint,
+                stream_id = self.state.admit(
+                    plan,
+                    self._build_record,
+                    lambda matcher: matcher.stream(scheme=scheme),
+                    forced=scheme is not None,
                 )
-            self._reserved += 1
+            except BaseException:
+                self._slot_freed.notify()  # admit released the reservation
+                raise
+            self.metrics.counter("serving.pool.opened").inc()
+            self.metrics.gauge("serving.pool.active").set(self.state.active)
+        return stream_id
 
-    def _release_slot(self) -> None:
-        """Abandon a reservation (the open failed before creating its
-        entry) and wake one waiter blocked on admission."""
-        with self._slot_freed:
-            self._reserved -= 1
-            self._slot_freed.notify()
-
-    def _missing_stream_error(self, stream_id, next_id: int) -> ServingError:
-        """Classify a miss: an id below the allocation cursor was opened
-        and has since closed (ids are handed out sequentially and never
-        reused), anything else never existed — so the structured code is
-        exact, matching what a feed racing the close itself would get."""
-        try:
-            was_opened = 0 <= int(stream_id) < next_id and int(stream_id) == stream_id
-        except (TypeError, ValueError):
-            was_opened = False
-        if was_opened:
-            return _closed_error(stream_id)
-        return ServingError(
-            f"unknown stream id {stream_id}",
-            code="unknown_stream",
-            stream_id=stream_id,
+    def _build_record(self, key, plan) -> ClassRecord:
+        """A new class's record: ``plan``'s matcher under the serving
+        switches, and its drift monitor when drift is on."""
+        config = self.config
+        matcher = GSpecPal.from_plan(
+            plan, backend=config.backend, selfcheck=config.selfcheck
         )
+        return ClassRecord(key, matcher, DriftMonitor(plan) if self.drift else None)
 
-    def _entry(self, stream_id: int) -> _StreamEntry:
+    def _lookup(self, stream_id) -> StreamEntry:
+        """The open stream's entry, under one pool-lock acquisition."""
         with self._lock:
-            entry = self._entries.get(stream_id)
-            next_id = self._next_id
-        if entry is None:
-            raise self._missing_stream_error(stream_id, next_id)
-        return entry
+            return self.state.lookup(stream_id)
 
     def feed(self, stream_id: int, segment) -> SchemeResult:
-        """Process one segment on the identified stream.
-
-        Feeds to the same stream are serialized by its per-stream lock
-        (two threads can never interleave on one session's carried state);
-        feeds to different streams proceed concurrently.  Feeding a stream
-        that a racing thread closed raises ``code="stream_closed"``; a
-        segment holding a symbol outside the DFA's alphabet is refused with
-        ``code="invalid_symbol"`` and leaves the stream untouched.
-        """
-        entry = self._entry(stream_id)
+        """Process one segment on the stream, under its lock.  A closed
+        stream raises ``code="stream_closed"``, an id that is not an ``int``
+        from :meth:`open` ``code="unknown_stream"``, and a symbol outside
+        the alphabet ``code="invalid_symbol"``."""
+        entry = self._lookup(stream_id)
         n_symbols = entry.record.matcher.dfa.n_symbols
         symbols = _checked_symbols(segment, n_symbols, stream_id)
         return self._feed_entry(stream_id, entry, symbols)
 
-    def _feed_entry(
-        self, stream_id: int, entry: _StreamEntry, segment: np.ndarray
-    ) -> SchemeResult:
+    def _feed_entry(self, stream_id, entry: StreamEntry, segment) -> SchemeResult:
         started = perf_counter()
         with entry.lock:
             if entry.closed:
-                raise _closed_error(stream_id, entry.fingerprint)
+                raise closed_error(stream_id, entry.fingerprint)
             result = entry.session.feed(segment)
-            if self._observe(entry.record, result.observations, entry.forced):
-                self._run_revise(entry.record)
+            if not entry.forced:
+                self._observe(entry.record, result.observations)
         self.metrics.counter("serving.pool.feeds").inc()
         self.metrics.histogram("serving.pool.feed_ms").observe(
             (perf_counter() - started) * 1e3
         )
         return result
 
-    # ------------------------------------------------------------------
-    # online adaptation (drift detection + plan hot-swap)
-    # ------------------------------------------------------------------
-    def _observe(self, record: _ClassRecord, observations, forced=False) -> bool:
-        """Feed one run's evidence to the record's drift monitor.
-
-        The monitor is state, so it is folded under the pool lock (taken
-        only when drift detection is on).  A forced stream's evidence is
-        dropped: its accuracy was measured at another scheme's depth than
-        the plan's anchor.  Returns True when the monitor just fired and
-        the caller should run the revise.
-        """
+    # -- online adaptation: drift detection and plan hot-swap --
+    def _observe(self, record: ClassRecord, observations) -> None:
+        """Fold one run's unforced evidence into the record's monitor and
+        revise if it fired; the firing fold also takes the revise's inputs
+        (a latched monitor never touches its breach window again)."""
         monitor = record.monitor
-        if monitor is None or observations is None or forced:
-            return False
+        if monitor is None or observations is None:
+            return
         with self._lock:
             fired = monitor.observe(observations)
             self.metrics.counter("drift.observations").inc()
             self.metrics.gauge("drift.divergence").set(monitor.divergence)
             if fired:
                 self.metrics.counter("drift.triggers").inc()
-        return fired
+                stale, evidence = record.matcher.plan, monitor.snapshot()
+        if fired:
+            self._run_revise(record, stale, evidence)
 
-    def _run_revise(self, record: _ClassRecord) -> None:
-        """Revise one record's plan from its monitor's evidence.
-
-        Runs in the feed that fired the monitor, under that stream's lock:
-        the stream holds the record for the whole revise (a racing
-        ``close`` waits on the lock), and the monitor's fire-once latch
-        keeps it to one revise per trigger.  The expensive step
-        (``revise_plan`` — one selector walk plus one cost-model
-        evaluation) and the cache install (with its spill file, if any)
-        run outside the pool lock; the snapshot before them and the
-        matcher install after them each take it briefly.  The revision
-        goes into both the shared cache (so future opens get it) and the
-        live matcher (so open sessions swap at their next segment
-        boundary).
-        """
+    def _run_revise(self, record: ClassRecord, stale, evidence) -> None:
+        """Revise one record's plan in the feed that fired its monitor,
+        under that stream's lock (so the record stays held and a racing
+        close waits); only the ``adopt`` takes the pool lock."""
         from repro.plan import revise_plan
 
         try:
-            with self._lock:
-                stale = record.matcher.plan
-                observations = record.monitor.snapshot()
-            revised = revise_plan(stale, observations, metrics=self.metrics)
+            revised = revise_plan(stale, evidence, metrics=self.metrics)
             self.cache.put(revised)
             with self._lock:
-                record.matcher.adopt_plan(revised)
-                self.metrics.counter("drift.revises").inc()
-                if revised.scheme != stale.scheme:
-                    self.metrics.counter("drift.swaps").inc()
-                lag = record.monitor.rearm(revised)
-                self.metrics.histogram("drift.observation_lag_segments").observe(lag)
+                lag = self.state.adopt(record, revised)
         except Exception:
-            # A failed revise must not fail the feed that fired it: the
-            # stale plan keeps serving — it is still correct, just slow —
-            # the monitor stays latched so the failure cannot refire in a
-            # loop, and the error is visible in the counter.
+            # The stale plan keeps serving (correct, just slow) and the
+            # latched monitor cannot refire in a loop; the feed succeeds.
             self.metrics.counter("drift.revise_errors").inc()
+            return
+        self.metrics.counter("drift.revises").inc()
+        if revised.scheme != stale.scheme:
+            self.metrics.counter("drift.swaps").inc()
+        self.metrics.histogram("drift.observation_lag_segments").observe(lag)
 
-    def _prune_locked(self) -> None:
-        """Drop every class record nothing needs any more: no open stream
-        holds it and its canonical fingerprint is no longer resident in
-        the cache.
-
-        The matcher (simulator, scheme state) and monitor go; the plan the
-        record served stays in ``_pruned``.  A stream's answers use the
-        numbering of that plan (the first variant opened), and the cache
-        may next compile the class from a renumbered twin, so the rebuild
-        starts from the kept plan, not the cache's.  Called under the pool
-        lock; the cache test takes the cache lock inside it (the pool →
-        cache order every caller keeps).
-        """
-        for key, record in list(self._classes.items()):
-            if not record.streams and key[0] not in self.cache:
-                self._pruned[key] = record.matcher.plan
-                del self._classes[key]
-
-    # ------------------------------------------------------------------
-    # gang scheduling (fused cross-stream dispatch)
-    # ------------------------------------------------------------------
+    # -- gang scheduling: fused cross-stream dispatch --
     def feed_many(self, feeds: Sequence[Tuple[int, object]]) -> Tuple[FeedOutcome, ...]:
-        """Process many ``(stream_id, segment)`` feeds, gang-scheduled.
+        """Process many ``(stream_id, segment)`` feeds, gang-scheduled;
+        returns one :class:`FeedOutcome` per feed, in input order.
 
-        Feeds targeting streams that share a class record are coalesced
-        into one fused ``(streams × lanes)`` dispatch when the pool is in
-        fused mode and the group is at least :data:`FUSED_MIN_STREAMS` wide;
-        everything else runs through the ordinary per-stream scheme path.
-        Either way each feed is answer-identical to calling :meth:`feed`
-        with the same segment (the differential suites pin this).
-
-        The per-stream-lock contract is preserved: a fused dispatch holds
-        every participating stream's lock (acquired in stream-id order, so
-        concurrent gang dispatches cannot deadlock) for the duration of
-        the batch — a close racing the dispatch either lands before it
-        (that feed reports ``stream_closed``) or blocks until the batch
-        completes, never mid-batch.  A stream id may appear several times
-        in one call; its segments are applied in input order across
-        successive dispatch waves.
-
-        Returns one :class:`FeedOutcome` per input feed, in input order.
-        Serving-contract failures (unknown/closed streams, a symbol outside
-        the alphabet) are reported in the outcomes instead of raised, so
-        one bad feed never poisons its batchmates.
+        Each feed is answer-identical to :meth:`feed`.  A fused dispatch
+        holds every participant's stream lock (taken in id order) for the
+        whole batch, so a racing close lands before or after it.  A
+        repeated stream id's segments apply in input order, one per wave.
         """
         feeds = list(feeds)
         outcomes: List[Optional[FeedOutcome]] = [None] * len(feeds)
         pending = list(enumerate(feeds))
         while pending:
-            # One wave: each stream id at most once, so per-stream segment
-            # order is preserved across waves.
-            wave: List[Tuple[int, int, object]] = []
-            seen: set = set()
-            later: List[Tuple[int, Tuple[int, object]]] = []
+            # One wave: each stream id at most once.
+            wave, later, seen = [], [], set()
             for idx, (stream_id, segment) in pending:
                 if stream_id in seen:
                     later.append((idx, (stream_id, segment)))
@@ -636,36 +348,28 @@ class MatcherPool:
         return tuple(outcomes)  # type: ignore[arg-type]
 
     def _dispatch_wave(self, wave, outcomes) -> None:
-        """Group one wave by class record and dispatch each group.
-
-        Grouping on the record means streams opened with different but
-        language-equivalent plans of one compile config gang into one
-        fused dispatch (their sessions all run the record's transition
-        table).  The entry table is snapshotted *once* per wave under a
-        single lock acquisition — answer-identical to the per-feed
-        lookups it replaces (a close racing the wave is still caught
-        under the per-stream lock at dispatch time), without hammering
-        the pool lock N times per wave."""
+        """Look the wave up under one pool-lock acquisition, then dispatch
+        it grouped by class record (language-equivalent plans gang)."""
+        found = []
         with self._lock:
-            entries = dict(self._entries)
-            next_id = self._next_id
-        groups: Dict[_ClassRecord, List[Tuple[int, int, _StreamEntry, object]]] = {}
-        for idx, stream_id, segment in wave:
-            entry = entries.get(stream_id)
+            for idx, stream_id, segment in wave:
+                try:
+                    entry = self.state.lookup(stream_id)
+                except ServingError as exc:
+                    outcomes[idx] = FeedOutcome(stream_id, False, error=exc)
+                else:
+                    found.append((idx, stream_id, entry, segment))
+        groups: Dict[ClassRecord, list] = {}
+        for idx, stream_id, entry, segment in found:
+            n_symbols = entry.record.matcher.dfa.n_symbols
             try:
-                if entry is None:
-                    raise self._missing_stream_error(stream_id, next_id)
-                symbols = _checked_symbols(
-                    segment, entry.record.matcher.dfa.n_symbols, stream_id
-                )
+                symbols = _checked_symbols(segment, n_symbols, stream_id)
             except ServingError as exc:
-                outcomes[idx] = FeedOutcome(
-                    stream_id=stream_id, ok=False, error=exc
+                outcomes[idx] = FeedOutcome(stream_id, False, error=exc)
+            else:
+                groups.setdefault(entry.record, []).append(
+                    (idx, stream_id, entry, symbols)
                 )
-                continue
-            groups.setdefault(entry.record, []).append(
-                (idx, stream_id, entry, symbols)
-            )
         for record, group in groups.items():
             if self.fused and len(group) >= FUSED_MIN_STREAMS:
                 self._dispatch_fused(record, group, outcomes)
@@ -678,9 +382,7 @@ class MatcherPool:
             try:
                 result = self._feed_entry(stream_id, entry, segment)
             except ServingError as exc:
-                outcomes[idx] = FeedOutcome(
-                    stream_id=stream_id, ok=False, error=exc
-                )
+                outcomes[idx] = FeedOutcome(stream_id, False, error=exc)
             else:
                 outcomes[idx] = FeedOutcome(
                     stream_id=stream_id,
@@ -691,45 +393,34 @@ class MatcherPool:
                 )
             self.metrics.counter("serving.pool.fused_fallbacks").inc()
 
-    def _dispatch_fused(self, record: _ClassRecord, group, outcomes) -> None:
-        """One fused dispatch over every live stream in the group.
-
-        Locks are taken in stream-id order and held across the whole
-        batch; streams found closed under their lock are reported in their
-        outcome and excluded from the dispatch rather than failing it.
-        """
+    def _dispatch_fused(self, record: ClassRecord, group, outcomes) -> None:
+        """One fused dispatch over every live stream in the group; a stream
+        found closed under its lock is reported and left out."""
         started = perf_counter()
-        ordered = sorted(group, key=lambda item: item[1])
-        locked: List[_StreamEntry] = []
+        locked: List[StreamEntry] = []
         try:
-            live: List[Tuple[int, int, _StreamEntry, object]] = []
-            for idx, stream_id, entry, segment in ordered:
+            live = []
+            for idx, stream_id, entry, segment in sorted(group, key=lambda g: g[1]):
                 entry.lock.acquire()
                 locked.append(entry)
                 if entry.closed:
-                    outcomes[idx] = FeedOutcome(
-                        stream_id=stream_id,
-                        ok=False,
-                        error=_closed_error(stream_id, entry.fingerprint),
-                    )
+                    error = closed_error(stream_id, entry.fingerprint)
+                    outcomes[idx] = FeedOutcome(stream_id, False, error=error)
                 else:
                     live.append((idx, stream_id, entry, segment))
             if not live:
                 return
-            engine = record.matcher.fused_engine()
             segments = [segment for *_ignored, segment in live]
             starts = [entry.session.state for _, _, entry, _ in live]
-            dispatch = engine.dispatch(segments, starts)
-            for pos, (idx, stream_id, entry, _segment) in enumerate(live):
-                entry.session.apply_fused(
-                    segments[pos], int(dispatch.end_states[pos])
-                )
+            dispatch = record.matcher.fused_engine().dispatch(segments, starts)
+            for pos, (idx, stream_id, entry, segment) in enumerate(live):
+                entry.session.apply_fused(segment, int(dispatch.end_states[pos]))
                 outcomes[idx] = FeedOutcome(
                     stream_id=stream_id,
                     ok=True,
                     end_state=entry.session.state,
                     accepts=entry.session.accepts,
-                    symbols=int(segments[pos].size),
+                    symbols=int(segment.size),
                     fused=True,
                 )
         finally:
@@ -744,82 +435,63 @@ class MatcherPool:
         self.metrics.histogram("serving.pool.fused_ms").observe(
             (perf_counter() - started) * 1e3
         )
-        # Fused execution bypasses the scheme layer, so it verifies no
-        # chunk boundaries — stash a sample-free observation so the drift
-        # aggregate still counts the traffic this class is serving.
-        if record.monitor is not None:
+        # Fused execution verifies no chunk boundaries: a sample-free
+        # observation lets the drift aggregate count the unforced traffic.
+        unforced = [segment for _, _, entry, segment in live if not entry.forced]
+        if unforced:
+            symbols = sum(int(segment.size) for segment in unforced)
             self._observe(
                 record,
                 LiveObservations(
-                    scheme="fused",
-                    spec_k=1,
-                    segments=len(live),
-                    symbols=int(dispatch.total_symbols),
+                    scheme="fused", spec_k=1, segments=len(unforced), symbols=symbols
                 ),
             )
 
     def close(self, stream_id: int) -> StreamStats:
-        """Close a stream and return its final summary.
-
-        The stream's class record (matcher, simulator, drift monitor)
-        stays for future streams until :meth:`_prune_locked` finds it
-        unneeded; only the per-stream session state is released.
-        The summary is built under the stream's lock — after the ``closed``
-        flag flips no feed can advance the session — so the reported end
-        state is exactly the state the last successful feed left behind.
-        """
-        entry = self._entry(stream_id)
+        """Close a stream and return its summary, built under the stream's
+        lock after ``closed`` flips (exactly what the last feed left).  Its
+        class record stays until a prune finds it unneeded."""
+        entry = self._lookup(stream_id)
         with entry.lock:
             if entry.closed:
-                raise _closed_error(stream_id, entry.fingerprint)
+                raise closed_error(stream_id, entry.fingerprint)
             entry.closed = True
-            session = entry.session
             with self._slot_freed:
-                del self._entries[stream_id]
-                entry.record.streams -= 1
-                self._prune_locked()
+                self.state.retire(stream_id)
                 plan = entry.record.matcher.plan
-                scheme = session.scheme
-                decision_path = tuple(session.decision_path)
-                if scheme is None:
-                    # Never fed: report what a segment would have run.
-                    scheme = plan.scheme
-                    decision_path = tuple(plan.decision_path)
-                stats = StreamStats(
-                    stream_id=stream_id,
-                    fingerprint=entry.fingerprint,
-                    scheme=scheme,
-                    segments=session.segments,
-                    total_symbols=session.total_symbols,
-                    total_cycles=session.total_cycles,
-                    end_state=session.state,
-                    accepts=session.accepts,
-                    canonical_fingerprint=plan.canonical_fingerprint,
-                    scheme_switches=session.scheme_switches,
-                    decision_path=decision_path,
-                )
                 self.metrics.counter("serving.pool.closed").inc()
-                self.metrics.gauge("serving.pool.active").set(len(self._entries))
+                self.metrics.gauge("serving.pool.active").set(self.state.active)
                 self._slot_freed.notify()
-        return stats
+            session = entry.session
+            scheme, decision_path = session.scheme, tuple(session.decision_path)
+            if scheme is None:
+                # Never fed: report what a segment would have run.
+                scheme, decision_path = plan.scheme, tuple(plan.decision_path)
+            return StreamStats(
+                stream_id=stream_id,
+                fingerprint=entry.fingerprint,
+                scheme=scheme,
+                segments=session.segments,
+                total_symbols=session.total_symbols,
+                total_cycles=session.total_cycles,
+                end_state=session.state,
+                accepts=session.accepts,
+                canonical_fingerprint=plan.canonical_fingerprint,
+                scheme_switches=session.scheme_switches,
+                decision_path=decision_path,
+            )
 
     def close_all(self) -> Tuple[StreamStats, ...]:
         """Close every stream open at the snapshot; returns the summaries
-        of the streams *this call* closed.
-
-        Tolerates races: a stream another thread closes between the
-        snapshot and this call's ``close`` is simply skipped, never raised
-        on — two concurrent ``close_all`` calls partition the streams
-        between them.
-        """
+        of the streams *this call* closed.  A stream another thread closes
+        meanwhile is skipped, so concurrent calls partition the streams."""
         with self._lock:
-            ids = tuple(self._entries)
+            ids = tuple(self.state.entries)
         summaries = []
         for sid in ids:
             try:
                 summaries.append(self.close(sid))
             except ServingError as exc:
-                if exc.code in ("unknown_stream", "stream_closed"):
-                    continue
-                raise
+                if exc.code not in ("unknown_stream", "stream_closed"):
+                    raise
         return tuple(summaries)

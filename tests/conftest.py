@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.automata import compile_disjunction
 from repro.gpu.device import DeviceSpec
 from repro.workloads import classic
+
+#: ``pytest --hypothesis-profile=fuzz`` (CI's fuzz job) reruns the stateful
+#: pool-state test with a larger example budget than tier-1's default.
+settings.register_profile("fuzz", max_examples=1000, stateful_step_count=100)
 
 
 @pytest.fixture(scope="session")

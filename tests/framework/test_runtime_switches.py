@@ -45,7 +45,7 @@ def plan(training):
 def _served_scheme(pool, sid):
     """The scheme instance the stream's last feed ran on."""
     pool.feed(sid, b"0123456789" * 8)
-    return pool._entries[sid].session._runner
+    return pool.state.lookup(sid).session._runner
 
 
 def test_pool_serves_with_the_config_it_compiles_with(clean_env, training):
@@ -93,7 +93,8 @@ def test_selfcheck_precedence(clean_env, plan, env, configured):
     assert pool.config.selfcheck is expected
     sid = pool.open(plan=plan)
     assert _served_scheme(pool, sid).selfcheck is expected
-    assert pool._entries[sid].record.matcher.fused_engine().sim.selfcheck is expected
+    matcher = pool.state.lookup(sid).record.matcher
+    assert matcher.fused_engine().sim.selfcheck is expected
 
 
 def test_a_config_keeps_the_switches_it_resolved(clean_env, plan, training):

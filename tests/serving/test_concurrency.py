@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro.serving.cache as cache_mod
+import repro.serving.pool as pool_mod
 from repro.errors import SchemeError, ServingError
 from repro.framework import GSpecPal, GSpecPalConfig
 from repro.gateway import GatewayServer
@@ -264,13 +265,22 @@ def test_leader_compile_failure_propagates_then_clears(training, config):
 # ----------------------------------------------------------------------
 # per-stream locking and the feed/close race
 # ----------------------------------------------------------------------
-def test_feed_racing_close_gets_structured_error(fsms, training, config):
+def test_feed_racing_close_gets_structured_error(
+    fsms, training, config, monkeypatch
+):
     pool = MatcherPool(config=config)
     sid = pool.open(fsms[0], training_input=training)
-    entry = pool._entry(sid)  # a feed's lookup, frozen in time
-    pool.close(sid)  # ... the close wins the race
+    checked = pool_mod._checked_symbols
+
+    def close_first(segment, n_symbols, stream_id=None):
+        # The feed has looked its entry up; the close wins the race to
+        # the stream lock.
+        pool.close(stream_id)
+        return checked(segment, n_symbols, stream_id)
+
+    monkeypatch.setattr(pool_mod, "_checked_symbols", close_first)
     with pytest.raises(ServingError) as excinfo:
-        pool._feed_entry(sid, entry, b"abc")
+        pool.feed(sid, b"abc")
     assert excinfo.value.code == "stream_closed"
     assert excinfo.value.stream_id == sid
     assert not excinfo.value.retryable
@@ -282,6 +292,29 @@ def test_unknown_stream_error_is_structured(config):
         pool.feed(1234, b"x")
     assert excinfo.value.code == "unknown_stream"
     assert excinfo.value.stream_id == 1234
+
+
+@pytest.mark.parametrize("op", ["feed", "close", "feed_many"])
+@pytest.mark.parametrize("stream_id", [True, False, 1.0, 0.0, "1", None])
+def test_stream_ids_are_exact_ints(fsms, training, config, op, stream_id):
+    """Only the ``int`` ``open`` returned names a stream: ``True`` or
+    ``1.0`` compare equal to stream 1 but are refused, not served."""
+    pool = MatcherPool(config=config)
+    sids = [pool.open(fsms[0], training_input=training) for _ in range(2)]
+    assert sids == [0, 1]
+    if op == "feed_many":
+        (outcome,) = pool.feed_many([(stream_id, b"abc")])
+        assert not outcome.ok
+        error = outcome.error
+    else:
+        with pytest.raises(ServingError) as excinfo:
+            getattr(pool, op)(stream_id, *([b"abc"] if op == "feed" else []))
+        error = excinfo.value
+    assert error.code == "unknown_stream"
+    assert error.stream_id is stream_id
+    for sid in sids:  # neither stream was fed or closed
+        summary = pool.close(sid)
+        assert (summary.stream_id, summary.segments) == (sid, 0)
 
 
 def test_closed_stream_classified_exactly(fsms, training, config):
@@ -388,7 +421,7 @@ def test_record_pruning_under_churn_stays_exact(config):
 def test_close_summary_reports_public_scheme(fsms, training, config):
     pool = MatcherPool(config=config)
     sid = pool.open(fsms[0], training_input=training, scheme="rr")
-    session = pool._entry(sid).session
+    session = pool.state.lookup(sid).session
     assert session.scheme == "rr"  # public property, pre-feed
     pool.feed(sid, b"abc" * 20)
     assert session.scheme == "rr"
@@ -491,12 +524,12 @@ def test_equal_reloaded_plan_keeps_resident_matcher(
     pool = MatcherPool(config=config)
     sid = pool.open(plan=plan)
     key = (plan.canonical_fingerprint, plan.config_hash)
-    matcher = pool._classes[key].matcher
+    matcher = pool.state.classes[key].matcher
 
     reloaded = load_plan(save_plan(plan, tmp_path / "plan.npz"))
     assert reloaded is not plan  # different object, same artifact
     sid2 = pool.open(plan=reloaded)
-    assert pool._classes[key].matcher is matcher  # not rebuilt
+    assert pool.state.classes[key].matcher is matcher  # not rebuilt
     assert pool.stats()["matchers"] == 1
     for s in (sid, sid2):
         pool.feed(s, b"alpha" * 16)

@@ -298,29 +298,47 @@ def test_forced_stream_is_exempt_from_swaps():
     assert metrics.as_dict().get("drift.triggers", 0) == 0
 
 
-@pytest.mark.parametrize("scheme", ["sre", "nf", "pm-spec4"])
-@pytest.mark.parametrize("backend", ["sim", "fast"])
-def test_forced_stream_feeds_no_evidence_to_its_class(backend, scheme):
+@pytest.mark.parametrize(
+    "backend, scheme, gang",
+    [
+        pytest.param(b, s, False, id=f"{b}-{s}")
+        for b in ("sim", "fast")
+        for s in ("sre", "nf", "pm-spec4")
+    ]
+    + [pytest.param("fast", "sre", True, id="fast-sre-fused-gang")],
+)
+def test_forced_stream_feeds_no_evidence_to_its_class(backend, scheme, gang):
     """A forced scheme's accuracy describes that scheme, not the plan's
     selection: forced SRE on calm traffic verifies spec-1 boundaries
     (~0.1 here) against PM's spec-4 anchor (~0.97), which once read as a
-    collapse and swapped the whole class off its right plan."""
+    collapse and swapped the whole class off its right plan.  A fused
+    gang of forced streams feeds nothing either, not even the fused
+    dispatch's sample-free traffic count."""
     dfa = classic.drifting_phase(128)
     training = classic.drifting_phase_input(4096, drift_at=1.0, seed=7)
     metrics = MetricsRegistry()
-    pool, cache, config = _drift_pool(backend, metrics)
-    sid = pool.open(dfa, training_input=training, scheme=scheme)
-    (record,) = pool._classes.values()
+    pool, cache, config = _drift_pool(backend, metrics, fused=gang)
+    sids = [
+        pool.open(dfa, training_input=training, scheme=scheme)
+        for _ in range(2 if gang else 1)
+    ]
+    (record,) = pool.state.classes.values()
     assert record.matcher.plan.scheme == "pm"
     fed = bytearray()
     for i in range(20):
         seg = classic.drifting_phase_input(4096, drift_at=1.0, seed=400 + i)
-        pool.feed(sid, seg)
+        if gang:
+            outcomes = pool.feed_many([(sid, seg) for sid in sids])
+            assert all(outcome.ok and outcome.fused for outcome in outcomes)
+        else:
+            pool.feed(sids[0], seg)
         fed += seg
-    stats = pool.close(sid)
-    assert stats.scheme == scheme and stats.decision_path == ("forced",)
-    assert stats.end_state == int(dfa.run(bytes(fed)))
+    for sid in sids:
+        stats = pool.close(sid)
+        assert stats.scheme == scheme and stats.decision_path == ("forced",)
+        assert stats.end_state == int(dfa.run(bytes(fed)))
     exported = metrics.as_dict()
+    assert exported.get("drift.observations", 0) == 0
     assert exported.get("drift.triggers", 0) == 0
     assert exported.get("drift.revises", 0) == 0
     assert record.matcher.plan.revision == 0
@@ -358,7 +376,7 @@ def test_revise_lands_in_the_firing_feed(monkeypatch):
     metrics = MetricsRegistry()
     pool, cache, config = _drift_pool("fast", metrics)
     sid = pool.open(dfa, training_input=training)
-    (record,) = pool._classes.values()
+    (record,) = pool.state.classes.values()
     fed = bytearray()
     phases = [(1.0, 100 + i) for i in range(4)] + [(0.0, 200 + i) for i in range(8)]
     for drift_at, seed in phases:
@@ -400,7 +418,7 @@ def test_close_racing_an_inline_revise_waits_for_it(monkeypatch):
     metrics = MetricsRegistry()
     pool, cache, config = _drift_pool("fast", metrics)
     sid = pool.open(dfa, training_input=training)
-    (key,) = pool._classes
+    (key,) = pool.state.classes
     fed, summaries = bytearray(), []
 
     def feeder():
@@ -427,5 +445,5 @@ def test_close_racing_an_inline_revise_waits_for_it(monkeypatch):
     (stats,) = summaries
     assert stats.end_state == int(dfa.run(bytes(fed)))
     assert metrics.as_dict()["drift.revises"] == 1
-    assert pool._classes[key].matcher.plan.revision == 1
+    assert pool.state.classes[key].matcher.plan.revision == 1
     assert cache.get_or_compile(dfa, training, config).revision == 1

@@ -325,13 +325,13 @@ def test_held_records_survive_eviction(config, rng):
     training = _digits(rng, 512)
     held, other = classic.divisibility(3), classic.divisibility(5)
     sid = pool.open(held, training_input=training)
-    (key,) = pool._classes
+    (key,) = pool.state.classes
     pool.close(pool.open(other, training_input=training))  # evicts held's plan
-    assert key in pool._classes
+    assert key in pool.state.classes
     data = _digits(rng, 200)
     assert pool.feed(sid, data).end_state == held.run(data)
     pool.close(sid)
-    assert key not in pool._classes
+    assert key not in pool.state.classes
 
 
 @pytest.mark.parametrize("twin_before_prune", [True, False])
