@@ -201,16 +201,12 @@ def test_guard_predictor_vs_reference():
     partition = partition_input(data, 256)
     windows = {tuple(partition.last_symbols_of(i, 2).tolist()) for i in range(255)}
     assert member.dfa.n_states == 6144 and len(windows) >= 150
-    scramble = np.random.default_rng(0).permutation(member.dfa.n_states)
-
-    def tie_break(states):
-        return scramble[states]
 
     def new():
-        return predict_start_states(member.dfa, partition, tie_break=tie_break)
+        return predict_start_states(member.dfa, partition)
 
     def ref():
-        return per_lane_queues(member.dfa, partition, member.dfa.start, 2, tie_break)
+        return per_lane_queues(member.dfa, partition, member.dfa.start, 2)
 
     assert same(new(), ref())
     t_ref, t_new = _best_of(ref), _best_of(new)
@@ -220,11 +216,11 @@ def test_guard_predictor_vs_reference():
     rng = np.random.default_rng(3)
     small = partition_input(rng.integers(97, 123, size=288).astype(np.uint8), 8)
     assert same(
-        predict_start_states(rotator, small), per_lane_queues(rotator, small, 0, 2, None)
+        predict_start_states(rotator, small), per_lane_queues(rotator, small, 0, 2)
     )
     calls = 200
     t_small_ref = _best_of(
-        lambda: [per_lane_queues(rotator, small, 0, 2, None) for _ in range(calls)]
+        lambda: [per_lane_queues(rotator, small, 0, 2) for _ in range(calls)]
     )
     t_small_new = _best_of(
         lambda: [predict_start_states(rotator, small) for _ in range(calls)]

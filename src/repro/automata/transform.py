@@ -39,20 +39,13 @@ class TransformedDFA:
     to_new:
         ``to_new[q_old] -> q_new`` mapping rule.
     to_old:
-        Inverse mapping, used to translate results back for reporting.
+        Inverse mapping, ``to_old[q_new] -> q_old``: the states in hotness
+        order, hottest first.
     """
 
     dfa: DFA
     to_new: np.ndarray
     to_old: np.ndarray
-
-    def map_state_to_new(self, q_old: int) -> int:
-        """Translate an original state id into the transformed numbering."""
-        return int(self.to_new[q_old])
-
-    def map_state_to_old(self, q_new: int) -> int:
-        """Translate a transformed state id back to the original numbering."""
-        return int(self.to_old[q_new])
 
 
 def frequency_transform(dfa: DFA, profile: StateFrequencyProfile) -> TransformedDFA:

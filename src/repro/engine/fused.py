@@ -42,6 +42,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.automata.dfa import STATE_DTYPE, _as_symbol_array
+from repro.engine.base import validate_starts
 from repro.errors import SimulationError
 
 
@@ -51,8 +52,8 @@ class FusedDispatchResult:
     Attributes
     ----------
     end_states:
-        ``(n_streams,)`` end states in the *original* (user-space) DFA
-        numbering, aligned with the dispatch's input order.
+        ``(n_streams,)`` end states, aligned with the dispatch's input
+        order.
     n_streams / total_symbols:
         Batch width and total symbols advanced across all streams.
     cycles:
@@ -77,10 +78,8 @@ class FusedBatchEngine:
     ----------
     sim:
         The shared :class:`~repro.gpu.kernel.GpuSimulator` — supplies the
-        (possibly frequency-transformed) execution table, the backend, the
-        ``selfcheck`` switch and the user↔executor state translation.  One
-        engine serves any number of dispatches; it holds no per-stream
-        state.
+        DFA, the backend and the ``selfcheck`` switch.  One engine serves
+        any number of dispatches; it holds no per-stream state.
     """
 
     def __init__(self, sim):
@@ -94,11 +93,10 @@ class FusedBatchEngine:
 
     # ------------------------------------------------------------------
     def run_streams(self, segments: Sequence, starts: Sequence[int]) -> np.ndarray:
-        """Advance every stream through its segment; return user-space ends.
+        """Advance every stream through its segment; return the end states.
 
         ``segments`` may be ragged (any mix of lengths, empty segments
-        included); ``starts`` are the streams' carried states in the
-        original DFA numbering.  Equivalent to
+        included); ``starts`` are the streams' carried states.  Equivalent to
         ``[dfa.run(seg, start=s) for seg, s in zip(segments, starts)]`` —
         and therefore to the per-stream sequential serving path — computed
         as one fused batch.
@@ -123,13 +121,16 @@ class FusedBatchEngine:
                 f"({starts_arr.shape} vs {n_streams} segments)"
             )
         lengths = np.array([row.size for row in symbol_rows], dtype=np.int64)
-        exec_starts = np.asarray(self.sim.to_exec_states(starts_arr), dtype=np.int64)
+        # Checked here, not only by the backend: a dispatch with no symbols
+        # returns before it reaches one.
+        validate_starts(
+            starts_arr, n_states=self.dfa.n_states, backend=self.backend_name
+        )
         if lengths.max(initial=0) == 0:
             # No symbols (or no streams): carried states pass through untouched.
             ends = starts_arr.astype(STATE_DTYPE)
         else:
-            exec_ends = self._run_fused(symbol_rows, lengths, exec_starts, stats)
-            ends = np.asarray(self.sim.to_user_states(exec_ends), dtype=STATE_DTYPE)
+            ends = self._run_fused(symbol_rows, lengths, starts_arr, stats)
         charged = stats is not None and self.engine.accounts_cycles
         cycles = stats.cycles if charged else float("nan")
         result = FusedDispatchResult(ends, n_streams, int(lengths.sum()), cycles)
@@ -138,8 +139,8 @@ class FusedBatchEngine:
         return result
 
     # ------------------------------------------------------------------
-    def _run_fused(self, symbol_rows, lengths, exec_starts, stats) -> np.ndarray:
-        """Executor-space end states of one fused dispatch, in input order."""
+    def _run_fused(self, symbol_rows, lengths, starts, stats) -> np.ndarray:
+        """End states of one fused dispatch, in input order."""
         # Length-sorted grouping: descending segment length makes the
         # still-working streams a prefix at every position, so the inner
         # loop slices instead of masking.  Stable sort keeps equal-length
@@ -163,18 +164,18 @@ class FusedBatchEngine:
         # ledger, if one was handed in.
         run_streams = getattr(self.engine, "run_streams", None)
         if run_streams is not None:
-            sorted_ends = run_streams(padded, exec_starts[order], sorted_lengths)
+            sorted_ends = run_streams(padded, starts[order], sorted_lengths)
         else:
             sorted_ends = self.engine.run_batch(
                 padded,
-                exec_starts[order],
+                starts[order],
                 stats=stats,
                 phase="stream_parallel_scan",
                 lengths=sorted_lengths,
             )
-        exec_ends = np.empty(len(symbol_rows), dtype=np.int64)
-        exec_ends[order] = sorted_ends
-        return exec_ends
+        ends = np.empty(len(symbol_rows), dtype=STATE_DTYPE)
+        ends[order] = sorted_ends
+        return ends
 
     def _audit(self, symbol_rows, starts, result) -> None:
         from repro.selfcheck.audit import audit_fused_dispatch

@@ -3,8 +3,10 @@
 Schemes talk to :class:`GpuSimulator` instead of wiring the pieces manually:
 it derives the hot-table placement from a frequency profile (optionally
 applying the frequency-based transformation), builds the lockstep
-executor, and opens fresh :class:`~repro.gpu.stats.KernelStats` ledgers
-with the launch overhead pre-charged.
+executor and the execution backend, and opens fresh
+:class:`~repro.gpu.stats.KernelStats` ledgers with the launch overhead
+pre-charged.  Everything above the backend speaks the submitted DFA's
+state numbering.
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.automata.dfa import DFA
 from repro.automata.properties import StateFrequencyProfile
 from repro.automata.transform import TransformedDFA, frequency_transform
 from repro.engine import FastBackend, SimBackend
-from repro.engine.base import resolve_backend_name, validate_starts
+from repro.engine.base import resolve_backend_name
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
@@ -47,8 +47,12 @@ class GpuSimulator:
     This is the one place a table layout is derived.  The hot set is
     sized by :meth:`MemoryModel.for_dfa` and filled hottest-first from
     ``profile``'s order: under the RANK layout (``use_transformation``)
-    the table is renumbered so hotness rank is the state id (Fig. 4);
-    otherwise PM's hash-table layout guards the hottest rows.
+    the executor's table is renumbered so hotness rank is the state id
+    (Fig. 4); otherwise PM's hash-table layout guards the hottest rows.
+    The renumbering is a memory layout of the simulated device, so it is
+    handed (``transformed``) to :class:`~repro.engine.sim.SimBackend`,
+    which maps states at its edge: ``engine`` takes and returns states of
+    ``dfa`` on either backend, and nothing above it translates.
 
     Parameters
     ----------
@@ -86,12 +90,12 @@ class GpuSimulator:
             if self.profile is None:
                 raise SimulationError("the frequency transformation needs a profile")
             self.transformed = frequency_transform(self.dfa, self.profile)
-            exec_dfa = self.transformed.dfa
+            table = self.transformed.dfa.table
             memory = MemoryModel(
                 device=self.device, hot_state_count=hot, layout=TableLayout.RANK
             )
         else:
-            exec_dfa = self.dfa
+            table = self.dfa.table
             hot_ids = (
                 self.profile.hot_states(hot)
                 if self.profile is not None
@@ -103,56 +107,17 @@ class GpuSimulator:
                 layout=TableLayout.HASH,
                 hot_state_ids=frozenset(int(s) for s in hot_ids),
             )
-        self.exec_dfa: DFA = exec_dfa
         self.memory: MemoryModel = memory
-        self.executor = LockstepExecutor(exec_dfa.table, memory, self.device)
-        #: the handle every transition step routes through.  ``sim`` wraps
-        #: the executor above (ledger unchanged); ``fast`` skips cycle
-        #: accounting entirely.
+        self.executor = LockstepExecutor(table, memory, self.device)
+        #: the handle every transition step routes through, in ``dfa``'s
+        #: numbering.  ``sim`` wraps the executor above and hides its
+        #: renumbered table behind it; ``fast`` steps ``dfa``'s table and
+        #: skips cycle accounting entirely.
         self.engine = (
-            SimBackend(self.executor)
+            SimBackend(self.executor, self.transformed)
             if self.backend == "sim"
-            else FastBackend(exec_dfa.table)
+            else FastBackend(self.dfa.table)
         )
-
-    # ------------------------------------------------------------------
-    # state-id translation between caller space and execution space
-    # ------------------------------------------------------------------
-    def to_exec_state(self, state: int) -> int:
-        """Translate an original-DFA state id into executor space."""
-        if not 0 <= state < self.dfa.n_states:  # scalar test: no numpy per feed
-            self.to_exec_states([state])  # raises the range error
-        if self.transformed is None:
-            return int(state)
-        return self.transformed.map_state_to_new(state)
-
-    def to_user_state(self, state: int) -> int:
-        """Translate an executor-space state id back to the original DFA."""
-        if self.transformed is None:
-            return int(state)
-        return self.transformed.map_state_to_old(state)
-
-    def to_exec_states(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`to_exec_state`.  Both range-check the caller's
-        starts, which a transformed table would otherwise read silently as
-        ``to_new[-1]``, or reject with a raw ``IndexError`` past the end."""
-        states = np.asarray(states)
-        validate_starts(states, n_states=self.dfa.n_states, backend=self.backend)
-        if self.transformed is None:
-            return states
-        return self.transformed.to_new[states]
-
-    def to_user_states(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`to_user_state`."""
-        states = np.asarray(states)
-        if self.transformed is None:
-            return states
-        return self.transformed.to_old[states]
-
-    @property
-    def exec_start_state(self) -> int:
-        """The initial state in executor space."""
-        return self.exec_dfa.start
 
     # ------------------------------------------------------------------
     def new_stats(self, n_threads: int) -> KernelStats:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.automata.properties import profile_state_frequencies
+from repro.engine.base import validate_starts
 from repro.gpu.device import RTX3090, DeviceSpec
 from repro.gpu.kernel import GpuSimulator, KernelPhase
 from repro.gpu.stats import KernelStats
@@ -40,7 +41,7 @@ class SchemeResult:
     Attributes
     ----------
     end_state:
-        Final DFA state in the *original* (untransformed) numbering.
+        Final DFA state.
     accepts:
         Whether the end state is accepting.
     stats:
@@ -50,9 +51,8 @@ class SchemeResult:
     n_chunks:
         Number of chunks/threads used.
     chunk_ends:
-        ``(n_chunks,)`` array of *verified* end states per chunk (original
-        numbering); enables post-hoc queries like first-match offsets
-        without a rescan.
+        ``(n_chunks,)`` array of *verified* end states per chunk; enables
+        post-hoc queries like first-match offsets without a rescan.
     observations:
         :class:`~repro.speculation.observations.LiveObservations` for this
         run — predictor hits/misses at the scheme's spec-k, recovery effort
@@ -189,13 +189,11 @@ class Scheme(abc.ABC):
         return partition_input(data, self.n_threads)
 
     def _predict(
-        self, partition: Partition, exec_start: int, stats: KernelStats
+        self, partition: Partition, start: int, stats: KernelStats
     ) -> Prediction:
         """Phase 1, in its span: all-state lookback-2 prediction (cost = the
         constant C).
 
-        Frequency ties are broken in *original* state space so speculation
-        order does not depend on whether the frequency transformation is on.
         A custom predictor set on the scheme (any callable with
         :func:`~repro.speculation.predictor.predict_start_states`' signature)
         replaces the paper's lookback-2 default, which is looked up here at
@@ -204,12 +202,7 @@ class Scheme(abc.ABC):
         predict = self.predictor if self.predictor is not None else predict_start_states
         with self._phase_span(KernelPhase.PREDICT, stats):
             prediction = predict(
-                self.sim.exec_dfa,
-                partition,
-                exec_start,
-                stats=stats,
-                device=self.sim.device,
-                tie_break=self.sim.to_user_states,
+                self.sim.dfa, partition, start, stats=stats, device=self.sim.device
             )
         self._stash_audit(prediction=prediction)
         return prediction
@@ -290,19 +283,17 @@ class Scheme(abc.ABC):
         stats.redundant_transitions += max(0, stats.transitions - useful)
 
     def _finish(
-        self, end_state_exec: int, stats: KernelStats, chunk_ends_exec: np.ndarray
+        self, end_state: int, stats: KernelStats, chunk_ends: np.ndarray
     ) -> SchemeResult:
-        """Translate the end state and chunk ends back to user space."""
-        end_user = self.sim.to_user_state(int(end_state_exec))
+        """The run's result, before its observations are attached."""
+        end_state = int(end_state)
         return SchemeResult(
-            end_state=end_user,
-            accepts=end_user in self.sim.dfa.accepting,
+            end_state=end_state,
+            accepts=end_state in self.sim.dfa.accepting,
             stats=stats,
             scheme=self.name,
             n_chunks=self.n_threads,
-            chunk_ends=self.sim.to_user_states(
-                np.asarray(chunk_ends_exec, dtype=np.int64)
-            ),
+            chunk_ends=np.asarray(chunk_ends, dtype=np.int64),
         )
 
     # ------------------------------------------------------------------
@@ -312,10 +303,10 @@ class Scheme(abc.ABC):
 
         The one ``run`` of every scheme: it partitions the input, opens the
         ledger and the ``scheme:<name>`` root and launch spans, hands the
-        scheme's algorithm (:meth:`_execute`) its executor-space start,
-        translates the answer back, audits the run when :attr:`selfcheck`
-        is on and attaches the run's :class:`LiveObservations` — the
-        serving tier's drift signal — on every path.
+        scheme's algorithm (:meth:`_execute`) its range-checked start,
+        audits the run when :attr:`selfcheck` is on and attaches the run's
+        :class:`LiveObservations` — the serving tier's drift signal — on
+        every path.
         """
         symbols = _as_symbol_array(data)
         partition = self._partition(symbols)
@@ -338,11 +329,14 @@ class Scheme(abc.ABC):
                     KernelPhase.LAUNCH, cycle_source=stats, cycle_start=0.0
                 ):
                     pass
-                exec_start = (
-                    self.sim.exec_start_state
-                    if start_state is None
-                    else self.sim.to_exec_state(int(start_state))
-                )
+                dfa = self.sim.dfa
+                start = dfa.start if start_state is None else int(start_state)
+                if not 0 <= start < dfa.n_states:  # scalar test: no numpy per feed
+                    # Not left to the backend: SFA's chain would read a
+                    # start of -1 as ``mappings[:, -1]``.
+                    validate_starts(
+                        [start], n_states=dfa.n_states, backend=self.engine.name
+                    )
                 if audited:
                     self._audit_stash = {
                         "partition": partition,
@@ -350,7 +344,7 @@ class Scheme(abc.ABC):
                             self, symbols, partition, start_state
                         ),
                     }
-                end_state, chunk_ends = self._execute(partition, exec_start, stats)
+                end_state, chunk_ends = self._execute(partition, start, stats)
                 result = self._finish(end_state, stats, chunk_ends)
             if audited:
                 audit_scheme_run(self, symbols, start_state, result)
@@ -369,11 +363,11 @@ class Scheme(abc.ABC):
 
     @abc.abstractmethod
     def _execute(
-        self, partition: Partition, exec_start: int, stats: KernelStats
+        self, partition: Partition, start: int, stats: KernelStats
     ) -> Tuple[int, np.ndarray]:
-        """The scheme's algorithm over ``partition`` from the executor-space
-        ``exec_start``, charging ``stats`` and opening its phase spans;
-        returns the executor-space end state and every chunk's end."""
+        """The scheme's algorithm over ``partition`` from ``start``,
+        charging ``stats`` and opening its phase spans; returns the end
+        state and every chunk's end."""
 
     def _root_attrs(self) -> dict:
         """Extra attributes of this scheme's ``scheme:<name>`` span."""

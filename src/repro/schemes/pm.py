@@ -93,9 +93,9 @@ class PMScheme(Scheme):
         return {"k": self.k}
 
     # ------------------------------------------------------------------
-    def _execute(self, partition, exec_start, stats):
+    def _execute(self, partition, start, stats):
         n = partition.n_chunks
-        prediction = self._predict(partition, exec_start, stats)
+        prediction = self._predict(partition, start, stats)
         vr = VRStore(n_chunks=n, own_capacity=max(self.k, 16))
         self._stash_audit(vr=vr)
 
@@ -149,7 +149,7 @@ class PMScheme(Scheme):
                 stats.charge_sync(KernelPhase.MERGE)
 
         # --- stage 2: sequential verification and must-be-done recovery --
-        end_p = vr.lookup(0, exec_start)  # chunk 0 ran from the real start state
+        end_p = vr.lookup(0, start)  # chunk 0 ran from the real start state
         chunk_ends = np.empty(n, dtype=np.int64)
         chunk_ends[0] = end_p
         for i in range(1, n):

@@ -173,9 +173,9 @@ class FrontierLoopScheme(Scheme):
         return []
 
     # ------------------------------------------------------------------
-    def _execute(self, partition, exec_start, stats):
+    def _execute(self, partition, start, stats):
         n = partition.n_chunks
-        prediction = self._predict(partition, exec_start, stats)
+        prediction = self._predict(partition, start, stats)
         vr = VRStore(
             n_chunks=n,
             own_capacity=self.own_capacity,
@@ -184,10 +184,9 @@ class FrontierLoopScheme(Scheme):
         self._stash_audit(vr=vr)
         oracle_ends = None
         if self._audit_stash is not None:
-            # Exec-space ground truth per chunk: the frontier invariant
-            # says round f leaves chunks 0..f verified, and no later round
-            # changes them.
-            oracle_ends = self.sim.to_exec_states(self._audit_stash["oracle_chain"])
+            # Ground truth per chunk: the frontier invariant says round f
+            # leaves chunks 0..f verified, and no later round changes them.
+            oracle_ends = self._audit_stash["oracle_chain"]
         end_c = self._speculative_execution(partition, prediction, stats, vr)
         end_c = end_c.astype(np.int64)
 
@@ -200,7 +199,7 @@ class FrontierLoopScheme(Scheme):
         # rescans only the ``dirty`` chunks, where one of the two changed
         # (the ledger still charges a whole-store scan every round).
         end_p = np.empty(n, dtype=np.int64)  # forwarded predecessor end states
-        end_p[0] = exec_start
+        end_p[0] = start
         end_p[1:] = end_c[:-1]
         found = np.zeros(n, dtype=bool)
         hit = np.zeros(n, dtype=np.int64)

@@ -29,11 +29,11 @@ class SequentialScheme(Scheme):
             symbols=symbols,
         )
 
-    def _execute(self, partition, exec_start, stats):
+    def _execute(self, partition, start, stats):
         with self._phase_span(KernelPhase.SPECULATIVE_EXECUTION, stats):
             ends = self.engine.run_batch(
                 partition.chunks,
-                np.asarray([exec_start], dtype=np.int64),
+                np.asarray([start], dtype=np.int64),
                 stats=stats,
                 phase=KernelPhase.SPECULATIVE_EXECUTION,
             )

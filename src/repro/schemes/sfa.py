@@ -77,9 +77,9 @@ class SFAScheme(Scheme):
     boundary_evidence = False
 
     def _root_attrs(self) -> dict:
-        return {"n_states": self.sim.exec_dfa.n_states}
+        return {"n_states": self.sim.dfa.n_states}
 
-    def _execute(self, partition, exec_start, stats):
+    def _execute(self, partition, start, stats):
         n = partition.n_chunks
 
         # --- phase 1: fingerprint dedupe (host-side, cheap) -------------
@@ -126,7 +126,7 @@ class SFAScheme(Scheme):
             # Functional chain through the carried state: exact by
             # construction, no verification and no recovery ever.
             chunk_ends = np.empty(n, dtype=np.int64)
-            state = int(exec_start)
+            state = int(start)
             for i in range(n):
                 state = int(mappings[inverse[i], state])
                 chunk_ends[i] = state

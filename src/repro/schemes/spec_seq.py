@@ -21,15 +21,15 @@ class SpecSequentialScheme(Scheme):
 
     name = "spec-seq"
 
-    def _execute(self, partition, exec_start, stats):
+    def _execute(self, partition, start, stats):
         n = partition.n_chunks
-        prediction = self._predict(partition, exec_start, stats)
+        prediction = self._predict(partition, start, stats)
         vr = VRStore(n_chunks=n)
         self._stash_audit(vr=vr)
         self._speculative_execution(partition, prediction, stats, vr)
 
         # Sequential verification and recovery (lines 8-14 of Alg. 2).
-        end_p = vr.lookup(0, exec_start)  # chunk 0 started from the real state
+        end_p = vr.lookup(0, start)  # chunk 0 started from the real state
         chunk_ends = np.empty(n, dtype=np.int64)
         chunk_ends[0] = end_p
         for i in range(1, n):

@@ -32,7 +32,7 @@ Invariants audited:
 ``sfa_mapping_oracle``
     When the run stashed SFA chunk mappings, a state sample of every unique
     chunk's state→state mapping equals re-running the chunk from each start
-    state on the executor-space DFA.
+    state with ``DFA.run``.
 ``ledger_tiling``
     When the backend accounts cycles: the per-phase cycle buckets tile the
     total exactly, and redundant transitions never exceed total transitions.
@@ -166,13 +166,12 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
         partition = stash.get("partition")
         reps = stash.get("sfa_reps")
         if partition is not None and reps is not None:
-            exec_dfa = scheme.sim.exec_dfa
             mappings = np.asarray(mappings, dtype=np.int64)
-            n_states = exec_dfa.n_states
+            n_states = dfa.n_states
             # Re-run a row sample of every unique chunk's mapping against
-            # the executor-space oracle; small automata are checked in
-            # full, large ones on an evenly spaced state sample so the
-            # audit stays O(run cost).
+            # the oracle; small automata are checked in full, large ones
+            # on an evenly spaced state sample so the audit stays O(run
+            # cost).
             if n_states <= 32:
                 rows = np.arange(n_states)
             else:
@@ -183,9 +182,7 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
             for g, rep in enumerate(np.asarray(reps, dtype=np.int64)):
                 chunk = partition.chunk(int(rep))
                 for s in rows:
-                    if int(mappings[g, s]) != int(
-                        exec_dfa.run(chunk, start=int(s))
-                    ):
+                    if int(mappings[g, s]) != int(dfa.run(chunk, start=int(s))):
                         bad.append(int(rep))
                         break
             if bad:
@@ -226,12 +223,12 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
     answers of the same kernel an unaudited dispatch runs:
 
     ``fused_end_state_oracle``
-        Every stream's fused end state (in user-space numbering) equals the
+        Every stream's fused end state equals the
         sequential ``DFA.run`` oracle over that stream's own segment from
         its own carried state — the per-stream answer contract.
 
     ``engine`` is the dispatching :class:`FusedBatchEngine`; ``segments``
-    and ``starts`` are the dispatch inputs (user space); ``result`` its
+    and ``starts`` are the dispatch inputs; ``result`` its
     :class:`~repro.engine.fused.FusedDispatchResult`.
     """
     dfa = engine.dfa
@@ -253,7 +250,7 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
 
 
 def oracle_chain(scheme, symbols, partition, start_state) -> np.ndarray:
-    """The run's sequential oracle: the user-space end state after each of
+    """The run's sequential oracle: the end state after each of
     ``partition``'s chunks, chained from ``start_state`` (default the DFA's
     initial state) with ``DFA.run``.
 

@@ -335,13 +335,17 @@ class MatcherPool:
         outcomes: List[Optional[FeedOutcome]] = [None] * len(feeds)
         pending = list(enumerate(feeds))
         while pending:
-            # One wave: each stream id at most once.
+            # One wave: each stream id at most once.  Only an exact int
+            # names a stream; any other id (an unhashable one included)
+            # joins the first wave, where the lookup refuses it alone.
             wave, later, seen = [], [], set()
             for idx, (stream_id, segment) in pending:
-                if stream_id in seen:
+                exact = type(stream_id) is int
+                if exact and stream_id in seen:
                     later.append((idx, (stream_id, segment)))
                 else:
-                    seen.add(stream_id)
+                    if exact:
+                        seen.add(stream_id)
                     wave.append((idx, stream_id, segment))
             self._dispatch_wave(wave, outcomes)
             pending = later

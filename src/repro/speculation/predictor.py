@@ -18,8 +18,8 @@ window symbol is a table column, counted once per distinct first symbol
 with one ``bincount``; every further symbol gathers only the support, and
 duplicate ``(window, state)`` pairs merge with summed weights.  The weights
 are exactly the per-lane appearance counts, so the ranking — count
-descending, then the ``tie_break`` key, then the state id — is the one a
-lane-per-state replay produces.  Each *distinct* window (grouped by
+descending, then the state id — is the one a lane-per-state replay
+produces.  Each *distinct* window (grouped by
 :func:`~repro.automata.minimize.group_rows`) is replayed once and
 boundaries with equal windows share its ranked segment.
 
@@ -151,14 +151,13 @@ def predict_start_states(
     lookback: int = LOOKBACK,
     stats: Optional[KernelStats] = None,
     device: Optional[DeviceSpec] = None,
-    tie_break=None,
 ) -> Prediction:
     """Run all-state lookback prediction over every chunk boundary.
 
     Parameters
     ----------
     dfa:
-        The automaton (in the same state space the schemes will execute in).
+        The automaton.
     partition:
         Chunked input.
     start_state:
@@ -169,19 +168,15 @@ def predict_start_states(
         When given, the (constant) prediction cost ``C`` is charged: the
         replay runs ``lookback`` lockstep steps for ``n_states`` lanes per
         boundary, spread over the whole device.
-    tie_break:
-        Optional vectorized mapping applied to candidate state ids before
-        breaking frequency ties.  Schemes pass the exec→original translation
-        here so queue order is invariant under the frequency transformation
-        (otherwise the memory-layout ablation would silently change the
-        speculation order too).
+
+    Frequency ties break by state id.
     """
     if start_state is None:
         start_state = dfa.start
     n = partition.n_chunks
     # Chunk 0's queue is the real start state; every later chunk's comes
     # from the replay of its predecessor's tail.
-    queues = rank_queues(dfa.table, partition, np.arange(1, n), lookback, tie_break)
+    queues = rank_queues(dfa.table, partition, np.arange(1, n), lookback)
     if stats is not None:
         dev = device if device is not None else stats.device
         lanes = dfa.n_states * max(0, n - 1)
@@ -209,7 +204,6 @@ def rank_queues(
     partition: Partition,
     boundaries: np.ndarray,
     lookback: int,
-    tie_break,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranked CSR ``(states, weights, bounds)`` with segment ``j`` the queue
     of chunk ``boundaries[j]`` (each ``>= 1``): the all-state replay of its
@@ -220,12 +214,12 @@ def rank_queues(
     tails = np.minimum(np.asarray(partition.lengths[rows], dtype=np.int64), lookback)
     widths = sorted(set(tails.tolist()))
     if len(widths) == 1:
-        return _rank_boundaries(table, _windows(partition, rows, widths[0]), tie_break)
+        return _rank_boundaries(table, _windows(partition, rows, widths[0]))
     parts = []
     for width in widths:
         members = np.flatnonzero(tails == width)
         states, weights, bounds = _rank_boundaries(
-            table, _windows(partition, rows[members], width), tie_break
+            table, _windows(partition, rows[members], width)
         )
         parts.append((members, states, weights, np.diff(bounds)))
     return _interleave(rows.size, parts)
@@ -256,16 +250,16 @@ def _interleave(n: int, parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rank_boundaries(
-    table: np.ndarray, windows: np.ndarray, tie_break
+    table: np.ndarray, windows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranked CSR ``(states, weights, bounds)`` with one segment per row of
     ``windows`` (per boundary).  A small replay runs one lane per start
     state and boundary; a large one replays each distinct window once as a
     state set and hands its segment to every boundary with that window."""
     if windows.shape[0] * table.shape[0] <= PER_LANE_REPLAY:
-        return _rank_windows_per_lane(table, windows, tie_break)
+        return _rank_windows_per_lane(table, windows)
     first, which = group_rows(windows)
-    states, weights, bounds = _rank_windows(table, windows[first], tie_break)
+    states, weights, bounds = _rank_windows(table, windows[first])
     sizes = np.diff(bounds)[which]
     src, _ = segment_positions(bounds[which], sizes)
     out = np.zeros(which.size + 1, dtype=np.int64)
@@ -274,7 +268,7 @@ def _rank_boundaries(
 
 
 def _rank_windows(
-    table: np.ndarray, windows: np.ndarray, tie_break
+    table: np.ndarray, windows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All-state replay of every row of ``windows``, as ranked CSR arrays
     ``(states, weights, bounds)``: row ``r``'s end-state set is
@@ -324,11 +318,11 @@ def _rank_windows(
             heads = np.flatnonzero(head)
             weights = np.add.reduceat(weights[order], heads)
             row, states = np.divmod(keys[heads], n_states)
-    return _ranked(row, states, weights, n_rows, tie_break)
+    return _ranked(row, states, weights, n_rows)
 
 
 def _rank_windows_per_lane(
-    table: np.ndarray, windows: np.ndarray, tie_break
+    table: np.ndarray, windows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_rank_windows` with one lane per ``(row, start state)``: one
     ``(rows × n_states)`` gather per window symbol, counted with one
@@ -347,15 +341,14 @@ def _rank_windows_per_lane(
     counts = np.bincount(keys.ravel(), minlength=n_rows * n_states)
     reached = np.flatnonzero(counts)
     row, states = np.divmod(reached, n_states)
-    return _ranked(row, states, counts[reached], n_rows, tie_break)
+    return _ranked(row, states, counts[reached], n_rows)
 
 
-def _ranked(row, states, weights, n_rows: int, tie_break):
+def _ranked(row, states, weights, n_rows: int):
     """CSR ``(states, weights, bounds)`` of ``(row, state, weight)`` triples
     given in ``(row, state)`` order: per row count descending, then the
-    ``tie_break`` key, then the state id."""
-    tie_keys = tie_break(states) if tie_break is not None else states
-    order = np.lexsort((tie_keys, -weights, row))
+    state id."""
+    order = np.lexsort((states, -weights, row))
     bounds = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n_rows), out=bounds[1:])
     return states[order], weights[order], bounds
@@ -368,7 +361,6 @@ def predict_adaptive(
     *,
     stats: Optional[KernelStats] = None,
     device: Optional[DeviceSpec] = None,
-    tie_break=None,
     target_candidates: int = 4,
     max_window: int = 16,
 ) -> Prediction:
@@ -391,9 +383,7 @@ def predict_adaptive(
     pending = np.arange(1, n)
     replay_steps, window = 0, 1
     while pending.size:
-        states, weights, bounds = rank_queues(
-            dfa.table, partition, pending, window, tie_break
-        )
+        states, weights, bounds = rank_queues(dfa.table, partition, pending, window)
         replay_steps += int(np.minimum(lengths[pending - 1], window).sum())
         sizes = np.diff(bounds)
         done = (sizes <= target_candidates) | (window >= max_window)
@@ -416,7 +406,6 @@ def predict_oracle(
     *,
     stats: Optional[KernelStats] = None,
     device: Optional[DeviceSpec] = None,
-    tie_break=None,
 ) -> Prediction:
     """Perfect prediction, the ablation upper bound: each queue is the true
     start alone, found by a sequential pass the ledger is never charged for
@@ -435,17 +424,13 @@ def predict_uniform(
     *,
     stats: Optional[KernelStats] = None,
     device: Optional[DeviceSpec] = None,
-    tie_break=None,
 ) -> Prediction:
     """No information, the ablation lower bound: every speculated chunk's
-    queue holds all states with equal weight, in ``tie_break`` order."""
+    queue holds all states with equal weight, in state id order."""
     if start_state is None:
         start_state = dfa.start
     n, n_states = partition.n_chunks, dfa.n_states
-    all_states = np.arange(n_states)
-    keys = tie_break(all_states) if tie_break is not None else all_states
-    ranked = all_states[np.argsort(keys)]
-    states = np.concatenate(([start_state], np.tile(ranked, n - 1)))
+    states = np.concatenate(([start_state], np.tile(np.arange(n_states), n - 1)))
     weights = np.concatenate(([n_states], np.ones(n_states * (n - 1), dtype=np.int64)))
     bounds = np.concatenate(([0], 1 + n_states * np.arange(n, dtype=np.int64)))
     return Prediction.from_arrays(states, weights, bounds)

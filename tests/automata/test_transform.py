@@ -25,13 +25,12 @@ def test_state_zero_is_hottest(div7, transformed):
     data, t = transformed
     prof = profile_state_frequencies(div7, data)
     hottest_old = int(prof.order[0])
-    assert t.map_state_to_new(hottest_old) == 0
+    assert t.to_new[hottest_old] == 0
 
 
 def test_mapping_roundtrip(div7, transformed):
     _, t = transformed
-    for q in range(div7.n_states):
-        assert t.map_state_to_old(t.map_state_to_new(q)) == q
+    assert np.array_equal(t.to_new[t.to_old], np.arange(div7.n_states))
     assert np.array_equal(t.to_old[t.to_new], np.arange(div7.n_states))
 
 
@@ -66,10 +65,9 @@ def test_paper_fig4_example():
     prof = StateFrequencyProfile(counts=counts, order=order, sample_length=12)
     t = frequency_transform(dfa, prof)
     # S0 and S1 keep ranks 0 and 1 (already hottest).
-    assert t.map_state_to_new(0) == 0
-    assert t.map_state_to_new(1) == 1
+    assert t.to_new[:2].tolist() == [0, 1]
     # Transformed semantics match on a sample.
     for stream in ([0, 1, 2], [1, 1, 0, 2], [0, 0, 0]):
         a = dfa.run(stream)
         b = t.dfa.run(stream)
-        assert t.map_state_to_old(b) == a
+        assert t.to_old[b] == a

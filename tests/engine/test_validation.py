@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from repro.automata.dfa import DFA
+from repro.automata.properties import profile_state_frequencies
+from repro.engine import FusedBatchEngine
 from repro.engine.base import validate_batch_inputs
 from repro.engine.fast import FastBackend
 from repro.errors import SimulationError
 from repro.gpu.kernel import GpuSimulator
+from repro.schemes import SFAScheme, SREScheme
 from repro.workloads import classic
 
 
@@ -160,6 +163,58 @@ def test_batch_contract_holds_on_both_backends(case, backend):
     engine = GpuSimulator(dfa=dfa, use_transformation=False, backend=backend).engine
     with pytest.raises(SimulationError, match=rf"^\[{backend}\] "):
         CONTRACT_CASES[case](engine)
+
+
+def _transformed_sim(backend):
+    """The ``t4x3`` automaton behind the frequency transformation, with a
+    profile that renumbers it (``to_new[-1]`` is a valid state)."""
+    dfa = DFA(table=_TABLE, start=0, accepting=frozenset({1}), name="t4x3")
+    training = np.asarray([2] * 12 + [0, 1])
+    sim = GpuSimulator(
+        dfa=dfa, profile=profile_state_frequencies(dfa, training), backend=backend
+    )
+    assert sim.transformed.to_new.tolist() != list(range(dfa.n_states))
+    return sim
+
+
+#: (case, call on a transformed simulator) — a caller's start of -1 or
+#: ``n_states`` through each entry that takes one.
+START_CASES = {
+    "run_batch_-1": lambda sim: sim.engine.run_batch(_CHUNKS, [0, -1, 0, 0]),
+    "run_batch_n_states": lambda sim: sim.engine.run_batch(_CHUNKS, [0, 4, 0, 0]),
+    "run_gathered_-1": lambda sim: sim.engine.run_gathered(
+        _CHUNKS[:2], [0, 1, 1, 0], [0, 0, -1, 0]
+    ),
+    "scheme_run_-1": lambda sim: SREScheme(sim, n_threads=2).run(
+        _CHUNKS[0], start_state=-1
+    ),
+    "scheme_run_n_states": lambda sim: SREScheme(sim, n_threads=2).run(
+        _CHUNKS[0], start_state=4
+    ),
+    "sfa_run_-1": lambda sim: SFAScheme(sim, n_threads=2).run(
+        _CHUNKS[0], start_state=-1
+    ),
+    "dispatch_-1": lambda sim: FusedBatchEngine(sim).dispatch(_CHUNKS[:2], [0, -1]),
+    "dispatch_n_states": lambda sim: FusedBatchEngine(sim).dispatch(
+        _CHUNKS[:2], [4, 0]
+    ),
+    "dispatch_zero_length_-1": lambda sim: FusedBatchEngine(sim).dispatch(
+        [[], []], [0, -1]
+    ),
+    "dispatch_zero_length_n_states": lambda sim: FusedBatchEngine(sim).dispatch(
+        [[], []], [4, 0]
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("case", sorted(START_CASES))
+def test_bad_starts_raise_behind_the_transformation(case, backend):
+    """The renumbering lives in the sim backend, yet every entry that takes
+    a caller's start range-checks it: a tagged :class:`SimulationError`,
+    never the answer of the state ``to_new`` would have read."""
+    with pytest.raises(SimulationError, match=rf"^\[{backend}\] start states"):
+        START_CASES[case](_transformed_sim(backend))
 
 
 class TestValidateHelper:

@@ -1,4 +1,4 @@
-"""GpuSimulator facade tests (layout derivation, state translation)."""
+"""GpuSimulator facade tests (layout derivation, one state numbering)."""
 
 from dataclasses import replace
 
@@ -46,25 +46,36 @@ def test_hash_layout_without_profile_defaults(div7):
     assert sim.memory.layout is TableLayout.HASH
 
 
-def test_state_translation_roundtrip(div7, profile):
-    sim = GpuSimulator(dfa=div7, use_transformation=True, profile=profile)
-    for q in range(7):
-        assert sim.to_user_state(sim.to_exec_state(q)) == q
-    states = np.arange(7)
-    assert np.array_equal(sim.to_user_states(sim.to_exec_states(states)), states)
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+@pytest.mark.parametrize("use_transformation", [True, False])
+def test_engine_speaks_the_submitted_numbering(
+    div7, profile, rng, backend, use_transformation
+):
+    """From every state of ``dfa``, the engine ends where ``dfa.run`` does,
+    whatever table the executor holds."""
+    sim = GpuSimulator(
+        dfa=div7,
+        use_transformation=use_transformation,
+        profile=profile,
+        backend=backend,
+    )
+    data = rng.integers(48, 50, size=300).astype(np.uint8)
+    starts = np.arange(div7.n_states)
+    ends = sim.engine.run_batch(np.tile(data, (starts.size, 1)), starts)
+    assert ends.tolist() == [div7.run(data, start=int(s)) for s in starts]
 
 
-def test_translation_identity_without_transform(div7, profile):
-    sim = GpuSimulator(dfa=div7, use_transformation=False, profile=profile)
-    assert sim.to_exec_state(5) == 5
-    assert sim.to_user_state(5) == 5
-
-
-def test_exec_semantics_match(div7, profile, rng):
-    sim = GpuSimulator(dfa=div7, use_transformation=True, profile=profile)
-    data = bytes(rng.integers(48, 50, size=300).astype(np.uint8))
-    end_exec = sim.exec_dfa.run(data, start=sim.exec_start_state)
-    assert sim.to_user_state(end_exec) == div7.run(data)
+def test_only_the_sim_executor_holds_the_renumbered_table(div7, profile):
+    sim = GpuSimulator(dfa=div7, profile=profile, backend="sim")
+    assert np.array_equal(sim.executor.table, sim.transformed.dfa.table)
+    assert sim.engine.transformed is sim.transformed
+    fast = GpuSimulator(dfa=div7, profile=profile, backend="fast")
+    assert np.array_equal(fast.engine.table, div7.table)
+    plain = GpuSimulator(
+        dfa=div7, use_transformation=False, profile=profile, backend="sim"
+    )
+    assert np.array_equal(plain.executor.table, div7.table)
+    assert plain.engine.transformed is None
 
 
 def test_new_stats_charges_launch(div7, profile):
@@ -100,7 +111,7 @@ def test_rank_layout_hot_check_is_plain_compare(div7, profile):
     states = np.arange(div7.n_states)
     assert sim.memory.hot_mask(states).tolist() == [True] * 3 + [False] * 4
     # the cached prefix is the profile's three hottest states, hottest first
-    assert sim.to_user_states(states[:3]).tolist() == profile.hot_states(3).tolist()
+    assert sim.transformed.to_old[:3].tolist() == profile.hot_states(3).tolist()
 
 
 def test_hash_layout_caches_the_hottest_states(div7, profile):
@@ -118,8 +129,8 @@ def test_hot_access_fraction_on_training_data(div7, rng):
     data = bytes(rng.integers(48, 50, size=4000).astype(np.uint8))
     prof = profile_state_frequencies(div7, data)
     sim = GpuSimulator(dfa=div7, device=_device_with_entries(4 * 256), profile=prof)
-    visited = sim.exec_dfa.run_path(data, start=sim.exec_start_state)[:-1]
-    frac = sim.memory.hot_mask(visited).mean()
+    visited = div7.run_path(data)[:-1]
+    frac = sim.memory.hot_mask(sim.transformed.to_new[visited]).mean()
     mass = prof.frequencies[prof.order[:4]].sum()
     assert frac == pytest.approx(mass, abs=0.02)
 
@@ -134,5 +145,5 @@ def test_paper_fig4_hot_prefix():
     prof = StateFrequencyProfile(counts=counts, order=order, sample_length=12)
     sim = GpuSimulator(dfa=dfa, device=_device_with_entries(2 * 3), profile=prof)
     assert sim.memory.hot_state_count == 2
-    assert sim.to_exec_states(np.arange(4)).tolist() == [0, 1, 2, 3]
+    assert sim.transformed.to_new.tolist() == [0, 1, 2, 3]
     assert sim.memory.hot_mask(np.arange(4)).tolist() == [True, True, False, False]

@@ -17,10 +17,10 @@ from repro.schemes.recovery_common import RoundContext
 from repro.speculation.records import VRStore
 
 
-def reference_execute(self, partition, exec_start, stats):
+def reference_execute(self, partition, start, stats):
     """Algorithm 3's frontier loop with a whole-store scan every round."""
     n = partition.n_chunks
-    prediction = self._predict(partition, exec_start, stats)
+    prediction = self._predict(partition, start, stats)
     vr = VRStore(
         n_chunks=n,
         own_capacity=self.own_capacity,
@@ -29,7 +29,7 @@ def reference_execute(self, partition, exec_start, stats):
     self._stash_audit(vr=vr)
     oracle_ends = None
     if self._audit_stash is not None:
-        oracle_ends = self.sim.to_exec_states(self._audit_stash["oracle_chain"])
+        oracle_ends = self._audit_stash["oracle_chain"]
     end_c = self._speculative_execution(partition, prediction, stats, vr)
     end_c = end_c.astype(np.int64)
 
@@ -42,7 +42,7 @@ def reference_execute(self, partition, exec_start, stats):
     for f in range(n):
         with self._phase_span("verify_recover.round", stats, frontier=f) as round_span:
             end_p = np.empty(n, dtype=np.int64)
-            end_p[0] = exec_start
+            end_p[0] = start
             end_p[1:] = prev_snapshot[:-1]
             stats.charge_comm(phase, n - 1 if n > 1 else 0)
 

@@ -113,7 +113,7 @@ class TestMustBeDoneRecovery:
         stats = scheme.sim.new_stats(n_threads=8)
         vr = VRStore(n_chunks=partition.n_chunks)
         end = scheme._recover_chunk(partition, chunk, start, stats, vr)
-        expected = scheme.sim.exec_dfa.run(partition.chunk(chunk), start=start)
+        expected = scheme.sim.dfa.run(partition.chunk(chunk), start=start)
         return end, expected, stats, vr
 
     def test_recover_chunk_is_one_single_thread_round(self, hard_case):
@@ -209,3 +209,51 @@ class TestPhaseStructure:
     def test_phase_cycles_sum_to_total(self, hard_case):
         r = run(NFScheme, hard_case)
         assert sum(r.stats.phase_cycles.values()) == pytest.approx(r.cycles)
+
+
+#: Ledger fields the table layout cannot move: the frequency
+#: transformation decides where a row lives, never what runs.
+LAYOUT_FREE_FIELDS = (
+    "transitions",
+    "redundant_transitions",
+    "comm_ops",
+    "verify_ops",
+    "sync_ops",
+    "recovery_rounds",
+    "recoveries_executed",
+    "active_thread_samples",
+    "matches",
+    "mismatches",
+    "warp_steps",
+)
+
+
+@pytest.mark.parametrize(
+    "cls", [PMScheme, SREScheme, RRScheme, NFScheme, SFAScheme, SpecSequentialScheme]
+)
+def test_table_layout_moves_only_memory_costs(cls):
+    """With the renumbering on or off, a scheme predicts the same queues
+    (frequency ties break by the submitted state id either way), schedules
+    the same recoveries and answers the same; only memory costs differ."""
+    rng = np.random.default_rng(11)
+    # A random table over few symbols converges partway: ties in the
+    # queues, mispredictions and recoveries.
+    dfa = DFA(table=rng.integers(0, 23, size=(23, 5)), start=0, accepting={1})
+    data = bytes(rng.integers(0, 5, size=700).astype(np.uint8))
+    training = bytes(rng.integers(0, 5, size=300).astype(np.uint8))
+    on, off = (
+        cls.for_dfa(
+            dfa,
+            n_threads=24,
+            training_input=training,
+            use_transformation=flag,
+            backend="sim",
+        ).run(data)
+        for flag in (True, False)
+    )
+    assert on.end_state == off.end_state == dfa.run(data)
+    assert on.chunk_ends.tolist() == off.chunk_ends.tolist()
+    assert on.stats.mismatches > 0 or cls is SFAScheme
+    for field in LAYOUT_FREE_FIELDS:
+        assert getattr(on.stats, field) == getattr(off.stats, field), field
+

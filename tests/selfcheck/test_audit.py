@@ -284,7 +284,7 @@ class TestViolationsDetected:
             found, hit = orig_scan(self, chunks, starts)
             hit = hit.copy()
             two = (chunks == 2) & found
-            hit[two] = (hit[two] + 1) % scheme.sim.exec_dfa.n_states
+            hit[two] = (hit[two] + 1) % scheme.sim.dfa.n_states
             return found, hit
 
         with pytest.raises(SelfCheckError) as exc:

@@ -317,6 +317,32 @@ def test_stream_ids_are_exact_ints(fsms, training, config, op, stream_id):
         assert (summary.stream_id, summary.segments) == (sid, 0)
 
 
+@pytest.mark.parametrize("fused", [False, True], ids=["sequential", "fused"])
+@pytest.mark.parametrize("bad_id", [[0], {}, {0}], ids=["list", "dict", "set"])
+def test_feed_many_refuses_an_unhashable_id_alone(
+    fsms, training, config, fused, bad_id
+):
+    """An id that cannot be hashed gets its own ``unknown_stream`` outcome
+    and its batchmates are served — a repeated id still one per wave."""
+    dfa = fsms[0]
+    pool = MatcherPool(config=config, fused=fused)
+    sids = [pool.open(dfa, training_input=training) for _ in range(2)]
+    feeds = [
+        (sids[0], b"xx alp"),
+        (bad_id, b"alpha"),
+        (sids[1], b"an alpha"),
+        (sids[0], b"ha yy"),
+    ]
+    outcomes = pool.feed_many(feeds)
+    assert [o.ok for o in outcomes] == [True, False, True, True]
+    assert outcomes[1].error.code == "unknown_stream"
+    assert outcomes[1].error.stream_id is bad_id
+    assert outcomes[0].end_state == dfa.run(b"xx alp")
+    assert outcomes[2].end_state == dfa.run(b"an alpha")
+    assert outcomes[3].end_state == dfa.run(b"xx alpha yy")
+    assert [pool.close(sid).segments for sid in sids] == [2, 1]
+
+
 def test_closed_stream_classified_exactly(fsms, training, config):
     """A just-closed id reports stream_closed everywhere — the lone feed
     path, feed_many outcomes, and a second close — while a never-opened id

@@ -22,7 +22,6 @@ def reference_adaptive(
     *,
     stats=None,
     device=None,
-    tie_break=None,
     target_candidates=4,
     max_window=16,
 ):
@@ -44,8 +43,7 @@ def reference_adaptive(
             if candidates.size <= target_candidates or window >= max_window:
                 break
             window = min(max_window, window * 2)
-        keys = tie_break(candidates) if tie_break is not None else candidates
-        order = np.lexsort((keys, -counts))
+        order = np.lexsort((candidates, -counts))
         states.append(candidates[order])
         weights.append(counts[order])
     if stats is not None:

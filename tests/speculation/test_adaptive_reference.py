@@ -36,15 +36,6 @@ def _assert_equals_reference(dfa, partition, device=RTX3090, **kwargs):
     assert got_stats.cycles == want_stats.cycles
 
 
-def _tie_break(kind, n_states, rng):
-    if kind == "scramble":
-        scramble = rng.permutation(n_states)
-        return lambda states: scramble[states]
-    if kind == "coarse":  # not injective: the state id decides what is left
-        return lambda states: states // 3
-    return None
-
-
 @st.composite
 def cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -61,9 +52,6 @@ def cases(draw):
     data = rng.integers(0, n_symbols, size=size).astype(np.uint8)
     kwargs = dict(
         start_state=draw(st.sampled_from([None, int(rng.integers(0, n_states))])),
-        tie_break=_tie_break(
-            draw(st.sampled_from(["none", "scramble", "coarse"])), n_states, rng
-        ),
         target_candidates=draw(
             st.sampled_from([1, 2, 4, max(1, n_states - 1), n_states, n_states + 1])
         ),
@@ -99,14 +87,9 @@ def test_distinct_window_replay_equals_reference(collide, n_chunks, monkeypatch)
     partition = partition_input(data, n_chunks)
     if collide:
         monkeypatch.setattr(minimize, "_hash_weights", lambda width: np.zeros(width, np.int64))
-    scramble = rng.permutation(64)
     for target, window in [(1, 16), (4, 16), (2, 1), (64, 4)]:
         _assert_equals_reference(
-            dfa,
-            partition,
-            tie_break=lambda s: scramble[s],
-            target_candidates=target,
-            max_window=window,
+            dfa, partition, target_candidates=target, max_window=window
         )
 
 

@@ -109,7 +109,7 @@ class TestTrueStarts:
             assert truth[i] == div7.run(p.chunk(i - 1), start=int(truth[i - 1]))
 
 
-def _per_boundary_queues(dfa, partition, lookback, tie_break):
+def _per_boundary_queues(dfa, partition, lookback):
     """The per-boundary construction ``predict_start_states`` used to run:
     one all-state replay, ``np.unique`` and ``lexsort`` per chunk boundary.
     Kept as the reference for the batched replay."""
@@ -117,8 +117,7 @@ def _per_boundary_queues(dfa, partition, lookback, tie_break):
     for i in range(1, partition.n_chunks):
         ends = dfa.run_all_states(partition.last_symbols_of(i - 1, lookback))
         states, counts = np.unique(ends, return_counts=True)
-        keys = tie_break(states) if tie_break is not None else states
-        order = np.lexsort((keys, -counts))
+        order = np.lexsort((states, -counts))
         queues.append((states[order].tolist(), counts[order].tolist()))
     return queues
 
@@ -135,30 +134,23 @@ class TestBatchedReplay:
         return DFA(table=table, start=0)
 
     @staticmethod
-    def _assert_batched_equals_reference(dfa, partition, lookback, tie_break):
-        pred = predict_start_states(
-            dfa, partition, lookback=lookback, tie_break=tie_break
-        )
+    def _assert_batched_equals_reference(dfa, partition, lookback):
+        pred = predict_start_states(dfa, partition, lookback=lookback)
         assert pred.n_chunks == partition.n_chunks
         queues = queue_lists(pred)
         assert queues[0] == ([dfa.start], [dfa.n_states])
-        assert queues[1:] == _per_boundary_queues(dfa, partition, lookback, tie_break)
+        assert queues[1:] == _per_boundary_queues(dfa, partition, lookback)
         assert pred.states.dtype == np.int64 and pred.weights.dtype == np.int64
 
     @pytest.mark.parametrize("lookback", [0, 1, 2, 4])
     @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
-    @pytest.mark.parametrize("with_tie_break", [False, True])
-    def test_equals_per_boundary_construction(
-        self, rng, lookback, symbol_dtype, with_tie_break
-    ):
+    def test_equals_per_boundary_construction(self, rng, lookback, symbol_dtype):
         dfa = self._random_dfa(rng)
-        scramble = rng.permutation(dfa.n_states)
-        tie_break = (lambda states: scramble[states]) if with_tie_break else None
         # 40 boundaries over 5**lookback possible windows: repeats for sure
         # at lookback 1 and 2, mostly distinct windows at 4.
         data = rng.integers(0, dfa.n_symbols, size=41 * 6 + 3).astype(symbol_dtype)
         partition = partition_input(data, 41)
-        self._assert_batched_equals_reference(dfa, partition, lookback, tie_break)
+        self._assert_batched_equals_reference(dfa, partition, lookback)
 
     @pytest.mark.parametrize("lookback", [1, 2, 4])
     @pytest.mark.parametrize("symbol_dtype", [np.uint8, np.int64])
@@ -171,12 +163,11 @@ class TestBatchedReplay:
         data = rng.integers(0, dfa.n_symbols, size=13).astype(symbol_dtype)
         partition = partition_input(data, 8)
         assert sorted(set(partition.lengths.tolist())) == [1, 2]
-        self._assert_batched_equals_reference(dfa, partition, lookback, None)
+        self._assert_batched_equals_reference(dfa, partition, lookback)
 
     @pytest.mark.parametrize("lookback", [0, 1, 2, 4])
-    @pytest.mark.parametrize("with_tie_break", [False, True])
     def test_state_set_replay_equals_per_boundary_construction(
-        self, rng, lookback, with_tie_break, monkeypatch
+        self, rng, lookback, monkeypatch
     ):
         """The same comparison with every window group replayed as state
         sets (these small cases otherwise run one lane per state), short
@@ -185,12 +176,10 @@ class TestBatchedReplay:
 
         monkeypatch.setattr(predictor, "PER_LANE_REPLAY", 0)
         dfa = self._random_dfa(rng)
-        scramble = rng.permutation(dfa.n_states)
-        tie_break = (lambda states: scramble[states]) if with_tie_break else None
         for size, n_chunks in ((41 * 6 + 3, 41), (13, 8)):
             data = rng.integers(0, dfa.n_symbols, size=size).astype(np.uint8)
             partition = partition_input(data, n_chunks)
-            self._assert_batched_equals_reference(dfa, partition, lookback, tie_break)
+            self._assert_batched_equals_reference(dfa, partition, lookback)
 
     def test_boundaries_with_equal_windows_get_independent_queues(self, rng):
         dfa = self._random_dfa(rng)
@@ -210,9 +199,9 @@ class TestBatchedReplay:
         partition = partition_input(data, 32)
         monkeypatch.setattr(predictor, "PER_LANE_REPLAY", 0)
         monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 1)
-        self._assert_batched_equals_reference(dfa, partition, 2, None)
+        self._assert_batched_equals_reference(dfa, partition, 2)
         monkeypatch.setattr(predictor, "REPLAY_BLOCK_ELEMENTS", 3 * dfa.n_states)
-        self._assert_batched_equals_reference(dfa, partition, 2, None)
+        self._assert_batched_equals_reference(dfa, partition, 2)
 
 
 class TestSpeculationQueue:

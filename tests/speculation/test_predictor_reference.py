@@ -19,7 +19,7 @@ from repro.speculation.predictor import predict_start_states
 from tests.conftest import queue_lists
 
 
-def _rank_windows_per_lane(table, windows, tie_break, block_elements=1 << 16):
+def _rank_windows_per_lane(table, windows, block_elements=1 << 16):
     n_windows, width = windows.shape
     n_states = table.shape[0]
     block = max(1, block_elements // n_states)
@@ -41,8 +41,7 @@ def _rank_windows_per_lane(table, windows, tie_break, block_elements=1 << 16):
         reached = np.flatnonzero(counts)
         row, states = np.divmod(reached, n_states)
         weights = counts[reached]
-        tie_keys = tie_break(states) if tie_break is not None else states
-        order = np.lexsort((tie_keys, -weights, row))
+        order = np.lexsort((states, -weights, row))
         states, weights = states[order], weights[order]
         bounds = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
         ranked.extend(
@@ -51,7 +50,7 @@ def _rank_windows_per_lane(table, windows, tie_break, block_elements=1 << 16):
     return ranked
 
 
-def per_lane_queues(dfa, partition, start_state, lookback, tie_break):
+def per_lane_queues(dfa, partition, start_state, lookback):
     """Every chunk's ``(states, weights)`` the way the replay used to
     compute them (the reference)."""
     queues = [None] * partition.n_chunks
@@ -69,7 +68,6 @@ def per_lane_queues(dfa, partition, start_state, lookback, tie_break):
                 _rank_windows_per_lane(
                     dfa.table,
                     np.array(distinct, dtype=np.int64).reshape(len(distinct), width),
-                    tie_break,
                 ),
             )
         )
@@ -110,24 +108,14 @@ def cases(draw):
     size = draw(st.integers(min_value=n_chunks, max_value=n_chunks * 7))
     dtype = draw(st.sampled_from([np.uint8, np.int64]))
     data = rng.integers(0, n_symbols, size=size).astype(dtype)
-    tie = draw(st.sampled_from(["none", "scramble", "coarse"]))
-    if tie == "scramble":
-        scramble = rng.permutation(n_states)
-        tie_break = lambda states: scramble[states]  # noqa: E731
-    elif tie == "coarse":  # not injective: input order decides what is left
-        tie_break = lambda states: states // 3  # noqa: E731
-    else:
-        tie_break = None
     start = int(rng.integers(0, n_states))
     lookback = draw(st.sampled_from([0, 1, 2, 4]))
-    return dfa, partition_input(data, n_chunks), start, lookback, tie_break
+    return dfa, partition_input(data, n_chunks), start, lookback
 
 
-def _assert_equals_reference(dfa, partition, start, lookback, tie_break):
-    pred = predict_start_states(
-        dfa, partition, start_state=start, lookback=lookback, tie_break=tie_break
-    )
-    expected = per_lane_queues(dfa, partition, start, lookback, tie_break)
+def _assert_equals_reference(dfa, partition, start, lookback):
+    pred = predict_start_states(dfa, partition, start_state=start, lookback=lookback)
+    expected = per_lane_queues(dfa, partition, start, lookback)
     assert queue_lists(pred) == expected
     assert pred.states.dtype == np.int64 and pred.weights.dtype == np.int64
     assert pred.cursors.tolist() == [0] * partition.n_chunks
@@ -157,13 +145,11 @@ def test_column_block_budget_does_not_change_the_queues(case, budget):
 @pytest.mark.parametrize("member", [1, 10])
 def test_suite_member_at_suite_scale(member):
     """A PowerEN member at the benchmark's shape: 256 chunks of a 64 KiB
-    feed (~190 distinct windows over up to 6 144 states), with the
-    layout-invariance tie-break the schemes pass."""
+    feed (~190 distinct windows over up to 6 144 states)."""
     from repro.workloads.suites import build_member
 
     m = build_member("poweren", member)
     data = np.frombuffer(bytes(m.generate_input(65536, seed=5)), dtype=np.uint8)
     partition = partition_input(data, 256)
-    scramble = np.random.default_rng(1).permutation(m.dfa.n_states)
     assert 255 * m.dfa.n_states > predictor.PER_LANE_REPLAY
-    _assert_equals_reference(m.dfa, partition, 3, 2, lambda s: scramble[s])
+    _assert_equals_reference(m.dfa, partition, 3, 2)
