@@ -1,8 +1,9 @@
 """Micro-benchmarks (pytest-benchmark wall clock) of the core kernels.
 
 These track the *simulator's* own performance — the lockstep executor's
-throughput, the predictor, partitioning, and the frequency transformation —
-so regressions in the vectorized hot paths show up in CI.
+throughput, the predictor, partitioning, and building the sim backend
+(its rank-ordered table) — so regressions in the vectorized hot paths show
+up in CI.
 """
 
 import time
@@ -12,7 +13,6 @@ import pytest
 
 from repro.automata.dfa import run_lockstep
 from repro.automata.properties import profile_state_frequencies
-from repro.automata.transform import frequency_transform
 from repro.engine import FastBackend, SimBackend
 from repro.gpu.device import RTX3090
 from repro.gpu.executor import LockstepExecutor, distinct_chunks_per_warp
@@ -76,13 +76,15 @@ def test_bench_predictor(benchmark, dfa, stream):
     assert pred.n_chunks == 256
 
 
-def test_bench_frequency_transform(benchmark, dfa, stream):
-    t = benchmark(
-        lambda: frequency_transform(
-            dfa, profile_state_frequencies(dfa, stream[:16_384])
+def test_bench_sim_backend_construction(benchmark, dfa, stream):
+    """Profile, rank the table's rows and build the executor: what a sim
+    ``GpuSimulator`` does to load a DFA."""
+    sim = benchmark(
+        lambda: SimBackend(
+            dfa, RTX3090, profile_state_frequencies(dfa, stream[:16_384]), True
         )
     )
-    assert t.dfa.n_states == dfa.n_states
+    assert sim.executor.table.shape == dfa.table.shape
 
 
 def test_bench_sequential_reference(benchmark, dfa, stream):
@@ -106,8 +108,8 @@ def test_accounting_overhead_guard(dfa, stream):
     ``run_lockstep`` (it reads 0.7–1.0×): the sim's position loop holds one
     flat-index gather and the trace store, accounting is whole-array work
     afterwards.  FastBackend pins the answers but is not the yardstick."""
-    mm = MemoryModel.for_dfa(RTX3090, dfa.n_states, dfa.n_symbols)
-    sim = SimBackend(LockstepExecutor(dfa.table, mm, RTX3090))
+    profile = profile_state_frequencies(dfa, stream[:16_384])
+    sim = SimBackend(dfa, RTX3090, profile, True)
     chunks = stream.reshape(256, -1)
     starts = np.zeros(256, dtype=np.int64)
 

@@ -34,7 +34,6 @@ from repro.automata import (
     NFA,
     compile_disjunction,
     compile_regex,
-    frequency_transform,
     minimize_dfa,
 )
 from repro.framework import GSpecPal, GSpecPalConfig
@@ -78,7 +77,6 @@ __all__ = [
     "compile_disjunction",
     "compile_plan",
     "compile_regex",
-    "frequency_transform",
     "load_plan",
     "minimize_dfa",
     "profile_features",

@@ -20,20 +20,17 @@ from repro.automata.properties import (
     reachable_states,
     unique_states_after,
 )
-from repro.automata.transform import TransformedDFA, frequency_transform
 
 __all__ = [
     "DFA",
     "NFA",
     "StateFrequencyProfile",
-    "TransformedDFA",
     "are_equivalent",
     "canonical_fingerprint",
     "canonical_form",
     "compile_disjunction",
     "compile_regex",
     "convergence_profile",
-    "frequency_transform",
     "minimize_dfa",
     "nfa_to_dfa",
     "parse_regex",

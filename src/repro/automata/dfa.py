@@ -194,8 +194,11 @@ class DFA:
     def renumbered(self, permutation: np.ndarray, name: Optional[str] = None) -> "DFA":
         """Return an isomorphic DFA with states relabelled by ``permutation``.
 
-        ``permutation[q]`` is the new id of old state ``q``.  Used by the
-        frequency-based transformation (Fig. 4) and by minimization.
+        ``permutation[q]`` is the new id of old state ``q``.  Builds the
+        renumbered twins of scenario documents and the differential
+        fuzzer; the sim backend's Fig. 4 table is this relabelling by
+        hotness rank (:class:`~repro.engine.sim.SimBackend` builds it
+        in place, without a DFA).
         """
         perm = np.asarray(permutation, dtype=np.int64)
         n = self.n_states

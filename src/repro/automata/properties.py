@@ -55,9 +55,19 @@ class StateFrequencyProfile:
         rank[self.order] = np.arange(self.order.size)
         return rank
 
-    def hot_states(self, capacity: int) -> np.ndarray:
-        """The ``capacity`` hottest state ids."""
-        return self.order[: max(0, int(capacity))]
+    def check_fits(self, n_states: int) -> None:
+        """Raise :class:`~repro.errors.AutomatonError` unless this profile
+        counts and orders exactly the ``n_states`` states of the DFA it is
+        applied to."""
+        if self.counts.shape != (n_states,):
+            raise AutomatonError(
+                "profile was collected on a DFA with a different state count"
+            )
+        order = np.asarray(self.order)
+        if order.shape != (n_states,) or not np.array_equal(
+            np.sort(order), np.arange(n_states)
+        ):
+            raise AutomatonError("profile order is not a permutation of the states")
 
 
 def profile_state_frequencies(

@@ -191,9 +191,9 @@ def _render_timeline(samples, max_rows: int = 16) -> str:
 
 def _print_result(member, pal, result, *, detail=False, timeline=False) -> None:
     """The run's ledger, shared by ``run`` and ``trace``.  ``detail`` (the
-    ``trace`` view) adds the warp-step counts and the simulator's layout.
-    The memory and warp-step lines are measurements only on a backend that
-    accounts cycles; an answer-only one gets a single ``n/a`` line."""
+    ``trace`` view) adds the warp-step counts and the sim backend's layout.
+    The memory, warp-step and layout lines are measurements only on a
+    backend that accounts cycles; an answer-only one prints ``n/a``."""
     sim = pal._simulator()
     stats = result.stats
     print(f"member   : {member.name} ({member.dfa.n_states} states)")
@@ -208,14 +208,16 @@ def _print_result(member, pal, result, *, detail=False, timeline=False) -> None:
           f"{stats.avg_active_threads:.1f} avg active threads")
     if not sim.engine.accounts_cycles:
         print("memory   : n/a (answer-only backend)")
+        if detail:
+            print("layout   : n/a (answer-only backend)")
     else:
         print(f"memory   : {stats.hot_access_fraction:.1%} shared-memory hits")
         if detail:
+            memory = sim.engine.memory
             print(f"warps    : {stats.warp_steps} warp_steps, "
                   f"{stats.divergent_warp_steps} divergent_warp_steps")
-    if detail:
-        print(f"layout   : {sim.memory.layout.value}, "
-              f"{sim.memory.hot_state_count} hot states")
+            print(f"layout   : {memory.layout.value}, "
+                  f"{memory.hot_state_count} hot states")
     print("phases   :")
     for phase, cycles in sorted(stats.phase_cycles.items(), key=lambda kv: -kv[1]):
         print(f"  {phase:24s} {cycles:14.0f} cycles")

@@ -9,16 +9,22 @@ batch with :func:`~repro.engine.base.validate_batch_inputs`;
 binding with :func:`~repro.engine.base.gather_chunks`, the same helper the
 fast backend uses.  Ledgers are those of calling the executor directly.
 
-The frequency transformation (paper §IV-B, Fig. 4) is a memory layout of
-the simulated device, so it lives here and nowhere above: when the
-executor's table is the renumbered one, the backend takes the
-:class:`~repro.automata.transform.TransformedDFA` and speaks the submitted
-DFA's numbering at its edge.  Starts are range-checked and mapped through
-``to_new``, ends mapped back through ``to_old``; the executor itself, and
-so its hot check ``state < H`` and every ledger charge, is unchanged.
+The table layout (paper §IV-B, Fig. 4) is a memory layout of the simulated
+device, so it is derived here and nowhere else.  The executor steps one
+table for both layouts: the submitted table with its rows in the profile's
+hotness order, hottest first, and its states renumbered to match, so the
+``H`` cached rows are exactly the states ``< H``.  The layouts differ only
+in the per-step cost :class:`~repro.gpu.memory.MemoryModel` charges for
+that check: a register compare under RANK (the transformation), PM's hash
+probe under HASH.  Without a profile the order is the identity, and the
+lowest ids are hot.  The backend speaks the submitted DFA's numbering at
+its edge: starts are range-checked and mapped to their rank, ends mapped
+back through the hotness order.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,30 +35,63 @@ from repro.engine.base import gather_chunks, validate_starts
 class SimBackend:
     """Functional execution *plus* full simulated-GPU cycle accounting.
 
-    ``transformed`` is the renumbering the executor's table was built
-    with, or ``None`` when the table is the submitted one.
+    Parameters
+    ----------
+    dfa:
+        The submitted automaton; every state in and out is one of its ids.
+    device:
+        The simulated GPU; its shared memory sizes the hot set
+        (:meth:`~repro.gpu.memory.MemoryModel.for_dfa`).
+    profile:
+        The :class:`~repro.automata.properties.StateFrequencyProfile` whose
+        order ranks the table's rows, or ``None`` for the identity order.
+        It must fit ``dfa`` (:class:`~repro.gpu.kernel.GpuSimulator` checks
+        that once, on either backend).
+    use_transformation:
+        The RANK layout (the paper's ``state < H`` check) if true, PM's
+        HASH layout otherwise.
     """
 
     name = "sim"
     accounts_cycles = True
 
-    def __init__(self, executor, transformed=None):
-        #: the wrapped :class:`~repro.gpu.executor.LockstepExecutor`.
-        self.executor = executor
-        self.transformed = transformed
-        if transformed is not None:
-            self._to_old = transformed.to_old.astype(STATE_DTYPE)
+    def __init__(self, dfa, device, profile, use_transformation):
+        # Imported here: the gpu package's facade imports this module.
+        from repro.gpu.executor import LockstepExecutor
+        from repro.gpu.memory import MemoryModel, TableLayout
+
+        if profile is None:
+            order = rank = np.arange(dfa.n_states)
+        else:
+            order, rank = profile.order, profile.rank_of()
+        #: ``order[r]`` is the submitted state at table row ``r``, hottest
+        #: first; ``_rank`` is its inverse.
+        self.order = order.astype(STATE_DTYPE)
+        self._rank = rank.astype(STATE_DTYPE)
+        layout = TableLayout.RANK if use_transformation else TableLayout.HASH
+        #: the hot count and the per-step cost of the layout's hot check.
+        self.memory = replace(
+            MemoryModel.for_dfa(device, dfa.n_states, dfa.n_symbols), layout=layout
+        )
+        #: the wrapped :class:`~repro.gpu.executor.LockstepExecutor`, on
+        #: the rank-ordered table.
+        self.executor = LockstepExecutor(
+            self._rank[dfa.table[self.order]], self.memory, device
+        )
+        # ``run_mappings`` lane ``j`` of a chunk starts from submitted state
+        # ``_lanes[j]``: the ``j``-th hottest under RANK, state ``j`` under
+        # HASH, whose device table keeps the submitted order.  Which starts
+        # share a warp sets the mapping's hot/cold divergence charge.
+        identity = np.arange(dfa.n_states, dtype=STATE_DTYPE)
+        self._lanes = self.order if use_transformation else identity
 
     def _run(self, chunks, starts, **kwargs) -> np.ndarray:
         """One executor call with ``starts`` and the ends it returns in the
-        submitted numbering.  The starts are checked before ``to_new`` reads
-        them: ``to_new[-1]`` would pick a valid state."""
-        if self.transformed is None:
-            return self.executor.run(chunks, starts, **kwargs)
+        submitted numbering.  The starts are checked before ``_rank`` reads
+        them: ``_rank[-1]`` would pick a valid state."""
         starts = np.asarray(starts, dtype=np.int64)
-        validate_starts(starts, n_states=self._to_old.size, backend=self.name)
-        ends = self.executor.run(chunks, self.transformed.to_new[starts], **kwargs)
-        return self._to_old[ends]
+        validate_starts(starts, n_states=self.order.size, backend=self.name)
+        return self.order[self.executor.run(chunks, self._rank[starts], **kwargs)]
 
     def run_batch(self, chunks, starts, **kwargs) -> np.ndarray:
         return self._run(chunks, starts, **kwargs)
@@ -80,30 +119,24 @@ class SimBackend:
         ``n_states`` lanes per chunk, one per start state, sharing the
         chunk's input fetch (the executor coalesces lanes with equal
         ``chunk_ids``) — so the ledger honestly charges the S× lane
-        pressure SFA's mapping construction puts on the device.  Lane ``j``
-        of a chunk starts from table state ``j``: under the transformation,
-        the ``j``-th hottest state, whose column the result scatters back
-        to.  Returns the same ``(n_chunks, n_states)`` matrix as the fast
-        backend.
+        pressure SFA's mapping construction puts on the device.  Returns
+        the same ``(n_chunks, n_states)`` matrix as the fast backend.
         """
-        n_chunks = len(chunks)
-        n_states = int(self.executor.table.shape[0])
+        n_chunks, n_states = len(chunks), self.order.size
         ids = np.repeat(np.arange(n_chunks, dtype=np.int64), n_states)
         gathered, ids = gather_chunks(chunks, ids, ids.size, backend=self.name)
         if lengths is not None:
             lengths = np.repeat(np.asarray(lengths, dtype=np.int64), n_states)
         ends = self.executor.run(
             gathered,
-            np.tile(np.arange(n_states, dtype=np.int64), n_chunks),
+            np.tile(self._rank[self._lanes], n_chunks),
             stats=stats,
             phase=phase,
             lengths=lengths,
             chunk_ids=ids,
         ).reshape(n_chunks, n_states)
-        if self.transformed is None:
-            return ends
         mappings = np.empty_like(ends)
-        mappings[:, self.transformed.to_old] = self._to_old[ends]
+        mappings[:, self._lanes] = self.order[ends]
         return mappings
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -104,10 +104,13 @@ class LockstepExecutor:
     Parameters
     ----------
     table:
-        ``(n_states, n_symbols)`` dense transition table (already transformed
-        if the RANK layout is used).
+        ``(n_states, n_symbols)`` dense transition table, its rows in
+        hotness order so the cached rows are the ids ``< H``
+        (:class:`~repro.engine.sim.SimBackend` builds it, for either
+        layout).
     memory:
-        The :class:`MemoryModel` describing hot-row placement.
+        The :class:`MemoryModel`: the hot count ``H`` and the layout's
+        per-step check cost.
     device:
         The simulated GPU.
     """

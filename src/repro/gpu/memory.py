@@ -1,6 +1,9 @@
 """Transition-table placement and the memory-hierarchy cost model.
 
-Two layouts from the paper are modeled:
+Two layouts from the paper are modeled.  Both cache the same hot set, the
+profile's ``H`` hottest states, in a table whose rows run hottest first, so
+the hot lookups are exactly those from a state ``< H``; the layouts differ
+only in what the device pays to find that out:
 
 * :attr:`TableLayout.HASH` — the PM approach: the hot rows live in shared
   memory behind a hash table, so *every* transition pays one extra shared
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,35 +44,19 @@ class MemoryModel:
         The simulated GPU.
     hot_state_count:
         Number of (hottest-ranked) states whose rows are resident in shared
-        memory.  With :attr:`TableLayout.RANK` the hot states are exactly the
-        ids ``< hot_state_count``; with :attr:`TableLayout.HASH` the same hot
-        *set* is assumed (both layouts cache by frequency; they differ in the
-        runtime check, not the selection).
+        memory: the ids ``< hot_state_count`` of a rank-ordered table.
     layout:
-        The runtime hotness-check strategy.
-    hot_state_ids:
-        Only for :attr:`TableLayout.HASH` on *untransformed* DFAs: the actual
-        set of cached state ids.  When omitted, ids ``< hot_state_count`` are
-        assumed (i.e. the table was already rank-ordered).
+        The runtime hotness-check strategy; it sets only
+        :attr:`per_step_overhead_cycles`.
     """
 
     device: DeviceSpec
     hot_state_count: int
     layout: TableLayout = TableLayout.RANK
-    hot_state_ids: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
         if self.hot_state_count < 0:
             raise SimulationError("hot_state_count must be non-negative")
-        # HASH with an explicit set: a dense membership table, built once
-        # (``hot_mask`` runs once per executor trace block).  Its last
-        # entry is a False sentinel every id past the largest hot one maps to.
-        lookup = None
-        if self.layout is TableLayout.HASH and self.hot_state_ids:
-            ids = np.fromiter(self.hot_state_ids, dtype=np.int64)
-            lookup = np.zeros(int(ids.max()) + 2, dtype=bool)
-            lookup[ids] = True
-        object.__setattr__(self, "_hot_lookup", lookup)
 
     @classmethod
     def for_dfa(
@@ -86,15 +72,7 @@ class MemoryModel:
     # ------------------------------------------------------------------
     def hot_mask(self, states: np.ndarray) -> np.ndarray:
         """Boolean mask: which of ``states``' next lookups hit shared memory."""
-        states = np.asarray(states)
-        if self.hot_state_count == 0:
-            return np.zeros(states.shape, dtype=bool)
-        if self.layout is TableLayout.HASH and self.hot_state_ids is not None:
-            lookup = self._hot_lookup
-            if lookup is None:  # an empty hot set
-                return np.zeros(states.shape, dtype=bool)
-            return lookup[np.minimum(states, lookup.size - 1)]
-        return states < self.hot_state_count
+        return np.asarray(states) < self.hot_state_count
 
     @property
     def per_step_overhead_cycles(self) -> float:

@@ -10,9 +10,8 @@ online phase — :meth:`repro.framework.GSpecPal.from_plan` and the
 
 * the profiled :class:`~repro.selector.features.FSMFeatures` vector;
 * the state-frequency profile whose hotness order fixes the table layout
-  (the Fig. 4 renumbering, or the hash layout's hot set) — the layout
-  itself is derived from it by :class:`~repro.gpu.kernel.GpuSimulator`,
-  not stored;
+  (the Fig. 4 rank-ordered table and its hot rows) — the layout itself is
+  derived from it by :class:`~repro.engine.sim.SimBackend`, not stored;
 * the trained lookback-2 predictor statistics measured on the training
   slice;
 * the selector's decision plus the tree path that produced it, and the
@@ -130,8 +129,8 @@ class CompiledPlan:
     frequency_counts / frequency_order / training_symbols:
         The state-frequency profile and the number of training symbols it
         was collected over.  ``frequency_order`` (state ids, hottest
-        first) is the table layout's only input: ``GpuSimulator`` derives
-        the RANK renumbering or the HASH hot set from it.  It must be a
+        first) is the table layout's only input: ``SimBackend`` ranks the
+        table's rows by it, under either layout.  It must be a
         permutation of the DFA's states, with one count per state.
     predictor_stats:
         Trained lookback-2 statistics: window, per-k accuracies and the

@@ -20,7 +20,8 @@ into a :class:`~repro.plan.artifact.CompiledPlan`:
     The Fig. 6 decision-tree walk.
 ``transform``
     State-frequency profiling: the hotness order the Fig. 4 layout is
-    derived from when the plan is served (``GpuSimulator``).
+    derived from when the plan is served on the sim backend
+    (``SimBackend``).
 ``train``
     Cost-model evaluation (Eq. 1–4) and lookback-2 predictor training,
     as ``cost_model`` / ``predictor`` sub-steps.

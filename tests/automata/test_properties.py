@@ -39,10 +39,6 @@ class TestFrequencies:
         rank = prof.rank_of()
         assert np.array_equal(np.argsort(rank), prof.order)
 
-    def test_hot_states_prefix(self, div7):
-        prof = profile_state_frequencies(div7, b"1011")
-        assert np.array_equal(prof.hot_states(3), prof.order[:3])
-
     def test_empty_sample(self, div7):
         prof = profile_state_frequencies(div7, b"")
         assert prof.counts.sum() == 1  # just the start state

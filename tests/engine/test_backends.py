@@ -10,7 +10,7 @@ rectangular, ragged, masked, gathered and degenerate batches.
 import numpy as np
 import pytest
 
-from repro.automata.dfa import STATE_DTYPE
+from repro.automata.dfa import DFA, STATE_DTYPE
 from repro.engine import (
     BACKEND_ENV_VAR,
     FastBackend,
@@ -56,8 +56,7 @@ def test_resolve_rejects_unknown_names(monkeypatch):
 
 def test_backends_satisfy_the_protocol():
     table = np.zeros((3, 2), dtype=np.int64)
-    mm = MemoryModel.for_dfa(RTX3090, 3, 2)
-    sim = SimBackend(LockstepExecutor(table, mm, RTX3090))
+    sim = _sim_backend(table)
     fast = FastBackend(table)
     assert (sim.name, fast.name) == ("sim", "fast")
     assert sim.accounts_cycles and not fast.accounts_cycles
@@ -65,8 +64,6 @@ def test_backends_satisfy_the_protocol():
 
 def test_simulator_exposes_engine(monkeypatch):
     table = np.random.default_rng(0).integers(0, 4, size=(4, 3))
-    from repro.automata.dfa import DFA
-
     dfa = DFA(table=table, start=0, accepting=frozenset({1}), name="t")
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     sim = GpuSimulator(dfa=dfa, use_transformation=False)
@@ -90,6 +87,11 @@ def test_simulator_exposes_engine(monkeypatch):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260805)
+
+
+def _sim_backend(table):
+    """The sim backend on ``table`` in its own order (no profile)."""
+    return SimBackend(DFA(table=table, start=0), RTX3090, None, False)
 
 
 def _make_pair(rng, n_states=13, n_symbols=7):
@@ -121,14 +123,16 @@ def test_ragged_masked_batch_parity(rng):
 
 
 def test_gathered_batch_parity(rng):
-    ex, fast, _ = _make_pair(rng)
+    _, fast, table = _make_pair(rng)
     input_chunks = rng.integers(0, 7, size=(6, 11))
     chunk_ids = rng.integers(0, 6, size=20)
     starts = rng.integers(0, 13, size=20)
     lengths = rng.integers(0, 12, size=20)
     np.testing.assert_array_equal(
         fast.run_gathered(input_chunks, chunk_ids, starts, lengths=lengths),
-        SimBackend(ex).run_gathered(input_chunks, chunk_ids, starts, lengths=lengths),
+        _sim_backend(table).run_gathered(
+            input_chunks, chunk_ids, starts, lengths=lengths
+        ),
     )
 
 
@@ -180,7 +184,7 @@ def test_fast_backend_never_touches_the_ledger(rng):
 
 def test_sim_backend_charges_the_ledger(rng):
     ex, _, table = _make_pair(rng)
-    sim = SimBackend(ex)
+    sim = _sim_backend(table)
     chunks = rng.integers(0, 7, size=(8, 9))
     starts = rng.integers(0, 13, size=8)
     stats = KernelStats(device=RTX3090, n_threads=8)

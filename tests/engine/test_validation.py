@@ -167,13 +167,13 @@ def test_batch_contract_holds_on_both_backends(case, backend):
 
 def _transformed_sim(backend):
     """The ``t4x3`` automaton behind the frequency transformation, with a
-    profile that renumbers it (``to_new[-1]`` is a valid state)."""
+    profile that renumbers it (``rank[-1]`` is a valid state)."""
     dfa = DFA(table=_TABLE, start=0, accepting=frozenset({1}), name="t4x3")
     training = np.asarray([2] * 12 + [0, 1])
     sim = GpuSimulator(
         dfa=dfa, profile=profile_state_frequencies(dfa, training), backend=backend
     )
-    assert sim.transformed.to_new.tolist() != list(range(dfa.n_states))
+    assert sim.profile.order.tolist() != list(range(dfa.n_states))
     return sim
 
 
@@ -212,7 +212,7 @@ START_CASES = {
 def test_bad_starts_raise_behind_the_transformation(case, backend):
     """The renumbering lives in the sim backend, yet every entry that takes
     a caller's start range-checks it: a tagged :class:`SimulationError`,
-    never the answer of the state ``to_new`` would have read."""
+    never the answer of the state ``rank[-1]`` would have read."""
     with pytest.raises(SimulationError, match=rf"^\[{backend}\] start states"):
         START_CASES[case](_transformed_sim(backend))
 
@@ -240,7 +240,7 @@ class TestValidateHelper:
 
 class TestUserStartStates:
     """Caller-space starts are range-checked before the frequency
-    transformation (on by default) renumbers them: ``to_new[-1]`` would
+    transformation (on by default) renumbers them: ``rank[-1]`` would
     otherwise answer silently, and a start past the end raise a raw
     ``IndexError``."""
 
@@ -262,7 +262,7 @@ class TestUserStartStates:
             GSpecPalConfig(n_threads=8, backend=backend),
             training_input=b"xxalert--alertyy" * 8,
         )
-        assert pal._simulator().transformed is not None
+        assert pal._simulator().use_transformation
         return pal
 
     @pytest.mark.parametrize("backend", ["sim", "fast"])

@@ -7,6 +7,7 @@ import pytest
 from repro.automata.nfa import union_nfas
 from repro.automata.regex import compile_disjunction, regex_to_nfa
 from repro.framework import GSpecPal, GSpecPalConfig
+from repro.gpu.memory import TableLayout
 from repro.schemes import SREScheme
 from repro.schemes.nfa_engine import NFAEngine
 from repro.workloads import classic
@@ -43,7 +44,8 @@ class TestStreamParallelBatch:
     @pytest.mark.parametrize("use_transformation", [True, False])
     def test_batch_matches_scalar_runs(self, dfa, streams, rng, use_transformation):
         fused = _fused(dfa, rng, use_transformation=use_transformation)
-        assert (fused.sim.transformed is not None) == use_transformation
+        layout = fused.sim.engine.memory.layout
+        assert (layout is TableLayout.RANK) == use_transformation
         result, _ = _batch(fused, streams)
         for i, s in enumerate(streams):
             assert result.end_states[i] == dfa.run(s)

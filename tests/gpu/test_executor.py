@@ -49,11 +49,11 @@ class TestFunctional:
         assert ends[0] == div7.run(chunks[0, :5])
         assert ends[1] == div7.run(chunks[1])
 
-    def test_run_gathered(self, executor, div7, rng):
+    def test_run_gathered(self, div7, dev, rng):
         chunks = make_chunks(rng, 3, 15)
         cids = np.array([2, 0, 2])
         starts = np.array([0, 1, 3])
-        ends = SimBackend(executor).run_gathered(chunks, cids, starts)
+        ends = SimBackend(div7, dev, None, False).run_gathered(chunks, cids, starts)
         for t in range(3):
             assert ends[t] == div7.run(chunks[cids[t]], start=int(starts[t]))
 
@@ -119,16 +119,16 @@ class TestAccounting:
 
     def test_coalesced_input_fetch(self, div7, dev, rng):
         """Lanes sharing one chunk pay one input fetch (the NF effect)."""
-        mm = MemoryModel(device=dev, hot_state_count=7)
-        ex = LockstepExecutor(div7.table, mm, dev)
+        sim = SimBackend(div7, dev, None, False)  # the whole DFA is hot
+        assert sim.memory.hot_state_count == 7
         chunks = make_chunks(rng, 4, 10)
         same = KernelStats(device=dev, n_threads=4)
-        SimBackend(ex).run_gathered(
+        sim.run_gathered(
             chunks, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
             stats=same, phase="p",
         )
         spread = KernelStats(device=dev, n_threads=4)
-        SimBackend(ex).run_gathered(
+        sim.run_gathered(
             chunks, np.arange(4), np.zeros(4, dtype=np.int64),
             stats=spread, phase="p",
         )
@@ -142,12 +142,7 @@ class TestAccounting:
         )
         hashed = LockstepExecutor(
             div7.table,
-            MemoryModel(
-                device=dev,
-                hot_state_count=7,
-                layout=TableLayout.HASH,
-                hot_state_ids=frozenset(range(7)),
-            ),
+            MemoryModel(device=dev, hot_state_count=7, layout=TableLayout.HASH),
             dev,
         )
         chunks = make_chunks(rng, 4, 10)

@@ -87,8 +87,8 @@ class TestCoalescingAccounting:
     def test_chunk_ids_distinct_count_drives_fetch_cost(self, div7, dev, rng):
         """A warp pays one stream fetch plus one extra issue slot per
         *additional distinct* chunk among its active lanes."""
-        mm = MemoryModel(device=dev, hot_state_count=7)  # all hot: isolate fetch
-        ex = LockstepExecutor(div7.table, mm, dev)
+        sim = SimBackend(div7, dev, None, False)
+        assert sim.memory.hot_state_count == 7  # all hot: isolate fetch
         chunks = make_chunks(rng, 4, 10)
         costs = {}
         for label, cids in {
@@ -97,7 +97,7 @@ class TestCoalescingAccounting:
             "four": np.array([0, 1, 2, 3]),
         }.items():
             stats = KernelStats(device=dev, n_threads=4)
-            SimBackend(ex).run_gathered(
+            sim.run_gathered(
                 chunks, cids, np.zeros(4, dtype=np.int64), stats=stats, phase="p"
             )
             costs[label] = stats.phase_cycles["p"]

@@ -1,11 +1,14 @@
 """The two-pass executor against the per-position accounting loop it replaced.
 
 ``reference_run`` is the former body of ``LockstepExecutor.run``: it keeps
-the ledger *while* stepping, one symbol position at a time.  It stays here
-as the oracle — the executor's cost pass must reproduce its end states, its
-ledger (``phase_cycles`` exactly: every cycle constant is an integer or
-0.25, so float64 sums do not depend on their order), its warp steps and
-their divergence included.
+the ledger *while* stepping, one symbol position at a time, and tests
+hotness against an explicit set of cached state ids on whatever table it
+is given.  It stays here as the oracle — the executor's cost pass must
+reproduce its end states, its ledger (``phase_cycles`` exactly: every cycle
+constant is an integer or 0.25, so float64 sums do not depend on their
+order), its warp steps and their divergence included.
+``tests/engine/test_sim_renumbering.py`` holds the sim backend's
+rank-ordered table to the same oracle on the submitted table.
 """
 
 import numpy as np
@@ -25,7 +28,10 @@ DEV = DeviceSpec(warp_size=4, n_sms=2, max_resident_warps_per_sm=2)
 
 
 def reference_run(
-    ex,
+    table,
+    hot_ids,
+    overhead,
+    device,
     chunks,
     starts,
     *,
@@ -36,7 +42,11 @@ def reference_run(
     count_redundant=None,
     chunk_ids=None,
 ):
-    """Per-position lockstep loop with in-loop accounting (the oracle)."""
+    """Per-position lockstep loop with in-loop accounting (the oracle).
+
+    A lookup from a state in ``hot_ids`` hits shared memory; every
+    transition also pays the layout's ``overhead`` cycles."""
+    hot_ids = np.asarray(hot_ids, dtype=np.int64)
     chunks = np.ascontiguousarray(chunks)
     n_threads, chunk_len = chunks.shape
     states = np.asarray(starts, dtype=STATE_DTYPE).copy()
@@ -53,7 +63,6 @@ def reference_run(
     if chunk_len == 0 or not active_mask.any():
         return states
 
-    device = ex.device
     ws = device.warp_size
     n_warps = -(-n_threads // ws)
     per_warp_cycles = np.zeros(n_warps, dtype=np.float64)
@@ -72,9 +81,7 @@ def reference_run(
         0.0,
     )
     shared_hits = global_hits = total_transitions = redundant = 0
-    overhead = ex.memory.per_step_overhead_cycles
     compute = device.transition_compute_cycles
-    table = ex.table
     lane_working = np.zeros(n_warps * ws, dtype=bool)
     lane_cold = np.zeros(n_warps * ws, dtype=bool)
     g0 = float(device.global_cycles)
@@ -87,7 +94,7 @@ def reference_run(
         n_working = int(np.count_nonzero(working))
         if n_working == 0:
             break
-        hot = ex.memory.hot_mask(states) & working
+        hot = np.isin(states, hot_ids) & working
         cold = working & ~hot
         n_hot = int(np.count_nonzero(hot))
         shared_hits += n_hot
@@ -132,37 +139,46 @@ def reference_run(
     return states
 
 
-def _memory(device, layout, n_states, hot, rng):
-    if layout is TableLayout.HASH:
-        ids = frozenset(int(s) for s in rng.permutation(n_states)[:hot])
-        return MemoryModel(
-            device=device, hot_state_count=hot, layout=layout, hot_state_ids=ids
-        )
-    return MemoryModel(device=device, hot_state_count=hot, layout=layout)
+LEDGER_FIELDS = (
+    "transitions",
+    "redundant_transitions",
+    "shared_accesses",
+    "global_accesses",
+    "warp_steps",
+    "divergent_warp_steps",
+)
 
 
-def _assert_same(device, table, memory, chunks, starts, **kwargs):
-    """Run both implementations on fresh ledgers and compare."""
-    outcomes = []
-    for run in (LockstepExecutor.run, reference_run):
-        ex = LockstepExecutor(table, memory, device)
-        stats = KernelStats(device=device, n_threads=chunks.shape[0])
-        ends = run(ex, chunks, starts, stats=stats, phase="p", **kwargs)
-        outcomes.append((ends, stats))
-    (ends, stats), (ref_ends, ref_stats) = outcomes
+def assert_same_outcome(got, want):
+    """``(ends, stats)`` of a run equal the reference's, bit for bit."""
+    (ends, stats), (ref_ends, ref_stats) = got, want
     assert ends.dtype == ref_ends.dtype
     np.testing.assert_array_equal(ends, ref_ends)
     assert stats.phase_cycles == ref_stats.phase_cycles  # exact, not approx
     assert stats.cycles == ref_stats.cycles
-    for name in (
-        "transitions",
-        "redundant_transitions",
-        "shared_accesses",
-        "global_accesses",
-        "warp_steps",
-        "divergent_warp_steps",
-    ):
+    for name in LEDGER_FIELDS:
         assert getattr(stats, name) == getattr(ref_stats, name), name
+
+
+def _assert_same(device, table, memory, chunks, starts, **kwargs):
+    """Run the executor and the reference on fresh ledgers and compare: the
+    executor's hot rows are its ids ``< hot_state_count``."""
+    got, want = (KernelStats(device=device, n_threads=chunks.shape[0]) for _ in "ab")
+    ends = LockstepExecutor(table, memory, device).run(
+        chunks, starts, stats=got, phase="p", **kwargs
+    )
+    ref_ends = reference_run(
+        table,
+        np.arange(memory.hot_state_count),
+        memory.per_step_overhead_cycles,
+        device,
+        chunks,
+        starts,
+        stats=want,
+        phase="p",
+        **kwargs,
+    )
+    assert_same_outcome((ends, got), (ref_ends, want))
 
 
 @st.composite
@@ -194,7 +210,7 @@ def batch(draw):
         kwargs["count_redundant"] = rng.random(n_threads) < 0.5
     layout = draw(st.sampled_from(list(TableLayout)))
     hot = draw(st.integers(min_value=0, max_value=n_states))
-    memory = _memory(DEV, layout, n_states, hot, rng)
+    memory = MemoryModel(device=DEV, hot_state_count=hot, layout=layout)
     return table, memory, chunks, starts, kwargs
 
 
@@ -245,7 +261,7 @@ def sparse_batch(draw):
         kwargs["count_redundant"] = rng.random(n_threads) < 0.5
     layout = draw(st.sampled_from(list(TableLayout)))
     hot = draw(st.integers(min_value=0, max_value=n_states))
-    memory = _memory(DEV, layout, n_states, hot, rng)
+    memory = MemoryModel(device=DEV, hot_state_count=hot, layout=layout)
     return table, memory, chunks, starts, kwargs
 
 
@@ -290,7 +306,7 @@ def test_wide_batch_spanning_several_position_blocks(layout):
     table = rng.integers(0, n_states, size=(n_states, n_symbols)).astype(np.int32)
     chunks = rng.integers(0, n_symbols, size=(n_threads, chunk_len)).astype(np.uint8)
     starts = rng.integers(0, n_states, size=n_threads)
-    memory = _memory(RTX3090, layout, n_states, 12, rng)
+    memory = MemoryModel(device=RTX3090, hot_state_count=12, layout=layout)
     _assert_same(
         RTX3090,
         table,
@@ -320,7 +336,7 @@ def test_suite_sized_table(layout, symbol_dtype):
     )
     chunks[:, -1] = n_symbols - 1
     starts = rng.integers(0, n_states, size=n_threads)
-    memory = _memory(RTX3090, layout, n_states, 700, rng)
+    memory = MemoryModel(device=RTX3090, hot_state_count=700, layout=layout)
     _assert_same(
         RTX3090,
         table,

@@ -2,7 +2,7 @@
 
 Pins down what a plan *contains* — that it is the very artifact a
 ``GSpecPal`` built from the same inputs runs from, that the stored
-hotness order yields the exact frequency transformation, that predictor
+hotness order yields the exact Fig. 4 table layout, that predictor
 statistics are the trained lookback-2 numbers, that compiling twice under
 identical inputs yields an identical value object, and that any non-empty
 training input compiles.
@@ -19,7 +19,6 @@ from repro.framework import GSpecPal, GSpecPalConfig
 from repro.observability import MetricsRegistry, Tracer
 from repro.plan import compile_plan, config_fingerprint
 from repro.plan.compile import COMPILE_STAGES
-from repro.automata.transform import frequency_transform
 from repro.automata.properties import profile_state_frequencies
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.workloads import classic
@@ -51,14 +50,14 @@ def test_framework_plan_is_the_standalone_plan(
     assert pal.plan.decision_path == plan.decision_path  # the Fig. 6 walk
     assert pal.current_decision_path() == plan.decision_path
     assert np.array_equal(pal.plan.frequency_order, plan.frequency_order)
-    ours_sim = pal._simulator()
-    theirs_sim = GSpecPal.from_plan(plan)._simulator()
-    assert (ours_sim.transformed is None) == (not use_transformation)
-    if use_transformation:
-        assert np.array_equal(
-            ours_sim.transformed.to_new, theirs_sim.transformed.to_new
-        )
-    assert ours_sim.memory == theirs_sim.memory
+    ours = pal._simulator().engine
+    theirs = GSpecPal.from_plan(plan)._simulator().engine
+    if ours.accounts_cycles:
+        assert np.array_equal(ours.order, theirs.order)
+        assert np.array_equal(ours.executor.table, theirs.executor.table)
+        assert ours.memory == theirs.memory
+        layout = TableLayout.RANK if use_transformation else TableLayout.HASH
+        assert ours.memory.layout is layout
     # profiling_seconds is wall-clock, every other feature must agree exactly
     ours, theirs = pal.profile().as_dict(), plan.features.as_dict()
     ours.pop("profiling_seconds"), theirs.pop("profiling_seconds")
@@ -84,31 +83,28 @@ def test_cost_estimates_cover_selectable_schemes(scanner_dfa, training, config):
     assert all(v > 0 for v in plan.cost_estimates.values())
 
 
-def test_hotness_order_rebuilds_exact_transformation(scanner_dfa, training, config):
-    plan = compile_plan(scanner_dfa, training, config)
-    sim = GSpecPal.from_plan(plan)._simulator()
-    profile = profile_state_frequencies(scanner_dfa, training)
-    direct = frequency_transform(scanner_dfa, profile)
-    assert np.array_equal(sim.transformed.to_new, direct.to_new)
-    assert np.array_equal(sim.transformed.dfa.table, direct.dfa.table)
-    hot = MemoryModel.for_dfa(
-        config.device, scanner_dfa.n_states, scanner_dfa.n_symbols
-    ).hot_state_count
-    assert sim.memory.layout is TableLayout.RANK
-    assert sim.memory.hot_state_count == hot
-    assert f"hot states : {hot} (RANK layout)" in plan.summary()
-
-
-def test_hash_layout_plan_has_no_transformation(scanner_dfa, training):
-    cfg = GSpecPalConfig(n_threads=16, use_transformation=False)
+@pytest.mark.parametrize("use_transformation", [True, False])
+def test_hotness_order_rebuilds_the_exact_layout(
+    scanner_dfa, training, use_transformation
+):
+    """Both layouts step the table ranked by the stored hotness order and
+    cache its ``H`` hottest rows; they differ only in the charged check."""
+    cfg = GSpecPalConfig(n_threads=16, use_transformation=use_transformation)
     plan = compile_plan(scanner_dfa, training, cfg)
-    sim = GSpecPal.from_plan(plan)._simulator()
-    assert sim.transformed is None
-    assert sim.memory.layout is TableLayout.HASH
-    assert sim.memory.hot_state_count > 0  # hash layout still has a hot set
-    hottest = plan.frequency_order[: sim.memory.hot_state_count]
-    assert sim.memory.hot_state_ids == frozenset(hottest.tolist())
-    assert f"hot states : {hottest.size} (HASH layout)" in plan.summary()
+    engine = GSpecPal.from_plan(plan, backend="sim")._simulator().engine
+    profile = profile_state_frequencies(scanner_dfa, training)
+    assert np.array_equal(plan.frequency_order, profile.order)
+    assert np.array_equal(engine.order, profile.order)
+    assert np.array_equal(
+        engine.executor.table, scanner_dfa.renumbered(profile.rank_of()).table
+    )
+    hot = MemoryModel.for_dfa(
+        cfg.device, scanner_dfa.n_states, scanner_dfa.n_symbols
+    ).hot_state_count
+    assert 0 < engine.memory.hot_state_count == hot
+    layout = TableLayout.RANK if use_transformation else TableLayout.HASH
+    assert engine.memory.layout is layout
+    assert f"hot states : {hot} ({layout.name} layout)" in plan.summary()
 
 
 def test_predictor_stats_are_trained_lookback2(scanner_dfa, training, config):

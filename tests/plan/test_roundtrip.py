@@ -55,9 +55,10 @@ def test_roundtrip_preserves_every_field(plan, tmp_path):
 
 def test_roundtrip_derives_the_same_layout(plan, tmp_path):
     loaded = load_plan(save_plan(plan, tmp_path / "p.npz"))
-    ours = GSpecPal.from_plan(loaded)._simulator()
-    theirs = GSpecPal.from_plan(plan)._simulator()
-    assert np.array_equal(ours.transformed.to_new, theirs.transformed.to_new)
+    ours = GSpecPal.from_plan(loaded, backend="sim")._simulator().engine
+    theirs = GSpecPal.from_plan(plan, backend="sim")._simulator().engine
+    assert np.array_equal(ours.order, theirs.order)
+    assert np.array_equal(ours.executor.table, theirs.executor.table)
     assert ours.memory == theirs.memory
 
 

@@ -29,8 +29,9 @@ def test_missing_training_input_warns(dfa):
     with pytest.warns(MissingTrainingInputWarning, match="frequency transformation"):
         scheme = SpecSequentialScheme.for_dfa(dfa, n_threads=4)
     # The fallback itself is unchanged: hash layout, no transformation.
-    assert scheme.sim.transformed is None
-    assert scheme.sim.memory.layout is TableLayout.HASH
+    assert not scheme.sim.use_transformation
+    if scheme.sim.engine.accounts_cycles:
+        assert scheme.sim.engine.memory.layout is TableLayout.HASH
 
 
 def test_missing_training_input_warns_on_every_fallback(dfa):
@@ -52,8 +53,9 @@ def test_training_input_is_silent_and_transforms(dfa):
         scheme = SpecSequentialScheme.for_dfa(
             dfa, n_threads=4, training_input=training
         )
-    assert scheme.sim.transformed is not None
-    assert scheme.sim.memory.layout is TableLayout.RANK
+    assert scheme.sim.use_transformation
+    if scheme.sim.engine.accounts_cycles:
+        assert scheme.sim.engine.memory.layout is TableLayout.RANK
 
 
 def test_for_dfa_threads_backend_through(dfa):
