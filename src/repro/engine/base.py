@@ -53,12 +53,18 @@ def _lane_list(mask: np.ndarray, cap: int = 8) -> str:
     return shown
 
 
+def _out_of_range(values: np.ndarray, bound: int) -> bool:
+    """Whether any int64 entry lies outside ``[0, bound)``: one compare of
+    the unsigned view, where a negative entry reads as a huge value."""
+    return bool(values.size) and int(values.view(np.uint64).max()) >= bound
+
+
 def validate_starts(starts, *, n_states: int, backend: str = "backend") -> None:
     """Raise :class:`~repro.errors.SimulationError` naming every lane whose
     start state lies outside ``[0, n_states)``."""
-    starts = np.asarray(starts)
-    bad_starts = (starts < 0) | (starts >= n_states)
-    if bad_starts.any():
+    starts = np.asarray(starts, dtype=np.int64)
+    if _out_of_range(starts, n_states):
+        bad_starts = (starts < 0) | (starts >= n_states)
         raise SimulationError(
             f"[{backend}] start states out of range [0, {n_states}) "
             f"on lanes {_lane_list(bad_starts)}"
@@ -105,39 +111,42 @@ def validate_batch_inputs(
             f"[{backend}] chunks must be 2-D, got shape {chunks.shape}"
         )
     n_lanes, width = chunks.shape
-
-    def per_lane(name, values, dtype):
-        if values is None:
-            return None
-        values = np.asarray(values, dtype=dtype)
-        if values.shape != (n_lanes,):
-            raise SimulationError(
-                f"[{backend}] {name} has shape {values.shape}, "
-                f"expected one entry per lane ({n_lanes},)"
-            )
-        return values
-
-    starts = per_lane("starts", starts, np.int64)
-    lengths = per_lane("lengths", lengths, np.int64)
-    active = per_lane("active", active, bool)
-    count_redundant = per_lane("count_redundant", count_redundant, bool)
-    chunk_ids = per_lane("chunk_ids", chunk_ids, np.int64)
+    checked = []
+    for name, values, dtype in (
+        ("starts", starts, np.int64),
+        ("lengths", lengths, np.int64),
+        ("active", active, bool),
+        ("count_redundant", count_redundant, bool),
+        ("chunk_ids", chunk_ids, np.int64),
+    ):
+        if values is not None:
+            values = np.asarray(values, dtype=dtype)
+            if values.shape != (n_lanes,):
+                raise SimulationError(
+                    f"[{backend}] {name} has shape {values.shape}, "
+                    f"expected one entry per lane ({n_lanes},)"
+                )
+        checked.append(values)
+    starts, lengths, active, count_redundant, chunk_ids = checked
     if lengths is not None:
-        bad_lengths = (lengths < 0) | (lengths > width)
-        if bad_lengths.any():
+        if _out_of_range(lengths, width + 1):
+            bad_lengths = (lengths < 0) | (lengths > width)
             raise SimulationError(
                 f"[{backend}] lengths out of range [0, {width}] "
                 f"on lanes {_lane_list(bad_lengths)}"
             )
-        if (lengths == width).all():
+        if lengths.min(initial=width) == width:
             lengths = None
     if starts is not None:
         validate_starts(starts, n_states=n_states, backend=backend)
 
-    vacuous = chunks.dtype.kind == "u" and np.iinfo(chunks.dtype).max < n_symbols
+    # Vacuous: an unsigned dtype whose maximum, 256**itemsize - 1, is
+    # below n_symbols.
+    vacuous = chunks.dtype.kind == "u" and 256**chunks.dtype.itemsize <= n_symbols
     if chunks.size and not vacuous:
-        bad_syms = (chunks < 0) | (chunks >= n_symbols)
-        if bad_syms.any():
+        too_big = chunks.max() >= n_symbols
+        if too_big or (chunks.dtype.kind != "u" and chunks.min() < 0):
+            bad_syms = (chunks < 0) | (chunks >= n_symbols)
             # Restrict to executed positions before deciding it is an error.
             if active is not None:
                 bad_syms &= active[:, None]

@@ -9,7 +9,9 @@ gather, ``st = pre[st + row]``:
 * **premultiplied table** — the only copy of the table the kernel reads is
   the flat int64 ``pre[s·m + a] = table[s, a]·m`` (``m`` = alphabet size).
   Lane states are carried premultiplied and divided by ``m`` once on exit,
-  so no per-step multiply is left;
+  so no per-step multiply is left.  The sim backend's
+  :class:`~repro.gpu.executor.LockstepExecutor` steps the same way, on its
+  own int32 premultiplied table (it stores a trace per step as well);
 * **time-major symbols** — the ``(lanes × positions)`` block is transposed
   once into a contiguous ``(positions × lanes)`` int64 array and the loop
   iterates its rows: no per-position strided column, no index arithmetic;

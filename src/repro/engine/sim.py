@@ -13,12 +13,15 @@ The table layout (paper §IV-B, Fig. 4) is a memory layout of the simulated
 device, so it is derived here and nowhere else.  The executor steps one
 table for both layouts: the submitted table with its rows in the profile's
 hotness order, hottest first, and its states renumbered to match, so the
-``H`` cached rows are exactly the states ``< H``.  The layouts differ only
+``H`` cached rows are exactly the states ``< H``; the executor holds it
+premultiplied by the alphabet size, built in the gather that ranks the
+rows, and no plain copy is kept.  The layouts differ only
 in the per-step cost :class:`~repro.gpu.memory.MemoryModel` charges for
 that check: a register compare under RANK (the transformation), PM's hash
 probe under HASH.  Without a profile the order is the identity, and the
 lowest ids are hot.  The backend speaks the submitted DFA's numbering at
-its edge: starts are range-checked and mapped to their rank, ends mapped
+its edge: starts are mapped to their rank (a start outside the automaton
+maps to -1, which the executor's one range check names), ends are mapped
 back through the hotness order.
 """
 
@@ -29,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.automata.dfa import STATE_DTYPE
-from repro.engine.base import gather_chunks, validate_starts
+from repro.engine.base import gather_chunks
 
 
 class SimBackend:
@@ -57,7 +60,7 @@ class SimBackend:
 
     def __init__(self, dfa, device, profile, use_transformation):
         # Imported here: the gpu package's facade imports this module.
-        from repro.gpu.executor import LockstepExecutor
+        from repro.gpu.executor import LockstepExecutor, premultiplied_dtype
         from repro.gpu.memory import MemoryModel, TableLayout
 
         if profile is None:
@@ -74,10 +77,19 @@ class SimBackend:
             MemoryModel.for_dfa(device, dfa.n_states, dfa.n_symbols), layout=layout
         )
         #: the wrapped :class:`~repro.gpu.executor.LockstepExecutor`, on
-        #: the rank-ordered table.
-        self.executor = LockstepExecutor(
-            self._rank[dfa.table[self.order]], self.memory, device
+        #: the rank-ordered table premultiplied by the alphabet size, built
+        #: in the one gather that ranks the rows.
+        n, m = dfa.n_states, dfa.n_symbols
+        scaled_rank = np.multiply(self._rank, m, dtype=premultiplied_dtype(n, m))
+        self.executor = LockstepExecutor.premultiplied(
+            scaled_rank[dfa.table[self.order]], self.memory, device
         )
+        # ``_start_rank[n + s]`` is state s's rank for s in [0, n) and -1
+        # around it, so a start outside [0, n), clipped into the array,
+        # maps to -1 and fails the executor's one range check on its lane
+        # (``_rank[-1]`` would have picked a valid state).
+        self._start_rank = np.full(2 * n + 1, -1, dtype=STATE_DTYPE)
+        self._start_rank[n : 2 * n] = self._rank
         # ``run_mappings`` lane ``j`` of a chunk starts from submitted state
         # ``_lanes[j]``: the ``j``-th hottest under RANK, state ``j`` under
         # HASH, whose device table keeps the submitted order.  Which starts
@@ -87,11 +99,10 @@ class SimBackend:
 
     def _run(self, chunks, starts, **kwargs) -> np.ndarray:
         """One executor call with ``starts`` and the ends it returns in the
-        submitted numbering.  The starts are checked before ``_rank`` reads
-        them: ``_rank[-1]`` would pick a valid state."""
-        starts = np.asarray(starts, dtype=np.int64)
-        validate_starts(starts, n_states=self.order.size, backend=self.name)
-        return self.order[self.executor.run(chunks, self._rank[starts], **kwargs)]
+        submitted numbering; the executor range-checks the starts."""
+        starts = np.asarray(starts, dtype=np.int64) + self.order.size
+        ranks = self._start_rank.take(starts, mode="clip")
+        return self.order[self.executor.run(chunks, ranks, **kwargs)]
 
     def run_batch(self, chunks, starts, **kwargs) -> np.ndarray:
         return self._run(chunks, starts, **kwargs)

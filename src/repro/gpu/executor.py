@@ -17,21 +17,27 @@ passes:
 
 * the **trajectory pass** is the only python loop over symbol positions,
   and its body holds nothing but the store of the pre-step states into a
-  ``(positions × working lanes)`` trace and the transition gather itself —
-  on flat indices, ``flat[s * m + a]`` into ``table.ravel()`` (a view of
-  the executor's own table, no copy) with the block's symbols transposed
-  to int64 once, which numpy gathers faster than the 2-D ``table[s, a]``;
-  a working lane past its ragged length is fed symbol 0 (one masked
-  multiply per block, outside the loop) and its end state is read back
-  from the trace at the position where it stopped;
+  ``(positions × working lanes)`` trace and one add and one gather,
+  ``x = flat[x + a]``: the executor's one resident table is the
+  rank-ordered table *premultiplied* by the alphabet size ``m``
+  (``flat[s·m + a] = table[s, a]·m``, in the int32 or int64 that
+  :func:`premultiplied_dtype` picks from its shape), so lane states are
+  carried premultiplied, ``x = s·m``, no step multiplies, and the ends
+  are divided by ``m`` once — as :class:`~repro.engine.fast.FastBackend`
+  steps.  The block's symbols are transposed to int64 once, so the index
+  is an intp array the gather takes as is.  A working lane past its
+  ragged length is fed symbol 0 (one masked multiply per block, outside
+  the loop) and its end is read back from the scaled trace at the
+  position where it stopped;
 * the **cost pass** derives everything the ledger needs — hot/cold
-  placement, per-warp cold counts (one ``reduceat`` over the working
-  lanes' warp groups, then scattered into the per-warp arrays), memory,
-  fetch and compute charges, transitions, warp steps and their
-  divergence — from that trace with whole-array operations, Ko et al.'s
-  split of a SIMD automaton step into "gather in the loop, bookkeeping on
-  vectors afterwards".  The :class:`~repro.gpu.stats.KernelStats` ledger
-  is the one destination of that bookkeeping.
+  placement (``s < H``, read off the scaled trace as ``x < H·m``),
+  per-warp cold counts (one ``reduceat`` over the working lanes' warp
+  groups, then scattered into the per-warp arrays), memory, fetch and
+  compute charges, transitions, warp steps and their divergence — from
+  that trace with whole-array operations, Ko et al.'s split of a SIMD
+  automaton step into "gather in the loop, bookkeeping on vectors
+  afterwards".  The :class:`~repro.gpu.stats.KernelStats` ledger is the
+  one destination of that bookkeeping; a run without one skips the pass.
 
 Regrouping by working lane is exact: a lane that does not work contributes
 no cold lookup, no cold step and no divergence, so a warp with no working
@@ -98,6 +104,19 @@ def distinct_chunks_per_warp(
     return new_run.sum(axis=1, dtype=np.int64)
 
 
+def premultiplied_dtype(n_states: int, n_symbols: int) -> np.dtype:
+    """The dtype of a premultiplied ``(n_states, n_symbols)`` table.
+
+    A step gathers at a premultiplied state plus a symbol, ``s·m + a``,
+    which reaches ``n_states · n_symbols − 1``: int32 holds that for any
+    table of up to 2³¹ entries, and only a larger one takes int64.  The
+    rule reads the shape alone, so it needs no table.
+    """
+    if n_states * n_symbols - 1 <= np.iinfo(np.int32).max:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
 class LockstepExecutor:
     """Executes chunk batches on the simulated device with cycle accounting.
 
@@ -105,9 +124,9 @@ class LockstepExecutor:
     ----------
     table:
         ``(n_states, n_symbols)`` dense transition table, its rows in
-        hotness order so the cached rows are the ids ``< H``
-        (:class:`~repro.engine.sim.SimBackend` builds it, for either
-        layout).
+        hotness order so the cached rows are the ids ``< H``.  The
+        executor keeps only its premultiplied form
+        (:meth:`premultiplied`).
     memory:
         The :class:`MemoryModel`: the hot count ``H`` and the layout's
         per-step check cost.
@@ -116,11 +135,42 @@ class LockstepExecutor:
     """
 
     def __init__(self, table: np.ndarray, memory: MemoryModel, device: DeviceSpec):
-        self.table = np.ascontiguousarray(np.asarray(table, dtype=STATE_DTYPE))
-        if self.table.ndim != 2:
+        table = np.asarray(table)
+        if table.ndim != 2:
             raise SimulationError("transition table must be 2-D")
+        dtype = premultiplied_dtype(*table.shape)
+        self._adopt(np.multiply(table, table.shape[1], dtype=dtype), memory, device)
+
+    @classmethod
+    def premultiplied(
+        cls, pre: np.ndarray, memory: MemoryModel, device: DeviceSpec
+    ) -> "LockstepExecutor":
+        """An executor stepping ``pre`` as it is: ``pre[s, a]`` holds
+        ``table[s, a] · n_symbols`` in the :func:`premultiplied_dtype` of
+        its shape.  :class:`~repro.engine.sim.SimBackend` builds it in the
+        gather that ranks the rows, so no plain copy is ever made."""
+        executor = cls.__new__(cls)
+        executor._adopt(np.asarray(pre), memory, device)
+        return executor
+
+    def _adopt(self, pre: np.ndarray, memory: MemoryModel, device: DeviceSpec) -> None:
+        if pre.ndim != 2:
+            raise SimulationError("transition table must be 2-D")
+        if pre.dtype != premultiplied_dtype(*pre.shape):
+            raise SimulationError(
+                f"a premultiplied {pre.shape} table must be "
+                f"{premultiplied_dtype(*pre.shape)}, got {pre.dtype}"
+            )
+        #: the only resident table: ``_pre[s, a] = table[s, a] · n_symbols``.
+        self._pre = np.ascontiguousarray(pre)
         self.memory = memory
         self.device = device
+
+    @property
+    def table(self) -> np.ndarray:
+        """The plain ``(n_states, n_symbols)`` table, derived from the
+        premultiplied one on each read; no run reads it."""
+        return (self._pre // max(self._pre.shape[1], 1)).astype(STATE_DTYPE)
 
     # ------------------------------------------------------------------
     def run(
@@ -171,13 +221,14 @@ class LockstepExecutor:
         -------
         ``(n_threads,)`` end states (inactive lanes return their start).
         """
-        n_states, n_symbols = self.table.shape
-        chunks, starts, lens, active_mask, count_redundant, chunk_ids = (
+        pre_table = self._pre
+        n_states, m = pre_table.shape
+        chunks, starts, lens, active, count_redundant, chunk_ids = (
             validate_batch_inputs(
                 chunks,
                 starts,
                 n_states=n_states,
-                n_symbols=n_symbols,
+                n_symbols=m,
                 lengths=lengths,
                 active=active,
                 count_redundant=count_redundant,
@@ -187,25 +238,120 @@ class LockstepExecutor:
         )
         n_threads, chunk_len = chunks.shape
         states = starts.astype(STATE_DTYPE)
-        if active_mask is None:
-            active_mask = np.ones(n_threads, dtype=bool)
+        if chunk_len == 0 or (active is not None and not active.any()):
+            return states
+
+        # Lane l works at positions [0, steps[l]); inactive lanes never do.
+        # Only the working lanes are stepped, in index order, so each warp's
+        # working lanes form one contiguous group.  Positions past the
+        # longest lane are not run.
         if lens is None:
             lens = np.full(n_threads, chunk_len, dtype=np.int64)
+        steps = lens if active is None else np.where(active, lens, 0)
+        max_len = int(steps.max())
+        work = np.flatnonzero(steps)
+        work_steps = steps[work]
+        masked = bool(work_steps.min(initial=max_len) != max_len)
+        dense = work.size == n_threads
 
-        if chunk_len == 0 or not active_mask.any():
+        # The trajectory pass carries lane states premultiplied, x = s·m,
+        # so a step is one add and one gather, x = flat[x + a]; the trace
+        # holds them premultiplied too, and the ends are divided by m once.
+        # A working lane that has stopped (ragged length) reads symbol 0,
+        # so the gather stays inside the table whatever those positions of
+        # ``chunks`` hold; its end is read back from the scaled trace at
+        # the position where it stopped, and the cost pass masks it out.
+        flat = pre_table.ravel()
+        x = np.multiply(states[work], m, dtype=flat.dtype)
+        if masked:
+            ends = x.copy()
+            steps32 = work_steps.astype(np.int32)  # a narrower compare
+        if stats is not None:
+            # Hotness on the scaled trace: s < H  <=>  s·m < H·m.
+            hot_limit = self.memory.hot_state_count * m
+            ws = self.device.warp_size
+            n_warps = -(-n_threads // ws)
+            # Each warp with a working lane is one group of the trace's
+            # columns: its size and its first column.
+            lanes_per_warp = np.bincount(work // ws, minlength=n_warps)
+            group_warps = np.flatnonzero(lanes_per_warp)
+            group_sizes = lanes_per_warp[group_warps]
+            group_starts = np.cumsum(group_sizes) - group_sizes
+            group_cold_steps = np.zeros(group_warps.size, dtype=np.int64)
+            group_cold_lanes = np.zeros(group_warps.size, dtype=np.int64)
+            divergent_warp_steps = 0
+
+        block = max(1, TRACE_BLOCK_ELEMENTS // max(work.size, 1))
+        trace = np.empty((min(block, max_len), work.size), dtype=flat.dtype)
+        for lo in range(0, max_len, block):
+            hi = min(lo + block, max_len)
+            pre = trace[: hi - lo]  # pre[j]: lane states before position lo + j
+            symbols = chunks[:, lo:hi] if dense else chunks[work, lo:hi]
+            cols = np.empty(pre.shape, dtype=np.int64)
+            if masked:
+                working = np.arange(lo, hi, dtype=np.int32)[:, None] < steps32
+                np.multiply(symbols.T, working, out=cols)
+            else:
+                cols[...] = symbols.T
+
+            # --- trajectory pass: store, gather -------------------------
+            for row, col in zip(pre, cols):
+                row[...] = x
+                x = flat[x + col]
+            if masked:
+                stopped = np.flatnonzero((work_steps >= lo) & (work_steps < hi))
+                ends[stopped] = pre[work_steps[stopped] - lo, stopped]
+            if stats is None:
+                continue
+
+            # --- cost pass: whole-block accounting ----------------------
+            # Warp memory cost: divergent global loads serialize into
+            # transactions — the first pays the full latency, each extra
+            # cold lane adds an issue slot; an all-hot warp pays the shared
+            # latency only.  Per warp that needs two counts.
+            cold = pre >= hot_limit
+            if masked:
+                cold &= working
+            warp_cold = np.add.reduceat(
+                cold.view(np.int8), group_starts, axis=1, dtype=np.int32
+            )
+            any_cold = warp_cold > 0
+            group_cold_steps += any_cold.sum(axis=0)
+            group_cold_lanes += warp_cold.sum(axis=0)
+            # Memory divergence: a warp step mixing hot and cold lanes
+            # serializes transactions — the effect the paper's
+            # transformation shrinks.
+            warp_working = (
+                np.add.reduceat(
+                    working.view(np.int8), group_starts, axis=1, dtype=np.int32
+                )
+                if masked
+                else group_sizes
+            )
+            divergent_warp_steps += int(
+                np.count_nonzero(any_cold & (warp_cold < warp_working))
+            )
+        if masked:
+            x = np.where(work_steps == max_len, x, ends)
+        states[work] = x // m
+        if stats is None:
             return states
 
         device = self.device
-        ws = device.warp_size
-        n_warps = -(-n_threads // ws)
+        # Warps without a working lane add nothing to any term.
+        cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
+        cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
+        cold_steps[group_warps] = group_cold_steps
+        cold_lanes[group_warps] = group_cold_lanes
 
         # Input-fetch coalescing: constant per step for a fixed assignment.
-        lane_chunk = np.full(n_warps * ws, -1, dtype=np.int64)
-        if chunk_ids is None:
-            lane_chunk[:n_threads][active_mask] = np.flatnonzero(active_mask)
-        else:
-            lane_chunk[:n_threads][active_mask] = chunk_ids[active_mask]
-        distinct = distinct_chunks_per_warp(lane_chunk, n_warps, ws)
+        warp_starts = np.arange(0, n_threads, ws)
+        lane_chunk = np.arange(n_threads) if chunk_ids is None else chunk_ids
+        if active is not None:
+            lane_chunk = np.where(active, lane_chunk, -1)
+        padded = np.full(n_warps * ws, -1, dtype=np.int64)
+        padded[:n_threads] = lane_chunk
+        distinct = distinct_chunks_per_warp(padded, n_warps, ws)
         per_warp_fetch = np.where(
             distinct > 0,
             device.input_fetch_cycles
@@ -213,93 +359,9 @@ class LockstepExecutor:
             0.0,
         )
 
-        # Lane l works at positions [0, steps[l]); inactive lanes never do.
-        # Only the working lanes are stepped, in index order, so each warp's
-        # working lanes form one contiguous group.  Positions past the
-        # longest lane are not run.
-        steps = np.where(active_mask, lens, 0)
-        max_len = int(steps.max())
-        work = np.flatnonzero(steps)
-        work_steps = steps[work]
-        masked = bool((work_steps != max_len).any())
-        steps32 = work_steps.astype(np.int32)  # a narrower compare for ``working``
-        dense = work.size == n_threads
-        warp_of = work // ws
-        group_starts = np.flatnonzero(np.diff(warp_of, prepend=-1))
-        group_warps = warp_of[group_starts]
-        group_sizes = np.diff(np.append(group_starts, work.size))
-
-        # Flat view of the table: state s on symbol a is flat[s * m + a].
-        flat = self.table.ravel()
-        m = np.int64(n_symbols)
-        group_cold_steps = np.zeros(group_starts.size, dtype=np.int64)
-        group_cold_lanes = np.zeros(group_starts.size, dtype=np.int64)
-        divergent_warp_steps = 0
-
-        # A working lane that has stopped (ragged length) reads symbol 0,
-        # so the gather stays inside the table whatever those positions of
-        # ``chunks`` hold; its end state is read back from the trace at the
-        # position where it stopped, and the cost pass masks it out.
-        lane_states = states[work]
-        ends = lane_states.copy()
-
-        def per_group(mask):
-            """``(positions × groups)`` count of set lanes in each group."""
-            return np.add.reduceat(
-                mask.view(np.int8), group_starts, axis=1, dtype=np.int64
-            )
-
-        block = max(1, TRACE_BLOCK_ELEMENTS // max(work.size, 1))
-        trace = np.empty((min(block, max_len), work.size), dtype=STATE_DTYPE)
-        for lo in range(0, max_len, block):
-            hi = min(lo + block, max_len)
-            pre = trace[: hi - lo]  # pre[j]: lane states before position lo + j
-            symbols = chunks[:, lo:hi] if dense else chunks[work, lo:hi]
-            if masked:
-                working = np.arange(lo, hi, dtype=np.int32)[:, None] < steps32
-                cols = np.empty(pre.shape, dtype=np.int64)
-                np.multiply(symbols.T, working, out=cols)
-            else:
-                cols = np.ascontiguousarray(symbols.T, dtype=np.int64)
-
-            # --- trajectory pass: store, gather -------------------------
-            # One flat index per lane and step, s * m + a, in int64 (an
-            # intp array the gather takes as is, on any table size).
-            for j in range(hi - lo):
-                pre[j] = lane_states
-                lane_states = flat[lane_states * m + cols[j]]
-            if masked:
-                stopped = np.flatnonzero((work_steps >= lo) & (work_steps < hi))
-                ends[stopped] = pre[work_steps[stopped] - lo, stopped]
-
-            # --- cost pass: whole-block accounting ----------------------
-            # Warp memory cost: divergent global loads serialize into
-            # transactions — the first pays the full latency, each extra
-            # cold lane adds an issue slot; an all-hot warp pays the shared
-            # latency only.  Per warp that needs two counts.
-            cold = ~self.memory.hot_mask(pre)
-            if masked:
-                cold &= working
-            warp_cold = per_group(cold)
-            group_cold_steps += np.count_nonzero(warp_cold, axis=0)
-            group_cold_lanes += warp_cold.sum(axis=0)
-            # Memory divergence: a warp step mixing hot and cold lanes
-            # serializes transactions — the effect the paper's
-            # transformation shrinks.
-            warp_working = per_group(working) if masked else group_sizes
-            divergent_warp_steps += int(
-                np.count_nonzero((warp_cold > 0) & (warp_cold < warp_working))
-            )
-        states[work] = np.where(work_steps == max_len, lane_states, ends)
-        # Warps without a working lane add nothing to any term.
-        cold_steps = np.zeros(n_warps, dtype=np.int64)  # positions with a cold lane
-        cold_lanes = np.zeros(n_warps, dtype=np.int64)  # cold lookups, all positions
-        cold_steps[group_warps] = group_cold_steps
-        cold_lanes[group_warps] = group_cold_lanes
-
         # A warp steps while any of its lanes works, i.e. for as many
         # positions as its longest lane.
-        active_steps = np.maximum.reduceat(steps, np.arange(0, n_threads, ws))
+        active_steps = np.maximum.reduceat(steps, warp_starts)
         total_transitions = int(steps.sum())
         global_hits = int(cold_lanes.sum())
         shared_hits = total_transitions - global_hits
@@ -307,28 +369,27 @@ class LockstepExecutor:
         if count_redundant is not None:
             redundant = int(steps[count_redundant].sum())
 
-        if stats is not None:
-            per_warp_cycles = (
-                float(device.global_cycles) * cold_steps
-                + float(device.global_issue_cycles) * (cold_lanes - cold_steps)
-                + float(device.shared_cycles) * (active_steps - cold_steps)
-                + (
-                    device.transition_compute_cycles
-                    + self.memory.per_step_overhead_cycles
-                    + per_warp_fetch
-                )
-                * active_steps
+        per_warp_cycles = (
+            float(device.global_cycles) * cold_steps
+            + float(device.global_issue_cycles) * (cold_lanes - cold_steps)
+            + float(device.shared_cycles) * (active_steps - cold_steps)
+            + (
+                device.transition_compute_cycles
+                + self.memory.per_step_overhead_cycles
+                + per_warp_fetch
             )
-            factor = device.concurrency_factor(n_warps)
-            if factor == 1.0:
-                phase_cycles = float(per_warp_cycles.max())
-            else:
-                phase_cycles = float(per_warp_cycles.sum() / device.max_concurrent_warps)
-            stats.charge(phase, phase_cycles)
-            stats.transitions += total_transitions
-            stats.redundant_transitions += redundant
-            stats.shared_accesses += shared_hits
-            stats.global_accesses += global_hits
-            stats.warp_steps += int(active_steps.sum())
-            stats.divergent_warp_steps += divergent_warp_steps
+            * active_steps
+        )
+        factor = device.concurrency_factor(n_warps)
+        if factor == 1.0:
+            phase_cycles = float(per_warp_cycles.max())
+        else:
+            phase_cycles = float(per_warp_cycles.sum() / device.max_concurrent_warps)
+        stats.charge(phase, phase_cycles)
+        stats.transitions += total_transitions
+        stats.redundant_transitions += redundant
+        stats.shared_accesses += shared_hits
+        stats.global_accesses += global_hits
+        stats.warp_steps += int(active_steps.sum())
+        stats.divergent_warp_steps += divergent_warp_steps
         return states

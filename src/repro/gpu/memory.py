@@ -12,16 +12,16 @@ only in what the device pays to find that out:
   state ids are hotness ranks, so the hotness test is ``state < H`` (a
   register compare) and hot lookups go straight to shared memory.
 
-The :class:`MemoryModel` answers, for a batch of current states, which
-lookups are hot and what per-step overhead the layout imposes.
+The :class:`MemoryModel` answers how many states are hot — the lookups
+from a state ``< H`` hit shared memory, a compare the lockstep executor
+makes on its premultiplied trace as ``s·m < H·m`` — and what per-step
+overhead the layout imposes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.gpu.device import DeviceSpec
 from repro.errors import SimulationError
@@ -68,11 +68,6 @@ class MemoryModel:
             raise SimulationError("alphabet must be non-empty")
         hot = min(n_states, device.shared_table_entries // n_symbols)
         return cls(device=device, hot_state_count=hot)
-
-    # ------------------------------------------------------------------
-    def hot_mask(self, states: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of ``states``' next lookups hit shared memory."""
-        return np.asarray(states) < self.hot_state_count
 
     @property
     def per_step_overhead_cycles(self) -> float:

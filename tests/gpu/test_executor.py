@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.sim import SimBackend
 from repro.gpu.device import DeviceSpec
-from repro.gpu.executor import LockstepExecutor
+from repro.gpu.executor import LockstepExecutor, premultiplied_dtype
 from repro.gpu.memory import MemoryModel, TableLayout
 from repro.gpu.stats import KernelStats
 from repro.errors import SimulationError
@@ -178,3 +178,48 @@ class TestAccounting:
         )
         # Single active cold lane still pays the full global latency/step.
         assert solo.phase_cycles["p"] >= 10 * dev.global_cycles
+
+
+class TestPremultipliedTable:
+    """The executor's one resident table holds ``next_state · m``, in the
+    dtype :func:`premultiplied_dtype` picks from the shape alone."""
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((2**23, 256), np.int32),  # 2**31 entries: the last index is 2**31 - 1
+            ((2**23 + 1, 256), np.int64),
+            ((2**31, 1), np.int32),
+            ((2**31 + 1, 1), np.int64),
+            ((1, 2**31), np.int32),
+            ((3, 2**30), np.int64),
+            ((6144, 256), np.int32),  # the largest PowerEN member
+            ((1, 1), np.int32),
+        ],
+    )
+    def test_dtype_rule_at_the_int32_boundary(self, shape, dtype):
+        """The largest flat index, ``n_states · n_symbols − 1``, must fit:
+        int32 up to 2**31 entries, int64 beyond.  Shapes only; no table."""
+        assert premultiplied_dtype(*shape) == np.dtype(dtype)
+
+    def test_only_the_premultiplied_table_is_resident(self, div7, dev):
+        memory = MemoryModel(device=dev, hot_state_count=3)
+        ex = LockstepExecutor(div7.table, memory, dev)
+        arrays = [v for v in vars(ex).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1
+        (pre,) = arrays
+        assert pre.dtype == np.int32
+        np.testing.assert_array_equal(pre, div7.table * div7.n_symbols)
+        # ``table`` is derived on each read.
+        np.testing.assert_array_equal(ex.table, div7.table)
+        assert ex.table is not ex.table
+
+    def test_premultiplied_constructor_checks_the_dtype(self, dev):
+        memory = MemoryModel(device=dev, hot_state_count=1)
+        table = np.array([[1, 0], [0, 1]])
+        ex = LockstepExecutor.premultiplied((table * 2).astype(np.int32), memory, dev)
+        np.testing.assert_array_equal(ex.table, table)
+        with pytest.raises(SimulationError, match="int32"):
+            LockstepExecutor.premultiplied(table * 2, memory, dev)  # int64
+        with pytest.raises(SimulationError, match="2-D"):
+            LockstepExecutor.premultiplied(np.zeros(4, dtype=np.int32), memory, dev)

@@ -1,17 +1,13 @@
-"""Memory-model tests: layouts, hot masks, overheads."""
+"""Memory-model tests: layouts, the hot lookups they charge, overheads."""
 
 import numpy as np
 import pytest
 
 from repro.gpu.device import RTX3090
+from repro.gpu.executor import LockstepExecutor
 from repro.gpu.memory import MemoryModel, TableLayout
+from repro.gpu.stats import KernelStats
 from repro.errors import SimulationError
-
-
-def test_rank_layout_hot_mask():
-    mm = MemoryModel(device=RTX3090, hot_state_count=4, layout=TableLayout.RANK)
-    states = np.array([0, 3, 4, 10])
-    assert mm.hot_mask(states).tolist() == [True, True, False, False]
 
 
 def test_hash_layout_pays_per_step_overhead():
@@ -36,14 +32,27 @@ def test_negative_hot_count_rejected():
 
 
 @pytest.mark.parametrize("layout", list(TableLayout))
+@pytest.mark.parametrize("n_symbols", [1, 7, 256])
 @pytest.mark.parametrize("hot_count", [0, 1, 17, 100])
-def test_hot_mask_is_the_rank_compare_on_both_layouts(layout, hot_count):
+def test_shared_hits_are_the_rank_compare_on_both_layouts(
+    layout, n_symbols, hot_count
+):
     """Both layouts cache the ``hot_count`` hottest rows of a rank-ordered
-    table, so hotness is ``state < hot_count`` whatever the layout."""
-    mm = MemoryModel(device=RTX3090, hot_state_count=hot_count, layout=layout)
+    table, so a lookup hits shared memory exactly when it is made from a
+    state ``< hot_count``, whatever the layout and the alphabet size (the
+    executor compares premultiplied states, ``s·m < H·m``).  One lane per
+    state steps once, and each lane's lookup is charged to the shared or
+    the global count on its own ledger."""
+    n_states = 100
     rng = np.random.default_rng(hot_count)
-    for shape in [(0,), (7,), (5, 64)]:
-        states = rng.integers(0, 100, size=shape).astype(np.int32)
-        got = mm.hot_mask(states)
-        assert got.dtype == bool and got.shape == states.shape
-        np.testing.assert_array_equal(got, states < hot_count)
+    table = rng.integers(0, n_states, size=(n_states, n_symbols))
+    mm = MemoryModel(device=RTX3090, hot_state_count=hot_count, layout=layout)
+    executor = LockstepExecutor(table, mm, RTX3090)
+    chunks = rng.integers(0, n_symbols, size=(1, 1))
+    hits = []
+    for state in range(n_states):
+        stats = KernelStats(device=RTX3090, n_threads=1)
+        executor.run(chunks, [state], stats=stats)
+        assert stats.shared_accesses + stats.global_accesses == 1
+        hits.append(stats.shared_accesses == 1)
+    assert hits == [state < hot_count for state in range(n_states)]
