@@ -40,7 +40,7 @@ from repro.engine.base import (
     resolve_backend_name,
 )
 from repro.engine.fast import FastBackend
-from repro.engine.fused import FusedBatchEngine, FusedDispatchResult
+from repro.engine.fused import FusedBatchEngine, FusedDispatchResult, FusedUnion
 from repro.engine.sim import SimBackend
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "FastBackend",
     "FusedBatchEngine",
     "FusedDispatchResult",
+    "FusedUnion",
     "SimBackend",
     "resolve_backend_name",
 ]

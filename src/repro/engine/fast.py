@@ -6,8 +6,9 @@ need.  All four entry points share **one** stepping kernel
 (:meth:`FastBackend._advance`) built so that a step is one add and one
 gather, ``st = pre[st + row]``:
 
-* **premultiplied table** — the only copy of the table the kernel reads is
-  the flat int64 ``pre[s·m + a] = table[s, a]·m`` (``m`` = alphabet size).
+* **premultiplied table** — the only copy of the table the backend holds is
+  the flat int64 ``pre[s·m + a] = table[s, a]·m`` (``m`` = alphabet size;
+  ``table`` is derived from it on read).
   Lane states are carried premultiplied and divided by ``m`` once on exit,
   so no per-step multiply is left.  The sim backend's
   :class:`~repro.gpu.executor.LockstepExecutor` steps the same way, on its
@@ -60,15 +61,23 @@ class FastBackend:
     accounts_cycles = False
 
     def __init__(self, table: np.ndarray):
-        table = np.ascontiguousarray(np.asarray(table, dtype=STATE_DTYPE))
+        table = np.asarray(table)
         if table.ndim != 2:
             raise SimulationError("transition table must be 2-D")
-        self.table = table
         self.n_states, self.n_symbols = table.shape
         # pre[s*m + a] = table[s, a] * m: index arithmetic and gathers stay
         # in int64 and a gathered value is already the next row offset.
-        self._pre = table.ravel().astype(np.int64)
-        self._pre *= self.n_symbols
+        # It is the only table kept; ``table`` is derived from it on read.
+        self._pre = np.multiply(table, self.n_symbols, dtype=np.int64).ravel()
+
+    @property
+    def table(self) -> np.ndarray:
+        """The plain ``(n_states, n_symbols)`` table, derived from the
+        premultiplied one on each read; no run reads it."""
+        m = max(self.n_symbols, 1)
+        return (self._pre.reshape(self.n_states, self.n_symbols) // m).astype(
+            STATE_DTYPE
+        )
 
     # ------------------------------------------------------------------
     def _advance(self, chunks, states, lens, lanes=None) -> np.ndarray:
@@ -158,13 +167,13 @@ class FastBackend:
     ) -> np.ndarray:
         """Fused cross-stream entry: lanes pre-sorted by descending length.
 
-        The serving tier's gang scheduler
-        (:class:`~repro.engine.fused.FusedBatchEngine`) pads N same-plan
-        stream segments into one ``(streams × positions)`` matrix and sorts
-        the rows by descending segment length, which is the order the
-        kernel wants: it runs without the compress / sort / scatter that
-        :meth:`run_batch` does for a ragged batch.  Answer-identical to
-        :meth:`run_batch` with the same ``lengths``.
+        The fused paths (:class:`~repro.engine.fused.FusedUnion` for the
+        serving pool, :class:`~repro.engine.fused.FusedBatchEngine` for one
+        matcher) pad N stream segments into one ``(streams × positions)``
+        matrix and sort the rows by descending segment length, which is
+        the order the kernel wants: it runs without the compress / sort /
+        scatter that :meth:`run_batch` does for a ragged batch.
+        Answer-identical to :meth:`run_batch` with the same ``lengths``.
         """
         chunks, states, lens, _, _, _ = validate_batch_inputs(
             chunks,

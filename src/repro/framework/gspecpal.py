@@ -342,11 +342,13 @@ class GSpecPal:
         """The (cached) cross-stream gang scheduler for this matcher.
 
         A :class:`~repro.engine.fused.FusedBatchEngine` sharing this
-        framework's simulator: the serving pool uses it to advance every
-        active stream on one plan in a single ``(streams × lanes)``
-        lockstep dispatch instead of N per-stream scheme runs.  Fused
+        framework's simulator: it advances many streams on this plan in a
+        single ``(streams × lanes)`` lockstep dispatch instead of N
+        per-stream scheme runs (the serving pool fuses across plans with
+        :class:`~repro.engine.fused.FusedUnion` instead).  Fused
         dispatches are answer-identical to per-stream feeds (the
-        differential suites pin this) but answer-only — no cycle ledger.
+        differential suites pin this); handed a ledger, one is Algorithm
+        1's stream-level baseline.
         """
         if self._fused is None:
             from repro.engine.fused import FusedBatchEngine

@@ -214,11 +214,12 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
             )
 
 
-def audit_fused_dispatch(engine, segments, starts, result) -> None:
+def audit_fused_dispatch(dfa, segments, starts, result, *, backend) -> None:
     """Audit one fused cross-stream dispatch, per stream.
 
-    The fused path (:class:`~repro.engine.fused.FusedBatchEngine`) bypasses
-    the scheme layer, so the scheme-run audits above never see it; this
+    The fused paths (:class:`~repro.engine.fused.FusedBatchEngine` and the
+    serving pool's :class:`~repro.engine.fused.FusedUnion`) bypass the
+    scheme layer, so the scheme-run audits above never see them; this
     audit restores the answer guarantee at the dispatch boundary, on the
     answers of the same kernel an unaudited dispatch runs:
 
@@ -227,11 +228,12 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
         sequential ``DFA.run`` oracle over that stream's own segment from
         its own carried state — the per-stream answer contract.
 
-    ``engine`` is the dispatching :class:`FusedBatchEngine`; ``segments``
-    and ``starts`` are the dispatch inputs; ``result`` its
-    :class:`~repro.engine.fused.FusedDispatchResult`.
+    ``dfa`` is the automaton the streams run (one class of a union
+    dispatch), ``segments`` and ``starts`` the dispatch inputs in its
+    numbering, ``result`` its :class:`~repro.engine.fused.FusedDispatchResult`
+    and ``backend`` the name of the backend whose kernel ran.  The lanes
+    a violation names index ``segments``.
     """
-    dfa = engine.dfa
     bad_ends = []
     for i, (segment, start) in enumerate(zip(segments, starts)):
         symbols = _as_symbol_array(segment)
@@ -244,7 +246,7 @@ def audit_fused_dispatch(engine, segments, starts, result) -> None:
             "oracle",
             invariant="fused_end_state_oracle",
             scheme="fused",
-            backend=engine.backend_name,
+            backend=backend,
             lanes=bad_ends,
         )
 

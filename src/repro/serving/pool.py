@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.automata.dfa import _as_symbol_array
+from repro.engine.fused import FusedUnion
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal
@@ -115,9 +117,11 @@ class MatcherPool:
     max_streams:
         Upper bound on concurrently open streams (admission control).
     fused:
-        :meth:`feed_many` runs each group of at least
-        :data:`FUSED_MIN_STREAMS` feeds on one class record as one
-        answer-only fused dispatch (``total_cycles`` is NaN).
+        Each :meth:`feed_many` wave steps every group of at least
+        :data:`FUSED_MIN_STREAMS` feeds on one class record in one
+        answer-only kernel pass over the disjoint union of the groups'
+        tables (:class:`~repro.engine.fused.FusedUnion`; ``total_cycles``
+        is NaN).
     open_timeout:
         Seconds :meth:`open` may wait for a slot at capacity (``None``
         rejects at once with a retryable ``code="capacity"``).
@@ -160,7 +164,7 @@ class MatcherPool:
         self.open_timeout = open_timeout
         self.metrics = metrics or cache.metrics
         self.drift = bool(drift)
-        self.state = PoolState(self.max_streams, cache.__contains__)
+        self.state = PoolState(self.max_streams, cache.__contains__, cache.capacity)
         self._lock = threading.Lock()
         #: signalled whenever a close or an abandoned reservation frees a slot.
         self._slot_freed = threading.Condition(self._lock)
@@ -326,9 +330,9 @@ class MatcherPool:
         """Process many ``(stream_id, segment)`` feeds, gang-scheduled;
         returns one :class:`FeedOutcome` per feed, in input order.
 
-        Each feed is answer-identical to :meth:`feed`.  A fused dispatch
-        holds every participant's stream lock (taken in id order) for the
-        whole batch, so a racing close lands before or after it.  A
+        Each feed is answer-identical to :meth:`feed`.  A wave's fused
+        pass holds every participant's stream lock, across classes (taken
+        in id order), so a racing close lands before or after it.  A
         repeated stream id's segments apply in input order, one per wave.
         """
         feeds = list(feeds)
@@ -352,8 +356,9 @@ class MatcherPool:
         return tuple(outcomes)  # type: ignore[arg-type]
 
     def _dispatch_wave(self, wave, outcomes) -> None:
-        """Look the wave up under one pool-lock acquisition, then dispatch
-        it grouped by class record (language-equivalent plans gang)."""
+        """Look the wave up under one pool-lock acquisition and group it by
+        class record (language-equivalent plans gang); every group of at
+        least :data:`FUSED_MIN_STREAMS` joins one union pass."""
         found = []
         with self._lock:
             for idx, stream_id, segment in wave:
@@ -374,11 +379,14 @@ class MatcherPool:
                 groups.setdefault(entry.record, []).append(
                     (idx, stream_id, entry, symbols)
                 )
+        fused = {}
         for record, group in groups.items():
             if self.fused and len(group) >= FUSED_MIN_STREAMS:
-                self._dispatch_fused(record, group, outcomes)
+                fused[record] = group
             else:
                 self._dispatch_sequential(group, outcomes)
+        if fused:
+            self._dispatch_union(fused, outcomes)
 
     def _dispatch_sequential(self, group, outcomes) -> None:
         """Per-stream fallback: each feed runs the ordinary scheme path."""
@@ -397,14 +405,26 @@ class MatcherPool:
                 )
             self.metrics.counter("serving.pool.fused_fallbacks").inc()
 
-    def _dispatch_fused(self, record: ClassRecord, group, outcomes) -> None:
-        """One fused dispatch over every live stream in the group; a stream
-        found closed under its lock is reported and left out."""
+    def _dispatch_union(self, groups, outcomes) -> None:
+        """One kernel pass over the wave's fused groups, under every
+        participant's stream lock (taken in id order across classes).  A
+        stream found closed under its lock gets ``stream_closed``; the
+        union its class set keeps still serves the rest."""
         started = perf_counter()
+        records = tuple(sorted(groups, key=lambda record: record.key))
+        with self._lock:
+            union = self.state.union(records)
+        if union is None:
+            # Built outside every lock; a racing build is harmless, as each
+            # pass steps the union it got.
+            union = FusedUnion([record.matcher.dfa for record in records])
+            with self._lock:
+                self.state.keep(records, union)
+        feeds = sorted(chain(*groups.values()), key=lambda feed: feed[1])
         locked: List[StreamEntry] = []
+        live = []
         try:
-            live = []
-            for idx, stream_id, entry, segment in sorted(group, key=lambda g: g[1]):
+            for idx, stream_id, entry, segment in feeds:
                 entry.lock.acquire()
                 locked.append(entry)
                 if entry.closed:
@@ -414,11 +434,14 @@ class MatcherPool:
                     live.append((idx, stream_id, entry, segment))
             if not live:
                 return
-            segments = [segment for *_ignored, segment in live]
-            starts = [entry.session.state for _, _, entry, _ in live]
-            dispatch = record.matcher.fused_engine().dispatch(segments, starts)
-            for pos, (idx, stream_id, entry, segment) in enumerate(live):
-                entry.session.apply_fused(segment, int(dispatch.end_states[pos]))
+            ends = union.dispatch(
+                [records.index(entry.record) for _, _, entry, _ in live],
+                [segment for *_ignored, segment in live],
+                [entry.session.state for _, _, entry, _ in live],
+                selfcheck=self.config.selfcheck,
+            )
+            for (idx, stream_id, entry, segment), end in zip(live, ends):
+                entry.session.apply_fused(segment, int(end))
                 outcomes[idx] = FeedOutcome(
                     stream_id=stream_id,
                     ok=True,
@@ -434,22 +457,27 @@ class MatcherPool:
         count("serving.pool.fused_dispatches").inc()
         count("serving.pool.feeds").inc(len(live))
         count("serving.pool.fused_streams").inc(len(live))
-        count("serving.pool.fused_symbols").inc(dispatch.total_symbols)
+        count("serving.pool.fused_symbols").inc(sum(int(f[3].size) for f in live))
         self.metrics.histogram("serving.pool.fused_batch_width").observe(len(live))
         self.metrics.histogram("serving.pool.fused_ms").observe(
             (perf_counter() - started) * 1e3
         )
         # Fused execution verifies no chunk boundaries: a sample-free
-        # observation lets the drift aggregate count the unforced traffic.
-        unforced = [segment for _, _, entry, segment in live if not entry.forced]
-        if unforced:
-            symbols = sum(int(segment.size) for segment in unforced)
-            self._observe(
-                record,
-                LiveObservations(
-                    scheme="fused", spec_k=1, segments=len(unforced), symbols=symbols
-                ),
-            )
+        # observation per class lets drift count its unforced traffic.
+        for record in records:
+            unforced = [
+                segment
+                for _, _, entry, segment in live
+                if entry.record is record and not entry.forced
+            ]
+            if unforced:
+                symbols = sum(int(segment.size) for segment in unforced)
+                self._observe(
+                    record,
+                    LiveObservations(
+                        scheme="fused", spec_k=1, segments=len(unforced), symbols=symbols
+                    ),
+                )
 
     def close(self, stream_id: int) -> StreamStats:
         """Close a stream and return its summary, built under the stream's

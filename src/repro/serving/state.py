@@ -2,8 +2,9 @@
 
 :class:`PoolState` holds everything :class:`~repro.serving.MatcherPool`
 guards with its lock — admission slots, the open streams, the class
-records with their stream counts, and the plans of pruned records — and
-changes it only through one method per transition.  It takes no lock and
+records with their stream counts, the plans of pruned records, and the
+fused unions of recent class sets — and changes it only through one
+method per transition.  It takes no lock and
 starts no thread: the pool applies each transition under its lock, and a
 test drives it directly (``tests/serving/test_pool_state.py``).  Like a
 register updated as ``(state | into) & ~out``, each transition's
@@ -18,9 +19,14 @@ retire    — (then prunes)                                the entry; its
                                                          record's ``streams`` − 1
 lookup    —                                              —
 adopt     the record's plan; its monitor's anchors       the monitor's latch
+union     the hit union as the most recently used        —
+keep      a class set's union, if its records are live   the least recently
+                                                         used union past
+                                                         ``max_unions``
 prune     the retained plan of each dropped record       each record no stream
                                                          holds whose plan the
-                                                         cache evicted
+                                                         cache evicted; each
+                                                         union naming one
 ========  =============================================  =======================
 
 :meth:`PoolState.check` states the invariants every transition keeps.
@@ -87,18 +93,23 @@ class StreamEntry:
 
 
 class PoolState:
-    """Admission slots, open streams, class records and retained plans.
+    """Admission slots, open streams, class records, retained plans and
+    fused unions.
 
     ``resident(canonical_fingerprint)`` answers whether the plan cache
     still holds a class's plan; :meth:`prune` asks it (the pool passes
     the cache's ``__contains__``, keeping the pool → cache lock order).
-    Attributes are the read API; change them only through the
-    transitions.
+    At most ``max_unions`` unions are kept (the pool passes the plan
+    cache's capacity).  Attributes are the read API; change them only
+    through the transitions.
     """
 
-    def __init__(self, max_streams: int, resident: Callable[[str], bool]):
+    def __init__(
+        self, max_streams: int, resident: Callable[[str], bool], max_unions: int
+    ):
         self.max_streams = max_streams
         self.resident = resident
+        self.max_unions = max_unions
         #: slots held by opens still compiling: they count against
         #: ``max_streams`` but have no entry yet.
         self.reserved = 0
@@ -109,6 +120,10 @@ class PoolState:
         #: key of a pruned record → the plan it served; a rebuild starts
         #: from it, so the class keeps the numbering of its first variant.
         self.pruned: Dict[ClassKey, object] = {}
+        #: class set (its records in key order) → the fused union its
+        #: ``feed_many`` waves step, least recently used first; every
+        #: record in a kept set is live.
+        self.unions: Dict[Tuple[ClassRecord, ...], object] = {}
 
     @property
     def active(self) -> int:
@@ -188,14 +203,37 @@ class PoolState:
         record.matcher.adopt_plan(plan)
         return record.monitor.rearm(plan)
 
+    def union(self, records: Tuple[ClassRecord, ...]):
+        """The union kept for the class set ``records``, else ``None``;
+        sets a hit as the most recently used."""
+        union = self.unions.pop(records, None)
+        if union is not None:
+            self.unions[records] = union
+        return union
+
+    def keep(self, records: Tuple[ClassRecord, ...], union) -> None:
+        """Sets ``union`` as the class set's, most recently used, if every
+        record in the set is live (a set naming a pruned record is never
+        looked up again); clears the least recently used unions past
+        ``max_unions``."""
+        if all(self.classes.get(record.key) is record for record in records):
+            self.unions.pop(records, None)  # re-inserted as the most recent
+            self.unions[records] = union
+            while len(self.unions) > self.max_unions:
+                del self.unions[next(iter(self.unions))]
+
     def prune(self) -> None:
         """Clears every record no stream holds whose plan the cache no
-        longer holds; sets each one's retained plan (the plan its matcher
-        served)."""
+        longer holds, and each union naming one; sets each dropped
+        record's retained plan (the plan its matcher served)."""
+        dropped = set()
         for key, record in list(self.classes.items()):
             if not record.streams and not self.resident(key[0]):
                 self.pruned[key] = record.matcher.plan
                 del self.classes[key]
+                dropped.add(record)
+        for records in [rs for rs in self.unions if dropped.intersection(rs)]:
+            del self.unions[records]
 
     def check(self) -> None:
         """Raise ``AssertionError`` naming every broken invariant."""
@@ -213,6 +251,13 @@ class PoolState:
             "every stream id is below next_id": all(
                 0 <= sid < self.next_id for sid in self.entries
             ),
+            "every kept union's records are live": all(
+                self.classes.get(record.key) is record
+                for records in self.unions
+                for record in records
+            ),
+            "at most max_unions unions are kept": len(self.unions)
+            <= self.max_unions,
         }
         broken = [name for name, holds in invariants.items() if not holds]
         if broken:

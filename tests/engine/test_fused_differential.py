@@ -13,9 +13,11 @@ agreement here chains the fused path all the way to the paper's oracle.
 import numpy as np
 import pytest
 
-from repro.engine.fused import FusedBatchEngine
+from repro.automata.dfa import DFA
+from repro.engine.fused import FusedBatchEngine, FusedUnion
 from repro.errors import SimulationError
 from repro.framework import GSpecPal, GSpecPalConfig
+from repro.serving import MatcherPool
 from repro.workloads import classic
 
 BACKENDS = ("sim", "fast")
@@ -233,7 +235,9 @@ def test_fused_selfcheck_catches_corrupt_end_state(dfa, training):
     record.end_states = record.end_states.copy()
     record.end_states[1] = (record.end_states[1] + 1) % dfa.n_states
     with pytest.raises(SelfCheckError) as excinfo:
-        audit_fused_dispatch(fused, segments, [dfa.start] * 2, record)
+        audit_fused_dispatch(
+            dfa, segments, [dfa.start] * 2, record, backend=fused.backend_name
+        )
     assert excinfo.value.invariant == "fused_end_state_oracle"
     assert excinfo.value.lanes == [1]
 
@@ -270,3 +274,124 @@ def test_fused_selfcheck_audits_the_shipped_kernel(dfa, training, backend, monke
     assert calls == [entry, entry]
     assert excinfo.value.invariant == "fused_end_state_oracle"
     assert len(excinfo.value.lanes) == 1
+
+    # Multi-class: the pool's union pass runs ``FastBackend.run_streams`` on
+    # either backend, and each class is audited on its own answers.  A
+    # kernel corrupting the second class's longest lane is named by it.
+    from repro.engine import FastBackend
+
+    bits = UNION_DFAS[2]
+    config = GSpecPalConfig(n_threads=8, selfcheck=True)
+    pool = MatcherPool(config=config, backend=backend, fused=True)
+    feeds = []
+    for fsm, train, n in ((dfa, training, 120), (bits, b"\x00\x01" * 256, 50)):
+        for width in (n, 2 * n, 3 * n):
+            sid = pool.open(fsm, training_input=train)
+            feeds.append((sid, (np.arange(width) % fsm.n_symbols).astype(np.uint8)))
+    union_kernel = FastBackend.run_streams
+    corrupted = []
+
+    def corrupt_second_class(self, chunks, starts, lengths):
+        ends = np.array(union_kernel(self, chunks, starts, lengths), copy=True)
+        (union,) = pool.state.unions.values()
+        low, size = int(union.offsets[1]), union.dfas[1].n_states
+        lane = int(np.flatnonzero((starts >= low) & (starts < low + size))[0])
+        ends[lane] = low + (ends[lane] - low + 1) % size
+        corrupted.append(int(lengths[lane]))
+        return ends
+
+    monkeypatch.setattr(FastBackend, "run_streams", corrupt_second_class)
+    with pytest.raises(SelfCheckError) as excinfo:
+        pool.feed_many(feeds)
+    (records,) = pool.state.unions
+    second = records[1]
+    widths = [len(seg) for sid, seg in feeds if pool.state.lookup(sid).record is second]
+    assert excinfo.value.invariant == "fused_end_state_oracle"
+    assert excinfo.value.lanes == [widths.index(corrupted[0])] == [2]
+
+
+# ----------------------------------------------------------------------
+# one pass per wave: the serving pool's union of class tables
+# ----------------------------------------------------------------------
+#: Three classes with different state counts (5, 11, 4) and alphabets
+#: (256, 256, 2): the union offsets every class's states and pads the
+#: 2-symbol table's rows to 256 columns.
+UNION_DFAS = (
+    classic.keyword_scanner(b"fuse"),
+    classic.divisibility(11),
+    DFA(
+        table=np.array([[1, 2], [3, 0], [0, 3], [2, 1]]),
+        start=0,
+        accepting=frozenset({3}),
+        name="bits4",
+    ),
+)
+
+
+def _union_pool(backend, **kw):
+    rng = np.random.default_rng(77)
+    pool = MatcherPool(
+        config=GSpecPalConfig(n_threads=8), backend=backend, fused=True, **kw
+    )
+    streams = []  # [stream id, dfa, bytes fed so far]
+    for dfa in UNION_DFAS:
+        training = rng.integers(0, dfa.n_symbols, size=512).astype(np.uint8)
+        for _ in range(3):
+            sid = pool.open(dfa, training_input=training.tobytes())
+            streams.append([sid, dfa, b""])
+    return pool, streams
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_union_wave_matches_oracle_in_one_pass(backend, monkeypatch):
+    """Every ``feed_many`` wave over the three classes — ragged, with empty
+    segments, and all-empty — makes exactly one ``run_streams`` call, and
+    every stream's answer equals ``dfa.run`` over all it was fed."""
+    from repro.engine import FastBackend
+
+    pool, streams = _union_pool(backend)
+    calls = []
+    kernel = FastBackend.run_streams
+
+    def counted(self, chunks, starts, lengths):
+        calls.append(len(starts))
+        return kernel(self, chunks, starts, lengths)
+
+    monkeypatch.setattr(FastBackend, "run_streams", counted)
+    rng = np.random.default_rng(5)
+    waves = [
+        [int(n) for n in rng.integers(0, 200, size=len(streams))],  # ragged
+        [0, 7, 0, 0, 150, 3, 0, 64, 1],  # empty segments in every class
+        [0] * len(streams),  # all empty
+        [int(n) for n in rng.integers(1, 90, size=len(streams))],
+    ]
+    for lengths in waves:
+        feeds = []
+        for stream, n in zip(streams, lengths):
+            segment = rng.integers(0, stream[1].n_symbols, size=n).astype(np.uint8)
+            stream[2] += segment.tobytes()
+            feeds.append((stream[0], segment.tobytes()))
+        calls.clear()
+        outcomes = pool.feed_many(feeds)
+        assert calls == [len(streams)]
+        for (_, dfa, fed), outcome in zip(streams, outcomes):
+            assert outcome.ok and outcome.fused
+            assert outcome.end_state == dfa.run(fed)
+            assert outcome.accepts == (dfa.run(fed) in dfa.accepting)
+    for sid, dfa, fed in streams:
+        assert pool.close(sid).end_state == dfa.run(fed)
+
+
+def test_union_refuses_symbols_past_a_class_alphabet():
+    """A symbol the narrow class lacks would read the union's padding."""
+    union = FusedUnion(UNION_DFAS)
+    assert union.offsets.tolist() == [0, 5, 16]
+    assert union.backend.table.shape == (20, 256)
+    bits = UNION_DFAS[2]
+    ends = union.dispatch([2], [b"\x00\x01\x01"], [bits.start])
+    assert ends.tolist() == [bits.run(b"\x00\x01\x01")]
+    with pytest.raises(SimulationError, match="padding"):
+        union.dispatch([2], [b"\x00\x02"], [bits.start])
+    # A start is checked against its own class, not the union's states.
+    with pytest.raises(SimulationError, match="lanes \\[1\\]"):
+        union.dispatch([0, 2], [b"", b""], [0, bits.n_states])

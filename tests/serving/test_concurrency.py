@@ -13,8 +13,10 @@ barrier-synchronised races keep their dedicated tests below.
 """
 
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 from time import perf_counter, sleep
 
 import numpy as np
@@ -686,7 +688,7 @@ def test_feed_many_falls_back_below_min_width(fsms, training, config):
         assert pool.close(sid).end_state == fsms[i].run(b"alpha" * 10)
 
 
-def test_feed_many_mixed_fingerprints_fuse_per_group(fsms, training, config):
+def test_feed_many_mixed_fingerprints_fuse_in_one_pass(fsms, training, config):
     registry = MetricsRegistry()
     pool = MatcherPool(config=config, fused=True, metrics=registry)
     a = [pool.open(fsms[0], training_input=training) for _ in range(3)]
@@ -695,15 +697,170 @@ def test_feed_many_mixed_fingerprints_fuse_per_group(fsms, training, config):
     outcomes = pool.feed_many(feeds)
     assert all(o.ok and o.fused for o in outcomes)
     exported = registry.as_dict()
-    # One dispatch per fingerprint group, widths 3 and 2.
-    assert exported["serving.pool.fused_dispatches"] == 2
+    # Both fingerprint groups (widths 3 and 2) ride one kernel pass.
+    assert exported["serving.pool.fused_dispatches"] == 1
     assert exported["serving.pool.fused_streams"] == 5
-    assert exported["serving.pool.fused_batch_width.max"] == 3
-    assert exported["serving.pool.fused_batch_width.min"] == 2
+    assert exported["serving.pool.fused_batch_width.max"] == 5
+    assert exported["serving.pool.fused_batch_width.min"] == 5
     for sid in a:
         assert pool.close(sid).end_state == fsms[0].run(b"xyzzy" * 6)
     for sid in b:
         assert pool.close(sid).end_state == fsms[1].run(b"xyzzy" * 6)
+
+
+@pytest.mark.parametrize("backend", ["sim", "fast"])
+def test_union_waves_race_closes_across_classes(fsms, training, config, backend):
+    """Two threads issue overlapping two-class ``feed_many`` waves (one in
+    reverse order, so locks taken in input order would deadlock) while a
+    third closes streams of both classes.  Nothing hangs, every answer is
+    exact, and a closed stream's outcome never poisons its batchmates."""
+    pool = MatcherPool(config=config, backend=backend, fused=True)
+    segment = b"xalpha7y"
+
+    dfa_of = {}
+
+    def open_each(n):
+        for fsm in fsms:
+            for _ in range(n):
+                dfa_of[pool.open(fsm, training_input=training)] = fsm
+        return list(dfa_of)[-n * len(fsms) :]
+
+    # Each thread owns two streams per class; the victims are shared.
+    owned, victims = [open_each(2), open_each(2)], open_each(2)
+    fed = {sid: 0 for sid in dfa_of}
+    errors = []
+
+    def feeder(mine, reverse):
+        try:
+            for _ in range(60):
+                feeds = [(sid, segment) for sid in mine + victims]
+                outcomes = pool.feed_many(feeds[::-1] if reverse else feeds)
+                for outcome in outcomes:
+                    sid = outcome.stream_id
+                    if sid in mine:
+                        fed[sid] += 1
+                        assert outcome.ok and outcome.fused
+                        assert outcome.end_state == dfa_of[sid].run(segment * fed[sid])
+                    elif not outcome.ok:
+                        assert outcome.error.code == "stream_closed"
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def closer():
+        try:
+            for sid in victims:
+                sleep(0.002)
+                stats = pool.close(sid)
+                # Whatever interleaving the victim saw, it ran whole segments.
+                k = stats.segments
+                assert stats.total_symbols == k * len(segment)
+                assert stats.end_state == dfa_of[sid].run(segment * k)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    # Daemon threads: a deadlocked run fails here instead of hanging exit.
+    threads = [
+        threading.Thread(target=feeder, args=(owned[0], False), daemon=True),
+        threading.Thread(target=feeder, args=(owned[1], True), daemon=True),
+        threading.Thread(target=closer, daemon=True),
+    ]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, inside the lock loop too
+    try:
+        for t in threads:
+            t.start()
+        deadline = perf_counter() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - perf_counter()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads), "fused waves deadlocked"
+    assert errors == []
+    for sid in owned[0] + owned[1]:
+        assert pool.close(sid).end_state == dfa_of[sid].run(segment * fed[sid])
+
+
+def _count_union_builds(monkeypatch):
+    """Record the class count of every union the pool builds."""
+    builds = []
+
+    class CountedUnion(pool_mod.FusedUnion):
+        def __init__(self, dfas):
+            builds.append(len(dfas))
+            super().__init__(dfas)
+
+    monkeypatch.setattr(pool_mod, "FusedUnion", CountedUnion)
+    return builds
+
+
+def test_union_wave_reports_closed_streams_and_keeps_unions_per_class_set(
+    fsms, training, config, monkeypatch
+):
+    """A stream closed before its wave gets ``stream_closed`` while its
+    batchmates of both classes are served.  Unions are kept per class set:
+    alternating waves over {A, B} and {A, C} build two unions, once each.
+    When B's streams close and its plan leaves the cache, the {A, B} union
+    goes with B's record and is freed."""
+    builds = _count_union_builds(monkeypatch)
+    pool = MatcherPool(PlanCache(capacity=3, config=config), config=config, fused=True)
+    # B opens first, so its plan is the cache's least recently used.
+    b, a, c = (
+        [pool.open(fsm, training_input=training) for _ in range(3)]
+        for fsm in (fsms[1], fsms[0], classic.keyword_scanner(b"omega"))
+    )
+    pool.close(a[0])
+    pool.close(b[0])
+    outcomes = pool.feed_many([(sid, b"alpha12") for sid in a + b])
+    assert [o.error.code for o in outcomes if not o.ok] == ["stream_closed"] * 2
+    assert [o.stream_id for o in outcomes if o.ok] == a[1:] + b[1:]
+    served = [o for o in outcomes if o.ok]
+    for outcome, fsm in zip(served, [fsms[0]] * 2 + [fsms[1]] * 2):
+        assert outcome.fused and outcome.end_state == fsm.run(b"alpha12")
+    for _ in range(2):
+        for sids in (a[1:] + c, a[1:] + b[1:]):
+            outcomes = pool.feed_many((sid, b"9") for sid in sids)
+            assert all(o.ok and o.fused for o in outcomes)
+    assert builds == [2, 2]
+    record = {
+        name: pool.state.lookup(sids[1]).record for name, sids in zip("abc", (a, b, c))
+    }
+    ab, ac = (
+        tuple(sorted(pair, key=lambda r: r.key))
+        for pair in ((record["a"], record["b"]), (record["a"], record["c"]))
+    )
+    assert set(pool.state.unions) == {ab, ac}
+    freed = weakref.ref(pool.state.unions[ab])
+    for sid in b[1:]:
+        pool.close(sid)
+    pool.open(classic.keyword_scanner(b"delta"), training_input=training)
+    assert list(pool.state.unions) == [ac]
+    gc.collect()
+    assert freed() is None
+
+
+def test_unions_are_bounded_by_the_plan_cache(fsms, training, config, monkeypatch):
+    """One-class waves keep their unions too, and a pool keeps at most its
+    plan cache's capacity of them, dropping the least recently used."""
+    builds = _count_union_builds(monkeypatch)
+    pool = MatcherPool(PlanCache(capacity=2, config=config), config=config, fused=True)
+    a, b, c = (
+        [pool.open(fsm, training_input=training) for _ in range(2)]
+        for fsm in (*fsms, classic.keyword_scanner(b"omega"))
+    )
+    for sids in (a, b, a, b):
+        assert all(o.ok and o.fused for o in pool.feed_many((s, b"7") for s in sids))
+    assert builds == [1, 1]
+    for sids in (a + b, b + c):
+        assert all(o.ok and o.fused for o in pool.feed_many((s, b"7") for s in sids))
+    assert builds == [1, 1, 2, 2]
+    assert len(pool.state.unions) == 2
+    pool.state.check()
+    pool.feed_many((s, b"7") for s in a + b)  # the most recent set: no build
+    assert builds == [1, 1, 2, 2]
+    for sid, fsm in zip(a + b + c, [fsms[0]] * 2 + [fsms[1]] * 2 + [None] * 2):
+        stats = pool.close(sid)
+        if fsm is not None:
+            assert stats.end_state == fsm.run(b"7" * stats.segments)
 
 
 def test_fused_stream_cycles_go_nan(fsms, training, config):

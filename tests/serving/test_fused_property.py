@@ -9,6 +9,12 @@ in order.  One-stream groups take the per-stream fallback and wider ones
 the fused dispatch; their answers are identical, so both are held to the
 same oracle.
 
+The three tenants differ in state count (5, 11, 7) and alphabet (256,
+256, 3), so a gang over several of them — one union pass — only answers
+right if every class's states are offset and its rows padded to the widest
+alphabet.  A segment fed to the 3-symbol tenant is folded into its
+alphabet first.
+
 Plans are compiled once into a module-shared cache; each example gets a
 fresh pool over the warm cache, so examples stay cheap enough to shrink.
 """
@@ -17,17 +23,35 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.automata.dfa import DFA
 from repro.framework import GSpecPalConfig
 from repro.serving import MatcherPool, PlanCache
 from repro.workloads import classic
 
 CONFIG = GSpecPalConfig(n_threads=8, backend="fast")
-DFAS = (classic.keyword_scanner(b"prop"), classic.divisibility(11))
+DFAS = (
+    classic.keyword_scanner(b"prop"),
+    classic.divisibility(11),
+    DFA(
+        table=(2 * np.arange(7)[:, None] + np.arange(3) + 1) % 7,
+        start=0,
+        accepting=frozenset({6}),
+        name="tri7",
+    ),
+)
 _TRAIN_RNG = np.random.default_rng(20260808)
 TRAININGS = tuple(
-    bytes(_TRAIN_RNG.integers(97, 123, size=512).astype(np.uint8))
-    for _ in DFAS
+    bytes((_TRAIN_RNG.integers(97, 123, size=512) % dfa.n_symbols).astype(np.uint8))
+    for dfa in DFAS
 )
+
+
+def _fit(segment: bytes, didx: int) -> bytes:
+    """``segment`` folded into tenant ``didx``'s alphabet."""
+    n_symbols = DFAS[didx].n_symbols
+    return bytes(b % n_symbols for b in segment)
+
+
 #: Warm, shared across examples: each fingerprint compiles exactly once
 #: for the whole module, not once per shrink attempt.
 SHARED_CACHE = PlanCache(capacity=len(DFAS), config=CONFIG)
@@ -35,7 +59,7 @@ SHARED_CACHE = PlanCache(capacity=len(DFAS), config=CONFIG)
 segment = st.binary(max_size=48)
 
 op = st.one_of(
-    st.tuples(st.just("open"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("open"), st.integers(min_value=0, max_value=len(DFAS) - 1)),
     st.tuples(
         st.just("gang"),
         st.lists(segment, min_size=1, max_size=6),
@@ -58,8 +82,12 @@ def test_fused_schedule_matches_oracle(schedule):
         fused=True,
         max_streams=32,
     )
-    #: [stream_id, dfa index, bytearray of everything fed]
-    open_streams = []
+    #: [stream_id, dfa index, bytearray of everything fed]; two streams of
+    #: each tenant open first, so a gang of four or more feeds spans classes.
+    open_streams = [
+        [pool.open(DFAS[didx], training_input=TRAININGS[didx]), didx, bytearray()]
+        for didx in (0, 0, 1, 1, 2, 2)
+    ]
 
     def check_close(slot):
         sid, didx, fed = open_streams.pop(slot)
@@ -79,28 +107,28 @@ def test_fused_schedule_matches_oracle(schedule):
         elif action[0] == "gang":
             if not open_streams:
                 continue
-            segments = action[1]
-            feeds = [
-                (open_streams[i % len(open_streams)][0], seg)
-                for i, seg in enumerate(segments)
+            targets = [
+                open_streams[i % len(open_streams)] for i in range(len(action[1]))
             ]
+            segments = [_fit(seg, t[1]) for seg, t in zip(action[1], targets)]
+            feeds = [(t[0], seg) for seg, t in zip(segments, targets)]
             outcomes = pool.feed_many(feeds)
-            for i, (seg, outcome) in enumerate(zip(segments, outcomes)):
+            for target, seg, outcome in zip(targets, segments, outcomes):
                 assert outcome.ok, outcome
                 assert outcome.symbols == len(seg)
-                open_streams[i % len(open_streams)][2] += seg
+                target[2] += seg
         elif action[0] == "dup":
             # The same stream id twice in one call: segments must apply
             # in input order (wave splitting), never interleaved or lost.
             if not open_streams:
                 continue
-            first, second = action[1], action[2]
+            didx = open_streams[0][1]
+            first, second = _fit(action[1], didx), _fit(action[2], didx)
             sid = open_streams[0][0]
             outcomes = pool.feed_many([(sid, first), (sid, second)])
             assert all(o.ok for o in outcomes)
             open_streams[0][2] += first + second
             # After both segments the carried state reflects first+second.
-            didx = open_streams[0][1]
             assert outcomes[1].end_state == DFAS[didx].run(
                 bytes(open_streams[0][2])
             )

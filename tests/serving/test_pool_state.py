@@ -29,6 +29,7 @@ from repro.serving.state import ClassRecord, PoolState
 Plan = namedtuple("Plan", "fingerprint canonical_fingerprint config_hash revision")
 
 MAX_STREAMS = 4
+MAX_UNIONS = 2
 CLASSES = ("c0", "c1", "c2")
 CONFIGS = ("k0", "k1")
 #: Never handed out: a run opens far fewer streams.
@@ -76,7 +77,7 @@ class PoolStateMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.resident = set()
-        self.state = PoolState(MAX_STREAMS, self.resident.__contains__)
+        self.state = PoolState(MAX_STREAMS, self.resident.__contains__, MAX_UNIONS)
         self.reserved = 0
         self.open = {}  # stream id -> class key
         self.closed = set()
@@ -84,6 +85,8 @@ class PoolStateMachine(RuleBasedStateMachine):
         #: class key -> the plan its answers use: the first variant
         #: opened, then each revision adopted; kept across prunes.
         self.serving = {}
+        #: every record the state has held, pruned ones included.
+        self.records = []
 
     # -- admission --
     @rule()
@@ -136,6 +139,8 @@ class PoolStateMachine(RuleBasedStateMachine):
             self.open[stream_id] = key
             record = self.state.classes[key]
             assert record.matcher.plan is self.serving.setdefault(key, plan)
+            if record not in self.records:
+                self.records.append(record)
             assert self.state.entries[stream_id].forced is forced
         self.reserved -= 1
 
@@ -193,6 +198,41 @@ class PoolStateMachine(RuleBasedStateMachine):
         assert self.state.adopt(record, revised) == 0
         assert record.matcher.plan is revised
         self.serving[record.key] = revised
+
+    # -- fused unions --
+    @precondition(lambda self: self.records)
+    @rule(data=st.data())
+    def keep_union(self, data):
+        chosen = data.draw(st.sets(st.sampled_from(self.records), min_size=1))
+        records = tuple(sorted(chosen, key=lambda record: record.key))
+        live = all(self.state.classes.get(r.key) is r for r in records)
+        before = list(self.state.unions)
+        union = object()
+        self.state.keep(records, union)
+        if live:
+            assert list(self.state.unions)[-1] == records
+            assert self.state.unions[records] is union
+            kept = [rs for rs in before if rs != records] + [records]
+            assert list(self.state.unions) == kept[-MAX_UNIONS:]
+        else:  # a set naming a pruned record is never looked up again
+            assert list(self.state.unions) == before
+
+    @precondition(lambda self: self.state.unions)
+    @rule(data=st.data())
+    def look_up_union(self, data):
+        records = data.draw(st.sampled_from(list(self.state.unions)))
+        union = self.state.unions[records]
+        assert self.state.union(records) is union
+        assert list(self.state.unions)[-1] == records
+
+    @precondition(lambda self: self.records)
+    @rule(data=st.data())
+    def miss_union(self, data):
+        records = (data.draw(st.sampled_from(self.records)),)
+        if records not in self.state.unions:
+            before = list(self.state.unions)
+            assert self.state.union(records) is None
+            assert list(self.state.unions) == before
 
     # -- invariants --
     @invariant()
