@@ -69,6 +69,8 @@ class FastBackend:
         # in int64 and a gathered value is already the next row offset.
         # It is the only table kept; ``table`` is derived from it on read.
         self._pre = np.multiply(table, self.n_symbols, dtype=np.int64).ravel()
+        #: the same table, read one Python int at a time by :meth:`walk`.
+        self._steps = memoryview(self._pre)
 
     @property
     def table(self) -> np.ndarray:
@@ -107,8 +109,9 @@ class FastBackend:
         # the (descending) length drops.  Width k works up to lens[k - 1].
         widths, ends = [n_lanes], [longest]
         if lens is not None:
-            widths += (np.flatnonzero(lens[:-1] != lens[1:])[::-1] + 1).tolist()
-            ends = lens[np.asarray(widths) - 1].tolist()
+            drops = np.flatnonzero(lens[:-1] != lens[1:])[::-1] + 1
+            widths = np.concatenate(([n_lanes], drops))
+            ends = lens[widths - 1]
         a = 0
         for k, b in zip(widths, ends):
             part = st[:k]
@@ -122,6 +125,35 @@ class FastBackend:
         out = every.astype(STATE_DTYPE)
         out[lanes] = st
         return out
+
+    # ------------------------------------------------------------------
+    def walk(self, symbols, start: int) -> int:
+        """End state of one lane over ``symbols`` from ``start``: the scalar
+        walk that answers a segment too short for speculation to pay.
+
+        It steps the premultiplied table through the memoryview the backend
+        keeps (``st = pre[st + a]``, Python ints, no numpy call per
+        symbol), so it holds no second copy of the table.  An out-of-range
+        start or symbol raises the
+        :func:`~repro.engine.base.validate_batch_inputs` error.
+        """
+        symbols = np.ascontiguousarray(symbols)
+        if symbols.dtype.kind not in "iu" or not symbols.dtype.isnative:
+            # A memoryview iterates native integer formats only; the batch
+            # kernel reads any other dtype as int64, and so does the walk.
+            symbols = symbols.astype(np.int64)
+        validate_batch_inputs(
+            symbols.reshape(1, -1),
+            (start,),
+            n_states=self.n_states,
+            n_symbols=self.n_symbols,
+            backend=self.name,
+        )
+        pre, m = self._steps, self.n_symbols
+        st = int(start) * m
+        for a in memoryview(symbols):
+            st = pre[st + a]
+        return st // m
 
     # ------------------------------------------------------------------
     def run_batch(

@@ -50,7 +50,7 @@ checks the path that serves, not a stand-in for it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,14 +195,21 @@ class FusedUnion:
     whatever the classes' backends — it steps the submitted tables with the
     fast kernel and charges no ledger — and keeps one resident table, the
     backend's premultiplied int64 one (the plain table it is built from is
-    dropped once the backend holds it).
+    dropped once the backend holds it).  A union of one is its class's own
+    table, so a ``fast`` class's :class:`FastBackend` may be handed in as
+    ``backend`` and none is built.
     """
 
-    def __init__(self, dfas: Sequence):
+    def __init__(self, dfas: Sequence, backend: Optional[FastBackend] = None):
         self.dfas = tuple(dfas)
         self.sizes = np.array([dfa.n_states for dfa in self.dfas], dtype=np.int64)
         self.alphabets = np.array([dfa.n_symbols for dfa in self.dfas], dtype=np.int64)
         self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.backend = backend if backend is not None else FastBackend(self._table())
+
+    def _table(self) -> np.ndarray:
+        """The disjoint union of the classes' tables, each class's states
+        offset and its rows padded to the widest alphabet with self-loops."""
         shape = (int(self.sizes.sum()), int(self.alphabets.max()))
         table = np.empty(shape, dtype=STATE_DTYPE)
         for dfa, offset in zip(self.dfas, self.offsets):
@@ -210,7 +217,7 @@ class FusedUnion:
             block[:, : dfa.n_symbols] = dfa.table
             block[:, dfa.n_symbols :] = np.arange(dfa.n_states)[:, None]
             block += offset
-        self.backend = FastBackend(table)
+        return table
 
     def dispatch(
         self,

@@ -35,15 +35,39 @@ import numpy as np
 
 from repro.automata.dfa import DFA, _as_symbol_array
 from repro.gpu.kernel import GpuSimulator
+from repro.gpu.stats import KernelStats
 from repro.observability import NULL_TRACER
 from repro.schemes import SCHEME_REGISTRY, SchemeResult
 from repro.schemes.base import Scheme
 from repro.schemes.pm import SPEC_K
+from repro.selfcheck.audit import audit_walk
+from repro.speculation.observations import LiveObservations
 from repro.selector.cost_model import estimate_costs
 from repro.selector.decision_tree import DecisionTreeSelector
 from repro.selector.features import FSMFeatures
 from repro.framework.config import GSpecPalConfig
 from repro.errors import PlanError, SchemeError
+
+#: The speculation crossover on the answer-only ``fast`` backend.  Timed
+#: per feed against the scalar walk (``docs/architecture.md``, "The
+#: answer-only walk"), no scheme beat the walk below 64 KiB at any thread
+#: count, nor at any size up to 256 KiB below 256 threads; PM at 256 and
+#: 1 024 threads is the first to, from 64–128 KiB on.
+WALK_BELOW_SYMBOLS = 1 << 16
+#: On a plan of fewer threads than this, every unforced segment walks.
+SPECULATE_MIN_THREADS = 256
+#: ``SchemeResult.scheme`` of a walked segment.
+WALK = "walk"
+
+
+def walks(backend: str, n_symbols: int, n_threads: int) -> bool:
+    """Whether an unforced segment of ``n_symbols`` on an ``n_threads``
+    plan is answered by the scalar walk instead of a scheme run: on
+    ``fast`` only, below the crossover.  The sim backend always runs the
+    scheme — it is the model."""
+    return backend == "fast" and (
+        n_symbols < WALK_BELOW_SYMBOLS or n_threads < SPECULATE_MIN_THREADS
+    )
 
 
 class GSpecPal:
@@ -143,8 +167,8 @@ class GSpecPal:
         artifacts are byte-identical, so the warmed simulator and fused
         engine stay valid and only the *selection* changes.  Open stream
         sessions re-consult ``select_scheme`` on their next segment and
-        rebuild their runner on the name change, i.e. the swap lands
-        exactly at segment boundaries and never mid-segment.
+        serve the new selection from there, i.e. the swap lands exactly
+        at segment boundaries and never mid-segment.
         """
         current = self.plan
         if plan.fingerprint != current.fingerprint:
@@ -356,16 +380,22 @@ class GSpecPal:
             self._fused = FusedBatchEngine(self._simulator())
         return self._fused
 
-    def stream(self, scheme: Optional[str] = None) -> "StreamSession":
+    def stream(
+        self, scheme: Optional[str] = None, *, evidence: bool = False
+    ) -> "StreamSession":
         """Open an incremental session: feed segments, carry state across.
 
         Each segment is processed with the full parallel machinery from the
         carried DFA state — the framework's answer to long-running feeds
-        (network taps) that cannot be buffered whole.  A forced ``scheme``
-        is validated here, before any profiling or simulator work.
+        (network taps) that cannot be buffered whole — or, on ``fast``
+        below the speculation crossover, with one scalar walk.  A forced
+        ``scheme`` is validated here, before any profiling or simulator
+        work, and always runs.  ``evidence`` marks a session whose boundary
+        evidence a drift monitor reads: every segment runs the selected
+        scheme, as on ``sim``, and none walks.
         """
         self.validate_scheme_name(scheme)
-        return StreamSession(self, scheme=scheme)
+        return StreamSession(self, scheme=scheme, evidence=evidence)
 
 
 class StreamSession:
@@ -376,6 +406,15 @@ class StreamSession:
     answer-only backend (``fast``) sets it to ``float('nan')`` — sticky —
     because the ledger then holds no execution cycles to sum.
 
+    On ``fast``, an unforced segment below the speculation crossover
+    (:func:`walks`) is answered by one scalar walk of the premultiplied
+    table (:meth:`~repro.engine.fast.FastBackend.walk`) instead of a
+    scheme run; ``scheme`` and ``scheme_switches`` still report the plan's
+    selection.  A walked segment verifies no boundary, so a session opened
+    with ``evidence`` (its drift monitor reads the verify phase's
+    evidence) never walks, and one without it runs no predictor on a
+    walked segment.
+
     Thread-ownership contract: a session is a single-owner object.  Its
     carried ``state``/counters are updated without any internal locking,
     so at most one thread may be inside :meth:`feed` at a time and a
@@ -385,21 +424,21 @@ class StreamSession:
     every feed/close, which is exactly this contract enforced.
     """
 
-    def __init__(self, pal: GSpecPal, scheme: Optional[str] = None):
+    def __init__(
+        self, pal: GSpecPal, scheme: Optional[str] = None, *, evidence: bool = False
+    ):
         self._pal = pal
         self._scheme = scheme
+        self._evidence = evidence
         self.state: int = pal.dfa.start
         self.segments: int = 0
         self.total_symbols: int = 0
         self.total_cycles: float = 0.0
-        #: scheme instance reused across segments (rebuilt only when the
-        #: selected scheme *name* changes — schemes hold no cross-run
-        #: state, so per-segment re-instantiation was pure waste).
-        self._runner = None
-        self._runner_name: Optional[str] = None
-        #: the ``seq`` instance that serves segments shorter than the
-        #: plan's thread count (built on the first such segment).
-        self._short_runner = None
+        #: scheme instances by name, built on first use and reused across
+        #: segments (schemes hold no cross-run state).
+        self._runners: Dict[str, Scheme] = {}
+        #: the selection the last segment served (``None`` before any).
+        self._selected: Optional[str] = None
         #: how many times the serving scheme changed between segments —
         #: each increment is one segment-boundary hot-swap (drift-driven
         #: plan revision, or a live selector changing its mind).
@@ -418,67 +457,72 @@ class StreamSession:
     def scheme(self) -> Optional[str]:
         """Name of the scheme this session runs under.
 
-        The scheme the last segment actually ran (once fed), else the
-        forced scheme (when one was requested at open), else ``None`` —
-        a never-fed, unforced session has not consulted the selector yet.
+        The selection the last segment served (once fed; a walked segment
+        serves the plan's selection), else the forced scheme (when one was
+        requested at open), else ``None`` — a never-fed, unforced session
+        has not consulted the selector yet.
         """
-        if self._runner_name is not None:
-            return self._runner_name
+        if self._selected is not None:
+            return self._selected
         return self._scheme
 
-    def _scheme_runner(self, name: str):
-        """The cached scheme instance for ``name`` (rebuild on change).
+    def _select(self, name: str) -> None:
+        """Record the selection a segment serves.  A change between two
+        segments is the segment-boundary hot-swap: a drift revision
+        (``GSpecPal.adopt_plan``) changed the selection and
+        ``scheme_switches`` records that the stream was swapped."""
+        if self._selected is not None and name != self._selected:
+            self.scheme_switches += 1
+        self._selected = name
 
-        The rebuild-on-name-change branch is the segment-boundary hot-swap
-        point: when a drift revision (``GSpecPal.adopt_plan``) changes the
-        selection between two feeds, the next segment rebuilds here and
-        ``scheme_switches`` records that the stream was swapped.
-        """
-        if self._runner is None or self._runner_name != name:
-            if self._runner is not None:
-                self.scheme_switches += 1
-            self._runner = self._pal.build_scheme(name)
-            self._runner_name = name
-        return self._runner
+    def _runner(self, name: str) -> Scheme:
+        """The cached scheme instance for ``name``."""
+        runner = self._runners.get(name)
+        if runner is None:
+            runner = self._runners[name] = self._pal.build_scheme(name)
+        return runner
 
     def feed(self, segment) -> SchemeResult:
         """Process one segment from the carried state; returns its result."""
         symbols = _as_symbol_array(segment)
-        with self._pal.tracer.span(
+        pal = self._pal
+        with pal.tracer.span(
             "stream.feed",
             segment=self.segments,
             segment_symbols=int(symbols.size),
             carried_state=self.state,
         ) as span:
-            self._pal.compile_plan(symbols)
-            name = (
-                self._scheme
-                if self._scheme is not None
-                else self._pal.select_scheme()
-            )
+            pal.compile_plan(symbols)
+            forced = self._scheme is not None
+            name = self._scheme if forced else pal.select_scheme()
             self.decision_path = (
-                ("forced",)
-                if self._scheme is not None
-                else self._pal.current_decision_path()
+                ("forced",) if forced else pal.current_decision_path()
             )
-            if symbols.size < self._pal.config.n_threads:
+            sim = pal._simulator()
+            n_threads = pal.config.n_threads
+            if (
+                not forced
+                and not self._evidence
+                and walks(sim.backend, symbols.size, n_threads)
+            ):
+                self._select(name)
+                result = self._walk(sim, symbols)
+            elif symbols.size < n_threads:
                 # Too short to give every thread a symbol (partition_input
                 # would refuse it): one sequential lane, no speculation —
                 # and so no boundary samples for the drift monitor.  The
                 # session's selected scheme (and switch count) is untouched.
-                if self._short_runner is None:
-                    self._short_runner = self._pal.build_scheme("seq")
-                runner = self._short_runner
+                result = self._runner("seq").run(symbols, start_state=self.state)
             else:
-                runner = self._scheme_runner(name)
-            result = runner.run(symbols, start_state=self.state)
+                self._select(name)
+                result = self._runner(name).run(symbols, start_state=self.state)
             if span:
                 span.set_attr("scheme", result.scheme)
                 span.set_attr("end_state", result.end_state)
         self.state = result.end_state
         self.segments += 1
         self.total_symbols += int(symbols.size)
-        if runner.engine.accounts_cycles:
+        if sim.engine.accounts_cycles:
             self.total_cycles += result.cycles
         else:
             # Answer-only backend: the ledger never holds execution
@@ -486,6 +530,25 @@ class StreamSession:
             # cost.  NaN is sticky and poisons any downstream comparison.
             self.total_cycles = float("nan")
         return result
+
+    def _walk(self, sim: GpuSimulator, symbols) -> SchemeResult:
+        """``symbols`` answered by the scalar walk from the carried state:
+        one chunk, observations that carry the traffic only, and an empty
+        ledger, as no kernel was launched."""
+        end = sim.engine.walk(symbols, self.state)
+        if sim.selfcheck:
+            audit_walk(sim.dfa, symbols, self.state, end, backend=sim.backend)
+        return SchemeResult(
+            end_state=end,
+            accepts=end in sim.dfa.accepting,
+            stats=KernelStats(device=sim.device, n_threads=1),
+            scheme=WALK,
+            n_chunks=1,
+            chunk_ends=np.array([end], dtype=np.int64),
+            observations=LiveObservations(
+                scheme=WALK, segments=1, symbols=int(symbols.size)
+            ),
+        )
 
     def apply_fused(self, symbols, end_state: int) -> None:
         """Account one segment advanced by a fused cross-stream dispatch.

@@ -36,6 +36,9 @@ Invariants audited:
 ``ledger_tiling``
     When the backend accounts cycles: the per-phase cycle buckets tile the
     total exactly, and redundant transitions never exceed total transitions.
+``walk_end_state_oracle``
+    A segment answered by the ``fast`` backend's scalar walk instead of a
+    scheme run ends where ``DFA.run`` does (:func:`audit_walk`).
 
 A violation raises :class:`~repro.errors.SelfCheckError` naming the
 invariant, scheme, backend, frontier round and offending lanes.  The checks
@@ -248,6 +251,21 @@ def audit_fused_dispatch(dfa, segments, starts, result, *, backend) -> None:
             scheme="fused",
             backend=backend,
             lanes=bad_ends,
+        )
+
+
+def audit_walk(dfa, symbols, start: int, end: int, *, backend) -> None:
+    """``walk_end_state_oracle``: a walked segment's end state ``end``
+    equals ``DFA.run`` over ``symbols`` from ``start``.  The walk bypasses
+    the scheme layer, so :func:`audit_scheme_run` never sees it."""
+    oracle_end = int(dfa.run(symbols, start=int(start)))
+    if int(end) != oracle_end:
+        raise SelfCheckError(
+            f"walked end state {int(end)} disagrees with the sequential "
+            f"oracle's {oracle_end}",
+            invariant="walk_end_state_oracle",
+            scheme="walk",
+            backend=backend,
         )
 
 

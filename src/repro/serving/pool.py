@@ -238,7 +238,7 @@ class MatcherPool:
                 stream_id = self.state.admit(
                     plan,
                     self._build_record,
-                    lambda matcher: matcher.stream(scheme=scheme),
+                    lambda matcher: matcher.stream(scheme=scheme, evidence=self.drift),
                     forced=scheme is not None,
                 )
             except BaseException:
@@ -251,10 +251,8 @@ class MatcherPool:
     def _build_record(self, key, plan) -> ClassRecord:
         """A new class's record: ``plan``'s matcher under the serving
         switches, and its drift monitor when drift is on."""
-        config = self.config
-        matcher = GSpecPal.from_plan(
-            plan, backend=config.backend, selfcheck=config.selfcheck
-        )
+        cfg = self.config
+        matcher = GSpecPal.from_plan(plan, backend=cfg.backend, selfcheck=cfg.selfcheck)
         return ClassRecord(key, matcher, DriftMonitor(plan) if self.drift else None)
 
     def _lookup(self, stream_id) -> StreamEntry:
@@ -415,9 +413,12 @@ class MatcherPool:
         with self._lock:
             union = self.state.union(records)
         if union is None:
-            # Built outside every lock; a racing build is harmless, as each
-            # pass steps the union it got.
-            union = FusedUnion([record.matcher.dfa for record in records])
+            # Built outside every lock (a racing build is harmless: each pass
+            # steps the union it got); a fast class alone reuses its table.
+            dfas = [record.matcher.dfa for record in records]
+            alone = len(dfas) == 1 and self.config.backend == "fast"
+            own = records[0].matcher._simulator().engine if alone else None
+            union = FusedUnion(dfas, own)
             with self._lock:
                 self.state.keep(records, union)
         feeds = sorted(chain(*groups.values()), key=lambda feed: feed[1])
@@ -472,12 +473,10 @@ class MatcherPool:
             ]
             if unforced:
                 symbols = sum(int(segment.size) for segment in unforced)
-                self._observe(
-                    record,
-                    LiveObservations(
-                        scheme="fused", spec_k=1, segments=len(unforced), symbols=symbols
-                    ),
+                observed = LiveObservations(
+                    scheme="fused", spec_k=1, segments=len(unforced), symbols=symbols
                 )
+                self._observe(record, observed)
 
     def close(self, stream_id: int) -> StreamStats:
         """Close a stream and return its summary, built under the stream's

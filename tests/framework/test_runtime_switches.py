@@ -42,19 +42,21 @@ def plan(training):
     return compile_plan(classic.div7(), training, GSpecPalConfig(n_threads=8))
 
 
-def _served_scheme(pool, sid):
-    """The scheme instance the stream's last feed ran on."""
-    pool.feed(sid, b"0123456789" * 8)
-    return pool.state.lookup(sid).session._runner
+def _served(pool, sid):
+    """One feed's result and the simulator the stream serves on: every
+    scheme the session builds, and its walk, read both switches there."""
+    result = pool.feed(sid, b"0123456789" * 8)
+    return result, pool.state.lookup(sid).session._pal._simulator()
 
 
 def test_pool_serves_with_the_config_it_compiles_with(clean_env, training):
     cfg = GSpecPalConfig(n_threads=16, backend="fast", selfcheck=True)
     pool = MatcherPool(PlanCache(config=cfg), config=cfg)
     sid = pool.open(classic.div7(), training_input=training)
-    scheme = _served_scheme(pool, sid)
-    assert scheme.engine.name == "fast"
-    assert scheme.selfcheck is True
+    result, sim = _served(pool, sid)
+    assert result.scheme == "walk"
+    assert sim.engine.name == "fast"
+    assert sim.selfcheck is True
     assert math.isnan(pool.close(sid).total_cycles)
 
 
@@ -65,7 +67,8 @@ def test_pool_serves_pm_at_the_one_spec_k(clean_env, training):
     assert pool.stats()["cache"]["compiles"] == 0
     assert pool.stats()["reserved"] == 0
     sid = pool.open(classic.div7(), training_input=training, scheme="pm-spec4")
-    assert _served_scheme(pool, sid).name == "pm-spec4"
+    result, _ = _served(pool, sid)
+    assert result.scheme == "pm-spec4"
 
 
 @pytest.mark.parametrize("env", SWITCHES)
@@ -80,7 +83,7 @@ def test_backend_precedence(clean_env, plan, env, configured, override):
     expected = override or configured or env or "sim"
     assert pool.config.backend == expected
     sid = pool.open(plan=plan)
-    assert _served_scheme(pool, sid).engine.name == expected
+    assert _served(pool, sid)[1].engine.name == expected
 
 
 @pytest.mark.parametrize("env", (None, "0", "1"))
@@ -92,7 +95,7 @@ def test_selfcheck_precedence(clean_env, plan, env, configured):
     expected = configured if configured is not None else env == "1"
     assert pool.config.selfcheck is expected
     sid = pool.open(plan=plan)
-    assert _served_scheme(pool, sid).selfcheck is expected
+    assert _served(pool, sid)[1].selfcheck is expected
     matcher = pool.state.lookup(sid).record.matcher
     assert matcher.fused_engine().sim.selfcheck is expected
 
@@ -107,5 +110,5 @@ def test_a_config_keeps_the_switches_it_resolved(clean_env, plan, training):
     assert (scheme.engine.name, scheme.selfcheck) == ("sim", False)
     pool = MatcherPool(config=cfg)
     sid = pool.open(plan=plan)
-    scheme = _served_scheme(pool, sid)
-    assert (scheme.engine.name, scheme.selfcheck) == ("sim", False)
+    _, sim = _served(pool, sid)
+    assert (sim.engine.name, sim.selfcheck) == ("sim", False)

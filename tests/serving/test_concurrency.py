@@ -785,9 +785,9 @@ def _count_union_builds(monkeypatch):
     builds = []
 
     class CountedUnion(pool_mod.FusedUnion):
-        def __init__(self, dfas):
+        def __init__(self, dfas, backend=None):
             builds.append(len(dfas))
-            super().__init__(dfas)
+            super().__init__(dfas, backend)
 
     monkeypatch.setattr(pool_mod, "FusedUnion", CountedUnion)
     return builds
