@@ -5,7 +5,8 @@ Races three GPU designs on the same rule set and the same stream:
 
 1. the classic *throughput* design — 64 streams batch-scanned, one thread
    each (great aggregate rate, each stream waits for a full sequential
-   scan); this is the serving pool's fused dispatch, charged to a ledger;
+   scan); Algorithm 1's stream-level parallelism, one ledger-charged
+   ``run_batch`` on the simulator;
 2. the *state-parallel NFA engine* (iNFAnt lineage) — compact tables,
    per-symbol parallelism, but symbols remain strictly sequential;
 3. *GSpecPal* — chunk-parallel speculative DFA execution.
@@ -14,6 +15,8 @@ This is §I/II-B of the paper turned into a runnable script.
 
 Run:  python examples/latency_story.py
 """
+
+import numpy as np
 
 from repro.automata.nfa import union_nfas
 from repro.automata.regex import compile_disjunction, regex_to_nfa
@@ -41,10 +44,14 @@ def main() -> None:
     probe = streams[0]
 
     pal = GSpecPal(dfa, GSpecPalConfig(n_threads=256), training_input=training)
-    # 1. stream-parallel batch: one fused dispatch, one lane per stream
-    fused = pal.fused_engine()
-    batch = fused.dispatch(
-        streams, [dfa.start] * len(streams), stats=fused.sim.new_stats(len(streams))
+    # 1. stream-parallel batch: one launch, one lane per stream
+    sim = pal.build_scheme("seq").sim
+    batch = sim.new_stats(len(streams))
+    sim.engine.run_batch(
+        np.stack(streams),
+        [dfa.start] * len(streams),
+        stats=batch,
+        phase="stream_parallel_scan",
     )
     # 2. NFA engine
     nfa_result = NFAEngine(nfa).run(probe)
@@ -55,7 +62,7 @@ def main() -> None:
     ms = lambda cycles: f"{cycles / 1.395e6:8.3f} ms"
     print("\nhow long until stream #0's verdict is known?")
     print(f"  throughput batch engine : {ms(batch.cycles)}  "
-          f"(but {batch.total_symbols:,} total symbols scanned)")
+          f"(but {batch.transitions:,} total symbols scanned)")
     print(f"  state-parallel NFA      : {ms(nfa_result.cycles)}")
     print(f"  GSpecPal ({pal_result.scheme:8s})    : {ms(pal_result.cycles)}")
     print(

@@ -23,11 +23,17 @@ STATE_DTYPE = np.int32
 
 
 def _as_symbol_array(data: "bytes | bytearray | memoryview | np.ndarray | Sequence[int]") -> np.ndarray:
-    """Normalize an input stream to a 1-D uint8/int array of symbol indices."""
+    """Normalize an input stream to a 1-D uint8/int array of symbol indices.
+
+    An array in non-native byte order (``np.frombuffer(buf, ">u2")``) comes
+    back in native order: memoryviews, which the scalar walks step, iterate
+    native formats only."""
     if isinstance(data, np.ndarray):
         arr = data
         if arr.ndim != 1:
             raise AutomatonError(f"input stream must be 1-D, got shape {arr.shape}")
+        if not arr.dtype.isnative:
+            arr = arr.astype(arr.dtype.newbyteorder("="))
         return np.ascontiguousarray(arr)
     if isinstance(data, (bytes, bytearray, memoryview)):
         return np.frombuffer(bytes(data), dtype=np.uint8)

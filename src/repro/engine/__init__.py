@@ -25,8 +25,8 @@ Where the switch is resolved: :class:`~repro.framework.GSpecPalConfig`
 (and a directly built :class:`~repro.gpu.kernel.GpuSimulator`) resolves
 ``backend`` once at construction — the explicit name, else
 ``$REPRO_BACKEND``, else ``"sim"`` — and stores the result; the simulator
-builds the backend from it, and every scheme, stream session and fused
-engine on that simulator shares it.  Above the config, ``from_plan`` and
+builds the backend from it, and every scheme and stream session on that
+simulator shares it.  Above the config, ``from_plan`` and
 ``MatcherPool`` take a ``backend=`` that beats the config's, and the CLI's
 ``--backend`` flag feeds that argument.
 """
@@ -40,7 +40,7 @@ from repro.engine.base import (
     resolve_backend_name,
 )
 from repro.engine.fast import FastBackend
-from repro.engine.fused import FusedBatchEngine, FusedDispatchResult, FusedUnion
+from repro.engine.fused import FusedBatchEngine
 from repro.engine.sim import SimBackend
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FastBackend",
     "FusedBatchEngine",
-    "FusedDispatchResult",
-    "FusedUnion",
     "SimBackend",
     "resolve_backend_name",
 ]

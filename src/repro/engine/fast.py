@@ -133,14 +133,16 @@ class FastBackend:
 
         It steps the premultiplied table through the memoryview the backend
         keeps (``st = pre[st + a]``, Python ints, no numpy call per
-        symbol), so it holds no second copy of the table.  An out-of-range
+        symbol), so it holds no second copy of the table.  ``symbols``
+        come as :func:`~repro.automata.dfa._as_symbol_array` hands them, in
+        native byte order (a memoryview iterates no other).  An out-of-range
         start or symbol raises the
         :func:`~repro.engine.base.validate_batch_inputs` error.
         """
         symbols = np.ascontiguousarray(symbols)
-        if symbols.dtype.kind not in "iu" or not symbols.dtype.isnative:
-            # A memoryview iterates native integer formats only; the batch
-            # kernel reads any other dtype as int64, and so does the walk.
+        if symbols.dtype.kind not in "iu":
+            # The batch kernel reads a non-integer dtype as int64, and so
+            # does the walk.
             symbols = symbols.astype(np.int64)
         validate_batch_inputs(
             symbols.reshape(1, -1),
@@ -199,12 +201,12 @@ class FastBackend:
     ) -> np.ndarray:
         """Fused cross-stream entry: lanes pre-sorted by descending length.
 
-        The fused paths (:class:`~repro.engine.fused.FusedUnion` for the
-        serving pool, :class:`~repro.engine.fused.FusedBatchEngine` for one
-        matcher) pad N stream segments into one ``(streams × positions)``
-        matrix and sort the rows by descending segment length, which is
-        the order the kernel wants: it runs without the compress / sort /
-        scatter that :meth:`run_batch` does for a ragged batch.
+        The serving pool's fused pass
+        (:class:`~repro.engine.fused.FusedBatchEngine`) pads N stream
+        segments into one ``(streams × positions)`` matrix and sorts the
+        rows by descending segment length, which is the order the kernel
+        wants: it runs without the compress / sort / scatter that
+        :meth:`run_batch` does for a ragged batch.
         Answer-identical to :meth:`run_batch` with the same ``lengths``.
         """
         chunks, states, lens, _, _, _ = validate_batch_inputs(

@@ -104,10 +104,6 @@ class GSpecPal:
         #: first need (:meth:`compile_plan`) or handed in by :meth:`from_plan`.
         self._plan = None
         self._sim: Optional[GpuSimulator] = None
-        #: cached cross-stream gang scheduler (built on first use; shares
-        #: the simulator, so it sees the same table/backend every stream
-        #: session does).
-        self._fused = None
 
     # ------------------------------------------------------------------
     # compile-once / serve-many
@@ -164,11 +160,11 @@ class GSpecPal:
         plan from live observations (``revise_plan``) and installs it here.
         Only revisions are accepted — same content fingerprint and same
         config hash — which guarantees the frequency/transformation
-        artifacts are byte-identical, so the warmed simulator and fused
-        engine stay valid and only the *selection* changes.  Open stream
-        sessions re-consult ``select_scheme`` on their next segment and
-        serve the new selection from there, i.e. the swap lands exactly
-        at segment boundaries and never mid-segment.
+        artifacts are byte-identical, so the warmed simulator stays valid
+        and only the *selection* changes.  Open stream sessions re-consult
+        ``select_scheme`` on their next segment and serve the new selection
+        from there, i.e. the swap lands exactly at segment boundaries and
+        never mid-segment.
         """
         current = self.plan
         if plan.fingerprint != current.fingerprint:
@@ -361,24 +357,6 @@ class GSpecPal:
         path = self.dfa.run_path(partition.chunk(flip), start=chunk_start_state)
         within = int(np.argmax(accept[path]))
         return int(partition.offsets[flip]) + within
-
-    def fused_engine(self):
-        """The (cached) cross-stream gang scheduler for this matcher.
-
-        A :class:`~repro.engine.fused.FusedBatchEngine` sharing this
-        framework's simulator: it advances many streams on this plan in a
-        single ``(streams × lanes)`` lockstep dispatch instead of N
-        per-stream scheme runs (the serving pool fuses across plans with
-        :class:`~repro.engine.fused.FusedUnion` instead).  Fused
-        dispatches are answer-identical to per-stream feeds (the
-        differential suites pin this); handed a ledger, one is Algorithm
-        1's stream-level baseline.
-        """
-        if self._fused is None:
-            from repro.engine.fused import FusedBatchEngine
-
-            self._fused = FusedBatchEngine(self._simulator())
-        return self._fused
 
     def stream(
         self, scheme: Optional[str] = None, *, evidence: bool = False

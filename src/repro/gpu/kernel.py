@@ -61,8 +61,8 @@ class GpuSimulator:
         The runtime switches, resolved at construction like
         :class:`~repro.framework.GSpecPalConfig`'s (``None`` →
         ``$REPRO_BACKEND`` → ``"sim"``; ``None`` → ``$REPRO_SELFCHECK``)
-        and stored resolved.  The schemes and the fused engine built on
-        this simulator read them from here.
+        and stored resolved.  The schemes built on this simulator read
+        them from here.
     """
 
     dfa: DFA

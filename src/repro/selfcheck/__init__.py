@@ -9,8 +9,8 @@ contract (every speculative scheme bit-matches the sequential oracle):
   every scheme-run boundary (and every frontier round) and raise a
   structured :class:`~repro.errors.SelfCheckError` on violation.  The
   switch is resolved once, by ``GSpecPalConfig`` or a directly built
-  ``GpuSimulator``; schemes and the fused engine read the simulator's
-  ``selfcheck``;
+  ``GpuSimulator``; schemes read the simulator's ``selfcheck``, the
+  serving pool's fused pass its config's;
 * :mod:`repro.selfcheck.fuzz` — a differential DFA fuzzer (``repro fuzz``)
   that generates random automata, inputs and segmentations, runs all
   schemes × both backends × streaming vs one-shot against ``DFA.run``, and

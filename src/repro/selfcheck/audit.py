@@ -217,14 +217,14 @@ def audit_scheme_run(scheme, data, start_state, result) -> None:
             )
 
 
-def audit_fused_dispatch(dfa, segments, starts, result, *, backend) -> None:
+def audit_fused_dispatch(dfa, segments, starts, end_states, *, backend) -> None:
     """Audit one fused cross-stream dispatch, per stream.
 
-    The fused paths (:class:`~repro.engine.fused.FusedBatchEngine` and the
-    serving pool's :class:`~repro.engine.fused.FusedUnion`) bypass the
-    scheme layer, so the scheme-run audits above never see them; this
-    audit restores the answer guarantee at the dispatch boundary, on the
-    answers of the same kernel an unaudited dispatch runs:
+    The serving pool's fused pass
+    (:class:`~repro.engine.fused.FusedBatchEngine`) bypasses the scheme
+    layer, so the scheme-run audits above never see it; this audit
+    restores the answer guarantee at the dispatch boundary, on the answers
+    of the same kernel an unaudited dispatch runs:
 
     ``fused_end_state_oracle``
         Every stream's fused end state equals the
@@ -232,16 +232,16 @@ def audit_fused_dispatch(dfa, segments, starts, result, *, backend) -> None:
         its own carried state — the per-stream answer contract.
 
     ``dfa`` is the automaton the streams run (one class of a union
-    dispatch), ``segments`` and ``starts`` the dispatch inputs in its
-    numbering, ``result`` its :class:`~repro.engine.fused.FusedDispatchResult`
-    and ``backend`` the name of the backend whose kernel ran.  The lanes
-    a violation names index ``segments``.
+    dispatch), ``segments``, ``starts`` and ``end_states`` the dispatch's
+    inputs and answers in its numbering, and ``backend`` the name of the
+    backend whose kernel ran.  The lanes a violation names index
+    ``segments``.
     """
     bad_ends = []
     for i, (segment, start) in enumerate(zip(segments, starts)):
         symbols = _as_symbol_array(segment)
         oracle_end = int(dfa.run(symbols, start=int(start)))
-        if int(result.end_states[i]) != oracle_end:
+        if int(end_states[i]) != oracle_end:
             bad_ends.append(i)
     if bad_ends:
         raise SelfCheckError(

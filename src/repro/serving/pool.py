@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.automata.dfa import _as_symbol_array
-from repro.engine.fused import FusedUnion
+from repro.engine.fused import FusedBatchEngine
 from repro.errors import ServingError
 from repro.framework import GSpecPalConfig
 from repro.framework.gspecpal import GSpecPal
@@ -120,8 +120,8 @@ class MatcherPool:
         Each :meth:`feed_many` wave steps every group of at least
         :data:`FUSED_MIN_STREAMS` feeds on one class record in one
         answer-only kernel pass over the disjoint union of the groups'
-        tables (:class:`~repro.engine.fused.FusedUnion`; ``total_cycles``
-        is NaN).
+        tables (:class:`~repro.engine.fused.FusedBatchEngine`;
+        ``total_cycles`` is NaN).
     open_timeout:
         Seconds :meth:`open` may wait for a slot at capacity (``None``
         rejects at once with a retryable ``code="capacity"``).
@@ -418,7 +418,7 @@ class MatcherPool:
             dfas = [record.matcher.dfa for record in records]
             alone = len(dfas) == 1 and self.config.backend == "fast"
             own = records[0].matcher._simulator().engine if alone else None
-            union = FusedUnion(dfas, own)
+            union = FusedBatchEngine(dfas, own)
             with self._lock:
                 self.state.keep(records, union)
         feeds = sorted(chain(*groups.values()), key=lambda feed: feed[1])

@@ -19,7 +19,6 @@ from repro.automata.dfa import DFA, STATE_DTYPE, run_lockstep
 from repro.engine.fast import FastBackend
 from repro.engine.fused import FusedBatchEngine
 from repro.errors import SimulationError
-from repro.gpu.kernel import GpuSimulator
 
 GARBAGE = np.array([-7, -1, 1 << 40, np.iinfo(np.int64).max], dtype=np.int64)
 
@@ -271,29 +270,26 @@ def test_fused_dispatch_pads_in_the_segments_dtype(monkeypatch):
         accepting=frozenset({1}),
         name="narrow",
     )
-    sim = GpuSimulator(
-        dfa=dfa, use_transformation=False, backend="fast", selfcheck=False
-    )
-    fused = FusedBatchEngine(sim)
+    fused = FusedBatchEngine([dfa])
     seen = []
-    real = sim.engine.run_streams
+    real = fused.backend.run_streams
     monkeypatch.setattr(
-        sim.engine,
+        fused.backend,
         "run_streams",
         lambda chunks, starts, lengths: seen.append(chunks.dtype)
         or real(chunks, starts, lengths),
     )
     segments = [bytes(rng.integers(0, 200, size=n).astype(np.uint8)) for n in (9, 0, 31)]
-    ends = fused.run_streams(segments, [0, 3, 4])
+    ends = fused.dispatch([0] * 3, segments, [0, 3, 4])
     assert [int(e) for e in ends] == [
         int(dfa.run(seg, start=s)) for seg, s in zip(segments, (0, 3, 4))
     ]
     assert seen == [np.dtype(np.uint8)]
     # mixed element types fall back to the widest layout, same answers
     mixed = [segments[0], list(segments[2])]
-    assert [int(e) for e in fused.run_streams(mixed, [0, 4])] == [
+    assert [int(e) for e in fused.dispatch([0, 0], mixed, [0, 4])] == [
         int(ends[0]), int(ends[2])
     ]
     assert seen[-1] == np.dtype(np.int64)
     with pytest.raises(SimulationError, match="symbols out of range"):
-        fused.run_streams([b"\x01\x02", b"\x01\xfa\x03"], [0, 0])
+        fused.dispatch([0, 0], [b"\x01\x02", b"\x01\xfa\x03"], [0, 0])

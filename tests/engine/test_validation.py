@@ -194,15 +194,17 @@ START_CASES = {
     "sfa_run_-1": lambda sim: SFAScheme(sim, n_threads=2).run(
         _CHUNKS[0], start_state=-1
     ),
-    "dispatch_-1": lambda sim: FusedBatchEngine(sim).dispatch(_CHUNKS[:2], [0, -1]),
-    "dispatch_n_states": lambda sim: FusedBatchEngine(sim).dispatch(
-        _CHUNKS[:2], [4, 0]
+    "dispatch_-1": lambda sim: FusedBatchEngine([sim.dfa]).dispatch(
+        [0, 0], _CHUNKS[:2], [0, -1]
     ),
-    "dispatch_zero_length_-1": lambda sim: FusedBatchEngine(sim).dispatch(
-        [[], []], [0, -1]
+    "dispatch_n_states": lambda sim: FusedBatchEngine([sim.dfa]).dispatch(
+        [0, 0], _CHUNKS[:2], [4, 0]
     ),
-    "dispatch_zero_length_n_states": lambda sim: FusedBatchEngine(sim).dispatch(
-        [[], []], [4, 0]
+    "dispatch_zero_length_-1": lambda sim: FusedBatchEngine([sim.dfa]).dispatch(
+        [0, 0], [[], []], [0, -1]
+    ),
+    "dispatch_zero_length_n_states": lambda sim: FusedBatchEngine([sim.dfa]).dispatch(
+        [0, 0], [[], []], [4, 0]
     ),
 }
 
@@ -212,8 +214,11 @@ START_CASES = {
 def test_bad_starts_raise_behind_the_transformation(case, backend):
     """The renumbering lives in the sim backend, yet every entry that takes
     a caller's start range-checks it: a tagged :class:`SimulationError`,
-    never the answer of the state ``rank[-1]`` would have read."""
-    with pytest.raises(SimulationError, match=rf"^\[{backend}\] start states"):
+    never the answer of the state ``rank[-1]`` would have read.  The fused
+    engine steps the caller's table with the fast kernel whatever the
+    simulator's backend, so its rows name ``[fast]``."""
+    named = "fast" if case.startswith("dispatch") else backend
+    with pytest.raises(SimulationError, match=rf"^\[{named}\] start states"):
         START_CASES[case](_transformed_sim(backend))
 
 
@@ -265,14 +270,19 @@ class TestUserStartStates:
         assert pal._simulator().use_transformation
         return pal
 
+    def _fused(self, scanner, backend):
+        """The pool's one-class engine: a ``fast`` matcher lends its backend."""
+        sim = self._pal(scanner, backend)._simulator()
+        return FusedBatchEngine([scanner], sim.engine if backend == "fast" else None)
+
     @pytest.mark.parametrize("backend", ["sim", "fast"])
     @BAD_STARTS
     def test_fused_entry_rejects_bad_start(self, scanner, backend, bad_start):
-        fused = self._pal(scanner, backend).fused_engine()
+        fused = self._fused(scanner, backend)
         start = bad_start(scanner.n_states)
         for segment in (b"xxalert", b""):
             with pytest.raises(SimulationError, match="start states out of range"):
-                fused.run_streams([b"alert", segment], [scanner.start, start])
+                fused.dispatch([0, 0], [b"alert", segment], [scanner.start, start])
 
     @pytest.mark.parametrize("backend", ["sim", "fast"])
     @BAD_STARTS
@@ -283,7 +293,7 @@ class TestUserStartStates:
 
     @pytest.mark.parametrize("backend", ["sim", "fast"])
     def test_valid_starts_still_translate(self, scanner, backend):
-        fused = self._pal(scanner, backend).fused_engine()
+        fused = self._fused(scanner, backend)
         starts = list(range(scanner.n_states))
-        ends = fused.run_streams([b"xxalert"] * len(starts), starts)
+        ends = fused.dispatch([0] * len(starts), [b"xxalert"] * len(starts), starts)
         assert ends.tolist() == [scanner.run(b"xxalert", start=s) for s in starts]

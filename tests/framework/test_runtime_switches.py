@@ -96,8 +96,6 @@ def test_selfcheck_precedence(clean_env, plan, env, configured):
     assert pool.config.selfcheck is expected
     sid = pool.open(plan=plan)
     assert _served(pool, sid)[1].selfcheck is expected
-    matcher = pool.state.lookup(sid).record.matcher
-    assert matcher.fused_engine().sim.selfcheck is expected
 
 
 def test_a_config_keeps_the_switches_it_resolved(clean_env, plan, training):

@@ -784,12 +784,12 @@ def _count_union_builds(monkeypatch):
     """Record the class count of every union the pool builds."""
     builds = []
 
-    class CountedUnion(pool_mod.FusedUnion):
+    class CountedUnion(pool_mod.FusedBatchEngine):
         def __init__(self, dfas, backend=None):
             builds.append(len(dfas))
             super().__init__(dfas, backend)
 
-    monkeypatch.setattr(pool_mod, "FusedUnion", CountedUnion)
+    monkeypatch.setattr(pool_mod, "FusedBatchEngine", CountedUnion)
     return builds
 
 
